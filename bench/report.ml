@@ -7,7 +7,8 @@
 
    Measures the shared microbenchmark suite (suite.ml: ns/run and
    minor-heap words/run), aggregate simulated-cluster throughput
-   (requests per wall-clock second at several node counts) and the
+   (requests per wall-clock second at several node counts, each with its
+   messages per request and wall-clock µs per message) and the
    figure-sweep wall clocks (quick node list, sequential and parallel),
    checks that the parallel sweep reproduces the sequential one exactly,
    and writes everything as one JSON object. With [--before FILE] the
@@ -163,9 +164,18 @@ let () =
   let micro = Suite.run ~quota () in
   let throughput_nodes = [ 8; 16; 32; 64 ] in
   let throughput_rounds = if smoke then 20 else 200 in
+  (* Each node-count row carries its messages per request and wall-clock
+     µs per message beside req/s: flat µs/msg across n pins the claim that
+     per-message cost does not grow with the cluster. *)
   let throughput =
-    List.map
-      (fun n -> (Printf.sprintf "nodes%d_req_per_s" n, Suite.throughput ~nodes:n ~rounds:throughput_rounds ()))
+    List.concat_map
+      (fun n ->
+        let r = Suite.throughput ~nodes:n ~rounds:throughput_rounds () in
+        [
+          (Printf.sprintf "nodes%d_req_per_s" n, r.Suite.req_per_s);
+          (Printf.sprintf "nodes%d_msgs_per_req" n, r.Suite.msgs_per_req);
+          (Printf.sprintf "nodes%d_us_per_msg" n, r.Suite.us_per_msg);
+        ])
       throughput_nodes
   in
   (* Sharded-service rows ride the same aggregate section (not gated):

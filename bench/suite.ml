@@ -384,46 +384,59 @@ let run ?(quota = 0.25) () =
 (* {1 Aggregate throughput}
 
    End-to-end requests per second of wall-clock time on an [nodes]-node
-   simulated cluster (constant 1 ms links): every non-token node chains
-   [rounds] request→release cycles on a shared lock, so the figure folds
-   in the protocol engines, the simulated network and the event loop —
-   the implementation's capacity to push lock traffic, not the simulated
-   latency. Every fourth node writes, so the load mixes cache-friendly
-   reads with conflicting writes that keep revocation traffic flowing. *)
+   simulated cluster (constant 1 ms links): every non-token node runs
+   [rounds] closed-loop request→hold→release cycles on a shared lock, so
+   the figure folds in the protocol engines, the simulated network and the
+   event loop — the implementation's capacity to push lock traffic, not the
+   simulated latency. Every fourth node writes, so the load mixes
+   cache-friendly reads with conflicting writes that keep revocation
+   traffic flowing. A client holds each grant for 0.25–0.75 ms (seeded),
+   releases from a timer and re-requests through [Engine.schedule], never
+   from inside its grant callback — the [hotlock-64] shape, so every
+   request yields to the event loop and competes with the other clients
+   instead of re-acquiring its cached grant on the spot.
+
+   Alongside req/s the row reports messages per request (from the
+   network's exact counters) and wall-clock µs per message: if per-message
+   cost is flat in [nodes], any drop in req/s is explained by
+   messages/request alone. *)
+type throughput_row = { req_per_s : float; msgs_per_req : float; us_per_msg : float }
+
 let throughput ~nodes ~rounds () =
   let engine = Dcs_sim.Engine.create () in
   let rng = Dcs_sim.Rng.create ~seed:42L in
   let net = Dcs_runtime.Net.create ~engine ~latency:(Dcs_sim.Dist.Constant 1.0) ~rng () in
   let cluster = Dcs_runtime.Hlock_cluster.create ~net ~nodes ~locks:1 () in
   let completed = ref 0 in
+  let master = Dcs_sim.Rng.create ~seed:7L in
   for node = 1 to nodes - 1 do
+    let hold = Dcs_sim.Rng.split master in
     let mode = if node mod 4 = 0 then Dcs_modes.Mode.W else Dcs_modes.Mode.R in
     let remaining = ref rounds in
-    (* Cached re-acquisition grants synchronously, inside [request],
-       before the ticket is known — detect that and finish after. *)
     let rec go () =
       let seq = ref (-1) in
-      let sync = ref false in
-      let s =
-        Dcs_runtime.Hlock_cluster.request cluster ~node ~lock:0 ~mode
-          ~on_granted:(fun () -> if !seq >= 0 then finish !seq else sync := true)
-      in
-      seq := s;
-      if !sync then finish s
-    and finish s =
-      incr completed;
-      Dcs_runtime.Hlock_cluster.release cluster ~node ~lock:0 ~seq:s;
-      decr remaining;
-      if !remaining > 0 then go ()
+      seq :=
+        Dcs_runtime.Hlock_cluster.request cluster ~node ~lock:0 ~mode ~on_granted:(fun () ->
+            Dcs_sim.Engine.schedule engine ~after:(Dcs_sim.Rng.uniform hold ~lo:0.25 ~hi:0.75)
+              (fun () ->
+                incr completed;
+                Dcs_runtime.Hlock_cluster.release cluster ~node ~lock:0 ~seq:!seq;
+                decr remaining;
+                if !remaining > 0 then Dcs_sim.Engine.schedule engine ~after:0.0 go))
     in
-    go ()
+    Dcs_sim.Engine.schedule engine ~after:0.0 go
   done;
   let t0 = Unix.gettimeofday () in
   ignore (Dcs_sim.Engine.run engine);
   let dt = Unix.gettimeofday () -. t0 in
   let requests = !completed in
   assert (requests = (nodes - 1) * rounds);
-  float_of_int requests /. dt
+  let msgs = Dcs_proto.Counters.total (Dcs_runtime.Net.counters net) in
+  {
+    req_per_s = float_of_int requests /. dt;
+    msgs_per_req = float_of_int msgs /. float_of_int requests;
+    us_per_msg = dt *. 1e6 /. float_of_int msgs;
+  }
 
 (* Aggregate requests per second of the sharded lock-namespace service:
    the full round loop (traffic plan, bucket routing, pooled-cell bursts,

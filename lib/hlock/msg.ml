@@ -58,13 +58,21 @@ let pp ppf = function
 
 let request_same a b = a.requester = b.requester && a.seq = b.seq
 
-let request_key r = (r.timestamp, r.requester, r.seq)
+let request_lt a b =
+  a.timestamp < b.timestamp
+  || (a.timestamp = b.timestamp
+     && (a.requester < b.requester || (a.requester = b.requester && a.seq < b.seq)))
 
-let request_lt a b = request_key a < request_key b
-
-let service_key r = ((if r.upgrade then 0 else 1), -r.priority, request_key r)
-
-let service_order a b = compare (service_key a) (service_key b)
+(* Upgrades first, then descending priority, then the [request_lt] order:
+   the lexicographic order on [(upgrade?0:1, -priority, timestamp,
+   requester, seq)], compared field by field so the queue hot path never
+   allocates a key. *)
+let service_order a b =
+  if a.upgrade <> b.upgrade then if a.upgrade then -1 else 1
+  else if a.priority <> b.priority then Int.compare b.priority a.priority
+  else if a.timestamp <> b.timestamp then Int.compare a.timestamp b.timestamp
+  else if a.requester <> b.requester then Int.compare a.requester b.requester
+  else Int.compare a.seq b.seq
 
 let insert_by_service_order r queue =
   let rec go = function
@@ -73,8 +81,6 @@ let insert_by_service_order r queue =
   in
   go queue
 
-let merge_queues a b =
-  (* Stable sort by the service order: priorities first, then Lamport key,
-     so causally ordered requests keep their order within a priority level
-     and concurrent ones get a deterministic total order. *)
-  List.stable_sort service_order (a @ b)
+(* Every queue is sorted (insertions go through [insert_by_service_order]),
+   so merging equals the stable sort of the concatenation. *)
+let merge_queues a b = List.merge service_order a b

@@ -121,7 +121,7 @@ val service_order : request -> request -> int
     keys keep arrival order). *)
 val insert_by_service_order : request -> request list -> request list
 
-(** FIFO-merge two queues by [(timestamp, requester, seq)]; both inputs must
-    be sorted the same way (they are, being FIFO queues of Lamport-stamped
-    requests). *)
+(** Merge two queues sorted by {!service_order} into one (on ties the
+    first queue's entries come first). Both inputs must be sorted; every
+    node queue is, being built by {!insert_by_service_order}. *)
 val merge_queues : request list -> request list -> request list

@@ -53,13 +53,21 @@ type t = {
      in the copyset Li/Hudak-style so re-acquisition is message-free
      (Rule 2); dropped on freeze/conflict (revocation). *)
   mutable cached : Mode_set.t;
+  (* Copyset, child → (recorded mode, epoch), with the per-mode multiset
+     [child_counts] (indexed by Mode.index) kept beside it exactly like
+     [held_counts], so the owned mode never walks the copyset. *)
   children : (Node_id.t, Mode.t * int) Hashtbl.t;
+  child_counts : int array;
   mutable queue : Msg.request list;  (* FIFO, head first *)
   mutable pending : Msg.request option;
   (* first hop our pending request took; rejected elder requests follow it *)
   mutable pending_trail : Node_id.t option;
   mutable frozen : Mode_set.t;
   sent_freeze : (Node_id.t, Mode_set.t) Hashtbl.t;
+  (* False only while every child has been sent all of [frozen] it needs:
+     set by anything that can create a need (the frozen set changing, a
+     child record being set), cleared by the walk in [refresh_freezes]. *)
+  mutable freeze_dirty : bool;
   mutable kick_marks : (Node_id.t * int) list;
   mutable tenure : int;  (* valid while we hold or last held the token *)
   mutable hint : int * Node_id.t;  (* freshest known (tenure, token owner) *)
@@ -110,11 +118,13 @@ let create ?(config = default_config) ?obs ~id ~peers ~is_token ~parent ~send ~o
     held_counts = Array.make 5 0;
     cached = Mode_set.empty;
     children = Hashtbl.create 8;
+    child_counts = Array.make 5 0;
     queue = [];
     pending = None;
     pending_trail = None;
     frozen = Mode_set.empty;
     sent_freeze = Hashtbl.create 8;
+    freeze_dirty = true;
     kick_marks = [];
     tenure = 0;
     hint = (0, (if is_token then id else match parent with Some p -> p | None -> id));
@@ -161,6 +171,24 @@ let held_remove t seq =
       t.held_counts.(Mode.index m) <- t.held_counts.(Mode.index m) - 1;
       Some m
 
+(* Copyset maintenance: every mutation of [t.children] goes through these
+   so [child_counts] can never drift. *)
+
+let child_set t c m epoch =
+  (match Hashtbl.find_opt t.children c with
+  | Some (old, _) -> t.child_counts.(Mode.index old) <- t.child_counts.(Mode.index old) - 1
+  | None -> ());
+  Hashtbl.replace t.children c (m, epoch);
+  t.child_counts.(Mode.index m) <- t.child_counts.(Mode.index m) + 1;
+  t.freeze_dirty <- true
+
+let child_remove t c =
+  match Hashtbl.find_opt t.children c with
+  | None -> ()
+  | Some (m, _) ->
+      Hashtbl.remove t.children c;
+      t.child_counts.(Mode.index m) <- t.child_counts.(Mode.index m) - 1
+
 let accounting t =
   match t.accounted_parent with None -> None | Some p -> Some (p, t.accounted_epoch)
 
@@ -168,57 +196,58 @@ let children t =
   Hashtbl.fold (fun c (m, _) acc -> (c, m) :: acc) t.children []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
+let copyset_size t = Hashtbl.length t.children
 let cached t = Mode_set.to_list t.cached
 
-(* Owned mode (Definition 3) as a Decision code, allocation-free. The
-   held/cached scan walks mode indices in descending order, which is
-   non-increasing strength (W, IW, U, R, IR), so the first hit is the
-   strongest; a correctly maintained copyset never holds the equal-strength
-   U and IW together (they conflict), so the tie order is immaterial. *)
-let owned_code t =
-  let best = ref 0 in
+(* Owned mode (Definition 3) as a Decision code, allocation-free: two
+   5-slot scans. Each walks mode indices in descending order, which is
+   non-increasing strength (W, IW, U, R, IR), so its first hit is the
+   strongest. Held/cached modes win ties against child records; between
+   equal-strength child records (U and IW, which a correctly maintained
+   copyset never holds together) the higher index, IW, wins. [skip_held]
+   and [skip_child] each discount one held grant / child record of that
+   mode index (-1: none) — the upgrade mask of [owned_code_for]. *)
+let owned_code_masked t ~skip_held ~skip_child =
+  let own = ref 0 in
   let i = ref 4 in
-  while !best = 0 && !i >= 0 do
-    if t.held_counts.(!i) > 0 || Mode_set.mem (Mode.of_index !i) t.cached then best := !i + 1;
+  while !own = 0 && !i >= 0 do
+    let n = if !i = skip_held then t.held_counts.(!i) - 1 else t.held_counts.(!i) in
+    if n > 0 || Mode_set.mem (Mode.of_index !i) t.cached then own := !i + 1;
     decr i
   done;
-  Hashtbl.iter
-    (fun _ (m, _) ->
-      let c = Decision.code_of_mode m in
-      if Decision.strength_of_code c > Decision.strength_of_code !best then best := c)
-    t.children;
-  !best
+  let kid = ref 0 in
+  let i = ref 4 in
+  while !kid = 0 && !i >= 0 do
+    let n = if !i = skip_child then t.child_counts.(!i) - 1 else t.child_counts.(!i) in
+    if n > 0 then kid := !i + 1;
+    decr i
+  done;
+  if Decision.strength_of_code !kid > Decision.strength_of_code !own then !kid else !own
 
+let owned_code t = owned_code_masked t ~skip_held:(-1) ~skip_child:(-1)
 let owned t = Decision.decode_owned (owned_code t)
 
 (* Owned code as seen when evaluating request [r]: an upgrade request masks
-   the requester's own U contribution (Rule 7). Only one U exists system-wide
-   (U conflicts with U), so masking by mode is unambiguous. *)
+   the requester's own U contribution (Rule 7) — its held U grant, or its U
+   child record. Only one U exists system-wide (U conflicts with U), so
+   masking by mode is unambiguous. *)
 let owned_code_for t (r : Msg.request) =
   if not r.upgrade then owned_code t
   else begin
-    let skip_idx =
+    let skip_held =
       if r.requester = t.id then
         match Hashtbl.find_opt t.held r.seq with Some m -> Mode.index m | None -> -1
       else -1
     in
-    let best = ref 0 in
-    let i = ref 4 in
-    while !best = 0 && !i >= 0 do
-      let n = t.held_counts.(!i) in
-      let n = if !i = skip_idx then n - 1 else n in
-      if n > 0 || Mode_set.mem (Mode.of_index !i) t.cached then best := !i + 1;
-      decr i
-    done;
-    Hashtbl.iter
-      (fun c (m, _) ->
-        if not (c = r.requester && Mode.equal m Mode.U) then begin
-          let code = Decision.code_of_mode m in
-          if Decision.strength_of_code code > Decision.strength_of_code !best then best := code
-        end)
-      t.children;
-    !best
+    let skip_child =
+      match Hashtbl.find_opt t.children r.requester with
+      | Some (Mode.U, _) -> Mode.index Mode.U
+      | Some _ | None -> -1
+    in
+    owned_code_masked t ~skip_held ~skip_child
   end
+
+let owned_for t r = Decision.decode_owned (owned_code_for t r)
 
 let is_frozen t m =
   t.config.freezing
@@ -230,6 +259,7 @@ let is_frozen t m =
 let set_frozen t next =
   let prev = t.frozen in
   t.frozen <- next;
+  if not (Mode_set.equal next prev) then t.freeze_dirty <- true;
   match t.obs with
   | None -> ()
   | Some f ->
@@ -368,17 +398,40 @@ let set_parent t p ~stamp =
 
 (* {1 Freezing (Rule 6)} *)
 
+(* The frozen set child [c] (recorded at [cm]) should have been sent, if it
+   differs from what was last sent. Additive only (the paper: "a mode, once
+   frozen, will not be sent a freeze message again"): no explicit un-freeze
+   traffic. A stale frozen mode merely makes a child forward instead of
+   granting, and clears itself when the child leaves the copyset or changes
+   accounting parent. *)
+let freeze_update t c cm =
+  let relevant =
+    (* Anything the child could grant, or could be caching somewhere in its
+       subtree (no stronger than its recorded mode), must be frozen there —
+       freezing both stops grants and revokes caches. *)
+    Mode_set.inter t.frozen (Decision.le_strength_bits cm)
+  in
+  let previous =
+    match Hashtbl.find_opt t.sent_freeze c with None -> Mode_set.empty | Some s -> s
+  in
+  let combined = Mode_set.union relevant previous in
+  if Mode_set.equal combined previous then None else Some combined
+
 (* Recompute (token node) and propagate the frozen set. A child is notified
    only of the frozen modes it could actually grant given the mode we record
-   for it; notifications are diffed against what was last sent, so both
-   freezing and un-freezing travel, and only when something changed. *)
+   for it; notifications are diffed against what was last sent, and only
+   sent when something changed. *)
 let refresh_freezes t =
   if t.config.freezing then begin
     if t.token then begin
+      (* One owned code serves every plain entry; only upgrades see a
+         masked one. *)
+      let owned = owned_code t in
       let fs =
         List.fold_left
           (fun acc (r : Msg.request) ->
-            Mode_set.union acc (Decision.freeze_set ~owned:(owned_code_for t r) r.mode))
+            let o = if r.upgrade then owned_code_for t r else owned in
+            Mode_set.union acc (Decision.freeze_set ~owned:o r.mode))
           Mode_set.empty t.queue
       in
       let fs =
@@ -393,34 +446,29 @@ let refresh_freezes t =
       in
       set_frozen t fs
     end;
-    (* Nothing frozen here and nothing ever sent: no child notification
-       can result (relevant and previous are both empty for every child),
-       so skip the children walk — it is on the grant hot path. *)
-    if not (Mode_set.is_empty t.frozen && Hashtbl.length t.sent_freeze = 0) then begin
-    let kids = children t in
-    List.iter
-      (fun (c, cm) ->
-        (* Additive only (the paper: "a mode, once frozen, will not be sent
-           a freeze message again"): no explicit un-freeze traffic. A stale
-           frozen mode merely makes a child forward instead of granting,
-           and clears itself when the child leaves the copyset or changes
-           accounting parent. *)
-        let relevant =
-          (* Anything the child could grant, or could be caching somewhere
-             in its subtree (no stronger than its recorded mode), must be
-             frozen there — freezing both stops grants and revokes
-             caches. *)
-          Mode_set.inter t.frozen (Decision.le_strength_bits cm)
-        in
-        let previous =
-          match Hashtbl.find_opt t.sent_freeze c with None -> Mode_set.empty | Some s -> s
-        in
-        let combined = Mode_set.union relevant previous in
-        if not (Mode_set.equal combined previous) then begin
-          Hashtbl.replace t.sent_freeze c combined;
-          emit t c (Msg.Freeze { frozen = combined })
-        end)
-      kids
+    (* Nothing frozen here, or nothing changed since the last walk: no
+       notification can result — skip the children walk, which is on the
+       grant hot path. Otherwise collect the children that need a Freeze
+       and notify them in ascending id, independent of hash-table history;
+       each update is re-derived at its send, so a transport that delivers
+       synchronously (and re-enters this node) never sends a stale set. *)
+    if t.freeze_dirty && not (Mode_set.is_empty t.frozen) then begin
+      t.freeze_dirty <- false;
+      let notify = ref [] in
+      Hashtbl.iter
+        (fun c (cm, _) -> if freeze_update t c cm <> None then notify := c :: !notify)
+        t.children;
+      List.iter
+        (fun c ->
+          match Hashtbl.find_opt t.children c with
+          | None -> ()
+          | Some (cm, _) -> (
+              match freeze_update t c cm with
+              | None -> ()
+              | Some combined ->
+                  Hashtbl.replace t.sent_freeze c combined;
+                  emit t c (Msg.Freeze { frozen = combined })))
+        (List.sort Int.compare !notify)
     end
   end
 
@@ -503,7 +551,7 @@ let grant_copy t (r : Msg.request) =
     | Some (m, _) -> if Mode.stronger_eq m r.mode then m else r.mode
     | None -> r.mode
   in
-  Hashtbl.replace t.children r.requester (mode, epoch);
+  child_set t r.requester mode epoch;
   let ancestry = if t.token then [] else t.ancestry in
   emit t r.requester
     (Msg.Grant { req = { r with Msg.hint = my_hint t }; epoch; recorded = mode; ancestry });
@@ -512,7 +560,7 @@ let grant_copy t (r : Msg.request) =
 (* Token transfer (Rule 3.2 operational): hand over the token, our queue and
    the frozen set; stay in the tree as a child if we still own something. *)
 let transfer_token t (r : Msg.request) =
-  Hashtbl.remove t.children r.requester;
+  child_remove t r.requester;
   Hashtbl.remove t.sent_freeze r.requester;
   let residual = owned t in
   let sender_epoch = fresh_epoch t in
@@ -526,20 +574,22 @@ let transfer_token t (r : Msg.request) =
      or they walk the whole service chain hop by hop. Only U/W entries are
      certain future owners; fall back to the immediate transfer target. *)
   let tail =
-    let certain (q : Msg.request) =
-      q.requester <> t.id && (Mode.equal q.mode Mode.U || Mode.equal q.mode Mode.W)
+    (* One pass for the last certain and the last remote entry. With no
+       certain future owner queued, the last remote requester is the best
+       tail guess — on transfer-dominated locks it will own the token; on
+       copy-dominated ones it will at worst be a child of the new token
+       node (one extra hop). *)
+    let rec last ~certain ~remote = function
+      | [] -> if certain >= 0 then certain else if remote >= 0 then remote else r.requester
+      | (q : Msg.request) :: rest ->
+          if q.requester = t.id then last ~certain ~remote rest
+          else
+            let certain =
+              if Mode.equal q.mode Mode.U || Mode.equal q.mode Mode.W then q.requester else certain
+            in
+            last ~certain ~remote:q.requester rest
     in
-    let remote (q : Msg.request) = q.requester <> t.id in
-    match List.rev (List.filter certain t.queue) with
-    | last :: _ -> last.requester
-    | [] -> (
-        (* No certain future owner queued: the last remote requester is the
-           best tail guess — on transfer-dominated locks it will own the
-           token; on copy-dominated ones it will at worst be a child of the
-           new token node (one extra hop). *)
-        match List.rev (List.filter remote t.queue) with
-        | last :: _ -> last.requester
-        | [] -> r.requester)
+    last ~certain:(-1) ~remote:(-1) t.queue
   in
   t.queue <- [];
   t.token <- false;
@@ -913,8 +963,8 @@ let handle_token t ~src (m : Msg.t) =
       t.last_granter <- Some src;
       t.tenure <- max (fst serving.Msg.hint) (fst t.hint + 1);
       (match sender_owned with
-      | Some m -> Hashtbl.replace t.children src (m, sender_epoch)
-      | None -> Hashtbl.remove t.children src);
+      | Some m -> child_set t src m sender_epoch
+      | None -> child_remove t src);
       t.queue <- Msg.merge_queues queue t.queue;
       set_frozen t frozen;
       grant_self ~via_token:true t serving;
@@ -927,9 +977,9 @@ let handle_release t ~src ~new_owned ~epoch =
   | Some (_, e) when e = epoch -> (
       (match new_owned with
       | None ->
-          Hashtbl.remove t.children src;
+          child_remove t src;
           Hashtbl.remove t.sent_freeze src
-      | Some m -> Hashtbl.replace t.children src (m, e));
+      | Some m -> child_set t src m e);
       after_owned_change t)
   | Some _ | None -> ()  (* stale epoch or unknown child: superseded *)
 
@@ -1153,11 +1203,13 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send ~on_granted ~on_upg
       held_counts = Array.make 5 0;
       cached = s.s_cached;
       children = Hashtbl.create 8;
+      child_counts = Array.make 5 0;
       queue = s.s_queue;
       pending = None;
       pending_trail = None;
       frozen = s.s_frozen;
       sent_freeze = Hashtbl.create 8;
+      freeze_dirty = true;
       kick_marks = [];
       tenure = s.s_tenure;
       hint = s.s_hint;
@@ -1172,6 +1224,6 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send ~on_granted ~on_upg
       batched = [];
     }
   in
-  List.iter (fun (c, m, e) -> Hashtbl.replace t.children c (m, e)) s.s_children;
+  List.iter (fun (c, m, e) -> child_set t c m e) s.s_children;
   List.iter (fun (c, ms) -> Hashtbl.replace t.sent_freeze c ms) s.s_sent_freeze;
   t

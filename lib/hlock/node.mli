@@ -14,7 +14,9 @@
     multiset of locally [held] modes, a FIFO local [queue] of requests it
     could not serve, at most one [pending] request sent to its parent, and
     the current [frozen] mode set. The {e owned} mode (Definition 3) is the
-    strongest of held and children modes and is recomputed on demand.
+    strongest of held, cached and children modes; per-mode counts of held
+    grants and child records make it a constant-time scan, so no message
+    handler walks the copyset to find it.
 
     {2 Interpretations of under-specified corners} (full catalogue with
     rationale in DESIGN.md §2)
@@ -183,14 +185,27 @@ val id : t -> Node_id.t
 val is_token : t -> bool
 val parent : t -> Node_id.t option
 
-(** Strongest of held and children modes (Definition 3); [None] = ⊥. *)
+(** Strongest of held, cached and children modes (Definition 3); [None] =
+    ⊥. Held and cached modes win ties against child records; between the
+    equal-strength [U] and [IW] child records, [IW] wins. Constant time:
+    per-mode counts of held grants and child records are kept alongside
+    the tables. *)
 val owned : t -> Mode.t option
+
+(** The owned mode as the token node sees it when evaluating request [r]:
+    for an upgrade (Rule 7), the requester's own [U] contribution — its
+    held [U] grant, or its [U] child record — is masked; otherwise
+    {!owned}. *)
+val owned_for : t -> Msg.request -> Mode.t option
 
 (** Locally held instances as [(seq, mode)]. *)
 val held : t -> (int * Mode.t) list
 
-(** Copyset: children and their recorded owned modes. *)
+(** Copyset: children and their recorded owned modes, sorted by id. *)
 val children : t -> (Node_id.t * Mode.t) list
+
+(** [List.length (children t)] in constant time, without building the list. *)
+val copyset_size : t -> int
 
 (** Cached (granted but unheld) modes retained for message-free
     re-acquisition; see [config.caching]. *)

@@ -302,7 +302,7 @@ let sample_gauges t r =
         Array.iter
           (fun e ->
             queued := !queued + List.length (Node.queue e);
-            copyset := !copyset + List.length (Node.children e);
+            copyset := !copyset + Node.copyset_size e;
             if not (Mode_set.is_empty (Node.frozen e)) then incr frozen)
           ls.engines)
       t.locks_arr;

@@ -19,11 +19,19 @@ module Sync_cluster = struct
     mutable events : event list;  (* newest first *)
     mutable sent : int;
     mutable sent_by_class : (Dcs_proto.Msg_class.t * int) list;
+    mutable after_delivery : unit -> unit;  (* runs after every delivered message *)
   }
 
   let create ?config n =
     let t =
-      { nodes = [||]; wire = []; events = []; sent = 0; sent_by_class = [] }
+      {
+        nodes = [||];
+        wire = [];
+        events = [];
+        sent = 0;
+        sent_by_class = [];
+        after_delivery = (fun () -> ());
+      }
     in
     let nodes =
       Array.init n (fun id ->
@@ -47,6 +55,10 @@ module Sync_cluster = struct
 
   let node t i = t.nodes.(i)
 
+  (* Install a check to run after every message delivery (e.g. a per-node
+     bookkeeping invariant); replaces any previous one. *)
+  let after_delivery t f = t.after_delivery <- f
+
   (* Deliver queued messages until quiescent (bounded; raises on runaway). *)
   let settle ?(limit = 10_000) t =
     let steps = ref 0 in
@@ -58,6 +70,7 @@ module Sync_cluster = struct
           if !steps > limit then failwith "Sync_cluster.settle: message storm";
           t.wire <- rest;
           Dcs_hlock.Node.handle_msg t.nodes.(dst) ~src msg;
+          t.after_delivery ();
           go ()
     in
     go ()
@@ -69,6 +82,7 @@ module Sync_cluster = struct
     | (src, dst, msg) :: rest ->
         t.wire <- rest;
         Dcs_hlock.Node.handle_msg t.nodes.(dst) ~src msg;
+        t.after_delivery ();
         true
 
   let drain_events t =
