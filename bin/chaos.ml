@@ -1,5 +1,5 @@
 (* Chaos harness: the airline workload under named fault plans, with the
-   runtime invariant audit and the reliable-shim overhead report.
+   per-delivery invariant oracle and the reliable-shim overhead report.
 
      dcs-chaos                         all four shipped plans, 64 nodes
      dcs-chaos lossy-dup --nodes 32    one plan, custom size
@@ -7,8 +7,8 @@
 
    CHAOS_QUICK=1 (or --quick) shrinks the soak to a CI smoke (~seconds):
    12 nodes, 12 ops/node. The full default is a 64-node, 10240-request
-   soak per plan. Exit status is non-zero if any audit violation, liveness
-   failure or digest mismatch occurs. *)
+   soak per plan. Exit status is non-zero if any invariant violation,
+   liveness failure or digest mismatch occurs. *)
 
 open Cmdliner
 module Experiment = Dcs_runtime.Experiment
@@ -22,7 +22,7 @@ let build_config ~nodes ~ops ~entries ~seed =
     workload = { cfg.Experiment.workload with Dcs_workload.Airline.entries; ops_per_node = ops };
   }
 
-let run_plan ~cfg ~period ~name ~events =
+let run_plan ~cfg ~name ~events =
   let horizon = Experiment.horizon_estimate cfg in
   let plan =
     match Plan.named ~nodes:cfg.Experiment.nodes ~horizon name with
@@ -31,7 +31,7 @@ let run_plan ~cfg ~period ~name ~events =
         Printf.eprintf "unknown plan %S (known: %s)\n" name (String.concat ", " Plan.names);
         exit 2
   in
-  let cfg = { cfg with Experiment.chaos = Some (Experiment.chaos ~audit_period:period plan) } in
+  let cfg = { cfg with Experiment.chaos = Some (Experiment.chaos plan) } in
   let trace = Dcs_sim.Trace.create ~capacity:64 ~enabled:true () in
   (* Metrics-only recorder by default: latency histograms and message
      accounting without the per-event log (soaks are long). With
@@ -88,9 +88,9 @@ let report ~name ~cfg ~plan ~result ~digest ~recorder =
     | Some rep -> rep
     | None -> failwith "chaos run produced no report"
   in
-  Printf.printf "audit     : %d samples, %d violations\n" rep.Experiment.audit_samples
-    (List.length rep.Experiment.audit_violations);
-  List.iter (fun v -> Printf.printf "  VIOLATION %s\n" v) rep.Experiment.audit_violations;
+  Printf.printf "invariant : checked after every delivery, %d violations\n"
+    (List.length rep.Experiment.violations);
+  List.iter (fun v -> Printf.printf "  VIOLATION %s\n" v) rep.Experiment.violations;
   (match rep.Experiment.reliable_stats with
   | None ->
       Printf.printf "shim      : off (plan keeps the link reliable-FIFO)\n"
@@ -109,7 +109,7 @@ let report ~name ~cfg ~plan ~result ~digest ~recorder =
     r.Experiment.events;
   telemetry recorder r;
   Printf.printf "digest    : %Lx\n\n" digest;
-  rep.Experiment.audit_violations = []
+  rep.Experiment.violations = []
 
 let write_shard ~dir ~name ~cfg ~result ~recorder =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
@@ -126,7 +126,7 @@ let write_shard ~dir ~name ~cfg ~result ~recorder =
   close_out oc;
   Printf.printf "telemetry : %s\n" path
 
-let main plans nodes ops entries seed period quick verify jobs telemetry_dir =
+let main plans nodes ops entries seed quick verify jobs telemetry_dir =
   let quick = quick || Sys.getenv_opt "CHAOS_QUICK" <> None in
   let nodes = if quick then min nodes 12 else nodes in
   let ops = if quick then min ops 12 else ops in
@@ -147,10 +147,10 @@ let main plans nodes ops entries seed period quick verify jobs telemetry_dir =
       (fun name ->
         let cfg = build_config ~nodes ~ops ~entries ~seed in
         let events = telemetry_dir <> None in
-        let result, plan, digest, recorder = run_plan ~cfg ~period ~name ~events in
+        let result, plan, digest, recorder = run_plan ~cfg ~name ~events in
         let verified =
           if verify then
-            let _, _, digest', _ = run_plan ~cfg ~period ~name ~events:false in
+            let _, _, digest', _ = run_plan ~cfg ~name ~events:false in
             Some digest'
           else None
         in
@@ -190,9 +190,6 @@ let entries_arg =
 let seed_arg =
   Arg.(value & opt int64 42L & info [ "seed" ] ~docv:"SEED" ~doc:"Simulation seed.")
 
-let period_arg =
-  Arg.(value & opt float 2000.0 & info [ "period" ] ~docv:"MS" ~doc:"Audit sampling period (simulated ms).")
-
 let quick_flag =
   Arg.(value & flag & info [ "quick" ] ~doc:"CI smoke: 12 nodes, 12 ops/node (also via \\$(b,CHAOS_QUICK)).")
 
@@ -218,11 +215,14 @@ let telemetry_arg =
            DIR/<plan>.jsonl (analyzable with dcs-trace analyze). Costs memory on long soaks.")
 
 let () =
-  let doc = "Chaos soaks for the hierarchical locking protocol: fault plans + invariant audit." in
+  let doc =
+    "Chaos soaks for the hierarchical locking protocol: fault plans + per-delivery invariant \
+     oracle."
+  in
   let info = Cmd.info "dcs-chaos" ~version:"1.0.0" ~doc in
   let term =
     Term.(
-      const main $ plans_arg $ nodes_arg $ ops_arg $ entries_arg $ seed_arg $ period_arg
+      const main $ plans_arg $ nodes_arg $ ops_arg $ entries_arg $ seed_arg
       $ quick_flag $ verify_flag $ jobs_arg $ telemetry_arg)
   in
   exit (Cmd.eval' (Cmd.v info term))

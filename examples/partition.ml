@@ -3,9 +3,10 @@
 
    While the cut is up, cross-partition messages are buffered; on heal
    they flush in FIFO order and the protocol simply continues — the
-   periodic audit observes a single token and compatible modes the whole
-   way through, at the price of latency during the outage. A second run
-   with the same seed reproduces the identical event trace (digest).
+   invariant oracle that chaos runs carry sees a single token and
+   compatible modes after every delivery, at the price of latency during
+   the outage. A second run with the same seed reproduces the identical
+   event trace (digest).
 
    Run with:  dune exec examples/partition.exe *)
 
@@ -38,10 +39,10 @@ let () =
     healthy.Core.Experiment.mean_latency_ms healthy.Core.Experiment.p95_latency_ms;
   Printf.printf "Partitioned run: mean latency %7.1f ms, p95 %7.1f ms\n"
     partitioned.Core.Experiment.mean_latency_ms partitioned.Core.Experiment.p95_latency_ms;
-  Printf.printf "Audit: %d samples, %d violations — every operation still completed.\n"
-    report.Core.Experiment.audit_samples
-    (List.length report.Core.Experiment.audit_violations);
-  List.iter (fun v -> Printf.printf "  VIOLATION %s\n" v) report.Core.Experiment.audit_violations;
+  Printf.printf "Invariant violations: %d; operations completed: %d of %d.\n"
+    (List.length report.Core.Experiment.violations)
+    partitioned.Core.Experiment.ops healthy.Core.Experiment.ops;
+  List.iter (fun v -> Printf.printf "  VIOLATION %s\n" v) report.Core.Experiment.violations;
   let rerun, digest' = run ~chaos:(Core.Experiment.chaos plan) () in
   ignore rerun;
   Printf.printf "Same seed, same plan: digest %Lx %s %Lx — deterministic replay.\n" digest

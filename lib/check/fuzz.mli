@@ -7,9 +7,10 @@
     exactly.
 
     A run executes the script on a simulated cluster with the runtime
-    safety oracle checking every delivered message
-    ({!Dcs_runtime.Hlock_cluster} with [oracle:true]: single token,
-    pairwise-compatible held modes), records the full
+    safety oracle checking every delivered message and client call
+    ({!Dcs_runtime.Hlock_cluster} with [oracle:true], i.e.
+    {!Dcs_hlock.Invariant.safety}: single token, pairwise-compatible held
+    and cached modes, bounded queues), records the full
     {!Dcs_obs.Event.t} trace, and on completion checks:
 
     - quiescence structural invariants ({!Dcs_runtime.Hlock_cluster.quiescent_violations});

@@ -34,10 +34,10 @@ module Msg_class = Dcs_proto.Msg_class
 module Counters = Dcs_proto.Counters
 module Hlock = Dcs_hlock.Node
 module Hlock_msg = Dcs_hlock.Msg
+module Invariant = Dcs_hlock.Invariant
 module Naimi = Dcs_naimi.Naimi
 module Fault_plan = Dcs_fault.Plan
 module Reliable = Dcs_fault.Reliable
-module Audit = Dcs_fault.Audit
 module Net = Dcs_runtime.Net
 module Hlock_cluster = Dcs_runtime.Hlock_cluster
 module Naimi_cluster = Dcs_runtime.Naimi_cluster

@@ -23,6 +23,7 @@ type run = {
   mutable granted : int;
   mutable upgraded : int;
   mutable outstanding : int;  (* requests not yet fully finished *)
+  mutable waiting : int;  (* requests and upgrades issued but not yet granted *)
   mutable tokens_in_flight : int;
   mutable grant_log : (int * int * Mode.t) list;  (* (node, seq, mode), newest first *)
 }
@@ -38,7 +39,7 @@ let link run src dst =
 let replay ?config ~nodes ~actions path =
   let run =
     { nodes_arr = [||]; wire = ref []; granted = 0; upgraded = 0; outstanding = 0;
-      tokens_in_flight = 0; grant_log = [] }
+      waiting = 0; tokens_in_flight = 0; grant_log = [] }
   in
   (* Plan lookup: what the client at [node] does with grant [seq]. *)
   let plans : (int * int, [ `Release | `Upgrade ]) Hashtbl.t = Hashtbl.create 8 in
@@ -51,15 +52,19 @@ let replay ?config ~nodes ~actions path =
         let rec node () = run.nodes_arr.(id)
         and on_granted (r : Msg.request) =
           run.granted <- run.granted + 1;
+          run.waiting <- run.waiting - 1;
           run.grant_log <- (id, r.seq, r.mode) :: run.grant_log;
           match Hashtbl.find_opt plans (id, r.seq) with
           | Some `Release ->
               run.outstanding <- run.outstanding - 1;
               Node.release (node ()) ~seq:r.seq
-          | Some `Upgrade -> Node.upgrade (node ()) ~seq:r.seq
+          | Some `Upgrade ->
+              run.waiting <- run.waiting + 1;
+              Node.upgrade (node ()) ~seq:r.seq
           | None -> ()
         and on_upgraded seq =
           run.upgraded <- run.upgraded + 1;
+          run.waiting <- run.waiting - 1;
           run.outstanding <- run.outstanding - 1;
           Node.release (node ()) ~seq
         in
@@ -75,6 +80,7 @@ let replay ?config ~nodes ~actions path =
   List.iter
     (fun action ->
       run.outstanding <- run.outstanding + 1;
+      run.waiting <- run.waiting + 1;
       match action with
       | Acquire { node; mode } ->
           (* Predict the seq: the engine numbers requests 0,1,2,... per
@@ -128,32 +134,6 @@ let digest run =
     (List.sort compare !(run.wire));
   Digest.string (Buffer.contents b)
 
-let safety_violations run =
-  let out = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
-  let retained =
-    Array.to_list run.nodes_arr
-    |> List.concat_map (fun e ->
-           List.map (fun (_, m) -> (Node.id e, m)) (Node.held e)
-           @ List.map (fun m -> (Node.id e, m)) (Node.cached e))
-  in
-  let rec pairs = function
-    | [] -> ()
-    | (n1, m1) :: rest ->
-        List.iter
-          (fun (n2, m2) ->
-            if not (Compat.compatible m1 m2) then
-              add "incompatible retained: n%d:%s vs n%d:%s" n1 (Mode.to_string m1) n2
-                (Mode.to_string m2))
-          rest;
-        pairs rest
-  in
-  pairs retained;
-  let holders = Array.to_list run.nodes_arr |> List.filter Node.is_token |> List.length in
-  if holders + run.tokens_in_flight <> 1 then
-    add "token multiplicity %d" (holders + run.tokens_in_flight);
-  !out
-
 (* Grant-order fairness, checked only in terminal states: a node's own
    requests for the same mode must be granted in issue (seq) order. This is
    the strongest FIFO property the protocol actually promises — cache
@@ -198,7 +178,10 @@ let explore ?config ?(max_states = 100_000) ~nodes ~actions () =
       Hashtbl.replace seen d ();
       incr states;
       if !states >= max_states then truncated := true;
-      (match safety_violations run with
+      (match
+         Dcs_hlock.Invariant.safety ~lock:0 ~tokens_in_flight:run.tokens_in_flight
+           ~waiting:run.waiting run.nodes_arr
+       with
       | [] -> ()
       | vs ->
           if List.length !violations < 5 then

@@ -4,11 +4,10 @@
     checker explores {e every} order in which in-flight messages can be
     delivered (per-link FIFO is preserved, matching the transport
     contract), deduplicating states by a structural digest. In every
-    reachable state it asserts the safety invariants:
-
-    - all concurrently retained (held or cached) modes are pairwise
-      compatible,
-    - exactly one token exists (holders plus in-flight transfers).
+    reachable state it asserts {!Dcs_hlock.Invariant.safety}: exactly one
+    token (holders plus in-flight transfers), pairwise-compatible held
+    and cached modes, and no more queued requests than client requests
+    still waiting.
 
     In every {e terminal} state (no messages left) it additionally asserts
     liveness for the script — every request was granted, every upgrade

@@ -15,7 +15,6 @@ let driver_to_string = function
 type chaos = {
   plan : Dcs_fault.Plan.t;
   reliable : bool;
-  audit_period : float;
   rto : float;
 }
 
@@ -44,11 +43,10 @@ let default_config ~driver ~nodes =
     chaos = None;
   }
 
-let chaos ?reliable ?(audit_period = 2000.0) ?(rto = 600.0) plan =
+let chaos ?reliable ?(rto = 600.0) plan =
   {
     plan;
     reliable = (match reliable with Some r -> r | None -> Dcs_fault.Plan.needs_shim plan);
-    audit_period;
     rto;
   }
 
@@ -67,8 +65,7 @@ let horizon_estimate cfg =
   float_of_int wl.Airline.ops_per_node *. per_op
 
 type chaos_report = {
-  audit_samples : int;
-  audit_violations : string list;
+  violations : string list;
   reliable_stats : Dcs_fault.Reliable.stats option;
   shim_overhead : float;
   net_dropped : int;
@@ -120,9 +117,11 @@ let record_acquired meter ~cls ~elapsed =
 
 let run_hierarchical ?transport ?obs cfg engine net meter =
   let wl = cfg.workload in
+  (* Chaos runs always carry the per-delivery oracle. *)
   let cluster =
-    Hlock_cluster.create ~config:cfg.protocol ~oracle:cfg.oracle ?transport ?obs ~net
-      ~nodes:cfg.nodes ~locks:(1 + wl.Airline.entries) ()
+    Hlock_cluster.create ~config:cfg.protocol
+      ~oracle:(cfg.oracle || Option.is_some cfg.chaos)
+      ?transport ?obs ~net ~nodes:cfg.nodes ~locks:(1 + wl.Airline.entries) ()
   in
   let master = Dcs_sim.Rng.create ~seed:cfg.seed in
   (* Custody watchdog: as long as work remains, kick every few round trips. *)
@@ -303,50 +302,44 @@ let run ?trace ?recorder cfg =
                match cluster with Some c -> Hlock_cluster.sample_gauges c r | None -> ()
              end))
   | _ -> ());
-  let audit =
-    match (cfg.chaos, cluster) with
-    | Some { audit_period; _ }, Some cluster when audit_period > 0.0 ->
-        Some
-          (Dcs_fault.Audit.create ~engine ~period:audit_period
-             ~max_queued:(2 * cfg.nodes)
-             ~snapshot:(fun () -> Hlock_cluster.audit_views cluster)
-             ~live:(fun () -> meter.ops_done < expected)
-             ())
-    | _ -> None
+  (* In a chaos run an oracle failure ends the run and is reported in
+     [chaos_report] rather than raised, as the fuzzer does, so harnesses
+     can print it. *)
+  let oracle_failure =
+    match Dcs_sim.Engine.run engine with
+    | Dcs_sim.Engine.Drained -> None
+    | Dcs_sim.Engine.Horizon_reached -> assert false
+    | Dcs_sim.Engine.Event_limit -> failwith "Experiment.run: event limit hit (livelock?)"
+    | exception Failure msg when Option.is_some cfg.chaos -> Some ("safety: " ^ msg)
   in
-  (match Dcs_sim.Engine.run engine with
-  | Dcs_sim.Engine.Drained -> ()
-  | Dcs_sim.Engine.Horizon_reached -> assert false
-  | Dcs_sim.Engine.Event_limit -> failwith "Experiment.run: event limit hit (livelock?)");
   Dcs_sim.Engine.set_tick engine None;
-  if meter.ops_done <> expected then
-    failwith
-      (Printf.sprintf "Experiment.run (%s, n=%d): %d/%d operations completed — liveness failure"
-         (driver_to_string cfg.driver) cfg.nodes meter.ops_done expected);
-  (match quiescent () with
-  | [] -> ()
-  | vs -> failwith ("Experiment.run: quiescence violations: " ^ String.concat "; " vs));
+  if oracle_failure = None then begin
+    if meter.ops_done <> expected then
+      failwith
+        (Printf.sprintf "Experiment.run (%s, n=%d): %d/%d operations completed — liveness failure"
+           (driver_to_string cfg.driver) cfg.nodes meter.ops_done expected);
+    match quiescent () with
+    | [] -> ()
+    | vs -> failwith ("Experiment.run: quiescence violations: " ^ String.concat "; " vs)
+  end;
   let counters = Net.counters net in
-  (* Final audit probe at quiescence: the engine has drained, so beyond the
-     sampled invariants the cluster must also be fully at rest. *)
+  (* The engine has drained, so beyond the per-delivery invariants the
+     cluster, the shim and the net must also be fully at rest. *)
   let chaos_report =
     match cfg.chaos with
     | None -> None
     | Some _ ->
-        let audit_samples, audit_findings =
-          match audit with
-          | None -> (0, [])
-          | Some audit ->
-              Dcs_fault.Audit.check_now audit;
-              (Dcs_fault.Audit.samples audit, Dcs_fault.Audit.violations audit)
-        in
-        let quiescence_violations =
-          (match cluster with
-          | Some c -> Hlock_cluster.quiescent_violations c
-          | None -> [])
-          @ (match shim with Some s -> Dcs_fault.Reliable.quiescent_violations s | None -> [])
-          @ (if Net.in_flight net = 0 then []
-             else [ Printf.sprintf "net: %d messages still in flight" (Net.in_flight net) ])
+        let violations =
+          match oracle_failure with
+          | Some v -> [ v ]
+          | None ->
+              (match cluster with
+              | Some c -> Hlock_cluster.quiescent_violations c
+              | None -> [])
+              @ (match shim with Some s -> Dcs_fault.Reliable.quiescent_violations s | None -> [])
+              @
+              if Net.in_flight net = 0 then []
+              else [ Printf.sprintf "net: %d messages still in flight" (Net.in_flight net) ]
         in
         let shim_msgs =
           Counters.get counters Msg_class.Ack + Counters.get counters Msg_class.Retransmit
@@ -354,8 +347,7 @@ let run ?trace ?recorder cfg =
         let protocol_msgs = Counters.total counters - shim_msgs in
         Some
           {
-            audit_samples;
-            audit_violations = audit_findings @ quiescence_violations;
+            violations;
             reliable_stats = Option.map Dcs_fault.Reliable.stats shim;
             shim_overhead = float_of_int shim_msgs /. float_of_int (max 1 protocol_msgs);
             net_dropped = Net.dropped net;

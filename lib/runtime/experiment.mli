@@ -24,14 +24,16 @@ type driver =
 
 val driver_to_string : driver -> string
 
-(** Chaos-mode settings: a fault plan plus how to survive and observe it.
-    Only supported by the [Hierarchical] driver. *)
+(** Chaos-mode settings: a fault plan plus how to survive it. Only
+    supported by the [Hierarchical] driver, whose cluster then runs the
+    per-delivery invariant oracle ({!Dcs_hlock.Invariant.safety} after
+    every delivered message and client call) whatever [config.oracle]
+    says. *)
 type chaos = {
   plan : Dcs_fault.Plan.t;
   reliable : bool;
       (** interpose {!Dcs_fault.Reliable} between protocol and net;
           mandatory when the plan drops or duplicates messages *)
-  audit_period : float;  (** ms between {!Dcs_fault.Audit} samples; 0 = off *)
   rto : float;  (** shim retransmission timeout (ms) *)
 }
 
@@ -51,10 +53,9 @@ type config = {
 val default_config : driver:driver -> nodes:int -> config
 
 (** [chaos plan] with sane defaults: the shim exactly when the plan needs
-    it ({!Dcs_fault.Plan.needs_shim}), audits every 2 s of simulated time,
-    600 ms initial retransmission timeout. *)
-val chaos :
-  ?reliable:bool -> ?audit_period:float -> ?rto:float -> Dcs_fault.Plan.t -> chaos
+    it ({!Dcs_fault.Plan.needs_shim}), 600 ms initial retransmission
+    timeout. *)
+val chaos : ?reliable:bool -> ?rto:float -> Dcs_fault.Plan.t -> chaos
 
 (** Estimated busy-phase length of a run (ms) — for placing the windows of
     named fault plans ({!Dcs_fault.Plan.named}). An estimate: fault
@@ -64,11 +65,11 @@ val horizon_estimate : config -> float
 
 (** What the fault machinery observed during a chaos run. *)
 type chaos_report = {
-  audit_samples : int;
-  audit_violations : string list;
-      (** sampled invariant violations plus end-of-run quiescence failures
-          (cluster book-keeping, undrained shim channels, in-flight
-          messages); empty = clean run *)
+  violations : string list;
+      (** the oracle failure that ended the run early ([safety: ...]), or
+          else the end-of-run quiescence failures (cluster book-keeping,
+          undrained shim channels, in-flight messages); empty = clean
+          run *)
   reliable_stats : Dcs_fault.Reliable.stats option;  (** [None] = no shim *)
   shim_overhead : float;  (** (acks + retransmits) / protocol messages *)
   net_dropped : int;  (** messages the fault layer discarded *)
@@ -98,9 +99,10 @@ type result = {
 (** Run to completion (all nodes finish their ops and the event queue
     drains). Raises [Failure] on liveness failure (operations that never
     complete), on oracle violations, and on residual structural damage
-    detected at quiescence when [oracle] is set. Audit findings of a chaos
-    run are {e reported} (in [chaos_report]), not raised, so harnesses can
-    print them. [trace] (disabled by default) records every network event;
+    detected at quiescence when [oracle] is set. A chaos run instead
+    {e reports} an oracle violation (which ends it early, skipping the
+    liveness check) and its quiescence findings in [chaos_report], so
+    harnesses can print them. [trace] (disabled by default) records every network event;
     its digest is the reproducibility check for chaos runs.
 
     [recorder], when given and enabled, captures full request-lifecycle

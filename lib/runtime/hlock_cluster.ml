@@ -27,119 +27,25 @@ let node t ~lock ~node = t.locks_arr.(lock).engines.(node)
 
 (* {1 Oracles} *)
 
-let safety_violations_lock ls ~lock =
-  let violations = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-  let holders = ref [] in
-  Array.iter
-    (fun e ->
-      if Node.is_token e then holders := Node.id e :: !holders)
-    ls.engines;
-  let token_count = List.length !holders + ls.tokens_in_flight in
-  if token_count <> 1 then
-    add "lock %d: token multiplicity %d (holders [%s], in flight %d)" lock token_count
-      (String.concat "," (List.map string_of_int !holders))
-      ls.tokens_in_flight;
-  (* All concurrently held modes across the cluster must be pairwise
-     compatible (Rule 1 is the ground truth the protocol must enforce). *)
-  let held =
-    Array.to_list ls.engines
-    |> List.concat_map (fun e -> List.map (fun (_, m) -> (Node.id e, m)) (Node.held e))
-  in
-  let rec pairs = function
-    | [] -> ()
-    | (n1, m1) :: rest ->
-        List.iter
-          (fun (n2, m2) ->
-            if not (Compat.compatible m1 m2) then
-              add "lock %d: incompatible concurrent holds n%d:%s vs n%d:%s" lock n1
-                (Mode.to_string m1) n2 (Mode.to_string m2))
-          rest;
-        pairs rest
-  in
-  pairs held;
-  List.rev !violations
+(* Client requests and upgrades whose callback has not fired yet: the
+   bound on what may sit in this lock's queues. *)
+let waiting ls = Hashtbl.length ls.granted_cbs + Hashtbl.length ls.upgraded_cbs
 
-let safety_violations t ~lock = safety_violations_lock t.locks_arr.(lock) ~lock
+let safety_violations ls ~lock =
+  Dcs_hlock.Invariant.safety ~lock ~tokens_in_flight:ls.tokens_in_flight ~waiting:(waiting ls)
+    ls.engines
 
-let assert_safe t =
-  for lock = 0 to t.l - 1 do
-    match safety_violations t ~lock with
-    | [] -> ()
-    | vs -> failwith (String.concat "; " vs)
-  done
+(* The runtime oracle: re-check one lock after a delivery or client call
+   that touched it. *)
+let check t ls ~lock =
+  if t.oracle then
+    match safety_violations ls ~lock with [] -> () | vs -> failwith (String.concat "; " vs)
 
 let quiescent_violations t =
-  let violations = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-  for lock = 0 to t.l - 1 do
-    let ls = t.locks_arr.(lock) in
-    (match safety_violations t ~lock with [] -> () | vs -> List.iter (add "%s") vs);
-    let token_node = ref None in
-    Array.iter (fun e -> if Node.is_token e then token_node := Some (Node.id e)) ls.engines;
-    Array.iter
-      (fun e ->
-        let id = Node.id e in
-        if Node.queue e <> [] then add "lock %d: n%d has %d queued requests" lock id (List.length (Node.queue e));
-        if Node.pending e <> None then add "lock %d: n%d has a pending request" lock id;
-        if Node.held e <> [] then add "lock %d: n%d still holds modes" lock id;
-        (* Copyset records may persist at quiescence (cached copies), but
-           they must be mutually consistent: each child record must match
-           the child's actual owned mode and accounting pointer. *)
-        List.iter
-          (fun (c, m) ->
-            let ce = ls.engines.(c) in
-            (match Node.accounting ce with
-            | Some (p, _) when p = id -> ()
-            | _ -> add "lock %d: n%d records child n%d, which accounts elsewhere" lock id c);
-            match Node.owned ce with
-            | Some m' when Mode.equal m m' -> ()
-            | o ->
-                add "lock %d: n%d records n%d as %s but its owned mode is %s" lock id c
-                  (Mode.to_string m)
-                  (match o with None -> "_" | Some m' -> Mode.to_string m'))
-          (Node.children e);
-        (match Node.accounting e with
-        | Some (p, _) ->
-            if not (List.mem_assoc id (Node.children ls.engines.(p))) then
-              add "lock %d: n%d claims accounting parent n%d, which has no record" lock id p
-        | None ->
-            if (not (Node.is_token e)) && Node.owned e <> None then
-              add "lock %d: n%d owns %s with no accounting parent" lock id
-                (match Node.owned e with Some m -> Mode.to_string m | None -> "_"));
-        (* All retained modes (held or cached) must be mutually compatible
-           cluster-wide; checked pairwise in safety_violations for held,
-           here extended to caches. *)
-        (* Routing parents may legitimately form stale cycles at quiescence
-           (reversal and grant edges are heuristics; relays carry their
-           path and divert around cycles), so only basic sanity is
-           enforced: a parent pointer never aims at its own node. *)
-        (match Node.parent e with
-        | Some p when p = id -> add "lock %d: n%d is its own routing parent" lock id
-        | Some _ | None -> ());
-        ignore !token_node)
-      ls.engines;
-    (* Cached + held modes must be pairwise compatible cluster-wide. *)
-    let retained =
-      Array.to_list ls.engines
-      |> List.concat_map (fun e ->
-             List.map (fun (_, m) -> (Node.id e, m)) (Node.held e)
-             @ List.map (fun m -> (Node.id e, m)) (Node.cached e))
-    in
-    let rec pairs2 = function
-      | [] -> ()
-      | (n1, m1) :: rest ->
-          List.iter
-            (fun (n2, m2) ->
-              if not (Compat.compatible m1 m2) then
-                add "lock %d: incompatible retained modes n%d:%s vs n%d:%s" lock n1
-                  (Mode.to_string m1) n2 (Mode.to_string m2))
-            rest;
-          pairs2 rest
-    in
-    pairs2 retained
-  done;
-  List.rev !violations
+  List.concat
+    (List.init t.l (fun lock ->
+         let ls = t.locks_arr.(lock) in
+         safety_violations ls ~lock @ Dcs_hlock.Invariant.quiescent ~lock ls.engines))
 
 (* {1 Construction} *)
 
@@ -202,10 +108,7 @@ let create ?(config = Node.default_config) ?(oracle = false) ?transport ?obs ?re
                 | Msg.Token _ -> ls.tokens_in_flight <- ls.tokens_in_flight - 1
                 | _ -> ());
                 Node.handle_msg ls.engines.(dst) ~src:id msg;
-                if t.oracle then
-                  match safety_violations_lock ls ~lock with
-                  | [] -> ()
-                  | vs -> failwith (String.concat "; " vs))
+                check t ls ~lock)
           in
           let on_granted (r : Msg.request) =
             let key = (id, r.seq) in
@@ -261,34 +164,6 @@ let export_lock t ~lock =
     invalid_arg "Hlock_cluster.export_lock: clients still waiting";
   Array.map Node.export ls.engines
 
-(* Global state probe for the sampled invariant auditor (chaos soaks). *)
-let audit_views t =
-  List.init t.l (fun lock ->
-      let ls = t.locks_arr.(lock) in
-      let token_holders = ref []
-      and held = ref []
-      and cached = ref []
-      and queued = ref 0
-      and pending = ref 0 in
-      Array.iter
-        (fun e ->
-          let id = Node.id e in
-          if Node.is_token e then token_holders := id :: !token_holders;
-          List.iter (fun (_, m) -> held := (id, m) :: !held) (Node.held e);
-          List.iter (fun m -> cached := (id, m) :: !cached) (Node.cached e);
-          queued := !queued + List.length (Node.queue e);
-          if Node.pending e <> None then incr pending)
-        ls.engines;
-      {
-        Dcs_fault.Audit.lock;
-        token_holders = List.rev !token_holders;
-        tokens_in_flight = ls.tokens_in_flight;
-        held = List.rev !held;
-        cached = List.rev !cached;
-        queued = !queued;
-        pending = !pending;
-      })
-
 let kick_all t =
   Array.iter (fun ls -> Array.iter Node.kick ls.engines) t.locks_arr
 
@@ -322,13 +197,13 @@ let request ?priority t ~node ~lock ~mode ~on_granted =
      on_granted ()
    end
    else Hashtbl.replace ls.granted_cbs key on_granted);
-  if t.oracle then assert_safe t;
+  check t ls ~lock;
   seq
 
 let release t ~node ~lock ~seq =
   let ls = t.locks_arr.(lock) in
   Node.release ls.engines.(node) ~seq;
-  if t.oracle then assert_safe t
+  check t ls ~lock
 
 let upgrade t ~node ~lock ~seq ~on_upgraded =
   let ls = t.locks_arr.(lock) in
@@ -339,4 +214,4 @@ let upgrade t ~node ~lock ~seq ~on_upgraded =
      on_upgraded ()
    end
    else Hashtbl.replace ls.upgraded_cbs key on_upgraded);
-  if t.oracle then assert_safe t
+  check t ls ~lock

@@ -7,10 +7,12 @@
     others — matching the paper's setup where the tree is initially a star
     rooted at the token node.
 
-    An optional runtime oracle re-validates safety invariants after every
-    delivered message (single token per lock, pairwise-compatible held
-    modes); it is O(nodes) per message, so enable it in tests, not in
-    large benchmark sweeps. *)
+    An optional runtime oracle runs {!Dcs_hlock.Invariant.safety} on the
+    lock just touched after every delivered message and every client call
+    (single token, pairwise-compatible held and cached modes, queues
+    bounded by the waiting client requests). It costs O(nodes + queue
+    length) per message and per call; tests, the fuzzer and chaos soaks
+    run with it, benchmark sweeps without. *)
 
 open Dcs_modes
 
@@ -72,12 +74,6 @@ val lock_counters : t -> lock:int -> Dcs_proto.Counters.t
     [Invalid_argument] otherwise. *)
 val export_lock : t -> lock:int -> Dcs_hlock.Node.snapshot array
 
-(** Per-lock global state snapshot for {!Dcs_fault.Audit} sampling: token
-    holders and in-flight transfers, all held and cached modes, queue and
-    pending totals. O(nodes × locks); meant for periodic sampling, not
-    per-message use. *)
-val audit_views : t -> Dcs_fault.Audit.lock_view list
-
 (** Run the custody watchdog ({!Dcs_hlock.Node.kick}) on every node of
     every lock. Schedule this periodically (a few network round-trips
     apart) from the driver. *)
@@ -92,20 +88,8 @@ val sample_gauges : t -> Dcs_obs.Recorder.t -> unit
 
 (** {1 Invariant oracles} *)
 
-(** Safety violations visible right now for one lock: token multiplicity
-    (holders plus in-flight transfers must be 1) and mutual compatibility
-    of all held modes. Empty list = no violation. *)
-val safety_violations : t -> lock:int -> string list
-
-(** Structural invariants that must hold once the simulation has drained
-    and all clients released: unique token, empty queues, no pending
-    requests, no held modes, and a mutually consistent copyset (each child
-    record matches the child's owned mode and accounting pointer; retained
-    cached modes pairwise compatible cluster-wide). Routing pointers are
-    deliberately {e not} required to form a tree — stale cycles are benign
-    because relayed requests carry their path and divert around them. *)
+(** Once the simulation has drained and all clients released: what the
+    oracle checks ({!Dcs_hlock.Invariant.safety}) plus
+    {!Dcs_hlock.Invariant.quiescent}, for every lock. Empty list = no
+    violation. *)
 val quiescent_violations : t -> string list
-
-(** Raise [Failure] with a readable report if any {!safety_violations}
-    exist on any lock. *)
-val assert_safe : t -> unit

@@ -1,6 +1,7 @@
 (* Fault-injection subsystem: plan hooks and partition buffering in Net,
-   the reliable-delivery shim under a scripted adversary, the invariant
-   audit, and end-to-end chaos determinism. *)
+   the reliable-delivery shim under a scripted adversary, the protocol
+   invariants and their per-delivery oracle, and end-to-end chaos
+   determinism. *)
 
 open Dcs_fault
 module Net = Dcs_runtime.Net
@@ -212,70 +213,151 @@ let test_reliable_clean_link_no_overhead () =
   checki "no retransmits on a clean link" 0 s.Reliable.retransmits;
   checki "no duplicates" 0 s.Reliable.duplicates_dropped
 
-(* {1 Audit} *)
+(* {1 Invariant}
 
-let good_view =
+   Violating states are built from hand-written snapshots: a four-node
+   star with the token at n0 and n1 caching R under a matching n0 record
+   is the clean base, and each case edits one snapshot. *)
+
+module Node = Dcs_hlock.Node
+module Invariant = Dcs_hlock.Invariant
+module Mode = Dcs_modes.Mode
+
+let peers = 4
+
+let base_snapshots () =
+  let snap id =
+    Node.export
+      (Node.create ~id ~peers ~is_token:(id = 0)
+         ~parent:(if id = 0 then None else Some 0)
+         ~send:(fun ~dst:_ _ -> ())
+         ~on_granted:ignore ~on_upgraded:ignore ())
+  in
+  let s = Array.init peers snap in
+  s.(0) <- { (s.(0)) with Node.s_children = [ (1, Mode.R, 1) ] };
+  s.(1) <-
+    {
+      (s.(1)) with
+      Node.s_cached = Dcs_modes.Mode_set.singleton Mode.R;
+      s_accounted_parent = Some 0;
+      s_accounted_epoch = 1;
+    };
+  s
+
+let cache snaps id m = { (snaps.(id)) with Node.s_cached = Dcs_modes.Mode_set.singleton m }
+
+let nodes_of snaps =
+  Array.mapi
+    (fun id s ->
+      Node.restore ~id ~peers ~send:(fun ~dst:_ _ -> ()) ~on_granted:ignore
+        ~on_upgraded:ignore s)
+    snaps
+
+let safety ?(tokens_in_flight = 0) ?(waiting = 0) snaps =
+  Invariant.safety ~lock:0 ~tokens_in_flight ~waiting (nodes_of snaps)
+
+let quiescent snaps = Invariant.quiescent ~lock:0 (nodes_of snaps)
+
+let edit f =
+  let s = base_snapshots () in
+  f s;
+  s
+
+let check_clean label vs = Alcotest.check Alcotest.(list string) label [] vs
+
+let contains ~needle s =
+  let n = String.length needle in
+  let rec scan i = i + n <= String.length s && (String.sub s i n = needle || scan (i + 1)) in
+  scan 0
+
+(* Each case must be reported, and for the right reason. *)
+let check_reports cases =
+  List.iter
+    (fun (label, needle, vs) ->
+      checkb (label ^ " caught") true (List.exists (contains ~needle) vs))
+    cases
+
+let test_invariant_clean () =
+  check_clean "safety" (safety (base_snapshots ()));
+  check_clean "quiescent" (quiescent (base_snapshots ()));
+  (* In-flight transfers count toward token conservation. *)
+  check_clean "in-flight token is fine"
+    (safety ~tokens_in_flight:1
+       (edit (fun s -> s.(0) <- { (s.(0)) with Node.s_token = false })))
+
+let queued_request =
   {
-    Audit.lock = 0;
-    token_holders = [ 2 ];
-    tokens_in_flight = 0;
-    held = [ (0, Dcs_modes.Mode.IR); (1, Dcs_modes.Mode.R) ];
-    cached = [ (2, Dcs_modes.Mode.R) ];
-    queued = 1;
-    pending = 1;
+    Dcs_hlock.Msg.requester = 2;
+    seq = 0;
+    mode = Mode.W;
+    upgrade = false;
+    timestamp = 1;
+    priority = 0;
+    hops = 1;
+    token_only = false;
+    hint = (0, 0);
+    path = [ 2 ];
   }
 
-let audit_of views =
-  let engine = Dcs_sim.Engine.create () in
-  Audit.create ~engine ~max_queued:4
-    ~snapshot:(fun () -> views)
-    ~live:(fun () -> false)
-    ()
+let one_queued s = s.(0) <- { (s.(0)) with Node.s_queue = [ queued_request ] }
 
-let test_audit_clean () =
-  let a = audit_of [ good_view ] in
-  Audit.check_now a;
-  Audit.check_now a;
-  checki "samples" 2 (Audit.samples a);
-  Alcotest.check Alcotest.(list string) "no violations" [] (Audit.violations a)
-
-let test_audit_detects () =
-  let dup_token = { good_view with Audit.token_holders = [ 2; 5 ] } in
-  let lost_token = { good_view with Audit.token_holders = []; tokens_in_flight = 0 } in
-  let incompatible =
-    { good_view with Audit.held = [ (0, Dcs_modes.Mode.W) ]; cached = [ (1, Dcs_modes.Mode.R) ] }
-  in
-  let flooded = { good_view with Audit.queued = 99 } in
-  List.iter
-    (fun (label, view) ->
-      let a = audit_of [ view ] in
-      Audit.check_now a;
-      checkb (label ^ " caught") true (Audit.violations a <> []))
+let test_invariant_safety_violations () =
+  check_reports
     [
-      ("duplicated token", dup_token);
-      ("lost token", lost_token);
-      ("incompatible modes", incompatible);
-      ("unbounded queue", flooded);
+      ( "duplicated token",
+        "token multiplicity 2",
+        safety (edit (fun s -> s.(2) <- { (s.(2)) with Node.s_token = true })) );
+      ( "lost token",
+        "token multiplicity 0",
+        safety (edit (fun s -> s.(0) <- { (s.(0)) with Node.s_token = false })) );
+      ("queue longer than waiting", "1 queued requests", safety ~waiting:0 (edit one_queued));
     ];
-  (* In-flight transfers count toward token conservation. *)
-  let in_flight = { good_view with Audit.token_holders = []; tokens_in_flight = 1 } in
-  let a = audit_of [ in_flight ] in
-  Audit.check_now a;
-  Alcotest.check Alcotest.(list string) "in-flight token is fine" [] (Audit.violations a)
+  check_clean "queue within waiting" (safety ~waiting:1 (edit one_queued));
+  (* W cached on n2 against R cached on n1: the report names both witnesses. *)
+  Alcotest.check
+    Alcotest.(list string)
+    "cached W vs cached R"
+    [ "lock 0: incompatible retained modes n1:R vs n2:W" ]
+    (safety (edit (fun s -> s.(2) <- cache s 2 Mode.W)))
 
-let test_audit_caps_reports () =
-  let bad = { good_view with Audit.token_holders = [ 1; 2 ] } in
-  let a =
-    let engine = Dcs_sim.Engine.create () in
-    Audit.create ~engine ~max_violations:3
-      ~snapshot:(fun () -> [ bad ])
-      ~live:(fun () -> false)
-      ()
+let test_invariant_quiescent_violations () =
+  check_reports
+    [
+      ( "child record disagrees with owned mode",
+        "n0 records n1 as IR but its owned mode is R",
+        quiescent (edit (fun s -> s.(0) <- { (s.(0)) with Node.s_children = [ (1, Mode.IR, 1) ] }))
+      );
+      ( "accounting parent with no record",
+        "n1 claims accounting parent n0, which has no record",
+        quiescent (edit (fun s -> s.(0) <- { (s.(0)) with Node.s_children = [] })) );
+      ( "own routing parent",
+        "n3 is its own routing parent",
+        quiescent (edit (fun s -> s.(3) <- { (s.(3)) with Node.s_parent = Some 3 })) );
+    ]
+
+(* The per-delivery oracle fires: a transport that delivers the first
+   token transfer twice breaks token conservation, and the delivery that
+   does it raises. *)
+let test_oracle_catches_duplicate_token () =
+  let engine, net = fresh_net ~seed:5L () in
+  let duplicated = ref false in
+  let transport ~src ~dst ~cls ~describe k =
+    Net.send net ~src ~dst ~cls ~describe k;
+    if cls = Dcs_proto.Msg_class.Token_transfer && not !duplicated then begin
+      duplicated := true;
+      Net.send net ~src ~dst ~cls ~describe k
+    end
   in
-  for _ = 1 to 10 do
-    Audit.check_now a
-  done;
-  checki "capped plus summary line" 4 (List.length (Audit.violations a))
+  let cluster =
+    Dcs_runtime.Hlock_cluster.create ~oracle:true ~transport ~net ~nodes:3 ~locks:1 ()
+  in
+  ignore
+    (Dcs_runtime.Hlock_cluster.request cluster ~node:2 ~lock:0 ~mode:Mode.W
+       ~on_granted:ignore);
+  match Dcs_sim.Engine.run engine with
+  | _ -> Alcotest.fail "duplicated token went unnoticed"
+  | exception Failure msg ->
+      checkb ("names token multiplicity: " ^ msg) true (contains ~needle:"token multiplicity" msg)
 
 (* {1 End-to-end chaos experiments} *)
 
@@ -296,17 +378,16 @@ let run_chaos ~seed name =
   let result = Experiment.run ~trace cfg in
   (result, Dcs_sim.Trace.digest trace)
 
-(* Every shipped plan: all ops complete, zero audit violations. *)
+(* Every shipped plan: all ops complete, zero invariant violations. *)
 let test_chaos_plans_clean () =
   List.iter
     (fun name ->
       let result, _ = run_chaos ~seed:21L name in
       checki (name ^ " all ops") (8 * 8) result.Experiment.ops;
       let rep = Option.get result.Experiment.chaos_report in
-      checkb (name ^ " sampled") true (rep.Experiment.audit_samples > 0);
       Alcotest.check
         Alcotest.(list string)
-        (name ^ " audit clean") [] rep.Experiment.audit_violations)
+        (name ^ " invariants clean") [] rep.Experiment.violations)
     Plan.names
 
 (* Same seed + same plan ⇒ identical trace digest; and the plan actually
@@ -376,11 +457,14 @@ let () =
           Alcotest.test_case "independent pairs" `Quick test_reliable_pairs_independent;
           Alcotest.test_case "clean link no overhead" `Quick test_reliable_clean_link_no_overhead;
         ] );
-      ( "audit",
+      ( "invariant",
         [
-          Alcotest.test_case "clean views" `Quick test_audit_clean;
-          Alcotest.test_case "detects violations" `Quick test_audit_detects;
-          Alcotest.test_case "caps reports" `Quick test_audit_caps_reports;
+          Alcotest.test_case "clean state" `Quick test_invariant_clean;
+          Alcotest.test_case "detects safety violations" `Quick test_invariant_safety_violations;
+          Alcotest.test_case "detects quiescence violations" `Quick
+            test_invariant_quiescent_violations;
+          Alcotest.test_case "oracle catches duplicated token" `Quick
+            test_oracle_catches_duplicate_token;
         ] );
       ( "chaos",
         [
