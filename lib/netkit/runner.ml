@@ -2,7 +2,6 @@ module Node = Dcs_hlock.Node
 module Codec = Dcs_wire.Codec
 module Buf = Dcs_wire.Buf
 module Metrics = Dcs_obs.Metrics
-module Mode = Dcs_modes.Mode
 
 let src_log = Logs.Src.create "dcs.netkit" ~doc:"TCP cluster runner"
 
@@ -48,8 +47,7 @@ type t = {
   m_bytes_received : Metrics.counter;
   m_backoff : Metrics.gauge;
   m_queue_depth : Metrics.gauge;
-  m_grants : Metrics.counter array;  (* per Mode.index *)
-  m_upgrades : Metrics.counter;
+  m_grants : Metrics.grants;
   mutable listener : Unix.file_descr option;
   mutable running : bool;
   mutable threads : Thread.t list;
@@ -334,9 +332,7 @@ let create ?(protocol = Node.default_config) ?(kick_interval = 1.0) ?telemetry ~
       m_bytes_received = c "net.bytes_received";
       m_backoff = g "net.backoff_ms";
       m_queue_depth = g "net.outbound_queue_depth";
-      m_grants =
-        Array.of_list (List.map (fun m -> c ("grants." ^ Mode.to_string m)) Mode.all);
-      m_upgrades = c "grants.upgrades";
+      m_grants = Metrics.grants metrics;
       listener = None;
       running = false;
       threads = [];
@@ -369,11 +365,7 @@ let create ?(protocol = Node.default_config) ?(kick_interval = 1.0) ?telemetry ~
            cross-checks them against merged spans), full event stream to
            the shard when one is attached. *)
         let obs scope kind =
-          (match kind with
-          | Dcs_obs.Event.Granted_local { mode; _ } | Dcs_obs.Event.Granted_token { mode; _ } ->
-              Metrics.incr t.m_grants.(Mode.index mode)
-          | Dcs_obs.Event.Upgraded -> Metrics.incr t.m_upgrades
-          | _ -> ());
+          Metrics.count_grant t.m_grants kind;
           match t.telemetry with
           | Some sh -> Dcs_obs.Shard.event sh ~lock ~node:self scope kind
           | None -> ()

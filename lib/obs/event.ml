@@ -31,10 +31,6 @@ let kind_name = function
   | Frozen _ -> "frozen"
   | Unfrozen _ -> "unfrozen"
 
-let is_node_event t = t.scope = Node
-
-let is_grant = function Granted_local _ | Granted_token _ -> true | _ -> false
-
 let pp_kind ppf = function
   | Requested { mode; priority } ->
       Format.fprintf ppf "requested %a%s" Mode.pp mode

@@ -57,10 +57,4 @@ type t = {
     ["sent"], ["received"], ["frozen"], ["unfrozen"]. *)
 val kind_name : kind -> string
 
-(** [true] iff [t.scope = Node]. *)
-val is_node_event : t -> bool
-
-(** Span events granted by either grant kind. *)
-val is_grant : kind -> bool
-
 val pp : Format.formatter -> t -> unit

@@ -2,7 +2,6 @@ open Dcs_modes
 open Dcs_proto
 
 let schema = "dcs-obs/2"
-let schema_v1 = "dcs-obs/1"
 
 (* ---------- writing ---------- *)
 
@@ -77,8 +76,13 @@ let output_counters oc cs =
 
 let write oc ~meta ?counters r =
   output_meta oc meta;
-  List.iter (output_event oc) (Recorder.events r);
+  let events = Recorder.events r in
+  List.iter (output_event oc) events;
   List.iter (fun (time, name, value) -> output_gauge oc ~time ~name ~value) (Recorder.gauge_samples r);
+  let time = List.fold_left (fun _ (e : Event.t) -> e.time) 0.0 events in
+  List.iter
+    (fun (name, mkind, value) -> output_metric oc ~time ~name ~mkind ~value)
+    (Metrics.snapshot (Recorder.metrics r));
   output_msgs oc ~counts:(Recorder.msg_counts r) ~bytes:(Recorder.msg_bytes r);
   match counters with None -> () | Some cs -> output_counters oc cs
 
@@ -190,7 +194,13 @@ let nget fields k =
   | Some (S _) -> bad "field %S: expected a number" k
   | None -> bad "missing field %S" k
 
-let iget fields k = int_of_float (nget fields k)
+(* Integral and within the native int range; anything else would be
+   silently truncated by [int_of_float]. *)
+let to_int k f =
+  if Float.is_integer f && Float.abs f < 0x1p62 then int_of_float f
+  else bad "field %S: expected an integer" k
+
+let iget fields k = to_int k (nget fields k)
 
 let mode_of fields =
   let s = sget fields "mode" in
@@ -210,18 +220,11 @@ let cls_of_string s =
   | Some c -> c
   | None -> bad "unknown message class %S" s
 
-(* The scope discriminator. dcs-obs/2 carries it explicitly ("scope":
-   "span"|"node"); dcs-obs/1 lines lack it, and node events are the
-   req = seq = -1 sentinel — that special case lives only here now. *)
 let scope_of fields =
-  match List.assoc_opt "scope" fields with
-  | Some (S "span") -> Event.Span { requester = iget fields "req"; seq = iget fields "seq" }
-  | Some (S "node") -> Event.Node
-  | Some (S other) -> bad "unknown scope %S" other
-  | Some (F _) -> bad "field \"scope\": expected a string"
-  | None ->
-      let requester = iget fields "req" and seq = iget fields "seq" in
-      if requester = -1 && seq = -1 then Event.Node else Event.Span { requester; seq }
+  match sget fields "scope" with
+  | "span" -> Event.Span { requester = iget fields "req"; seq = iget fields "seq" }
+  | "node" -> Event.Node
+  | other -> bad "unknown scope %S" other
 
 let typed fields =
   match sget fields "k" with
@@ -275,39 +278,9 @@ let typed fields =
              if k = "k" then None
              else
                match v with
-               | F f -> Some (cls_of_string k, int_of_float f)
+               | F f -> Some (cls_of_string k, to_int k f)
                | S _ -> bad "counters field %S: expected a number" k)
            fields)
   | other -> bad "unknown line kind %S" other
 
 let parse_line s = match typed (parse_obj s) with v -> Ok v | exception Bad msg -> Error msg
-
-let known_schema s = s = schema || s = schema_v1
-
-let read_file path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-      let rec go acc lineno =
-        match input_line ic with
-        | exception End_of_file -> Ok (List.rev acc)
-        | "" -> go acc (lineno + 1)
-        | raw -> (
-            match parse_line raw with
-            | Ok l -> go (l :: acc) (lineno + 1)
-            | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
-      in
-      let check_head = function
-        | Ok (Meta pairs :: _) as ok -> (
-            match List.assoc_opt "schema" pairs with
-            | Some s when known_schema s -> ok
-            | got ->
-                Error
-                  (Printf.sprintf "line 1: schema mismatch (want %S or %S, got %S)" schema
-                     schema_v1
-                     (Option.value ~default:"<none>" got)))
-        | Ok _ -> Error "line 1: expected a meta line"
-        | Error _ as e -> e
-      in
-      check_head (go [] 1)

@@ -1,5 +1,5 @@
-(** Schema-versioned JSONL export of telemetry, and the matching parser
-    used by the [dcs-trace] analyzer.
+(** Schema-versioned JSONL export of telemetry, and the line parser the
+    [dcs-trace] analyzer reads files with ({!Merge.load_shard}).
 
     Every line is a flat JSON object whose first field [k] names the line
     kind; within a kind the field order is fixed, so output is byte-for-byte
@@ -11,13 +11,13 @@
     - [ev] — one event:
       [{"k":"ev","t":…,"lock":…,"node":…,"scope":"span","req":…,"seq":…,
       "ev":"requested","mode":"R","arg":0,"set":""}]. The [scope] field is
-      the explicit span/node discriminator introduced by [dcs-obs/2]:
-      ["span"] lines carry [req]/[seq], ["node"] lines (frozen/unfrozen)
-      omit them. [mode] is [""] for kinds without a mode; [arg] carries the
-      kind's integer payload (priority, forward destination, hop count,
-      sent/received peer; 0 otherwise); [set] is a [+]-joined mode list
-      ("IR+R") for frozen/unfrozen, [""] otherwise; sent/received lines
-      append a ["cls"] message-class field.
+      the required span/node discriminator: ["span"] lines carry
+      [req]/[seq], ["node"] lines (frozen/unfrozen) omit them. [mode] is
+      [""] for kinds without a mode; [arg] carries the kind's integer
+      payload (priority, forward destination, hop count, sent/received
+      peer; 0 otherwise); [set] is a [+]-joined mode list ("IR+R") for
+      frozen/unfrozen, [""] otherwise; sent/received lines append a
+      ["cls"] message-class field.
     - [gauge] — one sampled gauge: [{"k":"gauge","t":…,"name":…,"value":…}].
     - [metric] — one registry snapshot row ({!Metrics.snapshot}):
       [{"k":"metric","t":…,"name":…,"mkind":"counter","value":…}].
@@ -29,23 +29,19 @@
       [{"k":"counters","request":…,…}] in {!Msg_class.all} order.
 
     The parser accepts any flat JSON object (whitespace-insensitive, fields
-    in any order) and reads both [dcs-obs/2] and legacy [dcs-obs/1] files:
-    v1 [ev] lines have no [scope] field, so the old [req = seq = -1]
-    node-event sentinel is decoded here — and only here — into
-    {!Event.scope}. *)
+    in any order). Integer fields must hold integral numbers within the
+    native int range. *)
 
 open Dcs_proto
 
 (** Current schema tag: ["dcs-obs/2"]. *)
 val schema : string
 
-(** Legacy schema tag still accepted by the parser: ["dcs-obs/1"]. *)
-val schema_v1 : string
-
 (** [write oc ~meta ?counters r] writes a whole {!Recorder} file: meta line
     (with [schema] injected first), retained events in chronological order,
-    gauge samples, per-class [msgs] lines, then the [counters] line if
-    given. *)
+    gauge samples, the {!Recorder.metrics} snapshot as [metric] lines
+    (stamped with the last event's time), per-class [msgs] lines, then the
+    [counters] line if given. *)
 val write :
   out_channel ->
   meta:(string * string) list ->
@@ -78,10 +74,6 @@ type line =
   | Msgs of { cls : Msg_class.t; count : int; bytes : int }
   | Counters of (Msg_class.t * int) list
 
-(** Parse one line. Errors describe the first offending token. *)
+(** Parse one line. Never raises; errors describe the first offending
+    token. *)
 val parse_line : string -> (line, string) result
-
-(** Parse a whole file; enforces that the first line is a [meta] line
-    carrying a known schema ([dcs-obs/2] or [dcs-obs/1]). Errors are
-    prefixed [line N: ]. *)
-val read_file : string -> (line list, string) result

@@ -25,71 +25,69 @@ let read_lines path =
       in
       Ok (go [])
 
+let ( let* ) = Result.bind
+
 (* A shard from a killed process legitimately ends mid-line; a parse
    failure anywhere else is corruption and stays a hard error. *)
 let load_shard path =
-  match read_lines path with
-  | Error msg -> Error msg
-  | Ok raws -> (
-      let numbered =
-        List.mapi (fun i l -> (i + 1, l)) raws |> List.filter (fun (_, l) -> l <> "")
-      in
-      let rec parse acc = function
-        | [] -> Ok (List.rev acc, false)
-        | [ (_, raw) ] -> (
-            match Jsonl.parse_line raw with
-            | Ok l -> Ok (List.rev (l :: acc), false)
-            | Error _ -> Ok (List.rev acc, true))
-        | (i, raw) :: rest -> (
-            match Jsonl.parse_line raw with
-            | Ok l -> parse (l :: acc) rest
-            | Error msg -> Error (Printf.sprintf "line %d: %s" i msg))
-      in
-      match parse [] numbered with
-      | Error msg -> Error msg
-      | Ok (lines, truncated) -> (
-          match lines with
-          | Jsonl.Meta meta :: rest -> (
-              match List.assoc_opt "schema" meta with
-              | Some s when s = Jsonl.schema || s = Jsonl.schema_v1 ->
-                  let node =
-                    match List.assoc_opt "node" meta with
-                    | Some s -> ( match int_of_string_opt s with Some n -> n | None -> -1)
-                    | None -> -1
-                  in
-                  let events = ref []
-                  and gauges = ref []
-                  and metrics = ref []
-                  and msgs = ref []
-                  and counters = ref None in
-                  List.iter
-                    (function
-                      | Jsonl.Meta _ -> ()
-                      | Ev e -> events := e :: !events
-                      | Gauge { time; name; value } -> gauges := (time, name, value) :: !gauges
-                      | Metric { time; name; mkind; value } ->
-                          metrics := (time, name, mkind, value) :: !metrics
-                      | Msgs { cls; count; bytes } -> msgs := (cls, (count, bytes)) :: !msgs
-                      | Counters cs -> counters := Some cs)
-                    rest;
-                  Ok
-                    {
-                      path;
-                      meta;
-                      node;
-                      events = List.rev !events;
-                      gauges = List.rev !gauges;
-                      metrics = List.rev !metrics;
-                      msgs = List.rev !msgs;
-                      counters = !counters;
-                      truncated;
-                    }
-              | got ->
-                  Error
-                    (Printf.sprintf "schema mismatch (want %S or %S, got %S)" Jsonl.schema
-                       Jsonl.schema_v1
-                       (Option.value ~default:"<none>" got)))
-          | _ -> Error "first line is not a meta line"))
+  let* raws = read_lines path in
+  let numbered = List.mapi (fun i l -> (i + 1, l)) raws |> List.filter (fun (_, l) -> l <> "") in
+  let rec parse acc = function
+    | [] -> Ok (List.rev acc, false)
+    | [ (_, raw) ] -> (
+        match Jsonl.parse_line raw with
+        | Ok l -> Ok (List.rev (l :: acc), false)
+        | Error _ -> Ok (List.rev acc, true))
+    | (i, raw) :: rest -> (
+        match Jsonl.parse_line raw with
+        | Ok l -> parse (l :: acc) rest
+        | Error msg -> Error (Printf.sprintf "line %d: %s" i msg))
+  in
+  let* lines, truncated = parse [] numbered in
+  let* meta, rest =
+    match lines with
+    | Jsonl.Meta meta :: rest -> Ok (meta, rest)
+    | _ -> Error "first line is not a meta line"
+  in
+  let* () =
+    match List.assoc_opt "schema" meta with
+    | Some s when s = Jsonl.schema -> Ok ()
+    | got ->
+        Error
+          (Printf.sprintf "schema mismatch (want %S, got %S)" Jsonl.schema
+             (Option.value ~default:"<none>" got))
+  in
+  let* node =
+    match List.assoc_opt "node" meta with
+    | None -> Ok (-1)
+    | Some v -> (
+        match int_of_string_opt v with
+        | Some n -> Ok n
+        | None -> Error (Printf.sprintf "meta \"node\": expected an integer, got %S" v))
+  in
+  let events = ref [] and gauges = ref [] and metrics = ref [] and msgs = ref [] in
+  let counters = ref None in
+  List.iter
+    (function
+      | Jsonl.Meta _ -> ()
+      | Ev e -> events := e :: !events
+      | Gauge { time; name; value } -> gauges := (time, name, value) :: !gauges
+      | Metric { time; name; mkind; value } -> metrics := (time, name, mkind, value) :: !metrics
+      | Msgs { cls; count; bytes } -> msgs := (cls, (count, bytes)) :: !msgs
+      | Counters cs -> counters := Some cs)
+    rest;
+  Ok
+    {
+      path;
+      meta;
+      node;
+      events = List.rev !events;
+      gauges = List.rev !gauges;
+      metrics = List.rev !metrics;
+      msgs = List.rev !msgs;
+      counters = !counters;
+      truncated;
+    }
 
 let load paths =
   let rec go shards warnings = function
@@ -223,9 +221,9 @@ type breakdown = {
 
 let total_wait b = b.b_local_ms +. b.b_queue_ms +. b.b_freeze_ms +. b.b_net_ms +. b.b_token_ms
 
-(* Closed [start, stop) intervals during which (lock, node) had a
-   non-empty frozen set; an unclosed episode extends to infinity. *)
-let freeze_intervals events =
+(* Per (lock, node): the [start, stop) intervals during which its frozen
+   set was non-empty; an unclosed episode extends to infinity. *)
+let freeze_episodes events =
   let open_at = Hashtbl.create 8 and sets = Hashtbl.create 8 and acc = Hashtbl.create 8 in
   let push key iv = Hashtbl.replace acc key (iv :: Option.value ~default:[] (Hashtbl.find_opt acc key)) in
   List.iter
@@ -290,7 +288,7 @@ let classify ~freezes segment =
   (!local, !queue, !freeze, !net, !token)
 
 let critical_paths events =
-  let freezes = freeze_intervals events in
+  let freezes = freeze_episodes events in
   let spans = Hashtbl.create 64 and order = ref [] in
   List.iter
     (fun (e : Event.t) ->

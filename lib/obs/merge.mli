@@ -30,7 +30,7 @@ open Dcs_proto
 type shard = {
   path : string;
   meta : (string * string) list;
-  node : int;  (** meta ["node"], or [-1] (single-recorder sim traces) *)
+  node : int;  (** meta ["node"], or [-1] when absent (single-recorder sim traces) *)
   events : Event.t list;  (** file order = shard-local time order *)
   gauges : (float * string * float) list;
   metrics : (float * string * [ `Counter | `Gauge ] * float) list;
@@ -40,10 +40,11 @@ type shard = {
   truncated : bool;  (** final line was partial and was dropped *)
 }
 
-(** Load one shard. A parse failure on the final line marks the shard
-    [truncated] (a killed process ends mid-line) instead of failing;
-    failures anywhere else, an unknown schema, or a missing leading meta
-    line are errors. *)
+(** Load one shard: the analyzer's only file reader. A parse failure on
+    the final line marks the shard [truncated] (a killed process ends
+    mid-line) instead of failing; failures anywhere else (errors name the
+    line), a schema other than {!Jsonl.schema}, a missing leading meta line
+    or a meta ["node"] that is not an integer are errors. *)
 val load_shard : string -> (shard, string) result
 
 (** Load several shards; fails on the first hard error, collects one
@@ -58,6 +59,13 @@ val align : shard list -> (int * float) list
 (** All shards' events on one timeline, each shard's offset (keyed by its
     [node]) subtracted, stably sorted by corrected time. *)
 val merged_events : ?offsets:(int * float) list -> shard list -> Event.t list
+
+(** Freeze episodes (Rule 6) per [(lock, node)]: the intervals
+    [(start, stop)] during which that node's frozen set was non-empty,
+    newest first; an episode still open at the end of the events has
+    [stop = infinity]. Events must be time-ordered. {!critical_paths}
+    charges queued time against these intervals. *)
+val freeze_episodes : Event.t list -> (int * int, (float * float) list) Hashtbl.t
 
 type breakdown = {
   b_lock : int;

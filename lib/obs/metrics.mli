@@ -48,6 +48,26 @@ val snapshot : t -> (string * [ `Counter | `Gauge ] * float) list
     histogram expands to four rows: [<name>.count] (a counter) and
     [<name>.p50]/[.p95]/[.p99] (gauges). *)
 
+(** {2 Grant mix}
+
+    The [grants.<mode>] and [grants.upgrades] counters. The TCP runner and
+    the simulator's {!Recorder} both count engine grant events here, so
+    every trace carries the grant mix under the same names and
+    [dcs-trace analyze] can crosscheck it against the merged spans. *)
+
+type grants
+
+val grants : t -> grants
+(** Find or create the [grants.*] counters. *)
+
+val count_grant : grants -> Event.kind -> unit
+(** The one rule from events to counters: [Granted_local]/[Granted_token]
+    of mode [m] bumps [grants.m], [Upgraded] bumps [grants.upgrades], any
+    other kind is ignored. *)
+
+val grants_total : grants -> int
+(** Grants plus completed upgrades. *)
+
 (** {2 Shard labels}
 
     Sharded services ({!Dcs_shard}) run one registry per shard and label

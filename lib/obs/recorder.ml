@@ -3,8 +3,6 @@ open Dcs_proto
 module Histogram = Dcs_stats.Histogram
 module Summary = Dcs_stats.Summary
 
-type grants = { local : int; token : int; message_free : int; upgrades : int }
-
 type mode_stat = {
   mode : Mode.t;
   count : int;
@@ -23,56 +21,38 @@ type t = {
   mutable events : Event.t list; (* newest first *)
   mutable event_count : int;
   mutable requested : int;
-  mutable grants_local : int;
-  mutable grants_token : int;
-  mutable message_free : int;
-  mutable upgrades : int;
+  metrics : Metrics.t;
+  grants : Metrics.grants;
   (* open spans: (lock, requester, seq) -> request time *)
   spans : (int * int * int, float) Hashtbl.t;
   (* acquisition latency per mode *)
   lat_hist : Histogram.t array; (* indexed by Mode.index *)
   lat_sum : Summary.t array;
-  (* exact hop distributions: hops -> grant count *)
-  hops_local : (int, int) Hashtbl.t;
-  hops_token : (int, int) Hashtbl.t;
-  (* freeze episodes: (lock, node) -> (current set, since) *)
-  freezes : (int * int, Mode_set.t * float) Hashtbl.t;
-  freeze_sum : Summary.t;
   (* per-class message accounting *)
   counts : int array;
   bytes : int array;
-  (* gauges *)
   mutable samples : (float * string * float) list; (* newest first *)
-  gauges : (string, Summary.t) Hashtbl.t;
 }
 
 let create ?(events = true) ~enabled () =
+  let metrics = Metrics.create () in
   {
     enabled;
     keep_events = events;
     events = [];
     event_count = 0;
     requested = 0;
-    grants_local = 0;
-    grants_token = 0;
-    message_free = 0;
-    upgrades = 0;
+    metrics;
+    grants = Metrics.grants metrics;
     spans = Hashtbl.create 64;
     lat_hist = Array.init modes (fun _ -> Histogram.create ~base:1.25 ~min_value:0.01 ());
     lat_sum = Array.init modes (fun _ -> Summary.create ());
-    hops_local = Hashtbl.create 8;
-    hops_token = Hashtbl.create 8;
-    freezes = Hashtbl.create 16;
-    freeze_sum = Summary.create ();
     counts = Array.make classes 0;
     bytes = Array.make classes 0;
     samples = [];
-    gauges = Hashtbl.create 8;
   }
 
 let enabled t = t.enabled
-
-let bump tbl k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
 
 let close_span t ~time ~lock ~requester ~seq mode =
   let key = (lock, requester, seq) in
@@ -85,47 +65,19 @@ let close_span t ~time ~lock ~requester ~seq mode =
       Histogram.add t.lat_hist.(i) elapsed;
       Summary.add t.lat_sum.(i) elapsed
 
-(* Freeze episodes: a node's frozen set going non-empty opens an episode;
-   draining back to empty closes it and records the duration. *)
-let freeze_change t ~time ~lock ~node ~add set =
-  let key = (lock, node) in
-  let cur, since =
-    match Hashtbl.find_opt t.freezes key with
-    | Some (c, s) -> (c, s)
-    | None -> (Mode_set.empty, time)
-  in
-  let was_empty = Mode_set.is_empty cur in
-  let next = if add then Mode_set.union cur set else Mode_set.diff cur set in
-  if Mode_set.is_empty next then (
-    Hashtbl.remove t.freezes key;
-    if not was_empty then Summary.add t.freeze_sum (time -. since))
-  else Hashtbl.replace t.freezes key (next, if was_empty then time else since)
-
 let record t ~time ~lock ~node scope kind =
   if t.enabled then (
     t.event_count <- t.event_count + 1;
     if t.keep_events then t.events <- { Event.time; lock; node; scope; kind } :: t.events;
+    Metrics.count_grant t.grants kind;
     match (scope, kind) with
     | Event.Span { requester; seq }, Event.Requested _ ->
         t.requested <- t.requested + 1;
         Hashtbl.replace t.spans (lock, requester, seq) time
-    | Span { requester; seq }, Granted_local { mode; hops } ->
-        t.grants_local <- t.grants_local + 1;
-        if hops = 0 then t.message_free <- t.message_free + 1;
-        bump t.hops_local hops;
+    | Span { requester; seq }, (Granted_local { mode; _ } | Granted_token { mode; _ }) ->
         close_span t ~time ~lock ~requester ~seq mode
-    | Span { requester; seq }, Granted_token { mode; hops } ->
-        t.grants_token <- t.grants_token + 1;
-        bump t.hops_token hops;
-        close_span t ~time ~lock ~requester ~seq mode
-    | Span { requester; seq }, Upgraded ->
-        t.upgrades <- t.upgrades + 1;
-        close_span t ~time ~lock ~requester ~seq Mode.W
-    | _, Frozen set -> freeze_change t ~time ~lock ~node ~add:true set
-    | _, Unfrozen set -> freeze_change t ~time ~lock ~node ~add:false set
-    | _, (Requested _ | Granted_local _ | Granted_token _ | Upgraded)
-    | _, (Forwarded _ | Queued | Released _ | Sent _ | Received _) ->
-        ())
+    | Span { requester; seq }, Upgraded -> close_span t ~time ~lock ~requester ~seq Mode.W
+    | _ -> ())
 
 let message t ~cls ~bytes =
   if t.enabled then (
@@ -134,17 +86,7 @@ let message t ~cls ~bytes =
     t.bytes.(i) <- t.bytes.(i) + bytes)
 
 let gauge t ~time ~name ~value =
-  if t.enabled then (
-    if t.keep_events then t.samples <- (time, name, value) :: t.samples;
-    let s =
-      match Hashtbl.find_opt t.gauges name with
-      | Some s -> s
-      | None ->
-          let s = Summary.create () in
-          Hashtbl.add t.gauges name s;
-          s
-    in
-    Summary.add s value)
+  if t.enabled && t.keep_events then t.samples <- (time, name, value) :: t.samples
 
 let events t = List.rev t.events
 
@@ -152,21 +94,15 @@ let event_count t = t.event_count
 
 let requested t = t.requested
 
-let completed t = t.grants_local + t.grants_token + t.upgrades
+let completed t = Metrics.grants_total t.grants
 
 let open_spans t = Hashtbl.length t.spans
+
+let metrics t = t.metrics
 
 let msg_counts t = List.map (fun c -> (c, t.counts.(Msg_class.index c))) Msg_class.all
 
 let msg_bytes t = List.map (fun c -> (c, t.bytes.(Msg_class.index c))) Msg_class.all
-
-let grants t =
-  { local = t.grants_local; token = t.grants_token; message_free = t.message_free; upgrades = t.upgrades }
-
-let hop_distribution t which =
-  let tbl = match which with `Local -> t.hops_local | `Token -> t.hops_token in
-  Hashtbl.fold (fun h n acc -> (h, n) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let mode_stats t =
   List.filter_map
@@ -186,17 +122,5 @@ let mode_stats t =
             p99_ms = Histogram.quantile h 0.99;
           })
     Mode.all
-
-let latency_histogram t mode =
-  let i = Mode.index mode in
-  if Histogram.count t.lat_hist.(i) = 0 then None else Some t.lat_hist.(i)
-
-let freeze_durations t = t.freeze_sum
-
-let open_freezes t = Hashtbl.length t.freezes
-
-let gauge_stats t =
-  Hashtbl.fold (fun name s acc -> (name, s) :: acc) t.gauges []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let gauge_samples t = List.rev t.samples

@@ -1,5 +1,5 @@
-(** Structured telemetry recorder: the single sink every instrumented layer
-    writes into.
+(** Structured telemetry recorder: the sink the simulated clusters write
+    into.
 
     Zero-cost when disabled: instrumented code guards each emission with
     {!enabled} (or is handed no recorder at all), so a disabled run pays at
@@ -8,16 +8,19 @@
     When enabled, the recorder ingests three streams —
 
     - {e span events} ({!record}): request-lifecycle events from the
-      protocol engines, which it both retains (for JSONL export, unless
-      [events:false]) and folds online into per-mode latency histograms
-      ({!Dcs_stats.Histogram}), grant-path counters (local vs token vs
-      message-free, Rule 3.1), per-span hop distributions and freeze-episode
-      durations;
+      protocol engines, retained for JSONL export (unless [events:false]).
+      Grants are counted in a {!Metrics} registry under the TCP runner's
+      names ([grants.<mode>], [grants.upgrades]), and acquisition latency
+      is folded per mode for {!mode_stats};
     - {e message accounting} ({!message}): per-class counts and encoded
       byte sizes ({!Dcs_wire} sizes, supplied by the transport wrapper);
     - {e gauges} ({!gauge}): values sampled on the engine tick hook (queue
-      depth, copyset size, frozen nodes, in-flight messages), summarized
-      per name and retained as samples for export.
+      depth, copyset size, frozen nodes, in-flight messages), retained as
+      samples for export.
+
+    Everything else (grant paths, hop distributions, freeze episodes,
+    critical paths) is derived from the exported events by [dcs-trace
+    analyze] ({!Merge}), the same way for simulated and TCP traces.
 
     A recorder observes exactly one run (one engine): times are that run's
     simulation clock. Recording does not perturb the simulation — no RNG
@@ -29,8 +32,9 @@ open Dcs_proto
 type t
 
 (** [create ~enabled ()] — [events:false] (default [true]) keeps only the
-    aggregate metrics and drops the per-event log, for long soaks where the
-    full event stream would dwarf memory. *)
+    counters and latency folds and drops the per-event log and gauge
+    samples, for long soaks where the full event stream would dwarf
+    memory. *)
 val create : ?events:bool -> enabled:bool -> unit -> t
 
 val enabled : t -> bool
@@ -46,7 +50,8 @@ val record : t -> time:float -> lock:int -> node:Node_id.t -> Event.scope -> Eve
     No-op when disabled. *)
 val message : t -> cls:Msg_class.t -> bytes:int -> unit
 
-(** Record one gauge sample. No-op when disabled. *)
+(** Record one gauge sample. No-op when disabled or created with
+    [events:false]. *)
 val gauge : t -> time:float -> name:string -> value:float -> unit
 
 (** {1 Views} *)
@@ -62,11 +67,16 @@ val event_count : t -> int
     instance's span). *)
 val requested : t -> int
 
-(** Grants plus completed upgrades (= spans closed). *)
+(** Grants plus completed upgrades (= spans closed), read from the
+    [grants.*] counters. *)
 val completed : t -> int
 
 (** Spans currently open (requested, not yet granted). *)
 val open_spans : t -> int
+
+(** The recorder's metric registry: the [grants.*] counters
+    ({!Metrics.grants}). {!Jsonl.write} exports its snapshot. *)
+val metrics : t -> Metrics.t
 
 (** Per-class message counts, {!Msg_class.all} order. *)
 val msg_counts : t -> (Msg_class.t * int) list
@@ -74,23 +84,10 @@ val msg_counts : t -> (Msg_class.t * int) list
 (** Per-class encoded byte totals, {!Msg_class.all} order. *)
 val msg_bytes : t -> (Msg_class.t * int) list
 
-(** Grant-path decomposition (the paper's token-path economics). *)
-type grants = {
-  local : int;  (** granted without a token transfer (Rules 2, 3, 3.1) *)
-  token : int;  (** granted by token transfer (Rule 3.2) *)
-  message_free : int;  (** subset of [local] with zero hops (Rule 2) *)
-  upgrades : int;  (** completed Rule-7 upgrades *)
-}
-
-val grants : t -> grants
-
-(** Exact hop-count distribution [(hops, grants)] ascending, for grants of
-    the given path kind. *)
-val hop_distribution : t -> [ `Local | `Token ] -> (int * int) list
-
 (** Acquisition-latency summary per mode, only modes with grants, in
-    {!Mode.all} order. Quantiles come from the log-bucketed histogram
-    (upper bucket bounds); means are exact. *)
+    {!Mode.all} order. Quantiles come from a log-bucketed histogram
+    (upper bucket bounds); means are exact. An upgrade closes its span as
+    [W]. *)
 type mode_stat = {
   mode : Mode.t;
   count : int;
@@ -101,20 +98,6 @@ type mode_stat = {
 }
 
 val mode_stats : t -> mode_stat list
-
-(** The underlying latency histogram for one mode, if any grant of that
-    mode was recorded. *)
-val latency_histogram : t -> Mode.t -> Dcs_stats.Histogram.t option
-
-(** Durations (ms) of closed freeze episodes — the span from a node's
-    frozen set becoming non-empty to it draining empty (Rule 6 waits). *)
-val freeze_durations : t -> Dcs_stats.Summary.t
-
-(** Freeze episodes still open (non-empty frozen sets at observation end). *)
-val open_freezes : t -> int
-
-(** Per-name gauge summaries, name-sorted. *)
-val gauge_stats : t -> (string * Dcs_stats.Summary.t) list
 
 (** All gauge samples in recording order as [(time, name, value)]. Empty
     when created with [events:false]. *)

@@ -67,9 +67,7 @@ let create ?(config = Node.default_config) ?(oracle = false) ?transport ?obs ?re
   let transport : Dcs_proto.Link.send =
     match transport with Some s -> s | None -> Net.send net
   in
-  (* A disabled recorder is dropped here, so the per-node engines see
-     [None] and pay only the per-site branch. *)
-  let obs = match obs with Some r when Dcs_obs.Recorder.enabled r -> Some r | _ -> None in
+  let obs = Cluster_obs.attach ~net obs in
   let t =
     { net; n; l; locks_arr = Array.init l (fun _ ->
           {
@@ -92,14 +90,7 @@ let create ?(config = Node.default_config) ?(oracle = false) ?transport ?obs ?re
             Dcs_proto.Counters.incr ls.counters (Msg.class_of msg);
             (match obs with
             | None -> ()
-            | Some r ->
-                (* Per-class wire bytes: the codec is the authority on what
-                   this message costs on a real link. *)
-                Dcs_obs.Recorder.message r ~cls:(Msg.class_of msg)
-                  ~bytes:
-                    (String.length
-                       (Dcs_wire.Codec.encode
-                          { Dcs_wire.Codec.src = id; lock; payload = Dcs_wire.Codec.Hlock msg })));
+            | Some o -> Cluster_obs.message o ~src:id ~lock ~cls:(Msg.class_of msg) (Hlock msg));
             (match msg with Msg.Token _ -> ls.tokens_in_flight <- ls.tokens_in_flight + 1 | _ -> ());
             transport ~src:id ~dst ~cls:(Msg.class_of msg)
               ~describe:(fun () -> Format.asprintf "lock%d %a" lock Msg.pp msg)
@@ -126,14 +117,7 @@ let create ?(config = Node.default_config) ?(oracle = false) ?transport ?obs ?re
                 cb ()
             | None -> Hashtbl.replace ls.upgraded_fired key ()
           in
-          let node_obs =
-            match obs with
-            | None -> None
-            | Some r ->
-                Some
-                  (fun scope kind ->
-                    Dcs_obs.Recorder.record r ~time:(Net.now net) ~lock ~node:id scope kind)
-          in
+          let node_obs = Cluster_obs.node_hook obs ~lock ~node:id in
           match restore with
           | None ->
               Node.create ~config ?obs:node_obs ~id ~peers:n ~is_token:(id = 0)

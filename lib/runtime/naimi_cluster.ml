@@ -54,7 +54,7 @@ let quiescent_violations t =
 
 let create ?(oracle = false) ?obs ~net ~nodes:n ~locks:l () =
   if n < 1 then invalid_arg "Naimi_cluster.create: need at least one node";
-  let obs = match obs with Some r when Dcs_obs.Recorder.enabled r -> Some r | _ -> None in
+  let obs = Cluster_obs.attach ~net obs in
   let t =
     {
       net;
@@ -78,12 +78,7 @@ let create ?(oracle = false) ?obs ~net ~nodes:n ~locks:l () =
           let send ~dst msg =
             (match obs with
             | None -> ()
-            | Some r ->
-                Dcs_obs.Recorder.message r ~cls:(Naimi.class_of msg)
-                  ~bytes:
-                    (String.length
-                       (Dcs_wire.Codec.encode
-                          { Dcs_wire.Codec.src = id; lock; payload = Dcs_wire.Codec.Naimi msg })));
+            | Some o -> Cluster_obs.message o ~src:id ~lock ~cls:(Naimi.class_of msg) (Naimi msg));
             (match msg with
             | Naimi.Token -> ls.tokens_in_flight <- ls.tokens_in_flight + 1
             | Naimi.Request _ -> ());
@@ -106,15 +101,7 @@ let create ?(oracle = false) ?obs ~net ~nodes:n ~locks:l () =
                 cb ()
             | None -> Hashtbl.replace ls.acquired_fired id ()
           in
-          let node_obs =
-            match obs with
-            | None -> None
-            | Some r ->
-                Some
-                  (fun scope kind ->
-                    Dcs_obs.Recorder.record r ~time:(Net.now net) ~lock ~node:id scope kind)
-          in
-          Naimi.create ?obs:node_obs ~id ~is_root:(id = 0)
+          Naimi.create ?obs:(Cluster_obs.node_hook obs ~lock ~node:id) ~id ~is_root:(id = 0)
             ~father:(if id = 0 then None else Some 0)
             ~send ~on_acquired ())
     in

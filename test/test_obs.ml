@@ -1,9 +1,9 @@
 (* Telemetry tests: Counters.diff / pp ordering, the Recorder's span and
-   metric accounting, JSONL round-tripping (v2 and legacy v1), the
-   Metrics registry and Clock sources, multi-shard merge with causal
-   clock alignment and critical-path classification, and an end-to-end
-   crosscheck of recorder message counts against the transport's
-   Counters. *)
+   metric accounting, JSONL round-tripping and hostile input, the Metrics
+   registry and Clock sources, multi-shard merge with causal clock
+   alignment, the analyzer's grant-path and freeze-episode folds and
+   critical-path classification, and an end-to-end crosscheck of recorder
+   message counts against the transport's Counters. *)
 
 open Dcs_modes
 module Msg_class = Dcs_proto.Msg_class
@@ -15,6 +15,7 @@ module Metrics = Dcs_obs.Metrics
 module Clock = Dcs_obs.Clock
 module Shard = Dcs_obs.Shard
 module Merge = Dcs_obs.Merge
+module Q = QCheck2
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -86,6 +87,11 @@ let populate r =
   Recorder.gauge r ~time:1.0 ~name:"queue_depth" ~value:3.0;
   Recorder.gauge r ~time:2.0 ~name:"queue_depth" ~value:5.0
 
+let metric_value r name =
+  match List.find_opt (fun (n, _, _) -> n = name) (Metrics.snapshot (Recorder.metrics r)) with
+  | Some (_, `Counter, v) -> int_of_float v
+  | _ -> Alcotest.failf "no counter %s" name
+
 let test_recorder_accounting () =
   let r = Recorder.create ~enabled:true () in
   populate r;
@@ -93,34 +99,48 @@ let test_recorder_accounting () =
   checki "spans requested" 3 (Recorder.requested r);
   checki "spans completed" 3 (Recorder.completed r);
   checki "no open spans" 0 (Recorder.open_spans r);
-  let g = Recorder.grants r in
-  checki "local grants" 1 g.Recorder.local;
-  checki "token grants" 1 g.Recorder.token;
-  checki "upgrades" 1 g.Recorder.upgrades;
-  Alcotest.check
-    Alcotest.(list (pair int int))
-    "local hop distribution" [ (1, 1) ]
-    (Recorder.hop_distribution r `Local);
-  Alcotest.check
-    Alcotest.(list (pair int int))
-    "token hop distribution" [ (0, 1) ]
-    (Recorder.hop_distribution r `Token);
+  checki "grants.R" 1 (metric_value r "grants.R");
+  checki "grants.IW" 1 (metric_value r "grants.IW");
+  checki "grants.W" 0 (metric_value r "grants.W");
+  checki "grants.upgrades" 1 (metric_value r "grants.upgrades");
   checki "request msgs" 2
     (List.assoc Msg_class.Request (Recorder.msg_counts r));
   checki "request bytes" 42
     (List.assoc Msg_class.Request (Recorder.msg_bytes r));
   checki "no grant msgs" 0
     (List.assoc Msg_class.Copy_grant (Recorder.msg_counts r));
-  let fr = Recorder.freeze_durations r in
-  checki "one freeze episode" 1 (Dcs_stats.Summary.count fr);
-  checkb "freeze duration 5ms" true (abs_float (Dcs_stats.Summary.mean fr -. 5.0) < 1e-9);
-  checki "no open freezes" 0 (Recorder.open_freezes r);
+  checki "gauge samples" 2 (List.length (Recorder.gauge_samples r));
   let stats = Recorder.mode_stats r in
   let find m = List.find (fun s -> Mode.equal s.Recorder.mode m) stats in
   checki "R count" 1 (find Mode.R).Recorder.count;
   checki "W count (upgrade closes as W)" 1 (find Mode.W).Recorder.count;
   checkb "R mean latency 5ms" true
     (abs_float ((find Mode.R).Recorder.mean_ms -. 5.0) < 1e-9)
+
+(* The figures the Recorder used to fold online, now derived from
+   [populate]'s events by the analyzer's folds. *)
+let test_merge_grant_paths_and_freezes () =
+  let r = Recorder.create ~enabled:true () in
+  populate r;
+  let events =
+    List.stable_sort (fun (a : Event.t) (b : Event.t) -> compare a.time b.time) (Recorder.events r)
+  in
+  let breakdowns, incomplete = Merge.critical_paths events in
+  checki "no incomplete spans" 0 incomplete;
+  let of_kind k = List.filter (fun (b : Merge.breakdown) -> b.Merge.b_kind = k) breakdowns in
+  checki "local grants" 1 (List.length (of_kind `Local));
+  checki "token grants" 1 (List.length (of_kind `Token));
+  checki "upgrades" 1 (List.length (of_kind `Upgrade));
+  let hops k =
+    let hs = List.map (fun (b : Merge.breakdown) -> b.Merge.b_hops) (of_kind k) in
+    List.map (fun h -> (h, List.length (List.filter (( = ) h) hs))) (List.sort_uniq compare hs)
+  in
+  Alcotest.check Alcotest.(list (pair int int)) "local hop distribution" [ (1, 1) ] (hops `Local);
+  Alcotest.check Alcotest.(list (pair int int)) "token hop distribution" [ (0, 1) ] (hops `Token);
+  let episodes = Hashtbl.fold (fun _ ivs acc -> ivs @ acc) (Merge.freeze_episodes events) [] in
+  Alcotest.check
+    Alcotest.(list (pair (float 1e-9) (float 1e-9)))
+    "one closed 5 ms freeze episode, none open" [ (3.0, 8.0) ] episodes
 
 let test_recorder_disabled () =
   let r = Recorder.create ~enabled:false () in
@@ -148,20 +168,18 @@ let test_jsonl_roundtrip () =
   let oc = open_out path in
   Jsonl.write oc ~meta:[ ("nodes", "3"); ("driver", "test") ] ~counters r;
   close_out oc;
-  let lines =
-    match Jsonl.read_file path with
-    | Ok ls -> ls
-    | Error e -> Alcotest.failf "read_file: %s" e
+  let shard =
+    match Merge.load_shard path with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "load_shard: %s" e
   in
   Sys.remove path;
-  (match lines with
-  | Jsonl.Meta m :: _ ->
-      Alcotest.check
-        Alcotest.(option string)
-        "schema first" (Some Jsonl.schema) (List.assoc_opt "schema" m);
-      Alcotest.check Alcotest.(option string) "meta kept" (Some "3") (List.assoc_opt "nodes" m)
-  | _ -> Alcotest.fail "first line is not meta");
-  let parsed = List.filter_map (function Jsonl.Ev e -> Some e | _ -> None) lines in
+  let m = shard.Merge.meta in
+  Alcotest.check
+    Alcotest.(option string)
+    "schema first" (Some Jsonl.schema) (List.assoc_opt "schema" m);
+  Alcotest.check Alcotest.(option string) "meta kept" (Some "3") (List.assoc_opt "nodes" m);
+  let parsed = shard.Merge.events in
   let original = Recorder.events r in
   checki "event count survives" (List.length original) (List.length parsed);
   List.iter2
@@ -181,13 +199,18 @@ let test_jsonl_roundtrip () =
          evs)
   in
   checkb "identical span set" true (span_set original = span_set parsed);
-  (match List.find_map (function Jsonl.Counters c -> Some c | _ -> None) lines with
+  (match shard.Merge.counters with
   | None -> Alcotest.fail "counters line missing"
   | Some cs ->
       checki "counters request" 2 (List.assoc Msg_class.Request cs);
       checki "counters token" 1 (List.assoc Msg_class.Token_transfer cs));
-  let msgs_lines = List.filter (function Jsonl.Msgs _ -> true | _ -> false) lines in
-  checki "one msgs line per class" (List.length Msg_class.all) (List.length msgs_lines)
+  checki "one msgs line per class" (List.length Msg_class.all) (List.length shard.Merge.msgs);
+  checki "gauge samples survive" 2 (List.length shard.Merge.gauges);
+  let totals = Merge.metric_totals [ shard ] in
+  List.iter
+    (fun (name, n) ->
+      checkf ("metric " ^ name) n (Option.value ~default:nan (List.assoc_opt name totals)))
+    [ ("grants.R", 1.0); ("grants.IW", 1.0); ("grants.W", 0.0); ("grants.upgrades", 1.0) ]
 
 let test_jsonl_rejects_garbage () =
   checkb "bad json" true (Result.is_error (Jsonl.parse_line "{\"k\":"));
@@ -195,7 +218,9 @@ let test_jsonl_rejects_garbage () =
   checkb "trailing junk" true (Result.is_error (Jsonl.parse_line "{\"k\":\"meta\"} extra"))
 
 (* Robustness: every corrupt file shape must come back as [Error _] from
-   [read_file] — never an exception — with the offending line number. *)
+   [Merge.load_shard] — never an exception — with the offending line
+   number. A bad final line is a truncated shard instead, so the broken
+   records below are followed by a good one. *)
 let with_file lines f =
   let path = Filename.temp_file "dcs_obs_robust" ".jsonl" in
   let oc = open_out path in
@@ -205,12 +230,12 @@ let with_file lines f =
 
 let meta_line = Printf.sprintf "{\"k\":\"meta\",\"schema\":\"%s\",\"nodes\":\"2\"}" Jsonl.schema
 let ev_line =
-  "{\"k\":\"ev\",\"t\":1.5,\"lock\":0,\"node\":1,\"req\":1,\"seq\":0,\"ev\":\"queued\",\
-   \"mode\":\"\",\"arg\":0,\"set\":\"\"}"
+  "{\"k\":\"ev\",\"t\":1.5,\"lock\":0,\"node\":1,\"scope\":\"span\",\"req\":1,\"seq\":0,\
+   \"ev\":\"queued\",\"mode\":\"\",\"arg\":0,\"set\":\"\"}"
 
 let read_error lines =
   with_file lines (fun path ->
-      match Jsonl.read_file path with
+      match Merge.load_shard path with
       | Ok _ -> Alcotest.fail "expected Error"
       | Error msg -> msg
       | exception e -> Alcotest.failf "raised %s instead of Error" (Printexc.to_string e))
@@ -221,7 +246,7 @@ let contains hay needle =
   go 0
 
 let test_jsonl_robust_malformed_line () =
-  let msg = read_error [ meta_line; ev_line; "{\"k\":\"ev\",\"t\":oops}" ] in
+  let msg = read_error [ meta_line; ev_line; "{\"k\":\"ev\",\"t\":oops}"; ev_line ] in
   checkb "names line 3" true (contains msg "line 3")
 
 let test_jsonl_robust_unknown_schema () =
@@ -231,16 +256,21 @@ let test_jsonl_robust_unknown_schema () =
   checkb "missing schema rejected" true (contains msg "schema mismatch")
 
 let test_jsonl_robust_partial_trailing () =
-  (* A crash mid-write leaves a truncated last record. *)
+  (* A crash mid-write leaves a partial last record: dropped, the lines
+     before it kept, and the shard flagged truncated. *)
   let partial = String.sub ev_line 0 (String.length ev_line / 2) in
-  let msg = read_error [ meta_line; ev_line; partial ] in
-  checkb "names line 3" true (contains msg "line 3")
+  with_file [ meta_line; ev_line; partial ] (fun path ->
+      match Merge.load_shard path with
+      | Error e -> Alcotest.failf "partial trailing record must load: %s" e
+      | Ok s ->
+          checkb "flagged truncated" true s.Merge.truncated;
+          checki "complete line kept" 1 (List.length s.Merge.events))
 
 let test_jsonl_robust_field_errors () =
   (* Structurally valid JSON, semantically broken records. *)
   List.iter
     (fun broken ->
-      let msg = read_error [ meta_line; broken ] in
+      let msg = read_error [ meta_line; broken; ev_line ] in
       checkb ("line 2 error for " ^ broken) true (contains msg "line 2"))
     [
       "{\"k\":\"ev\",\"t\":1.0}" (* missing fields *);
@@ -250,40 +280,23 @@ let test_jsonl_robust_field_errors () =
        \"mode\":\"Q\",\"arg\":0,\"set\":\"\"}" (* unknown mode *);
       "{\"k\":\"msgs\",\"cls\":\"carrier-pigeon\",\"count\":1,\"bytes\":2}" (* unknown class *);
       "{\"k\":\"gauge\",\"t\":1.0,\"name\":\"q\",\"value\":\"high\"}" (* wrong type *);
+      "{\"k\":\"ev\",\"t\":1.0,\"lock\":1.5,\"node\":1,\"scope\":\"node\",\"ev\":\"frozen\",\
+       \"mode\":\"\",\"arg\":0,\"set\":\"R\"}" (* non-integral integer field *);
+      "{\"k\":\"ev\",\"t\":1.0,\"lock\":0,\"node\":1e300,\"scope\":\"node\",\"ev\":\"frozen\",\
+       \"mode\":\"\",\"arg\":0,\"set\":\"R\"}" (* integer field out of range *);
+      "{\"k\":\"ev\",\"t\":1.0,\"lock\":0,\"node\":1,\"req\":1,\"seq\":0,\"ev\":\"queued\",\
+       \"mode\":\"\",\"arg\":0,\"set\":\"\"}" (* no scope field *);
     ]
 
 let test_jsonl_robust_not_meta_first () =
   let msg = read_error [ ev_line ] in
   checkb "wants meta first" true (contains msg "meta");
-  match Jsonl.read_file "/nonexistent/dcs-obs-test.jsonl" with
+  match Merge.load_shard "/nonexistent/dcs-obs-test.jsonl" with
   | Ok _ -> Alcotest.fail "expected Error for missing file"
   | Error _ -> ()
   | exception e -> Alcotest.failf "raised %s for missing file" (Printexc.to_string e)
 
-(* {1 Schema v1 compatibility and v2 node events} *)
-
-let test_jsonl_v1_compat () =
-  (* A legacy dcs-obs/1 file: no scope field, req = seq = -1 marks node
-     events. The parser must keep reading it. *)
-  let v1_meta = Printf.sprintf "{\"k\":\"meta\",\"schema\":\"%s\",\"nodes\":\"2\"}" Jsonl.schema_v1 in
-  let v1_span =
-    "{\"k\":\"ev\",\"t\":1.0,\"lock\":0,\"node\":1,\"req\":1,\"seq\":4,\"ev\":\"queued\",\
-     \"mode\":\"\",\"arg\":0,\"set\":\"\"}"
-  in
-  let v1_node =
-    "{\"k\":\"ev\",\"t\":2.0,\"lock\":0,\"node\":1,\"req\":-1,\"seq\":-1,\"ev\":\"frozen\",\
-     \"mode\":\"\",\"arg\":0,\"set\":\"IR+R\"}"
-  in
-  with_file [ v1_meta; v1_span; v1_node ] (fun path ->
-      match Jsonl.read_file path with
-      | Error e -> Alcotest.failf "v1 file rejected: %s" e
-      | Ok [ Jsonl.Meta _; Jsonl.Ev span; Jsonl.Ev node ] ->
-          checkb "v1 span decoded" true
-            (span.Event.scope = Event.Span { requester = 1; seq = 4 });
-          checkb "v1 sentinel decodes to Node scope" true (node.Event.scope = Event.Node);
-          checkb "frozen set survives" true
-            (node.Event.kind = Event.Frozen (Mode_set.of_list [ Mode.IR; Mode.R ]))
-      | Ok _ -> Alcotest.fail "unexpected line shapes")
+(* {1 Node events} *)
 
 let test_jsonl_v2_node_event () =
   (* v2 writes an explicit scope discriminator: node lines say so and
@@ -317,6 +330,98 @@ let test_jsonl_v2_node_event () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "v2 line rejected: %s (%s)" e l)
     raw
+
+(* {1 Hostile bytes}
+
+   The telemetry decode path must answer [Ok] or [Error] on any input,
+   and the emitters and parser must agree on every event. *)
+
+let gen_event =
+  Q.Gen.(
+    let* time = map (fun us -> float_of_int us /. 1000.0) (int_bound 1_000_000_000) in
+    let* lock = int_range (-5) 100 in
+    let* node = int_range (-5) 100 in
+    let* requester = int_bound 100 in
+    let* seq = int_bound 10_000 in
+    let* n = int_bound 1000 in
+    let* mode = Testkit.gen_mode in
+    let* cls = oneofl Msg_class.all in
+    let* set = map Mode_set.of_list (list_size (int_bound 5) Testkit.gen_mode) in
+    let span = Event.Span { requester; seq } in
+    let* scope, kind =
+      oneofl
+        [
+          (span, Event.Requested { mode; priority = n });
+          (span, Forwarded { dst = n });
+          (span, Queued);
+          (span, Granted_local { mode; hops = n });
+          (span, Granted_token { mode; hops = n });
+          (span, Upgraded);
+          (span, Released { mode });
+          (span, Sent { cls; dst = n });
+          (span, Received { cls; src = n });
+          (Event.Node, Frozen set);
+          (Event.Node, Unfrozen set);
+        ]
+    in
+    return { Event.time; lock; node; scope; kind })
+
+(* Render through an emitter into a string (the emitters write to
+   channels). *)
+let emitted write =
+  let path = Filename.temp_file "dcs_obs_emit" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out_bin path in
+  write oc;
+  close_out oc;
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  String.split_on_char '\n' s |> List.filter (( <> ) "")
+
+let prop_event_roundtrip =
+  Q.Test.make ~count:300 ~name:"event round-trip" gen_event (fun e ->
+      match emitted (fun oc -> Jsonl.output_event oc e) with
+      | [ line ] -> Jsonl.parse_line line = Ok (Jsonl.Ev e)
+      | _ -> false)
+
+let gen_emitted_line =
+  Q.Gen.(
+    let* e = gen_event in
+    let* name = string_size ~gen:printable (int_bound 12) in
+    let* value = float in
+    let* n = int_bound 1_000_000 in
+    let* k = int_bound 5 in
+    let cs = List.map (fun c -> (c, n)) Msg_class.all in
+    let* i = int_bound 1000 in
+    let lines =
+      emitted (fun oc ->
+          match k with
+          | 0 -> Jsonl.output_meta oc [ (name, name); ("node", string_of_int n) ]
+          | 1 -> Jsonl.output_event oc e
+          | 2 -> Jsonl.output_gauge oc ~time:e.time ~name ~value
+          | 3 -> Jsonl.output_metric oc ~time:e.time ~name ~mkind:`Counter ~value
+          | 4 -> Jsonl.output_msgs oc ~counts:cs ~bytes:cs
+          | _ -> Jsonl.output_counters oc cs)
+    in
+    return (List.nth lines (i mod List.length lines)))
+
+let never_raises s = match Jsonl.parse_line s with Ok _ | Error _ -> true | exception _ -> false
+
+let prop_arbitrary_bytes =
+  Q.Test.make ~count:1000 ~name:"arbitrary bytes never raise"
+    Q.Gen.(string_size ~gen:char (int_bound 200))
+    never_raises
+
+let prop_prefixes_and_mutations =
+  Q.Test.make ~count:300 ~name:"prefixes and byte mutations never raise"
+    Q.Gen.(triple gen_emitted_line nat char)
+    (fun (line, pos, c) ->
+      let n = String.length line in
+      let mutated = Bytes.of_string line in
+      Bytes.set mutated (pos mod n) c;
+      never_raises (Bytes.to_string mutated)
+      && List.for_all (fun k -> never_raises (String.sub line 0 k)) (List.init n Fun.id))
 
 (* {1 Metrics registry} *)
 
@@ -478,6 +583,14 @@ let test_merge_truncated_shard () =
   checkb "intact span survives" true
     (List.exists (fun (b : Merge.breakdown) -> b.Merge.b_requester = 1) breakdowns)
 
+let test_merge_rejects_non_integer_node () =
+  List.iter
+    (fun node ->
+      let meta = Printf.sprintf "{\"k\":\"meta\",\"schema\":\"%s\",\"node\":%s}" Jsonl.schema node in
+      let msg = read_error [ meta; ev_line ] in
+      checkb ("names the node field for " ^ node) true (contains msg "\"node\""))
+    [ "\"n1\""; "\"\""; "1.5" ]
+
 let test_merge_classifies_queue_and_freeze () =
   (* Single node, no clock games: request queued at t=1, node frozen over
      [2,5], granted at t=8. The 7 ms out of Queued must split 3 ms freeze
@@ -562,8 +675,10 @@ let () =
           Alcotest.test_case "partial trailing record" `Quick test_jsonl_robust_partial_trailing;
           Alcotest.test_case "field errors" `Quick test_jsonl_robust_field_errors;
           Alcotest.test_case "meta first + missing file" `Quick test_jsonl_robust_not_meta_first;
-          Alcotest.test_case "v1 compatibility" `Quick test_jsonl_v1_compat;
           Alcotest.test_case "v2 node events" `Quick test_jsonl_v2_node_event;
+          QCheck_alcotest.to_alcotest prop_event_roundtrip;
+          QCheck_alcotest.to_alcotest prop_arbitrary_bytes;
+          QCheck_alcotest.to_alcotest prop_prefixes_and_mutations;
         ] );
       ( "metrics",
         [
@@ -576,6 +691,9 @@ let () =
           Alcotest.test_case "truncated shard warns" `Quick test_merge_truncated_shard;
           Alcotest.test_case "queue/freeze classification" `Quick
             test_merge_classifies_queue_and_freeze;
+          Alcotest.test_case "grant paths and freeze episodes" `Quick
+            test_merge_grant_paths_and_freezes;
+          Alcotest.test_case "rejects non-integer node" `Quick test_merge_rejects_non_integer_node;
         ] );
       ( "end-to-end",
         [ Alcotest.test_case "recorder vs counters" `Quick test_traced_run_crosschecks ] );
