@@ -58,16 +58,23 @@ type t = {
      [held_counts], so the owned mode never walks the copyset. *)
   children : (Node_id.t, Mode.t * int) Hashtbl.t;
   child_counts : int array;
-  mutable queue : Msg.request list;  (* FIFO, head first *)
+  (* Local queue in service order, head first, with the per-mode count of
+     its plain entries ([queue_counts], indexed by Mode.index) and the
+     number of its upgrade entries kept beside it exactly like
+     [held_counts], so the token's frozen set never walks the queue. *)
+  mutable queue : Msg.request list;
+  queue_counts : int array;
+  mutable queued_upgrades : int;
   mutable pending : Msg.request option;
-  (* first hop our pending request took; rejected elder requests follow it *)
-  mutable pending_trail : Node_id.t option;
   mutable frozen : Mode_set.t;
   sent_freeze : (Node_id.t, Mode_set.t) Hashtbl.t;
-  (* False only while every child has been sent all of [frozen] it needs:
-     set by anything that can create a need (the frozen set changing, a
-     child record being set), cleared by the walk in [refresh_freezes]. *)
-  mutable freeze_dirty : bool;
+  (* Children that may still need a Freeze: every child when
+     [freeze_all] (the frozen set changed), else those in [freeze_kids]
+     (their record was set). Any other child has been sent all of
+     [frozen] it needs. Cleared by the walk in [refresh_freezes], and
+     while nothing is frozen. *)
+  mutable freeze_all : bool;
+  mutable freeze_kids : Node_id.t list;
   mutable kick_marks : (Node_id.t * int) list;
   mutable tenure : int;  (* valid while we hold or last held the token *)
   mutable hint : int * Node_id.t;  (* freshest known (tenure, token owner) *)
@@ -115,16 +122,18 @@ let create ?(config = default_config) ?obs ~id ~peers ~is_token ~parent ~send ~o
     accounted_epoch = 0;
     last_reported = None;
     held = Hashtbl.create 8;
-    held_counts = Array.make 5 0;
+    held_counts = [| 0; 0; 0; 0; 0 |];
     cached = Mode_set.empty;
     children = Hashtbl.create 8;
-    child_counts = Array.make 5 0;
+    child_counts = [| 0; 0; 0; 0; 0 |];
     queue = [];
+    queue_counts = [| 0; 0; 0; 0; 0 |];
+    queued_upgrades = 0;
     pending = None;
-    pending_trail = None;
     frozen = Mode_set.empty;
     sent_freeze = Hashtbl.create 8;
-    freeze_dirty = true;
+    freeze_all = false;
+    freeze_kids = [];
     kick_marks = [];
     tenure = 0;
     hint = (0, (if is_token then id else match parent with Some p -> p | None -> id));
@@ -180,7 +189,7 @@ let child_set t c m epoch =
   | None -> ());
   Hashtbl.replace t.children c (m, epoch);
   t.child_counts.(Mode.index m) <- t.child_counts.(Mode.index m) + 1;
-  t.freeze_dirty <- true
+  if not (t.freeze_all || Mode_set.is_empty t.frozen) then t.freeze_kids <- c :: t.freeze_kids
 
 let child_remove t c =
   match Hashtbl.find_opt t.children c with
@@ -188,6 +197,28 @@ let child_remove t c =
   | Some (m, _) ->
       Hashtbl.remove t.children c;
       t.child_counts.(Mode.index m) <- t.child_counts.(Mode.index m) - 1
+
+(* Queue maintenance: every mutation of [t.queue] goes through these so
+   [queue_counts] and [queued_upgrades] can never drift. *)
+
+let queue_count t (r : Msg.request) d =
+  if r.upgrade then t.queued_upgrades <- t.queued_upgrades + d
+  else t.queue_counts.(Mode.index r.mode) <- t.queue_counts.(Mode.index r.mode) + d
+
+let queue_push t r =
+  t.queue <- Msg.insert_by_service_order r t.queue;
+  queue_count t r 1
+
+(* [r] is the head of the queue and [rest] its tail. *)
+let queue_pop t r rest =
+  t.queue <- rest;
+  queue_count t r (-1)
+
+let queue_replace t q =
+  t.queue <- q;
+  Array.fill t.queue_counts 0 5 0;
+  t.queued_upgrades <- 0;
+  List.iter (fun r -> queue_count t r 1) q
 
 let accounting t =
   match t.accounted_parent with None -> None | Some p -> Some (p, t.accounted_epoch)
@@ -259,7 +290,13 @@ let is_frozen t m =
 let set_frozen t next =
   let prev = t.frozen in
   t.frozen <- next;
-  if not (Mode_set.equal next prev) then t.freeze_dirty <- true;
+  if Mode_set.is_empty next then begin
+    (* Nothing frozen: no child can need a Freeze, and the next non-empty
+       set marks every child again. *)
+    t.freeze_all <- false;
+    t.freeze_kids <- []
+  end
+  else if not (Mode_set.equal next prev) then t.freeze_all <- true;
   match t.obs with
   | None -> ()
   | Some f ->
@@ -417,6 +454,16 @@ let freeze_update t c cm =
   let combined = Mode_set.union relevant previous in
   if Mode_set.equal combined previous then None else Some combined
 
+(* Union of the freeze sets of the queue's upgrade entries, each under its
+   own masked owned code (Rule 7). Upgrades sort first in service order,
+   so the walk stops at the first plain entry. *)
+let rec upgrade_freezes t acc = function
+  | (r : Msg.request) :: rest when r.upgrade ->
+      upgrade_freezes t
+        (Mode_set.union acc (Decision.freeze_set ~owned:(owned_code_for t r) r.mode))
+        rest
+  | _ -> acc
+
 (* Recompute (token node) and propagate the frozen set. A child is notified
    only of the frozen modes it could actually grant given the mode we record
    for it; notifications are diffed against what was last sent, and only
@@ -424,16 +471,16 @@ let freeze_update t c cm =
 let refresh_freezes t =
   if t.config.freezing then begin
     if t.token then begin
-      (* One owned code serves every plain entry; only upgrades see a
-         masked one. *)
+      (* Every plain entry of one mode needs the same freeze set under the
+         one unmasked owned code, so the queued modes' counts suffice; only
+         upgrades see a masked code. *)
       let owned = owned_code t in
-      let fs =
-        List.fold_left
-          (fun acc (r : Msg.request) ->
-            let o = if r.upgrade then owned_code_for t r else owned in
-            Mode_set.union acc (Decision.freeze_set ~owned:o r.mode))
-          Mode_set.empty t.queue
-      in
+      let fs = ref Mode_set.empty in
+      for i = 0 to 4 do
+        if t.queue_counts.(i) > 0 then
+          fs := Mode_set.union !fs (Decision.freeze_set ~owned (Mode.of_index i))
+      done;
+      let fs = if t.queued_upgrades > 0 then upgrade_freezes t !fs t.queue else !fs in
       let fs =
         match t.config.mutation with
         | Some Weak_freeze -> (
@@ -446,18 +493,22 @@ let refresh_freezes t =
       in
       set_frozen t fs
     end;
-    (* Nothing frozen here, or nothing changed since the last walk: no
-       notification can result — skip the children walk, which is on the
-       grant hot path. Otherwise collect the children that need a Freeze
-       and notify them in ascending id, independent of hash-table history;
-       each update is re-derived at its send, so a transport that delivers
-       synchronously (and re-enters this node) never sends a stale set. *)
-    if t.freeze_dirty && not (Mode_set.is_empty t.frozen) then begin
-      t.freeze_dirty <- false;
-      let notify = ref [] in
-      Hashtbl.iter
-        (fun c (cm, _) -> if freeze_update t c cm <> None then notify := c :: !notify)
-        t.children;
+    (* Visit only the marked children (none while nothing is frozen: the
+       marks are clear then) and notify those that need a Freeze in
+       ascending id, independent of hash-table history; each update is
+       re-derived at its send, so a transport that delivers synchronously
+       (and re-enters this node) never sends a stale set. A walk over every
+       child keeps only the children that need a Freeze before sorting. *)
+    if t.freeze_all || t.freeze_kids <> [] then begin
+      let notify =
+        if t.freeze_all then
+          Hashtbl.fold
+            (fun c (cm, _) acc -> if freeze_update t c cm <> None then c :: acc else acc)
+            t.children []
+        else t.freeze_kids
+      in
+      t.freeze_all <- false;
+      t.freeze_kids <- [];
       List.iter
         (fun c ->
           match Hashtbl.find_opt t.children c with
@@ -468,7 +519,7 @@ let refresh_freezes t =
               | Some combined ->
                   Hashtbl.replace t.sent_freeze c combined;
                   emit t c (Msg.Freeze { frozen = combined })))
-        (List.sort Int.compare !notify)
+        (List.sort_uniq Int.compare notify)
     end
   end
 
@@ -591,7 +642,7 @@ let transfer_token t (r : Msg.request) =
     in
     last ~certain:(-1) ~remote:(-1) t.queue
   in
-  t.queue <- [];
+  queue_replace t [];
   t.token <- false;
   set_parent t tail ~stamp:(t.tenure + 1);
   t.accounted_parent <- (if residual = None then None else Some r.requester);
@@ -605,7 +656,7 @@ let transfer_token t (r : Msg.request) =
 
 let enqueue t (r : Msg.request) =
   if r.requester = t.id then clear_pending_if_match t r;
-  t.queue <- Msg.insert_by_service_order r t.queue;
+  queue_push t r;
   (match t.obs with
   | None -> ()
   | Some f -> f (Dcs_obs.Event.Span { requester = r.requester; seq = r.seq }) Dcs_obs.Event.Queued);
@@ -616,80 +667,83 @@ let diversions = ref 0
 let sweep_restarts = ref 0
 let relays = ref 0
 
+(* [p] if it is a node id (not the -1 "none" sentinel) that [path] has not
+   visited, else -1. *)
+let unvisited path p = if p >= 0 && not (List.mem p path) then p else -1
+
+let id_or_none = function Some p -> p | None -> -1
+
 (* Relay a request one hop toward the token. Normally that hop is our
    routing parent; if the parent has already seen this request (a transient
    routing cycle — stale reversal and grant edges can briefly form one),
    divert: prefer live copyset links (accounting chains end at the token),
    then the lowest-id unvisited node. The path grows at every hop, so a
    diverted request sweeps the membership in at most [peers] hops and must
-   reach a node that takes custody — the token holder in the worst case. *)
+   reach a node that takes custody — the token holder in the worst case.
+   Candidates are tried in a fixed order without building a list, and the
+   request is copied once. *)
 let forward_onward ?via t (r : Msg.request) =
   incr relays;
-  let r =
-    {
-      r with
-      Msg.hops = r.Msg.hops + 1;
-      path = (if List.mem t.id r.Msg.path then r.Msg.path else t.id :: r.Msg.path);
-    }
-  in
-  let r = { r with Msg.hint = (if fst (my_hint t) > fst r.Msg.hint then my_hint t else r.Msg.hint) } in
-  let unvisited p = not (List.mem p r.Msg.path) in
-  let hinted = snd r.Msg.hint in
-  let live_links () =
-    List.filter_map (fun x -> x) [ via; Some hinted; t.accounted_parent; t.last_granter ]
-  in
-  let by_freshness =
-    (* Order candidate hops by how fresh our knowledge of them is: an
-       explicit override first, then the stamped parent edge versus the
-       gossiped token hint, then the copyset links. *)
-    let parentc = match t.parent with Some p -> [ (t.parent_stamp, p) ] | None -> [] in
-    let hintc = [ (fst (my_hint t), snd (my_hint t)) ] in
-    let ranked = List.sort (fun (a, _) (b, _) -> compare b a) (parentc @ hintc) in
-    (match via with Some v -> [ v ] | None -> []) @ List.map snd ranked
+  let path = if List.mem t.id r.Msg.path then r.Msg.path else t.id :: r.Msg.path in
+  let hint_stamp = if t.token then t.tenure else fst t.hint in
+  let hint = if hint_stamp > fst r.Msg.hint then my_hint t else r.Msg.hint in
+  let via = id_or_none via in
+  (* An explicit override first, then the stamped parent edge versus our
+     gossiped token hint, fresher stamp first (the parent on a tie). *)
+  let dst = unvisited path via in
+  let dst =
+    if dst >= 0 then dst
+    else
+      let hinted = if t.token then t.id else snd t.hint in
+      match t.parent with
+      | Some p when t.parent_stamp >= hint_stamp ->
+          let d = unvisited path p in
+          if d >= 0 then d else unvisited path hinted
+      | Some p ->
+          let d = unvisited path hinted in
+          if d >= 0 then d else unvisited path p
+      | None -> unvisited path hinted
   in
   let dst =
-    match List.find_opt unvisited by_freshness with
-    | Some p -> Some p
-    | None ->
-        incr diversions;
-        let rec first i =
-          if i >= t.peers then None else if unvisited i then Some i else first (i + 1)
-        in
-        (match List.find_opt unvisited (live_links ()) with Some p -> Some p | None -> first 0)
+    if dst >= 0 then dst
+    else begin
+      (* Divert along the copyset links ([via], already found visited
+         above, would come first), then sweep to the lowest-id unvisited
+         node. *)
+      incr diversions;
+      let d = unvisited path (snd hint) in
+      let d = if d >= 0 then d else unvisited path (id_or_none t.accounted_parent) in
+      let d = if d >= 0 then d else unvisited path (id_or_none t.last_granter) in
+      let rec first i = if i >= t.peers then -1 else if List.mem i path then first (i + 1) else i in
+      if d >= 0 then d else first 0
+    end
   in
   let dst =
-    match dst with
-    | Some p -> Some p
-    | None ->
-        (* Everyone visited without custody: the token kept moving ahead of
-           the sweep. Restart it; randomized latencies make repeated
-           evasion vanishingly unlikely. *)
-        incr sweep_restarts;
-        Some
-          (match t.parent with
-          | Some p -> p
-          | None -> (t.id + 1) mod t.peers)
+    if dst >= 0 then dst
+    else begin
+      (* Everyone visited without custody: the token kept moving ahead of
+         the sweep. Restart it; randomized latencies make repeated evasion
+         vanishingly unlikely. *)
+      incr sweep_restarts;
+      match t.parent with Some p -> p | None -> (t.id + 1) mod t.peers
+    end
   in
-  match dst with
-  | Some p ->
-      (* Resetting the sweep must NOT keep the requester excluded: the
-         token can land at the requester while its request is mid-sweep
-         (a token transfer serving another of its requests), and a
-         request without local custody — forwarded past an unrelated
-         pending — exists only in flight. Excluding the requester then
-         makes the sweep skip the one node that can serve it, forever. *)
-      let r = if r.Msg.hops > 0 && List.length r.Msg.path >= t.peers then { r with Msg.path = [ t.id ] } else r in
-      (if Msg.request_same r (match t.pending with Some p -> p | None -> { r with Msg.seq = -1 }) then
-         t.pending_trail <- Some p);
-      (match t.obs with
-      | None -> ()
-      | Some f ->
-          f
-            (Dcs_obs.Event.Span { requester = r.Msg.requester; seq = r.Msg.seq })
-            (Dcs_obs.Event.Forwarded { dst = p }));
-      emit t p (Msg.Request r)
-  | None -> assert false
-
+  (* Resetting the sweep must NOT keep the requester excluded: the token
+     can land at the requester while its request is mid-sweep (a token
+     transfer serving another of its requests), and a request without
+     local custody — forwarded past an unrelated pending — exists only in
+     flight. Excluding the requester then makes the sweep skip the one
+     node that can serve it, forever. *)
+  let hops = r.Msg.hops + 1 in
+  let path = if hops > 0 && List.length path >= t.peers then [ t.id ] else path in
+  let r = { r with Msg.hops; path; hint } in
+  (match t.obs with
+  | None -> ()
+  | Some f ->
+      f
+        (Dcs_obs.Event.Span { requester = r.Msg.requester; seq = r.Msg.seq })
+        (Dcs_obs.Event.Forwarded { dst }));
+  emit t dst (Msg.Request r)
 
 (* {1 Queue service (Rule 4 operational, Rule 5.1)} *)
 
@@ -705,7 +759,7 @@ let rec serve_queue t =
         if revoke_conflicting t r.mode then refresh_freezes t;
         let mo = owned_code_for t r in
         if Decision.token_can_grant ~owned:mo r.mode then begin
-          t.queue <- rest;
+          queue_pop t r rest;
           refresh_freezes t;
           if r.upgrade && r.requester = t.id then complete_upgrade t r
           else if r.requester = t.id then grant_self t r
@@ -723,7 +777,7 @@ let rec serve_queue t =
         in
         if Decision.can_child_grant ~owned:mo r.mode && (not (is_frozen t r.mode)) && remote_grant_ok
         then begin
-          t.queue <- rest;
+          queue_pop t r rest;
           if r.requester = t.id then grant_self t r else grant_copy t r;
           serve_queue t
         end
@@ -731,7 +785,7 @@ let rec serve_queue t =
           (* Nothing further will come through to serve these locally;
              push the whole queue toward the token (liveness). *)
           let stranded = t.queue in
-          t.queue <- [];
+          queue_replace t [];
           List.iter (fun r -> forward_onward t r) stranded;
           refresh_freezes t
         end
@@ -965,7 +1019,7 @@ let handle_token t ~src (m : Msg.t) =
       (match sender_owned with
       | Some m -> child_set t src m sender_epoch
       | None -> child_remove t src);
-      t.queue <- Msg.merge_queues queue t.queue;
+      queue_replace t (Msg.merge_queues queue t.queue);
       set_frozen t frozen;
       grant_self ~via_token:true t serving;
       refresh_freezes t;
@@ -1099,7 +1153,7 @@ let kick t =
       List.partition (fun (r : Msg.request) -> r.requester <> t.id && marked r) t.queue
     in
     if stale <> [] then begin
-      t.queue <- keep;
+      queue_replace t keep;
       List.iter (fun r -> forward_onward t r) stale;
       refresh_freezes t
     end;
@@ -1120,10 +1174,10 @@ let kick t =
    nodes export: locally held instances and the in-flight pending request
    reference live client callbacks, which cannot cross a process boundary;
    the sharding layer parks and replays the traffic around the handoff
-   instead. Transient fields ([kick_marks], [pending_trail], send-batch
-   buffers) are deliberately dropped — the first holds staleness marks for
-   a pending request that must be [None] at export, the second is only
-   ever assigned, and the last must be empty outside a batch scope. *)
+   instead. Transient fields ([kick_marks], send-batch buffers) are
+   deliberately dropped — the first holds staleness marks for a pending
+   request that must be [None] at export, the second must be empty
+   outside a batch scope. *)
 
 type snapshot = {
   s_token : bool;
@@ -1200,16 +1254,19 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send ~on_granted ~on_upg
       accounted_epoch = s.s_accounted_epoch;
       last_reported = s.s_last_reported;
       held = Hashtbl.create 8;
-      held_counts = Array.make 5 0;
+      held_counts = [| 0; 0; 0; 0; 0 |];
       cached = s.s_cached;
       children = Hashtbl.create 8;
-      child_counts = Array.make 5 0;
-      queue = s.s_queue;
+      child_counts = [| 0; 0; 0; 0; 0 |];
+      queue = [];
+      queue_counts = [| 0; 0; 0; 0; 0 |];
+      queued_upgrades = 0;
       pending = None;
-      pending_trail = None;
       frozen = s.s_frozen;
       sent_freeze = Hashtbl.create 8;
-      freeze_dirty = true;
+      (* Every child may need the restored frozen set. *)
+      freeze_all = not (Mode_set.is_empty s.s_frozen);
+      freeze_kids = [];
       kick_marks = [];
       tenure = s.s_tenure;
       hint = s.s_hint;
@@ -1224,6 +1281,7 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send ~on_granted ~on_upg
       batched = [];
     }
   in
+  queue_replace t s.s_queue;
   List.iter (fun (c, m, e) -> child_set t c m e) s.s_children;
   List.iter (fun (c, ms) -> Hashtbl.replace t.sent_freeze c ms) s.s_sent_freeze;
   t

@@ -427,11 +427,22 @@ let rec sorted_by_service_order = function
   | a :: (b :: _ as rest) -> Msg.service_order a b <= 0 && sorted_by_service_order rest
   | [ _ ] | [] -> true
 
+(* The token's frozen set by its definition (Rule 6, Table 2b): the union,
+   over the queue, of each entry's freeze set under the owned mode that
+   entry sees — independent of [Node]'s per-mode queue counts. *)
+let reference_frozen n =
+  List.fold_left
+    (fun acc (r : Msg.request) ->
+      Mode_set.union acc (Compat.freeze_set ~owned:(Node.owned_for n r) r.Msg.mode))
+    Mode_set.empty (Node.queue n)
+
 (* Per-node bookkeeping invariants, checked after every delivered message:
    the counted owned mode matches the recomputation, the O(1) copyset size
-   matches the copyset, and every queue stays sorted by the service order
-   (what lets a token handoff merge two queues instead of re-sorting). *)
-let check_bookkeeping c n_nodes () =
+   matches the copyset, every queue stays sorted by the service order
+   (what lets a token handoff merge two queues instead of re-sorting), and
+   with freezing on the token's counted frozen set matches its
+   definition. *)
+let check_bookkeeping ~(config : Node.config) c n_nodes () =
   for i = 0 to n_nodes - 1 do
     let n = SC.node c i in
     let expected = reference_owned n in
@@ -442,12 +453,18 @@ let check_bookkeeping c n_nodes () =
       Alcotest.failf "n%d: copyset_size %d, children %d" i (Node.copyset_size n)
         (List.length (Node.children n));
     if not (sorted_by_service_order (Node.queue n)) then
-      Alcotest.failf "n%d: queue out of service order" i
+      Alcotest.failf "n%d: queue out of service order" i;
+    if config.Node.freezing && Node.is_token n then begin
+      let expected = reference_frozen n in
+      if not (Mode_set.equal (Node.frozen n) expected) then
+        Alcotest.failf "n%d: counted frozen set, recomputed %a: %a" i Mode_set.pp expected
+          Node.pp_state n
+    end
   done
 
 let stress ~config ~nodes ~ops ~seed () =
   let c = SC.create ~config nodes in
-  SC.after_delivery c (check_bookkeeping c nodes);
+  SC.after_delivery c (check_bookkeeping ~config c nodes);
   let rng = Dcs_sim.Rng.create ~seed in
   let outstanding = ref [] in
   let issued = ref 0 and completed = ref 0 in
@@ -655,7 +672,7 @@ module Script = struct
 
   let run ~config ~nodes script =
     let c = SC.create ~config nodes in
-    SC.after_delivery c (check_bookkeeping c nodes);
+    SC.after_delivery c (check_bookkeeping ~config c nodes);
     let outstanding = ref [] in  (* (node, seq), oldest first *)
     let issued = ref 0 and completed = ref 0 in
     let apply = function
@@ -765,6 +782,103 @@ let prop_service_order_matches_tuple_key =
          = ((a.timestamp, a.requester, a.seq) < (b.timestamp, b.requester, b.seq))
       && sorted_by_service_order qa
       && Msg.merge_queues qa qb = List.stable_sort Msg.service_order (qa @ qb))
+
+(* The relay hop choice, pinned against the list-based selection that
+   [Node.forward_onward] replaced: an explicit override, then the stamped
+   parent edge and the gossiped token hint ranked by stamp (stable, so the
+   parent wins ties), then the copyset links, the lowest unvisited id and
+   the sweep restart. Returns the destination and the relayed request. *)
+let spec_forward ~id ~peers ~parent ~parent_stamp ~my_hint ~accounted ~last_granter ?via
+    (r : Msg.request) =
+  let r =
+    { r with Msg.hops = r.Msg.hops + 1;
+             path = (if List.mem id r.Msg.path then r.Msg.path else id :: r.Msg.path) }
+  in
+  let r = { r with Msg.hint = (if fst my_hint > fst r.Msg.hint then my_hint else r.Msg.hint) } in
+  let unvisited p = not (List.mem p r.Msg.path) in
+  let by_freshness =
+    let parentc = match parent with Some p -> [ (parent_stamp, p) ] | None -> [] in
+    let ranked = List.sort (fun (a, _) (b, _) -> compare b a) (parentc @ [ my_hint ]) in
+    (match via with Some v -> [ v ] | None -> []) @ List.map snd ranked
+  in
+  let live_links = List.filter_map Fun.id [ via; Some (snd r.Msg.hint); accounted; last_granter ] in
+  let dst =
+    match List.find_opt unvisited by_freshness with
+    | Some p -> p
+    | None -> (
+        match List.find_opt unvisited (live_links @ List.init peers Fun.id) with
+        | Some p -> p
+        | None -> ( match parent with Some p -> p | None -> (id + 1) mod peers))
+  in
+  let r =
+    if r.Msg.hops > 0 && List.length r.Msg.path >= peers then { r with Msg.path = [ id ] } else r
+  in
+  (dst, r)
+
+(* Drive a restored non-token node through [handle_msg (Request r)] and
+   compare the one request it relays with [spec_forward]. With [via] set
+   the node first issues its own request of the same mode, so the older
+   remote request takes the elder-request branch, which relays along the
+   fresher of the two token hints. *)
+let prop_relay_matches_list_spec =
+  let gen =
+    QCheck2.Gen.(
+      let* peers = int_range 2 6 in
+      let node = int_bound (peers - 1) in
+      let stamp = int_bound 3 in
+      let* id = node in
+      let* requester = map (fun k -> (id + 1 + k) mod peers) (int_bound (peers - 2)) in
+      let* parent = opt node in
+      let* parent_stamp = stamp in
+      let* hint = pair stamp node in
+      let* accounted = opt node in
+      let* last_granter = opt node in
+      let* r_hint = pair stamp node in
+      let* path = list_size (int_bound (peers + 1)) node in
+      let* hops = int_bound 5 in
+      let* mode = Testkit.gen_mode in
+      let* via = bool in
+      let* token_only = bool in
+      return
+        ( (peers, id, parent, parent_stamp, hint),
+          (accounted, last_granter, via),
+          { Msg.requester; seq = 0; mode; upgrade = false; timestamp = 0; priority = 0; hops;
+            token_only = token_only && not via; hint = r_hint;
+            path = List.sort_uniq compare path } ))
+  in
+  QCheck2.Test.make ~name:"relay hop choice matches the list-based spec" ~count:2000 gen
+    (fun ((peers, id, parent, parent_stamp, hint), (accounted, last_granter, via), r) ->
+      let sent = ref [] in
+      let snapshot =
+        { Node.s_token = false; s_parent = parent; s_parent_stamp = parent_stamp;
+          s_accounted_parent = accounted; s_accounted_epoch = 0; s_last_reported = None;
+          s_cached = Mode_set.empty; s_children = []; s_queue = []; s_frozen = Mode_set.empty;
+          s_sent_freeze = []; s_tenure = 0; s_hint = hint; s_last_granter = last_granter;
+          s_ancestry = []; s_saw_transfer = false; s_served_ever = false; s_next_seq = 0;
+          s_clock = 5; s_epoch_counter = 0 }
+      in
+      let n =
+        Node.restore ~id ~peers
+          ~send:(fun ~dst msg -> sent := (dst, msg) :: !sent)
+          ~on_granted:(fun _ -> ()) ~on_upgraded:(fun _ -> ()) snapshot
+      in
+      if via then ignore (Node.request n ~mode:r.Msg.mode);
+      sent := [];
+      Node.handle_msg n ~src:r.Msg.requester (Msg.Request r);
+      (* [handle_msg] adopts the fresher of the two hints before routing. *)
+      let my_hint = if fst r.Msg.hint > fst hint then r.Msg.hint else hint in
+      let via =
+        if via then Some (if fst my_hint >= fst r.Msg.hint then snd my_hint else snd r.Msg.hint)
+        else None
+      in
+      let dst, expected =
+        spec_forward ~id ~peers ~parent ~parent_stamp ~my_hint ~accounted ~last_granter ?via r
+      in
+      match !sent with
+      | [ (d, Msg.Request got) ] ->
+          d = dst && got.Msg.hops = expected.Msg.hops && got.Msg.path = expected.Msg.path
+          && got.Msg.hint = expected.Msg.hint
+      | _ -> false)
 
 let test_merge_queues_orders_by_timestamp () =
   let mk ts id = { Msg.requester = id; seq = 0; mode = Mode.R; upgrade = false; timestamp = ts; priority = 0;
@@ -944,6 +1058,7 @@ let () =
           Alcotest.test_case "classes" `Quick test_msg_classes;
           Alcotest.test_case "queue merging" `Quick test_merge_queues_orders_by_timestamp;
           QCheck_alcotest.to_alcotest prop_service_order_matches_tuple_key;
+          QCheck_alcotest.to_alcotest prop_relay_matches_list_spec;
         ] );
       ( "owned bookkeeping",
         [

@@ -242,6 +242,67 @@ let test_result_rows () =
   let r = Experiment.run (Experiment.default_config ~driver:Experiment.Naimi_pure ~nodes:4) in
   checki "row arity" (List.length Experiment.row_header) (List.length (Experiment.result_row r))
 
+(* {1 Golden behaviour pins}
+
+   Literal message counts per class and engine event counts of two fixed
+   runs. Performance work on the protocol engine must leave behaviour
+   bit-identical, so any change to these figures is a behaviour change
+   and must be argued for, not absorbed. *)
+
+let check_counts name expected counts =
+  Alcotest.check
+    Alcotest.(list (pair string int))
+    name expected
+    (List.map (fun (cls, n) -> (Dcs_proto.Msg_class.to_string cls, n)) counts)
+
+let test_golden_airline () =
+  let cfg = Experiment.default_config ~driver:Experiment.Hierarchical ~nodes:16 in
+  let cfg =
+    { cfg with Experiment.seed = 42L; workload = { cfg.Experiment.workload with Airline.ops_per_node = 20 } }
+  in
+  let r = Experiment.run cfg in
+  check_counts "messages by class"
+    [ ("request", 570); ("grant", 207); ("token", 81); ("release", 180); ("freeze", 158);
+      ("ack", 0); ("retx", 0) ]
+    r.Experiment.messages;
+  checki "engine events" 1842 r.Experiment.events
+
+(* The hot-lock shape of [hotlock-64] at 16 nodes: every non-token node
+   runs closed-loop request, hold, release cycles on one lock, every
+   fourth one writing; constant 1 ms links. *)
+let test_golden_hotlock () =
+  let nodes = 16 and rounds = 50 in
+  let engine = Dcs_sim.Engine.create () in
+  let rng = Dcs_sim.Rng.create ~seed:42L in
+  let net = Net.create ~engine ~latency:(Dcs_sim.Dist.Constant 1.0) ~rng () in
+  let cluster = Hlock_cluster.create ~net ~nodes ~locks:1 () in
+  let completed = ref 0 in
+  let master = Dcs_sim.Rng.create ~seed:7L in
+  for node = 1 to nodes - 1 do
+    let hold = Dcs_sim.Rng.split master in
+    let mode = if node mod 4 = 0 then Dcs_modes.Mode.W else Dcs_modes.Mode.R in
+    let remaining = ref rounds in
+    let rec go () =
+      let seq = ref (-1) in
+      seq :=
+        Hlock_cluster.request cluster ~node ~lock:0 ~mode ~on_granted:(fun () ->
+            Dcs_sim.Engine.schedule engine ~after:(Dcs_sim.Rng.uniform hold ~lo:0.25 ~hi:0.75)
+              (fun () ->
+                incr completed;
+                Hlock_cluster.release cluster ~node ~lock:0 ~seq:!seq;
+                decr remaining;
+                if !remaining > 0 then Dcs_sim.Engine.schedule engine ~after:0.0 go))
+    in
+    Dcs_sim.Engine.schedule engine ~after:0.0 go
+  done;
+  ignore (Dcs_sim.Engine.run engine);
+  checki "all rounds" ((nodes - 1) * rounds) !completed;
+  check_counts "messages by class"
+    [ ("request", 813); ("grant", 456); ("token", 249); ("release", 456); ("freeze", 456);
+      ("ack", 0); ("retx", 0) ]
+    (Dcs_proto.Counters.to_list (Net.counters net));
+  checki "engine events" 3930 (Dcs_sim.Engine.events_processed engine)
+
 (* {1 Topology} *)
 
 let test_topology_factors () =
@@ -323,6 +384,11 @@ let () =
           Alcotest.test_case "determinism" `Slow test_experiment_determinism;
           Alcotest.test_case "paper relationships" `Slow test_paper_relationships;
           Alcotest.test_case "result rows" `Quick test_result_rows;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "airline 16 nodes" `Quick test_golden_airline;
+          Alcotest.test_case "hot lock 16 nodes" `Quick test_golden_hotlock;
         ] );
       ( "topology",
         [
