@@ -27,8 +27,6 @@ type t = {
   id : Node_id.t;
   peers : int;  (* cluster size; node ids are 0..peers-1 *)
   send : dst:Node_id.t -> Msg.t -> unit;
-  on_granted : Msg.request -> unit;
-  on_upgraded : int -> unit;
   (* Telemetry hook ({!Dcs_obs}): the embedding fills in time/lock/node.
      [None] costs one branch per lifecycle site and allocates nothing. *)
   obs : (Dcs_obs.Event.scope -> Dcs_obs.Event.kind -> unit) option;
@@ -98,9 +96,13 @@ type t = {
      scope exits. Zero-cost when no scope is active. *)
   mutable batch_depth : int;
   mutable batched : (Node_id.t * Msg.t) list;
+  mutable coalesced : int;  (* messages the batch flushes dropped *)
+  (* Continuations of local requests and upgrades still waiting, seq → k,
+     newest first; a node rarely has more than one waiting client. *)
+  mutable waiters : (int * (int -> unit)) list;
 }
 
-let create ?(config = default_config) ?obs ~id ~peers ~is_token ~parent ~send ~on_granted ~on_upgraded () =
+let create ?(config = default_config) ?obs ~id ~peers ~is_token ~parent ~send () =
   (* Freezes are the cache-revocation channel: without them a cached mode
      could block a conflicting writer forever. *)
   let config = if config.freezing then config else { config with caching = false } in
@@ -112,8 +114,6 @@ let create ?(config = default_config) ?obs ~id ~peers ~is_token ~parent ~send ~o
     id;
     peers;
     send;
-    on_granted;
-    on_upgraded;
     obs;
     token = is_token;
     parent;
@@ -146,6 +146,8 @@ let create ?(config = default_config) ?obs ~id ~peers ~is_token ~parent ~send ~o
     epoch_counter = 0;
     batch_depth = 0;
     batched = [];
+    coalesced = 0;
+    waiters = [];
   }
 
 (* {1 Views} *)
@@ -161,6 +163,8 @@ let held t =
 let queue t = t.queue
 let frozen t = t.frozen
 let pending t = t.pending
+let waiting t = List.length t.waiters
+let coalesced t = t.coalesced
 
 (* Held-multiset maintenance: every mutation of [t.held] goes through
    these so [held_counts] can never drift. *)
@@ -340,9 +344,6 @@ let emit t dst msg =
   if t.batch_depth > 0 then t.batched <- (dst, msg) :: t.batched
   else t.send ~dst msg
 
-(* Wire messages saved by batch coalescing (diagnostic, like [diversions]). *)
-let coalesced = ref 0
-
 (* Flush a batch, dropping messages that a later message to the same
    destination provably supersedes. Only per-destination-adjacent pairs
    are considered (links are FIFO per pair; nothing may be reordered
@@ -378,10 +379,10 @@ let flush_batch t =
             match snd msgs.(j), m with
             | Msg.Freeze _, Msg.Freeze _ ->
                 drop.(j) <- true;
-                incr coalesced
+                t.coalesced <- t.coalesced + 1
             | Msg.Release { epoch = e1; _ }, Msg.Release { epoch = e2; _ } when e1 = e2 ->
                 drop.(j) <- true;
-                incr coalesced
+                t.coalesced <- t.coalesced + 1
             | _ -> ())
         | None -> ());
         Hashtbl.replace last_for_dst dst i
@@ -558,6 +559,28 @@ let clear_pending_if_match t (r : Msg.request) =
   | Some p when Msg.request_same p r -> t.pending <- None
   | _ -> ()
 
+(* {1 Client continuations}
+
+   A grant reaches its client at the grant point: the delivery or client
+   call that granted it runs the waiting continuation there. A grant inside
+   the very [request]/[upgrade] call that asked for it finds no waiter yet;
+   that call runs the continuation itself once its protocol work is done,
+   just before it returns (see [request] and [upgrade]). *)
+
+let resume t seq =
+  match List.assoc_opt seq t.waiters with
+  | None -> ()
+  | Some k ->
+      t.waiters <- List.remove_assoc seq t.waiters;
+      k seq
+
+(* The tail of a client call: run [k] now if the call itself granted [seq]
+   (it now holds [mode]), else park it until the grant point. *)
+let continue_or_wait t seq mode k =
+  match Hashtbl.find_opt t.held seq with
+  | Some m when Mode.equal m mode -> k seq
+  | Some _ | None -> t.waiters <- (seq, k) :: t.waiters
+
 (* Grant to a local client: enter the critical section. [via_token] marks
    grants delivered by a token transfer (Rule 3.2) for telemetry; every
    other path — Rule 2 message-free, Rule 3/3.1 copy grants, token-node
@@ -572,7 +595,7 @@ let grant_self ?(via_token = false) t (r : Msg.request) =
         (Dcs_obs.Event.Span { requester = r.requester; seq = r.seq })
         (if via_token then Dcs_obs.Event.Granted_token { mode = r.mode; hops = r.hops }
          else Dcs_obs.Event.Granted_local { mode = r.mode; hops = r.hops }));
-  t.on_granted r
+  resume t r.seq
 
 let complete_upgrade t (r : Msg.request) =
   clear_pending_if_match t r;
@@ -581,7 +604,7 @@ let complete_upgrade t (r : Msg.request) =
   | None -> ()
   | Some f ->
       f (Dcs_obs.Event.Span { requester = r.requester; seq = r.seq }) Dcs_obs.Event.Upgraded);
-  t.on_upgraded r.seq
+  resume t r.seq
 
 (* Copy grant (Rule 3): adopt the requester as a child at (at least) the
    granted mode and notify it. *)
@@ -662,11 +685,6 @@ let enqueue t (r : Msg.request) =
   | Some f -> f (Dcs_obs.Event.Span { requester = r.requester; seq = r.seq }) Dcs_obs.Event.Queued);
   refresh_freezes t
 
-(* Global diagnostic counters (reset by tests/benches as needed). *)
-let diversions = ref 0
-let sweep_restarts = ref 0
-let relays = ref 0
-
 (* [p] if it is a node id (not the -1 "none" sentinel) that [path] has not
    visited, else -1. *)
 let unvisited path p = if p >= 0 && not (List.mem p path) then p else -1
@@ -683,7 +701,6 @@ let id_or_none = function Some p -> p | None -> -1
    Candidates are tried in a fixed order without building a list, and the
    request is copied once. *)
 let forward_onward ?via t (r : Msg.request) =
-  incr relays;
   let path = if List.mem t.id r.Msg.path then r.Msg.path else t.id :: r.Msg.path in
   let hint_stamp = if t.token then t.tenure else fst t.hint in
   let hint = if hint_stamp > fst r.Msg.hint then my_hint t else r.Msg.hint in
@@ -710,7 +727,6 @@ let forward_onward ?via t (r : Msg.request) =
       (* Divert along the copyset links ([via], already found visited
          above, would come first), then sweep to the lowest-id unvisited
          node. *)
-      incr diversions;
       let d = unvisited path (snd hint) in
       let d = if d >= 0 then d else unvisited path (id_or_none t.accounted_parent) in
       let d = if d >= 0 then d else unvisited path (id_or_none t.last_granter) in
@@ -724,7 +740,6 @@ let forward_onward ?via t (r : Msg.request) =
       (* Everyone visited without custody: the token kept moving ahead of
          the sweep. Restart it; randomized latencies make repeated evasion
          vanishingly unlikely. *)
-      incr sweep_restarts;
       match t.parent with Some p -> p | None -> (t.id + 1) mod t.peers
     end
   in
@@ -1067,7 +1082,7 @@ let handle_msg t ~src msg =
 
 (* {1 Client API} *)
 
-let request ?(priority = 0) t ~mode =
+let request ?(priority = 0) t ~mode ~on_granted =
   if priority < 0 then invalid_arg "Hlock.Node.request: negative priority";
   let seq = t.next_seq in
   t.next_seq <- t.next_seq + 1;
@@ -1080,6 +1095,7 @@ let request ?(priority = 0) t ~mode =
   | Some f ->
       f (Dcs_obs.Event.Span { requester = t.id; seq }) (Dcs_obs.Event.Requested { mode; priority }));
   handle_request t r;
+  continue_or_wait t seq mode on_granted;
   seq
 
 let release t ~seq =
@@ -1093,7 +1109,7 @@ let release t ~seq =
       if t.config.caching && not (is_frozen t m) then t.cached <- Mode_set.add m t.cached;
       after_owned_change t
 
-let upgrade t ~seq =
+let upgrade t ~seq ~on_upgraded =
   match Hashtbl.find_opt t.held seq with
   | Some Mode.U ->
       if not t.token then
@@ -1131,7 +1147,8 @@ let upgrade t ~seq =
            a reservation for the next write. The service order places
            upgrades ahead of everything, so it is served as soon as the
            remaining readers drain; everything else freezes meanwhile. *)
-        enqueue t r
+        enqueue t r;
+      continue_or_wait t seq Mode.W on_upgraded
   | Some m ->
       invalid_arg
         (Printf.sprintf "Hlock.Node.upgrade: #%d held in %s, not U" seq (Mode.to_string m))
@@ -1174,9 +1191,10 @@ let kick t =
    nodes export: locally held instances and the in-flight pending request
    reference live client callbacks, which cannot cross a process boundary;
    the sharding layer parks and replays the traffic around the handoff
-   instead. Transient fields ([kick_marks], send-batch buffers) are
-   deliberately dropped — the first holds staleness marks for a pending
-   request that must be [None] at export, the second must be empty
+   instead, and for the same reason no client continuation may be waiting.
+   Transient fields ([kick_marks], send-batch buffers, the [coalesced]
+   tally) are deliberately dropped — the first holds staleness marks for a
+   pending request that must be [None] at export, the second must be empty
    outside a batch scope. *)
 
 type snapshot = {
@@ -1206,6 +1224,7 @@ let export t =
   if Hashtbl.length t.held > 0 then
     invalid_arg "Hlock.Node.export: node holds granted instances";
   if t.pending <> None then invalid_arg "Hlock.Node.export: node has a pending request";
+  if t.waiters <> [] then invalid_arg "Hlock.Node.export: a client is still waiting";
   if t.batch_depth > 0 then invalid_arg "Hlock.Node.export: open send batch";
   {
     s_token = t.token;
@@ -1234,8 +1253,7 @@ let export t =
     s_epoch_counter = t.epoch_counter;
   }
 
-let restore ?(config = default_config) ?obs ~id ~peers ~send ~on_granted ~on_upgraded
-    (s : snapshot) =
+let restore ?(config = default_config) ?obs ~id ~peers ~send (s : snapshot) =
   let config = if config.freezing then config else { config with caching = false } in
   if peers < 1 || id < 0 || id >= peers then invalid_arg "Hlock.Node.restore: id out of range";
   let t =
@@ -1244,8 +1262,6 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send ~on_granted ~on_upg
       id;
       peers;
       send;
-      on_granted;
-      on_upgraded;
       obs;
       token = s.s_token;
       parent = s.s_parent;
@@ -1279,6 +1295,8 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send ~on_granted ~on_upg
       epoch_counter = s.s_epoch_counter;
       batch_depth = 0;
       batched = [];
+      coalesced = 0;
+      waiters = [];
     }
   in
   queue_replace t s.s_queue;

@@ -3,9 +3,26 @@
     This is the paper's contribution (Rules 1–7 and the Figure-4
     pseudocode), written as a transport-agnostic state machine: the node
     never performs I/O itself; it calls the [send] callback to emit
-    messages and [on_granted] / [on_upgraded] to wake local clients. The
-    same engine therefore runs unchanged on the discrete-event simulator
-    ({!Dcs_runtime}) and on the real TCP transport ({!Dcs_netkit}).
+    messages, and the continuation each client passes to {!request} or
+    {!upgrade} to wake that client. The same engine therefore runs
+    unchanged on the discrete-event simulator ({!Dcs_runtime}) and on the
+    real TCP transport ({!Dcs_netkit}).
+
+    {2 Grant timing}
+
+    The node owns every waiting client's continuation and runs it exactly
+    once, with the request's [seq]:
+
+    - at the grant point, when the grant is delivered by a message
+      ({!handle_msg}) or happens inside another client call on this node;
+    - after the asking call's protocol work, just before it returns, when
+      the grant happens inside the very {!request} or {!upgrade} call that
+      asked for it (Rule 2's message-free acquisition, or the token node
+      serving itself). The continuation runs after every message
+      that call emits, so one that issues further calls never reorders the
+      protocol's own traffic.
+
+    {!waiting} counts the continuations still parked.
 
     {2 State model}
 
@@ -95,14 +112,14 @@ val default_config : config
 
 type t
 
-(** [create ~config ~id ~peers ~is_token ~parent ~send ~on_granted
-    ~on_upgraded ()] makes a node engine for a population of [peers] nodes
-    with ids [0..peers-1]. Exactly one node of a lock-object's population must
-    have [is_token = true] (and [parent = None]); every other node needs
-    [parent] pointing (directly or transitively) toward it. [send dst msg]
-    must deliver [msg] to node [dst]'s {!handle_msg} (reliably, in any
-    order). [on_granted r] fires when local request [r] is granted;
-    [on_upgraded seq] when a local U→W upgrade completes.
+(** [create ~config ~id ~peers ~is_token ~parent ~send ()] makes a node
+    engine for a population of [peers] nodes with ids [0..peers-1]. Exactly
+    one node of a lock-object's population must have [is_token = true] (and
+    [parent = None]); every other node needs [parent] pointing (directly or
+    transitively) toward it. [send dst msg] must deliver [msg] to node
+    [dst]'s {!handle_msg} (reliably, in any order). Clients pass their
+    continuations per call ({!request}, {!upgrade}); a fresh node has none
+    waiting.
 
     [obs], when given, receives every request-lifecycle event this node
     produces ({!Dcs_obs.Event.scope} and [kind]); the embedding supplies
@@ -117,34 +134,36 @@ val create :
   is_token:bool ->
   parent:Node_id.t option ->
   send:(dst:Node_id.t -> Msg.t -> unit) ->
-  on_granted:(Msg.request -> unit) ->
-  on_upgraded:(int -> unit) ->
   unit ->
   t
 
 (** {1 Client operations} *)
 
-(** [request t ~mode] issues a local lock request; returns its [seq]
-    (unique per node). The grant arrives via [on_granted] — possibly
-    synchronously, inside this call, when Rule 2 allows a message-free
-    local acquisition. [priority] (default 0, non-negative) orders queue
-    service: higher priorities are served first, FIFO within a level —
-    the prioritized-token extension of the authors' earlier work
-    [Mueller 98, 99] that the paper's FIFO model subsumes. *)
-val request : ?priority:int -> t -> mode:Mode.t -> int
+(** [request t ~mode ~on_granted] issues a local lock request; returns its
+    [seq] (unique per node). [on_granted seq] runs exactly once when the
+    request is granted, timed as in "Grant timing" above: when Rule 2
+    allows a message-free local acquisition it runs inside this call,
+    after the call's protocol work and before it returns. [priority]
+    (default 0, non-negative) orders queue service: higher priorities are
+    served first, FIFO within a level — the prioritized-token extension of
+    the authors' earlier work [Mueller 98, 99] that the paper's FIFO model
+    subsumes. *)
+val request : ?priority:int -> t -> mode:Mode.t -> on_granted:(int -> unit) -> int
 
 (** [release t ~seq] releases the held instance granted for [seq].
     Raises [Invalid_argument] if [seq] is not currently held. *)
 val release : t -> seq:int -> unit
 
-(** [upgrade t ~seq] upgrades a held [U] instance to [W] (Rule 7).
-    Completion is signalled via [on_upgraded seq] (possibly synchronously).
+(** [upgrade t ~seq ~on_upgraded] upgrades a held [U] instance to [W]
+    (Rule 7). [on_upgraded seq] runs exactly once when the upgrade
+    completes, timed like {!request}'s continuation: when no other held
+    mode blocks it at the token, inside this call just before it returns.
     Raises [Invalid_argument] if [seq] is not held in mode [U].
 
     Per the protocol, the [U] holder is necessarily the token node; the
     upgrade never releases [U] and is served as soon as every other held
     mode is released. *)
-val upgrade : t -> seq:int -> unit
+val upgrade : t -> seq:int -> on_upgraded:(int -> unit) -> unit
 
 (** [kick t] re-circulates absorbed remote requests when this node is
     still waiting for its own pending request — the watchdog that unwinds
@@ -176,8 +195,9 @@ val handle_msg : t -> src:Node_id.t -> Msg.t -> unit
     counts and determinism digests exactly at the protocol's baseline. *)
 val with_send_batch : t -> (unit -> 'a) -> 'a
 
-(** Wire messages saved by {!with_send_batch} coalescing (process-wide). *)
-val coalesced : int ref
+(** Wire messages this node's {!with_send_batch} coalescing has saved so
+    far. *)
+val coalesced : t -> int
 
 (** {1 Introspection (tests, invariant checkers, tracing)} *)
 
@@ -221,6 +241,9 @@ val queue : t -> Msg.request list
 val frozen : t -> Mode_set.t
 val pending : t -> Msg.request option
 
+(** Local requests and upgrades whose continuation has not run yet. *)
+val waiting : t -> int
+
 (** One-line state summary for traces. *)
 val pp_state : Format.formatter -> t -> unit
 
@@ -257,32 +280,21 @@ type snapshot = {
 }
 
 (** Capture this node's persistent state. The node must be client-quiescent:
-    no locally held instances, no pending request, no open send batch —
-    raises [Invalid_argument] otherwise. (Queued {e remote} requests and
-    copyset state are part of the snapshot; only live client callbacks
-    cannot cross a shard boundary.) *)
+    no locally held instances, no pending request, no waiting client
+    continuation, no open send batch — raises [Invalid_argument] otherwise.
+    (Queued {e remote} requests and copyset state are part of the snapshot;
+    only live client continuations cannot cross a shard boundary.) *)
 val export : t -> snapshot
 
-(** Rebuild a node from a snapshot with fresh transport and client hooks —
-    the receiving end of a shard handoff. [restore (export t)] behaves
-    identically to [t] for every subsequent input. *)
+(** Rebuild a node from a snapshot with a fresh transport hook and no
+    waiting continuations — the receiving end of a shard handoff.
+    [restore (export t)] behaves identically to [t] for every subsequent
+    input. *)
 val restore :
   ?config:config ->
   ?obs:(Dcs_obs.Event.scope -> Dcs_obs.Event.kind -> unit) ->
   id:Node_id.t ->
   peers:int ->
   send:(dst:Node_id.t -> Msg.t -> unit) ->
-  on_granted:(Msg.request -> unit) ->
-  on_upgraded:(int -> unit) ->
   snapshot ->
   t
-
-(** {1 Global diagnostic counters}
-
-    Process-wide tallies of routing behaviour, for experiments and tests:
-    total request relays, relays that had to divert around an
-    already-visited hop, and full sweep restarts. *)
-
-val relays : int ref
-val diversions : int ref
-val sweep_restarts : int ref

@@ -23,7 +23,6 @@ type run = {
   mutable granted : int;
   mutable upgraded : int;
   mutable outstanding : int;  (* requests not yet fully finished *)
-  mutable waiting : int;  (* requests and upgrades issued but not yet granted *)
   mutable tokens_in_flight : int;
   mutable grant_log : (int * int * Mode.t) list;  (* (node, seq, mode), newest first *)
 }
@@ -39,61 +38,45 @@ let link run src dst =
 let replay ?config ~nodes ~actions path =
   let run =
     { nodes_arr = [||]; wire = ref []; granted = 0; upgraded = 0; outstanding = 0;
-      waiting = 0; tokens_in_flight = 0; grant_log = [] }
+      tokens_in_flight = 0; grant_log = [] }
   in
-  (* Plan lookup: what the client at [node] does with grant [seq]. *)
-  let plans : (int * int, [ `Release | `Upgrade ]) Hashtbl.t = Hashtbl.create 8 in
   let arr =
     Array.init nodes (fun id ->
         let send ~dst msg =
           (match msg with Msg.Token _ -> run.tokens_in_flight <- run.tokens_in_flight + 1 | _ -> ());
           Queue.push msg (link run id dst)
         in
-        let rec node () = run.nodes_arr.(id)
-        and on_granted (r : Msg.request) =
-          run.granted <- run.granted + 1;
-          run.waiting <- run.waiting - 1;
-          run.grant_log <- (id, r.seq, r.mode) :: run.grant_log;
-          match Hashtbl.find_opt plans (id, r.seq) with
-          | Some `Release ->
-              run.outstanding <- run.outstanding - 1;
-              Node.release (node ()) ~seq:r.seq
-          | Some `Upgrade ->
-              run.waiting <- run.waiting + 1;
-              Node.upgrade (node ()) ~seq:r.seq
-          | None -> ()
-        and on_upgraded seq =
-          run.upgraded <- run.upgraded + 1;
-          run.waiting <- run.waiting - 1;
-          run.outstanding <- run.outstanding - 1;
-          Node.release (node ()) ~seq
-        in
         Node.create ?config ~id ~peers:nodes ~is_token:(id = 0)
           ~parent:(if id = 0 then None else Some 0)
-          ~send ~on_granted ~on_upgraded ())
+          ~send ())
   in
   run.nodes_arr <- arr;
-  (* Inject the script. A request may be granted synchronously inside
-     [Node.request], before the seq is returned, so the client plan is
-     registered in advance under the predicted seq (they are assigned
-     densely per node). *)
+  (* Inject the script. Each client releases as soon as it is granted; an
+     upgrade client first upgrades its U grant and releases the W. *)
+  let granted node mode seq =
+    run.granted <- run.granted + 1;
+    run.grant_log <- (node, seq, mode) :: run.grant_log
+  in
+  let finish node seq =
+    run.outstanding <- run.outstanding - 1;
+    Node.release arr.(node) ~seq
+  in
   List.iter
     (fun action ->
       run.outstanding <- run.outstanding + 1;
-      run.waiting <- run.waiting + 1;
       match action with
       | Acquire { node; mode } ->
-          (* Predict the seq: the engine numbers requests 0,1,2,... per
-             node; track how many this node has issued so far. *)
-          let issued = Hashtbl.fold (fun (n, _) _ acc -> if n = node then acc + 1 else acc) plans 0 in
-          Hashtbl.replace plans (node, issued) `Release;
-          let seq = Node.request arr.(node) ~mode in
-          assert (seq = issued)
+          ignore
+            (Node.request arr.(node) ~mode ~on_granted:(fun seq ->
+                 granted node mode seq;
+                 finish node seq))
       | Acquire_upgrade { node } ->
-          let issued = Hashtbl.fold (fun (n, _) _ acc -> if n = node then acc + 1 else acc) plans 0 in
-          Hashtbl.replace plans (node, issued) `Upgrade;
-          let seq = Node.request arr.(node) ~mode:Mode.U in
-          assert (seq = issued))
+          ignore
+            (Node.request arr.(node) ~mode:Mode.U ~on_granted:(fun seq ->
+                 granted node Mode.U seq;
+                 Node.upgrade arr.(node) ~seq ~on_upgraded:(fun seq ->
+                     run.upgraded <- run.upgraded + 1;
+                     finish node seq))))
     actions;
   (* Deliver per path. *)
   List.iter
@@ -180,7 +163,8 @@ let explore ?config ?(max_states = 100_000) ~nodes ~actions () =
       if !states >= max_states then truncated := true;
       (match
          Dcs_hlock.Invariant.safety ~lock:0 ~tokens_in_flight:run.tokens_in_flight
-           ~waiting:run.waiting run.nodes_arr
+           ~waiting:(Array.fold_left (fun n e -> n + Node.waiting e) 0 run.nodes_arr)
+           run.nodes_arr
        with
       | [] -> ()
       | vs ->

@@ -15,7 +15,6 @@ let pp_msg ppf = function
 type t = {
   id : Node_id.t;
   send : dst:Node_id.t -> msg -> unit;
-  on_acquired : unit -> unit;
   obs : (Dcs_obs.Event.scope -> Dcs_obs.Event.kind -> unit) option;
   mutable father : Node_id.t option;
   mutable next : Node_id.t option;
@@ -24,13 +23,14 @@ type t = {
   mutable in_cs : bool;
   mutable next_seq : int;
   mutable active : int;  (* seq of our outstanding/held request; -1 if none *)
+  mutable on_acquired : (unit -> unit) option;  (* the waiting client's continuation *)
 }
 
-let create ?obs ~id ~is_root ~father ~send ~on_acquired () =
+let create ?obs ~id ~is_root ~father ~send () =
   if is_root && father <> None then invalid_arg "Naimi.create: root with a father";
   if (not is_root) && father = None then invalid_arg "Naimi.create: non-root without father";
-  { id; send; on_acquired; obs; father; next = None; token_present = is_root;
-    requesting = false; in_cs = false; next_seq = 0; active = -1 }
+  { id; send; obs; father; next = None; token_present = is_root;
+    requesting = false; in_cs = false; next_seq = 0; active = -1; on_acquired = None }
 
 let id t = t.id
 let has_token t = t.token_present
@@ -51,7 +51,7 @@ let pp_state ppf t =
 let observe t ~requester ~seq kind =
   match t.obs with None -> () | Some f -> f (Dcs_obs.Event.Span { requester; seq }) kind
 
-let request t =
+let request t ~on_acquired =
   if t.requesting || t.in_cs then invalid_arg "Naimi.request: already requesting or in CS";
   t.requesting <- true;
   let seq = t.next_seq in
@@ -65,8 +65,9 @@ let request t =
       t.in_cs <- true;
       observe t ~requester:t.id ~seq
         (Dcs_obs.Event.Granted_local { mode = Dcs_modes.Mode.W; hops = 0 });
-      t.on_acquired ()
+      on_acquired ()
   | Some f ->
+      t.on_acquired <- Some on_acquired;
       t.send ~dst:f (Request { requester = t.id; seq });
       t.father <- None
 
@@ -85,13 +86,17 @@ let release t =
 
 let handle_msg t ~src:_ msg =
   match msg with
-  | Token ->
+  | Token -> (
       assert t.requesting;
       t.token_present <- true;
       t.in_cs <- true;
       observe t ~requester:t.id ~seq:t.active
         (Dcs_obs.Event.Granted_token { mode = Dcs_modes.Mode.W; hops = 0 });
-      t.on_acquired ()
+      match t.on_acquired with
+      | Some k ->
+          t.on_acquired <- None;
+          k ()
+      | None -> ())
   | Request { requester; seq } -> (
       match t.father with
       | Some f ->

@@ -35,11 +35,9 @@ val pp_msg : Format.formatter -> msg -> unit
 
 type t
 
-(** [create ~id ~is_root ~father ~send ~on_acquired ()] builds a node.
+(** [create ~id ~is_root ~father ~send ()] builds a node.
     Exactly one node has [is_root = true] (it starts with the token and
     [father = None]); all others point (directly or transitively) to it.
-    [on_acquired ()] fires when this node's pending request obtains the
-    token (possibly synchronously inside {!request}).
 
     [obs] receives request-lifecycle events exactly as in
     {!Dcs_hlock.Node.create}; Naimi requests are recorded as mode-[W]
@@ -50,14 +48,16 @@ val create :
   is_root:bool ->
   father:Node_id.t option ->
   send:(dst:Node_id.t -> msg -> unit) ->
-  on_acquired:(unit -> unit) ->
   unit ->
   t
 
-(** Ask for the critical section. Raises [Invalid_argument] if this node is
-    already requesting or inside its critical section (the protocol is not
-    reentrant). *)
-val request : t -> unit
+(** [request t ~on_acquired] asks for the critical section. The node keeps
+    [on_acquired] and runs it exactly once, when the token arrives: inside
+    the {!handle_msg} that delivers it, or — at the root holding an idle
+    token — inside this call, as its last step. Raises [Invalid_argument]
+    if this node is already requesting or inside its critical section (the
+    protocol is not reentrant). *)
+val request : t -> on_acquired:(unit -> unit) -> unit
 
 (** Leave the critical section, passing the token to [next] if some node is
     waiting. Raises [Invalid_argument] if not inside the critical

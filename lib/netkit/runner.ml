@@ -18,18 +18,13 @@ type t = {
   self : int;
   (* Striped engine locks: one mutex per lock object, so independent lock
      engines dispatch concurrently instead of serializing on one global
-     mutex. Each stripe also guards that lock's callback tables. *)
+     mutex. *)
   stripes : Mutex.t array;
   mutable nodes : Node.t array;  (* one engine per lock *)
-  granted_cbs : (int, unit -> unit) Hashtbl.t array;  (* per lock, seq-keyed *)
-  granted_fired : (int, unit) Hashtbl.t array;
-  upgraded_cbs : (int, unit -> unit) Hashtbl.t array;
-  upgraded_fired : (int, unit) Hashtbl.t array;
   counters : Dcs_proto.Counters.t;
   counters_lock : Mutex.t;
   outbounds : (int, outbound) Hashtbl.t;  (* peer id -> writer state *)
   outbound_lock : Mutex.t;
-  kick_interval : float;
   telemetry : Dcs_obs.Shard.t option;
   (* Live transport metrics ({!Dcs_obs.Metrics}): the handles are looked
      up once here so hot-path updates are a single atomic op. *)
@@ -45,12 +40,12 @@ type t = {
   m_decode_errors : Metrics.counter;
   m_frames_received : Metrics.counter;
   m_bytes_received : Metrics.counter;
+  m_coalesced : Metrics.counter;
   m_backoff : Metrics.gauge;
   m_queue_depth : Metrics.gauge;
   m_grants : Metrics.grants;
   mutable listener : Unix.file_descr option;
   mutable running : bool;
-  mutable threads : Thread.t list;
 }
 
 let id t = t.self
@@ -276,8 +271,7 @@ let outbound_for t peer_id =
     | _ ->
         let out = { queue = Queue.create (); alive = true; cond = Condition.create () } in
         Hashtbl.replace t.outbounds peer_id out;
-        let th = Thread.create (fun () -> writer_loop t peer_id out) () in
-        t.threads <- th :: t.threads;
+        ignore (Thread.create (fun () -> writer_loop t peer_id out) ());
         out
   in
   Mutex.unlock t.outbound_lock;
@@ -295,10 +289,9 @@ let send_env t ~dst env =
 
 (* {1 Node construction} *)
 
-let create ?(protocol = Node.default_config) ?(kick_interval = 1.0) ?telemetry ~config ~self () =
+let create ?(protocol = Node.default_config) ?telemetry ~config ~self () =
   let n = Cluster_config.size config in
   if self < 0 || self >= n then invalid_arg "Runner.create: self out of range";
-  if kick_interval <= 0.0 then invalid_arg "Runner.create: kick_interval must be positive";
   let locks = config.Cluster_config.locks in
   let metrics = Metrics.create () in
   let c name = Metrics.counter metrics name and g name = Metrics.gauge metrics name in
@@ -308,15 +301,10 @@ let create ?(protocol = Node.default_config) ?(kick_interval = 1.0) ?telemetry ~
       self;
       stripes = Array.init locks (fun _ -> Mutex.create ());
       nodes = [||];
-      granted_cbs = Array.init locks (fun _ -> Hashtbl.create 32);
-      granted_fired = Array.init locks (fun _ -> Hashtbl.create 32);
-      upgraded_cbs = Array.init locks (fun _ -> Hashtbl.create 8);
-      upgraded_fired = Array.init locks (fun _ -> Hashtbl.create 8);
       counters = Dcs_proto.Counters.create ();
       counters_lock = Mutex.create ();
       outbounds = Hashtbl.create 8;
       outbound_lock = Mutex.create ();
-      kick_interval;
       telemetry;
       metrics;
       m_frames_sent = c "net.frames_sent";
@@ -330,12 +318,12 @@ let create ?(protocol = Node.default_config) ?(kick_interval = 1.0) ?telemetry ~
       m_decode_errors = c "net.decode_errors";
       m_frames_received = c "net.frames_received";
       m_bytes_received = c "net.bytes_received";
+      m_coalesced = c "net.coalesced";
       m_backoff = g "net.backoff_ms";
       m_queue_depth = g "net.outbound_queue_depth";
       m_grants = Metrics.grants metrics;
       listener = None;
       running = false;
-      threads = [];
     }
   in
   let nodes =
@@ -346,20 +334,6 @@ let create ?(protocol = Node.default_config) ?(kick_interval = 1.0) ?telemetry ~
           Dcs_proto.Counters.incr t.counters (Dcs_hlock.Msg.class_of msg);
           Mutex.unlock t.counters_lock;
           send_env t ~dst { Codec.src = self; lock; payload = Codec.Hlock msg }
-        in
-        let on_granted (r : Dcs_hlock.Msg.request) =
-          match Hashtbl.find_opt t.granted_cbs.(lock) r.seq with
-          | Some cb ->
-              Hashtbl.remove t.granted_cbs.(lock) r.seq;
-              cb ()
-          | None -> Hashtbl.replace t.granted_fired.(lock) r.seq ()
-        in
-        let on_upgraded seq =
-          match Hashtbl.find_opt t.upgraded_cbs.(lock) seq with
-          | Some cb ->
-              Hashtbl.remove t.upgraded_cbs.(lock) seq;
-              cb ()
-          | None -> Hashtbl.replace t.upgraded_fired.(lock) seq ()
         in
         (* Engine lifecycle hook: grant-mix counters always (the analyzer
            cross-checks them against merged spans), full event stream to
@@ -372,10 +346,21 @@ let create ?(protocol = Node.default_config) ?(kick_interval = 1.0) ?telemetry ~
         in
         Node.create ~config:protocol ~obs ~id:self ~peers:n ~is_token:(self = 0)
           ~parent:(if self = 0 then None else Some 0)
-          ~send ~on_granted ~on_upgraded ())
+          ~send ())
   in
   t.nodes <- nodes;
   t
+
+(* Every entry into a lock's engine — a delivery, a client call, a kick —
+   runs [f] on it under the lock's stripe mutex, inside one send batch, and
+   credits what the batch coalesced to [net.coalesced]. *)
+let on_stripe t lock f =
+  let node = t.nodes.(lock) in
+  Mutex.protect t.stripes.(lock) (fun () ->
+      let before = Node.coalesced node in
+      Fun.protect
+        ~finally:(fun () -> Metrics.add t.m_coalesced (Node.coalesced node - before))
+        (fun () -> Node.with_send_batch node (fun () -> f node)))
 
 (* {1 Inbound} *)
 
@@ -386,12 +371,8 @@ let dispatch t (env : Codec.envelope) =
       if lock < 0 || lock >= Array.length t.nodes then
         Log.err (fun m -> m "message for unknown lock %d" lock)
       else begin
-        let node = t.nodes.(lock) in
-        Mutex.lock t.stripes.(lock);
-        (try
-           Node.with_send_batch node (fun () -> Node.handle_msg node ~src:env.Codec.src msg)
-         with e -> Log.err (fun m -> m "handler raised: %s" (Printexc.to_string e)));
-        Mutex.unlock t.stripes.(lock)
+        try on_stripe t lock (fun node -> Node.handle_msg node ~src:env.Codec.src msg)
+        with e -> Log.err (fun m -> m "handler raised: %s" (Printexc.to_string e))
       end
   | Codec.Naimi _ -> Log.err (fun m -> m "unexpected Naimi payload")
   | Codec.Shard _ -> Log.err (fun m -> m "unexpected Shard payload")
@@ -407,6 +388,8 @@ let really_read fd buf n =
   in
   go 0
 
+(* Serve one inbound connection until it ends — end of stream, a read
+   error, an oversized or a malformed frame — then close its socket. *)
 let reader_loop t fd =
   let header = Bytes.create 4 in
   (* One reusable inbound buffer per connection, grown to the largest
@@ -465,26 +448,23 @@ let reader_loop t fd =
                   Log.err (fun m -> m "malformed frame: %s" reason))
         end
   in
-  go ()
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) go
 
 let accept_loop t sock =
   while t.running do
     match Unix.accept sock with
-    | conn, _ ->
-        let th = Thread.create (fun () -> reader_loop t conn) () in
-        t.threads <- th :: t.threads
+    | conn, _ -> ignore (Thread.create (fun () -> reader_loop t conn) ())
     | exception _ -> ()
   done
 
+(* The custody watchdog's period, in seconds: a few round trips on any
+   network this runs over, and quiet enough for an idle cluster. *)
+let kick_interval = 1.0
+
 let kick_loop t =
   while t.running do
-    Thread.delay t.kick_interval;
-    Array.iteri
-      (fun lock node ->
-        Mutex.lock t.stripes.(lock);
-        Node.with_send_batch node (fun () -> Node.kick node);
-        Mutex.unlock t.stripes.(lock))
-      t.nodes;
+    Thread.delay kick_interval;
+    Array.iteri (fun lock _ -> on_stripe t lock Node.kick) t.nodes;
     Metrics.set t.m_queue_depth (float_of_int (queued_frames t));
     match t.telemetry with Some sh -> Dcs_obs.Shard.snapshot sh t.metrics | None -> ()
   done
@@ -503,8 +483,8 @@ let start t =
     Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_of_string me.Cluster_config.host, me.Cluster_config.port));
     Unix.listen sock 64;
     t.listener <- Some sock;
-    t.threads <- Thread.create (fun () -> accept_loop t sock) () :: t.threads;
-    t.threads <- Thread.create (fun () -> kick_loop t) () :: t.threads
+    ignore (Thread.create (fun () -> accept_loop t sock) ());
+    ignore (Thread.create (fun () -> kick_loop t) ())
   end
 
 (* Startup barrier: probe every peer's listen port until it accepts. A
@@ -573,40 +553,12 @@ let stop t =
 (* {1 Client API} *)
 
 let request ?priority t ~lock ~mode ~on_granted =
-  Mutex.lock t.stripes.(lock);
-  let node = t.nodes.(lock) in
-  let seq = Node.with_send_batch node (fun () -> Node.request ?priority node ~mode) in
-  (if Hashtbl.mem t.granted_fired.(lock) seq then begin
-     Hashtbl.remove t.granted_fired.(lock) seq;
-     on_granted ()
-   end
-   else Hashtbl.replace t.granted_cbs.(lock) seq on_granted);
-  Mutex.unlock t.stripes.(lock);
-  seq
+  on_stripe t lock (fun node -> Node.request ?priority node ~mode ~on_granted:(fun _ -> on_granted ()))
 
-let release t ~lock ~seq =
-  Mutex.lock t.stripes.(lock);
-  let node = t.nodes.(lock) in
-  (try Node.with_send_batch node (fun () -> Node.release node ~seq)
-   with e ->
-     Mutex.unlock t.stripes.(lock);
-     raise e);
-  Mutex.unlock t.stripes.(lock)
+let release t ~lock ~seq = on_stripe t lock (fun node -> Node.release node ~seq)
 
 let upgrade t ~lock ~seq ~on_upgraded =
-  Mutex.lock t.stripes.(lock);
-  let node = t.nodes.(lock) in
-  (try
-     Node.with_send_batch node (fun () -> Node.upgrade node ~seq);
-     if Hashtbl.mem t.upgraded_fired.(lock) seq then begin
-       Hashtbl.remove t.upgraded_fired.(lock) seq;
-       on_upgraded ()
-     end
-     else Hashtbl.replace t.upgraded_cbs.(lock) seq on_upgraded
-   with e ->
-     Mutex.unlock t.stripes.(lock);
-     raise e);
-  Mutex.unlock t.stripes.(lock)
+  on_stripe t lock (fun node -> Node.upgrade node ~seq ~on_upgraded:(fun _ -> on_upgraded ()))
 
 (* Blocking wrappers: a tiny one-shot latch. The grant callback may run on
    a reader thread (under the lock's stripe mutex) or synchronously in

@@ -3,12 +3,15 @@
 
     Threads: one listener (accept loop), one reader per inbound connection,
     one writer per outbound peer (so protocol handlers never block on
-    sockets), and one watchdog running the custody kick. Protocol state is
-    {e striped}: each lock object's engine (and its grant/upgrade callback
-    tables) has its own mutex, so traffic for independent locks dispatches
-    concurrently. Grant callbacks run while that lock's stripe mutex is
-    held and must not block or re-enter the same lock synchronously from
-    another thread.
+    sockets), and one watchdog running the custody kick once a second.
+    Protocol state is {e striped}: each lock object's engine has its own
+    mutex, so traffic for independent locks dispatches concurrently. The
+    engine owns each waiting client's continuation
+    ({!Dcs_hlock.Node.request}) and runs it under that lock's stripe mutex:
+    on a reader thread for a grant a message delivers, or inside
+    {!request}/{!upgrade} — within the call's send-batch scope — for a
+    grant the call itself makes. A continuation must not block or call
+    into the same lock.
 
     The wire path is allocation-conscious: outbound messages queue as
     unencoded envelopes and a per-peer writer thread drains the whole
@@ -32,10 +35,6 @@
 type t
 
 (** Build a runner for [self] in [config]. Does not touch the network.
-    [kick_interval] (seconds, default 1.0, must be positive) is the period
-    of the custody-kick watchdog: lower it to the order of a few network
-    round trips for latency-sensitive deployments, raise it to quiet
-    idle clusters.
 
     [telemetry], when given, streams this node's [dcs-obs/2] shard: every
     engine lifecycle event, a [Sent]/[Received] transport event per
@@ -45,7 +44,6 @@ type t
     The caller keeps ownership and closes the shard after {!stop}. *)
 val create :
   ?protocol:Dcs_hlock.Node.config ->
-  ?kick_interval:float ->
   ?telemetry:Dcs_obs.Shard.t ->
   config:Cluster_config.t ->
   self:int ->
@@ -91,7 +89,9 @@ val id : t -> int
 
 (** The live metrics registry ([net.*] transport counters and gauges,
     [grants.*] grant-mix counters). Shared with the telemetry shard's
-    periodic snapshots. *)
+    periodic snapshots. [net.coalesced] sums every engine's
+    {!Dcs_hlock.Node.coalesced}: the Release/Freeze messages send batching
+    saved. *)
 val metrics : t -> Dcs_obs.Metrics.t
 
 (** A point-in-time view of the transport, queryable while running — the

@@ -4,10 +4,6 @@ module Msg = Dcs_hlock.Msg
 
 type lock_state = {
   mutable engines : Node.t array;
-  granted_cbs : (int * int, unit -> unit) Hashtbl.t;  (* (node, seq) -> callback *)
-  granted_fired : (int * int, unit) Hashtbl.t;
-  upgraded_cbs : (int * int, unit -> unit) Hashtbl.t;
-  upgraded_fired : (int * int, unit) Hashtbl.t;
   mutable tokens_in_flight : int;
   counters : Dcs_proto.Counters.t;
 }
@@ -27,9 +23,9 @@ let node t ~lock ~node = t.locks_arr.(lock).engines.(node)
 
 (* {1 Oracles} *)
 
-(* Client requests and upgrades whose callback has not fired yet: the
+(* Client requests and upgrades whose continuation has not run yet: the
    bound on what may sit in this lock's queues. *)
-let waiting ls = Hashtbl.length ls.granted_cbs + Hashtbl.length ls.upgraded_cbs
+let waiting ls = Array.fold_left (fun n e -> n + Node.waiting e) 0 ls.engines
 
 let safety_violations ls ~lock =
   Dcs_hlock.Invariant.safety ~lock ~tokens_in_flight:ls.tokens_in_flight ~waiting:(waiting ls)
@@ -72,10 +68,6 @@ let create ?(config = Node.default_config) ?(oracle = false) ?transport ?obs ?re
     { net; n; l; locks_arr = Array.init l (fun _ ->
           {
             engines = [||];
-            granted_cbs = Hashtbl.create 32;
-            granted_fired = Hashtbl.create 32;
-            upgraded_cbs = Hashtbl.create 8;
-            upgraded_fired = Hashtbl.create 8;
             tokens_in_flight = 0;
             counters = Dcs_proto.Counters.create ();
           });
@@ -101,31 +93,13 @@ let create ?(config = Node.default_config) ?(oracle = false) ?transport ?obs ?re
                 Node.handle_msg ls.engines.(dst) ~src:id msg;
                 check t ls ~lock)
           in
-          let on_granted (r : Msg.request) =
-            let key = (id, r.seq) in
-            match Hashtbl.find_opt ls.granted_cbs key with
-            | Some cb ->
-                Hashtbl.remove ls.granted_cbs key;
-                cb ()
-            | None -> Hashtbl.replace ls.granted_fired key ()
-          in
-          let on_upgraded seq =
-            let key = (id, seq) in
-            match Hashtbl.find_opt ls.upgraded_cbs key with
-            | Some cb ->
-                Hashtbl.remove ls.upgraded_cbs key;
-                cb ()
-            | None -> Hashtbl.replace ls.upgraded_fired key ()
-          in
           let node_obs = Cluster_obs.node_hook obs ~lock ~node:id in
           match restore with
           | None ->
               Node.create ~config ?obs:node_obs ~id ~peers:n ~is_token:(id = 0)
                 ~parent:(if id = 0 then None else Some 0)
-                ~send ~on_granted ~on_upgraded ()
-          | Some snaps ->
-              Node.restore ~config ?obs:node_obs ~id ~peers:n ~send ~on_granted ~on_upgraded
-                snaps.(lock).(id))
+                ~send ()
+          | Some snaps -> Node.restore ~config ?obs:node_obs ~id ~peers:n ~send snaps.(lock).(id))
     in
     (* Tie the recursive knot: send closures dereference [ls.engines]. *)
     ls.engines <- engines
@@ -137,15 +111,12 @@ let lock_counters t ~lock = t.locks_arr.(lock).counters
 (* The sending half of a shard handoff: the whole per-node population of
    one lock object as snapshots. Requires transport quiescence for that
    lock (no token in flight — a token crossing the handoff would be lost)
-   and client quiescence at every node ({!Node.export}'s own checks); the
-   callback tables must be drained too, since waiting continuations cannot
-   travel. *)
+   and client quiescence at every node, waiting continuations included
+   ({!Node.export}'s own checks). *)
 let export_lock t ~lock =
   let ls = t.locks_arr.(lock) in
   if ls.tokens_in_flight <> 0 then
     invalid_arg "Hlock_cluster.export_lock: token in flight";
-  if Hashtbl.length ls.granted_cbs > 0 || Hashtbl.length ls.upgraded_cbs > 0 then
-    invalid_arg "Hlock_cluster.export_lock: clients still waiting";
   Array.map Node.export ls.engines
 
 let kick_all t =
@@ -174,13 +145,7 @@ let sample_gauges t r =
 
 let request ?priority t ~node ~lock ~mode ~on_granted =
   let ls = t.locks_arr.(lock) in
-  let seq = Node.request ?priority ls.engines.(node) ~mode in
-  let key = (node, seq) in
-  (if Hashtbl.mem ls.granted_fired key then begin
-     Hashtbl.remove ls.granted_fired key;
-     on_granted ()
-   end
-   else Hashtbl.replace ls.granted_cbs key on_granted);
+  let seq = Node.request ?priority ls.engines.(node) ~mode ~on_granted:(fun _ -> on_granted ()) in
   check t ls ~lock;
   seq
 
@@ -191,11 +156,5 @@ let release t ~node ~lock ~seq =
 
 let upgrade t ~node ~lock ~seq ~on_upgraded =
   let ls = t.locks_arr.(lock) in
-  let key = (node, seq) in
-  Node.upgrade ls.engines.(node) ~seq;
-  (if Hashtbl.mem ls.upgraded_fired key then begin
-     Hashtbl.remove ls.upgraded_fired key;
-     on_upgraded ()
-   end
-   else Hashtbl.replace ls.upgraded_cbs key on_upgraded);
+  Node.upgrade ls.engines.(node) ~seq ~on_upgraded:(fun _ -> on_upgraded ());
   check t ls ~lock

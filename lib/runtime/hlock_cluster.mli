@@ -69,9 +69,9 @@ val lock_counters : t -> lock:int -> Dcs_proto.Counters.t
 (** The sending half of a shard handoff: one lock object's whole per-node
     population as {!Dcs_hlock.Node.snapshot}s, ready to travel in a
     handoff message and be rebuilt with [create ~restore]. Requires
-    quiescence for that lock — no token in flight, no waiting client
-    callbacks, and {!Dcs_hlock.Node.export}'s per-node checks — and raises
-    [Invalid_argument] otherwise. *)
+    quiescence for that lock — no token in flight, and
+    {!Dcs_hlock.Node.export}'s per-node checks, which include no waiting
+    client continuation — and raises [Invalid_argument] otherwise. *)
 val export_lock : t -> lock:int -> Dcs_hlock.Node.snapshot array
 
 (** Run the custody watchdog ({!Dcs_hlock.Node.kick}) on every node of

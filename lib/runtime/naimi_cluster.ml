@@ -2,8 +2,6 @@ module Naimi = Dcs_naimi.Naimi
 
 type lock_state = {
   mutable engines : Naimi.t array;
-  acquired_cbs : (int, unit -> unit) Hashtbl.t;  (* node -> callback *)
-  acquired_fired : (int, unit) Hashtbl.t;
   mutable tokens_in_flight : int;
 }
 
@@ -61,13 +59,7 @@ let create ?(oracle = false) ?obs ~net ~nodes:n ~locks:l () =
       n;
       l;
       locks_arr =
-        Array.init l (fun _ ->
-            {
-              engines = [||];
-              acquired_cbs = Hashtbl.create 32;
-              acquired_fired = Hashtbl.create 32;
-              tokens_in_flight = 0;
-            });
+        Array.init l (fun _ -> { engines = [||]; tokens_in_flight = 0 });
       oracle;
     }
   in
@@ -94,29 +86,15 @@ let create ?(oracle = false) ?obs ~net ~nodes:n ~locks:l () =
                   | [] -> ()
                   | vs -> failwith (String.concat "; " vs))
           in
-          let on_acquired () =
-            match Hashtbl.find_opt ls.acquired_cbs id with
-            | Some cb ->
-                Hashtbl.remove ls.acquired_cbs id;
-                cb ()
-            | None -> Hashtbl.replace ls.acquired_fired id ()
-          in
           Naimi.create ?obs:(Cluster_obs.node_hook obs ~lock ~node:id) ~id ~is_root:(id = 0)
             ~father:(if id = 0 then None else Some 0)
-            ~send ~on_acquired ())
+            ~send ())
     in
     ls.engines <- engines
   done;
   t
 
-let request t ~node ~lock ~on_acquired =
-  let ls = t.locks_arr.(lock) in
-  Naimi.request ls.engines.(node);
-  if Hashtbl.mem ls.acquired_fired node then begin
-    Hashtbl.remove ls.acquired_fired node;
-    on_acquired ()
-  end
-  else Hashtbl.replace ls.acquired_cbs node on_acquired
+let request t ~node ~lock ~on_acquired = Naimi.request t.locks_arr.(lock).engines.(node) ~on_acquired
 
 let release t ~node ~lock =
   let ls = t.locks_arr.(lock) in

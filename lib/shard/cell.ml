@@ -22,7 +22,6 @@ type t = {
   net : Net.t;
   nodes : int;
   mutable cluster : Hlock_cluster.t;
-  mutable outstanding : int;
   kick_scheduled : bool ref;
 }
 
@@ -34,14 +33,13 @@ let create ?(latency = Dist.uniform_around 150.0) ~nodes () =
   let rng = Rng.create ~seed:0L in
   let net = Net.create ~engine ~latency ~rng () in
   let cluster = Hlock_cluster.create ~net ~nodes ~locks:1 () in
-  { engine; rng; net; nodes; cluster; outstanding = 0; kick_scheduled = ref false }
+  { engine; rng; net; nodes; cluster; kick_scheduled = ref false }
 
 let reset ?config ?(oracle = false) ?restore t ~seed ~locks =
   if locks < 1 then invalid_arg "Cell.reset: need at least one lock";
   Engine.reset t.engine;
   Rng.reseed t.rng ~seed;
   Net.reset t.net;
-  t.outstanding <- 0;
   t.kick_scheduled := false;
   t.cluster <- Hlock_cluster.create ?config ~oracle ?restore ~net:t.net ~nodes:t.nodes ~locks ()
 
@@ -49,7 +47,17 @@ let engine t = t.engine
 let net t = t.net
 let cluster t = t.cluster
 let nodes t = t.nodes
-let outstanding t = t.outstanding
+
+(* Every lock's engines keep their own waiting continuations. *)
+let outstanding t =
+  let n = ref 0 in
+  for lock = 0 to Hlock_cluster.locks t.cluster - 1 do
+    for node = 0 to t.nodes - 1 do
+      n := !n + Dcs_hlock.Node.waiting (Hlock_cluster.node t.cluster ~lock ~node)
+    done
+  done;
+  !n
+
 let now t = Engine.now t.engine
 let schedule t ~after f = Engine.schedule t.engine ~after f
 let mean_latency t = Net.mean_latency t.net
@@ -61,32 +69,27 @@ let rec ensure_kicking t =
     t.kick_scheduled := true;
     Engine.schedule t.engine ~after:(8.0 *. Net.mean_latency t.net) (fun () ->
         t.kick_scheduled := false;
-        if t.outstanding > 0 then begin
+        if outstanding t > 0 then begin
           Hlock_cluster.kick_all t.cluster;
           ensure_kicking t
         end)
   end
 
 let request ?priority t ~node ~lock ~mode ~on_granted =
-  t.outstanding <- t.outstanding + 1;
   ensure_kicking t;
-  Hlock_cluster.request ?priority t.cluster ~node ~lock ~mode ~on_granted:(fun () ->
-      t.outstanding <- t.outstanding - 1;
-      on_granted ())
+  Hlock_cluster.request ?priority t.cluster ~node ~lock ~mode ~on_granted
 
 let release t ~node ~lock ~seq = Hlock_cluster.release t.cluster ~node ~lock ~seq
 
 let upgrade t ~node ~lock ~seq ~on_upgraded =
-  t.outstanding <- t.outstanding + 1;
   ensure_kicking t;
-  Hlock_cluster.upgrade t.cluster ~node ~lock ~seq ~on_upgraded:(fun () ->
-      t.outstanding <- t.outstanding - 1;
-      on_upgraded ())
+  Hlock_cluster.upgrade t.cluster ~node ~lock ~seq ~on_upgraded
 
 let drain t =
   match Engine.run t.engine with
   | Engine.Horizon_reached | Engine.Event_limit -> Error `Undrained
-  | Engine.Drained -> if t.outstanding > 0 then Error (`Stuck t.outstanding) else Ok ()
+  | Engine.Drained -> (
+      match outstanding t with 0 -> Ok () | n -> Error (`Stuck n))
 
 let export_lock t ~lock = Hlock_cluster.export_lock t.cluster ~lock
 

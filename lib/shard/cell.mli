@@ -1,6 +1,6 @@
 (** A pooled shard execution cell: simulated clock, network, protocol
-    cluster and the outstanding-request bookkeeping that
-    {!Core.Service} is a facade over.
+    cluster and the custody watchdog that {!Core.Service} is a facade
+    over.
 
     A cell is allocated once per shard and rewound with {!reset} between
     bursts: the event heap, the network's delivery tables and the
@@ -37,7 +37,8 @@ val net : t -> Dcs_runtime.Net.t
 val cluster : t -> Dcs_runtime.Hlock_cluster.t
 val nodes : t -> int
 
-(** Requests issued but not yet granted. *)
+(** Requests and upgrades issued but not yet granted: the sum of
+    {!Dcs_hlock.Node.waiting} over every engine of the current cluster. *)
 val outstanding : t -> int
 
 val now : t -> float
@@ -45,16 +46,16 @@ val schedule : t -> after:float -> (unit -> unit) -> unit
 val mean_latency : t -> float
 val message_counters : t -> Dcs_proto.Counters.t
 
-(** Issue a request; tracks it as outstanding and keeps the custody
-    watchdog ({!Dcs_runtime.Hlock_cluster.kick_all}) scheduled while any
-    request is. [on_granted] may fire synchronously. Returns the
+(** Issue a request and keep the custody watchdog
+    ({!Dcs_runtime.Hlock_cluster.kick_all}) scheduled while any request is
+    {!outstanding}. [on_granted] may fire synchronously. Returns the
     ticket's sequence number. *)
 val request :
   ?priority:int -> t -> node:int -> lock:int -> mode:Mode.t -> on_granted:(unit -> unit) -> int
 
 val release : t -> node:int -> lock:int -> seq:int -> unit
 
-(** U→W upgrade; tracked as outstanding like {!request}. *)
+(** U→W upgrade; outstanding until it completes, like {!request}. *)
 val upgrade : t -> node:int -> lock:int -> seq:int -> on_upgraded:(unit -> unit) -> unit
 
 (** Run the simulation until the event queue drains. [`Undrained] if the

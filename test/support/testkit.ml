@@ -42,13 +42,9 @@ module Sync_cluster = struct
             t.sent_by_class <- (cls, count + 1) :: List.remove_assoc cls t.sent_by_class;
             t.wire <- t.wire @ [ (id, dst, msg) ]
           in
-          let on_granted (r : Dcs_hlock.Msg.request) =
-            t.events <- Granted { node = id; seq = r.seq; mode = r.mode } :: t.events
-          in
-          let on_upgraded seq = t.events <- Upgraded { node = id; seq } :: t.events in
           Dcs_hlock.Node.create ?config ~id ~peers:n ~is_token:(id = 0)
             ~parent:(if id = 0 then None else Some 0)
-            ~send ~on_granted ~on_upgraded ())
+            ~send ())
     in
     t.nodes <- nodes;
     t
@@ -94,13 +90,16 @@ module Sync_cluster = struct
 
   let sent_of_class t cls = try List.assoc cls t.sent_by_class with Not_found -> 0
 
-  let request t ~node ~mode =
-    let seq = Dcs_hlock.Node.request t.nodes.(node) ~mode in
-    seq
+  (* Client calls whose continuations log [Granted]/[Upgraded] events. *)
+  let request ?priority t ~node ~mode =
+    Dcs_hlock.Node.request ?priority t.nodes.(node) ~mode ~on_granted:(fun seq ->
+        t.events <- Granted { node; seq; mode } :: t.events)
 
   let release t ~node ~seq = Dcs_hlock.Node.release t.nodes.(node) ~seq
 
-  let upgrade t ~node ~seq = Dcs_hlock.Node.upgrade t.nodes.(node) ~seq
+  let upgrade t ~node ~seq =
+    Dcs_hlock.Node.upgrade t.nodes.(node) ~seq ~on_upgraded:(fun seq ->
+        t.events <- Upgraded { node; seq } :: t.events)
 
   let granted t ~node ~seq =
     List.exists
@@ -168,15 +167,19 @@ module Sync_naimi = struct
             t.sent <- t.sent + 1;
             t.wire <- t.wire @ [ (id, dst, msg) ]
           in
-          let on_acquired () = t.acquired <- t.acquired @ [ id ] in
           Dcs_naimi.Naimi.create ~id ~is_root:(id = 0)
             ~father:(if id = 0 then None else Some 0)
-            ~send ~on_acquired ())
+            ~send ())
     in
     t.nodes <- nodes;
     t
 
   let node t i = t.nodes.(i)
+
+  (* Node [i] asks for the critical section; its entry is logged in
+     [acquired]. *)
+  let request t i =
+    Dcs_naimi.Naimi.request t.nodes.(i) ~on_acquired:(fun () -> t.acquired <- t.acquired @ [ i ])
 
   let settle ?(limit = 10_000) t =
     let steps = ref 0 in

@@ -231,7 +231,7 @@ let base_snapshots () =
       (Node.create ~id ~peers ~is_token:(id = 0)
          ~parent:(if id = 0 then None else Some 0)
          ~send:(fun ~dst:_ _ -> ())
-         ~on_granted:ignore ~on_upgraded:ignore ())
+         ())
   in
   let s = Array.init peers snap in
   s.(0) <- { (s.(0)) with Node.s_children = [ (1, Mode.R, 1) ] };
@@ -249,8 +249,7 @@ let cache snaps id m = { (snaps.(id)) with Node.s_cached = Dcs_modes.Mode_set.si
 let nodes_of snaps =
   Array.mapi
     (fun id s ->
-      Node.restore ~id ~peers ~send:(fun ~dst:_ _ -> ()) ~on_granted:ignore
-        ~on_upgraded:ignore s)
+      Node.restore ~id ~peers ~send:(fun ~dst:_ _ -> ()) s)
     snaps
 
 let safety ?(tokens_in_flight = 0) ?(waiting = 0) snaps =

@@ -80,7 +80,7 @@ let test_release_suppression_rule_5_2 () =
   let b = 1 and cc = 2 in
   let sb = SC.acquire c ~node:b ~mode:Mode.IR in
   (* Point C's routing at B so B child-grants. *)
-  let sc_ = Node.request (SC.node c cc) ~mode:Mode.IR in
+  let sc_ = SC.request c ~node:cc ~mode:Mode.IR in
   ignore sc_;
   SC.settle c;
   checkb "C granted" true (SC.granted c ~node:cc ~seq:sc_);
@@ -307,8 +307,8 @@ let test_priority_service_order () =
   let c = SC.create ~config:no_cache_config 1 in
   let r = SC.acquire c ~node:0 ~mode:Mode.R in
   let w_low = SC.request c ~node:0 ~mode:Mode.W in
-  let w_high = Node.request ~priority:5 (SC.node c 0) ~mode:Mode.W in
-  let w_mid = Node.request ~priority:2 (SC.node c 0) ~mode:Mode.W in
+  let w_high = SC.request ~priority:5 c ~node:0 ~mode:Mode.W in
+  let w_mid = SC.request ~priority:2 c ~node:0 ~mode:Mode.W in
   SC.settle c;
   checkb "all waiting" true
     (not (SC.granted c ~node:0 ~seq:w_low)
@@ -338,7 +338,7 @@ let test_priority_across_nodes () =
   SC.settle c;
   let w2 = SC.request c ~node:4 ~mode:Mode.W in
   SC.settle c;
-  let w_high = Node.request ~priority:5 (SC.node c 3) ~mode:Mode.W in
+  let w_high = SC.request ~priority:5 c ~node:3 ~mode:Mode.W in
   SC.settle c;
   SC.release c ~node:1 ~seq:r;
   SC.settle c;
@@ -371,9 +371,9 @@ let test_priority_across_nodes () =
 let test_priority_fifo_within_level () =
   let c = SC.create ~config:no_cache_config 4 in
   let r = SC.acquire c ~node:1 ~mode:Mode.R in
-  let w1 = Node.request ~priority:3 (SC.node c 2) ~mode:Mode.W in
+  let w1 = SC.request ~priority:3 c ~node:2 ~mode:Mode.W in
   SC.settle c;
-  let w2 = Node.request ~priority:3 (SC.node c 3) ~mode:Mode.W in
+  let w2 = SC.request ~priority:3 c ~node:3 ~mode:Mode.W in
   SC.settle c;
   SC.release c ~node:1 ~seq:r;
   SC.settle c;
@@ -387,7 +387,7 @@ let test_priority_fifo_within_level () =
 let test_upgrade_outranks_priorities () =
   let c = SC.create ~config:no_cache_config 3 in
   let u = SC.acquire c ~node:1 ~mode:Mode.U in
-  let w = Node.request ~priority:9 (SC.node c 2) ~mode:Mode.W in
+  let w = SC.request ~priority:9 c ~node:2 ~mode:Mode.W in
   SC.settle c;
   SC.upgrade c ~node:1 ~seq:u;
   SC.settle c;
@@ -401,7 +401,7 @@ let test_negative_priority_rejected () =
   let c = SC.create 2 in
   checkb "negative rejected" true
     (try
-       ignore (Node.request ~priority:(-1) (SC.node c 0) ~mode:Mode.R);
+       ignore (SC.request ~priority:(-1) c ~node:0 ~mode:Mode.R);
        false
      with Invalid_argument _ -> true)
 
@@ -606,8 +606,6 @@ let token_with_children kids =
   let snap = Node.export (SC.node (SC.create 3) 0) in
   Node.restore ~id:0 ~peers:3
     ~send:(fun ~dst:_ _ -> ())
-    ~on_granted:(fun _ -> ())
-    ~on_upgraded:(fun _ -> ())
     { snap with Node.s_children = kids }
 
 let upgrade_req ~requester ~seq =
@@ -679,7 +677,7 @@ module Script = struct
       | Req { node; mode; priority } ->
           (* One outstanding request per node keeps the client model sane. *)
           if not (List.exists (fun (n, _) -> n = node) !outstanding) then begin
-            let seq = Node.request ~priority (SC.node c node) ~mode in
+            let seq = SC.request ~priority c ~node ~mode in
             incr issued;
             outstanding := !outstanding @ [ (node, seq) ]
           end
@@ -860,9 +858,9 @@ let prop_relay_matches_list_spec =
       let n =
         Node.restore ~id ~peers
           ~send:(fun ~dst msg -> sent := (dst, msg) :: !sent)
-          ~on_granted:(fun _ -> ()) ~on_upgraded:(fun _ -> ()) snapshot
+          snapshot
       in
-      if via then ignore (Node.request n ~mode:r.Msg.mode);
+      if via then ignore (Node.request n ~mode:r.Msg.mode ~on_granted:ignore);
       sent := [];
       Node.handle_msg n ~src:r.Msg.requester (Msg.Request r);
       (* [handle_msg] adopts the fresher of the two hints before routing. *)
@@ -940,8 +938,6 @@ let test_send_batch_coalesces_releases () =
   let node0 =
     Node.create ~config:no_cache_config ~id:0 ~peers:2 ~is_token:true ~parent:None
       ~send:(fun ~dst:_ msg -> deliver n1 0 msg)
-      ~on_granted:(fun _ -> ())
-      ~on_upgraded:(fun _ -> ())
       ()
   in
   let node1 =
@@ -949,8 +945,6 @@ let test_send_batch_coalesces_releases () =
       ~send:(fun ~dst msg ->
         sent := (dst, msg) :: !sent;
         deliver n0 1 msg)
-      ~on_granted:(fun _ -> ())
-      ~on_upgraded:(fun _ -> ())
       ()
   in
   n0 := Some node0;
@@ -958,13 +952,13 @@ let test_send_batch_coalesces_releases () =
   (* The token node holds R itself so node 1's requests are served by
      copy grants (owned R can child-grant R), not by a token transfer
      that would leave node 1 parentless. *)
-  ignore (Node.request node0 ~mode:Mode.R);
-  let s1 = Node.request node1 ~mode:Mode.R in
-  let s2 = Node.request node1 ~mode:Mode.IR in
+  ignore (Node.request node0 ~mode:Mode.R ~on_granted:ignore);
+  let s1 = Node.request node1 ~mode:Mode.R ~on_granted:ignore in
+  let s2 = Node.request node1 ~mode:Mode.IR ~on_granted:ignore in
   checki "both held" 2 (List.length (Node.held node1));
   checkb "node 1 not the token" false (Node.is_token node1);
   sent := [];
-  let before = !Node.coalesced in
+  let before = Node.coalesced node1 in
   Node.with_send_batch node1 (fun () ->
       Node.release node1 ~seq:s1;
       Node.release node1 ~seq:s2);
@@ -977,7 +971,8 @@ let test_send_batch_coalesces_releases () =
       checki "to the parent" 0 dst;
       checkb "final owned report wins" true (new_owned = None)
   | _ -> Alcotest.fail "unexpected batch contents");
-  checki "coalesced counter" (before + 1) !Node.coalesced;
+  checki "coalesced counter" (before + 1) (Node.coalesced node1);
+  checki "node 0 coalesced nothing" 0 (Node.coalesced node0);
   checkb "node0 saw the release" true (Node.children node0 = [])
 
 (* Batching must not reorder or drop anything it cannot prove
@@ -986,10 +981,163 @@ let test_send_batch_coalesces_releases () =
 let test_send_batch_passthrough () =
   let c = SC.create 2 in
   let node1 = SC.node c 1 in
-  let v = Node.with_send_batch node1 (fun () -> Node.request node1 ~mode:Mode.R) in
+  let v = Node.with_send_batch node1 (fun () -> SC.request c ~node:1 ~mode:Mode.R) in
   SC.settle c;
   checkb "granted after batched request" true (SC.granted c ~node:1 ~seq:v);
   SC.check_compat c
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* {1 Client continuations} *)
+
+(* Deliver messages one at a time until [fired ()] holds; returns the
+   destination and the message whose delivery made it hold. *)
+let step_until c fired =
+  let rec go () =
+    match c.SC.wire with
+    | [] -> Alcotest.fail "network drained before the continuation ran"
+    | (_, dst, msg) :: _ ->
+        ignore (SC.step c);
+        if fired () then (dst, msg) else go ()
+  in
+  go ()
+
+let seqs = Alcotest.(list int)
+
+(* Rule 2: a cached mode is re-acquired without messages, and the
+   continuation runs inside [request], after the node has finished with
+   the call (nothing left waiting). *)
+let test_local_grant_continuation () =
+  let c = SC.create 3 in
+  let n1 = SC.node c 1 in
+  SC.release c ~node:1 ~seq:(SC.acquire c ~node:1 ~mode:Mode.R);
+  let sent = SC.messages_sent c in
+  let runs = ref [] and waiting_inside = ref (-1) in
+  let seq =
+    Node.request n1 ~mode:Mode.R ~on_granted:(fun s ->
+        runs := s :: !runs;
+        waiting_inside := Node.waiting n1)
+  in
+  Alcotest.check seqs "ran once, with its seq, before request returned" [ seq ] !runs;
+  checki "message-free" sent (SC.messages_sent c);
+  checki "nothing left waiting when it ran" 0 !waiting_inside;
+  SC.settle c;
+  Alcotest.check seqs "never again" [ seq ] !runs
+
+(* The continuation of a grant made inside [request] runs after every
+   message the call emits. Here the token's own IR is granted at once, and
+   the same call then serves the stale queue head (a copy grant of IW to
+   n1) and freezes n1; the continuation must see both already sent. *)
+let test_local_grant_after_call_messages () =
+  let c = SC.create 3 in
+  ignore (SC.request c ~node:2 ~mode:Mode.U);
+  ignore (SC.request c ~node:0 ~mode:Mode.IW);
+  SC.release c ~node:0 ~seq:(SC.request c ~node:0 ~mode:Mode.IR);
+  SC.settle c;
+  let iw = SC.request c ~node:1 ~mode:Mode.IW in
+  SC.settle c;
+  let before = SC.messages_sent c in
+  let seen = ref (-1) in
+  ignore (Node.request (SC.node c 0) ~mode:Mode.IR ~on_granted:(fun _ -> seen := SC.messages_sent c));
+  checki "the call sent a grant and a freeze" (before + 2) (SC.messages_sent c);
+  checki "the continuation ran after both" (SC.messages_sent c) !seen;
+  SC.settle c;
+  checkb "n1 granted" true (SC.granted c ~node:1 ~seq:iw)
+
+let test_remote_grant_continuation () =
+  let c = SC.create 3 in
+  let n1 = SC.node c 1 in
+  let runs = ref [] in
+  let seq = Node.request n1 ~mode:Mode.W ~on_granted:(fun s -> runs := s :: !runs) in
+  Alcotest.check seqs "not run by request" [] !runs;
+  checki "one waiting" 1 (Node.waiting n1);
+  let dst, msg = step_until c (fun () -> !runs <> []) in
+  checki "ran at the requester" 1 dst;
+  checkb "inside the delivery of the token" true (match msg with Msg.Token _ -> true | _ -> false);
+  Alcotest.check seqs "once, with its seq" [ seq ] !runs;
+  checki "nothing waiting" 0 (Node.waiting n1);
+  SC.settle c;
+  Alcotest.check seqs "never again" [ seq ] !runs
+
+(* Rule 7 at the token with no other holder: the upgrade completes inside
+   [upgrade]. *)
+let test_local_upgrade_continuation () =
+  let c = SC.create 3 in
+  let n0 = SC.node c 0 in
+  let u = SC.acquire c ~node:0 ~mode:Mode.U in
+  let sent = SC.messages_sent c in
+  let runs = ref [] in
+  Node.upgrade n0 ~seq:u ~on_upgraded:(fun s -> runs := s :: !runs);
+  Alcotest.check seqs "ran once, with its seq, before upgrade returned" [ u ] !runs;
+  checki "message-free" sent (SC.messages_sent c);
+  checkb "holds W" true (Node.held n0 = [ (u, Mode.W) ]);
+  SC.settle c;
+  Alcotest.check seqs "never again" [ u ] !runs
+
+(* The upgrade waits for a remote reader; the reader's Release completes it
+   inside that message's delivery. *)
+let test_remote_upgrade_continuation () =
+  let c = SC.create ~config:no_cache_config 3 in
+  let n0 = SC.node c 0 in
+  let u = SC.acquire c ~node:0 ~mode:Mode.U in
+  let r = SC.acquire c ~node:1 ~mode:Mode.R in
+  let runs = ref [] in
+  Node.upgrade n0 ~seq:u ~on_upgraded:(fun s -> runs := s :: !runs);
+  SC.settle c;
+  Alcotest.check seqs "waits for the reader" [] !runs;
+  checki "one waiting" 1 (Node.waiting n0);
+  SC.release c ~node:1 ~seq:r;
+  let dst, msg = step_until c (fun () -> !runs <> []) in
+  checki "ran at the token" 0 dst;
+  checkb "inside the delivery of the release" true
+    (match msg with Msg.Release _ -> true | _ -> false);
+  Alcotest.check seqs "once, with its seq" [ u ] !runs;
+  checki "nothing waiting" 0 (Node.waiting n0);
+  SC.settle c;
+  Alcotest.check seqs "never again" [ u ] !runs
+
+let test_waiting_counts () =
+  let c = SC.create 3 in
+  let n1 = SC.node c 1 in
+  checki "fresh node" 0 (Node.waiting n1);
+  let r = SC.request c ~node:1 ~mode:Mode.R in
+  let ir = SC.request c ~node:1 ~mode:Mode.IR in
+  checki "two clients waiting" 2 (Node.waiting n1);
+  SC.settle c;
+  checkb "both granted" true (SC.granted c ~node:1 ~seq:r && SC.granted c ~node:1 ~seq:ir);
+  checki "back to zero" 0 (Node.waiting n1);
+  SC.release c ~node:1 ~seq:r;
+  SC.release c ~node:1 ~seq:ir;
+  SC.settle c;
+  checki "still zero" 0 (Node.waiting n1)
+
+(* The token node's own W queues behind a remote reader: nothing is held
+   and nothing pending there, yet the waiting client pins it. *)
+let test_export_refuses_waiting_client () =
+  let c = SC.create ~config:no_cache_config 3 in
+  let n0 = SC.node c 0 in
+  (* Holding R, the token copy-grants R instead of moving. *)
+  let r0 = SC.acquire c ~node:0 ~mode:Mode.R in
+  let r = SC.acquire c ~node:1 ~mode:Mode.R in
+  SC.release c ~node:0 ~seq:r0;
+  let w = SC.request c ~node:0 ~mode:Mode.W in
+  SC.settle c;
+  checkb "token node neither holds nor has a pending request" true
+    (Node.is_token n0 && Node.held n0 = [] && Node.pending n0 = None);
+  checki "its client waits" 1 (Node.waiting n0);
+  checkb "export raises" true
+    (match Node.export n0 with
+    | _ -> false
+    | exception Invalid_argument msg -> contains ~sub:"waiting" msg);
+  SC.release c ~node:1 ~seq:r;
+  SC.settle c;
+  checkb "W granted" true (SC.granted c ~node:0 ~seq:w);
+  SC.release c ~node:0 ~seq:w;
+  SC.settle c;
+  ignore (Node.export n0)
 
 let () =
   Alcotest.run "dcs_hlock"
@@ -1069,5 +1217,18 @@ let () =
         [
           Alcotest.test_case "coalesces releases" `Quick test_send_batch_coalesces_releases;
           Alcotest.test_case "passthrough" `Quick test_send_batch_passthrough;
+        ] );
+      ( "continuations",
+        [
+          Alcotest.test_case "local grant inside request" `Quick test_local_grant_continuation;
+          Alcotest.test_case "local grant after the call's messages" `Quick
+            test_local_grant_after_call_messages;
+          Alcotest.test_case "remote grant inside delivery" `Quick test_remote_grant_continuation;
+          Alcotest.test_case "local upgrade inside upgrade" `Quick test_local_upgrade_continuation;
+          Alcotest.test_case "remote upgrade inside delivery" `Quick
+            test_remote_upgrade_continuation;
+          Alcotest.test_case "waiting counts" `Quick test_waiting_counts;
+          Alcotest.test_case "export refuses a waiting client" `Quick
+            test_export_refuses_waiting_client;
         ] );
     ]

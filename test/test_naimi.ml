@@ -8,7 +8,7 @@ let checki = Alcotest.check Alcotest.int
 
 let test_root_enters_immediately () =
   let c = SN.create 3 in
-  N.request (SN.node c 0);
+  SN.request c 0;
   checkb "root in CS without messages" true (N.in_cs (SN.node c 0));
   checki "no messages" 0 c.SN.sent;
   N.release (SN.node c 0);
@@ -16,7 +16,7 @@ let test_root_enters_immediately () =
 
 let test_token_travels () =
   let c = SN.create 3 in
-  N.request (SN.node c 1);
+  SN.request c 1;
   SN.settle c;
   checkb "n1 in CS" true (N.in_cs (SN.node c 1));
   checkb "n1 has token" true (N.has_token (SN.node c 1));
@@ -27,12 +27,12 @@ let test_token_travels () =
 
 let test_fifo_queue () =
   let c = SN.create 4 in
-  N.request (SN.node c 1);
+  SN.request c 1;
   SN.settle c;
   (* n2 and n3 queue behind n1 in request order. *)
-  N.request (SN.node c 2);
+  SN.request c 2;
   SN.settle c;
-  N.request (SN.node c 3);
+  SN.request c 3;
   SN.settle c;
   Alcotest.check Alcotest.(list int) "only n1 in CS" [ 1 ] (SN.in_cs c);
   N.release (SN.node c 1);
@@ -46,10 +46,10 @@ let test_fifo_queue () =
 
 let test_reentrancy_rejected () =
   let c = SN.create 2 in
-  N.request (SN.node c 0);
+  SN.request c 0;
   checkb "double request raises" true
     (try
-       N.request (SN.node c 0);
+       SN.request c 0;
        false
      with Invalid_argument _ -> true);
   N.release (SN.node c 0);
@@ -74,7 +74,7 @@ let test_mutual_exclusion_stress () =
       incr completed
     end
     else if not (requesting.(n) || N.in_cs e) then begin
-      N.request e;
+      SN.request c n;
       requesting.(n) <- true
     end;
     SN.settle c;
@@ -104,7 +104,7 @@ let test_message_complexity_reasonable () =
     let n = Dcs_sim.Rng.int rng ~bound:nodes in
     let e = SN.node c n in
     if not (N.in_cs e) then begin
-      N.request e;
+      SN.request c n;
       SN.settle c;
       N.release e;
       SN.settle c
@@ -112,6 +112,41 @@ let test_message_complexity_reasonable () =
   done;
   let per_cs = float_of_int c.SN.sent /. float_of_int total_cs in
   checkb (Printf.sprintf "%.2f msgs/cs < 6" per_cs) true (per_cs < 6.0)
+
+(* {1 Client continuations} *)
+
+(* The root holding an idle token acquires inside [request], as its last
+   step: the continuation runs once, before [request] returns. *)
+let test_root_continuation_runs_once () =
+  let c = SN.create 3 in
+  let runs = ref 0 in
+  N.request (SN.node c 0) ~on_acquired:(fun () -> incr runs);
+  checki "ran inside request" 1 !runs;
+  checki "no messages" 0 c.SN.sent;
+  N.release (SN.node c 0);
+  SN.settle c;
+  checki "never again" 1 !runs
+
+(* A remote acquisition runs the continuation inside the delivery of the
+   token. *)
+let test_token_delivery_runs_continuation () =
+  let c = SN.create 3 in
+  let runs = ref 0 in
+  N.request (SN.node c 2) ~on_acquired:(fun () -> incr runs);
+  checki "not run by request" 0 !runs;
+  let rec step () =
+    match c.SN.wire with
+    | [] -> Alcotest.fail "network drained before the continuation ran"
+    | (src, dst, msg) :: rest ->
+        c.SN.wire <- rest;
+        N.handle_msg (SN.node c dst) ~src msg;
+        if !runs = 0 then step () else (dst, msg)
+  in
+  let dst, msg = step () in
+  checki "ran at the requester" 2 dst;
+  checkb "inside the delivery of the token" true (msg = N.Token);
+  SN.settle c;
+  checki "once" 1 !runs
 
 let () =
   Alcotest.run "dcs_naimi"
@@ -124,5 +159,10 @@ let () =
           Alcotest.test_case "reentrancy rejected" `Quick test_reentrancy_rejected;
           Alcotest.test_case "mutual exclusion stress" `Slow test_mutual_exclusion_stress;
           Alcotest.test_case "message complexity" `Slow test_message_complexity_reasonable;
+        ] );
+      ( "continuations",
+        [
+          Alcotest.test_case "root acquisition runs once" `Quick test_root_continuation_runs_once;
+          Alcotest.test_case "token delivery runs it" `Quick test_token_delivery_runs_continuation;
         ] );
     ]

@@ -96,6 +96,55 @@ let test_multi_lock_traffic () =
   checki "all ops done" 30 !done_count;
   stop_all runners
 
+(* {1 Inbound sockets} *)
+
+(* Every inbound connection's socket is closed once its peer hangs up, as
+   each [await_peers] probe does: after 50 connect/close cycles this
+   process's descriptor table must be back where it was. The connections
+   are held open until the runner has accepted them all, so the check
+   cannot pass merely by running before the accept thread. It runs first,
+   before any other runner's sockets churn the table. *)
+let test_inbound_sockets_closed () =
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  base_port := !base_port + 16;
+  let config =
+    match Config.parse ~locks:1 (Printf.sprintf "0:127.0.0.1:%d" !base_port) with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  let runner = Runner.create ~config ~self:0 () in
+  Runner.start runner;
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  (* Poll until [ok] holds of the descriptor count, or 3 s pass. *)
+  let await ok =
+    let deadline = Unix.gettimeofday () +. 3.0 in
+    let rec go () =
+      let n = open_fds () in
+      if ok n || Unix.gettimeofday () >= deadline then n
+      else begin
+        Thread.delay 0.02;
+        go ()
+      end
+    in
+    go ()
+  in
+  let before = open_fds () in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, !base_port) in
+  let socks =
+    List.init 50 (fun _ ->
+        let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect sock addr;
+        sock)
+  in
+  let accepted = await (fun n -> n >= before + 100) in
+  List.iter Unix.close socks;
+  let after = await (fun n -> n <= before) in
+  Runner.stop runner;
+  checkb (Printf.sprintf "both ends of 50 connections open (%d -> %d)" before accepted) true
+    (accepted >= before + 100);
+  checkb (Printf.sprintf "descriptors %d -> %d after the peers hung up" before after) true
+    (after <= before + 2)
+
 (* {1 Runtime stats (queryable transport observability)} *)
 
 let test_stats_clean_cluster () =
@@ -122,6 +171,8 @@ let test_stats_clean_cluster () =
     (Dcs_obs.Metrics.value (Dcs_obs.Metrics.counter m "net.frames_sent"));
   checkb "grant-mix counters fired" true
     (Dcs_obs.Metrics.value (Dcs_obs.Metrics.counter m "grants.R") > 0);
+  checkb "coalescing is reported" true
+    (List.exists (fun (name, _, _) -> name = "net.coalesced") (Dcs_obs.Metrics.snapshot m));
   stop_all runners
 
 let test_stats_unreachable_peer () =
@@ -238,6 +289,8 @@ let test_telemetry_shards_merge () =
 let () =
   Alcotest.run "dcs_netkit"
     [
+      ( "sockets",
+        [ Alcotest.test_case "inbound sockets closed" `Slow test_inbound_sockets_closed ] );
       ( "tcp",
         [
           Alcotest.test_case "remote grant" `Slow test_remote_grant;

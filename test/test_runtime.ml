@@ -267,6 +267,21 @@ let test_golden_airline () =
     r.Experiment.messages;
   checki "engine events" 1842 r.Experiment.events
 
+(* The Naimi baseline doing the airline run's work: every entry op takes
+   that entry's exclusive lock, every table op takes every entry lock of
+   the table in a fixed order. *)
+let test_golden_naimi () =
+  let cfg = Experiment.default_config ~driver:Experiment.Naimi_same_work ~nodes:16 in
+  let cfg =
+    { cfg with Experiment.seed = 42L; workload = { cfg.Experiment.workload with Airline.ops_per_node = 20 } }
+  in
+  let r = Experiment.run cfg in
+  check_counts "messages by class"
+    [ ("request", 1605); ("grant", 0); ("token", 623); ("release", 0); ("freeze", 0);
+      ("ack", 0); ("retx", 0) ]
+    r.Experiment.messages;
+  checki "engine events" 2868 r.Experiment.events
+
 (* The hot-lock shape of [hotlock-64] at 16 nodes: every non-token node
    runs closed-loop request, hold, release cycles on one lock, every
    fourth one writing; constant 1 ms links. *)
@@ -389,6 +404,7 @@ let () =
         [
           Alcotest.test_case "airline 16 nodes" `Quick test_golden_airline;
           Alcotest.test_case "hot lock 16 nodes" `Quick test_golden_hotlock;
+          Alcotest.test_case "naimi same-work 16 nodes" `Quick test_golden_naimi;
         ] );
       ( "topology",
         [
