@@ -51,11 +51,17 @@ type t = {
      in the copyset Li/Hudak-style so re-acquisition is message-free
      (Rule 2); dropped on freeze/conflict (revocation). *)
   mutable cached : Mode_set.t;
-  (* Copyset, child → (recorded mode, epoch), with the per-mode multiset
-     [child_counts] (indexed by Mode.index) kept beside it exactly like
-     [held_counts], so the owned mode never walks the copyset. *)
-  children : (Node_id.t, Mode.t * int) Hashtbl.t;
+  (* Copyset, indexed by child id: [child_mode.(c)] is the recorded
+     mode's Mode.index + 1 (0: [c] is no child) and [child_epoch.(c)] the
+     record's epoch. The per-mode multiset [child_counts] (indexed by
+     Mode.index) is kept beside it exactly like [held_counts], so the
+     owned mode never walks the copyset, and [n_children] counts the
+     records. The per-peer arrays ([sent_freeze] too) are [[||]] until the
+     first record: most nodes never grant a copy. *)
+  mutable child_mode : int array;
+  mutable child_epoch : int array;
   child_counts : int array;
+  mutable n_children : int;
   (* Local queue in service order, head first, with the per-mode count of
      its plain entries ([queue_counts], indexed by Mode.index) and the
      number of its upgrade entries kept beside it exactly like
@@ -65,7 +71,10 @@ type t = {
   mutable queued_upgrades : int;
   mutable pending : Msg.request option;
   mutable frozen : Mode_set.t;
-  sent_freeze : (Node_id.t, Mode_set.t) Hashtbl.t;
+  (* Per peer, the Mode_set bits of the frozen set last sent to it (0:
+     nothing). Entries outlive the child record they were sent under
+     ([handle_token] drops the record only). *)
+  mutable sent_freeze : int array;
   (* Children that may still need a Freeze: every child when
      [freeze_all] (the frozen set changed), else those in [freeze_kids]
      (their record was set). Any other child has been sent all of
@@ -124,14 +133,16 @@ let create ?(config = default_config) ?obs ~id ~peers ~is_token ~parent ~send ()
     held = Hashtbl.create 8;
     held_counts = [| 0; 0; 0; 0; 0 |];
     cached = Mode_set.empty;
-    children = Hashtbl.create 8;
+    child_mode = [||];
+    child_epoch = [||];
     child_counts = [| 0; 0; 0; 0; 0 |];
+    n_children = 0;
     queue = [];
     queue_counts = [| 0; 0; 0; 0; 0 |];
     queued_upgrades = 0;
     pending = None;
     frozen = Mode_set.empty;
-    sent_freeze = Hashtbl.create 8;
+    sent_freeze = [||];
     freeze_all = false;
     freeze_kids = [];
     kick_marks = [];
@@ -184,23 +195,45 @@ let held_remove t seq =
       t.held_counts.(Mode.index m) <- t.held_counts.(Mode.index m) - 1;
       Some m
 
-(* Copyset maintenance: every mutation of [t.children] goes through these
-   so [child_counts] can never drift. *)
+(* Per-peer state. Lookups take any id — one outside [0, peers) is no
+   child and was sent nothing — so a stray id from a message reads as
+   unknown; writes index with bounds checks. *)
+
+let peer_arrays t =
+  if Array.length t.child_mode = 0 then begin
+    t.child_mode <- Array.make t.peers 0;
+    t.child_epoch <- Array.make t.peers 0;
+    t.sent_freeze <- Array.make t.peers 0
+  end
+
+(* [c]'s recorded mode index + 1, or 0 when [c] is no child. *)
+let child_code t c = if c >= 0 && c < Array.length t.child_mode then t.child_mode.(c) else 0
+
+let sent_freeze_bits t c =
+  if c >= 0 && c < Array.length t.sent_freeze then t.sent_freeze.(c) else 0
+
+let forget_freeze t c = if sent_freeze_bits t c <> 0 then t.sent_freeze.(c) <- 0
+
+(* Copyset maintenance: every mutation of the copyset goes through these
+   so [child_counts] and [n_children] can never drift. *)
 
 let child_set t c m epoch =
-  (match Hashtbl.find_opt t.children c with
-  | Some (old, _) -> t.child_counts.(Mode.index old) <- t.child_counts.(Mode.index old) - 1
-  | None -> ());
-  Hashtbl.replace t.children c (m, epoch);
+  peer_arrays t;
+  let old = t.child_mode.(c) in
+  if old > 0 then t.child_counts.(old - 1) <- t.child_counts.(old - 1) - 1
+  else t.n_children <- t.n_children + 1;
+  t.child_mode.(c) <- Mode.index m + 1;
+  t.child_epoch.(c) <- epoch;
   t.child_counts.(Mode.index m) <- t.child_counts.(Mode.index m) + 1;
   if not (t.freeze_all || Mode_set.is_empty t.frozen) then t.freeze_kids <- c :: t.freeze_kids
 
 let child_remove t c =
-  match Hashtbl.find_opt t.children c with
-  | None -> ()
-  | Some (m, _) ->
-      Hashtbl.remove t.children c;
-      t.child_counts.(Mode.index m) <- t.child_counts.(Mode.index m) - 1
+  let old = child_code t c in
+  if old > 0 then begin
+    t.child_mode.(c) <- 0;
+    t.child_counts.(old - 1) <- t.child_counts.(old - 1) - 1;
+    t.n_children <- t.n_children - 1
+  end
 
 (* Queue maintenance: every mutation of [t.queue] goes through these so
    [queue_counts] and [queued_upgrades] can never drift. *)
@@ -227,11 +260,19 @@ let queue_replace t q =
 let accounting t =
   match t.accounted_parent with None -> None | Some p -> Some (p, t.accounted_epoch)
 
-let children t =
-  Hashtbl.fold (fun c (m, _) acc -> (c, m) :: acc) t.children []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+(* Fold over the copyset records in descending child id, so that consing
+   builds a list in ascending id. *)
+let fold_children_desc t f acc =
+  let acc = ref acc in
+  for c = Array.length t.child_mode - 1 downto 0 do
+    let k = t.child_mode.(c) in
+    if k > 0 then acc := f c (Mode.of_index (k - 1)) t.child_epoch.(c) !acc
+  done;
+  !acc
 
-let copyset_size t = Hashtbl.length t.children
+let children t = fold_children_desc t (fun c m _ acc -> (c, m) :: acc) []
+
+let copyset_size t = t.n_children
 let cached t = Mode_set.to_list t.cached
 
 (* Owned mode (Definition 3) as a Decision code, allocation-free: two
@@ -275,9 +316,7 @@ let owned_code_for t (r : Msg.request) =
       else -1
     in
     let skip_child =
-      match Hashtbl.find_opt t.children r.requester with
-      | Some (Mode.U, _) -> Mode.index Mode.U
-      | Some _ | None -> -1
+      if child_code t r.requester = Mode.index Mode.U + 1 then Mode.index Mode.U else -1
     in
     owned_code_masked t ~skip_held ~skip_child
   end
@@ -449,9 +488,7 @@ let freeze_update t c cm =
        freezing both stops grants and revokes caches. *)
     Mode_set.inter t.frozen (Decision.le_strength_bits cm)
   in
-  let previous =
-    match Hashtbl.find_opt t.sent_freeze c with None -> Mode_set.empty | Some s -> s
-  in
+  let previous = Mode_set.of_bits (sent_freeze_bits t c) in
   let combined = Mode_set.union relevant previous in
   if Mode_set.equal combined previous then None else Some combined
 
@@ -464,6 +501,16 @@ let rec upgrade_freezes t acc = function
         (Mode_set.union acc (Decision.freeze_set ~owned:(owned_code_for t r) r.mode))
         rest
   | _ -> acc
+
+(* Send child [c] a Freeze if it needs one. *)
+let notify_freeze t c =
+  let k = child_code t c in
+  if k > 0 then
+    match freeze_update t c (Mode.of_index (k - 1)) with
+    | None -> ()
+    | Some combined ->
+        t.sent_freeze.(c) <- Mode_set.to_bits combined;
+        emit t c (Msg.Freeze { frozen = combined })
 
 (* Recompute (token node) and propagate the frozen set. A child is notified
    only of the frozen modes it could actually grant given the mode we record
@@ -496,31 +543,20 @@ let refresh_freezes t =
     end;
     (* Visit only the marked children (none while nothing is frozen: the
        marks are clear then) and notify those that need a Freeze in
-       ascending id, independent of hash-table history; each update is
-       re-derived at its send, so a transport that delivers synchronously
-       (and re-enters this node) never sends a stale set. A walk over every
-       child keeps only the children that need a Freeze before sorting. *)
-    if t.freeze_all || t.freeze_kids <> [] then begin
-      let notify =
-        if t.freeze_all then
-          Hashtbl.fold
-            (fun c (cm, _) acc -> if freeze_update t c cm <> None then c :: acc else acc)
-            t.children []
-        else t.freeze_kids
-      in
+       ascending id; each update is derived at its send, so a transport
+       that delivers synchronously (and re-enters this node) never sends a
+       stale set. *)
+    if t.freeze_all then begin
       t.freeze_all <- false;
       t.freeze_kids <- [];
-      List.iter
-        (fun c ->
-          match Hashtbl.find_opt t.children c with
-          | None -> ()
-          | Some (cm, _) -> (
-              match freeze_update t c cm with
-              | None -> ()
-              | Some combined ->
-                  Hashtbl.replace t.sent_freeze c combined;
-                  emit t c (Msg.Freeze { frozen = combined })))
-        (List.sort_uniq Int.compare notify)
+      for c = 0 to Array.length t.child_mode - 1 do
+        notify_freeze t c
+      done
+    end
+    else if t.freeze_kids <> [] then begin
+      let marked = t.freeze_kids in
+      t.freeze_kids <- [];
+      List.iter (notify_freeze t) (List.sort_uniq Int.compare marked)
     end
   end
 
@@ -613,7 +649,7 @@ let grant_copy t (r : Msg.request) =
   (* Fresh grant = fresh freeze relationship: the child (re)sets its frozen
      state when it adopts us as accounting parent, so anything we believe
      we already sent must be re-sent. *)
-  Hashtbl.remove t.sent_freeze r.requester;
+  forget_freeze t r.requester;
   let mode =
     (* Never let the record under-cover: a stronger previous record is
        carried over because its weakening release may still be in flight
@@ -621,9 +657,9 @@ let grant_copy t (r : Msg.request) =
        the child what we recorded, so if the release really did cross —
        and is about to be dropped as stale-epoch — the child re-reports
        the weakening under the fresh epoch instead. *)
-    match Hashtbl.find_opt t.children r.requester with
-    | Some (m, _) -> if Mode.stronger_eq m r.mode then m else r.mode
-    | None -> r.mode
+    let k = child_code t r.requester in
+    if k > 0 && Mode.stronger_eq (Mode.of_index (k - 1)) r.mode then Mode.of_index (k - 1)
+    else r.mode
   in
   child_set t r.requester mode epoch;
   let ancestry = if t.token then [] else t.ancestry in
@@ -635,7 +671,7 @@ let grant_copy t (r : Msg.request) =
    the frozen set; stay in the tree as a child if we still own something. *)
 let transfer_token t (r : Msg.request) =
   child_remove t r.requester;
-  Hashtbl.remove t.sent_freeze r.requester;
+  forget_freeze t r.requester;
   let residual = owned t in
   let sender_epoch = fresh_epoch t in
   let tok =
@@ -964,7 +1000,7 @@ let rec handle_grant t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
   else handle_grant_at_child t ~src r ~epoch ~recorded ~ancestry
 
 and handle_grant_at_child t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
-  if Hashtbl.mem t.children src then begin
+  if child_code t src > 0 then begin
     (* The granter is currently OUR child (e.g. a token handoff left us
        its residual record while our request still circulated): adopting
        it as accounting parent would close a two-node copyset cycle in
@@ -1042,15 +1078,15 @@ let handle_token t ~src (m : Msg.t) =
   | _ -> assert false
 
 let handle_release t ~src ~new_owned ~epoch =
-  match Hashtbl.find_opt t.children src with
-  | Some (_, e) when e = epoch -> (
-      (match new_owned with
-      | None ->
-          child_remove t src;
-          Hashtbl.remove t.sent_freeze src
-      | Some m -> child_set t src m e);
-      after_owned_change t)
-  | Some _ | None -> ()  (* stale epoch or unknown child: superseded *)
+  (* A stale epoch or an unknown child: superseded. *)
+  if child_code t src > 0 && t.child_epoch.(src) = epoch then begin
+    (match new_owned with
+    | None ->
+        child_remove t src;
+        forget_freeze t src
+    | Some m -> child_set t src m epoch);
+    after_owned_change t
+  end
 
 let handle_freeze t ~src ~frozen =
   if t.config.freezing && not t.token then begin
@@ -1234,14 +1270,16 @@ let export t =
     s_accounted_epoch = t.accounted_epoch;
     s_last_reported = t.last_reported;
     s_cached = t.cached;
-    s_children =
-      Hashtbl.fold (fun c (m, e) acc -> (c, m, e) :: acc) t.children []
-      |> List.sort (fun (a, _, _) (b, _, _) -> compare a b);
+    s_children = fold_children_desc t (fun c m e acc -> (c, m, e) :: acc) [];
     s_queue = t.queue;
     s_frozen = t.frozen;
     s_sent_freeze =
-      Hashtbl.fold (fun c ms acc -> (c, ms) :: acc) t.sent_freeze []
-      |> List.sort (fun (a, _) (b, _) -> compare a b);
+      (let acc = ref [] in
+       for c = Array.length t.sent_freeze - 1 downto 0 do
+         let bits = t.sent_freeze.(c) in
+         if bits <> 0 then acc := (c, Mode_set.of_bits bits) :: !acc
+       done;
+       !acc);
     s_tenure = t.tenure;
     s_hint = t.hint;
     s_last_granter = t.last_granter;
@@ -1256,6 +1294,17 @@ let export t =
 let restore ?(config = default_config) ?obs ~id ~peers ~send (s : snapshot) =
   let config = if config.freezing then config else { config with caching = false } in
   if peers < 1 || id < 0 || id >= peers then invalid_arg "Hlock.Node.restore: id out of range";
+  (* Snapshot ids index the per-peer arrays and name message targets, and
+     a snapshot may come off the wire: check them against [peers]. *)
+  let check what c =
+    if c < 0 || c >= peers then
+      invalid_arg (Printf.sprintf "Hlock.Node.restore: %s id %d outside [0, %d)" what c peers)
+  in
+  List.iter (fun (c, _, _) -> check "child" c) s.s_children;
+  List.iter (fun (c, _) -> check "sent-freeze" c) s.s_sent_freeze;
+  Option.iter (check "parent") s.s_parent;
+  Option.iter (check "accounted-parent") s.s_accounted_parent;
+  Option.iter (check "last-granter") s.s_last_granter;
   let t =
     {
       config;
@@ -1272,14 +1321,16 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send (s : snapshot) =
       held = Hashtbl.create 8;
       held_counts = [| 0; 0; 0; 0; 0 |];
       cached = s.s_cached;
-      children = Hashtbl.create 8;
+      child_mode = [||];
+      child_epoch = [||];
       child_counts = [| 0; 0; 0; 0; 0 |];
+      n_children = 0;
       queue = [];
       queue_counts = [| 0; 0; 0; 0; 0 |];
       queued_upgrades = 0;
       pending = None;
       frozen = s.s_frozen;
-      sent_freeze = Hashtbl.create 8;
+      sent_freeze = [||];
       (* Every child may need the restored frozen set. *)
       freeze_all = not (Mode_set.is_empty s.s_frozen);
       freeze_kids = [];
@@ -1301,5 +1352,11 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send (s : snapshot) =
   in
   queue_replace t s.s_queue;
   List.iter (fun (c, m, e) -> child_set t c m e) s.s_children;
-  List.iter (fun (c, ms) -> Hashtbl.replace t.sent_freeze c ms) s.s_sent_freeze;
+  List.iter
+    (fun (c, ms) ->
+      if not (Mode_set.is_empty ms) then begin
+        peer_arrays t;
+        t.sent_freeze.(c) <- Mode_set.to_bits ms
+      end)
+    s.s_sent_freeze;
   t

@@ -253,8 +253,8 @@ val pp_state : Format.formatter -> t -> unit
     lock object's per-node population can travel inside a shard-handoff
     wire message ({!Dcs_wire.Codec}) and be rebuilt on the receiving
     shard. Fields mirror the state model above; [s_children] and
-    [s_sent_freeze] are sorted by node id so equal states export equal
-    snapshots regardless of hash-table history. *)
+    [s_sent_freeze] are in ascending node id, so equal states export equal
+    snapshots. *)
 
 type snapshot = {
   s_token : bool;
@@ -289,7 +289,10 @@ val export : t -> snapshot
 (** Rebuild a node from a snapshot with a fresh transport hook and no
     waiting continuations — the receiving end of a shard handoff.
     [restore (export t)] behaves identically to [t] for every subsequent
-    input. *)
+    input. A sent-freeze entry with an empty set is dropped (the same as
+    having sent nothing). Raises [Invalid_argument] when [id] or any
+    child, sent-freeze, parent, accounted-parent or last-granter id in
+    the snapshot lies outside [\[0, peers)]. *)
 val restore :
   ?config:config ->
   ?obs:(Dcs_obs.Event.scope -> Dcs_obs.Event.kind -> unit) ->

@@ -422,6 +422,13 @@ let reader_loop t fd =
           | exception _ -> ()
           | () -> (
               match Codec.decode_sub !body ~off:0 ~len with
+              | env when env.Codec.src < 0 || env.Codec.src >= Cluster_config.size t.config ->
+                  (* Engines index per-peer state by sender id: a frame
+                     from outside the cluster is dropped, and the
+                     connection keeps serving. *)
+                  Metrics.incr t.m_decode_errors;
+                  Log.err (fun m -> m "frame from unknown node %d" env.Codec.src);
+                  go ()
               | env ->
                   Metrics.incr t.m_frames_received;
                   Metrics.add t.m_bytes_received len;
@@ -549,6 +556,9 @@ let stop t =
         Dcs_obs.Shard.write_counters sh (Dcs_proto.Counters.to_list t.counters)
     | None -> ()
   end
+
+let lock_state t ~lock =
+  Mutex.protect t.stripes.(lock) (fun () -> Format.asprintf "%a" Node.pp_state t.nodes.(lock))
 
 (* {1 Client API} *)
 

@@ -85,6 +85,10 @@ val counters : t -> Dcs_proto.Counters.t
 (** This node's id. *)
 val id : t -> int
 
+(** One-line summary of this node's protocol state for [lock]
+    ({!Dcs_hlock.Node.pp_state}), read under the lock's stripe mutex. *)
+val lock_state : t -> lock:int -> string
+
 (** {1 Runtime observability} *)
 
 (** The live metrics registry ([net.*] transport counters and gauges,
@@ -107,7 +111,9 @@ type stats = {
   backoff_ms : float;  (** current reconnect backoff (0 when connected) *)
   queued_frames : int;  (** frames waiting in outbound queues now *)
   dropped_frames : int;  (** frames abandoned at shutdown *)
-  decode_errors : int;  (** malformed or oversized inbound frames *)
+  decode_errors : int;
+      (** malformed or oversized inbound frames, and frames whose sender id
+          is outside the cluster *)
   frames_received : int;
   bytes_received : int;  (** payload bytes decoded *)
 }

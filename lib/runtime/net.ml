@@ -1,11 +1,5 @@
 open Dcs_proto
 
-(* Single-field float record: per-link last-delivery floor updated in
-   place (a [float ref] would re-box the float on every store, and tuple
-   keys would allocate on every send; links are keyed by a packed int
-   instead). *)
-type floor_cell = { mutable floor : float }
-
 type held = {
   h_src : Node_id.t;
   h_dst : Node_id.t;
@@ -21,7 +15,10 @@ type t = {
   rng : Dcs_sim.Rng.t;
   trace : Dcs_sim.Trace.t;
   counters : Counters.t;
-  last_delivery : (int, floor_cell) Hashtbl.t;
+  (* Per-link FIFO floors: [floors.(src).(dst)] is the latest delivery
+     time scheduled on link src→dst, [neg_infinity] before the first.
+     Flat float rows, grown on demand to cover the ids seen. *)
+  mutable floors : float array array;
   mutable in_flight : int;
   mutable fault : Link.fault option;
   held : held Queue.t;
@@ -38,7 +35,7 @@ let create ~engine ~latency ?(topology = Dcs_sim.Topology.uniform) ~rng
     rng;
     trace;
     counters = Counters.create ();
-    last_delivery = Hashtbl.create 64;
+    floors = [||];
     in_flight = 0;
     fault = None;
     held = Queue.create ();
@@ -51,7 +48,7 @@ let reset t =
      runs (the engine, rng and trace are owned by the caller, which resets
      or reseeds them alongside). Per-link delivery floors must go: they
      are absolute times from the previous run's clock. *)
-  Hashtbl.reset t.last_delivery;
+  Array.iter (fun row -> Array.fill row 0 (Array.length row) neg_infinity) t.floors;
   Counters.reset t.counters;
   t.in_flight <- 0;
   t.fault <- None;
@@ -67,40 +64,52 @@ let clear_fault t = t.fault <- None
    on the same link (TCP semantics). The fault layer may scale or extend a
    draw, but the floor still applies, so faults never reorder a link. *)
 
-(* Packed (src, dst) link key; node ids are small non-negative ints. *)
-let link_key ~src ~dst = (src lsl 20) lor dst
+(* The floor row of [src], covering [dst]. *)
+let floor_row t ~src ~dst =
+  if src >= Array.length t.floors then begin
+    let rows = Array.make (max (src + 1) (2 * Array.length t.floors)) [||] in
+    Array.blit t.floors 0 rows 0 (Array.length t.floors);
+    t.floors <- rows
+  end;
+  let row = t.floors.(src) in
+  if dst < Array.length row then row
+  else begin
+    let grown = Array.make (max (dst + 1) (2 * Array.length row)) neg_infinity in
+    Array.blit row 0 grown 0 (Array.length row);
+    t.floors.(src) <- grown;
+    grown
+  end
 
 let delivery_time t ~src ~dst ~delay_factor ~extra_delay =
   let now = Dcs_sim.Engine.now t.engine in
   let scale = Dcs_sim.Topology.factor t.topology ~src ~dst in
   let draw = scale *. Dcs_sim.Dist.sample t.latency t.rng in
   let naive = now +. (Float.max 1.0 delay_factor *. draw) +. Float.max 0.0 extra_delay in
-  let key = link_key ~src ~dst in
-  match Hashtbl.find t.last_delivery key with
-  | cell ->
-      let floor = Float.max naive (cell.floor +. 1e-6) in
-      cell.floor <- floor;
-      floor
-  | exception Not_found ->
-      Hashtbl.add t.last_delivery key { floor = naive };
-      naive
+  (* Before the first delivery the floor is [neg_infinity]: [naive]. *)
+  let row = floor_row t ~src ~dst in
+  let floor = Float.max naive (row.(dst) +. 1e-6) in
+  row.(dst) <- floor;
+  floor
 
-(* The [record] thunks are only constructed when tracing is on: building
-   the closure itself would otherwise cost an allocation per message even
-   on untraced runs. *)
+(* The [record] thunks are only constructed when tracing is on, and an
+   untraced delivery closure captures only [t] and [deliver]: anything more
+   would cost allocation per message on untraced runs. *)
 let deliver_copy t ~src ~dst ~describe ~delay_factor ~extra_delay deliver =
   t.in_flight <- t.in_flight + 1;
   let time = delivery_time t ~src ~dst ~delay_factor ~extra_delay in
-  let traced = Dcs_sim.Trace.enabled t.trace in
-  if traced then
+  if Dcs_sim.Trace.enabled t.trace then begin
     Dcs_sim.Trace.record t.trace ~time:(Dcs_sim.Engine.now t.engine) (fun () ->
         Printf.sprintf "send n%d->n%d %s (eta %.3f)" src dst (describe ()) time);
-  Dcs_sim.Engine.schedule_at t.engine ~time (fun () ->
-      t.in_flight <- t.in_flight - 1;
-      if traced then
+    Dcs_sim.Engine.schedule_at t.engine ~time (fun () ->
+        t.in_flight <- t.in_flight - 1;
         Dcs_sim.Trace.record t.trace ~time (fun () ->
             Printf.sprintf "recv n%d->n%d %s" src dst (describe ()));
-      deliver ())
+        deliver ())
+  end
+  else
+    Dcs_sim.Engine.schedule_at t.engine ~time (fun () ->
+        t.in_flight <- t.in_flight - 1;
+        deliver ())
 
 (* Consult the fault hook (if any) and act on its decision. Also the
    re-entry point for flushed held messages, hence no counting here. *)

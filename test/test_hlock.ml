@@ -13,6 +13,11 @@ let checki = Alcotest.check Alcotest.int
 
 let no_cache_config = { Node.default_config with Node.caching = false }
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 (* {1 Basics} *)
 
 let test_token_self_grants () =
@@ -668,7 +673,8 @@ module Script = struct
              map (fun i -> Upg i) (int_bound 5);
            ]))
 
-  let run ~config ~nodes script =
+  (* [after c] is checked once every issued operation has completed. *)
+  let run ?(after = fun _ -> true) ~config ~nodes script =
     let c = SC.create ~config nodes in
     SC.after_delivery c (check_bookkeeping ~config c nodes);
     let outstanding = ref [] in  (* (node, seq), oldest first *)
@@ -718,7 +724,7 @@ module Script = struct
       SC.settle c;
       SC.check_compat c
     done;
-    !issued = !completed && SC.token_holder c >= 0
+    !issued = !completed && SC.token_holder c >= 0 && after c
 end
 
 let prop_random_scripts =
@@ -735,6 +741,72 @@ let prop_random_scripts_priorities =
   QCheck2.Test.make ~name:"random scripts are safe and live (8 nodes)" ~count:150
     (Script.gen ~nodes:8)
     (fun script -> Script.run ~config:Node.default_config ~nodes:8 script)
+
+(* {1 Snapshots} *)
+
+(* [export] → [restore] → [export] is the identity on a quiescent node,
+   and the rebuilt node prints the same state. *)
+let snapshot_roundtrips ?(config = Node.default_config) ~peers n =
+  let s = Node.export n in
+  let n' = Node.restore ~config ~id:(Node.id n) ~peers ~send:(fun ~dst:_ _ -> ()) s in
+  let pp = Format.asprintf "%a" Node.pp_state in
+  Node.export n' = s && pp n' = pp n
+
+let prop_snapshot_roundtrip =
+  QCheck2.Test.make ~name:"snapshots round-trip after random scripts" ~count:200
+    (Script.gen ~nodes:5)
+    (fun script ->
+      Script.run ~config:Node.default_config ~nodes:5 script ~after:(fun c ->
+          List.for_all (fun i -> snapshot_roundtrips ~peers:5 (SC.node c i)) (List.init 5 Fun.id)))
+
+(* [handle_token] drops the sender's child record but not the frozen set
+   last sent to it: a node can hold a sent-freeze entry for a node that
+   is no longer its child, and its snapshot must carry it. *)
+let test_stale_sent_freeze_roundtrips () =
+  let snap =
+    { (Node.export (SC.node (SC.create 3) 1)) with
+      Node.s_children = [ (2, Mode.R, 1) ];
+      s_sent_freeze = [ (2, Mode_set.singleton Mode.W) ];
+      s_accounted_parent = Some 0;
+      s_accounted_epoch = 1;
+      s_last_reported = Some Mode.R }
+  in
+  let n = Node.restore ~id:1 ~peers:3 ~send:(fun ~dst:_ _ -> ()) snap in
+  let serving =
+    { Msg.requester = 1; seq = 0; mode = Mode.W; upgrade = false; timestamp = 1; priority = 0;
+      hops = 1; token_only = false; hint = (1, 1); path = [ 1 ] }
+  in
+  Node.handle_msg n ~src:2
+    (Msg.Token
+       { serving; sender_owned = None; sender_epoch = 3; queue = []; frozen = Mode_set.empty });
+  Node.release n ~seq:0;
+  let s = Node.export n in
+  checkb "token, no children" true (Node.is_token n && Node.children n = []);
+  Alcotest.check
+    Alcotest.(list (pair int Testkit.mode_set))
+    "stale entry kept" [ (2, Mode_set.singleton Mode.W) ] s.Node.s_sent_freeze;
+  checkb "round-trips" true (snapshot_roundtrips ~peers:3 n)
+
+(* Snapshot ids index per-peer arrays: an id outside [0, peers) — here in
+   each id-carrying field in turn — is refused. *)
+let test_restore_rejects_bad_ids () =
+  let snap = Node.export (SC.node (SC.create 3) 1) in
+  let corrupt =
+    [ ("child", { snap with Node.s_children = [ (0, Mode.R, 1); (3, Mode.R, 2) ] });
+      ("sent-freeze", { snap with Node.s_sent_freeze = [ (-1, Mode_set.singleton Mode.W) ] });
+      ("parent", { snap with Node.s_parent = Some 7 });
+      ("accounted-parent", { snap with Node.s_accounted_parent = Some 3 });
+      ("last-granter", { snap with Node.s_last_granter = Some (-2) }) ]
+  in
+  List.iter
+    (fun (what, s) ->
+      checkb (what ^ " id refused") true
+        (match Node.restore ~id:1 ~peers:3 ~send:(fun ~dst:_ _ -> ()) s with
+        | _ -> false
+        | exception Invalid_argument msg ->
+            contains ~sub:"Hlock.Node.restore:" msg && contains ~sub:what msg))
+    corrupt;
+  ignore (Node.restore ~id:1 ~peers:3 ~send:(fun ~dst:_ _ -> ()) snap)
 
 (* {1 Message classification} *)
 
@@ -986,11 +1058,6 @@ let test_send_batch_passthrough () =
   checkb "granted after batched request" true (SC.granted c ~node:1 ~seq:v);
   SC.check_compat c
 
-let contains ~sub s =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 (* {1 Client continuations} *)
 
 (* Deliver messages one at a time until [fired ()] holds; returns the
@@ -1200,6 +1267,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_random_scripts;
           QCheck_alcotest.to_alcotest prop_random_scripts_no_cache;
           QCheck_alcotest.to_alcotest prop_random_scripts_priorities;
+        ] );
+      ( "snapshots",
+        [
+          QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
+          Alcotest.test_case "stale sent-freeze entry" `Quick test_stale_sent_freeze_roundtrips;
+          Alcotest.test_case "out-of-range ids refused" `Quick test_restore_rejects_bad_ids;
         ] );
       ( "messages",
         [

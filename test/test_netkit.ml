@@ -211,6 +211,62 @@ let test_stats_unreachable_peer () =
   in
   checkb "queued frames dropped at stop" true (dropped ())
 
+(* {1 Hostile inbound frames} *)
+
+(* Poll [ok] for up to 3 s. *)
+let eventually ok =
+  let deadline = Unix.gettimeofday () +. 3.0 in
+  let rec go () =
+    if ok () then true
+    else if Unix.gettimeofday () >= deadline then false
+    else begin
+      Thread.delay 0.02;
+      go ()
+    end
+  in
+  go ()
+
+(* A well-formed frame whose sender id is outside the cluster is dropped
+   and counted as a decode error: it changes no engine state, and the
+   connection keeps serving — the valid frame written after it on the same
+   socket is handled. Unchecked, the forged grant below would make node 1
+   hold an instance and adopt node 5 as its accounting parent. *)
+let test_forged_src_dropped () =
+  let runners = make_cluster ~nodes:2 ~locks:1 in
+  let target = runners.(1) in
+  let seq = Runner.request_sync target ~lock:0 ~mode:Dcs_modes.Mode.R in
+  Runner.release target ~lock:0 ~seq;
+  Thread.delay 0.1;
+  let errors () = (Runner.stats target).Runner.decode_errors in
+  let sent () = Dcs_proto.Counters.total (Runner.counters target) in
+  let state_before = Runner.lock_state target ~lock:0 in
+  let errors_before = errors () and sent_before = sent () in
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close sock; stop_all runners) @@ fun () ->
+  Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, !base_port + 1));
+  let oc = Unix.out_channel_of_descr sock in
+  let req ~requester ~seq ~mode =
+    { Dcs_hlock.Msg.requester; seq; mode; upgrade = false; timestamp = 1; priority = 0; hops = 1;
+      token_only = false; hint = (0, requester); path = [ requester ] }
+  in
+  let write src msg =
+    Dcs_wire.Codec.write_frame oc { Dcs_wire.Codec.src; lock = 0; payload = Dcs_wire.Codec.Hlock msg };
+    flush oc
+  in
+  write 5
+    (Dcs_hlock.Msg.Grant
+       { req = req ~requester:1 ~seq:77 ~mode:Dcs_modes.Mode.R; epoch = 9;
+         recorded = Dcs_modes.Mode.R; ancestry = [] });
+  checkb "forged frame counted" true (eventually (fun () -> errors () > errors_before));
+  Alcotest.check Alcotest.string "engine state unchanged" state_before
+    (Runner.lock_state target ~lock:0);
+  checki "nothing sent in reply" sent_before (sent ());
+  (* A W request from node 0 conflicts with whatever node 1 owns or
+     caches, so serving it sends a message (a relay or the token). *)
+  write 0 (Dcs_hlock.Msg.Request (req ~requester:0 ~seq:1000 ~mode:Dcs_modes.Mode.W));
+  checkb "next valid frame served" true (eventually (fun () -> sent () > sent_before));
+  checki "one decode error" (errors_before + 1) (errors ())
+
 (* {1 In-process telemetry shards round-trip through the merger} *)
 
 let test_telemetry_shards_merge () =
@@ -303,6 +359,7 @@ let () =
         [
           Alcotest.test_case "clean cluster stats" `Slow test_stats_clean_cluster;
           Alcotest.test_case "unreachable peer" `Slow test_stats_unreachable_peer;
+          Alcotest.test_case "forged sender dropped" `Slow test_forged_src_dropped;
         ] );
       ( "telemetry",
         [ Alcotest.test_case "shards merge" `Slow test_telemetry_shards_merge ] );

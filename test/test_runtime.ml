@@ -28,6 +28,71 @@ let test_net_fifo_per_pair () =
   checki "in flight drained" 0 (Net.in_flight net);
   checki "counted" 50 (Dcs_proto.Counters.get (Net.counters net) Dcs_proto.Msg_class.Request)
 
+(* Links between ids up to 300, first seen in random order so the floor
+   rows grow many times, still deliver FIFO; sends are spread over time
+   by stepping the engine between them. *)
+let test_net_fifo_wide_ids () =
+  let module Rng = Dcs_sim.Rng in
+  let engine = Dcs_sim.Engine.create () in
+  let net =
+    Net.create ~engine ~latency:(Dcs_sim.Dist.Exponential { mean = 20.0 })
+      ~rng:(Rng.create ~seed:11L) ()
+  in
+  let pick = Rng.create ~seed:5L in
+  let ids = Array.init 301 Fun.id in
+  Rng.shuffle pick ids;
+  let ids = Array.sub ids 0 24 in
+  let sent = Hashtbl.create 64 and received = Hashtbl.create 64 in
+  let count tbl link = Option.value ~default:0 (Hashtbl.find_opt tbl link) in
+  let out_of_order = ref 0 in
+  for _ = 1 to 6000 do
+    let link = (ids.(Rng.int pick ~bound:24), ids.(Rng.int pick ~bound:24)) in
+    let k = count sent link in
+    Hashtbl.replace sent link (k + 1);
+    Net.send net ~src:(fst link) ~dst:(snd link) ~cls:Dcs_proto.Msg_class.Request
+      ~describe:(fun () -> "m")
+      (fun () ->
+        if count received link <> k then incr out_of_order;
+        Hashtbl.replace received link (count received link + 1));
+    if Rng.int pick ~bound:4 = 0 then ignore (Dcs_sim.Engine.step engine)
+  done;
+  ignore (Dcs_sim.Engine.run engine);
+  checki "out-of-order deliveries" 0 !out_of_order;
+  checki "all delivered" 6000 (Hashtbl.fold (fun _ n acc -> acc + n) received 0);
+  checki "in flight drained" 0 (Net.in_flight net)
+
+(* A net reused after [Net.reset] (engine reset, rng reseeded alongside,
+   as [Cell] does between bursts) schedules exactly the delivery times of
+   a fresh net: the previous run's link floors, absolute times on the old
+   clock, are gone. *)
+let test_net_reset_matches_fresh () =
+  let module Rng = Dcs_sim.Rng in
+  let latency = Dcs_sim.Dist.Exponential { mean = 20.0 } in
+  let burst engine net ~seed =
+    let pick = Rng.create ~seed in
+    let times = ref [] in
+    for _ = 1 to 2000 do
+      let src = Rng.int pick ~bound:40 and dst = Rng.int pick ~bound:40 in
+      Net.send net ~src ~dst ~cls:Dcs_proto.Msg_class.Request
+        ~describe:(fun () -> "m")
+        (fun () -> times := Dcs_sim.Engine.now engine :: !times);
+      if Rng.int pick ~bound:8 = 0 then ignore (Dcs_sim.Engine.step engine)
+    done;
+    ignore (Dcs_sim.Engine.run engine);
+    List.rev !times
+  in
+  let engine = Dcs_sim.Engine.create () and rng = Rng.create ~seed:42L in
+  let net = Net.create ~engine ~latency ~rng () in
+  ignore (burst engine net ~seed:9L);
+  Dcs_sim.Engine.reset engine;
+  Rng.reseed rng ~seed:42L;
+  Net.reset net;
+  let reused = burst engine net ~seed:3L in
+  let engine' = Dcs_sim.Engine.create () in
+  let fresh = burst engine' (Net.create ~engine:engine' ~latency ~rng:(Rng.create ~seed:42L) ()) ~seed:3L in
+  checki "deliveries" 2000 (List.length reused);
+  Alcotest.check Alcotest.(list (float 0.0)) "same delivery times" fresh reused
+
 let test_counters () =
   let c = Dcs_proto.Counters.create () in
   Dcs_proto.Counters.incr c Dcs_proto.Msg_class.Request;
@@ -244,10 +309,20 @@ let test_result_rows () =
 
 (* {1 Golden behaviour pins}
 
-   Literal message counts per class and engine event counts of two fixed
+   Literal message counts per class and engine event counts of fixed
    runs. Performance work on the protocol engine must leave behaviour
    bit-identical, so any change to these figures is a behaviour change
-   and must be argued for, not absorbed. *)
+   and must be argued for, not absorbed.
+
+   The hierarchical runs also carry a ceiling on the minor-heap words
+   they allocate: a count, so unlike a timing the host cannot trip it.
+   Each ceiling is the figure measured when it was set plus 10%. *)
+
+(* At most [ceiling] minor words allocated since the [Gc.minor_words]
+   reading [before]. *)
+let check_minor_words name ~ceiling ~before =
+  let words = Gc.minor_words () -. before in
+  checkb (Printf.sprintf "%s: %.0f minor words <= %.0f" name words ceiling) true (words <= ceiling)
 
 let check_counts name expected counts =
   Alcotest.check
@@ -260,7 +335,9 @@ let test_golden_airline () =
   let cfg =
     { cfg with Experiment.seed = 42L; workload = { cfg.Experiment.workload with Airline.ops_per_node = 20 } }
   in
+  let before = Gc.minor_words () in
   let r = Experiment.run cfg in
+  check_minor_words "airline run" ~ceiling:181_018.0 ~before;
   check_counts "messages by class"
     [ ("request", 570); ("grant", 207); ("token", 81); ("release", 180); ("freeze", 158);
       ("ack", 0); ("retx", 0) ]
@@ -287,6 +364,7 @@ let test_golden_naimi () =
    fourth one writing; constant 1 ms links. *)
 let test_golden_hotlock () =
   let nodes = 16 and rounds = 50 in
+  let before = Gc.minor_words () in
   let engine = Dcs_sim.Engine.create () in
   let rng = Dcs_sim.Rng.create ~seed:42L in
   let net = Net.create ~engine ~latency:(Dcs_sim.Dist.Constant 1.0) ~rng () in
@@ -311,6 +389,7 @@ let test_golden_hotlock () =
     Dcs_sim.Engine.schedule engine ~after:0.0 go
   done;
   ignore (Dcs_sim.Engine.run engine);
+  check_minor_words "hot-lock run" ~ceiling:199_113.0 ~before;
   checki "all rounds" ((nodes - 1) * rounds) !completed;
   check_counts "messages by class"
     [ ("request", 813); ("grant", 456); ("token", 249); ("release", 456); ("freeze", 456);
@@ -383,6 +462,8 @@ let () =
       ( "net",
         [
           Alcotest.test_case "fifo per pair" `Quick test_net_fifo_per_pair;
+          Alcotest.test_case "fifo with wide ids" `Quick test_net_fifo_wide_ids;
+          Alcotest.test_case "reset matches fresh" `Quick test_net_reset_matches_fresh;
           Alcotest.test_case "counters" `Quick test_counters;
         ] );
       ( "hlock-cluster",
