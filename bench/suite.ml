@@ -100,19 +100,6 @@ let bench_trace =
          done;
          ignore (Dcs_sim.Trace.digest tr)))
 
-(* 1k add/pop pairs through the generic heap (the engine uses its own
-   monomorphic copy; this tracks the shared structure). *)
-let bench_pqueue =
-  Test.make ~name:"pqueue 1k add+pop"
-    (Staged.stage (fun () ->
-         let q = Dcs_sim.Pqueue.create ~compare:Int.compare in
-         for i = 1 to 1000 do
-           Dcs_sim.Pqueue.add q (i * 7919 mod 1000) i
-         done;
-         while not (Dcs_sim.Pqueue.is_empty q) do
-           Dcs_sim.Pqueue.remove_min q
-         done))
-
 (* One full request/grant/release round trip on an 8-node simulated
    cluster: the protocol hot path end-to-end. *)
 let bench_hlock_roundtrip =
@@ -336,7 +323,6 @@ let all =
     bench_mode_set;
     bench_engine;
     bench_trace;
-    bench_pqueue;
     bench_hlock_roundtrip;
     bench_naimi_roundtrip;
     bench_wire_encode_request;

@@ -13,7 +13,7 @@
 
 open Cmdliner
 module Fuzz = Dcs_check.Fuzz
-module Script = Dcs_check.Script
+module Script = Dcs_workload.Script
 module Shrink = Dcs_check.Shrink
 module Corpus = Dcs_check.Corpus
 

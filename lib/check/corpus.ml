@@ -1,3 +1,5 @@
+module Script = Dcs_workload.Script
+
 type expect = Pass | Fail
 type entry = { case : Fuzz.case; expect : expect }
 

@@ -2,6 +2,7 @@ module Engine = Dcs_sim.Engine
 module Rng = Dcs_sim.Rng
 module Net = Dcs_runtime.Net
 module Cluster = Dcs_runtime.Hlock_cluster
+module Script = Dcs_workload.Script
 
 type case = {
   seed : int64;
@@ -92,51 +93,38 @@ let run (c : case) =
     Cluster.create ~config ~oracle:true ?transport ~obs:recorder ~net ~nodes:script.nodes
       ~locks:script.locks ()
   in
-  let grants = ref 0 and upgrades = ref 0 and releases = ref 0 in
   let violations = ref [] in
   let aborted = ref false in
-  (* The per-message safety oracle raises Failure from inside the event
-     loop; catch it at the driver boundary and keep the partial trace. *)
-  let expected_upgrades =
-    List.length (List.filter (fun (o : Script.op) -> o.kind = Script.Acquire_upgrade) script.ops)
-  in
-  let done_ops () = !releases = n_ops in
   (* Much shorter than the benchmark harness's 400x: fuzz horizons are
      tight, so the custody watchdog must get several chances to unwind a
      crossing before the run is declared stuck. Kicks are cheap no-ops
-     outside the vulnerable state. *)
+     outside the vulnerable state. The watchdog is scheduled ahead of the
+     script's ops, which fixes its place among equal-time events; it reads
+     the driver's counts, which exist before any event fires. *)
+  let driven = ref None in
   let kick_period = 20.0 *. mean_latency_ms in
   let rec kick_loop () =
-    if not (done_ops ()) then begin
-      Cluster.kick_all cluster;
-      Engine.schedule engine ~after:kick_period kick_loop
-    end
+    match !driven with
+    | Some (c : Script.counts) when c.releases = n_ops -> ()
+    | _ ->
+        Cluster.kick_all cluster;
+        Engine.schedule engine ~after:kick_period kick_loop
   in
   if n_ops > 0 then Engine.schedule engine ~after:kick_period kick_loop;
-  List.iter
-    (fun (o : Script.op) ->
-      Engine.schedule_at engine ~time:o.at (fun () ->
-          let seq = ref (-1) in
-          seq :=
-            Cluster.request ~priority:o.priority cluster ~node:o.node ~lock:o.lock
-              ~mode:o.mode ~on_granted:(fun () ->
-                incr grants;
-                match o.kind with
-                | Script.Acquire ->
-                    Engine.schedule engine ~after:o.hold (fun () ->
-                        Cluster.release cluster ~node:o.node ~lock:o.lock ~seq:!seq;
-                        incr releases)
-                | Script.Acquire_upgrade ->
-                    Engine.schedule engine ~after:(o.hold /. 2.0) (fun () ->
-                        Cluster.upgrade cluster ~node:o.node ~lock:o.lock ~seq:!seq
-                          ~on_upgraded:(fun () ->
-                            incr upgrades;
-                            Engine.schedule engine ~after:(o.hold /. 2.0) (fun () ->
-                                Cluster.release cluster ~node:o.node ~lock:o.lock
-                                  ~seq:!seq;
-                                incr releases))))))
-    script.ops;
+  let counts =
+    Script.drive script
+      ~request:(fun (o : Script.op) ~on_granted ->
+        Cluster.request ~priority:o.priority cluster ~node:o.node ~lock:o.lock ~mode:o.mode
+          ~on_granted)
+      ~upgrade:(fun (o : Script.op) ~seq ~on_upgraded ->
+        Cluster.upgrade cluster ~node:o.node ~lock:o.lock ~seq ~on_upgraded)
+      ~release:(fun (o : Script.op) ~seq -> Cluster.release cluster ~node:o.node ~lock:o.lock ~seq)
+      ~schedule:(Engine.schedule engine)
+  in
+  driven := Some counts;
   let until = deadline c ~plan_horizon:(Dcs_fault.Plan.horizon plan) in
+  (* The per-message safety oracle raises Failure from inside the event
+     loop; catch it at the driver boundary and keep the partial trace. *)
   let outcome =
     match Engine.run ~until ~max_events:20_000_000 engine with
     | o -> o
@@ -148,17 +136,18 @@ let run (c : case) =
   (match outcome with
   | Engine.Event_limit -> violations := "engine event limit hit (livelock?)" :: !violations
   | Engine.Drained | Engine.Horizon_reached -> ());
+  let expected_upgrades = Script.upgrade_ops script in
   let completed =
     (not !aborted)
-    && !grants = n_ops
-    && !upgrades = expected_upgrades
-    && !releases = n_ops
+    && counts.grants = n_ops
+    && counts.upgrades = expected_upgrades
+    && counts.releases = n_ops
   in
   if (not completed) && not !aborted then
     violations :=
       Printf.sprintf
         "liveness: %d/%d grants, %d/%d upgrades, %d/%d releases completed by horizon %.0f ms"
-        !grants n_ops !upgrades expected_upgrades !releases n_ops until
+        counts.grants n_ops counts.upgrades expected_upgrades counts.releases n_ops until
       :: !violations;
   if completed then
     List.iter
@@ -175,9 +164,9 @@ let run (c : case) =
     violations = List.rev !violations;
     completed;
     outcome;
-    grants = !grants;
-    upgrades = !upgrades;
-    releases = !releases;
+    grants = counts.grants;
+    upgrades = counts.upgrades;
+    releases = counts.releases;
     messages = Dcs_proto.Counters.total (Net.counters net);
     sim_ms = Engine.now engine;
     engine_events = Engine.events_processed engine;

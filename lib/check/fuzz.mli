@@ -21,7 +21,7 @@
 
 type case = {
   seed : int64;  (** drives network latency draws and the fault plan *)
-  script : Script.t;
+  script : Dcs_workload.Script.t;
   plan : string option;  (** a {!Dcs_fault.Plan.names} scenario *)
   mutation : Dcs_hlock.Node.mutation option;
   max_overtakes : int;  (** fairness bound, see {!Oracle.conformance} *)
@@ -44,7 +44,7 @@ type verdict = {
 
 (** [case ~seed ~nodes ~locks ~ops ()] generates the script from the same
     seed. [max_overtakes] defaults to 100; [zipf] skews the lock choice
-    (see {!Script.generate}). *)
+    (see {!Dcs_workload.Script.generate}). *)
 val case :
   ?plan:string ->
   ?mutation:Dcs_hlock.Node.mutation ->

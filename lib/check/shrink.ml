@@ -1,3 +1,5 @@
+module Script = Dcs_workload.Script
+
 type state = { mutable runs : int; budget : int; log : string -> unit }
 
 let fails st (c : Fuzz.case) =

@@ -47,7 +47,12 @@ module Obs_event = Dcs_obs.Event
 module Recorder = Dcs_obs.Recorder
 module Jsonl = Dcs_obs.Jsonl
 module Fuzz = Dcs_check.Fuzz
-module Fuzz_script = Dcs_check.Script
+
+(** The one client-scenario type: fuzz cases, shard bursts and model-checker
+    runs are all {!Dcs_workload.Script.t} values, played through
+    {!Dcs_workload.Script.drive}. *)
+module Fuzz_script = Dcs_workload.Script
+
 module Fuzz_oracle = Dcs_check.Oracle
 module Fuzz_corpus = Dcs_check.Corpus
 module Fuzz_shrink = Dcs_check.Shrink

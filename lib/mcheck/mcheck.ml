@@ -1,10 +1,7 @@
 open Dcs_modes
 module Node = Dcs_hlock.Node
 module Msg = Dcs_hlock.Msg
-
-type action =
-  | Acquire of { node : int; mode : Mode.t }
-  | Acquire_upgrade of { node : int }
+module Script = Dcs_workload.Script
 
 type result = {
   states : int;
@@ -13,16 +10,13 @@ type result = {
   violations : string list;
 }
 
-(* One replayed execution: the scripted actions are injected up front, then
-   the messages are delivered according to [path] (a list of directed links;
-   each step delivers the head of that link's FIFO — the transport
-   contract). *)
+(* One replayed execution: the script's ops are issued up front, in list
+   order, then the messages are delivered according to [path] (a list of
+   directed links; each step delivers the head of that link's FIFO — the
+   transport contract). *)
 type run = {
   mutable nodes_arr : Node.t array;
   wire : ((int * int) * Msg.t Queue.t) list ref;  (* per-link FIFO *)
-  mutable granted : int;
-  mutable upgraded : int;
-  mutable outstanding : int;  (* requests not yet fully finished *)
   mutable tokens_in_flight : int;
   mutable grant_log : (int * int * Mode.t) list;  (* (node, seq, mode), newest first *)
 }
@@ -35,49 +29,35 @@ let link run src dst =
       run.wire := ((src, dst), q) :: !(run.wire);
       q
 
-let replay ?config ~nodes ~actions path =
+let replay ?config (script : Script.t) path =
   let run =
-    { nodes_arr = [||]; wire = ref []; granted = 0; upgraded = 0; outstanding = 0;
-      tokens_in_flight = 0; grant_log = [] }
+    { nodes_arr = [||]; wire = ref []; tokens_in_flight = 0; grant_log = [] }
   in
   let arr =
-    Array.init nodes (fun id ->
+    Array.init script.nodes (fun id ->
         let send ~dst msg =
           (match msg with Msg.Token _ -> run.tokens_in_flight <- run.tokens_in_flight + 1 | _ -> ());
           Queue.push msg (link run id dst)
         in
-        Node.create ?config ~id ~peers:nodes ~is_token:(id = 0)
+        Node.create ?config ~id ~peers:script.nodes ~is_token:(id = 0)
           ~parent:(if id = 0 then None else Some 0)
           ~send ())
   in
   run.nodes_arr <- arr;
-  (* Inject the script. Each client releases as soon as it is granted; an
-     upgrade client first upgrades its U grant and releases the W. *)
-  let granted node mode seq =
-    run.granted <- run.granted + 1;
-    run.grant_log <- (node, seq, mode) :: run.grant_log
+  (* Scheduling at once makes every client release as soon as it is
+     granted; an upgrade client first upgrades its U grant and releases
+     the W. *)
+  let counts =
+    Script.drive script
+      ~request:(fun (o : Script.op) ~on_granted ->
+        Node.request ~priority:o.priority arr.(o.node) ~mode:o.mode ~on_granted:(fun seq ->
+            run.grant_log <- (o.node, seq, o.mode) :: run.grant_log;
+            on_granted ()))
+      ~upgrade:(fun (o : Script.op) ~seq ~on_upgraded ->
+        Node.upgrade arr.(o.node) ~seq ~on_upgraded:(fun _ -> on_upgraded ()))
+      ~release:(fun (o : Script.op) ~seq -> Node.release arr.(o.node) ~seq)
+      ~schedule:(fun ~after:_ f -> f ())
   in
-  let finish node seq =
-    run.outstanding <- run.outstanding - 1;
-    Node.release arr.(node) ~seq
-  in
-  List.iter
-    (fun action ->
-      run.outstanding <- run.outstanding + 1;
-      match action with
-      | Acquire { node; mode } ->
-          ignore
-            (Node.request arr.(node) ~mode ~on_granted:(fun seq ->
-                 granted node mode seq;
-                 finish node seq))
-      | Acquire_upgrade { node } ->
-          ignore
-            (Node.request arr.(node) ~mode:Mode.U ~on_granted:(fun seq ->
-                 granted node Mode.U seq;
-                 Node.upgrade arr.(node) ~seq ~on_upgraded:(fun seq ->
-                     run.upgraded <- run.upgraded + 1;
-                     finish node seq))))
-    actions;
   (* Deliver per path. *)
   List.iter
     (fun (src, dst) ->
@@ -89,7 +69,7 @@ let replay ?config ~nodes ~actions path =
         Node.handle_msg arr.(dst) ~src msg
       end)
     path;
-  run
+  (run, counts)
 
 let nonempty_links run =
   List.filter_map
@@ -140,7 +120,11 @@ let grant_order_violations run =
     (List.rev run.grant_log);
   !out
 
-let explore ?config ?(max_states = 100_000) ~nodes ~actions () =
+let explore ?config ?(max_states = 100_000) (script : Script.t) =
+  (match Script.validate script with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Mcheck.explore: invalid script: " ^ e));
+  if script.locks <> 1 then invalid_arg "Mcheck.explore: scripts must have one lock";
   let seen = Hashtbl.create 4096 in
   let violations = ref [] in
   let terminals = ref 0 in
@@ -148,14 +132,10 @@ let explore ?config ?(max_states = 100_000) ~nodes ~actions () =
   let truncated = ref false in
   let queue = Queue.create () in
   Queue.push [] queue;
-  let expected_grants =
-    List.length actions
-  and expected_upgrades =
-    List.length (List.filter (function Acquire_upgrade _ -> true | _ -> false) actions)
-  in
+  let expected_ops = List.length script.ops and expected_upgrades = Script.upgrade_ops script in
   while (not (Queue.is_empty queue)) && not !truncated do
     let path = Queue.pop queue in
-    let run = replay ?config ~nodes ~actions (List.rev path) in
+    let run, counts = replay ?config script (List.rev path) in
     let d = digest run in
     if not (Hashtbl.mem seen d) then begin
       Hashtbl.replace seen d ();
@@ -173,18 +153,20 @@ let explore ?config ?(max_states = 100_000) ~nodes ~actions () =
       match nonempty_links run with
       | [] ->
           incr terminals;
-          if run.granted < expected_grants then
+          if counts.Script.grants < expected_ops then
             violations :=
-              Printf.sprintf "terminal state with %d/%d grants (liveness)" run.granted
-                expected_grants
+              Printf.sprintf "terminal state with %d/%d grants (liveness)" counts.grants
+                expected_ops
               :: !violations;
-          if run.upgraded < expected_upgrades then
+          if counts.upgrades < expected_upgrades then
             violations :=
-              Printf.sprintf "terminal state with %d/%d upgrades" run.upgraded expected_upgrades
+              Printf.sprintf "terminal state with %d/%d upgrades" counts.upgrades
+                expected_upgrades
               :: !violations;
-          if run.outstanding > 0 then
+          if counts.releases < expected_ops then
             violations :=
-              Printf.sprintf "terminal state with %d unfinished clients" run.outstanding
+              Printf.sprintf "terminal state with %d unfinished clients"
+                (expected_ops - counts.releases)
               :: !violations;
           if List.length !violations < 5 then
             List.iter (fun v -> violations := v :: !violations) (grant_order_violations run)

@@ -1,11 +1,12 @@
 (** Bounded exhaustive model checking of the hierarchical-locking protocol.
 
-    For a small node population and a fixed script of client actions, the
-    checker explores {e every} order in which in-flight messages can be
-    delivered (per-link FIFO is preserved, matching the transport
-    contract), deduplicating states by a structural digest. In every
-    reachable state it asserts {!Dcs_hlock.Invariant.safety}: exactly one
-    token (holders plus in-flight transfers), pairwise-compatible held
+    For a small node population and a one-lock client script
+    ({!Dcs_workload.Script.t}, the scenario type the fuzzer and the shard
+    bursts run), the checker explores {e every} order in which in-flight
+    messages can be delivered (per-link FIFO is preserved, matching the
+    transport contract), deduplicating states by a structural digest. In
+    every reachable state it asserts {!Dcs_hlock.Invariant.safety}: exactly
+    one token (holders plus in-flight transfers), pairwise-compatible held
     and cached modes, and no more queued requests than client requests
     still waiting.
 
@@ -17,20 +18,16 @@
     caching, so only the same-node same-mode discipline is FIFO-checkable
     without false positives).
 
-    Clients are modelled as release-on-grant: each scripted acquisition
-    releases as soon as it is granted (after upgrading, for upgrade
-    actions), so terminal states are fully quiescent.
+    The script's ops are issued up front, in list order, with their
+    priorities. Their [at] and [hold] times are ignored: every delivery
+    order is explored anyway, and clients are modelled as release-on-grant
+    — each op releases as soon as it is granted (after upgrading, for
+    [Acquire_upgrade] ops), so terminal states are fully quiescent.
 
     This is replay-based (each explored path re-executes the protocol from
     scratch), so it suits populations of 2–4 nodes and scripts of 2–5
-    actions — which is exactly where the historical protocol bugs lived
+    ops — which is exactly where the historical protocol bugs lived
     (crossing requests, mutual absorption, upgrade deadlocks). *)
-
-type action =
-  | Acquire of { node : int; mode : Dcs_modes.Mode.t }
-      (** request, then release as soon as granted *)
-  | Acquire_upgrade of { node : int }
-      (** request [U]; upgrade to [W] on grant; release when upgraded *)
 
 type result = {
   states : int;  (** distinct states visited *)
@@ -39,12 +36,10 @@ type result = {
   violations : string list;  (** empty = all checks passed *)
 }
 
+(** [explore script] checks every delivery order of [script] on
+    [script.nodes] nodes. Raises [Invalid_argument] if the script fails
+    {!Dcs_workload.Script.validate} or has more than one lock. *)
 val explore :
-  ?config:Dcs_hlock.Node.config ->
-  ?max_states:int ->
-  nodes:int ->
-  actions:action list ->
-  unit ->
-  result
+  ?config:Dcs_hlock.Node.config -> ?max_states:int -> Dcs_workload.Script.t -> result
 
 val pp_result : Format.formatter -> result -> unit

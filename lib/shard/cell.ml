@@ -85,6 +85,15 @@ let upgrade t ~node ~lock ~seq ~on_upgraded =
   ensure_kicking t;
   Hlock_cluster.upgrade t.cluster ~node ~lock ~seq ~on_upgraded
 
+let drive t script =
+  Dcs_workload.Script.drive script
+    ~request:(fun (o : Dcs_workload.Script.op) ~on_granted ->
+      request ~priority:o.priority t ~node:o.node ~lock:o.lock ~mode:o.mode ~on_granted)
+    ~upgrade:(fun (o : Dcs_workload.Script.op) ~seq ~on_upgraded ->
+      upgrade t ~node:o.node ~lock:o.lock ~seq ~on_upgraded)
+    ~release:(fun (o : Dcs_workload.Script.op) ~seq -> release t ~node:o.node ~lock:o.lock ~seq)
+    ~schedule:(schedule t)
+
 let drain t =
   match Engine.run t.engine with
   | Engine.Horizon_reached | Engine.Event_limit -> Error `Undrained

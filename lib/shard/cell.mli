@@ -58,6 +58,12 @@ val release : t -> node:int -> lock:int -> seq:int -> unit
 (** U→W upgrade; outstanding until it completes, like {!request}. *)
 val upgrade : t -> node:int -> lock:int -> seq:int -> on_upgraded:(unit -> unit) -> unit
 
+(** Schedule a script's ops on this cell through {!request}, {!upgrade}
+    and {!release} ({!Dcs_workload.Script.drive}), relative to {!now}.
+    The script must fit the cell: node and lock ids below {!nodes} and
+    the [locks] of the last {!reset}. Run it with {!drain}. *)
+val drive : t -> Dcs_workload.Script.t -> Dcs_workload.Script.counts
+
 (** Run the simulation until the event queue drains. [`Undrained] if the
     engine stopped early (horizon/event limit), [`Stuck n] if [n]
     requests were never granted. *)

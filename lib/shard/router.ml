@@ -139,7 +139,7 @@ let entries_of_store tbl =
 (* {1 One burst}
 
    A pure function of (config.seed, job, prior state): reset the cell to
-   the burst's seed and restored state, schedule the burst's ops, run to
+   the burst's seed and restored state, drive the burst's script, run to
    quiescence, export. [Cell.drain] returning [Ok] proves every request
    was granted — a burst cannot silently lose grants. *)
 
@@ -158,25 +158,10 @@ let run_burst cfg cell tbl (job : Traffic.job) =
   let restore = Option.map (fun p -> [| Codec.decode_cluster_state p.state |]) prior in
   let burst_seed = Parallel.cell_seed ~base:cfg.seed ~salt:(Traffic.salt_of_job job) in
   Cell.reset ?restore cell ~seed:(Int64.add burst_seed 0x9E37L) ~locks:1;
-  let ops = Traffic.burst_ops ~seed:burst_seed ~nodes:cfg.nodes ~ops:cfg.ops_per_burst in
-  let upgrades = ref 0 in
-  List.iter
-    (fun (op : Traffic.op) ->
-      Cell.schedule cell ~after:op.at (fun () ->
-          let seq = ref (-1) in
-          seq :=
-            Cell.request ~priority:op.priority cell ~node:op.node ~lock:0 ~mode:op.mode
-              ~on_granted:(fun () ->
-                if op.upgrade then
-                  Cell.schedule cell ~after:(op.hold /. 2.0) (fun () ->
-                      Cell.upgrade cell ~node:op.node ~lock:0 ~seq:!seq ~on_upgraded:(fun () ->
-                          incr upgrades;
-                          Cell.schedule cell ~after:(op.hold /. 2.0) (fun () ->
-                              Cell.release cell ~node:op.node ~lock:0 ~seq:!seq)))
-                else
-                  Cell.schedule cell ~after:op.hold (fun () ->
-                      Cell.release cell ~node:op.node ~lock:0 ~seq:!seq))))
-    ops;
+  let counts =
+    Cell.drive cell
+      (Dcs_workload.Script.burst ~seed:burst_seed ~nodes:cfg.nodes ~ops:cfg.ops_per_burst)
+  in
   (match Cell.drain cell with
   | Ok () -> ()
   | Error `Undrained ->
@@ -186,7 +171,7 @@ let run_burst cfg cell tbl (job : Traffic.job) =
         (Printf.sprintf "Router: burst (%d, %d) lost %d grants" job.Traffic.set job.Traffic.burst n));
   let bytes = Codec.encode_cluster_state (Cell.export_lock cell ~lock:0) in
   let burst_msgs = Dcs_proto.Counters.total (Cell.message_counters cell) in
-  let burst_grants = List.length ops in
+  let burst_grants = counts.grants in
   (match prior with
   | Some p ->
       p.state <- bytes;
@@ -196,7 +181,7 @@ let run_burst cfg cell tbl (job : Traffic.job) =
   | None ->
       Hashtbl.replace tbl job.Traffic.set
         { state = bytes; s_bursts = 1; s_grants = burst_grants; s_msgs = burst_msgs });
-  (burst_grants, !upgrades, burst_msgs)
+  (burst_grants, counts.upgrades, burst_msgs)
 
 (* {1 The round loop} *)
 

@@ -1,7 +1,8 @@
 (* Deterministic sharded-service traffic.
 
    The namespace-level plan is rounds of jobs; a job is one request
-   burst against one lock set. Which sets get traffic is drawn once,
+   burst against one lock set, whose ops are a one-lock
+   [Dcs_workload.Script.burst]. Which sets get traffic is drawn once,
    globally, before any shard placement decision — optionally Zipf-skewed
    toward hot sets — so the plan (and every burst's content) is identical
    whatever the shard count, bucket count or migration schedule. Burst
@@ -9,7 +10,6 @@
    position or executing shard. *)
 
 module Rng = Dcs_sim.Rng
-module Mode = Dcs_modes.Mode
 
 type job = { set : int; burst : int }
 
@@ -46,30 +46,3 @@ let plan ?(skew = 0.0) ~seed ~lock_sets ~rounds ~jobs_per_round () =
         { set; burst = next_burst set })
   in
   { lock_sets; rounds = Array.init rounds round; total_bursts = rounds * jobs_per_round }
-
-(* {1 Burst contents} *)
-
-type op = { at : float; node : int; mode : Mode.t; upgrade : bool; hold : float; priority : int }
-
-(* The fuzzer's conflict-heavy mix (Script.draw_mode): writers and
-   updaters oversampled relative to the paper's airline mix, because a
-   burst should exercise transfers and freezes, not just cache hits. *)
-let draw_mode rng =
-  let r = Rng.int rng ~bound:100 in
-  if r < 20 then Mode.IR
-  else if r < 50 then Mode.R
-  else if r < 65 then Mode.U
-  else if r < 80 then Mode.IW
-  else Mode.W
-
-let burst_ops ~seed ~nodes ~ops =
-  if nodes < 1 || ops < 0 then invalid_arg "Traffic.burst_ops";
-  let rng = Rng.create ~seed in
-  let t = ref 0.0 in
-  List.init ops (fun _ ->
-      t := !t +. Rng.exponential rng ~mean:30.0;
-      let mode = draw_mode rng in
-      let upgrade = mode = Mode.U && Rng.bool rng in
-      let priority = if Rng.int rng ~bound:10 = 0 then 1 + Rng.int rng ~bound:3 else 0 in
-      let hold = Float.min 200.0 (Rng.exponential rng ~mean:15.0) in
-      { at = !t; node = Rng.int rng ~bound:nodes; mode; upgrade; hold; priority })

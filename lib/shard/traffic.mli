@@ -20,24 +20,11 @@ val max_bursts_per_set : int
 
 (** Semantic salt identifying one burst, for
     {!Dcs_netkit.Parallel.cell_seed}: position-independent, unique per
-    (set, burst). *)
+    (set, burst). The burst's ops are {!Dcs_workload.Script.burst} of the
+    seed derived from it. *)
 val salt_of_job : job -> int
 
 (** Draw a plan: [rounds] rounds of [jobs_per_round] bursts each, lock
     sets chosen uniformly or Zipf-skewed by [skew] (theta in [0,1);
     {!Dcs_workload.Zipf}). Equal arguments give equal plans. *)
 val plan : ?skew:float -> seed:int64 -> lock_sets:int -> rounds:int -> jobs_per_round:int -> unit -> t
-
-(** One client operation inside a burst. *)
-type op = {
-  at : float;  (** issue time, ms from burst start *)
-  node : int;
-  mode : Dcs_modes.Mode.t;
-  upgrade : bool;  (** U ops only: upgrade to W mid-hold (Rule 7) *)
-  hold : float;
-  priority : int;
-}
-
-(** The burst's operations, a pure function of [seed] (derive it from
-    {!salt_of_job}); conflict-heavy mode mix, bursty arrivals. *)
-val burst_ops : seed:int64 -> nodes:int -> ops:int -> op list

@@ -1,10 +1,9 @@
-(* The event queue is a monomorphic float-keyed binary heap inlined here
-   rather than an instance of the polymorphic {!Pqueue}: with the key
-   array statically typed [float array] the heap stays flat (unboxed
-   floats) and comparisons compile to primitive float compares, so
-   scheduling and dispatching an event allocates nothing beyond the
-   caller's callback closure. Ties are broken by schedule order (seqs),
-   which deterministic runs rely on. *)
+(* The event queue is a monomorphic float-keyed binary heap rather than a
+   polymorphic one: with the key array statically typed [float array] the
+   heap stays flat (unboxed floats) and comparisons compile to primitive
+   float compares, so scheduling and dispatching an event allocates
+   nothing beyond the caller's callback closure. Ties are broken by
+   schedule order (seqs), which deterministic runs rely on. *)
 
 (* Single-field float record: a mutable simulation clock that updates in
    place instead of allocating a fresh box per event (a [mutable float]

@@ -5,7 +5,7 @@
    shrinks to a tiny repro. *)
 
 open Dcs_modes
-module Script = Dcs_check.Script
+module Script = Dcs_workload.Script
 module Oracle = Dcs_check.Oracle
 module Fuzz = Dcs_check.Fuzz
 module Corpus = Dcs_check.Corpus
@@ -154,6 +154,55 @@ let test_script_deterministic () =
   let c = Script.generate ~seed:18L ~nodes:8 ~locks:2 ~ops:40 () in
   checkb "different seed, different script" false (a = c)
 
+(* Golden values: the relative checks around them (same seed, same
+   digest) cannot see a drifting RNG draw order or driver call order. *)
+let test_script_golden () =
+  let s = Script.generate ~seed:17L ~nodes:8 ~locks:2 ~ops:3 () in
+  Alcotest.check
+    Alcotest.(list string)
+    "op lines"
+    [
+      "op at=20.916 node=2 lock=1 mode=R prio=0 hold=3.802 kind=acquire";
+      "op at=21.872 node=2 lock=0 mode=IW prio=0 hold=18.513 kind=acquire";
+      "op at=37.672 node=2 lock=1 mode=R prio=0 hold=0.569 kind=acquire";
+    ]
+    (List.map Script.op_to_line s.Script.ops)
+
+(* Corpus files are hand-edited: a NaN or infinite time must not pass
+   validation (a NaN [at] would also switch off the sort check for every
+   later op). *)
+let test_script_rejects_non_finite () =
+  let script lines =
+    let op l = match Script.op_of_line l with Ok o -> o | Error e -> Alcotest.fail e in
+    { Script.nodes = 2; locks = 1; ops = List.map op lines }
+  in
+  let later = "op at=5.000 node=1 lock=0 mode=R prio=0 hold=1.000 kind=acquire" in
+  List.iter
+    (fun first ->
+      checkb first true (Result.is_error (Script.validate (script [ first; later ]))))
+    [
+      "op at=nan node=0 lock=0 mode=W prio=0 hold=inf kind=acquire";
+      "op at=nan node=0 lock=0 mode=W prio=0 hold=1.000 kind=acquire";
+      "op at=1.000 node=0 lock=0 mode=W prio=0 hold=inf kind=acquire";
+      "op at=1.000 node=0 lock=0 mode=W prio=0 hold=nan kind=acquire";
+      "op at=-1.000 node=0 lock=0 mode=W prio=0 hold=1.000 kind=acquire";
+    ];
+  checkb "finite script valid" true
+    (Result.is_ok
+       (Script.validate
+          (script [ "op at=1.000 node=0 lock=0 mode=W prio=0 hold=0.000 kind=acquire"; later ])))
+
+let test_fuzz_golden () =
+  let v = Fuzz.run (Fuzz.case ~seed:11L ~nodes:8 ~locks:1 ~ops:40 ()) in
+  checkb "passes" false (Fuzz.failed v);
+  Alcotest.check Alcotest.string "digest" "12a9a3d43dddd269"
+    (Printf.sprintf "%016Lx" v.Fuzz.digest);
+  checki "messages" 112 v.Fuzz.messages;
+  checki "grants" 40 v.Fuzz.grants;
+  checki "upgrades" 3 v.Fuzz.upgrades;
+  checki "releases" 40 v.Fuzz.releases;
+  checki "engine events" 197 v.Fuzz.engine_events
+
 let test_fuzz_deterministic () =
   let case = Fuzz.case ~seed:11L ~nodes:8 ~locks:1 ~ops:40 () in
   let v1 = Fuzz.run case and v2 = Fuzz.run case in
@@ -231,7 +280,10 @@ let () =
       ( "fuzz",
         [
           Alcotest.test_case "script deterministic" `Quick test_script_deterministic;
+          Alcotest.test_case "script golden" `Quick test_script_golden;
+          Alcotest.test_case "non-finite times rejected" `Quick test_script_rejects_non_finite;
           Alcotest.test_case "run deterministic" `Quick test_fuzz_deterministic;
+          Alcotest.test_case "run golden" `Quick test_fuzz_golden;
           Alcotest.test_case "clean under faults" `Quick test_fuzz_with_faults;
           Alcotest.test_case "weak-freeze caught" `Quick test_mutation_weak_freeze_caught;
           Alcotest.test_case "ignore-frozen caught" `Quick test_mutation_ignore_frozen_caught;

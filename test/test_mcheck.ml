@@ -4,137 +4,147 @@
    absorption, upgrade deadlock, writer vs readers). *)
 
 module M = Dcs_mcheck.Mcheck
+module Script = Dcs_workload.Script
+module Fuzz = Dcs_check.Fuzz
+module Corpus = Dcs_check.Corpus
 open Dcs_modes
 
 let checkb = Alcotest.check Alcotest.bool
+let checki = Alcotest.check Alcotest.int
 
-let run_scenario ?config ~name ~nodes ~actions () =
-  let r = M.explore ?config ~nodes ~actions () in
+(* Scenarios are ordinary client scripts. Ops are spaced 10 ms apart with
+   10 ms holds so the same script replays under the fuzzer; the checker
+   ignores both times. *)
+let script ~nodes ops =
+  {
+    Script.nodes;
+    locks = 1;
+    ops =
+      List.mapi
+        (fun i (node, mode, kind) ->
+          let at = 10.0 *. float_of_int i in
+          { Script.at; node; lock = 0; mode; priority = 0; hold = 10.0; kind })
+        ops;
+  }
+
+let acquire node mode = (node, mode, Script.Acquire)
+let upgrade node = (node, Mode.U, Script.Acquire_upgrade)
+
+(* [states]/[terminals] pin the explored graph: a change to how scripts
+   are issued or clients react to grants moves them. *)
+let run_scenario ?config ?max_states ~name ~states ~terminals s =
+  let r = M.explore ?config ?max_states s in
   Alcotest.check (Alcotest.list Alcotest.string) (name ^ ": no violations") [] r.M.violations;
   checkb (name ^ ": explored fully") false r.M.truncated;
-  checkb (name ^ ": nontrivial") true (r.M.states > 0 && r.M.terminals > 0)
+  checki (name ^ ": states") states r.M.states;
+  checki (name ^ ": terminals") terminals r.M.terminals
 
 let test_two_writers () =
-  run_scenario ~name:"two writers" ~nodes:2
-    ~actions:[ M.Acquire { node = 0; mode = Mode.W }; M.Acquire { node = 1; mode = Mode.W } ]
-    ()
+  run_scenario ~name:"two writers" ~states:3 ~terminals:1
+    (script ~nodes:2 [ acquire 0 Mode.W; acquire 1 Mode.W ])
 
 let test_crossing_writers () =
-  run_scenario ~name:"crossing writers (3 nodes)" ~nodes:3
-    ~actions:[ M.Acquire { node = 1; mode = Mode.W }; M.Acquire { node = 2; mode = Mode.W } ]
-    ()
+  run_scenario ~name:"crossing writers (3 nodes)" ~states:13 ~terminals:2
+    (script ~nodes:3 [ acquire 1 Mode.W; acquire 2 Mode.W ])
 
 let test_mutual_iw () =
   (* The mutual-absorption deadlock class. *)
-  run_scenario ~name:"crossing IW" ~nodes:3
-    ~actions:[ M.Acquire { node = 1; mode = Mode.IW }; M.Acquire { node = 2; mode = Mode.IW } ]
-    ()
+  run_scenario ~name:"crossing IW" ~states:13 ~terminals:2
+    (script ~nodes:3 [ acquire 1 Mode.IW; acquire 2 Mode.IW ])
 
 let test_readers_and_writer () =
-  run_scenario ~name:"reader reader writer" ~nodes:3
-    ~actions:
-      [
-        M.Acquire { node = 1; mode = Mode.R };
-        M.Acquire { node = 2; mode = Mode.R };
-        M.Acquire { node = 0; mode = Mode.W };
-      ]
-    ()
+  run_scenario ~name:"reader reader writer" ~states:13 ~terminals:2
+    (script ~nodes:3 [ acquire 1 Mode.R; acquire 2 Mode.R; acquire 0 Mode.W ])
 
 let test_intents_and_read () =
-  run_scenario ~name:"IR IW R" ~nodes:3
-    ~actions:
-      [
-        M.Acquire { node = 1; mode = Mode.IR };
-        M.Acquire { node = 2; mode = Mode.IW };
-        M.Acquire { node = 0; mode = Mode.R };
-      ]
-    ()
+  run_scenario ~name:"IR IW R" ~states:13 ~terminals:2
+    (script ~nodes:3 [ acquire 1 Mode.IR; acquire 2 Mode.IW; acquire 0 Mode.R ])
+
+(* The upgrade-deadlock class (Rule 7 vs queued requests). *)
+let upgrade_vs_reader = script ~nodes:3 [ upgrade 1; acquire 2 Mode.IR ]
 
 let test_upgrade_vs_readers () =
-  (* The upgrade-deadlock class (Rule 7 vs queued requests). *)
-  run_scenario ~name:"upgrade vs reader" ~nodes:3
-    ~actions:[ M.Acquire_upgrade { node = 1 }; M.Acquire { node = 2; mode = Mode.IR } ]
-    ()
+  run_scenario ~name:"upgrade vs reader" ~states:15 ~terminals:2 upgrade_vs_reader
 
 let test_two_upgrades () =
-  run_scenario ~name:"two upgrades" ~nodes:3
-    ~actions:[ M.Acquire_upgrade { node = 1 }; M.Acquire_upgrade { node = 2 } ]
-    ()
+  run_scenario ~name:"two upgrades" ~states:13 ~terminals:2
+    (script ~nodes:3 [ upgrade 1; upgrade 2 ])
 
 let test_no_caching_config () =
   run_scenario
     ~config:{ Dcs_hlock.Node.default_config with Dcs_hlock.Node.caching = false }
-    ~name:"no caching, crossing writers" ~nodes:3
-    ~actions:[ M.Acquire { node = 1; mode = Mode.W }; M.Acquire { node = 2; mode = Mode.W } ]
-    ()
+    ~name:"no caching, crossing writers" ~states:13 ~terminals:2
+    (script ~nodes:3 [ acquire 1 Mode.W; acquire 2 Mode.W ])
 
 let test_u_and_w () =
-  run_scenario ~name:"U vs W" ~nodes:3
-    ~actions:[ M.Acquire { node = 1; mode = Mode.U }; M.Acquire { node = 2; mode = Mode.W } ]
-    ()
+  run_scenario ~name:"U vs W" ~states:13 ~terminals:2
+    (script ~nodes:3 [ acquire 1 Mode.U; acquire 2 Mode.W ])
 
 let test_w_freeze () =
   (* Rule 6 / Table 2(b): a W request must freeze R everywhere before it is
      served; the trailing R exercises both the freeze propagation and the
      un-freeze on release in every interleaving. *)
-  run_scenario ~name:"W freeze vs readers" ~nodes:4
-    ~actions:
-      [
-        M.Acquire { node = 1; mode = Mode.R };
-        M.Acquire { node = 2; mode = Mode.W };
-        M.Acquire { node = 3; mode = Mode.R };
-      ]
-    ()
+  run_scenario ~name:"W freeze vs readers" ~states:273 ~terminals:20
+    (script ~nodes:4 [ acquire 1 Mode.R; acquire 2 Mode.W; acquire 3 Mode.R ])
 
 let test_release_suppression () =
   (* Rule 5.2: n1's IR release is subsumed by its retained R (owned mode
      unchanged, no weakening report due); the W from n2 then depends on the
      eventual R release being reported despite the earlier suppression. *)
-  run_scenario ~name:"release suppression" ~nodes:3
-    ~actions:
-      [
-        M.Acquire { node = 1; mode = Mode.R };
-        M.Acquire { node = 1; mode = Mode.IR };
-        M.Acquire { node = 2; mode = Mode.W };
-      ]
-    ()
+  run_scenario ~name:"release suppression" ~states:13 ~terminals:2
+    (script ~nodes:3 [ acquire 1 Mode.R; acquire 1 Mode.IR; acquire 2 Mode.W ])
 
 let test_same_node_fifo () =
   (* Two identical local requests must be granted in issue order in every
      interleaving (the terminal-state grant-order check). *)
-  run_scenario ~name:"same-node FIFO" ~nodes:3
-    ~actions:
-      [
-        M.Acquire { node = 1; mode = Mode.R };
-        M.Acquire { node = 1; mode = Mode.R };
-        M.Acquire { node = 2; mode = Mode.W };
-      ]
-    ()
-
-let run_bounded ?config ~name ~nodes ~actions ~max_states () =
-  let r = M.explore ?config ~nodes ~actions ~max_states () in
-  Alcotest.check (Alcotest.list Alcotest.string) (name ^ ": no violations") [] r.M.violations;
-  checkb (name ^ ": nontrivial") true (r.M.states > 100)
+  run_scenario ~name:"same-node FIFO" ~states:13 ~terminals:2
+    (script ~nodes:3 [ acquire 1 Mode.R; acquire 1 Mode.R; acquire 2 Mode.W ])
 
 let test_three_writers_deep () =
-  run_bounded ~name:"three crossing writers (bounded)" ~nodes:4
-    ~actions:
-      [
-        M.Acquire { node = 1; mode = Mode.W };
-        M.Acquire { node = 2; mode = Mode.W };
-        M.Acquire { node = 3; mode = Mode.W };
-      ]
-    ~max_states:30_000 ()
+  run_scenario ~max_states:30_000 ~name:"three crossing writers (bounded)" ~states:227
+    ~terminals:20
+    (script ~nodes:4 [ acquire 1 Mode.W; acquire 2 Mode.W; acquire 3 Mode.W ])
 
 let test_mixed_deep () =
-  run_bounded ~name:"IW, upgrade, R (bounded)" ~nodes:4
-    ~actions:
-      [
-        M.Acquire { node = 1; mode = Mode.IW };
-        M.Acquire_upgrade { node = 2 };
-        M.Acquire { node = 3; mode = Mode.R };
-      ]
-    ~max_states:30_000 ()
+  run_scenario ~max_states:30_000 ~name:"IW, upgrade, R (bounded)" ~states:427 ~terminals:32
+    (script ~nodes:4 [ acquire 1 Mode.IW; upgrade 2; acquire 3 Mode.R ])
+
+(* {1 Script validation} *)
+
+let test_rejects_invalid_scripts () =
+  let rejected s =
+    try
+      ignore (M.explore s);
+      false
+    with Invalid_argument _ -> true
+  in
+  checkb "node out of range" true (rejected (script ~nodes:2 [ acquire 2 Mode.W ]));
+  checkb "two locks" true
+    (rejected { (script ~nodes:2 [ acquire 1 Mode.W ]) with Script.locks = 2 })
+
+(* {1 One format across tools}
+
+   A model-checker scenario is a fuzz case's script: round-tripped through
+   the corpus format it replays under the randomized-schedule driver. *)
+
+let test_scenario_replays_as_fuzz_case () =
+  let case =
+    {
+      Fuzz.seed = 5L;
+      script = upgrade_vs_reader;
+      plan = None;
+      mutation = None;
+      max_overtakes = 100;
+    }
+  in
+  match Corpus.of_string (Corpus.to_string { Corpus.case; expect = Corpus.Pass }) with
+  | Error e -> Alcotest.fail e
+  | Ok entry -> (
+      checkb "script survives the corpus format" true
+        (entry.Corpus.case.Fuzz.script = upgrade_vs_reader);
+      match Corpus.check entry with
+      | Ok v -> checki "upgrades" 1 v.Fuzz.upgrades
+      | Error (msg, _) -> Alcotest.fail msg)
 
 let () =
   Alcotest.run "dcs_mcheck"
@@ -155,5 +165,11 @@ let () =
           Alcotest.test_case "same-node FIFO" `Slow test_same_node_fifo;
           Alcotest.test_case "three writers (bounded)" `Slow test_three_writers_deep;
           Alcotest.test_case "mixed deep (bounded)" `Slow test_mixed_deep;
+        ] );
+      ( "scripts",
+        [
+          Alcotest.test_case "invalid scripts rejected" `Quick test_rejects_invalid_scripts;
+          Alcotest.test_case "scenario replays as fuzz case" `Quick
+            test_scenario_replays_as_fuzz_case;
         ] );
     ]

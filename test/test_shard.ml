@@ -6,6 +6,7 @@
 module Directory = Dcs_shard.Directory
 module Cell = Dcs_shard.Cell
 module Traffic = Dcs_shard.Traffic
+module Script = Dcs_workload.Script
 module Router = Dcs_shard.Router
 module Codec = Dcs_wire.Codec
 module Shard_msg = Dcs_wire.Shard_msg
@@ -111,6 +112,36 @@ let base_cfg =
     seed = 11L;
   }
 
+(* Golden values: the placement-invariance checks below compare runs with
+   each other and cannot see a drifting RNG draw order or driver call
+   order. *)
+let burst_line (op : Script.op) =
+  Printf.sprintf "at=%.3f node=%d mode=%s prio=%d hold=%.3f upgrade=%b" op.Script.at
+    op.Script.node (Dcs_modes.Mode.to_string op.Script.mode) op.Script.priority op.Script.hold
+    (op.Script.kind = Script.Acquire_upgrade)
+
+let test_burst_golden () =
+  Alcotest.check
+    Alcotest.(list string)
+    "burst ops"
+    [
+      "at=25.080 node=0 mode=R prio=0 hold=8.814 upgrade=false";
+      "at=68.258 node=2 mode=U prio=3 hold=7.766 upgrade=true";
+      "at=86.463 node=3 mode=R prio=0 hold=2.741 upgrade=false";
+      "at=137.142 node=1 mode=IR prio=0 hold=1.024 upgrade=false";
+      "at=157.690 node=2 mode=IR prio=0 hold=0.736 upgrade=false";
+      "at=195.219 node=3 mode=U prio=0 hold=13.250 upgrade=false";
+    ]
+    (List.map burst_line (Script.burst ~seed:1L ~nodes:5 ~ops:6).Script.ops)
+
+let test_router_golden () =
+  let r = Router.run ~jobs:1 base_cfg in
+  Alcotest.check Alcotest.string "digest" "c6e396c1ab002e0b"
+    (Printf.sprintf "%016Lx" r.Router.digest);
+  checki "grants" 54 r.Router.grants;
+  checki "upgrades" 5 r.Router.upgrades;
+  checki "msgs" 148 r.Router.msgs
+
 let test_digest_invariant_under_shards () =
   let r1 = Router.run ~jobs:1 { base_cfg with Router.shards = 1 } in
   let r2 = Router.run ~jobs:1 { base_cfg with Router.shards = 2 } in
@@ -206,23 +237,14 @@ let test_skewed_traffic_and_balance () =
 
 (* {1 Snapshot / handoff fidelity} *)
 
-(* Drive one cell to a non-trivial quiescent state and return its export. *)
-let quiescent_state ~seed =
-  let cell = Cell.create ~nodes:5 () in
+(* Drive one cell through a burst and return its quiescent export. *)
+let run_burst cell ~seed ~ops =
   Cell.reset cell ~seed ~locks:1;
-  let ops = Traffic.burst_ops ~seed ~nodes:5 ~ops:6 in
-  List.iter
-    (fun (op : Traffic.op) ->
-      Cell.schedule cell ~after:op.Traffic.at (fun () ->
-          let seq = ref (-1) in
-          seq :=
-            Cell.request cell ~node:op.Traffic.node ~lock:0 ~mode:op.Traffic.mode
-              ~on_granted:(fun () ->
-                Cell.schedule cell ~after:op.Traffic.hold (fun () ->
-                    Cell.release cell ~node:op.Traffic.node ~lock:0 ~seq:!seq))))
-    ops;
+  ignore (Cell.drive cell (Script.burst ~seed ~nodes:5 ~ops));
   (match Cell.drain cell with Ok () -> () | Error _ -> Alcotest.fail "cell did not drain");
   Cell.export_lock cell ~lock:0
+
+let quiescent_state ~seed = run_burst (Cell.create ~nodes:5 ()) ~seed ~ops:6
 
 let test_export_restore_export_idempotent () =
   let snaps = quiescent_state ~seed:77L in
@@ -241,20 +263,13 @@ let test_restored_cell_continues_protocol () =
   let snaps = quiescent_state ~seed:99L in
   let cell = Cell.create ~nodes:5 () in
   Cell.reset cell ~restore:[| snaps |] ~seed:5L ~locks:1;
-  let granted = ref 0 in
-  List.iter
-    (fun node ->
-      let seq = ref (-1) in
-      seq :=
-        Cell.request cell ~node ~lock:0 ~mode:Dcs_modes.Mode.W ~on_granted:(fun () ->
-            incr granted;
-            (* read !seq only inside the later event: the grant may be
-               synchronous, before the assignment above lands *)
-            Cell.schedule cell ~after:5.0 (fun () -> Cell.release cell ~node ~lock:0 ~seq:!seq))
-    )
-    [ 0; 3; 4 ];
+  let writer node =
+    { Script.at = 0.0; node; lock = 0; mode = Dcs_modes.Mode.W; priority = 0; hold = 5.0;
+      kind = Script.Acquire }
+  in
+  let counts = Cell.drive cell { Script.nodes = 5; locks = 1; ops = List.map writer [ 0; 3; 4 ] } in
   checkb "drained" true (Cell.drain cell = Ok ());
-  checki "all writers served after restore" 3 !granted;
+  checki "all writers served after restore" 3 counts.Script.grants;
   Alcotest.check Alcotest.(list string) "quiescent" [] (Cell.quiescent_violations cell)
 
 let test_pooled_reset_equals_fresh () =
@@ -262,34 +277,9 @@ let test_pooled_reset_equals_fresh () =
   let fresh = Codec.encode_cluster_state (quiescent_state ~seed:123L) in
   let cell = Cell.create ~nodes:5 () in
   (* Dirty the cell with an unrelated burst, then reset and rerun. *)
-  Cell.reset cell ~seed:555L ~locks:1;
-  let ops = Traffic.burst_ops ~seed:555L ~nodes:5 ~ops:4 in
-  List.iter
-    (fun (op : Traffic.op) ->
-      Cell.schedule cell ~after:op.Traffic.at (fun () ->
-          let seq = ref (-1) in
-          seq :=
-            Cell.request cell ~node:op.Traffic.node ~lock:0 ~mode:op.Traffic.mode
-              ~on_granted:(fun () ->
-                Cell.schedule cell ~after:op.Traffic.hold (fun () ->
-                    Cell.release cell ~node:op.Traffic.node ~lock:0 ~seq:!seq))))
-    ops;
-  (match Cell.drain cell with Ok () -> () | Error _ -> Alcotest.fail "dirtying burst stuck");
-  Cell.reset cell ~seed:123L ~locks:1;
-  let ops = Traffic.burst_ops ~seed:123L ~nodes:5 ~ops:6 in
-  List.iter
-    (fun (op : Traffic.op) ->
-      Cell.schedule cell ~after:op.Traffic.at (fun () ->
-          let seq = ref (-1) in
-          seq :=
-            Cell.request cell ~node:op.Traffic.node ~lock:0 ~mode:op.Traffic.mode
-              ~on_granted:(fun () ->
-                Cell.schedule cell ~after:op.Traffic.hold (fun () ->
-                    Cell.release cell ~node:op.Traffic.node ~lock:0 ~seq:!seq))))
-    ops;
-  (match Cell.drain cell with Ok () -> () | Error _ -> Alcotest.fail "reset burst stuck");
+  ignore (run_burst cell ~seed:555L ~ops:4);
   Alcotest.check Alcotest.string "reset cell = fresh cell" fresh
-    (Codec.encode_cluster_state (Cell.export_lock cell ~lock:0))
+    (Codec.encode_cluster_state (run_burst cell ~seed:123L ~ops:6))
 
 (* {1 Wire roundtrips for the shard payload} *)
 
@@ -429,6 +419,8 @@ let () =
         ] );
       ( "determinism",
         [
+          Alcotest.test_case "burst golden" `Quick test_burst_golden;
+          Alcotest.test_case "router golden" `Quick test_router_golden;
           Alcotest.test_case "digest vs shard count" `Quick test_digest_invariant_under_shards;
           Alcotest.test_case "digest vs worker count" `Quick test_digest_invariant_under_workers;
           Alcotest.test_case "digest vs bucket count" `Quick test_digest_invariant_under_buckets;

@@ -1,5 +1,5 @@
-(* Tests for the simulation substrate: PRNG, distributions, priority queue,
-   event engine, traces. *)
+(* Tests for the simulation substrate: PRNG, distributions, event engine,
+   traces. *)
 
 open Dcs_sim
 module Q = QCheck2
@@ -104,42 +104,34 @@ let test_dist_parse () =
   checkb "garbage rejected" true (Result.is_error (Dist.of_string "nope:1"));
   checkb "inverted uniform rejected" true (Result.is_error (Dist.of_string "uniform:9:3"))
 
-(* {1 Pqueue} *)
-
-let prop_pqueue_sorts =
-  Q.Test.make ~name:"drain returns keys sorted" ~count:500
-    Q.Gen.(list_size (int_bound 50) (int_range 0 100))
-    (fun keys ->
-      let q = Pqueue.create ~compare:Int.compare in
-      List.iteri (fun i k -> Pqueue.add q k i) keys;
-      let drained = Pqueue.drain q in
-      List.map fst drained = List.sort compare keys)
-
-let prop_pqueue_stable =
-  Q.Test.make ~name:"equal keys pop in insertion order" ~count:300
-    Q.Gen.(list_size (int_bound 40) (int_bound 3))
-    (fun keys ->
-      let q = Pqueue.create ~compare:Int.compare in
-      List.iteri (fun i k -> Pqueue.add q k i) keys;
-      let drained = Pqueue.drain q in
-      (* Within each key, values (insertion indices) must be increasing. *)
-      let by_key k = List.filter_map (fun (k', v) -> if k = k' then Some v else None) drained in
-      List.for_all (fun k -> let vs = by_key k in vs = List.sort compare vs) [ 0; 1; 2; 3 ])
-
-let test_pqueue_basics () =
-  let q = Pqueue.create ~compare:Int.compare in
-  checkb "empty" true (Pqueue.is_empty q);
-  Alcotest.check Alcotest.(option (pair int string)) "peek empty" None (Pqueue.peek q);
-  Pqueue.add q 3 "c";
-  Pqueue.add q 1 "a";
-  Pqueue.add q 2 "b";
-  checki "length" 3 (Pqueue.length q);
-  Alcotest.check Alcotest.(option (pair int string)) "peek min" (Some (1, "a")) (Pqueue.peek q);
-  Alcotest.check Alcotest.(option (pair int string)) "pop min" (Some (1, "a")) (Pqueue.pop q);
-  Pqueue.clear q;
-  checkb "cleared" true (Pqueue.is_empty q)
-
 (* {1 Engine} *)
+
+(* The engine's heap on random schedules: times drawn from a small range
+   force many ties, and each event records its schedule index. *)
+let fire_order times =
+  let e = Engine.create () in
+  let fired = ref [] in
+  List.iteri
+    (fun i t -> Engine.schedule_at e ~time:(float_of_int t) (fun () -> fired := (t, i) :: !fired))
+    times;
+  ignore (Engine.run e);
+  List.rev !fired
+
+let prop_engine_time_order =
+  Q.Test.make ~name:"events fire in time order" ~count:500
+    Q.Gen.(list_size (int_bound 50) (int_range 0 100))
+    (fun times -> List.map fst (fire_order times) = List.sort compare times)
+
+let prop_engine_tie_order =
+  Q.Test.make ~name:"equal-time events fire in schedule order" ~count:300
+    Q.Gen.(list_size (int_bound 40) (int_bound 3))
+    (fun times ->
+      let fired = fire_order times in
+      List.for_all
+        (fun t ->
+          let idx = List.filter_map (fun (t', i) -> if t = t' then Some i else None) fired in
+          idx = List.sort compare idx)
+        [ 0; 1; 2; 3 ])
 
 let test_engine_ordering () =
   let e = Engine.create () in
@@ -298,12 +290,6 @@ let () =
           Alcotest.test_case "sample ranges" `Quick test_dist_sample_ranges;
           Alcotest.test_case "parse" `Quick test_dist_parse;
         ] );
-      ( "pqueue",
-        [
-          Alcotest.test_case "basics" `Quick test_pqueue_basics;
-          qt prop_pqueue_sorts;
-          qt prop_pqueue_stable;
-        ] );
       ( "engine",
         [
           Alcotest.test_case "ordering" `Quick test_engine_ordering;
@@ -311,6 +297,8 @@ let () =
           Alcotest.test_case "horizon" `Quick test_engine_horizon;
           Alcotest.test_case "event limit" `Quick test_engine_event_limit;
           Alcotest.test_case "past clamped" `Quick test_engine_past_clamped;
+          qt prop_engine_time_order;
+          qt prop_engine_tie_order;
         ] );
       ( "trace",
         [
