@@ -1,0 +1,25 @@
+(* Int-only comparisons for the token service's per-message code, opened
+   at the top of [Node] and [Msg]. In OCaml 5 a polymorphic compare,
+   equality or hash is an external C call that switches stacks. Shadowed at
+   [int], the operators compile to single instructions, and the type
+   checker rejects any polymorphic use: compare options and lists by
+   matching, look ids up with [mem_id], and key tables with [Tbl]. *)
+
+external ( = ) : int -> int -> bool = "%equal"
+external ( <> ) : int -> int -> bool = "%notequal"
+external ( < ) : int -> int -> bool = "%lessthan"
+external ( > ) : int -> int -> bool = "%greaterthan"
+external ( <= ) : int -> int -> bool = "%lessequal"
+external ( >= ) : int -> int -> bool = "%greaterequal"
+external compare : int -> int -> int = "%compare"
+
+let max (a : int) b = if a >= b then a else b
+
+let rec mem_id (x : int) = function [] -> false | y :: tl -> x = y || mem_id x tl
+
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (x : int) = x land max_int
+end)

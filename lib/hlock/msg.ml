@@ -1,5 +1,6 @@
 open Dcs_modes
 open Dcs_proto
+open Int_only
 
 type request = {
   requester : Node_id.t;
@@ -68,7 +69,8 @@ let request_lt a b =
    requester, seq)], compared field by field so the queue hot path never
    allocates a key. *)
 let service_order a b =
-  if a.upgrade <> b.upgrade then if a.upgrade then -1 else 1
+  if a.upgrade && not b.upgrade then -1
+  else if b.upgrade && not a.upgrade then 1
   else if a.priority <> b.priority then Int.compare b.priority a.priority
   else if a.timestamp <> b.timestamp then Int.compare a.timestamp b.timestamp
   else if a.requester <> b.requester then Int.compare a.requester b.requester

@@ -1,5 +1,6 @@
 open Dcs_modes
 open Dcs_proto
+open Int_only
 
 type mutation = Weak_freeze | Ignore_frozen
 
@@ -41,12 +42,13 @@ type t = {
   (* Best-effort mirror of the mode the accounting parent records for us;
      Rule 5.2 sends a release exactly when owned drops below it. *)
   mutable last_reported : Mode.t option;
-  (* Held instances, seq → mode. A Hashtbl (not an assoc list) so release
-     and upgrade are O(1) under many concurrently held grants; the
-     per-mode multiset [held_counts] (indexed by Mode.index) makes the
-     strongest-held computation an allocation-free 5-slot scan. *)
-  held : (int, Mode.t) Hashtbl.t;
+  (* Held instances, seq → mode. A hash table (not an assoc list) so
+     release and upgrade are O(1) under many concurrently held grants. The
+     per-mode multiset [held_counts] (indexed by Mode.index) is summarised
+     in [held_bits]: bit [i] is set iff [held_counts.(i) > 0]. *)
+  held : Mode.t Tbl.t;
   held_counts : int array;
+  mutable held_bits : int;
   (* Modes granted to this node that no local client currently holds, kept
      in the copyset Li/Hudak-style so re-acquisition is message-free
      (Rule 2); dropped on freeze/conflict (revocation). *)
@@ -54,13 +56,15 @@ type t = {
   (* Copyset, indexed by child id: [child_mode.(c)] is the recorded
      mode's Mode.index + 1 (0: [c] is no child) and [child_epoch.(c)] the
      record's epoch. The per-mode multiset [child_counts] (indexed by
-     Mode.index) is kept beside it exactly like [held_counts], so the
-     owned mode never walks the copyset, and [n_children] counts the
-     records. The per-peer arrays ([sent_freeze] too) are [[||]] until the
-     first record: most nodes never grant a copy. *)
+     Mode.index) and its mask [child_bits] are kept beside it exactly like
+     [held_counts] and [held_bits], so the owned mode never walks the
+     copyset, and [n_children] counts the records. The per-peer arrays
+     ([sent_freeze] too) are [[||]] until the first record: most nodes
+     never grant a copy. *)
   mutable child_mode : int array;
   mutable child_epoch : int array;
   child_counts : int array;
+  mutable child_bits : int;
   mutable n_children : int;
   (* Local queue in service order, head first, with the per-mode count of
      its plain entries ([queue_counts], indexed by Mode.index) and the
@@ -115,8 +119,10 @@ let create ?(config = default_config) ?obs ~id ~peers ~is_token ~parent ~send ()
   (* Freezes are the cache-revocation channel: without them a cached mode
      could block a conflicting writer forever. *)
   let config = if config.freezing then config else { config with caching = false } in
-  if is_token && parent <> None then invalid_arg "Hlock.Node.create: token node with a parent";
-  if (not is_token) && parent = None then invalid_arg "Hlock.Node.create: non-token node without parent";
+  if is_token && Option.is_some parent then
+    invalid_arg "Hlock.Node.create: token node with a parent";
+  if (not is_token) && Option.is_none parent then
+    invalid_arg "Hlock.Node.create: non-token node without parent";
   if peers < 1 || id < 0 || id >= peers then invalid_arg "Hlock.Node.create: id out of range";
   {
     config;
@@ -130,12 +136,14 @@ let create ?(config = default_config) ?obs ~id ~peers ~is_token ~parent ~send ()
     accounted_parent = None;
     accounted_epoch = 0;
     last_reported = None;
-    held = Hashtbl.create 8;
+    held = Tbl.create 8;
     held_counts = [| 0; 0; 0; 0; 0 |];
+    held_bits = 0;
     cached = Mode_set.empty;
     child_mode = [||];
     child_epoch = [||];
     child_counts = [| 0; 0; 0; 0; 0 |];
+    child_bits = 0;
     n_children = 0;
     queue = [];
     queue_counts = [| 0; 0; 0; 0; 0 |];
@@ -168,7 +176,7 @@ let is_token t = t.token
 let parent t = t.parent
 
 let held t =
-  Hashtbl.fold (fun seq m acc -> (seq, m) :: acc) t.held []
+  Tbl.fold (fun seq m acc -> (seq, m) :: acc) t.held []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let queue t = t.queue
@@ -177,22 +185,29 @@ let pending t = t.pending
 let waiting t = List.length t.waiters
 let coalesced t = t.coalesced
 
+(* Add [d] to the per-mode count [counts.(i)] and return [bits] with bit
+   [i] set iff that count is now positive. *)
+let count_step counts bits i d =
+  let n = counts.(i) + d in
+  counts.(i) <- n;
+  if n > 0 then bits lor (1 lsl i) else bits land lnot (1 lsl i)
+
 (* Held-multiset maintenance: every mutation of [t.held] goes through
-   these so [held_counts] can never drift. *)
+   these so [held_counts] and [held_bits] can never drift. *)
 
 let held_add t seq m =
-  (match Hashtbl.find_opt t.held seq with
-  | Some old -> t.held_counts.(Mode.index old) <- t.held_counts.(Mode.index old) - 1
+  (match Tbl.find_opt t.held seq with
+  | Some old -> t.held_bits <- count_step t.held_counts t.held_bits (Mode.index old) (-1)
   | None -> ());
-  Hashtbl.replace t.held seq m;
-  t.held_counts.(Mode.index m) <- t.held_counts.(Mode.index m) + 1
+  Tbl.replace t.held seq m;
+  t.held_bits <- count_step t.held_counts t.held_bits (Mode.index m) 1
 
 let held_remove t seq =
-  match Hashtbl.find_opt t.held seq with
+  match Tbl.find_opt t.held seq with
   | None -> None
   | Some m ->
-      Hashtbl.remove t.held seq;
-      t.held_counts.(Mode.index m) <- t.held_counts.(Mode.index m) - 1;
+      Tbl.remove t.held seq;
+      t.held_bits <- count_step t.held_counts t.held_bits (Mode.index m) (-1);
       Some m
 
 (* Per-peer state. Lookups take any id — one outside [0, peers) is no
@@ -215,23 +230,23 @@ let sent_freeze_bits t c =
 let forget_freeze t c = if sent_freeze_bits t c <> 0 then t.sent_freeze.(c) <- 0
 
 (* Copyset maintenance: every mutation of the copyset goes through these
-   so [child_counts] and [n_children] can never drift. *)
+   so [child_counts], [child_bits] and [n_children] can never drift. *)
 
 let child_set t c m epoch =
   peer_arrays t;
   let old = t.child_mode.(c) in
-  if old > 0 then t.child_counts.(old - 1) <- t.child_counts.(old - 1) - 1
+  if old > 0 then t.child_bits <- count_step t.child_counts t.child_bits (old - 1) (-1)
   else t.n_children <- t.n_children + 1;
   t.child_mode.(c) <- Mode.index m + 1;
   t.child_epoch.(c) <- epoch;
-  t.child_counts.(Mode.index m) <- t.child_counts.(Mode.index m) + 1;
+  t.child_bits <- count_step t.child_counts t.child_bits (Mode.index m) 1;
   if not (t.freeze_all || Mode_set.is_empty t.frozen) then t.freeze_kids <- c :: t.freeze_kids
 
 let child_remove t c =
   let old = child_code t c in
   if old > 0 then begin
     t.child_mode.(c) <- 0;
-    t.child_counts.(old - 1) <- t.child_counts.(old - 1) - 1;
+    t.child_bits <- count_step t.child_counts t.child_bits (old - 1) (-1);
     t.n_children <- t.n_children - 1
   end
 
@@ -253,7 +268,9 @@ let queue_pop t r rest =
 
 let queue_replace t q =
   t.queue <- q;
-  Array.fill t.queue_counts 0 5 0;
+  for i = 0 to 4 do
+    t.queue_counts.(i) <- 0
+  done;
   t.queued_upgrades <- 0;
   List.iter (fun r -> queue_count t r 1) q
 
@@ -275,33 +292,29 @@ let children t = fold_children_desc t (fun c m _ acc -> (c, m) :: acc) []
 let copyset_size t = t.n_children
 let cached t = Mode_set.to_list t.cached
 
-(* Owned mode (Definition 3) as a Decision code, allocation-free: two
-   5-slot scans. Each walks mode indices in descending order, which is
-   non-increasing strength (W, IW, U, R, IR), so its first hit is the
-   strongest. Held/cached modes win ties against child records; between
-   equal-strength child records (U and IW, which a correctly maintained
-   copyset never holds together) the higher index, IW, wins. [skip_held]
-   and [skip_child] each discount one held grant / child record of that
-   mode index (-1: none) — the upgrade mask of [owned_code_for]. *)
-let owned_code_masked t ~skip_held ~skip_child =
-  let own = ref 0 in
-  let i = ref 4 in
-  while !own = 0 && !i >= 0 do
-    let n = if !i = skip_held then t.held_counts.(!i) - 1 else t.held_counts.(!i) in
-    if n > 0 || Mode_set.mem (Mode.of_index !i) t.cached then own := !i + 1;
-    decr i
-  done;
-  let kid = ref 0 in
-  let i = ref 4 in
-  while !kid = 0 && !i >= 0 do
-    let n = if !i = skip_child then t.child_counts.(!i) - 1 else t.child_counts.(!i) in
-    if n > 0 then kid := !i + 1;
-    decr i
-  done;
-  if Decision.strength_of_code !kid > Decision.strength_of_code !own then !kid else !own
+(* The owned code of the strongest mode in a 5-bit mask (0 for none).
+   Mode indices ascend in strength (IR, R, U, IW, W), so that is the
+   highest set bit; between the equal-strength U and IW (which a correctly
+   maintained copyset never records together) the higher index, IW, wins. *)
+let top_code =
+  Array.init 32 (fun bits ->
+      let rec go i = if i < 0 || bits land (1 lsl i) <> 0 then i + 1 else go (i - 1) in
+      go 4)
 
-let owned_code t = owned_code_masked t ~skip_held:(-1) ~skip_child:(-1)
+(* Owned mode (Definition 3) as a Decision code, allocation-free: the
+   strongest held or cached mode and the strongest child record, from the
+   count masks [held] and [kids]; held/cached modes win ties against child
+   records. *)
+let owned_code_masked t ~held ~kids =
+  let own = top_code.(held lor Mode_set.to_bits t.cached) and kid = top_code.(kids) in
+  if Decision.strength_of_code kid > Decision.strength_of_code own then kid else own
+
+let owned_code t = owned_code_masked t ~held:t.held_bits ~kids:t.child_bits
 let owned t = Decision.decode_owned (owned_code t)
+
+(* [bits] without the one counted instance of mode index [i]: the bit
+   clears only when that instance is the mode's last. *)
+let discount counts bits i = if counts.(i) = 1 then bits land lnot (1 lsl i) else bits
 
 (* Owned code as seen when evaluating request [r]: an upgrade request masks
    the requester's own U contribution (Rule 7) — its held U grant, or its U
@@ -310,22 +323,26 @@ let owned t = Decision.decode_owned (owned_code t)
 let owned_code_for t (r : Msg.request) =
   if not r.upgrade then owned_code t
   else begin
-    let skip_held =
+    let held =
       if r.requester = t.id then
-        match Hashtbl.find_opt t.held r.seq with Some m -> Mode.index m | None -> -1
-      else -1
+        match Tbl.find_opt t.held r.seq with
+        | Some m -> discount t.held_counts t.held_bits (Mode.index m)
+        | None -> t.held_bits
+      else t.held_bits
     in
-    let skip_child =
-      if child_code t r.requester = Mode.index Mode.U + 1 then Mode.index Mode.U else -1
+    let kids =
+      if child_code t r.requester = Mode.index Mode.U + 1 then
+        discount t.child_counts t.child_bits (Mode.index Mode.U)
+      else t.child_bits
     in
-    owned_code_masked t ~skip_held ~skip_child
+    owned_code_masked t ~held ~kids
   end
 
 let owned_for t r = Decision.decode_owned (owned_code_for t r)
 
 let is_frozen t m =
   t.config.freezing
-  && t.config.mutation <> Some Ignore_frozen
+  && (match t.config.mutation with Some Ignore_frozen -> false | Some Weak_freeze | None -> true)
   && Mode_set.mem m t.frozen
 
 (* Every assignment of [t.frozen] funnels through here so telemetry sees the
@@ -410,10 +427,10 @@ let flush_batch t =
       let msgs = Array.of_list (List.rev batched) in
       let n = Array.length msgs in
       let drop = Array.make n false in
-      let last_for_dst = Hashtbl.create 8 in
+      let last_for_dst = Tbl.create 8 in
       for i = 0 to n - 1 do
         let dst, m = msgs.(i) in
-        (match Hashtbl.find_opt last_for_dst dst with
+        (match Tbl.find_opt last_for_dst dst with
         | Some j -> (
             match snd msgs.(j), m with
             | Msg.Freeze _, Msg.Freeze _ ->
@@ -424,7 +441,7 @@ let flush_batch t =
                 t.coalesced <- t.coalesced + 1
             | _ -> ())
         | None -> ());
-        Hashtbl.replace last_for_dst dst i
+        Tbl.replace last_for_dst dst i
       done;
       Array.iteri (fun i (dst, m) -> if not drop.(i) then t.send ~dst m) msgs
 
@@ -553,7 +570,7 @@ let refresh_freezes t =
         notify_freeze t c
       done
     end
-    else if t.freeze_kids <> [] then begin
+    else if not (List.is_empty t.freeze_kids) then begin
       let marked = t.freeze_kids in
       t.freeze_kids <- [];
       List.iter (notify_freeze t) (List.sort_uniq Int.compare marked)
@@ -578,7 +595,7 @@ let report_owned t ~force =
           let o = Decision.decode_owned oc in
           t.last_reported <- o;
           emit t q (Msg.Release { new_owned = o; epoch = t.accounted_epoch });
-          if o = None then begin
+          if Option.is_none o then begin
             t.accounted_parent <- None;
             t.last_reported <- None;
             (* Detached from the copyset: no freeze duties remain, and no
@@ -603,17 +620,25 @@ let clear_pending_if_match t (r : Msg.request) =
    that call runs the continuation itself once its protocol work is done,
    just before it returns (see [request] and [upgrade]). *)
 
+let rec find_waiter seq = function
+  | [] -> None
+  | (s, k) :: tl -> if s = seq then Some k else find_waiter seq tl
+
+let rec remove_waiter seq = function
+  | [] -> []
+  | ((s, _) as w) :: tl -> if s = seq then tl else w :: remove_waiter seq tl
+
 let resume t seq =
-  match List.assoc_opt seq t.waiters with
+  match find_waiter seq t.waiters with
   | None -> ()
   | Some k ->
-      t.waiters <- List.remove_assoc seq t.waiters;
+      t.waiters <- remove_waiter seq t.waiters;
       k seq
 
 (* The tail of a client call: run [k] now if the call itself granted [seq]
    (it now holds [mode]), else park it until the grant point. *)
 let continue_or_wait t seq mode k =
-  match Hashtbl.find_opt t.held seq with
+  match Tbl.find_opt t.held seq with
   | Some m when Mode.equal m mode -> k seq
   | Some _ | None -> t.waiters <- (seq, k) :: t.waiters
 
@@ -635,7 +660,7 @@ let grant_self ?(via_token = false) t (r : Msg.request) =
 
 let complete_upgrade t (r : Msg.request) =
   clear_pending_if_match t r;
-  if Hashtbl.mem t.held r.seq then held_add t r.seq Mode.W;
+  if Tbl.mem t.held r.seq then held_add t r.seq Mode.W;
   (match t.obs with
   | None -> ()
   | Some f ->
@@ -704,7 +729,7 @@ let transfer_token t (r : Msg.request) =
   queue_replace t [];
   t.token <- false;
   set_parent t tail ~stamp:(t.tenure + 1);
-  t.accounted_parent <- (if residual = None then None else Some r.requester);
+  t.accounted_parent <- (if Option.is_none residual then None else Some r.requester);
   t.accounted_epoch <- sender_epoch;
   t.last_reported <- residual;
   set_frozen t Mode_set.empty;
@@ -723,7 +748,7 @@ let enqueue t (r : Msg.request) =
 
 (* [p] if it is a node id (not the -1 "none" sentinel) that [path] has not
    visited, else -1. *)
-let unvisited path p = if p >= 0 && not (List.mem p path) then p else -1
+let unvisited path p = if p >= 0 && not (mem_id p path) then p else -1
 
 let id_or_none = function Some p -> p | None -> -1
 
@@ -737,7 +762,7 @@ let id_or_none = function Some p -> p | None -> -1
    Candidates are tried in a fixed order without building a list, and the
    request is copied once. *)
 let forward_onward ?via t (r : Msg.request) =
-  let path = if List.mem t.id r.Msg.path then r.Msg.path else t.id :: r.Msg.path in
+  let path = if mem_id t.id r.Msg.path then r.Msg.path else t.id :: r.Msg.path in
   let hint_stamp = if t.token then t.tenure else fst t.hint in
   let hint = if hint_stamp > fst r.Msg.hint then my_hint t else r.Msg.hint in
   let via = id_or_none via in
@@ -766,7 +791,7 @@ let forward_onward ?via t (r : Msg.request) =
       let d = unvisited path (snd hint) in
       let d = if d >= 0 then d else unvisited path (id_or_none t.accounted_parent) in
       let d = if d >= 0 then d else unvisited path (id_or_none t.last_granter) in
-      let rec first i = if i >= t.peers then -1 else if List.mem i path then first (i + 1) else i in
+      let rec first i = if i >= t.peers then -1 else if mem_id i path then first (i + 1) else i in
       if d >= 0 then d else first 0
     end
   in
@@ -824,7 +849,7 @@ let rec serve_queue t =
         let mo = owned_code t in
         let remote_grant_ok =
           r.requester = t.id
-          || ((not r.token_only) && not (List.mem r.requester t.ancestry))
+          || ((not r.token_only) && not (mem_id r.requester t.ancestry))
         in
         if Decision.can_child_grant ~owned:mo r.mode && (not (is_frozen t r.mode)) && remote_grant_ok
         then begin
@@ -832,7 +857,7 @@ let rec serve_queue t =
           if r.requester = t.id then grant_self t r else grant_copy t r;
           serve_queue t
         end
-        else if t.pending = None then begin
+        else if Option.is_none t.pending then begin
           (* Nothing further will come through to serve these locally;
              push the whole queue toward the token (liveness). *)
           let stranded = t.queue in
@@ -925,7 +950,7 @@ let handle_request t (r : Msg.request) =
     (if
        Decision.can_child_grant ~owned:mo r.mode
        && (not (is_frozen t r.mode))
-       && not (List.mem r.requester t.ancestry)
+       && not (mem_id r.requester t.ancestry)
      then grant_copy t r
      else
       match t.pending with
@@ -974,6 +999,8 @@ let handle_request t (r : Msg.request) =
 
 (* {1 Message handlers} *)
 
+let accounted_by t src = match t.accounted_parent with Some p -> p = src | None -> false
+
 let detach_from_old_parent t ~src =
   match t.accounted_parent with
   | Some q when q <> src ->
@@ -1019,7 +1046,7 @@ and handle_grant_at_child t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
   end
   else begin
   t.ancestry <- src :: ancestry;
-  let same_parent = t.accounted_parent = Some src in
+  let same_parent = accounted_by t src in
   detach_from_old_parent t ~src;
   (* A new accounting parent owns our freeze state from now on; stale sets
      from the old one must not linger (they would never be un-frozen). *)
@@ -1097,7 +1124,7 @@ let handle_freeze t ~src ~frozen =
     t.cached <- Mode_set.diff t.cached frozen;
     (* The granting restriction, however, follows the live copyset: only
        the current accounting parent may extend our frozen set. *)
-    if t.accounted_parent = Some src then begin
+    if accounted_by t src then begin
       set_frozen t (Mode_set.union t.frozen frozen);
       refresh_freezes t
     end;
@@ -1146,7 +1173,7 @@ let release t ~seq =
       after_owned_change t
 
 let upgrade t ~seq ~on_upgraded =
-  match Hashtbl.find_opt t.held seq with
+  match Tbl.find_opt t.held seq with
   | Some Mode.U ->
       if not t.token then
         invalid_arg "Hlock.Node.upgrade: protocol invariant violated (U holder must be the token node)";
@@ -1190,6 +1217,10 @@ let upgrade t ~seq ~on_upgraded =
         (Printf.sprintf "Hlock.Node.upgrade: #%d held in %s, not U" seq (Mode.to_string m))
   | None -> invalid_arg (Printf.sprintf "Hlock.Node.upgrade: #%d not held" seq)
 
+let rec marked_in requester seq = function
+  | [] -> false
+  | (n, s) :: tl -> (n = requester && s = seq) || marked_in requester seq tl
+
 (* Watchdog against custody stalls: crossing requests can leave two pending
    nodes holding each other's requests (a mutual-absorption cycle the
    paper's Table 2(a) does not address). Re-circulating absorbed remote
@@ -1197,15 +1228,15 @@ let upgrade t ~seq ~on_upgraded =
    serves strictly by its queue — so any cycle unwinds. Drivers call this
    periodically on nodes that look stalled; it is a no-op otherwise. *)
 let kick t =
-  if (not t.token) && t.pending <> None then begin
+  if (not t.token) && Option.is_some t.pending then begin
     (* Two-phase: only re-circulate requests that were already in custody at
        the previous kick — anything younger has waited less than one kick
        period and is almost certainly fine. *)
-    let marked (r : Msg.request) = List.mem (r.requester, r.seq) t.kick_marks in
+    let marked (r : Msg.request) = marked_in r.requester r.seq t.kick_marks in
     let stale, keep =
       List.partition (fun (r : Msg.request) -> r.requester <> t.id && marked r) t.queue
     in
-    if stale <> [] then begin
+    if not (List.is_empty stale) then begin
       queue_replace t keep;
       List.iter (fun r -> forward_onward t r) stale;
       refresh_freezes t
@@ -1257,10 +1288,11 @@ type snapshot = {
 }
 
 let export t =
-  if Hashtbl.length t.held > 0 then
+  if Tbl.length t.held > 0 then
     invalid_arg "Hlock.Node.export: node holds granted instances";
-  if t.pending <> None then invalid_arg "Hlock.Node.export: node has a pending request";
-  if t.waiters <> [] then invalid_arg "Hlock.Node.export: a client is still waiting";
+  if Option.is_some t.pending then invalid_arg "Hlock.Node.export: node has a pending request";
+  if not (List.is_empty t.waiters) then
+    invalid_arg "Hlock.Node.export: a client is still waiting";
   if t.batch_depth > 0 then invalid_arg "Hlock.Node.export: open send batch";
   {
     s_token = t.token;
@@ -1318,12 +1350,14 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send (s : snapshot) =
       accounted_parent = s.s_accounted_parent;
       accounted_epoch = s.s_accounted_epoch;
       last_reported = s.s_last_reported;
-      held = Hashtbl.create 8;
+      held = Tbl.create 8;
       held_counts = [| 0; 0; 0; 0; 0 |];
+      held_bits = 0;
       cached = s.s_cached;
       child_mode = [||];
       child_epoch = [||];
       child_counts = [| 0; 0; 0; 0; 0 |];
+      child_bits = 0;
       n_children = 0;
       queue = [];
       queue_counts = [| 0; 0; 0; 0; 0 |];

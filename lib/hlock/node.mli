@@ -208,8 +208,9 @@ val parent : t -> Node_id.t option
 (** Strongest of held, cached and children modes (Definition 3); [None] =
     ⊥. Held and cached modes win ties against child records; between the
     equal-strength [U] and [IW] child records, [IW] wins. Constant time:
-    per-mode counts of held grants and child records are kept alongside
-    the tables. *)
+    per-mode counts and bit masks of held grants and child records are
+    kept alongside the tables, and the strongest mode of a mask is one
+    table lookup. *)
 val owned : t -> Mode.t option
 
 (** The owned mode as the token node sees it when evaluating request [r]:

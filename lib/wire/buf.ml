@@ -140,7 +140,9 @@ let read_bool r =
 
 let read_string r =
   let len = read_varint r in
-  if len < 0 || r.pos + len > r.limit then raise (Malformed "truncated string");
+  (* [len > limit - pos], not [pos + len > limit]: a varint near [max_int]
+     would overflow the sum. *)
+  if len < 0 || len > r.limit - r.pos then raise (Malformed "truncated string");
   let s = Bytes.sub_string r.data r.pos len in
   r.pos <- r.pos + len;
   s
@@ -154,14 +156,18 @@ let read_u32_be r =
   lor (Char.code (Bytes.unsafe_get d (p + 2)) lsl 8)
   lor Char.code (Bytes.unsafe_get d (p + 3))
 
-let read_list r f =
+let read_count r =
   let n = read_varint r in
+  if n < 0 || n > r.limit - r.pos then raise (Malformed "count exceeds the bytes left");
   if n > 1_000_000 then raise (Malformed "list too long");
+  n
+
+let read_list r f =
+  let n = read_count r in
   List.init n (fun _ -> f r)
 
 let skip_list r f =
-  let n = read_varint r in
-  if n > 1_000_000 then raise (Malformed "list too long");
+  let n = read_count r in
   for _ = 1 to n do
     f r
   done

@@ -86,11 +86,17 @@ val read_bool : reader -> bool
 val read_string : reader -> string
 val read_u32_be : reader -> int
 
-(** [read_list r f] reads a varint count then [count] elements. *)
+(** Reads a varint element count. Every element occupies at least one
+    byte, so a negative count, or one above the bytes left in the slice
+    (or above 1,000,000), raises {!Malformed}: nothing is ever sized by
+    an unchecked count. *)
+val read_count : reader -> int
+
+(** [read_list r f] reads a {!read_count} then [count] elements. *)
 val read_list : reader -> (reader -> 'a) -> 'a list
 
-(** [skip_list r f] reads and validates a varint count then [count]
-    elements via [f], materializing nothing. *)
+(** [skip_list r f] reads a {!read_count} then [count] elements via [f],
+    materializing nothing. *)
 val skip_list : reader -> (reader -> unit) -> unit
 
 (** {1 Writer abstraction}

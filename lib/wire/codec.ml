@@ -561,7 +561,7 @@ let encode_cluster_state (snaps : Dcs_hlock.Node.snapshot array) =
 
 let decode_cluster_state s =
   let r = Buf.reader s in
-  let n = Buf.read_varint r in
+  let n = Buf.read_count r in
   let snaps = Array.init n (fun _ -> read_node_snapshot r) in
   if not (Buf.at_end r) then raise (Buf.Malformed "trailing bytes");
   snaps

@@ -413,20 +413,33 @@ let test_negative_priority_rejected () =
 (* {1 Randomized stress on the synchronous network} *)
 
 (* The owned mode recomputed by folding over the public views, independent
-   of [Node]'s per-mode counts: the strongest held or cached mode (highest
-   mode index first), replaced by a child record only if that is strictly
-   stronger; among child records of equal strength (U and IW) the higher
-   index, IW, wins. *)
-let reference_owned n =
+   of [Node]'s per-mode counts and masks: the strongest held or cached mode
+   (highest mode index first), replaced by a child record only if that is
+   strictly stronger; among child records of equal strength (U and IW) the
+   higher index, IW, wins. *)
+let reference_owned_of ~held ~cached ~children =
   let highest = function
     | [] -> None
     | ms -> Some (List.fold_left (fun a b -> if Mode.index b > Mode.index a then b else a) (List.hd ms) ms)
   in
-  let own = highest (List.map snd (Node.held n) @ Node.cached n) in
-  match (own, highest (List.map snd (Node.children n))) with
+  let own = highest (List.map snd held @ cached) in
+  match (own, highest (List.map snd children)) with
   | Some o, Some k when Mode.strength k > Mode.strength o -> Some k
   | None, kid -> kid
   | own, _ -> own
+
+let reference_owned n =
+  reference_owned_of ~held:(Node.held n) ~cached:(Node.cached n) ~children:(Node.children n)
+
+(* What upgrade entry [r] sees (Rule 7): the same fold with the
+   requester's own U left out — its held grant [r.seq] when it is this
+   node, or its U child record. *)
+let reference_owned_for n (r : Msg.request) =
+  let held =
+    List.filter (fun (seq, _) -> not (r.Msg.requester = Node.id n && seq = r.Msg.seq)) (Node.held n)
+  in
+  let children = List.filter (fun kid -> kid <> (r.Msg.requester, Mode.U)) (Node.children n) in
+  reference_owned_of ~held ~cached:(Node.cached n) ~children
 
 let rec sorted_by_service_order = function
   | a :: (b :: _ as rest) -> Msg.service_order a b <= 0 && sorted_by_service_order rest
@@ -442,8 +455,9 @@ let reference_frozen n =
     Mode_set.empty (Node.queue n)
 
 (* Per-node bookkeeping invariants, checked after every delivered message:
-   the counted owned mode matches the recomputation, the O(1) copyset size
-   matches the copyset, every queue stays sorted by the service order
+   the counted owned mode matches the recomputation, and so does the masked
+   one each queued upgrade sees; the O(1) copyset size matches the
+   copyset, every queue stays sorted by the service order
    (what lets a token handoff merge two queues instead of re-sorting), and
    with freezing on the token's counted frozen set matches its
    definition. *)
@@ -454,6 +468,15 @@ let check_bookkeeping ~(config : Node.config) c n_nodes () =
     if Node.owned n <> expected then
       Alcotest.failf "n%d: counted owned %a, recomputed %a" i Node.pp_state n
         (Format.pp_print_option Mode.pp) expected;
+    List.iter
+      (fun (r : Msg.request) ->
+        if r.Msg.upgrade then begin
+          let expected = reference_owned_for n r in
+          if Node.owned_for n r <> expected then
+            Alcotest.failf "n%d: masked owned for %a, recomputed %a: %a" i Msg.pp_request r
+              (Format.pp_print_option Mode.pp) expected Node.pp_state n
+        end)
+      (Node.queue n);
     if Node.copyset_size n <> List.length (Node.children n) then
       Alcotest.failf "n%d: copyset_size %d, children %d" i (Node.copyset_size n)
         (List.length (Node.children n));
@@ -626,6 +649,26 @@ let test_owned_tie_break () =
   Alcotest.check o "IW then U" (Some Mode.IW) (owned_of [ (1, Mode.IW, 1); (2, Mode.U, 2) ]);
   Alcotest.check o "W beats both" (Some Mode.W)
     (owned_of [ (1, Mode.U, 1); (2, Mode.IW, 2); (0, Mode.W, 3) ])
+
+(* A held or cached mode beats an equal-strength child record: a U owned
+   here outranks an IW record, though IW wins between records. *)
+let test_owned_local_wins_ties () =
+  let o = Alcotest.option Testkit.mode in
+  let snap = Node.export (SC.node (SC.create 3) 0) in
+  let cached =
+    Node.restore ~id:0 ~peers:3
+      ~send:(fun ~dst:_ _ -> ())
+      { snap with Node.s_cached = Mode_set.singleton Mode.U; s_children = [ (1, Mode.IW, 1) ] }
+  in
+  Alcotest.check o "cached U, IW record" (Some Mode.U) (Node.owned cached);
+  (* Held: take U beside an R record, then let that child report IW. *)
+  let t = token_with_children [ (1, Mode.R, 5) ] in
+  let seq = Node.request t ~mode:Mode.U ~on_granted:ignore in
+  Node.handle_msg t ~src:1 (Msg.Release { new_owned = Some Mode.IW; epoch = 5 });
+  let entries = Alcotest.(list (pair int Testkit.mode)) in
+  Alcotest.check entries "held" [ (seq, Mode.U) ] (Node.held t);
+  Alcotest.check entries "record" [ (1, Mode.IW) ] (Node.children t);
+  Alcotest.check o "held U, IW record" (Some Mode.U) (Node.owned t)
 
 (* Rule 7's mask: evaluating an upgrade, the token node discounts the
    requester's own U — as a child record here, and as a held grant when
@@ -1284,6 +1327,7 @@ let () =
       ( "owned bookkeeping",
         [
           Alcotest.test_case "U/IW tie-break" `Quick test_owned_tie_break;
+          Alcotest.test_case "held/cached win ties" `Quick test_owned_local_wins_ties;
           Alcotest.test_case "upgrade masks U" `Quick test_upgrade_masks_u;
         ] );
       ( "send batching",

@@ -267,6 +267,34 @@ let test_forged_src_dropped () =
   checkb "next valid frame served" true (eventually (fun () -> sent () > sent_before));
   checki "one decode error" (errors_before + 1) (errors ())
 
+(* A hostile frame, a request whose path count is a negative nine-byte
+   varint, is counted as a decode error. A decoder raising anything but
+   [Buf.Malformed] would end the reader thread without counting it. *)
+let test_hostile_frame_counted () =
+  let runners = make_cluster ~nodes:2 ~locks:1 in
+  let errors () = (Runner.stats runners.(1)).Runner.decode_errors in
+  let before = errors () in
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close sock; stop_all runners) @@ fun () ->
+  Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, !base_port + 1));
+  let valid =
+    Dcs_wire.Codec.encode
+      { Dcs_wire.Codec.src = 0; lock = 0;
+        payload =
+          Dcs_wire.Codec.Hlock
+            (Dcs_hlock.Msg.Request
+               { Dcs_hlock.Msg.requester = 0; seq = 1; mode = Dcs_modes.Mode.R; upgrade = false;
+                 timestamp = 1; priority = 0; hops = 1; token_only = false; hint = (0, 0);
+                 path = [] }) }
+  in
+  (* The last byte is the empty path's count. *)
+  let body = String.sub valid 0 (String.length valid - 1) ^ String.make 8 '\xff' ^ "\x7f" in
+  let n = String.length body in
+  let header = String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff)) in
+  let frame = Bytes.of_string (header ^ body) in
+  ignore (Unix.write sock frame 0 (Bytes.length frame));
+  checkb "hostile frame counted" true (eventually (fun () -> errors () > before))
+
 (* {1 In-process telemetry shards round-trip through the merger} *)
 
 let test_telemetry_shards_merge () =
@@ -360,6 +388,7 @@ let () =
           Alcotest.test_case "clean cluster stats" `Slow test_stats_clean_cluster;
           Alcotest.test_case "unreachable peer" `Slow test_stats_unreachable_peer;
           Alcotest.test_case "forged sender dropped" `Slow test_forged_src_dropped;
+          Alcotest.test_case "hostile frame counted" `Slow test_hostile_frame_counted;
         ] );
       ( "telemetry",
         [ Alcotest.test_case "shards merge" `Slow test_telemetry_shards_merge ] );

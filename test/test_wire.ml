@@ -351,6 +351,186 @@ let test_frame_roundtrip () =
   checkb "clean eof" true (Codec.read_frame ic = None);
   close_in ic
 
+(* {2 Hostile bytes}
+
+   Whatever arrives on a socket or sits in a stored blob, every decoder
+   raises [Buf.Malformed] and nothing else: another exception would kill
+   the transport's reader thread without counting a decode error. And the
+   skim path must accept exactly what the decoder accepts. *)
+
+let gen_snapshot =
+  Q.Gen.(
+    let small = int_bound 64 in
+    let id_opt = opt (int_bound 63) in
+    let* s_token = bool in
+    let* s_parent = id_opt in
+    let* s_parent_stamp = small in
+    let* s_accounted_parent = id_opt in
+    let* s_accounted_epoch = small in
+    let* s_last_reported = Testkit.gen_mode_opt in
+    let* s_cached = gen_mode_set in
+    let* s_children = list_size (int_bound 4) (triple (int_bound 63) Testkit.gen_mode small) in
+    let* s_queue = list_size (int_bound 3) gen_request in
+    let* s_frozen = gen_mode_set in
+    let* s_sent_freeze = list_size (int_bound 3) (pair (int_bound 63) gen_mode_set) in
+    let* s_tenure = small in
+    let* s_hint = pair small (int_bound 63) in
+    let* s_last_granter = id_opt in
+    let* s_ancestry = list_size (int_bound 4) (int_bound 63) in
+    let* s_saw_transfer = bool in
+    let* s_served_ever = bool in
+    let* s_next_seq = small in
+    let* s_clock = small in
+    let* s_epoch_counter = small in
+    return
+      {
+        Dcs_hlock.Node.s_token;
+        s_parent;
+        s_parent_stamp;
+        s_accounted_parent;
+        s_accounted_epoch;
+        s_last_reported;
+        s_cached;
+        s_children;
+        s_queue;
+        s_frozen;
+        s_sent_freeze;
+        s_tenure;
+        s_hint;
+        s_last_granter;
+        s_ancestry;
+        s_saw_transfer;
+        s_served_ever;
+        s_next_seq;
+        s_clock;
+        s_epoch_counter;
+      })
+
+(* Every payload arm, the snapshot-carrying handoff included. *)
+let gen_any_envelope =
+  let shard =
+    Q.Gen.(
+      let* bucket = int_bound 100 in
+      let* version = int_bound 100 in
+      oneof
+        [
+          return (Dcs_wire.Shard_msg.Dir_lookup { bucket });
+          return (Dcs_wire.Shard_msg.Dir_update { bucket; home = 2; version });
+          (let* state = array_size (int_bound 3) gen_snapshot in
+           let* parked = list_size (int_bound 3) (pair (int_bound 9) (int_bound 9)) in
+           return
+             (Dcs_wire.Shard_msg.Handoff
+                {
+                  bucket;
+                  version;
+                  entries = [ { set = 1; bursts = 2; grants = 3; msgs = 4; state } ];
+                  parked;
+                }));
+          return
+            (Dcs_wire.Shard_msg.Round_done { shard = 1; round = version; bursts = 3; grants = 4 });
+        ])
+  in
+  Q.Gen.(
+    oneof
+      [
+        gen_envelope;
+        map (fun m -> { Codec.src = 2; lock = 1; payload = Codec.Shard m }) shard;
+      ])
+
+(* [s] with byte [i mod length] replaced by a different value. *)
+let mutate s (i, b) =
+  let i = i mod String.length s in
+  let old = Char.code s.[i] in
+  let b = if b = old then (b + 1) land 0xff else b in
+  String.mapi (fun j c -> if j = i then Char.chr b else c) s
+
+let gen_mutation = Q.Gen.(pair (int_bound 10_000) (int_bound 255))
+
+(* Random bytes; half of them open with the current version byte, so the
+   decoders get past the first check. *)
+let gen_hostile =
+  Q.Gen.(
+    let* body = string_size ~gen:char (int_bound 40) in
+    let* versioned = bool in
+    return (if versioned then String.make 1 (Char.chr Codec.version) ^ body else body))
+
+(* [`Ok], [`Malformed], or the escaping exception rendered for the
+   report. *)
+let outcome f =
+  match f () with
+  | _ -> `Ok
+  | exception Buf.Malformed _ -> `Malformed
+  | exception e -> `Raised (Printexc.to_string e)
+
+let check_envelope_decoders s =
+  let len = String.length s in
+  let b = Bytes.make (len + 6) '\xff' in
+  Bytes.blit_string s 0 b 3 len;
+  let decoded = outcome (fun () -> Codec.decode s) in
+  let sub = outcome (fun () -> Codec.decode_sub b ~off:3 ~len) in
+  let skimmed = outcome (fun () -> Codec.skim_envelope (Buf.reader s)) in
+  match (decoded, sub, skimmed) with
+  | (`Ok | `Malformed), _, _ when decoded = sub && decoded = skimmed -> true
+  | _ -> Q.Test.fail_reportf "decode/decode_sub/skim disagree or raise on %S" s
+
+let check_cluster_state s =
+  match outcome (fun () -> Codec.decode_cluster_state s) with
+  | `Ok | `Malformed -> true
+  | `Raised e -> Q.Test.fail_reportf "decode_cluster_state raised %s on %S" e s
+
+let prop_hostile_envelope =
+  Q.Test.make ~name:"random bytes: envelope decoders raise only Malformed, skim iff decode"
+    ~count:5000 gen_hostile check_envelope_decoders
+
+let prop_mutated_envelope =
+  Q.Test.make ~name:"one mutated byte: envelope decoders raise only Malformed, skim iff decode"
+    ~count:3000
+    Q.Gen.(pair gen_any_envelope gen_mutation)
+    (fun (env, m) -> check_envelope_decoders (mutate (Codec.encode env) m))
+
+let prop_hostile_cluster_state =
+  Q.Test.make ~name:"random bytes: decode_cluster_state raises only Malformed" ~count:5000
+    Q.Gen.(string_size ~gen:char (int_bound 40))
+    check_cluster_state
+
+let prop_mutated_cluster_state =
+  Q.Test.make ~name:"one mutated byte: decode_cluster_state raises only Malformed" ~count:2000
+    Q.Gen.(pair (array_size (int_range 1 3) gen_snapshot) gen_mutation)
+    (fun (snaps, m) -> check_cluster_state (mutate (Codec.encode_cluster_state snaps) m))
+
+let malformed name f =
+  match f () with
+  | _ -> Alcotest.failf "%s: decoded" name
+  | exception Buf.Malformed _ -> ()
+  | exception e -> Alcotest.failf "%s: raised %s, not Malformed" name (Printexc.to_string e)
+
+(* A varint of nine bytes: eight 0xff continuation bytes, then [last]. *)
+let wide_varint last = String.make 8 '\xff' ^ String.make 1 last
+
+(* max_int as a string length: [pos + len] overflows. *)
+let test_string_length_overflow () =
+  malformed "string length max_int" (fun () ->
+      let r = Buf.reader ("\x01" ^ wide_varint '\x3f') in
+      ignore (Buf.read_u8 r);
+      Buf.read_string r)
+
+(* A negative list count: read and skip must both refuse it. *)
+let test_negative_list_count () =
+  malformed "read" (fun () -> Buf.read_list (Buf.reader (wide_varint '\x7f')) Buf.read_u8);
+  malformed "skip" (fun () ->
+      Buf.skip_list (Buf.reader (wide_varint '\x7f')) (fun r -> ignore (Buf.read_u8 r)))
+
+(* Cluster-state snapshot counts: negative, and max_int ahead of one valid
+   snapshot (no allocation may be sized by it). *)
+let test_snapshot_count () =
+  malformed "negative" (fun () -> Codec.decode_cluster_state (wide_varint '\x7f'));
+  let node =
+    Dcs_hlock.Node.create ~id:0 ~peers:1 ~is_token:true ~parent:None ~send:(fun ~dst:_ _ -> ()) ()
+  in
+  let one = Codec.encode_cluster_state [| Dcs_hlock.Node.export node |] in
+  let snapshot = String.sub one 1 (String.length one - 1) in
+  malformed "max_int" (fun () -> Codec.decode_cluster_state (wide_varint '\x3f' ^ snapshot))
+
 let test_cluster_config () =
   (match Dcs_netkit.Cluster_config.parse ~locks:2 "0:127.0.0.1:7001,1:127.0.0.1:7002" with
   | Ok c ->
@@ -400,6 +580,16 @@ let () =
           qt prop_varint_roundtrip;
           Alcotest.test_case "negative varint" `Quick test_varint_negative;
           qt prop_string_roundtrip;
+        ] );
+      ( "hostile",
+        [
+          Alcotest.test_case "string length overflow" `Quick test_string_length_overflow;
+          Alcotest.test_case "negative list count" `Quick test_negative_list_count;
+          Alcotest.test_case "snapshot count" `Quick test_snapshot_count;
+          qt prop_hostile_envelope;
+          qt prop_mutated_envelope;
+          qt prop_hostile_cluster_state;
+          qt prop_mutated_cluster_state;
         ] );
       ("config", [ Alcotest.test_case "cluster config" `Quick test_cluster_config ]);
     ]
