@@ -1,9 +1,9 @@
 (* Benchmark harness.
 
-   Part 1 (Bechamel): microbenchmarks of the building blocks — one group
-   per protocol table (derivational and precomputed fast path) plus
-   engine/protocol hot paths. The suite itself lives in suite.ml, shared
-   with the machine-readable report (report.ml).
+   Part 1 (Bechamel): microbenchmarks of the building blocks — one row
+   per protocol decision table plus engine/protocol hot paths. The suite
+   itself lives in suite.ml, shared with the machine-readable report
+   (report.ml).
    Part 2 (figures): regenerates every figure of the paper's evaluation
    (Figures 5, 6, 7), prints the decision tables (Tables 1a-2b) and the
    ablation study. Set BENCH_QUICK=1 to sweep only up to 32 nodes.

@@ -1,7 +1,7 @@
 (* The microbenchmark suite, shared by the human-readable harness
-   (main.ml) and the machine-readable report (report.ml): one group per
-   protocol decision table (derivational Compat vs precomputed Decision)
-   plus the simulator and protocol hot paths. *)
+   (main.ml) and the machine-readable report (report.ml): one row per
+   protocol decision table (the precomputed Decision arrays the hot path
+   calls) plus the simulator and protocol hot paths. *)
 
 open Bechamel
 open Toolkit
@@ -9,38 +9,8 @@ open Toolkit
 let mode_pairs =
   List.concat_map (fun a -> List.map (fun b -> (a, b)) Dcs_modes.Mode.all) Dcs_modes.Mode.all
 
-(* Table 1(a): compatibility lookups. *)
-let bench_table_1a =
-  Test.make ~name:"table-1a compatibility"
-    (Staged.stage (fun () ->
-         List.iter (fun (a, b) -> ignore (Dcs_modes.Compat.compatible a b)) mode_pairs))
-
-(* Table 1(b): child-grant decisions. *)
-let bench_table_1b =
-  Test.make ~name:"table-1b child grant"
-    (Staged.stage (fun () ->
-         List.iter
-           (fun (a, b) -> ignore (Dcs_modes.Compat.can_child_grant ~owned:(Some a) b))
-           mode_pairs))
-
-(* Table 2(a): queue/forward decisions. *)
-let bench_table_2a =
-  Test.make ~name:"table-2a queue/forward"
-    (Staged.stage (fun () ->
-         List.iter
-           (fun (a, b) -> ignore (Dcs_modes.Compat.queueable ~pending:(Some a) b))
-           mode_pairs))
-
-(* Table 2(b): freeze-set computation. *)
-let bench_table_2b =
-  Test.make ~name:"table-2b freeze set"
-    (Staged.stage (fun () ->
-         List.iter
-           (fun (a, b) -> ignore (Dcs_modes.Compat.freeze_set ~owned:(Some a) b))
-           mode_pairs))
-
-(* Fast-path counterparts: the same decisions through the precomputed
-   Decision lookup arrays (owned codes kept as ints, as Node does). *)
+(* The protocol decision tables (Tables 1a-2b) through the precomputed
+   Decision lookup arrays, owned codes kept as ints, as Node does. *)
 let code_pairs =
   List.map (fun (a, b) -> (Dcs_modes.Decision.code_of_mode a, b)) mode_pairs
 
@@ -209,9 +179,9 @@ let bench_wire_decode =
     (Staged.stage (fun () -> ignore (Dcs_wire.Codec.decode_sub data ~off:0 ~len)))
 
 (* The batched transport's inner loop without the sockets: frame 16
-   envelopes back-to-back into one reused buffer (length prefix patched
-   in place, as the runner's writer does), then walk the batch skimming
-   each frame (as a validating reader would). *)
+   envelopes back-to-back into one reused buffer, as the runner's writer
+   does, then walk the batch skimming each frame (as a validating reader
+   would). *)
 let bench_wire_framed_batch =
   let w = Dcs_wire.Buf.writer ~capacity:4096 () in
   let r = Dcs_wire.Buf.reader "" in
@@ -220,28 +190,17 @@ let bench_wire_framed_batch =
          let open Dcs_wire in
          Buf.reset w;
          for _ = 1 to 8 do
-           let at = Buf.length w in
-           Buf.u32_be w 0;
-           Codec.write_envelope w request_env;
-           Buf.patch_u32_be w ~at (Buf.length w - at - 4);
-           let at = Buf.length w in
-           Buf.u32_be w 0;
-           Codec.write_envelope w token_env;
-           Buf.patch_u32_be w ~at (Buf.length w - at - 4)
+           Codec.append_frame w request_env;
+           Codec.append_frame w token_env
          done;
          let data = Buf.unsafe_bytes w in
          let total = Buf.length w in
          let off = ref 0 in
          while !off < total do
-           let len =
-             (Char.code (Bytes.get data !off) lsl 24)
-             lor (Char.code (Bytes.get data (!off + 1)) lsl 16)
-             lor (Char.code (Bytes.get data (!off + 2)) lsl 8)
-             lor Char.code (Bytes.get data (!off + 3))
-           in
-           Buf.attach r data ~off:(!off + 4) ~len;
+           let len = Codec.frame_length data ~off:!off in
+           Buf.attach r data ~off:(!off + Codec.frame_header) ~len;
            Codec.skim_envelope r;
-           off := !off + 4 + len
+           off := !off + Codec.frame_header + len
          done))
 
 (* The migration handoff's wire cost: one Handoff frame carrying a real
@@ -312,10 +271,6 @@ let bench_reliable_shim =
 
 let all =
   [
-    bench_table_1a;
-    bench_table_1b;
-    bench_table_2a;
-    bench_table_2b;
     bench_decision_1a;
     bench_decision_1b;
     bench_decision_2a;

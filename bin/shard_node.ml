@@ -248,8 +248,12 @@ let run_coordinator ~(cfg : Router.config) ~migrations ~listen ~telemetry ~check
                   loop ()
               | None -> push (Closed i)
               (* A killed worker resets the connection rather than closing
-                 it; either way the frames stop — same signal. *)
-              | exception _ -> push (Closed i)
+                 it; either way the frames stop — same signal. Say why
+                 first: a malformed or oversized frame also lands here. *)
+              | exception e ->
+                  Printf.eprintf "coordinator: read from connection %d failed: %s\n%!" i
+                    (Printexc.to_string e);
+                  push (Closed i)
             in
             loop ())
           ())

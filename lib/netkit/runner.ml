@@ -124,12 +124,12 @@ let record_written t ~dst (env : Codec.envelope) ~payload_bytes =
 
    Frames queue as unencoded envelopes; the writer thread drains the
    whole queue under one lock acquisition, encodes everything into one
-   reusable flat buffer (4-byte big-endian length prefix per frame,
-   frames back to back) and flushes the batch with a single write. On a
-   write failure every frame the kernel did not fully accept is requeued
-   in order and the connection is re-established with capped exponential
-   backoff — frames are only ever dropped at shutdown, and then the
-   exact count is logged. *)
+   reusable flat buffer ([Codec.append_frame], frames back to back) and
+   flushes the batch with a single write. On a write failure every frame
+   the kernel did not fully accept is requeued in order and the
+   connection is re-established with capped exponential backoff — frames
+   are only ever dropped at shutdown, and then the exact count is
+   logged, or when one exceeds [Codec.max_frame]. *)
 
 let max_batch_bytes = 256 * 1024
 
@@ -221,22 +221,23 @@ let writer_loop t peer_id out =
       let batch = ref [] in  (* (envelope, end offset in wbuf), newest first *)
       while (not (Queue.is_empty drained)) && Buf.length wbuf < max_batch_bytes do
         let env = Queue.pop drained in
-        let at = Buf.length wbuf in
-        Buf.u32_be wbuf 0;
-        Codec.write_envelope wbuf env;
-        Buf.patch_u32_be wbuf ~at (Buf.length wbuf - at - 4);
-        batch := (env, Buf.length wbuf) :: !batch
+        match Codec.append_frame wbuf env with
+        | () -> batch := (env, Buf.length wbuf) :: !batch
+        | exception Invalid_argument reason ->
+            (* The peer would reject it: drop it here, where it is counted. *)
+            Metrics.incr t.m_dropped;
+            Log.err (fun m -> m "writer to %d: frame dropped: %s" peer_id reason)
       done;
       (* Account frames the kernel fully accepted (all of them on Ok; the
          prefix up to [written] on a partial write). Per-frame payload size
-         falls out of consecutive end offsets minus the 4-byte prefix. *)
+         falls out of consecutive end offsets minus the frame header. *)
       let account written frames =
         Metrics.incr t.m_batches;
         let sent, bytes =
           List.fold_left
             (fun (n, start) ((env : Codec.envelope), fin) ->
               if fin <= written then begin
-                record_written t ~dst:peer_id env ~payload_bytes:(fin - start - 4);
+                record_written t ~dst:peer_id env ~payload_bytes:(fin - start - Codec.frame_header);
                 (n + 1, fin)
               end
               else (n, start))
@@ -389,71 +390,63 @@ let really_read fd buf n =
   go 0
 
 (* Serve one inbound connection until it ends — end of stream, a read
-   error, an oversized or a malformed frame — then close its socket. *)
+   error or a malformed frame (an oversized header among them) — then
+   close its socket. *)
 let reader_loop t fd =
-  let header = Bytes.create 4 in
+  let header = Bytes.create Codec.frame_header in
   (* One reusable inbound buffer per connection, grown to the largest
      frame seen; frames decode in place, no per-frame [Bytes.to_string]. *)
   let body = ref (Bytes.create 4096) in
   let rec go () =
-    match really_read fd header 4 with
-    | exception End_of_file -> ()
+    match really_read fd header Codec.frame_header with
     | exception _ -> ()
-    | () ->
-        let len =
-          (Char.code (Bytes.get header 0) lsl 24)
-          lor (Char.code (Bytes.get header 1) lsl 16)
-          lor (Char.code (Bytes.get header 2) lsl 8)
-          lor Char.code (Bytes.get header 3)
-        in
-        if len > Codec.max_frame then begin
-          Metrics.incr t.m_decode_errors;
-          Log.err (fun m -> m "oversized frame (%d bytes)" len)
-        end
-        else begin
-          if Bytes.length !body < len then begin
+    | () -> (
+        let len = ref 0 in
+        match
+          len := Codec.frame_length header ~off:0;
+          if Bytes.length !body < !len then begin
             let cap = ref (2 * Bytes.length !body) in
-            while !cap < len do
+            while !cap < !len do
               cap := 2 * !cap
             done;
             body := Bytes.create !cap
           end;
-          match really_read fd !body len with
-          | exception _ -> ()
-          | () -> (
-              match Codec.decode_sub !body ~off:0 ~len with
-              | env when env.Codec.src < 0 || env.Codec.src >= Cluster_config.size t.config ->
-                  (* Engines index per-peer state by sender id: a frame
-                     from outside the cluster is dropped, and the
-                     connection keeps serving. *)
-                  Metrics.incr t.m_decode_errors;
-                  Log.err (fun m -> m "frame from unknown node %d" env.Codec.src);
-                  go ()
-              | env ->
-                  Metrics.incr t.m_frames_received;
-                  Metrics.add t.m_bytes_received len;
-                  (* The Received event must precede the events dispatch
-                     produces, so the span's merged timeline orders the
-                     arrival before its consequences. *)
-                  (match t.telemetry with
-                  | Some sh -> (
-                      match env.Codec.payload with
-                      | Codec.Hlock msg -> (
-                          match span_of_msg msg with
-                          | Some (requester, seq) ->
-                              Dcs_obs.Shard.event sh ~lock:env.Codec.lock ~node:t.self
-                                (Dcs_obs.Event.Span { requester; seq })
-                                (Dcs_obs.Event.Received
-                                   { cls = Dcs_hlock.Msg.class_of msg; src = env.Codec.src })
-                          | None -> ())
-                      | Codec.Naimi _ | Codec.Shard _ -> ())
-                  | None -> ());
-                  dispatch t env;
-                  go ()
-              | exception Dcs_wire.Buf.Malformed reason ->
-                  Metrics.incr t.m_decode_errors;
-                  Log.err (fun m -> m "malformed frame: %s" reason))
-        end
+          really_read fd !body !len;
+          Codec.decode_sub !body ~off:0 ~len:!len
+        with
+        | env when env.Codec.src < 0 || env.Codec.src >= Cluster_config.size t.config ->
+            (* Engines index per-peer state by sender id: a frame from
+               outside the cluster is dropped, and the connection keeps
+               serving. *)
+            Metrics.incr t.m_decode_errors;
+            Log.err (fun m -> m "frame from unknown node %d" env.Codec.src);
+            go ()
+        | env ->
+            Metrics.incr t.m_frames_received;
+            Metrics.add t.m_bytes_received !len;
+            (* The Received event must precede the events dispatch
+               produces, so the span's merged timeline orders the arrival
+               before its consequences. *)
+            (match t.telemetry with
+            | Some sh -> (
+                match env.Codec.payload with
+                | Codec.Hlock msg -> (
+                    match span_of_msg msg with
+                    | Some (requester, seq) ->
+                        Dcs_obs.Shard.event sh ~lock:env.Codec.lock ~node:t.self
+                          (Dcs_obs.Event.Span { requester; seq })
+                          (Dcs_obs.Event.Received
+                             { cls = Dcs_hlock.Msg.class_of msg; src = env.Codec.src })
+                    | None -> ())
+                | Codec.Naimi _ | Codec.Shard _ -> ())
+            | None -> ());
+            dispatch t env;
+            go ()
+        (* An oversized header lands here too, before any body is read. *)
+        | exception Dcs_wire.Buf.Malformed reason ->
+            Metrics.incr t.m_decode_errors;
+            Log.err (fun m -> m "malformed frame: %s" reason)
+        | exception _ -> ()  (* the stream ended or failed mid-frame *))
   in
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) go
 

@@ -27,7 +27,8 @@
     failed write, frames the kernel did not fully accept are requeued in
     order (a partially-written trailing frame is resent whole — the peer
     discards the truncated copy at end-of-stream). Frames are dropped only
-    at {!stop}, and then the exact count is logged.
+    at {!stop}, and then the exact count is logged, or when one is larger
+    than {!Dcs_wire.Codec.max_frame}, which the peer would reject.
 
     The token for every lock starts at node 0 — start node 0 first, or let
     connection retries smooth over the startup order. *)
@@ -110,7 +111,7 @@ type stats = {
   connect_retries : int;  (** failed connection attempts *)
   backoff_ms : float;  (** current reconnect backoff (0 when connected) *)
   queued_frames : int;  (** frames waiting in outbound queues now *)
-  dropped_frames : int;  (** frames abandoned at shutdown *)
+  dropped_frames : int;  (** frames abandoned at shutdown or too large to send *)
   decode_errors : int;
       (** malformed or oversized inbound frames, and frames whose sender id
           is outside the cluster *)

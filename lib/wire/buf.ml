@@ -10,6 +10,10 @@ let writer ?(capacity = 64) () =
 
 let reset w = w.len <- 0
 
+let truncate w n =
+  if n < 0 || n > w.len then invalid_arg "Buf.truncate: out of range";
+  w.len <- n
+
 let length w = w.len
 
 let contents w = Bytes.sub_string w.buf 0 w.len
@@ -147,15 +151,6 @@ let read_string r =
   r.pos <- r.pos + len;
   s
 
-let read_u32_be r =
-  if r.pos + 4 > r.limit then raise (Malformed "truncated u32");
-  let d = r.data and p = r.pos in
-  r.pos <- p + 4;
-  (Char.code (Bytes.unsafe_get d p) lsl 24)
-  lor (Char.code (Bytes.unsafe_get d (p + 1)) lsl 16)
-  lor (Char.code (Bytes.unsafe_get d (p + 2)) lsl 8)
-  lor Char.code (Bytes.unsafe_get d (p + 3))
-
 let read_count r =
   let n = read_varint r in
   if n < 0 || n > r.limit - r.pos then raise (Malformed "count exceeds the bytes left");
@@ -171,44 +166,3 @@ let skip_list r f =
   for _ = 1 to n do
     f r
   done
-
-(* {1 Writer abstraction and the legacy reference} *)
-
-module type WRITER = sig
-  type writer
-
-  val u8 : writer -> int -> unit
-  val varint : writer -> int -> unit
-  val bool : writer -> bool -> unit
-  val string : writer -> string -> unit
-  val list : writer -> (writer -> 'a -> unit) -> 'a list -> unit
-end
-
-module Legacy = struct
-  type writer = Buffer.t
-
-  let writer () = Buffer.create 64
-  let contents = Buffer.contents
-  let u8 w v = Buffer.add_char w (Char.chr (v land 0xff))
-
-  let varint w v =
-    if v < 0 then invalid_arg "Buf.varint: negative";
-    let rec go v =
-      if v < 0x80 then u8 w v
-      else begin
-        u8 w (0x80 lor (v land 0x7f));
-        go (v lsr 7)
-      end
-    in
-    go v
-
-  let bool w b = u8 w (if b then 1 else 0)
-
-  let string w s =
-    varint w (String.length s);
-    Buffer.add_string w s
-
-  let list w f l =
-    varint w (List.length l);
-    List.iter (f w) l
-end

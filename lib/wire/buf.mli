@@ -9,8 +9,10 @@
     freeing, so steady-state encoding allocates nothing. The reader is a
     zero-copy cursor over a caller-owned [Bytes.t] slice; {!attach}
     re-aims an existing reader so steady-state decoding allocates only
-    what the decoded value itself needs. The historical [Buffer]-backed
-    implementation survives as {!Legacy} for differential testing. *)
+    what the decoded value itself needs.
+
+    This module knows primitives, not layouts: the message layout and the
+    stream frame belong to {!Codec} alone. *)
 
 exception Malformed of string
 
@@ -24,6 +26,10 @@ val writer : ?capacity:int -> unit -> writer
 
 (** Rewind to empty, retaining the underlying storage. *)
 val reset : writer -> unit
+
+(** [truncate w n] drops everything written after the first [n] bytes.
+    Raises [Invalid_argument] unless [0 <= n <= length w]. *)
+val truncate : writer -> int -> unit
 
 (** Bytes written since creation or the last {!reset}. *)
 val length : writer -> int
@@ -53,7 +59,8 @@ val string : writer -> string -> unit
 (** [list w f l] writes a varint count then the elements. *)
 val list : writer -> (writer -> 'a -> unit) -> 'a list -> unit
 
-(** Fixed-width big-endian u32, the stream-framing length prefix. *)
+(** Fixed-width big-endian u32, for {!Codec}'s stream-frame length
+    prefix; other code frames through {!Codec.append_frame}. *)
 val u32_be : writer -> int -> unit
 
 (** [patch_u32_be w ~at v] overwrites 4 bytes previously written at
@@ -84,7 +91,6 @@ val read_u8 : reader -> int
 val read_varint : reader -> int
 val read_bool : reader -> bool
 val read_string : reader -> string
-val read_u32_be : reader -> int
 
 (** Reads a varint element count. Every element occupies at least one
     byte, so a negative count, or one above the bytes left in the slice
@@ -98,28 +104,3 @@ val read_list : reader -> (reader -> 'a) -> 'a list
 (** [skip_list r f] reads a {!read_count} then [count] elements via [f],
     materializing nothing. *)
 val skip_list : reader -> (reader -> unit) -> unit
-
-(** {1 Writer abstraction}
-
-    The encoder primitives as a signature, so codecs can be written once
-    and instantiated against both the flat writer (production) and the
-    {!Legacy} [Buffer] writer (differential tests). *)
-
-module type WRITER = sig
-  type writer
-
-  val u8 : writer -> int -> unit
-  val varint : writer -> int -> unit
-  val bool : writer -> bool -> unit
-  val string : writer -> string -> unit
-  val list : writer -> (writer -> 'a -> unit) -> 'a list -> unit
-end
-
-(** The original [Buffer]-backed writer, kept only as the reference
-    implementation for differential tests of the flat path. *)
-module Legacy : sig
-  include WRITER with type writer = Buffer.t
-
-  val writer : unit -> writer
-  val contents : writer -> string
-end

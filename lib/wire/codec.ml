@@ -21,184 +21,167 @@ let version = 4
 
 (* {1 Encoding}
 
-   The encoders are written once against {!Buf.WRITER} and instantiated
-   twice: against the flat writer (the production path) and against the
-   legacy [Buffer] writer, which exists only so tests can check the flat
-   path byte-for-byte against the historical implementation. *)
+   Written once, straight onto the flat writer. List items go through
+   named top-level functions ([Buf.list w Buf.varint l]): an anonymous
+   [fun w x -> ...] at a use site would allocate a closure per message
+   (no flambda). *)
 
-module Enc (W : Buf.WRITER) = struct
-  (* Node-id list items are encoded through this named function: an
-     anonymous [fun w n -> W.varint w n] at the use sites would capture
-     [W] and allocate a closure per message (no flambda). *)
-  let varint_item w (n : int) = W.varint w n
+let write_mode w (m : Mode.t) = Buf.u8 w (Mode.index m)
 
-  let mode w (m : Mode.t) = W.u8 w (Mode.index m)
+let write_mode_opt w = function
+  | None -> Buf.u8 w 255
+  | Some m -> write_mode w m
 
-  let mode_opt w = function
-    | None -> W.u8 w 255
-    | Some m -> mode w m
+let write_mode_set w s = Buf.u8 w (Mode_set.to_bits s)
 
-  let mode_set w s = W.u8 w (Mode_set.to_bits s)
+let write_request w (r : Msg.request) =
+  Buf.varint w r.requester;
+  Buf.varint w r.seq;
+  write_mode w r.mode;
+  Buf.bool w r.upgrade;
+  Buf.varint w r.timestamp;
+  Buf.varint w r.priority;
+  Buf.varint w r.hops;
+  Buf.bool w r.token_only;
+  Buf.varint w (fst r.hint);
+  Buf.varint w (snd r.hint);
+  Buf.list w Buf.varint r.path
 
-  let request w (r : Msg.request) =
-    W.varint w r.requester;
-    W.varint w r.seq;
-    mode w r.mode;
-    W.bool w r.upgrade;
-    W.varint w r.timestamp;
-    W.varint w r.priority;
-    W.varint w r.hops;
-    W.bool w r.token_only;
-    W.varint w (fst r.hint);
-    W.varint w (snd r.hint);
-    W.list w varint_item r.path
+let write_hlock_msg w (m : Msg.t) =
+  match m with
+  | Msg.Request req ->
+      Buf.u8 w 0;
+      write_request w req
+  | Msg.Grant { req; epoch; recorded; ancestry } ->
+      Buf.u8 w 1;
+      write_request w req;
+      Buf.varint w epoch;
+      write_mode w recorded;
+      Buf.list w Buf.varint ancestry
+  | Msg.Token { serving; sender_owned; sender_epoch; queue; frozen } ->
+      Buf.u8 w 2;
+      write_request w serving;
+      write_mode_opt w sender_owned;
+      Buf.varint w sender_epoch;
+      Buf.list w write_request queue;
+      write_mode_set w frozen
+  | Msg.Release { new_owned; epoch } ->
+      Buf.u8 w 3;
+      write_mode_opt w new_owned;
+      Buf.varint w epoch
+  | Msg.Freeze { frozen } ->
+      Buf.u8 w 4;
+      write_mode_set w frozen
 
-  let hlock_msg w (m : Msg.t) =
-    match m with
-    | Msg.Request req ->
-        W.u8 w 0;
-        request w req
-    | Msg.Grant { req; epoch; recorded; ancestry } ->
-        W.u8 w 1;
-        request w req;
-        W.varint w epoch;
-        mode w recorded;
-        W.list w varint_item ancestry
-    | Msg.Token { serving; sender_owned; sender_epoch; queue; frozen } ->
-        W.u8 w 2;
-        request w serving;
-        mode_opt w sender_owned;
-        W.varint w sender_epoch;
-        W.list w request queue;
-        mode_set w frozen
-    | Msg.Release { new_owned; epoch } ->
-        W.u8 w 3;
-        mode_opt w new_owned;
-        W.varint w epoch
-    | Msg.Freeze { frozen } ->
-        W.u8 w 4;
-        mode_set w frozen
+(* Optional node id as a biased varint (0 = None): node ids are small
+   and non-negative, so the +1 bias never widens the encoding. *)
+let write_node_id_opt w = function
+  | None -> Buf.varint w 0
+  | Some n -> Buf.varint w (n + 1)
 
-  (* Optional node id as a biased varint (0 = None): node ids are small
-     and non-negative, so the +1 bias never widens the encoding. *)
-  let node_id_opt w = function
-    | None -> W.varint w 0
-    | Some n -> W.varint w (n + 1)
+let write_child_item w ((c, m, e) : int * Mode.t * int) =
+  Buf.varint w c;
+  write_mode w m;
+  Buf.varint w e
 
-  let child_item w ((c, m, e) : int * Mode.t * int) =
-    W.varint w c;
-    mode w m;
-    W.varint w e
+let write_sent_freeze_item w ((c, ms) : int * Mode_set.t) =
+  Buf.varint w c;
+  write_mode_set w ms
 
-  let sent_freeze_item w ((c, ms) : int * Mode_set.t) =
-    W.varint w c;
-    mode_set w ms
+let write_node_snapshot w (s : Dcs_hlock.Node.snapshot) =
+  Buf.bool w s.s_token;
+  write_node_id_opt w s.s_parent;
+  Buf.varint w s.s_parent_stamp;
+  write_node_id_opt w s.s_accounted_parent;
+  Buf.varint w s.s_accounted_epoch;
+  write_mode_opt w s.s_last_reported;
+  write_mode_set w s.s_cached;
+  Buf.list w write_child_item s.s_children;
+  Buf.list w write_request s.s_queue;
+  write_mode_set w s.s_frozen;
+  Buf.list w write_sent_freeze_item s.s_sent_freeze;
+  Buf.varint w s.s_tenure;
+  Buf.varint w (fst s.s_hint);
+  Buf.varint w (snd s.s_hint);
+  write_node_id_opt w s.s_last_granter;
+  Buf.list w Buf.varint s.s_ancestry;
+  Buf.bool w s.s_saw_transfer;
+  Buf.bool w s.s_served_ever;
+  Buf.varint w s.s_next_seq;
+  Buf.varint w s.s_clock;
+  Buf.varint w s.s_epoch_counter
 
-  let node_snapshot w (s : Dcs_hlock.Node.snapshot) =
-    W.bool w s.s_token;
-    node_id_opt w s.s_parent;
-    W.varint w s.s_parent_stamp;
-    node_id_opt w s.s_accounted_parent;
-    W.varint w s.s_accounted_epoch;
-    mode_opt w s.s_last_reported;
-    mode_set w s.s_cached;
-    W.list w child_item s.s_children;
-    W.list w request s.s_queue;
-    mode_set w s.s_frozen;
-    W.list w sent_freeze_item s.s_sent_freeze;
-    W.varint w s.s_tenure;
-    W.varint w (fst s.s_hint);
-    W.varint w (snd s.s_hint);
-    node_id_opt w s.s_last_granter;
-    W.list w varint_item s.s_ancestry;
-    W.bool w s.s_saw_transfer;
-    W.bool w s.s_served_ever;
-    W.varint w s.s_next_seq;
-    W.varint w s.s_clock;
-    W.varint w s.s_epoch_counter
+let write_handoff_entry w (e : Shard_msg.handoff_entry) =
+  Buf.varint w e.set;
+  Buf.varint w e.bursts;
+  Buf.varint w e.grants;
+  Buf.varint w e.msgs;
+  Buf.list w write_node_snapshot (Array.to_list e.state)
 
-  let handoff_entry w (e : Shard_msg.handoff_entry) =
-    W.varint w e.set;
-    W.varint w e.bursts;
-    W.varint w e.grants;
-    W.varint w e.msgs;
-    W.list w node_snapshot (Array.to_list e.state)
+let write_parked_item w ((set, burst) : int * int) =
+  Buf.varint w set;
+  Buf.varint w burst
 
-  let parked_item w ((set, burst) : int * int) =
-    W.varint w set;
-    W.varint w burst
+let write_dir_entry w (d : Shard_msg.dir_entry) =
+  Buf.varint w d.bucket;
+  Buf.varint w d.home;
+  Buf.varint w d.version
 
-  let dir_entry w (d : Shard_msg.dir_entry) =
-    W.varint w d.bucket;
-    W.varint w d.home;
-    W.varint w d.version
+let write_shard_msg w (m : Shard_msg.t) =
+  match m with
+  | Shard_msg.Dir_lookup { bucket } ->
+      Buf.u8 w 0;
+      Buf.varint w bucket
+  | Shard_msg.Dir_info d ->
+      Buf.u8 w 1;
+      write_dir_entry w d
+  | Shard_msg.Dir_update d ->
+      Buf.u8 w 2;
+      write_dir_entry w d
+  | Shard_msg.Handoff { bucket; version; entries; parked } ->
+      Buf.u8 w 3;
+      Buf.varint w bucket;
+      Buf.varint w version;
+      Buf.list w write_handoff_entry entries;
+      Buf.list w write_parked_item parked
+  | Shard_msg.Handoff_ack { bucket; version } ->
+      Buf.u8 w 4;
+      Buf.varint w bucket;
+      Buf.varint w version
+  | Shard_msg.Round_done { shard; round; bursts; grants } ->
+      Buf.u8 w 5;
+      Buf.varint w shard;
+      Buf.varint w round;
+      Buf.varint w bursts;
+      Buf.varint w grants
 
-  let shard_msg w (m : Shard_msg.t) =
-    match m with
-    | Shard_msg.Dir_lookup { bucket } ->
-        W.u8 w 0;
-        W.varint w bucket
-    | Shard_msg.Dir_info d ->
-        W.u8 w 1;
-        dir_entry w d
-    | Shard_msg.Dir_update d ->
-        W.u8 w 2;
-        dir_entry w d
-    | Shard_msg.Handoff { bucket; version; entries; parked } ->
-        W.u8 w 3;
-        W.varint w bucket;
-        W.varint w version;
-        W.list w handoff_entry entries;
-        W.list w parked_item parked
-    | Shard_msg.Handoff_ack { bucket; version } ->
-        W.u8 w 4;
-        W.varint w bucket;
-        W.varint w version
-    | Shard_msg.Round_done { shard; round; bursts; grants } ->
-        W.u8 w 5;
-        W.varint w shard;
-        W.varint w round;
-        W.varint w bursts;
-        W.varint w grants
+let write_naimi_msg w (m : Dcs_naimi.Naimi.msg) =
+  match m with
+  | Dcs_naimi.Naimi.Request { requester; seq } ->
+      Buf.u8 w 0;
+      Buf.varint w requester;
+      Buf.varint w seq
+  | Dcs_naimi.Naimi.Token -> Buf.u8 w 1
 
-  let naimi_msg w (m : Dcs_naimi.Naimi.msg) =
-    match m with
-    | Dcs_naimi.Naimi.Request { requester; seq } ->
-        W.u8 w 0;
-        W.varint w requester;
-        W.varint w seq
-    | Dcs_naimi.Naimi.Token -> W.u8 w 1
-
-  let envelope w e =
-    W.u8 w version;
-    W.varint w e.src;
-    W.varint w e.lock;
-    match e.payload with
-    | Hlock m ->
-        W.u8 w 0;
-        hlock_msg w m
-    | Naimi m ->
-        W.u8 w 1;
-        naimi_msg w m
-    | Shard m ->
-        W.u8 w 2;
-        shard_msg w m
-end
-
-module Flat = Enc (Buf)
-module Legacy = Enc (Buf.Legacy)
-
-let write_envelope w e = Flat.envelope w e
+let write_envelope w e =
+  Buf.u8 w version;
+  Buf.varint w e.src;
+  Buf.varint w e.lock;
+  match e.payload with
+  | Hlock m ->
+      Buf.u8 w 0;
+      write_hlock_msg w m
+  | Naimi m ->
+      Buf.u8 w 1;
+      write_naimi_msg w m
+  | Shard m ->
+      Buf.u8 w 2;
+      write_shard_msg w m
 
 let encode e =
   let w = Buf.writer ~capacity:128 () in
-  Flat.envelope w e;
+  write_envelope w e;
   Buf.contents w
-
-let encode_legacy e =
-  let w = Buf.Legacy.writer () in
-  Legacy.envelope w e;
-  Buf.Legacy.contents w
 
 (* {1 Decoding} *)
 
@@ -512,34 +495,55 @@ let skim_envelope r =
   | t -> raise (Buf.Malformed (Printf.sprintf "bad payload tag %d" t)));
   if not (Buf.at_end r) then raise (Buf.Malformed "trailing bytes")
 
-(* {1 Stream framing} *)
+(* {1 Stream framing}
+
+   A frame is a 4-byte big-endian body length, then the encoded envelope.
+   This section is the only code that writes or parses that header. *)
 
 let max_frame = 1 lsl 20
 
+let frame_header = 4
+
+let append_frame w e =
+  let at = Buf.length w in
+  Buf.u32_be w 0;
+  write_envelope w e;
+  let len = Buf.length w - at - frame_header in
+  if len > max_frame then begin
+    Buf.truncate w at;
+    invalid_arg
+      (Printf.sprintf "Codec.append_frame: %d-byte frame body exceeds max_frame (%d bytes)" len
+         max_frame)
+  end;
+  Buf.patch_u32_be w ~at len
+
+let frame_length b ~off =
+  if off < 0 || off + frame_header > Bytes.length b then
+    invalid_arg "Codec.frame_length: header out of range";
+  let len =
+    (Char.code (Bytes.unsafe_get b off) lsl 24)
+    lor (Char.code (Bytes.unsafe_get b (off + 1)) lsl 16)
+    lor (Char.code (Bytes.unsafe_get b (off + 2)) lsl 8)
+    lor Char.code (Bytes.unsafe_get b (off + 3))
+  in
+  if len > max_frame then raise (Buf.Malformed (Printf.sprintf "frame too large (%d bytes)" len));
+  len
+
 let write_frame oc e =
   let w = Buf.writer ~capacity:128 () in
-  Buf.u32_be w 0;
-  Flat.envelope w e;
-  Buf.patch_u32_be w ~at:0 (Buf.length w - 4);
-  output_bytes oc (Bytes.sub (Buf.unsafe_bytes w) 0 (Buf.length w));
+  append_frame w e;
+  output oc (Buf.unsafe_bytes w) 0 (Buf.length w);
   flush oc
 
 let read_frame ic =
   match input_char ic with
   | exception End_of_file -> None
   | b0 ->
-      (* Sequence the reads explicitly: tuple components evaluate
-         right-to-left in OCaml, which would scramble the header. *)
-      let next () =
-        try input_char ic with End_of_file -> raise (Buf.Malformed "truncated frame header")
-      in
-      let b1 = next () in
-      let b2 = next () in
-      let b3 = next () in
-      let len =
-        (Char.code b0 lsl 24) lor (Char.code b1 lsl 16) lor (Char.code b2 lsl 8) lor Char.code b3
-      in
-      if len > max_frame then raise (Buf.Malformed "frame too large");
+      let header = Bytes.create frame_header in
+      Bytes.set header 0 b0;
+      (try really_input ic header 1 (frame_header - 1)
+       with End_of_file -> raise (Buf.Malformed "truncated frame header"));
+      let len = frame_length header ~off:0 in
       let body = Bytes.create len in
       (try really_input ic body 0 len
        with End_of_file -> raise (Buf.Malformed "truncated frame body"));
@@ -556,7 +560,7 @@ let read_frame ic =
 let encode_cluster_state (snaps : Dcs_hlock.Node.snapshot array) =
   let w = Buf.writer ~capacity:256 () in
   Buf.varint w (Array.length snaps);
-  Array.iter (fun s -> Flat.node_snapshot w s) snaps;
+  Array.iter (write_node_snapshot w) snaps;
   Buf.contents w
 
 let decode_cluster_state s =

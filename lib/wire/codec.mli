@@ -15,9 +15,17 @@
     writer and reader, encoding and skimming allocate nothing, and
     decoding allocates only the decoded message itself.
 
+    This module is the only owner of the byte format: the envelope
+    layout and the stream frame. There is one encoder, written straight
+    onto {!Buf.writer}; golden hex fixtures in the tests pin its bytes
+    per message class, so any layout change is a deliberate fixture edit
+    plus a {!version} bump.
+
     Framing for stream transports is a 4-byte big-endian length prefix
-    followed by the encoded envelope ({!write_frame} / {!read_frame});
-    batched transports concatenate several such frames into one write. *)
+    followed by the encoded envelope. {!append_frame} and {!frame_length}
+    are the only code that writes or parses that header; batched
+    transports append several frames to one writer and send it in one
+    write, and {!write_frame} / {!read_frame} wrap them for channels. *)
 
 type payload =
   | Hlock of Dcs_hlock.Msg.t
@@ -57,19 +65,34 @@ val skim_envelope : Buf.reader -> unit
 
 val encode : envelope -> string
 
-(** Reference encoding through the legacy [Buffer] writer; must agree
-    with {!encode} byte-for-byte. Exists for differential tests only. *)
-val encode_legacy : envelope -> string
-
 (** Raises {!Buf.Malformed} on garbage, truncation or version mismatch. *)
 val decode : string -> envelope
 
 (** {1 Stream framing} *)
 
-(** Largest accepted frame (1 MiB); {!read_frame} rejects bigger ones. *)
+(** Largest frame body, in bytes (1 MiB). Senders refuse bigger bodies
+    and receivers reject bigger headers. *)
 val max_frame : int
 
-(** Write one length-prefixed frame. *)
+(** Bytes in a frame header (the body length prefix). *)
+val frame_header : int
+
+(** [append_frame w e] appends one frame to [w]: it reserves the header,
+    encodes [e], then patches the body length in. Raises
+    [Invalid_argument], naming the size and the limit, when the body
+    exceeds {!max_frame}; [w]'s length is then as it was. Allocates
+    nothing when [w] has room. *)
+val append_frame : Buf.writer -> envelope -> unit
+
+(** [frame_length b ~off] parses the frame header at [off] and returns
+    the body length that follows it. Raises {!Buf.Malformed} when the
+    length exceeds {!max_frame} (a header with its top bit set among
+    them), and [Invalid_argument] when [b] holds no full header at
+    [off]. *)
+val frame_length : Bytes.t -> off:int -> int
+
+(** Write one frame and flush. Raises [Invalid_argument] as
+    {!append_frame} does, before writing anything. *)
 val write_frame : out_channel -> envelope -> unit
 
 (** Read one frame; [None] on clean end-of-stream at a frame boundary.

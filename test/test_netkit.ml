@@ -295,6 +295,27 @@ let test_hostile_frame_counted () =
   ignore (Unix.write sock frame 0 (Bytes.length frame));
   checkb "hostile frame counted" true (eventually (fun () -> errors () > before))
 
+(* A header announcing a body over [Codec.max_frame] is a malformed
+   frame: counted as a decode error before any body is read, and the
+   connection is closed. *)
+let test_oversized_header_counted () =
+  let runners = make_cluster ~nodes:2 ~locks:1 in
+  let errors () = (Runner.stats runners.(1)).Runner.decode_errors in
+  let before = errors () in
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close sock; stop_all runners) @@ fun () ->
+  Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, !base_port + 1));
+  let n = Dcs_wire.Codec.max_frame + 1 in
+  let header = Bytes.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff)) in
+  ignore (Unix.write sock header 0 4);
+  checkb "oversized header counted" true (eventually (fun () -> errors () > before));
+  let closed =
+    match Unix.select [ sock ] [] [] 5.0 with
+    | [], _, _ -> false
+    | _ -> Unix.read sock (Bytes.create 1) 0 1 = 0
+  in
+  checkb "connection closed" true closed
+
 (* {1 In-process telemetry shards round-trip through the merger} *)
 
 let test_telemetry_shards_merge () =
@@ -389,6 +410,7 @@ let () =
           Alcotest.test_case "unreachable peer" `Slow test_stats_unreachable_peer;
           Alcotest.test_case "forged sender dropped" `Slow test_forged_src_dropped;
           Alcotest.test_case "hostile frame counted" `Slow test_hostile_frame_counted;
+          Alcotest.test_case "oversized header counted" `Slow test_oversized_header_counted;
         ] );
       ( "telemetry",
         [ Alcotest.test_case "shards merge" `Slow test_telemetry_shards_merge ] );

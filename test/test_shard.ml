@@ -309,7 +309,6 @@ let test_shard_wire_roundtrip () =
     (fun m ->
       let env = { Codec.src = 1; lock = 0; payload = Codec.Shard m } in
       let flat = Codec.encode env in
-      Alcotest.check Alcotest.string "flat = legacy" flat (Codec.encode_legacy env);
       checkb "roundtrip" true (Codec.decode flat = env);
       (* Skim validates the same bytes without materializing. *)
       Codec.skim_envelope (Dcs_wire.Buf.reader flat))

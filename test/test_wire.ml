@@ -5,6 +5,7 @@ open Dcs_modes
 module Msg = Dcs_hlock.Msg
 module Codec = Dcs_wire.Codec
 module Buf = Dcs_wire.Buf
+module Shard_msg = Dcs_wire.Shard_msg
 module Q = QCheck2
 
 let checkb = Alcotest.check Alcotest.bool
@@ -145,64 +146,268 @@ let prop_release_roundtrip =
 let prop_freeze_roundtrip =
   per_class_roundtrip "freeze" Q.Gen.(map (fun frozen -> Msg.Freeze { frozen }) gen_mode_set)
 
-(* {2 Flat writer vs the legacy [Buffer] writer}
+(* {2 Golden bytes}
 
-   The flat path must be a pure representation change: for every message
-   class, the bytes must match the historical Buffer-based encoder
-   (instantiated from the same functor as [Codec.encode_legacy])
-   byte-for-byte. *)
+   The v4 byte layout, pinned per message class by hex fixtures under
+   [golden/], recorded from the [Buffer]-backed reference writer that
+   these fixtures replaced. Field values are chosen so that swapping any
+   two field writes in the encoder changes the bytes of some case: the
+   first case of a class gives every field a value no other field of it
+   holds. The other cases cover [None], empty lists and sets, every mode
+   and the varint width edges. A deliberate format change edits the
+   fixture and bumps [Codec.version] in the same commit. *)
 
-let per_class_flat_eq_legacy name gen =
-  Q.Test.make ~name:(name ^ " flat = legacy bytes") ~count:500
-    Q.Gen.(map hlock_envelope gen)
-    (fun env -> Codec.encode env = Codec.encode_legacy env)
+let golden_request =
+  {
+    Msg.requester = 3;
+    seq = 1001;
+    mode = Mode.IW;
+    upgrade = true;
+    timestamp = 70001;
+    priority = 5;
+    hops = 12;
+    token_only = false;
+    hint = (4242, 9);
+    path = [ 33; 21; 40 ];
+  }
 
-let prop_request_flat_eq_legacy =
-  per_class_flat_eq_legacy "request" Q.Gen.(map (fun r -> Msg.Request r) gen_request)
+let golden_request_b =
+  {
+    Msg.requester = 6;
+    seq = 2;
+    mode = Mode.W;
+    upgrade = false;
+    timestamp = 131;
+    priority = 1;
+    hops = 0;
+    token_only = true;
+    hint = (17, 8);
+    path = [];
+  }
 
-let prop_grant_flat_eq_legacy =
-  per_class_flat_eq_legacy "grant"
-    Q.Gen.(
-      let* req = gen_request in
-      let* epoch = int_bound 100_000 in
-      let* recorded = Testkit.gen_mode in
-      let* ancestry = list_size (int_bound 10) (int_bound 200) in
-      return (Msg.Grant { req; epoch; recorded; ancestry }))
+let golden_snapshot_a =
+  {
+    Dcs_hlock.Node.s_token = true;
+    s_parent = Some 4;
+    s_parent_stamp = 61;
+    s_accounted_parent = Some 7;
+    s_accounted_epoch = 62;
+    s_last_reported = Some Mode.R;
+    s_cached = Mode_set.of_list [ Mode.IR; Mode.R ];
+    s_children = [ (10, Mode.IW, 63); (12, Mode.IR, 64) ];
+    s_queue = [ golden_request_b ];
+    s_frozen = Mode_set.singleton Mode.W;
+    s_sent_freeze = [ (16, Mode_set.of_list [ Mode.R; Mode.U ]) ];
+    s_tenure = 65;
+    s_hint = (66, 18);
+    s_last_granter = Some 19;
+    s_ancestry = [ 20; 22 ];
+    s_saw_transfer = false;
+    s_served_ever = true;
+    s_next_seq = 67;
+    s_clock = 68;
+    s_epoch_counter = 69;
+  }
 
-let prop_token_flat_eq_legacy =
-  per_class_flat_eq_legacy "token"
-    Q.Gen.(
-      let* serving = gen_request in
-      let* sender_owned = Testkit.gen_mode_opt in
-      let* sender_epoch = int_bound 100_000 in
-      let* queue = list_size (int_bound 8) gen_request in
-      let* frozen = gen_mode_set in
-      return (Msg.Token { serving; sender_owned; sender_epoch; queue; frozen }))
+let golden_snapshot_b =
+  {
+    Dcs_hlock.Node.s_token = false;
+    s_parent = None;
+    s_parent_stamp = 70;
+    s_accounted_parent = None;
+    s_accounted_epoch = 71;
+    s_last_reported = None;
+    s_cached = Mode_set.empty;
+    s_children = [];
+    s_queue = [];
+    s_frozen = Mode_set.empty;
+    s_sent_freeze = [];
+    s_tenure = 72;
+    s_hint = (73, 0);
+    s_last_granter = None;
+    s_ancestry = [];
+    s_saw_transfer = false;
+    s_served_ever = true;
+    s_next_seq = 74;
+    s_clock = 75;
+    s_epoch_counter = 76;
+  }
 
-let prop_release_flat_eq_legacy =
-  per_class_flat_eq_legacy "release"
-    Q.Gen.(
-      let* new_owned = Testkit.gen_mode_opt in
-      let* epoch = int_bound 100_000 in
-      return (Msg.Release { new_owned; epoch }))
+let golden_env payload = { Codec.src = 11; lock = 13; payload }
+let golden_hlock m = golden_env (Codec.Hlock m)
+let golden_shard m = golden_env (Codec.Shard m)
 
-let prop_freeze_flat_eq_legacy =
-  per_class_flat_eq_legacy "freeze" Q.Gen.(map (fun frozen -> Msg.Freeze { frozen }) gen_mode_set)
+let golden_cases =
+  [
+    ( "request",
+      [
+        ("request", golden_hlock (Msg.Request golden_request));
+        ("request-token-only", golden_hlock (Msg.Request golden_request_b));
+      ] );
+    ( "grant",
+      [
+        ( "grant",
+          golden_hlock
+            (Msg.Grant
+               {
+                 req = golden_request;
+                 epoch = 123457;
+                 recorded = Mode.R;
+                 ancestry = [ 7; 300; 2 ];
+               })
+        );
+        ( "grant-no-ancestry",
+          golden_hlock
+            (Msg.Grant { req = golden_request_b; epoch = 77; recorded = Mode.U; ancestry = [] }) );
+      ] );
+    ( "token",
+      [
+        ( "token",
+          golden_hlock
+            (Msg.Token
+               {
+                 serving = golden_request;
+                 sender_owned = Some Mode.U;
+                 sender_epoch = 5150;
+                 queue = [ golden_request_b; { golden_request_b with requester = 14; seq = 15 } ];
+                 frozen = Mode_set.of_list [ Mode.R; Mode.W ];
+               }) );
+        ( "token-empty",
+          golden_hlock
+            (Msg.Token
+               {
+                 serving = golden_request_b;
+                 sender_owned = None;
+                 sender_epoch = 88;
+                 queue = [];
+                 frozen = Mode_set.empty;
+               }) );
+      ] );
+    ( "release",
+      [
+        ("release", golden_hlock (Msg.Release { new_owned = Some Mode.IR; epoch = 99 }));
+        ("release-none", golden_hlock (Msg.Release { new_owned = None; epoch = 100 }));
+      ] );
+    ( "freeze",
+      [
+        ("freeze", golden_hlock (Msg.Freeze { frozen = Mode_set.of_list [ Mode.IR; Mode.IW ] }));
+        ("freeze-empty", golden_hlock (Msg.Freeze { frozen = Mode_set.empty }));
+        ("freeze-full", golden_hlock (Msg.Freeze { frozen = Mode_set.full }));
+      ] );
+    ( "naimi",
+      [
+        ( "naimi-request",
+          golden_env (Codec.Naimi (Dcs_naimi.Naimi.Request { requester = 3; seq = 17 })) );
+        ("naimi-token", golden_env (Codec.Naimi Dcs_naimi.Naimi.Token));
+      ] );
+    ( "shard",
+      [
+        ("dir-lookup", golden_shard (Shard_msg.Dir_lookup { bucket = 3 }));
+        ("dir-info", golden_shard (Shard_msg.Dir_info { bucket = 5; home = 1; version = 4 }));
+        ("dir-update", golden_shard (Shard_msg.Dir_update { bucket = 6; home = 2; version = 7 }));
+        ( "handoff",
+          golden_shard
+            (Shard_msg.Handoff
+               {
+                 bucket = 2;
+                 version = 8;
+                 entries =
+                   [
+                     {
+                       Shard_msg.set = 9;
+                       bursts = 3;
+                       grants = 12;
+                       msgs = 48;
+                       state = [| golden_snapshot_a; golden_snapshot_b |];
+                     };
+                     { Shard_msg.set = 14; bursts = 1; grants = 4; msgs = 19; state = [||] };
+                   ];
+                 parked = [ (21, 22); (23, 24) ];
+               }) );
+        ("handoff-ack", golden_shard (Shard_msg.Handoff_ack { bucket = 25; version = 26 }));
+        ( "round-done",
+          golden_shard (Shard_msg.Round_done { shard = 1; round = 5; bursts = 9; grants = 36 }) );
+      ] );
+    ( "boundary",
+      (* Varints at every width edge: 0, 127, 128, 16383, 16384, max_int. *)
+      ( "varints",
+        {
+          Codec.src = 16383;
+          lock = max_int;
+          payload =
+            Codec.Hlock
+              (Msg.Request
+                 {
+                   Msg.requester = 0;
+                   seq = 127;
+                   mode = Mode.IR;
+                   upgrade = false;
+                   timestamp = 128;
+                   priority = 16384;
+                   hops = 1;
+                   token_only = true;
+                   hint = (max_int - 1, 2);
+                   path = [ 16384; 127; 128; 0; max_int ];
+                 });
+        } )
+      :: List.map
+           (fun m ->
+             ( "mode-" ^ Mode.to_string m,
+               golden_hlock
+                 (Msg.Token
+                    {
+                      serving = { golden_request with mode = m };
+                      sender_owned = Some m;
+                      sender_epoch = 0;
+                      queue = [];
+                      frozen = Mode_set.singleton m;
+                    }) ))
+           Mode.all );
+  ]
 
-let prop_naimi_flat_eq_legacy =
-  Q.Test.make ~name:"naimi flat = legacy bytes" ~count:100
-    Q.Gen.(
-      let* payload =
-        oneofl
-          [
-            Codec.Naimi (Dcs_naimi.Naimi.Request { requester = 3; seq = 17 });
-            Codec.Naimi Dcs_naimi.Naimi.Token;
-          ]
-      in
-      let* src = int_bound 200 in
-      let* lock = int_bound 50 in
-      return { Codec.src; lock; payload })
-    (fun env -> Codec.encode env = Codec.encode_legacy env)
+(* Cluster-state blobs: the at-rest shard store format. *)
+let golden_cluster_states =
+  [ ("two-nodes", [| golden_snapshot_a; golden_snapshot_b |]); ("empty", [||]) ]
+
+let to_hex s =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let of_hex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+(* [golden/<cls>.hex]: [#] comments, then one [<case name> <hex>] line per
+   case. *)
+let read_fixture cls =
+  In_channel.with_open_text (Filename.concat "golden" (cls ^ ".hex")) In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         match String.split_on_char ' ' (String.trim line) with
+         | [ "" ] -> None
+         | hash :: _ when hash.[0] = '#' -> None
+         | [ name; hex ] -> Some (name, hex)
+         | _ -> Alcotest.failf "golden/%s.hex: bad line %S" cls line)
+
+(* Each case encodes to its fixture bytes, and the fixture bytes decode
+   back to the case. *)
+let check_golden cls encode decode cases =
+  Alcotest.check Alcotest.int "wire format version" 4 Codec.version;
+  let fixture = read_fixture cls in
+  Alcotest.check
+    Alcotest.(list string)
+    (cls ^ " case names") (List.map fst cases) (List.map fst fixture);
+  List.iter2
+    (fun (name, v) (_, hex) ->
+      Alcotest.check Alcotest.string (name ^ " bytes") hex (to_hex (encode v));
+      checkb (name ^ " decodes") true (decode (of_hex hex) = v))
+    cases fixture
+
+let golden_envelopes cls () =
+  check_golden cls Codec.encode Codec.decode (List.assoc cls golden_cases)
+
+let test_golden_cluster_state () =
+  check_golden "cluster_state" Codec.encode_cluster_state Codec.decode_cluster_state
+    golden_cluster_states
 
 (* {2 Writer reuse}
 
@@ -531,6 +736,87 @@ let test_snapshot_count () =
   let snapshot = String.sub one 1 (String.length one - 1) in
   malformed "max_int" (fun () -> Codec.decode_cluster_state (wide_varint '\x3f' ^ snapshot))
 
+(* {2 Stream frames} *)
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* [f] with an output channel on a fresh temporary file, then [g] with an
+   input channel on what [f] wrote. A file, not a pipe: a frame near
+   [max_frame] would fill a pipe and block its writer. *)
+let via_file f g =
+  let path = Filename.temp_file "dcs_wire" ".frames" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path f;
+  In_channel.with_open_bin path g
+
+(* A Token whose request path holds 400,000 three-byte ids: a body of
+   about 1.2 MB, over [max_frame]. The sender refuses it, naming its size
+   and the limit, and writes nothing, so no peer is sent a frame it must
+   reject. *)
+let test_oversized_frame_refused () =
+  let serving = { golden_request with path = List.init 400_000 (fun i -> 16_384 + i) } in
+  let env =
+    golden_hlock
+      (Msg.Token
+         { serving; sender_owned = None; sender_epoch = 1; queue = []; frozen = Mode_set.empty })
+  in
+  let size = String.length (Codec.encode env) in
+  checkb "body over max_frame" true (size > Codec.max_frame);
+  via_file
+    (fun oc ->
+      match Codec.write_frame oc env with
+      | () -> Alcotest.fail "write_frame wrote an oversized frame"
+      | exception Invalid_argument reason ->
+          let mentions n = contains ~sub:(string_of_int n) reason in
+          checkb "names the size" true (mentions size);
+          checkb "names the limit" true (mentions Codec.max_frame))
+    (fun ic -> checkb "nothing written" true (Codec.read_frame ic = None));
+  let w = Buf.writer () in
+  Codec.append_frame w (golden_hlock (Msg.Freeze { frozen = Mode_set.full }));
+  let before = Buf.contents w in
+  (match Codec.append_frame w env with
+  | () -> Alcotest.fail "append_frame appended an oversized frame"
+  | exception Invalid_argument _ -> ());
+  Alcotest.check Alcotest.string "writer as it was" before (Buf.contents w)
+
+(* A frame body of exactly [max_frame] bytes passes both ends; one byte
+   more, or a header with its top bit set, is refused. *)
+let test_frame_header_bounds () =
+  let header n =
+    Bytes.init Codec.frame_header (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
+  in
+  Alcotest.check Alcotest.int "max_frame accepted" Codec.max_frame
+    (Codec.frame_length (header Codec.max_frame) ~off:0);
+  malformed "max_frame + 1" (fun () -> Codec.frame_length (header (Codec.max_frame + 1)) ~off:0);
+  malformed "top bit set" (fun () -> Codec.frame_length (header 0x8000_0005) ~off:0);
+  (* A request whose body is exactly [max_frame]: two-byte path ids, one
+     one-byte id if the parity needs it. The count stays a 3-byte varint
+     either way. *)
+  let request path = golden_hlock (Msg.Request { golden_request_b with path }) in
+  let room = Codec.max_frame - String.length (Codec.encode (request [])) - 2 in
+  let path extra =
+    List.init ((room / 2) + (room mod 2) + extra) (fun i -> if i < room / 2 then 200 else 1)
+  in
+  let exact = request (path 0) and over = request (path 1) in
+  Alcotest.check Alcotest.int "exact body" Codec.max_frame (String.length (Codec.encode exact));
+  Alcotest.check Alcotest.int "over body" (Codec.max_frame + 1) (String.length (Codec.encode over));
+  via_file
+    (fun oc -> Codec.write_frame oc exact)
+    (fun ic -> checkb "max_frame body read back" true (Codec.read_frame ic = Some exact));
+  (match Codec.append_frame (Buf.writer ()) over with
+  | () -> Alcotest.fail "max_frame + 1 body appended"
+  | exception Invalid_argument _ -> ());
+  (* The reader refuses a header before it reads any body. *)
+  List.iter
+    (fun (name, n) ->
+      via_file
+        (fun oc -> Out_channel.output_bytes oc (header n))
+        (fun ic -> malformed name (fun () -> Codec.read_frame ic)))
+    [ ("read max_frame + 1", Codec.max_frame + 1); ("read top bit set", 0x8000_0005) ]
+
 let test_cluster_config () =
   (match Dcs_netkit.Cluster_config.parse ~locks:2 "0:127.0.0.1:7001,1:127.0.0.1:7002" with
   | Ok c ->
@@ -562,15 +848,22 @@ let () =
           qt prop_trailing_rejected;
           Alcotest.test_case "version sweep" `Quick test_version_rejected;
           Alcotest.test_case "frame via pipe" `Quick test_frame_roundtrip;
+          Alcotest.test_case "oversized frame refused" `Quick test_oversized_frame_refused;
+          Alcotest.test_case "frame header bounds" `Quick test_frame_header_bounds;
         ] );
       ( "flat path",
         [
-          qt prop_request_flat_eq_legacy;
-          qt prop_grant_flat_eq_legacy;
-          qt prop_token_flat_eq_legacy;
-          qt prop_release_flat_eq_legacy;
-          qt prop_freeze_flat_eq_legacy;
-          qt prop_naimi_flat_eq_legacy;
+          (* The fixtures are the bytes of the deleted [Buffer]-backed
+             writer, hence the names. *)
+          Alcotest.test_case "request flat = legacy bytes" `Quick (golden_envelopes "request");
+          Alcotest.test_case "grant flat = legacy bytes" `Quick (golden_envelopes "grant");
+          Alcotest.test_case "token flat = legacy bytes" `Quick (golden_envelopes "token");
+          Alcotest.test_case "release flat = legacy bytes" `Quick (golden_envelopes "release");
+          Alcotest.test_case "freeze flat = legacy bytes" `Quick (golden_envelopes "freeze");
+          Alcotest.test_case "naimi flat = legacy bytes" `Quick (golden_envelopes "naimi");
+          Alcotest.test_case "shard golden bytes" `Quick (golden_envelopes "shard");
+          Alcotest.test_case "boundary golden bytes" `Quick (golden_envelopes "boundary");
+          Alcotest.test_case "cluster state golden bytes" `Quick test_golden_cluster_state;
           qt prop_writer_reset_reuse;
           qt prop_skim_equiv_decode;
           qt prop_decode_sub_slices;
