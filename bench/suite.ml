@@ -212,8 +212,9 @@ let handoff_env =
   let cell = Dcs_shard.Cell.create ~latency:cfg.Dcs_shard.Router.latency
       ~nodes:cfg.Dcs_shard.Router.nodes () in
   let tbl = Hashtbl.create 4 in
-  ignore (Dcs_shard.Router.run_burst cfg cell tbl { Dcs_shard.Traffic.set = 0; burst = 0 });
-  ignore (Dcs_shard.Router.run_burst cfg cell tbl { Dcs_shard.Traffic.set = 0; burst = 1 });
+  let burst b = Dcs_shard.Router.run_burst cfg cell tbl { Dcs_shard.Traffic.set = 0; burst = b } in
+  let g0, _, m0 = burst 0 in
+  let g1, _, m1 = burst 1 in
   {
     Dcs_wire.Codec.src = 0;
     lock = 0;
@@ -223,7 +224,16 @@ let handoff_env =
            {
              bucket = 0;
              version = 1;
-             entries = Dcs_shard.Router.entries_of_store tbl;
+             entries =
+               [
+                 {
+                   Dcs_wire.Shard_msg.set = 0;
+                   bursts = 2;
+                   grants = g0 + g1;
+                   msgs = m0 + m1;
+                   state = Dcs_shard.Cell.export_lock cell ~lock:0;
+                 };
+               ];
              parked = [ (0, 2) ];
            });
   }

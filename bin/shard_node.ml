@@ -3,24 +3,22 @@
 
      dune exec bin/shard_node.exe -- demo --shards 2 --rounds 3 --check
 
-   [demo] forks one worker process per shard plus a coordinator. Workers
-   derive the traffic plan deterministically from the seed and execute
-   the bursts of the buckets they home on a pooled Dcs_shard.Cell —
-   exactly Router.run_burst, same seeds, same at-rest format. The
-   coordinator runs the round barrier over TCP (Round_done frames) and
-   relays live bucket migrations: the source worker ships its bucket
-   store and parked jobs in a Handoff frame, the coordinator forwards it
-   to the destination, waits for the Handoff_ack, commits the ownership
-   flip and broadcasts the Dir_update every replica applies
-   version-monotonically.
+   [demo] forks one worker process per shard plus a coordinator. A worker
+   drives one Router.Replica — the same round step, receive step and
+   final report Router.run drives in-process — and keeps only the
+   connection, the framing, the round barrier and the telemetry. The
+   coordinator relays: it collects each round's Round_done frames,
+   forwards every migration's Handoff to its destination, waits for the
+   Handoff_ack, broadcasts the Dir_update every replica applies
+   version-monotonically and releases the barrier. Rounds follow the
+   replicas' rule: one more while a handoff carried parked jobs.
 
    At the end every worker hands its final bucket states to the
    coordinator (the same Handoff path), which folds the namespace digest.
    With --check the coordinator re-runs the identical plan in-process on
-   multiple domains (Router.run ~jobs:2) and requires digest, grant
-   count, burst count and final bucket ownership to match exactly, and
-   cross-checks the merged per-shard telemetry ({shard=N}-labelled
-   metrics) against both runs.
+   two domains (Router.run ~jobs:2) and requires digest, counts, rounds,
+   replays and per-shard balance to match exactly, and cross-checks the
+   merged per-shard telemetry ({shard=N}-labelled metrics) against both.
 
    [local] runs the in-process router alone and prints the balance
    table.
@@ -32,10 +30,8 @@
 open Cmdliner
 module Codec = Dcs_wire.Codec
 module Shard_msg = Dcs_wire.Shard_msg
-module Directory = Dcs_shard.Directory
-module Cell = Dcs_shard.Cell
-module Traffic = Dcs_shard.Traffic
 module Router = Dcs_shard.Router
+module Replica = Router.Replica
 module Metrics = Dcs_obs.Metrics
 
 let send oc ~src msg =
@@ -77,128 +73,42 @@ let run_worker ~shard ~(cfg : Router.config) ~migrations ~port ~telemetry =
   let m_grants = Metrics.counter reg (Metrics.labelled "shard.grants" ~shard) in
   let m_msgs = Metrics.counter reg (Metrics.labelled "shard.msgs" ~shard) in
   let m_owned = Metrics.gauge reg (Metrics.labelled "shard.buckets_owned" ~shard) in
-  let dir = Directory.create ~buckets:cfg.Router.buckets ~shards:cfg.Router.shards in
-  let cell = Cell.create ~latency:cfg.Router.latency ~nodes:cfg.Router.nodes () in
-  let stores = Array.init cfg.Router.buckets (fun _ -> Hashtbl.create 16) in
-  let plan =
-    Traffic.plan ~skew:cfg.Router.skew ~seed:cfg.Router.seed ~lock_sets:cfg.Router.lock_sets
-      ~rounds:cfg.Router.rounds ~jobs_per_round:cfg.Router.jobs_per_round ()
-  in
-  let replays = ref [] in
-  let owned_buckets () =
-    let n = ref 0 in
-    for b = 0 to cfg.Router.buckets - 1 do
-      if Directory.home dir ~bucket:b = shard then incr n
-    done;
-    !n
-  in
-  let install_handoff ~bucket ~entries ~parked =
-    Hashtbl.reset stores.(bucket);
-    List.iter
-      (fun (e : Shard_msg.handoff_entry) ->
-        Hashtbl.replace stores.(bucket) e.Shard_msg.set (Router.set_state_of_entry e))
-      entries;
-    replays := !replays @ List.map (fun (set, burst) -> { Traffic.set; burst }) parked
-  in
-  for round = 0 to cfg.Router.rounds - 1 do
-    (* Every replica starts the round's migrations deterministically:
-       from here the bucket accepts no work, so its jobs park. *)
-    List.iter
-      (fun (m : Router.migration) ->
-        if m.Router.round = round then
-          Directory.begin_migration dir ~bucket:m.Router.bucket ~dst:m.Router.dst)
-      migrations;
-    let mine = ref [] in
-    let parked = Array.make cfg.Router.buckets [] in
-    let route (job : Traffic.job) =
-      let bucket = Router.bucket_of_set ~buckets:cfg.Router.buckets job.Traffic.set in
-      match Directory.migrating dir ~bucket with
-      | Some _ ->
-          if Directory.home dir ~bucket = shard then parked.(bucket) <- job :: parked.(bucket)
-      | None -> if Directory.home dir ~bucket = shard then mine := job :: !mine
-    in
-    let pending = !replays in
-    replays := [];
-    List.iter route pending;
-    Array.iter route plan.Traffic.rounds.(round);
-    let round_bursts = ref 0 and round_grants = ref 0 in
-    List.iter
-      (fun (job : Traffic.job) ->
-        let bucket = Router.bucket_of_set ~buckets:cfg.Router.buckets job.Traffic.set in
-        let grants, _upgrades, msgs = Router.run_burst cfg cell stores.(bucket) job in
-        incr round_bursts;
-        round_grants := !round_grants + grants;
-        Metrics.incr m_bursts;
-        Metrics.add m_grants grants;
-        Metrics.add m_msgs msgs)
-      (List.rev !mine);
-    (* Source side of a migration: the full bucket store and the parked
-       jobs leave in one Handoff. *)
-    List.iter
-      (fun (m : Router.migration) ->
-        if m.Router.round = round && Directory.home dir ~bucket:m.Router.bucket = shard then begin
-          let bucket = m.Router.bucket in
-          send
-            (Shard_msg.Handoff
-               {
-                 bucket;
-                 version = Directory.version dir ~bucket + 1;
-                 entries = Router.entries_of_store stores.(bucket);
-                 parked =
-                   List.map
-                     (fun (j : Traffic.job) -> (j.Traffic.set, j.Traffic.burst))
-                     (List.rev parked.(bucket));
-               });
-          Hashtbl.reset stores.(bucket)
-        end)
-      migrations;
-    send (Shard_msg.Round_done { shard; round; bursts = !round_bursts; grants = !round_grants });
-    Metrics.set m_owned (float_of_int (owned_buckets ()));
+  let replica = Replica.create ~migrations cfg ~shard in
+  let round = ref 0 in
+  while Replica.runs_round replica ~round:!round do
+    let c, handoffs = Replica.round_step replica ~round:!round in
+    List.iter send handoffs;
+    send
+      (Shard_msg.Round_done
+         { shard; round = !round; bursts = c.Replica.bursts; grants = c.Replica.grants });
+    Metrics.add m_bursts c.Replica.bursts;
+    Metrics.add m_grants c.Replica.grants;
+    Metrics.add m_msgs c.Replica.msgs;
+    Metrics.set m_owned (float_of_int (Replica.buckets_owned replica));
     Option.iter (fun t -> Dcs_obs.Shard.snapshot t reg) tele;
-    (* Barrier: consume coordinator traffic (inbound handoffs, directory
-       updates) until this round's release. *)
+    (* Barrier: the replica takes the coordinator's traffic (inbound
+       handoffs, directory updates) until this round's release. *)
     let rec wait () =
       match Codec.read_frame ic with
       | None -> failwith (Printf.sprintf "shard %d: coordinator closed mid-round" shard)
-      | Some { Codec.payload = Codec.Shard msg; _ } -> (
-          match msg with
-          | Shard_msg.Handoff { bucket; version; entries; parked } ->
-              install_handoff ~bucket ~entries ~parked;
-              send (Shard_msg.Handoff_ack { bucket; version });
-              wait ()
-          | Shard_msg.Dir_update e -> (
-              match Directory.apply_update dir e with
-              | `Applied | `Stale -> wait ()
-              | `Conflict ->
-                  failwith (Printf.sprintf "shard %d: directory split-brain" shard))
-          | Shard_msg.Round_done { round = r; _ } when r = round -> ()
-          | _ -> wait ())
-      | Some _ -> wait ()
+      | Some { Codec.payload = Codec.Shard (Shard_msg.Round_done { round = r; _ }); _ }
+        when r = !round ->
+          ()
+      | Some { Codec.payload = Codec.Shard msg; _ } ->
+          Option.iter send (Replica.receive replica msg);
+          wait ()
+      | Some _ -> failwith (Printf.sprintf "shard %d: unexpected non-shard frame" shard)
     in
-    wait ()
+    wait ();
+    incr round
   done;
   (* Final report: every owned bucket's state goes back through the same
      handoff path, so the coordinator folds the digest from exactly the
      bytes a migration would ship. *)
-  for bucket = 0 to cfg.Router.buckets - 1 do
-    if Directory.home dir ~bucket = shard then
-      send
-        (Shard_msg.Handoff
-           {
-             bucket;
-             version = Directory.version dir ~bucket;
-             entries = Router.entries_of_store stores.(bucket);
-             parked = [];
-           })
-  done;
+  List.iter send (Replica.final_report replica);
   send
     (Shard_msg.Round_done
-       {
-         shard;
-         round = cfg.Router.rounds;
-         bursts = Metrics.value m_bursts;
-         grants = Metrics.value m_grants;
-       });
+       { shard; round = !round; bursts = Metrics.value m_bursts; grants = Metrics.value m_grants });
   Option.iter
     (fun t ->
       Dcs_obs.Shard.snapshot t reg;
@@ -213,6 +123,12 @@ let run_worker ~shard ~(cfg : Router.config) ~migrations ~port ~telemetry =
    must fail loudly rather than wait forever for frames that can never
    arrive. *)
 type inbound = Frame of { conn : int; env : Codec.envelope } | Closed of int
+
+let unexpected env =
+  match env.Codec.payload with
+  | Codec.Shard msg ->
+      failwith (Format.asprintf "coordinator: unexpected frame %a" Shard_msg.pp msg)
+  | _ -> failwith "coordinator: unexpected non-shard frame"
 
 let run_coordinator ~(cfg : Router.config) ~migrations ~listen ~telemetry ~check =
   let queue = Queue.create () in
@@ -264,16 +180,19 @@ let run_coordinator ~(cfg : Router.config) ~migrations ~listen ~telemetry ~check
     | Some oc -> oc
     | None -> failwith "coordinator: shard connection lost"
   in
-  let dir = Directory.create ~buckets:cfg.Router.buckets ~shards:cfg.Router.shards in
-  let final = Hashtbl.create 64 in
-  (* collected final set states *)
-  let handoffs = Hashtbl.create 4 in
-  (* bucket -> pending migration handoff *)
+  let final = ref [] (* collected final set states *) in
+  let handoffs = Hashtbl.create 4 (* bucket -> this round's migration handoff *) in
   let sh_bursts = Array.make cfg.Router.shards 0 in
   let sh_grants = Array.make cfg.Router.shards 0 in
-  for round = 0 to cfg.Router.rounds do
-    (* Round cfg.rounds is the final report: workers send their bucket
-       states, then a closing Round_done. *)
+  let sh_owned = Array.make cfg.Router.shards 0 in
+  let applied = ref 0 and replayed = ref 0 in
+  (* The replicas' round-count rule, from the handoffs relayed: a round
+     runs while the plan lasts or while a handoff carried parked jobs.
+     The round after the last is the final report: workers send their
+     bucket states, then a closing Round_done. *)
+  let carried = ref false and round = ref 0 and finished = ref false in
+  while not !finished do
+    let report = not (!round < cfg.Router.rounds || !carried) in
     let done_from = Array.make cfg.Router.shards false in
     while Array.exists not done_from do
       match next () with
@@ -281,96 +200,92 @@ let run_coordinator ~(cfg : Router.config) ~migrations ~listen ~telemetry ~check
           (* Legitimate only in the final report round, from a worker whose
              closing Round_done was already collected; any earlier EOF means
              a dead worker, and waiting for its frames would hang forever. *)
-          let finished = ref false in
+          let closed_done = ref false in
           for s = 0 to cfg.Router.shards - 1 do
-            if shard_conn.(s) = c && done_from.(s) then finished := true
+            if shard_conn.(s) = c && done_from.(s) then closed_done := true
           done;
-          if not (round = cfg.Router.rounds && !finished) then
-            failwith "coordinator: worker disconnected mid-run"
+          if not (report && !closed_done) then failwith "coordinator: worker disconnected mid-run"
       | Frame { conn; env } -> (
-      let src = env.Codec.src in
-      shard_conn.(src) <- conn;
-      match env.Codec.payload with
-      | Codec.Shard (Shard_msg.Round_done { shard; round = r; bursts; grants }) ->
-          if r <> round then
-            failwith (Printf.sprintf "coordinator: shard %d at round %d, expected %d" shard r round);
-          if round = cfg.Router.rounds then begin
-            sh_bursts.(shard) <- bursts;
-            sh_grants.(shard) <- grants
-          end;
-          done_from.(shard) <- true
-      | Codec.Shard (Shard_msg.Handoff { bucket; version; entries; parked }) ->
-          if round = cfg.Router.rounds then
-            (* Final report: fold the entries into the namespace view. *)
-            List.iter
-              (fun (e : Shard_msg.handoff_entry) ->
-                Hashtbl.replace final e.Shard_msg.set (Router.set_state_of_entry e))
-              entries
-          else Hashtbl.replace handoffs bucket (version, entries, parked)
-      | _ -> failwith "coordinator: unexpected frame")
+          let src = env.Codec.src in
+          shard_conn.(src) <- conn;
+          match env.Codec.payload with
+          | Codec.Shard (Shard_msg.Round_done { shard; round = r; bursts; grants }) ->
+              if r <> !round then
+                failwith
+                  (Printf.sprintf "coordinator: shard %d at round %d, expected %d" shard r !round);
+              if report then begin
+                sh_bursts.(shard) <- bursts;
+                sh_grants.(shard) <- grants
+              end;
+              done_from.(shard) <- true
+          | Codec.Shard (Shard_msg.Handoff { bucket; version; entries; parked } as h) ->
+              if report then begin
+                (* Final report: fold the entries into the namespace view. *)
+                final := entries @ !final;
+                sh_owned.(src) <- sh_owned.(src) + 1
+              end
+              else Hashtbl.replace handoffs bucket (h, version, List.length parked)
+          | _ -> unexpected env)
     done;
-    if round < cfg.Router.rounds then begin
+    if report then finished := true
+    else begin
       (* Commit this round's migrations: forward each stored handoff to
-         its destination, wait for the ack, flip ownership, broadcast. *)
+         its destination, wait for the ack, broadcast the ownership flip. *)
+      carried := false;
       List.iter
         (fun (m : Router.migration) ->
-          if m.Router.round = round then begin
-            let bucket = m.Router.bucket in
-            let version, entries, parked =
+          if m.Router.round = !round then begin
+            let bucket = m.Router.bucket and dst = m.Router.dst in
+            let h, version, parked =
               match Hashtbl.find_opt handoffs bucket with
               | Some h -> h
               | None -> failwith (Printf.sprintf "coordinator: no handoff for bucket %d" bucket)
             in
             Hashtbl.remove handoffs bucket;
-            Directory.begin_migration dir ~bucket ~dst:m.Router.dst;
-            send (oc_of_shard m.Router.dst) ~src:cfg.Router.shards
-              (Shard_msg.Handoff { bucket; version; entries; parked });
-            let await_ack () =
-              match next () with
-              | Closed _ -> failwith "coordinator: worker disconnected awaiting Handoff_ack"
-              | Frame { conn; env } -> (
-                  shard_conn.(env.Codec.src) <- conn;
-                  match env.Codec.payload with
-                  | Codec.Shard (Shard_msg.Handoff_ack { bucket = b; version = v })
-                    when b = bucket && v = version ->
-                      ()
-                  | _ -> failwith "coordinator: expected Handoff_ack")
-            in
-            await_ack ();
-            Directory.commit_migration dir ~bucket;
-            let update = Shard_msg.Dir_update (Directory.entry dir ~bucket) in
+            send (oc_of_shard dst) ~src:cfg.Router.shards h;
+            (match next () with
+            | Closed _ -> failwith "coordinator: worker disconnected awaiting Handoff_ack"
+            | Frame { conn; env } -> (
+                shard_conn.(env.Codec.src) <- conn;
+                match env.Codec.payload with
+                | Codec.Shard (Shard_msg.Handoff_ack { bucket = b; version = v })
+                  when b = bucket && v = version ->
+                    ()
+                | _ -> unexpected env));
+            let update = Shard_msg.Dir_update { bucket; home = dst; version } in
             for s = 0 to cfg.Router.shards - 1 do
               send (oc_of_shard s) ~src:cfg.Router.shards update
-            done
+            done;
+            incr applied;
+            replayed := !replayed + parked;
+            if parked > 0 then carried := true
           end)
         migrations;
       (* Release the barrier. *)
       for s = 0 to cfg.Router.shards - 1 do
         send (oc_of_shard s) ~src:cfg.Router.shards
-          (Shard_msg.Round_done { shard = cfg.Router.shards; round; bursts = 0; grants = 0 })
-      done
+          (Shard_msg.Round_done
+             { shard = cfg.Router.shards; round = !round; bursts = 0; grants = 0 })
+      done;
+      incr round
     end
   done;
   List.iter Thread.join readers;
-  let digest =
-    Router.digest_of_store ~lock_sets:cfg.Router.lock_sets (fun set -> Hashtbl.find_opt final set)
-  in
+  let digest = Router.digest_of_entries !final in
   let bursts = Array.fold_left ( + ) 0 sh_bursts in
   let grants = Array.fold_left ( + ) 0 sh_grants in
-  Printf.printf "distributed run: %d shards, %d rounds, %d bursts, %d grants\n" cfg.Router.shards
-    cfg.Router.rounds bursts grants;
+  Printf.printf "distributed run: %d shards, %d rounds run, %d bursts, %d grants\n"
+    cfg.Router.shards !round bursts grants;
   Array.iteri
     (fun s b ->
-      let owned = ref 0 in
-      for bk = 0 to cfg.Router.buckets - 1 do
-        if Directory.home dir ~bucket:bk = s then incr owned
-      done;
-      Printf.printf "  shard %d: %d bursts, %d grants, %d buckets\n" s b sh_grants.(s) !owned)
+      Printf.printf "  shard %d: %d bursts, %d grants, %d buckets\n" s b sh_grants.(s) sh_owned.(s))
     sh_bursts;
+  if !applied > 0 then
+    Printf.printf "migrations: %d applied, %d jobs replayed\n" !applied !replayed;
   Printf.printf "namespace digest: %Lx\n%!" digest;
   if not check then 0
   else begin
-    (* The same plan, in-process, fanned over domains: byte-identical
+    (* The same plan, in-process, fanned over two domains: byte-identical
        outcome or the distributed path is wrong. *)
     let reference = Router.run ~jobs:2 ~migrations cfg in
     let failures = ref [] in
@@ -380,12 +295,15 @@ let run_coordinator ~(cfg : Router.config) ~migrations ~listen ~telemetry ~check
       (digest = reference.Router.digest);
     expect "burst count" (bursts = reference.Router.bursts);
     expect "grant count" (grants = reference.Router.grants);
+    expect "rounds run" (!round = reference.Router.rounds_run);
+    expect "jobs replayed" (!replayed = reference.Router.parked_replayed);
     List.iter
       (fun (s : Router.shard_stat) ->
         expect
           (Printf.sprintf "shard %d balance" s.Router.shard)
           (s.Router.bursts = sh_bursts.(s.Router.shard)
-          && s.Router.grants = sh_grants.(s.Router.shard)))
+          && s.Router.grants = sh_grants.(s.Router.shard)
+          && s.Router.buckets_owned = sh_owned.(s.Router.shard)))
       reference.Router.shard_stats;
     (* Merged telemetry must tell the same story. *)
     (match telemetry with
@@ -475,8 +393,8 @@ let check_flag =
     value & flag
     & info [ "check" ]
         ~doc:
-          "Re-run the identical plan in-process on multiple domains and require digest, \
-           bursts, grants, per-shard balance and merged telemetry to match exactly.")
+          "Re-run the identical plan in-process on two domains and require digest, bursts, \
+           grants, rounds, replays, per-shard balance and merged telemetry to match exactly.")
 
 let migrate_arg =
   Arg.(
@@ -486,18 +404,7 @@ let migrate_arg =
         ~doc:"Migrate BUCKET to shard DST at the end of ROUND. Repeatable.")
 
 let parse_migrations ~(cfg : Router.config) specs =
-  let migrations =
-    List.map
-      (fun (round, bucket, dst) ->
-        if round < 0 || round >= cfg.Router.rounds - 1 then begin
-          (* The demo has a fixed round count, so parked jobs must have a
-             later round to replay in. *)
-          prerr_endline "migration round must satisfy 0 <= round < rounds - 1";
-          exit 2
-        end;
-        { Router.round; bucket; dst })
-      specs
-  in
+  let migrations = List.map (fun (round, bucket, dst) -> { Router.round; bucket; dst }) specs in
   (* Reject bad schedules before forking: an invalid one (self-migration,
      out-of-range ids) would otherwise crash every worker and the
      coordinator mid-protocol. *)

@@ -1,19 +1,18 @@
 (* The shard router: partitions the lock-set namespace into buckets,
-   homes each bucket at exactly one shard (Directory), executes the
-   namespace's request bursts round by round — every shard serving its
-   own buckets on its own pooled Cell, fanned over domains with
-   Dcs_netkit.Parallel — and migrates buckets between shards live at
-   round boundaries.
+   homes each bucket at exactly one shard (Directory) and executes the
+   namespace's request bursts round by round, migrating buckets between
+   shards live at round boundaries.
+
+   A round lives only in the shard replica, one shard's single-threaded
+   state machine (the IronFleet sharded-hash-table shape): a bucket
+   transfer is only a message. [run] drives one replica per shard in
+   this process; bin/shard_node.exe drives one per OS process.
 
    Between bursts a lock set's whole protocol state rests as one encoded
-   blob (Codec.encode_cluster_state) in its bucket's store; a burst
-   decodes it, runs to quiescence, and writes the new blob back. A
-   migration therefore only has to move blobs: the source's bucket store
-   travels inside a real Handoff wire message (encoded and re-decoded
-   through Dcs_wire.Codec, exactly the bytes a cross-process handoff
-   ships), together with the jobs that arrived for the bucket while it
-   was migrating — parked, carried in the handoff, and replayed in
-   arrival order by the new home before any of its next-round work.
+   blob (Codec.encode_cluster_state) in its bucket's store, so migrating
+   a bucket only moves blobs: its store travels in a Handoff together
+   with the jobs parked while it migrated, which the new home replays in
+   arrival order before any of its next-round work.
 
    Determinism: the plan and every burst's content derive from
    (seed, set, burst ordinal) only — never from plan position, executing
@@ -22,7 +21,6 @@
    shard count, bucket count, worker count and migration schedule. The
    unsharded service is literally the shards = buckets = 1 case. *)
 
-module Rng = Dcs_sim.Rng
 module Dist = Dcs_sim.Dist
 module Codec = Dcs_wire.Codec
 module Shard_msg = Dcs_wire.Shard_msg
@@ -84,28 +82,6 @@ type set_state = {
 
 let bucket_of_set = Directory.bucket_of_set
 
-(* {1 Digests} *)
-
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-let mix h x = Int64.mul (Int64.logxor h x) fnv_prime
-let mix_int h i = mix h (Int64.of_int i)
-let mix_string h s = String.fold_left (fun h c -> mix_int h (Char.code c)) h s
-
-let mix_set h set (st : set_state) =
-  let h = mix_int h set in
-  let h = mix_int h st.s_bursts in
-  let h = mix_int h st.s_grants in
-  let h = mix_int h st.s_msgs in
-  mix_string h st.state
-
-let digest_of_store ~lock_sets find =
-  let digest = ref fnv_offset in
-  for set = 0 to lock_sets - 1 do
-    match find set with None -> () | Some st -> digest := mix_set !digest set st
-  done;
-  !digest
-
 (* {1 Handoff conversions}
 
    A set's at-rest record and its wire form are interconvertible with no
@@ -121,7 +97,7 @@ let set_state_of_entry (e : Shard_msg.handoff_entry) =
     s_msgs = e.Shard_msg.msgs;
   }
 
-let entry_of_set_state ~set (st : set_state) =
+let entry_of_set_state (set, st) =
   {
     Shard_msg.set;
     bursts = st.s_bursts;
@@ -130,11 +106,32 @@ let entry_of_set_state ~set (st : set_state) =
     state = Codec.decode_cluster_state st.state;
   }
 
-(* Bucket store contents as sorted wire entries — handoff send order. *)
-let entries_of_store tbl =
-  let sets = Hashtbl.fold (fun set st acc -> (set, st) :: acc) tbl [] in
-  let sets = List.sort (fun (a, _) (b, _) -> compare a b) sets in
-  List.map (fun (set, st) -> entry_of_set_state ~set st) sets
+let by_set (a, _) (b, _) = compare a b
+
+(* A bucket store's sets in ascending order — handoff send order. *)
+let sorted_sets tbl = List.sort by_set (Hashtbl.fold (fun set st acc -> (set, st) :: acc) tbl [])
+
+(* {1 Digests} *)
+
+let fnv_offset = 0xcbf29ce484222325L
+let fnv_prime = 0x100000001b3L
+let mix h x = Int64.mul (Int64.logxor h x) fnv_prime
+let mix_int h i = mix h (Int64.of_int i)
+let mix_string h s = String.fold_left (fun h c -> mix_int h (Char.code c)) h s
+
+let mix_set h (set, st) =
+  let h = mix_int h set in
+  let h = mix_int h st.s_bursts in
+  let h = mix_int h st.s_grants in
+  let h = mix_int h st.s_msgs in
+  mix_string h st.state
+
+(* Callers pass the sets in ascending order. *)
+let digest_of_sets sets = List.fold_left mix_set fnv_offset sets
+
+let digest_of_entries entries =
+  digest_of_sets
+    (List.sort by_set (List.map (fun e -> (e.Shard_msg.set, set_state_of_entry e)) entries))
 
 (* {1 One burst}
 
@@ -143,7 +140,7 @@ let entries_of_store tbl =
    quiescence, export. [Cell.drain] returning [Ok] proves every request
    was granted — a burst cannot silently lose grants. *)
 
-let run_burst cfg cell tbl (job : Traffic.job) =
+let start_burst cfg cell tbl (job : Traffic.job) =
   let prior = Hashtbl.find_opt tbl job.Traffic.set in
   (match prior with
   | Some p when p.s_bursts <> job.Traffic.burst ->
@@ -158,10 +155,11 @@ let run_burst cfg cell tbl (job : Traffic.job) =
   let restore = Option.map (fun p -> [| Codec.decode_cluster_state p.state |]) prior in
   let burst_seed = Parallel.cell_seed ~base:cfg.seed ~salt:(Traffic.salt_of_job job) in
   Cell.reset ?restore cell ~seed:(Int64.add burst_seed 0x9E37L) ~locks:1;
-  let counts =
-    Cell.drive cell
-      (Dcs_workload.Script.burst ~seed:burst_seed ~nodes:cfg.nodes ~ops:cfg.ops_per_burst)
-  in
+  Cell.drive cell
+    (Dcs_workload.Script.burst ~seed:burst_seed ~nodes:cfg.nodes ~ops:cfg.ops_per_burst)
+
+let run_burst cfg cell tbl (job : Traffic.job) =
+  let counts = start_burst cfg cell tbl job in
   (match Cell.drain cell with
   | Ok () -> ()
   | Error `Undrained ->
@@ -172,7 +170,7 @@ let run_burst cfg cell tbl (job : Traffic.job) =
   let bytes = Codec.encode_cluster_state (Cell.export_lock cell ~lock:0) in
   let burst_msgs = Dcs_proto.Counters.total (Cell.message_counters cell) in
   let burst_grants = counts.grants in
-  (match prior with
+  (match Hashtbl.find_opt tbl job.Traffic.set with
   | Some p ->
       p.state <- bytes;
       p.s_bursts <- p.s_bursts + 1;
@@ -182,8 +180,6 @@ let run_burst cfg cell tbl (job : Traffic.job) =
       Hashtbl.replace tbl job.Traffic.set
         { state = bytes; s_bursts = 1; s_grants = burst_grants; s_msgs = burst_msgs });
   (burst_grants, counts.upgrades, burst_msgs)
-
-(* {1 The round loop} *)
 
 let validate_migrations cfg migrations =
   List.iter
@@ -214,162 +210,231 @@ let validate_migrations cfg migrations =
       home.(m.bucket) <- m.dst)
     (List.stable_sort (fun a b -> compare a.round b.round) migrations)
 
+(* {1 The shard replica} *)
+
+module Replica = struct
+  type counts = { bursts : int; grants : int; upgrades : int; msgs : int }
+
+  type t = {
+    cfg : config;
+    migrations : migration list;
+    shard : int;
+    plan : Traffic.t;
+    dir : Directory.t;
+    cell : Cell.t;
+    stores : (int, set_state) Hashtbl.t array;  (* per bucket; filled only while homed here *)
+    mutable replays : Traffic.job list;  (* from inbound handoffs, in arrival order *)
+    carrying : bool array;
+        (* per bucket: its handoff last round carried parked jobs, wherever
+           it was homed — so the round-count rule needs no message *)
+  }
+
+  let create ~migrations cfg ~shard =
+    {
+      cfg;
+      migrations;
+      shard;
+      plan =
+        Traffic.plan ~skew:cfg.skew ~seed:cfg.seed ~lock_sets:cfg.lock_sets ~rounds:cfg.rounds
+          ~jobs_per_round:cfg.jobs_per_round ();
+      dir = Directory.create ~buckets:cfg.buckets ~shards:cfg.shards;
+      cell = Cell.create ~latency:cfg.latency ~nodes:cfg.nodes ();
+      stores = Array.init cfg.buckets (fun _ -> Hashtbl.create 16);
+      replays = [];
+      carrying = Array.make cfg.buckets false;
+    }
+
+  (* Parked jobs are replayed the round after their handoff, so a round
+     runs while the plan lasts or while any replica holds replays. *)
+  let runs_round t ~round = round < t.cfg.rounds || Array.exists Fun.id t.carrying
+
+  let owned t =
+    List.init t.cfg.buckets Fun.id
+    |> List.filter (fun bucket -> Directory.home t.dir ~bucket = t.shard)
+
+  let round_step t ~round =
+    let cfg = t.cfg in
+    (* Every replica starts the round's migrations: from here the bucket
+       accepts no work, so its jobs park. *)
+    List.iter
+      (fun m -> if m.round = round then Directory.begin_migration t.dir ~bucket:m.bucket ~dst:m.dst)
+      t.migrations;
+    (* Replays first (they are older), then this round's plan, in issue
+       order. Plan jobs of migrating buckets park at every replica, which
+       is how each one knows where parked work is carried. *)
+    let mine = ref [] and parked = Array.make cfg.buckets [] in
+    let route (job : Traffic.job) =
+      let bucket = bucket_of_set ~buckets:cfg.buckets job.Traffic.set in
+      if Directory.migrating t.dir ~bucket <> None then parked.(bucket) <- job :: parked.(bucket)
+      else if Directory.home t.dir ~bucket = t.shard then mine := job :: !mine
+    in
+    let replays = t.replays in
+    t.replays <- [];
+    List.iter route replays;
+    if round < cfg.rounds then Array.iter route t.plan.Traffic.rounds.(round);
+    let counts =
+      List.fold_left
+        (fun c (job : Traffic.job) ->
+          let bucket = bucket_of_set ~buckets:cfg.buckets job.Traffic.set in
+          let grants, upgrades, msgs = run_burst cfg t.cell t.stores.(bucket) job in
+          {
+            bursts = c.bursts + 1;
+            grants = c.grants + grants;
+            upgrades = c.upgrades + upgrades;
+            msgs = c.msgs + msgs;
+          })
+        { bursts = 0; grants = 0; upgrades = 0; msgs = 0 }
+        (List.rev !mine)
+    in
+    (* A chained migration re-parks the replays its previous handoff
+       carried, even when no plan job hits the bucket this round. *)
+    Array.iteri
+      (fun bucket jobs ->
+        t.carrying.(bucket) <-
+          Directory.migrating t.dir ~bucket <> None && (jobs <> [] || t.carrying.(bucket)))
+      parked;
+    (* Source side of a migration: the full bucket store and the parked
+       jobs leave in one Handoff. *)
+    let handoffs =
+      List.filter_map
+        (fun bucket ->
+          if Directory.migrating t.dir ~bucket = None then None
+          else begin
+            let entries = List.map entry_of_set_state (sorted_sets t.stores.(bucket)) in
+            Hashtbl.reset t.stores.(bucket);
+            let version = Directory.version t.dir ~bucket + 1 in
+            let parked = List.rev_map (fun (j : Traffic.job) -> (j.set, j.burst)) parked.(bucket) in
+            Some (Shard_msg.Handoff { bucket; version; entries; parked })
+          end)
+        (owned t)
+    in
+    (counts, handoffs)
+
+  let receive t msg =
+    match msg with
+    | Shard_msg.Handoff { bucket; version; entries; parked }
+      when Directory.migrating t.dir ~bucket = Some t.shard
+           && version = Directory.version t.dir ~bucket + 1 ->
+        let store = t.stores.(bucket) in
+        Hashtbl.reset store;
+        List.iter (fun e -> Hashtbl.replace store e.Shard_msg.set (set_state_of_entry e)) entries;
+        t.replays <- t.replays @ List.map (fun (set, burst) -> { Traffic.set; burst }) parked;
+        Some (Shard_msg.Handoff_ack { bucket; version })
+    | Shard_msg.Dir_update e -> (
+        match Directory.apply_update t.dir e with
+        | `Applied | `Stale -> (
+            match Directory.validate t.dir with
+            | [] -> None
+            | problems -> failwith ("Router: directory invalid: " ^ String.concat "; " problems))
+        | `Conflict ->
+            failwith
+              (Printf.sprintf "shard %d: directory split-brain on bucket %d" t.shard
+                 e.Shard_msg.bucket))
+    | msg -> failwith (Format.asprintf "shard %d: unexpected frame %a" t.shard Shard_msg.pp msg)
+
+  let final_report t =
+    List.map
+      (fun bucket ->
+        Shard_msg.Handoff
+          {
+            bucket;
+            version = Directory.version t.dir ~bucket;
+            entries = List.map entry_of_set_state (sorted_sets t.stores.(bucket));
+            parked = [];
+          })
+      (owned t)
+
+  let buckets_owned t = List.length (owned t)
+end
+
+(* {1 Driving every replica in one process} *)
+
 let run ?jobs ?(migrations = []) cfg =
   if cfg.shards < 1 then invalid_arg "Router.run: need at least one shard";
   if cfg.buckets < 1 then invalid_arg "Router.run: need at least one bucket";
   if cfg.nodes < 1 then invalid_arg "Router.run: need at least one node";
   if cfg.ops_per_burst < 1 then invalid_arg "Router.run: need at least one op per burst";
   validate_migrations cfg migrations;
-  let plan =
-    Traffic.plan ~skew:cfg.skew ~seed:cfg.seed ~lock_sets:cfg.lock_sets ~rounds:cfg.rounds
-      ~jobs_per_round:cfg.jobs_per_round ()
+  let replicas = Array.init cfg.shards (fun shard -> Replica.create ~migrations cfg ~shard) in
+  let totals = Array.make cfg.shards { Replica.bursts = 0; grants = 0; upgrades = 0; msgs = 0 } in
+  let migrations_applied = ref 0 and parked_replayed = ref 0 and handoff_bytes = ref 0 in
+  (* Each replica decides the round count from its own state; hold that
+     verdict to the replays the replicas actually hold. *)
+  let runs_round round =
+    let expected = round < cfg.rounds || Array.exists (fun r -> r.Replica.replays <> []) replicas in
+    if Array.exists (fun r -> Replica.runs_round r ~round <> expected) replicas then
+      failwith (Printf.sprintf "Router: replicas disagree on running round %d" round);
+    expected
   in
-  let dir = Directory.create ~buckets:cfg.buckets ~shards:cfg.shards in
-  let cells = Array.init cfg.shards (fun _ -> Cell.create ~latency:cfg.latency ~nodes:cfg.nodes ()) in
-  let stores = Array.init cfg.buckets (fun _ -> Hashtbl.create 16) in
-  (* Cumulative per-shard accounting (the balance table). *)
-  let sh_bursts = Array.make cfg.shards 0 in
-  let sh_grants = Array.make cfg.shards 0 in
-  let sh_msgs = Array.make cfg.shards 0 in
-  let total_upgrades = ref 0 in
-  let migrations_applied = ref 0 in
-  let parked_replayed = ref 0 in
-  let handoff_bytes = ref 0 in
-  (* Jobs a committed handoff carried, to replay at the new home before
-     its own next-round work; in park order. *)
-  let replays : Traffic.job list array = Array.make cfg.shards [] in
-  let have_replays () = Array.exists (fun l -> l <> []) replays in
-  let rounds_run = ref 0 in
-  let r = ref 0 in
-  while !r < cfg.rounds || have_replays () do
-    let round = !r in
-    incr rounds_run;
-    (* Migrations scheduled for this round start now: their buckets stop
-       accepting work, so this round's jobs for them are parked. *)
-    List.iter
-      (fun m -> if m.round = round then Directory.begin_migration dir ~bucket:m.bucket ~dst:m.dst)
-      migrations;
-    (* Distribute: handoff replays first (they are older), then this
-       round's plan, preserving issue order; migrating buckets park. *)
-    let per_shard : Traffic.job list array = Array.make cfg.shards [] in
-    let parked : Traffic.job list array = Array.make cfg.buckets [] in
-    let route (job : Traffic.job) =
-      let bucket = bucket_of_set ~buckets:cfg.buckets job.Traffic.set in
-      match Directory.migrating dir ~bucket with
-      | Some _ -> parked.(bucket) <- job :: parked.(bucket)
-      | None ->
-          let home = Directory.home dir ~bucket in
-          per_shard.(home) <- job :: per_shard.(home)
-    in
-    let pending = Array.copy replays in
-    Array.fill replays 0 cfg.shards [];
-    Array.iter (List.iter route) pending;
-    if round < cfg.rounds then Array.iter route plan.Traffic.rounds.(round);
-    let per_shard = Array.map List.rev per_shard in
-    (* Fan the round over domains; each shard touches only the stores of
-       buckets it homes, so the workers are disjoint, and the join below
-       is the happens-before barrier the next round (and any handoff)
-       reads behind. *)
-    let round_stats =
-      Parallel.map ?jobs
-        (fun s ->
-          List.fold_left
-            (fun (b, g, u, m) job ->
-              let bucket = bucket_of_set ~buckets:cfg.buckets job.Traffic.set in
-              let grants, upgrades, msgs = run_burst cfg cells.(s) stores.(bucket) job in
-              (b + 1, g + grants, u + upgrades, m + msgs))
-            (0, 0, 0, 0) per_shard.(s))
-        (Array.init cfg.shards (fun s -> s))
-    in
+  let round = ref 0 in
+  while runs_round !round do
+    let r = !round in
+    (* Replicas are disjoint, so their round steps fan over domains; the
+       join is the barrier every handoff is delivered behind. *)
+    let steps = Parallel.map ?jobs (fun rep -> Replica.round_step rep ~round:r) replicas in
     Array.iteri
-      (fun s (b, g, u, m) ->
-        sh_bursts.(s) <- sh_bursts.(s) + b;
-        sh_grants.(s) <- sh_grants.(s) + g;
-        sh_msgs.(s) <- sh_msgs.(s) + m;
-        total_upgrades := !total_upgrades + u)
-      round_stats;
-    (* Commit this round's migrations: full bucket state plus the parked
-       jobs travel in one Handoff, through the real wire codec. *)
-    List.iter
-      (fun mg ->
-        if mg.round = round then begin
-          let bucket = mg.bucket in
-          let src = Directory.home dir ~bucket in
-          let entries = entries_of_store stores.(bucket) in
-          let parked_jobs = List.rev parked.(bucket) in
-          let handoff =
-            Shard_msg.Handoff
-              {
-                bucket;
-                version = Directory.version dir ~bucket + 1;
-                entries;
-                parked = List.map (fun (j : Traffic.job) -> (j.Traffic.set, j.Traffic.burst)) parked_jobs;
-              }
-          in
-          let frame = Codec.encode { Codec.src; lock = 0; payload = Codec.Shard handoff } in
-          handoff_bytes := !handoff_bytes + String.length frame;
-          (* The receiving side sees only the bytes: everything a set's
-             future behaviour depends on must round-trip through them.
-             That is why upgrades are not part of the at-rest record —
-             the wire entry carries (bursts, grants, msgs, state) and
-             nothing else. *)
-          (match (Codec.decode frame).Codec.payload with
-          | Codec.Shard (Shard_msg.Handoff { bucket = b2; entries = entries2; parked = parked2; _ }) ->
-              Hashtbl.reset stores.(b2);
-              List.iter
-                (fun (e : Shard_msg.handoff_entry) ->
-                  Hashtbl.replace stores.(b2) e.Shard_msg.set (set_state_of_entry e))
-                entries2;
-              replays.(mg.dst) <-
-                replays.(mg.dst)
-                @ List.map (fun (set, burst) -> { Traffic.set; burst }) parked2;
-              parked_replayed := !parked_replayed + List.length parked2
-          | _ -> failwith "Router: handoff did not decode as a Handoff");
-          Directory.commit_migration dir ~bucket;
-          incr migrations_applied;
-          match Directory.validate dir with
-          | [] -> ()
-          | problems -> failwith ("Router: directory invalid: " ^ String.concat "; " problems)
-        end)
-      migrations;
-    incr r
+      (fun src ((c : Replica.counts), handoffs) ->
+        let t = totals.(src) in
+        totals.(src) <-
+          {
+            bursts = t.bursts + c.bursts;
+            grants = t.grants + c.grants;
+            upgrades = t.upgrades + c.upgrades;
+            msgs = t.msgs + c.msgs;
+          };
+        (* The destination sees only the bytes, so everything a set's
+           future behaviour depends on must round-trip through them. *)
+        List.iter
+          (fun handoff ->
+            let frame = Codec.encode { Codec.src; lock = 0; payload = Codec.Shard handoff } in
+            handoff_bytes := !handoff_bytes + String.length frame;
+            match (Codec.decode frame).Codec.payload with
+            | Codec.Shard (Shard_msg.Handoff { bucket; version; parked; _ } as h) ->
+                let dst = (List.find (fun m -> m.round = r && m.bucket = bucket) migrations).dst in
+                (match Replica.receive replicas.(dst) h with
+                | Some (Shard_msg.Handoff_ack { bucket = b; version = v })
+                  when b = bucket && v = version ->
+                    ()
+                | _ -> failwith "Router: handoff not acknowledged");
+                let update = Shard_msg.Dir_update { bucket; home = dst; version } in
+                Array.iter (fun rep -> ignore (Replica.receive rep update)) replicas;
+                parked_replayed := !parked_replayed + List.length parked;
+                incr migrations_applied
+            | _ -> failwith "Router: handoff did not decode as a Handoff")
+          handoffs)
+      steps;
+    incr round
   done;
-  (* Final digests. The global digest folds sets in namespace order —
-     independent of bucketing and placement; per-bucket digests fold each
-     bucket's sets in set order — the balance/migration fingerprint. *)
-  let bucket_digests =
-    List.init cfg.buckets (fun b ->
-        let sets = Hashtbl.fold (fun set st acc -> (set, st) :: acc) stores.(b) [] in
-        let sets = List.sort (fun (a, _) (b, _) -> compare a b) sets in
-        (b, List.fold_left (fun h (set, st) -> mix_set h set st) fnv_offset sets))
-  in
-  let digest =
-    digest_of_store ~lock_sets:cfg.lock_sets (fun set ->
-        Hashtbl.find_opt stores.(bucket_of_set ~buckets:cfg.buckets set) set)
-  in
-  let owned = Array.make cfg.shards 0 in
-  for b = 0 to cfg.buckets - 1 do
-    let h = Directory.home dir ~bucket:b in
-    owned.(h) <- owned.(h) + 1
-  done;
+  (* The namespace digest folds every set in namespace order — independent
+     of bucketing and placement; per-bucket digests fold each bucket's
+     sets — the balance/migration fingerprint. *)
+  let bucket_sets = Array.make cfg.buckets [] in
+  Array.iter
+    (fun rep ->
+      List.iter
+        (fun b -> bucket_sets.(b) <- sorted_sets rep.Replica.stores.(b))
+        (Replica.owned rep))
+    replicas;
+  let sum f = Array.fold_left (fun acc c -> acc + f c) 0 totals in
   {
-    digest;
-    bucket_digests;
-    bursts = Array.fold_left ( + ) 0 sh_bursts;
-    grants = Array.fold_left ( + ) 0 sh_grants;
-    upgrades = !total_upgrades;
-    msgs = Array.fold_left ( + ) 0 sh_msgs;
+    digest = digest_of_sets (List.sort by_set (List.concat (Array.to_list bucket_sets)));
+    bucket_digests = List.init cfg.buckets (fun b -> (b, digest_of_sets bucket_sets.(b)));
+    bursts = sum (fun c -> c.Replica.bursts);
+    grants = sum (fun c -> c.Replica.grants);
+    upgrades = sum (fun c -> c.Replica.upgrades);
+    msgs = sum (fun c -> c.Replica.msgs);
     shard_stats =
       List.init cfg.shards (fun s ->
+          let c = totals.(s) in
           {
             shard = s;
-            bursts = sh_bursts.(s);
-            grants = sh_grants.(s);
-            msgs = sh_msgs.(s);
-            buckets_owned = owned.(s);
+            bursts = c.Replica.bursts;
+            grants = c.Replica.grants;
+            msgs = c.Replica.msgs;
+            buckets_owned = Replica.buckets_owned replicas.(s);
           });
     migrations_applied = !migrations_applied;
     parked_replayed = !parked_replayed;
     handoff_bytes = !handoff_bytes;
-    rounds_run = !rounds_run;
+    rounds_run = !round;
   }

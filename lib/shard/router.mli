@@ -1,16 +1,18 @@
 (** The sharded lock-namespace service: lock sets hash to buckets
     ({!Directory.bucket_of_set}), every bucket has exactly one home shard
-    ({!Directory}), and shards execute their buckets' request bursts on
-    pooled {!Cell}s, fanned over domains with {!Dcs_netkit.Parallel}.
+    ({!Directory}), and each shard executes its buckets' request bursts on
+    a pooled {!Cell}.
 
-    Execution proceeds in rounds. Between bursts a lock set's whole
-    protocol state rests as an encoded blob
+    Execution proceeds in rounds, and a round lives in one place: the
+    {!Replica}, one shard's single-threaded state machine. Between bursts
+    a lock set's whole protocol state rests as an encoded blob
     ({!Dcs_wire.Codec.encode_cluster_state}); at a round boundary a
-    bucket can migrate: its store travels in a real
-    {!Dcs_wire.Shard_msg.Handoff} wire message — encoded and re-decoded
-    through the codec, exactly the bytes a cross-process handoff ships —
-    together with the requests that arrived while it was migrating, which
-    the new home replays in arrival order before its own next-round work.
+    bucket can migrate: its store travels in a
+    {!Dcs_wire.Shard_msg.Handoff} message together with the requests
+    that arrived while it was migrating, which the new home replays in
+    arrival order before its own next-round work. {!run} drives one
+    replica per shard in this process, passing every handoff through the
+    wire codec; [bin/shard_node.exe] drives one replica per process.
 
     Everything a burst does derives from [(seed, set, burst ordinal)]
     and the set's restored state, so {!result.digest} is invariant under
@@ -64,40 +66,24 @@ type result = {
 
 val bucket_of_set : buckets:int -> int -> int
 
-(** {2 Building blocks}
-
-    The pieces a cross-process shard worker reuses so the distributed
-    service and the in-process router share one execution path, one
-    at-rest format and one digest. *)
-
 (** One lock set's at-rest record between bursts: its encoded cluster
-    state ({!Dcs_wire.Codec.encode_cluster_state}) and the accounting
-    that travels with it in a handoff. Deliberately nothing more — the
-    receiving side of a handoff sees only the wire entry. *)
-type set_state = {
-  mutable state : string;
-  mutable s_bursts : int;
-  mutable s_grants : int;
-  mutable s_msgs : int;
-}
+    state and the accounting that travels with it in a handoff. *)
+type set_state
 
-val set_state_of_entry : Dcs_wire.Shard_msg.handoff_entry -> set_state
-val entry_of_set_state : set:int -> set_state -> Dcs_wire.Shard_msg.handoff_entry
+(** Reset [cell] to one burst's seed and the set's state in the store,
+    and schedule the burst's script without running it; returns its live
+    counts. Raises [Failure] if the burst arrives out of order (its
+    ordinal must equal the set's burst count). *)
+val start_burst :
+  config -> Cell.t -> (int, set_state) Hashtbl.t -> Traffic.job -> Dcs_workload.Script.counts
 
-(** A bucket store's contents as wire entries, in ascending set order —
-    the handoff send order. *)
-val entries_of_store : (int, set_state) Hashtbl.t -> Dcs_wire.Shard_msg.handoff_entry list
-
-(** Run one burst on [cell] against the set's prior state in the store,
-    updating the store in place. Returns (grants, upgrades, msgs).
-    Raises [Failure] if the burst does not drain, loses grants, or
-    arrives out of order (its ordinal must equal the set's burst count —
-    the invariant migrations and replays must preserve). *)
+(** {!start_burst}, run to quiescence, and write the set's new state
+    back to the store. Returns (grants, upgrades, msgs). Raises
+    [Failure] if the burst does not drain or loses grants. *)
 val run_burst : config -> Cell.t -> (int, set_state) Hashtbl.t -> Traffic.job -> int * int * int
 
-(** Fold the namespace digest over whatever store the caller has:
-    [find set] returns the set's at-rest record if it ever ran. *)
-val digest_of_store : lock_sets:int -> (int -> set_state option) -> int64
+(** {!result.digest} of a run, folded from its final handoff entries. *)
+val digest_of_entries : Dcs_wire.Shard_msg.handoff_entry list -> int64
 
 (** Check a migration schedule against [cfg] without running it: raises
     [Invalid_argument] on out-of-range ids, a bucket migrated twice in
@@ -105,9 +91,43 @@ val digest_of_store : lock_sets:int -> (int -> set_state option) -> int64
     ownership map the earlier entries produce. *)
 val validate_migrations : config -> migration list -> unit
 
-(** Execute the whole plan. [jobs] caps the worker domains per round
-    (default {!Dcs_netkit.Parallel.default_jobs}); results do not depend
-    on it. Raises [Failure] if a burst fails to drain or loses grants,
-    or [Invalid_argument] for malformed configs/migrations (see
-    {!validate_migrations}). *)
+(** {2 The shard replica} *)
+
+module Replica : sig
+  (** One shard: its {!Directory} replica, pooled {!Cell}, bucket stores
+      and pending replays. Every message of a round's migrations must be
+      received before the next round step. *)
+  type t
+
+  type counts = { bursts : int; grants : int; upgrades : int; msgs : int }
+
+  val create : migrations:migration list -> config -> shard:int -> t
+
+  (** The round-count rule: [round] runs while the plan lasts or any
+      replica holds replays. Every replica reaches the same verdict. *)
+  val runs_round : t -> round:int -> bool
+
+  (** Start [round]'s migrations, route replays and then the plan
+      round, park the jobs of migrating buckets and run this shard's
+      bursts. Returns the round's counts and a [Handoff] (store and
+      parked jobs) per bucket this shard gives away. *)
+  val round_step : t -> round:int -> counts * Dcs_wire.Shard_msg.t list
+
+  (** A [Handoff] for a bucket migrating here is installed, its parked
+      jobs queued, and its [Handoff_ack] returned; a [Dir_update] is
+      applied version-monotonically. Any other frame raises [Failure]
+      naming it. *)
+  val receive : t -> Dcs_wire.Shard_msg.t -> Dcs_wire.Shard_msg.t option
+
+  (** A [Handoff] of every bucket this shard homes, empty ones too. *)
+  val final_report : t -> Dcs_wire.Shard_msg.t list
+
+  val buckets_owned : t -> int
+end
+
+(** Execute the whole plan on [shards] replicas. [jobs] caps the worker
+    domains per round (default {!Dcs_netkit.Parallel.default_jobs});
+    results do not depend on it. Raises [Failure] if a burst fails to
+    drain or loses grants, or [Invalid_argument] for malformed
+    configs/migrations (see {!validate_migrations}). *)
 val run : ?jobs:int -> ?migrations:migration list -> config -> result

@@ -405,6 +405,83 @@ let test_soak_liveness_regressions () =
       checkb (Printf.sprintf "set %d sent messages" set) true (msgs > 0))
     [ 11897; 26758; 46410 ]
 
+(* A migration in the last plan round parks work that needs one replay
+   round, and so does a chained migration whose last handoff carries only
+   the replays it re-parked — every replica must see that without a
+   message (Router.run fails if their verdicts and the real replays
+   disagree). The first schedule is the @shard-smoke one. *)
+let test_final_round_migrations () =
+  let smoke = { Router.default_config with Router.shards = 2; rounds = 3 } in
+  let r =
+    Router.run ~jobs:2
+      ~migrations:
+        [ { Router.round = 1; bucket = 0; dst = 1 }; { Router.round = 2; bucket = 2; dst = 1 } ]
+      smoke
+  in
+  Alcotest.(check string)
+    "smoke digest" "8c4794fb9efe4801"
+    (Printf.sprintf "%016Lx" r.Router.digest);
+  checki "one replay round" 4 r.Router.rounds_run;
+  checki "smoke jobs replayed" 2 r.Router.parked_replayed;
+  let cfg =
+    { Router.default_config with Router.shards = 4; rounds = 5; lock_sets = 8; jobs_per_round = 12 }
+  in
+  let baseline = Router.run ~jobs:1 cfg in
+  let chained =
+    Router.run ~jobs:2
+      ~migrations:
+        (List.map
+           (fun (round, dst) -> { Router.round; bucket = 3; dst })
+           [ (2, 0); (3, 1); (4, 2) ])
+      cfg
+  in
+  check64 "chained digest" baseline.Router.digest chained.Router.digest;
+  checki "chained replay round" 6 chained.Router.rounds_run
+
+(* Open liveness bugs (bench_e2e/README.md "Known liveness bugs"): each
+   set-up burst never drains — three end in an endless Release
+   ping-pong, set 6308 strands a request. These pins assert the bug is
+   still there, in milliseconds rather than the default 100M-event
+   limit; a fix in lib/hlock makes them fail, and they then flip to
+   drain assertions. *)
+let test_open_liveness_bug ~seed ~nodes ~set ~burst ~stranded () =
+  let cfg = { Router.default_config with Router.nodes; ops_per_burst = 8; seed } in
+  let cell = Cell.create ~latency:cfg.Router.latency ~nodes () in
+  let store = Hashtbl.create 4 in
+  for b = 0 to burst - 1 do
+    ignore (Router.run_burst cfg cell store { Traffic.set; burst = b })
+  done;
+  ignore (Router.start_burst cfg cell store { Traffic.set; burst });
+  checkb "burst still never drains (fixed? flip this pin)" true
+    (Dcs_sim.Engine.run ~max_events:200_000 (Cell.engine cell) = Dcs_sim.Engine.Event_limit);
+  if stranded then checkb "a request is still stranded" true (Cell.outstanding cell > 0)
+
+(* The receive step applies one rule to every frame it does not expect:
+   fail, naming it. *)
+let test_replica_rejects_unexpected_frames () =
+  let cfg = { base_cfg with Router.shards = 2 } in
+  let replica = Router.Replica.create ~migrations:[] cfg ~shard:1 in
+  let rejected msg =
+    match Router.Replica.receive replica msg with
+    | _ -> false
+    | exception Failure e ->
+        let name = Format.asprintf "%a" Shard_msg.pp msg in
+        checkb ("failure names " ^ name) true
+          (String.length e >= String.length name
+          && String.sub e (String.length e - String.length name) (String.length name) = name);
+        true
+  in
+  checkb "barrier release of another round" true
+    (rejected (Shard_msg.Round_done { shard = 2; round = 5; bursts = 0; grants = 0 }));
+  checkb "stray ack" true (rejected (Shard_msg.Handoff_ack { bucket = 0; version = 1 }));
+  checkb "handoff of a bucket not migrating here" true
+    (rejected (Shard_msg.Handoff { bucket = 0; version = 1; entries = []; parked = [] }));
+  let owned = Router.Replica.buckets_owned replica in
+  checkb "directory updates still apply" true
+    (Router.Replica.receive replica (Shard_msg.Dir_update { bucket = 0; home = 1; version = 1 })
+    = None);
+  checki "bucket 0 now owned here" (owned + 1) (Router.Replica.buckets_owned replica)
+
 let () =
   Alcotest.run "shard"
     [
@@ -432,6 +509,9 @@ let () =
             test_migration_preserves_digest_and_grants;
           Alcotest.test_case "chained migrations" `Quick test_migration_chain;
           Alcotest.test_case "skewed traffic balance" `Quick test_skewed_traffic_and_balance;
+          Alcotest.test_case "final-round migrations replay" `Quick test_final_round_migrations;
+          Alcotest.test_case "replica rejects unexpected frames" `Quick
+            test_replica_rejects_unexpected_frames;
         ] );
       ( "handoff state",
         [
@@ -453,5 +533,13 @@ let () =
         [
           Alcotest.test_case "soak regression bursts drain" `Quick
             test_soak_liveness_regressions;
+          Alcotest.test_case "open bug: set 32531 ping-pong" `Quick
+            (test_open_liveness_bug ~seed:42L ~nodes:16 ~set:32531 ~burst:0 ~stranded:false);
+          Alcotest.test_case "open bug: set 6308 stranded" `Quick
+            (test_open_liveness_bug ~seed:42L ~nodes:8 ~set:6308 ~burst:1 ~stranded:true);
+          Alcotest.test_case "open bug: set 34595 ping-pong" `Quick
+            (test_open_liveness_bug ~seed:111L ~nodes:64 ~set:34595 ~burst:0 ~stranded:false);
+          Alcotest.test_case "open bug: set 229484 ping-pong" `Quick
+            (test_open_liveness_bug ~seed:129L ~nodes:64 ~set:229484 ~burst:0 ~stranded:false);
         ] );
     ]
