@@ -55,6 +55,28 @@ let test_rng_split_independent () =
   let a = Rng.split rng and b = Rng.split rng in
   checkb "split streams differ" true (Rng.next_int64 a <> Rng.next_int64 b)
 
+(* The first outputs of the reference SplitMix64 for two seeds; seed 0's
+   are the published vectors. A change to [Rng]'s representation must
+   leave every stream bit-identical. *)
+let test_rng_splitmix_vectors () =
+  let first3 seed =
+    let rng = Rng.create ~seed in
+    List.init 3 (fun _ -> Rng.next_int64 rng)
+  in
+  let check_vectors seed expected =
+    Alcotest.(check (list int64)) (Printf.sprintf "seed %Ld" seed) expected (first3 seed)
+  in
+  check_vectors 0L [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ];
+  check_vectors 1234567L [ 0x599ED017FB08FC85L; 0x2C73F08458540FA5L; 0x883EBCE5A3F27C77L ];
+  let rng = Rng.create ~seed:42L in
+  Alcotest.(check int64)
+    "float bits" (Int64.bits_of_float 0x1.7bae644c5fd6dp-1)
+    (Int64.bits_of_float (Rng.float rng));
+  let rng = Rng.create ~seed:42L in
+  let child = Rng.split rng in
+  Alcotest.(check int64) "split child" 0x57E1FABA65107204L (Rng.next_int64 child);
+  Alcotest.(check int64) "split parent" 0x28EFE333B266F103L (Rng.next_int64 rng)
+
 let prop_shuffle_permutation =
   Q.Test.make ~name:"shuffle is a permutation" ~count:200
     Q.Gen.(pair int64 (list_size (int_bound 20) small_int))
@@ -279,6 +301,7 @@ let () =
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "exponential mean" `Slow test_rng_exponential_mean;
           Alcotest.test_case "split" `Quick test_rng_split_independent;
+          Alcotest.test_case "splitmix64 vectors" `Quick test_rng_splitmix_vectors;
           Alcotest.test_case "pick" `Quick test_rng_pick;
           qt prop_rng_float_unit;
           qt prop_rng_int_bound;
