@@ -1,15 +1,24 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in 8 bytes, read and written with the unboxed
+   64-bit primitives: a [mutable state : int64] field would allocate a
+   fresh boxed Int64 on every draw. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = seed }
+let reseed t ~seed = set_state t 0 seed
 
-let reseed t ~seed = t.state <- seed
+let create ~seed =
+  let t = Bytes.create 8 in
+  reseed t ~seed;
+  t
 
 (* SplitMix64 step (Steele, Lea, Flood 2014). *)
 let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+  let z = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -37,9 +46,7 @@ let exponential t ~mean =
   let u = 1.0 -. float t in
   -.mean *. log u
 
-let split t =
-  let seed = next_int64 t in
-  { state = seed }
+let split t = create ~seed:(next_int64 t)
 
 let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"

@@ -316,7 +316,11 @@ let test_result_rows () =
 
    The hierarchical runs also carry a ceiling on the minor-heap words
    they allocate: a count, so unlike a timing the host cannot trip it.
-   Each ceiling is the figure measured when it was set plus 10%. *)
+   Each ceiling is the figure measured when it was set plus 10%, in the
+   default build (release profile, cross-module inlining; see the root
+   [dune-workspace]). A build that loses cross-module inlining boxes
+   more floats and Int64s per message and fails them: [--profile dev]
+   measures 145,140 and 170,145 words. *)
 
 (* At most [ceiling] minor words allocated since the [Gc.minor_words]
    reading [before]. *)
@@ -337,7 +341,7 @@ let test_golden_airline () =
   in
   let before = Gc.minor_words () in
   let r = Experiment.run cfg in
-  check_minor_words "airline run" ~ceiling:181_018.0 ~before;
+  check_minor_words "airline run" ~ceiling:143_175.0 ~before;
   check_counts "messages by class"
     [ ("request", 570); ("grant", 207); ("token", 81); ("release", 180); ("freeze", 158);
       ("ack", 0); ("retx", 0) ]
@@ -389,7 +393,7 @@ let test_golden_hotlock () =
     Dcs_sim.Engine.schedule engine ~after:0.0 go
   done;
   ignore (Dcs_sim.Engine.run engine);
-  check_minor_words "hot-lock run" ~ceiling:199_113.0 ~before;
+  check_minor_words "hot-lock run" ~ceiling:169_436.0 ~before;
   checki "all rounds" ((nodes - 1) * rounds) !completed;
   check_counts "messages by class"
     [ ("request", 813); ("grant", 456); ("token", 249); ("release", 456); ("freeze", 456);
