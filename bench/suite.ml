@@ -93,6 +93,38 @@ let bench_hlock_roundtrip =
           done;
           ignore (Dcs_sim.Engine.run engine)))
 
+(* Rule 6 bookkeeping at a token node of [peers] nodes with one child:
+   a queued W keeps a frozen set, and the child's record alternating
+   between R and IR (two Releases at its epoch) changes that set twice
+   per run, so each run walks the copyset for Freeze targets twice. The
+   Freeze itself goes out once; later walks find nothing new to send. A
+   walk over the copyset costs the same at 8 and 128 peers; a walk over
+   every peer slot does not. *)
+let bench_freeze_walk peers =
+  Test.make
+    ~name:(Printf.sprintf "hlock freeze walk %d peers" peers)
+    (Staged.stage
+       (let open Dcs_hlock in
+        let open Dcs_modes in
+        let n =
+          Node.restore ~id:0 ~peers ~send:(fun ~dst:_ _ -> ())
+            { Node.s_token = true; s_parent = None; s_parent_stamp = 0;
+              s_accounted_parent = None; s_accounted_epoch = 0; s_last_reported = None;
+              s_cached = Mode_set.empty; s_children = [ (1, Mode.R, 1) ]; s_queue = [];
+              s_frozen = Mode_set.empty; s_sent_freeze = []; s_tenure = 1; s_hint = (1, 0);
+              s_last_granter = None; s_ancestry = []; s_saw_transfer = false;
+              s_served_ever = true; s_next_seq = 0; s_clock = 0; s_epoch_counter = 1 }
+        in
+        Node.handle_msg n ~src:2
+          (Msg.Request
+             { Msg.requester = 2; seq = 0; mode = Mode.W; upgrade = false; timestamp = 1;
+               priority = 0; hops = 1; token_only = false; hint = (1, 0); path = [ 2 ] });
+        let weaker = Msg.Release { new_owned = Some Mode.IR; epoch = 1 }
+        and stronger = Msg.Release { new_owned = Some Mode.R; epoch = 1 } in
+        fun () ->
+          Node.handle_msg n ~src:1 weaker;
+          Node.handle_msg n ~src:1 stronger))
+
 let bench_naimi_roundtrip =
   Test.make ~name:"naimi request round trip"
     (Staged.stage
@@ -289,6 +321,8 @@ let all =
     bench_engine;
     bench_trace;
     bench_hlock_roundtrip;
+    bench_freeze_walk 8;
+    bench_freeze_walk 128;
     bench_naimi_roundtrip;
     bench_wire_encode_request;
     bench_wire_encode_token;

@@ -830,6 +830,53 @@ let test_stale_sent_freeze_roundtrips () =
     "stale entry kept" [ (2, Mode_set.singleton Mode.W) ] s.Node.s_sent_freeze;
   checkb "round-trips" true (snapshot_roundtrips ~peers:3 n)
 
+(* A token node of 130 peers whose children sit on both sides of every
+   62-id word boundary of a per-peer bit set (61 | 62, 123 | 124) and at
+   the last id. Queued requests change the frozen set twice: an IW
+   freezes R, which only the R children (61, 123) could grant; a W then
+   freezes IR too, which every child could. Each change sends exactly
+   the children that need a Freeze one, in ascending id, and the
+   copyset survives an export/restore round trip. *)
+let test_freeze_walk_word_boundaries () =
+  let peers = 130 in
+  let kids = [ (1, Mode.IR); (61, Mode.R); (62, Mode.IR); (123, Mode.R); (129, Mode.IR) ] in
+  let sent = ref [] in
+  let n =
+    Node.restore ~id:0 ~peers
+      ~send:(fun ~dst msg -> sent := (dst, msg) :: !sent)
+      { Node.s_token = true; s_parent = None; s_parent_stamp = 0; s_accounted_parent = None;
+        s_accounted_epoch = 0; s_last_reported = None; s_cached = Mode_set.empty;
+        s_children = List.map (fun (c, m) -> (c, m, 1)) kids; s_queue = [];
+        s_frozen = Mode_set.empty; s_sent_freeze = []; s_tenure = 1; s_hint = (1, 0);
+        s_last_granter = None; s_ancestry = []; s_saw_transfer = false; s_served_ever = true;
+        s_next_seq = 0; s_clock = 0; s_epoch_counter = 1 }
+  in
+  let freezes_after requester mode =
+    sent := [];
+    Node.handle_msg n ~src:requester
+      (Msg.Request
+         { Msg.requester; seq = 0; mode; upgrade = false; timestamp = requester; priority = 0;
+           hops = 1; token_only = false; hint = (1, 0); path = [ requester ] });
+    List.rev_map
+      (fun (dst, msg) ->
+        match msg with
+        | Msg.Freeze { frozen } -> (dst, Mode_set.to_list frozen)
+        | _ -> Alcotest.fail "only Freeze messages expected")
+      !sent
+  in
+  let freezes = Alcotest.(list (pair int (list Testkit.mode))) in
+  Alcotest.check freezes "IW queued: the R children" [ (61, [ Mode.R ]); (123, [ Mode.R ]) ]
+    (freezes_after 5 Mode.IW);
+  Alcotest.check freezes "W queued: every child, IR added"
+    [ (1, [ Mode.IR ]); (61, [ Mode.IR; Mode.R ]); (62, [ Mode.IR ]); (123, [ Mode.IR; Mode.R ]);
+      (129, [ Mode.IR ]) ]
+    (freezes_after 7 Mode.W);
+  let children = Alcotest.(list (pair int Testkit.mode)) in
+  Alcotest.check children "children in ascending id" kids (Node.children n);
+  let n' = Node.restore ~id:0 ~peers ~send:(fun ~dst:_ _ -> ()) (Node.export n) in
+  Alcotest.check children "children after export/restore" kids (Node.children n');
+  checkb "snapshot round-trips" true (snapshot_roundtrips ~peers n)
+
 (* Snapshot ids index per-peer arrays: an id outside [0, peers) — here in
    each id-carrying field in turn — is refused. *)
 let test_restore_rejects_bad_ids () =
@@ -1316,6 +1363,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
           Alcotest.test_case "stale sent-freeze entry" `Quick test_stale_sent_freeze_roundtrips;
           Alcotest.test_case "out-of-range ids refused" `Quick test_restore_rejects_bad_ids;
+          Alcotest.test_case "freeze walk word boundaries" `Quick test_freeze_walk_word_boundaries;
         ] );
       ( "messages",
         [
