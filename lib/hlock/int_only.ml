@@ -3,7 +3,8 @@
    equality or hash is an external C call that switches stacks. Shadowed at
    [int], the operators compile to single instructions, and the type
    checker rejects any polymorphic use: compare options and lists by
-   matching, look ids up with [mem_id], and key tables with [Tbl]. *)
+   matching, look ids up with [mem_id], and keep per-id state in arrays
+   indexed by id, not in hash tables. *)
 
 external ( = ) : int -> int -> bool = "%equal"
 external ( <> ) : int -> int -> bool = "%notequal"
@@ -16,10 +17,3 @@ external compare : int -> int -> int = "%compare"
 let max (a : int) b = if a >= b then a else b
 
 let rec mem_id (x : int) = function [] -> false | y :: tl -> x = y || mem_id x tl
-
-module Tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal (a : int) b = a = b
-  let hash (x : int) = x land max_int
-end)

@@ -42,11 +42,14 @@ type t = {
   (* Best-effort mirror of the mode the accounting parent records for us;
      Rule 5.2 sends a release exactly when owned drops below it. *)
   mutable last_reported : Mode.t option;
-  (* Held instances, seq → mode. A hash table (not an assoc list) so
-     release and upgrade are O(1) under many concurrently held grants. The
-     per-mode multiset [held_counts] (indexed by Mode.index) is summarised
-     in [held_bits]: bit [i] is set iff [held_counts.(i) > 0]. *)
-  held : Mode.t Tbl.t;
+  (* Held instances: [held_seqs.(i)] is held in the mode of index
+     [held_modes.(i)], for [i < n_held], in no particular order. A node
+     holds a handful of instances at once, so a lookup scans them. The
+     per-mode multiset [held_counts] (indexed by Mode.index) is
+     summarised in [held_bits]: bit [i] is set iff [held_counts.(i) > 0]. *)
+  mutable held_seqs : int array;
+  mutable held_modes : int array;
+  mutable n_held : int;
   held_counts : int array;
   mutable held_bits : int;
   (* Modes granted to this node that no local client currently holds, kept
@@ -58,10 +61,13 @@ type t = {
      record's epoch. The per-mode multiset [child_counts] (indexed by
      Mode.index) and its mask [child_bits] are kept beside it exactly like
      [held_counts] and [held_bits], so the owned mode never walks the
-     copyset, and [n_children] counts the records. The per-peer arrays
+     copyset, and [n_children] counts the records. [child_ids] is the
+     set of child ids as a bit set (see [ids_per_word]), so walks over the
+     copyset cost per child, not per peer. The per-peer arrays
      ([sent_freeze] too) are [[||]] until the first record: most nodes
      never grant a copy. *)
   mutable child_mode : int array;
+  mutable child_ids : int array;
   mutable child_epoch : int array;
   child_counts : int array;
   mutable child_bits : int;
@@ -136,11 +142,14 @@ let create ?(config = default_config) ?obs ~id ~peers ~is_token ~parent ~send ()
     accounted_parent = None;
     accounted_epoch = 0;
     last_reported = None;
-    held = Tbl.create 8;
+    held_seqs = [||];
+    held_modes = [||];
+    n_held = 0;
     held_counts = [| 0; 0; 0; 0; 0 |];
     held_bits = 0;
     cached = Mode_set.empty;
     child_mode = [||];
+    child_ids = [||];
     child_epoch = [||];
     child_counts = [| 0; 0; 0; 0; 0 |];
     child_bits = 0;
@@ -176,7 +185,7 @@ let is_token t = t.token
 let parent t = t.parent
 
 let held t =
-  Tbl.fold (fun seq m acc -> (seq, m) :: acc) t.held []
+  List.init t.n_held (fun i -> (t.held_seqs.(i), Mode.of_index t.held_modes.(i)))
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let queue t = t.queue
@@ -192,31 +201,78 @@ let count_step counts bits i d =
   counts.(i) <- n;
   if n > 0 then bits lor (1 lsl i) else bits land lnot (1 lsl i)
 
-(* Held-multiset maintenance: every mutation of [t.held] goes through
-   these so [held_counts] and [held_bits] can never drift. *)
+(* The position of [seq] in [seqs.(0 .. i)], or -1. Top-level, so a lookup
+   allocates no closure. *)
+let rec held_index seqs seq i =
+  if i < 0 then -1 else if seqs.(i) = seq then i else held_index seqs seq (i - 1)
+
+let held_slot t seq = held_index t.held_seqs seq (t.n_held - 1)
+
+(* Held-multiset maintenance: every mutation of the held arrays goes
+   through these so [held_counts] and [held_bits] can never drift. *)
 
 let held_add t seq m =
-  (match Tbl.find_opt t.held seq with
-  | Some old -> t.held_bits <- count_step t.held_counts t.held_bits (Mode.index old) (-1)
-  | None -> ());
-  Tbl.replace t.held seq m;
+  let i = held_slot t seq in
+  let i =
+    if i >= 0 then begin
+      t.held_bits <- count_step t.held_counts t.held_bits t.held_modes.(i) (-1);
+      i
+    end
+    else begin
+      let n = t.n_held in
+      if n = Array.length t.held_seqs then begin
+        let grow a =
+          let b = Array.make (max 4 (2 * n)) 0 in
+          Array.blit a 0 b 0 n;
+          b
+        in
+        t.held_seqs <- grow t.held_seqs;
+        t.held_modes <- grow t.held_modes
+      end;
+      t.held_seqs.(n) <- seq;
+      t.n_held <- n + 1;
+      n
+    end
+  in
+  t.held_modes.(i) <- Mode.index m;
   t.held_bits <- count_step t.held_counts t.held_bits (Mode.index m) 1
 
+(* Drop held instance [seq] (the last one takes its place) and return its
+   mode's index, or -1 if [seq] is not held. *)
 let held_remove t seq =
-  match Tbl.find_opt t.held seq with
-  | None -> None
-  | Some m ->
-      Tbl.remove t.held seq;
-      t.held_bits <- count_step t.held_counts t.held_bits (Mode.index m) (-1);
-      Some m
+  let i = held_slot t seq in
+  if i < 0 then -1
+  else begin
+    let k = t.held_modes.(i) and last = t.n_held - 1 in
+    t.held_seqs.(i) <- t.held_seqs.(last);
+    t.held_modes.(i) <- t.held_modes.(last);
+    t.n_held <- last;
+    t.held_bits <- count_step t.held_counts t.held_bits k (-1);
+    k
+  end
 
 (* Per-peer state. Lookups take any id — one outside [0, peers) is no
    child and was sent nothing — so a stray id from a message reads as
    unknown; writes index with bounds checks. *)
 
+(* [child_ids] keeps 62 ids to an int word: bit [c mod 62] of word
+   [c / 62] is set iff [c] is a child. Leaving bit 62 (the sign bit) clear
+   keeps every word positive, so [x land (-x)] isolates a word's lowest set
+   bit, 2^k with k < 62. 2 is a primitive root mod 67, so those powers have
+   distinct residues mod 67, and [bit_index] maps each residue back to k. *)
+let ids_per_word = 62
+
+let bit_index =
+  let index = Array.make 67 0 in
+  for k = 0 to ids_per_word - 1 do
+    index.((1 lsl k) mod 67) <- k
+  done;
+  index
+
 let peer_arrays t =
   if Array.length t.child_mode = 0 then begin
     t.child_mode <- Array.make t.peers 0;
+    t.child_ids <- Array.make ((t.peers + ids_per_word - 1) / ids_per_word) 0;
     t.child_epoch <- Array.make t.peers 0;
     t.sent_freeze <- Array.make t.peers 0
   end
@@ -236,7 +292,11 @@ let child_set t c m epoch =
   peer_arrays t;
   let old = t.child_mode.(c) in
   if old > 0 then t.child_bits <- count_step t.child_counts t.child_bits (old - 1) (-1)
-  else t.n_children <- t.n_children + 1;
+  else begin
+    t.n_children <- t.n_children + 1;
+    let w = c / ids_per_word in
+    t.child_ids.(w) <- t.child_ids.(w) lor (1 lsl (c - (w * ids_per_word)))
+  end;
   t.child_mode.(c) <- Mode.index m + 1;
   t.child_epoch.(c) <- epoch;
   t.child_bits <- count_step t.child_counts t.child_bits (Mode.index m) 1;
@@ -247,7 +307,9 @@ let child_remove t c =
   if old > 0 then begin
     t.child_mode.(c) <- 0;
     t.child_bits <- count_step t.child_counts t.child_bits (old - 1) (-1);
-    t.n_children <- t.n_children - 1
+    t.n_children <- t.n_children - 1;
+    let w = c / ids_per_word in
+    t.child_ids.(w) <- t.child_ids.(w) land lnot (1 lsl (c - (w * ids_per_word)))
   end
 
 (* Queue maintenance: every mutation of [t.queue] goes through these so
@@ -278,14 +340,22 @@ let accounting t =
   match t.accounted_parent with None -> None | Some p -> Some (p, t.accounted_epoch)
 
 (* Fold over the copyset records in descending child id, so that consing
-   builds a list in ascending id. *)
+   builds a list in ascending id. Within a word, the recursion reaches the
+   higher bits before it applies [f] to the lowest. *)
 let fold_children_desc t f acc =
-  let acc = ref acc in
-  for c = Array.length t.child_mode - 1 downto 0 do
-    let k = t.child_mode.(c) in
-    if k > 0 then acc := f c (Mode.of_index (k - 1)) t.child_epoch.(c) !acc
-  done;
-  !acc
+  let rec bits base x acc =
+    if x = 0 then acc
+    else begin
+      let low = x land -x in
+      let acc = bits base (x lxor low) acc in
+      let c = base + bit_index.(low mod 67) in
+      f c (Mode.of_index (t.child_mode.(c) - 1)) t.child_epoch.(c) acc
+    end
+  in
+  let rec words w acc =
+    if w < 0 then acc else words (w - 1) (bits (w * ids_per_word) t.child_ids.(w) acc)
+  in
+  words (Array.length t.child_ids - 1) acc
 
 let children t = fold_children_desc t (fun c m _ acc -> (c, m) :: acc) []
 
@@ -324,11 +394,8 @@ let owned_code_for t (r : Msg.request) =
   if not r.upgrade then owned_code t
   else begin
     let held =
-      if r.requester = t.id then
-        match Tbl.find_opt t.held r.seq with
-        | Some m -> discount t.held_counts t.held_bits (Mode.index m)
-        | None -> t.held_bits
-      else t.held_bits
+      let i = if r.requester = t.id then held_slot t r.seq else -1 in
+      if i >= 0 then discount t.held_counts t.held_bits t.held_modes.(i) else t.held_bits
     in
     let kids =
       if child_code t r.requester = Mode.index Mode.U + 1 then
@@ -416,6 +483,11 @@ let emit t dst msg =
      collapsed pair never resurrects a removed record.
 
    Requests, grants and tokens are never dropped or reordered. *)
+
+(* The index of the last message to [dst] in [msgs.(0 .. j)], or -1. A
+   batch is a handful of messages, so a backward scan beats a table. *)
+let rec last_to msgs dst j = if j < 0 || fst msgs.(j) = dst then j else last_to msgs dst (j - 1)
+
 let flush_batch t =
   match t.batched with
   | [] -> ()
@@ -427,21 +499,18 @@ let flush_batch t =
       let msgs = Array.of_list (List.rev batched) in
       let n = Array.length msgs in
       let drop = Array.make n false in
-      let last_for_dst = Tbl.create 8 in
       for i = 0 to n - 1 do
         let dst, m = msgs.(i) in
-        (match Tbl.find_opt last_for_dst dst with
-        | Some j -> (
-            match snd msgs.(j), m with
-            | Msg.Freeze _, Msg.Freeze _ ->
-                drop.(j) <- true;
-                t.coalesced <- t.coalesced + 1
-            | Msg.Release { epoch = e1; _ }, Msg.Release { epoch = e2; _ } when e1 = e2 ->
-                drop.(j) <- true;
-                t.coalesced <- t.coalesced + 1
-            | _ -> ())
-        | None -> ());
-        Tbl.replace last_for_dst dst i
+        let j = last_to msgs dst (i - 1) in
+        if j >= 0 then
+          match snd msgs.(j), m with
+          | Msg.Freeze _, Msg.Freeze _ ->
+              drop.(j) <- true;
+              t.coalesced <- t.coalesced + 1
+          | Msg.Release { epoch = e1; _ }, Msg.Release { epoch = e2; _ } when e1 = e2 ->
+              drop.(j) <- true;
+              t.coalesced <- t.coalesced + 1
+          | _ -> ()
       done;
       Array.iteri (fun i (dst, m) -> if not drop.(i) then t.send ~dst m) msgs
 
@@ -529,6 +598,23 @@ let notify_freeze t c =
         t.sent_freeze.(c) <- Mode_set.to_bits combined;
         emit t c (Msg.Freeze { frozen = combined })
 
+(* [notify_freeze] every child in ascending id, from bit [lo] of word [w]
+   of [child_ids] on: the lowest remaining set bit is the next child. The
+   word is re-read after every notification, so a send that re-enters this
+   node and changes the copyset is seen exactly as a scan of every peer
+   slot would see it. *)
+let rec notify_children_from t w lo =
+  if w < Array.length t.child_ids then begin
+    let x = t.child_ids.(w) land ((-1) lsl lo) in
+    if x = 0 then notify_children_from t (w + 1) 0
+    else begin
+      let low = x land -x in
+      let k = bit_index.(low mod 67) in
+      notify_freeze t ((w * ids_per_word) + k);
+      notify_children_from t w (k + 1)
+    end
+  end
+
 (* Recompute (token node) and propagate the frozen set. A child is notified
    only of the frozen modes it could actually grant given the mode we record
    for it; notifications are diffed against what was last sent, and only
@@ -566,9 +652,7 @@ let refresh_freezes t =
     if t.freeze_all then begin
       t.freeze_all <- false;
       t.freeze_kids <- [];
-      for c = 0 to Array.length t.child_mode - 1 do
-        notify_freeze t c
-      done
+      notify_children_from t 0 0
     end
     else if not (List.is_empty t.freeze_kids) then begin
       let marked = t.freeze_kids in
@@ -638,9 +722,9 @@ let resume t seq =
 (* The tail of a client call: run [k] now if the call itself granted [seq]
    (it now holds [mode]), else park it until the grant point. *)
 let continue_or_wait t seq mode k =
-  match Tbl.find_opt t.held seq with
-  | Some m when Mode.equal m mode -> k seq
-  | Some _ | None -> t.waiters <- (seq, k) :: t.waiters
+  let i = held_slot t seq in
+  if i >= 0 && t.held_modes.(i) = Mode.index mode then k seq
+  else t.waiters <- (seq, k) :: t.waiters
 
 (* Grant to a local client: enter the critical section. [via_token] marks
    grants delivered by a token transfer (Rule 3.2) for telemetry; every
@@ -660,7 +744,7 @@ let grant_self ?(via_token = false) t (r : Msg.request) =
 
 let complete_upgrade t (r : Msg.request) =
   clear_pending_if_match t r;
-  if Tbl.mem t.held r.seq then held_add t r.seq Mode.W;
+  if held_slot t r.seq >= 0 then held_add t r.seq Mode.W;
   (match t.obs with
   | None -> ()
   | Some f ->
@@ -1162,19 +1246,20 @@ let request ?(priority = 0) t ~mode ~on_granted =
   seq
 
 let release t ~seq =
-  match held_remove t seq with
-  | None -> invalid_arg (Printf.sprintf "Hlock.Node.release: #%d not held at node %d" seq t.id)
-  | Some m ->
-      (match t.obs with
-      | None -> ()
-      | Some f ->
-          f (Dcs_obs.Event.Span { requester = t.id; seq }) (Dcs_obs.Event.Released { mode = m }));
-      if t.config.caching && not (is_frozen t m) then t.cached <- Mode_set.add m t.cached;
-      after_owned_change t
+  let k = held_remove t seq in
+  if k < 0 then invalid_arg (Printf.sprintf "Hlock.Node.release: #%d not held at node %d" seq t.id);
+  let m = Mode.of_index k in
+  (match t.obs with
+  | None -> ()
+  | Some f -> f (Dcs_obs.Event.Span { requester = t.id; seq }) (Dcs_obs.Event.Released { mode = m }));
+  if t.config.caching && not (is_frozen t m) then t.cached <- Mode_set.add m t.cached;
+  after_owned_change t
 
 let upgrade t ~seq ~on_upgraded =
-  match Tbl.find_opt t.held seq with
-  | Some Mode.U ->
+  let i = held_slot t seq in
+  if i < 0 then invalid_arg (Printf.sprintf "Hlock.Node.upgrade: #%d not held" seq);
+  match Mode.of_index t.held_modes.(i) with
+  | Mode.U ->
       if not t.token then
         invalid_arg "Hlock.Node.upgrade: protocol invariant violated (U holder must be the token node)";
       let r =
@@ -1212,10 +1297,9 @@ let upgrade t ~seq ~on_upgraded =
            remaining readers drain; everything else freezes meanwhile. *)
         enqueue t r;
       continue_or_wait t seq Mode.W on_upgraded
-  | Some m ->
+  | m ->
       invalid_arg
         (Printf.sprintf "Hlock.Node.upgrade: #%d held in %s, not U" seq (Mode.to_string m))
-  | None -> invalid_arg (Printf.sprintf "Hlock.Node.upgrade: #%d not held" seq)
 
 let rec marked_in requester seq = function
   | [] -> false
@@ -1288,7 +1372,7 @@ type snapshot = {
 }
 
 let export t =
-  if Tbl.length t.held > 0 then
+  if t.n_held > 0 then
     invalid_arg "Hlock.Node.export: node holds granted instances";
   if Option.is_some t.pending then invalid_arg "Hlock.Node.export: node has a pending request";
   if not (List.is_empty t.waiters) then
@@ -1350,11 +1434,14 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send (s : snapshot) =
       accounted_parent = s.s_accounted_parent;
       accounted_epoch = s.s_accounted_epoch;
       last_reported = s.s_last_reported;
-      held = Tbl.create 8;
+      held_seqs = [||];
+      held_modes = [||];
+      n_held = 0;
       held_counts = [| 0; 0; 0; 0; 0 |];
       held_bits = 0;
       cached = s.s_cached;
       child_mode = [||];
+      child_ids = [||];
       child_epoch = [||];
       child_counts = [| 0; 0; 0; 0; 0 |];
       child_bits = 0;

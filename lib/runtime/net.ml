@@ -84,10 +84,15 @@ let delivery_time t ~src ~dst ~delay_factor ~extra_delay =
   let now = Dcs_sim.Engine.now t.engine in
   let scale = Dcs_sim.Topology.factor t.topology ~src ~dst in
   let draw = scale *. Dcs_sim.Dist.sample t.latency t.rng in
-  let naive = now +. (Float.max 1.0 delay_factor *. draw) +. Float.max 0.0 extra_delay in
+  (* Plain comparisons, not [Float.max]: its NaN and signed-zero handling
+     calls C per use, and no time or delay here is NaN. *)
+  let factor = if delay_factor > 1.0 then delay_factor else 1.0 in
+  let extra = if extra_delay > 0.0 then extra_delay else 0.0 in
+  let naive = now +. (factor *. draw) +. extra in
   (* Before the first delivery the floor is [neg_infinity]: [naive]. *)
   let row = floor_row t ~src ~dst in
-  let floor = Float.max naive (row.(dst) +. 1e-6) in
+  let next = row.(dst) +. 1e-6 in
+  let floor = if naive >= next then naive else next in
   row.(dst) <- floor;
   floor
 

@@ -3,7 +3,15 @@
    heap stays flat (unboxed floats) and comparisons compile to primitive
    float compares, so scheduling and dispatching an event allocates
    nothing beyond the caller's callback closure. Ties are broken by
-   schedule order (seqs), which deterministic runs rely on. *)
+   schedule order (seqs), which deterministic runs rely on.
+
+   The heap orders only immediates: [keys], [seqs] and [slots], the index
+   of the event's callback in [vals]. A callback stays in its slot from
+   schedule to pop, so the sifts move no pointer and pay no write barrier:
+   an event costs one [caml_modify] to park its callback and one to clear
+   it. Free slots live in [slots] past the heap, [slots.(size)] first: a
+   push takes that one, and a pop returns its slot to the position the
+   shrinking heap just vacated. *)
 
 (* Single-field float record: a mutable simulation clock that updates in
    place instead of allocating a fresh box per event (a [mutable float]
@@ -13,6 +21,7 @@ type clock = { mutable time : float }
 type t = {
   mutable keys : float array;
   mutable seqs : int array;
+  mutable slots : int array;
   mutable vals : (unit -> unit) array;
   mutable size : int;
   mutable next_seq : int;
@@ -32,6 +41,7 @@ let create () =
   {
     keys = [||];
     seqs = [||];
+    slots = [||];
     vals = [||];
     size = 0;
     next_seq = 0;
@@ -45,7 +55,9 @@ let set_tick t hook = t.tick <- hook
 let reset t =
   (* Drop queued callbacks explicitly so the retained capacity does not
      keep closures (and whatever they capture) alive across runs. *)
-  if t.size > 0 then Array.fill t.vals 0 t.size nothing;
+  for i = 0 to t.size - 1 do
+    t.vals.(t.slots.(i)) <- nothing
+  done;
   t.size <- 0;
   t.next_seq <- 0;
   t.clock.time <- 0.0;
@@ -53,18 +65,23 @@ let reset t =
 
 let now t = t.clock.time
 
+(* Grow when full. Every slot is taken then, so the old arrays are copied
+   whole and the new slots [cap, cap') become the free ones. *)
 let ensure_room t =
   let cap = Array.length t.keys in
   if t.size = cap then begin
     let cap' = if cap = 0 then 64 else 2 * cap in
     let keys = Array.make cap' 0.0 in
     let seqs = Array.make cap' 0 in
+    let slots = Array.init cap' Fun.id in
     let vals = Array.make cap' nothing in
-    Array.blit t.keys 0 keys 0 t.size;
-    Array.blit t.seqs 0 seqs 0 t.size;
-    Array.blit t.vals 0 vals 0 t.size;
+    Array.blit t.keys 0 keys 0 cap;
+    Array.blit t.seqs 0 seqs 0 cap;
+    Array.blit t.slots 0 slots 0 cap;
+    Array.blit t.vals 0 vals 0 cap;
     t.keys <- keys;
     t.seqs <- seqs;
+    t.slots <- slots;
     t.vals <- vals
   end
 
@@ -73,18 +90,17 @@ let ensure_room t =
    per array — and use [unsafe_get]/[unsafe_set]: every index is bounded
    by [t.size], already checked against the capacity. *)
 
+(* Pop the root; its callback must already have been taken out of its
+   slot. *)
 let remove_min t =
   t.size <- t.size - 1;
   let last = t.size in
-  let keys = t.keys and seqs = t.seqs and vals = t.vals in
-  if last = 0 then
-    (* Release the popped callback so the heap does not retain it. *)
-    Array.unsafe_set vals 0 nothing
-  else begin
+  let keys = t.keys and seqs = t.seqs and slots = t.slots in
+  let freed = Array.unsafe_get slots 0 in
+  if last > 0 then begin
     let key = Array.unsafe_get keys last in
     let seq = Array.unsafe_get seqs last in
-    let v = Array.unsafe_get vals last in
-    Array.unsafe_set vals last nothing;
+    let slot = Array.unsafe_get slots last in
     let i = ref 0 in
     let sifting = ref true in
     while !sifting do
@@ -104,7 +120,7 @@ let remove_min t =
         if ckey < key || (ckey = key && Array.unsafe_get seqs c < seq) then begin
           Array.unsafe_set keys !i ckey;
           Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
-          Array.unsafe_set vals !i (Array.unsafe_get vals c);
+          Array.unsafe_set slots !i (Array.unsafe_get slots c);
           i := c
         end
         else sifting := false
@@ -112,17 +128,22 @@ let remove_min t =
     done;
     Array.unsafe_set keys !i key;
     Array.unsafe_set seqs !i seq;
-    Array.unsafe_set vals !i v
-  end
+    Array.unsafe_set slots !i slot
+  end;
+  (* The sift wrote only below [last]: that position is now the top of
+     the free-slot stack. *)
+  Array.unsafe_set slots last freed
 
 let schedule_at t ~time f =
   let time = if time < t.clock.time then t.clock.time else time in
   ensure_room t;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  let keys = t.keys and seqs = t.seqs and vals = t.vals in
+  let keys = t.keys and seqs = t.seqs and slots = t.slots in
   let i = ref t.size in
   t.size <- !i + 1;
+  let slot = Array.unsafe_get slots !i in
+  Array.unsafe_set t.vals slot f;
   (* The new event carries the largest seq, so on a time tie it sorts
      after the incumbent: no seq comparison needed on the way up. *)
   let sifting = ref true in
@@ -132,14 +153,14 @@ let schedule_at t ~time f =
     if time < pk then begin
       Array.unsafe_set keys !i pk;
       Array.unsafe_set seqs !i (Array.unsafe_get seqs p);
-      Array.unsafe_set vals !i (Array.unsafe_get vals p);
+      Array.unsafe_set slots !i (Array.unsafe_get slots p);
       i := p
     end
     else sifting := false
   done;
   Array.unsafe_set keys !i time;
   Array.unsafe_set seqs !i seq;
-  Array.unsafe_set vals !i f
+  Array.unsafe_set slots !i slot
 
 let schedule t ~after f =
   let after = if after < 0.0 then 0.0 else after in
@@ -148,7 +169,10 @@ let schedule t ~after f =
 let step t =
   if t.size = 0 then false
   else begin
-    let time = t.keys.(0) and f = t.vals.(0) in
+    let time = t.keys.(0) and slot = t.slots.(0) in
+    let f = t.vals.(slot) in
+    (* Release the popped callback so the queue does not retain it. *)
+    t.vals.(slot) <- nothing;
     remove_min t;
     t.clock.time <- time;
     t.processed <- t.processed + 1;
