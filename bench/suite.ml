@@ -59,12 +59,14 @@ let bench_engine =
          done;
          ignore (Dcs_sim.Engine.run e)))
 
-(* 1k records into a capacity-bounded trace: the eviction path that every
-   long traced soak lives on (ring overwrite, no re-filtering). *)
+(* 1k records into a trace: the per-record cost of a traced run (render
+   the line, fold it into the FNV-1a digest; nothing is kept). The name
+   predates the digest-only trace and stays so the gate keeps its
+   baseline. *)
 let bench_trace =
   Test.make ~name:"trace 1k records (cap 64)"
     (Staged.stage (fun () ->
-         let tr = Dcs_sim.Trace.create ~capacity:64 ~enabled:true () in
+         let tr = Dcs_sim.Trace.create () in
          for i = 1 to 1000 do
            Dcs_sim.Trace.record tr ~time:(float_of_int i) (fun () -> "event")
          done;
@@ -145,10 +147,9 @@ let bench_naimi_roundtrip =
 
 (* {1 Wire path}
 
-   The zero-allocation claims the transport relies on, measured: with a
-   reused writer, encoding allocates nothing; with a reused reader,
-   skimming (full validation, no materialization) allocates nothing;
-   materialized decode allocates only the decoded message. The request
+   The allocation claims the transport relies on, measured: with a
+   reused writer, encoding allocates nothing; decode allocates only the
+   decoded message. The request
    and token shapes bracket the format: token is the fattest message
    (embedded queue), request is the common case. *)
 
@@ -195,15 +196,6 @@ let bench_wire_encode name env =
 let bench_wire_encode_request = bench_wire_encode "wire encode request (reused writer)" request_env
 let bench_wire_encode_token = bench_wire_encode "wire encode token (reused writer)" token_env
 
-let bench_wire_skim =
-  let data = Bytes.of_string (Dcs_wire.Codec.encode token_env) in
-  let len = Bytes.length data in
-  let r = Dcs_wire.Buf.reader "" in
-  Test.make ~name:"wire skim token (reused reader)"
-    (Staged.stage (fun () ->
-         Dcs_wire.Buf.attach r data ~off:0 ~len;
-         Dcs_wire.Codec.skim_envelope r))
-
 let bench_wire_decode =
   let data = Bytes.of_string (Dcs_wire.Codec.encode token_env) in
   let len = Bytes.length data in
@@ -212,12 +204,11 @@ let bench_wire_decode =
 
 (* The batched transport's inner loop without the sockets: frame 16
    envelopes back-to-back into one reused buffer, as the runner's writer
-   does, then walk the batch skimming each frame (as a validating reader
-   would). *)
+   does, then walk the batch decoding each frame in place with
+   [decode_sub], as [Runner.reader_loop] does. *)
 let bench_wire_framed_batch =
   let w = Dcs_wire.Buf.writer ~capacity:4096 () in
-  let r = Dcs_wire.Buf.reader "" in
-  Test.make ~name:"wire framed batch x16 roundtrip"
+  Test.make ~name:"wire framed batch x16 decode"
     (Staged.stage (fun () ->
          let open Dcs_wire in
          Buf.reset w;
@@ -230,8 +221,7 @@ let bench_wire_framed_batch =
          let off = ref 0 in
          while !off < total do
            let len = Codec.frame_length data ~off:!off in
-           Buf.attach r data ~off:(!off + Codec.frame_header) ~len;
-           Codec.skim_envelope r;
+           ignore (Codec.decode_sub data ~off:(!off + Codec.frame_header) ~len);
            off := !off + Codec.frame_header + len
          done))
 
@@ -326,7 +316,6 @@ let all =
     bench_naimi_roundtrip;
     bench_wire_encode_request;
     bench_wire_encode_token;
-    bench_wire_skim;
     bench_wire_decode;
     bench_wire_framed_batch;
     bench_handoff_encode;

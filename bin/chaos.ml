@@ -31,14 +31,14 @@ let run_plan ~cfg ~name ~events =
         Printf.eprintf "unknown plan %S (known: %s)\n" name (String.concat ", " Plan.names);
         exit 2
   in
-  let cfg = { cfg with Experiment.chaos = Some (Experiment.chaos plan) } in
-  let trace = Dcs_sim.Trace.create ~capacity:64 ~enabled:true () in
+  let cfg = { cfg with Experiment.chaos = Some plan } in
+  let trace = Dcs_sim.Trace.create () in
   (* Metrics-only recorder by default: latency histograms and message
      accounting without the per-event log (soaks are long). With
      --telemetry the full event log is kept so the per-plan JSONL shard
      has spans to analyze. Recording is observation-only either way, so
      --verify digests are unaffected. *)
-  let recorder = Dcs_obs.Recorder.create ~events ~enabled:true () in
+  let recorder = Dcs_obs.Recorder.create ~events () in
   let result = Experiment.run ~trace ~recorder cfg in
   (result, plan, Dcs_sim.Trace.digest trace, recorder)
 

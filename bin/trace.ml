@@ -53,7 +53,7 @@ let record_cmd =
            ~doc:"Output JSONL file.")
   in
   let run driver nodes entries ops seed out =
-    let recorder = Recorder.create ~enabled:true () in
+    let recorder = Recorder.create () in
     let workload =
       { Dcs_workload.Airline.default_config with Dcs_workload.Airline.entries; ops_per_node = ops }
     in

@@ -20,7 +20,7 @@ let base_config () =
 
 let run ?chaos () =
   let cfg = { (base_config ()) with Core.Experiment.chaos } in
-  let trace = Core.Trace.create ~capacity:64 ~enabled:true () in
+  let trace = Core.Trace.create () in
   let result = Core.Experiment.run ~trace cfg in
   (result, Core.Trace.digest trace)
 
@@ -33,7 +33,7 @@ let () =
     | None -> assert false
   in
   Printf.printf "Fault plan:\n%s\n" (Core.Fault_plan.to_string plan);
-  let partitioned, digest = run ~chaos:(Core.Experiment.chaos plan) () in
+  let partitioned, digest = run ~chaos:plan () in
   let report = Option.get partitioned.Core.Experiment.chaos_report in
   Printf.printf "Healthy run:     mean latency %7.1f ms, p95 %7.1f ms\n"
     healthy.Core.Experiment.mean_latency_ms healthy.Core.Experiment.p95_latency_ms;
@@ -43,7 +43,7 @@ let () =
     (List.length report.Core.Experiment.violations)
     partitioned.Core.Experiment.ops healthy.Core.Experiment.ops;
   List.iter (fun v -> Printf.printf "  VIOLATION %s\n" v) report.Core.Experiment.violations;
-  let rerun, digest' = run ~chaos:(Core.Experiment.chaos plan) () in
+  let rerun, digest' = run ~chaos:plan () in
   ignore rerun;
   Printf.printf "Same seed, same plan: digest %Lx %s %Lx — deterministic replay.\n" digest
     (if Int64.equal digest digest' then "=" else "<>")

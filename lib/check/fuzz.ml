@@ -1,6 +1,6 @@
 module Engine = Dcs_sim.Engine
-module Rng = Dcs_sim.Rng
 module Net = Dcs_runtime.Net
+module Faulty_net = Dcs_runtime.Faulty_net
 module Cluster = Dcs_runtime.Hlock_cluster
 module Script = Dcs_workload.Script
 
@@ -62,12 +62,7 @@ let run (c : case) =
   let script = c.script in
   let n_ops = List.length script.ops in
   let engine = Engine.create () in
-  let trace = Dcs_sim.Trace.create ~enabled:true () in
-  let net_rng = Rng.create ~seed:(Int64.add c.seed 0x9E37L) in
-  let net =
-    Net.create ~engine ~latency:(Dcs_sim.Dist.uniform_around mean_latency_ms) ~rng:net_rng
-      ~trace ()
-  in
+  let trace = Dcs_sim.Trace.create () in
   (* Fault plan windows are placed inside the issue phase of the script. *)
   let plan =
     match c.plan with
@@ -78,20 +73,16 @@ let run (c : case) =
         | Some p -> p
         | None -> invalid_arg ("Fuzz.run: unknown plan " ^ name))
   in
-  let plan_rng = Rng.create ~seed:(Int64.add c.seed 0x0FADL) in
-  Dcs_fault.Plan.install plan ~engine ~rng:plan_rng ~set_fault:(Net.set_fault net)
-    ~flush:(fun () -> Net.flush_held net);
-  let shim =
-    if Dcs_fault.Plan.needs_shim plan then
-      Some (Dcs_fault.Reliable.create ~engine ~rto:(4.0 *. mean_latency_ms) ~below:(Net.send net) ())
-    else None
+  let faulty =
+    Faulty_net.create ~engine ~latency:(Dcs_sim.Dist.uniform_around mean_latency_ms) ~trace
+      ~seed:c.seed plan
   in
-  let transport = Option.map Dcs_fault.Reliable.send shim in
-  let recorder = Dcs_obs.Recorder.create ~events:true ~enabled:true () in
+  let net = faulty.Faulty_net.net in
+  let recorder = Dcs_obs.Recorder.create ~events:true () in
   let config = { Dcs_hlock.Node.default_config with mutation = c.mutation } in
   let cluster =
-    Cluster.create ~config ~oracle:true ?transport ~obs:recorder ~net ~nodes:script.nodes
-      ~locks:script.locks ()
+    Cluster.create ~config ~oracle:true ?transport:(Faulty_net.transport faulty) ~obs:recorder
+      ~net ~nodes:script.nodes ~locks:script.locks ()
   in
   let violations = ref [] in
   let aborted = ref false in
@@ -124,13 +115,14 @@ let run (c : case) =
   driven := Some counts;
   let until = deadline c ~plan_horizon:(Dcs_fault.Plan.horizon plan) in
   (* The per-message safety oracle raises Failure from inside the event
-     loop; catch it at the driver boundary and keep the partial trace. *)
+     loop; [Faulty_net.run] catches it at the driver boundary and the
+     partial trace is kept. *)
   let outcome =
-    match Engine.run ~until ~max_events:20_000_000 engine with
-    | o -> o
-    | exception Failure msg ->
+    match Faulty_net.run ~until ~max_events:20_000_000 engine with
+    | Ok o -> o
+    | Error v ->
         aborted := true;
-        violations := Printf.sprintf "safety: %s" msg :: !violations;
+        violations := v :: !violations;
         Engine.Drained
   in
   (match outcome with
@@ -152,8 +144,7 @@ let run (c : case) =
   if completed then
     List.iter
       (fun v -> violations := ("quiescence: " ^ v) :: !violations)
-      (Cluster.quiescent_violations cluster
-      @ (match shim with Some s -> Dcs_fault.Reliable.quiescent_violations s | None -> []));
+      (Faulty_net.at_rest faulty cluster);
   let oracle =
     Oracle.conformance ~max_overtakes:c.max_overtakes ~require_complete:(not !aborted)
       ~events:(Dcs_obs.Recorder.events recorder) ()

@@ -312,13 +312,3 @@ let conformance ?(max_overtakes = 100) ?(require_complete = true) ~events () =
     unreleased = !unreleased;
     violations = List.rev !violations;
   }
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>events=%d spans=%d grants=%d upgrades=%d releases=%d max-overtakes=%d \
-     ungranted=%d unreleased=%d violations=%d"
-    r.events r.spans r.grants r.upgrades r.releases r.max_overtakes_seen r.ungranted
-    r.unreleased
-    (List.length r.violations);
-  List.iter (fun v -> Format.fprintf ppf "@,  %s" v) r.violations;
-  Format.fprintf ppf "@]"

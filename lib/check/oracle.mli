@@ -86,5 +86,3 @@ val conformance :
   events:Dcs_obs.Event.t list ->
   unit ->
   report
-
-val pp_report : Format.formatter -> report -> unit

@@ -174,10 +174,3 @@ let explore ?config ?(max_states = 100_000) (script : Script.t) =
     end
   done;
   { states = !states; terminals = !terminals; truncated = !truncated; violations = !violations }
-
-let pp_result ppf r =
-  Format.fprintf ppf "states=%d terminals=%d%s %s" r.states r.terminals
-    (if r.truncated then " (truncated)" else "")
-    (match r.violations with
-    | [] -> "no violations"
-    | vs -> "VIOLATIONS: " ^ String.concat " / " vs)

@@ -41,5 +41,3 @@ type result = {
     {!Dcs_workload.Script.validate} or has more than one lock. *)
 val explore :
   ?config:Dcs_hlock.Node.config -> ?max_states:int -> Dcs_workload.Script.t -> result
-
-val pp_result : Format.formatter -> result -> unit

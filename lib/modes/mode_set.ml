@@ -34,14 +34,6 @@ let of_list ms = List.fold_left (fun s m -> add m s) empty ms
 
 let to_list s = List.filter (fun m -> mem m s) Mode.all
 
-let exists p s = List.exists p (to_list s)
-
-let for_all p s = List.for_all p (to_list s)
-
-let filter p s = of_list (List.filter p (to_list s))
-
-let fold f s acc = List.fold_left (fun acc m -> f m acc) acc (to_list s)
-
 let pp ppf s =
   Format.fprintf ppf "{%s}" (String.concat "," (List.map Mode.to_string (to_list s)))
 

@@ -50,18 +50,6 @@ val of_list : Mode.t list -> t
 (** Elements in {!Mode.all} order. *)
 val to_list : t -> Mode.t list
 
-(** [exists p s] tests whether some element satisfies [p]. *)
-val exists : (Mode.t -> bool) -> t -> bool
-
-(** [for_all p s] tests whether every element satisfies [p]. *)
-val for_all : (Mode.t -> bool) -> t -> bool
-
-(** [filter p s] keeps the elements satisfying [p]. *)
-val filter : (Mode.t -> bool) -> t -> t
-
-(** Fold over elements in {!Mode.all} order. *)
-val fold : (Mode.t -> 'a -> 'a) -> t -> 'a -> 'a
-
 (** Prints as [{IR,R}]. *)
 val pp : Format.formatter -> t -> unit
 

@@ -39,14 +39,6 @@ let requesting t = t.requesting
 let father t = t.father
 let next t = t.next
 
-let pp_state ppf t =
-  Format.fprintf ppf "n%d%s father=%s next=%s%s%s" t.id
-    (if t.token_present then "*" else "")
-    (match t.father with None -> "_" | Some f -> string_of_int f)
-    (match t.next with None -> "_" | Some n -> string_of_int n)
-    (if t.requesting then " requesting" else "")
-    (if t.in_cs then " in-cs" else "")
-
 (* Naimi locks are exclusive: telemetry records them as mode W. *)
 let observe t ~requester ~seq kind =
   match t.obs with None -> () | Some f -> f (Dcs_obs.Event.Span { requester; seq }) kind

@@ -82,4 +82,3 @@ val requesting : t -> bool
 
 val father : t -> Node_id.t option
 val next : t -> Node_id.t option
-val pp_state : Format.formatter -> t -> unit

@@ -30,25 +30,3 @@ let kind_name = function
   | Received _ -> "received"
   | Frozen _ -> "frozen"
   | Unfrozen _ -> "unfrozen"
-
-let pp_kind ppf = function
-  | Requested { mode; priority } ->
-      Format.fprintf ppf "requested %a%s" Mode.pp mode
-        (if priority = 0 then "" else Printf.sprintf " p%d" priority)
-  | Forwarded { dst } -> Format.fprintf ppf "forwarded ->n%d" dst
-  | Queued -> Format.pp_print_string ppf "queued"
-  | Granted_local { mode; hops } -> Format.fprintf ppf "granted-local %a hops=%d" Mode.pp mode hops
-  | Granted_token { mode; hops } -> Format.fprintf ppf "granted-token %a hops=%d" Mode.pp mode hops
-  | Upgraded -> Format.pp_print_string ppf "upgraded"
-  | Released { mode } -> Format.fprintf ppf "released %a" Mode.pp mode
-  | Sent { cls; dst } -> Format.fprintf ppf "sent %s ->n%d" (Msg_class.to_string cls) dst
-  | Received { cls; src } -> Format.fprintf ppf "received %s <-n%d" (Msg_class.to_string cls) src
-  | Frozen s -> Format.fprintf ppf "frozen %a" Mode_set.pp s
-  | Unfrozen s -> Format.fprintf ppf "unfrozen %a" Mode_set.pp s
-
-let pp ppf t =
-  match t.scope with
-  | Node -> Format.fprintf ppf "[%10.3f] lock%d n%d %a" t.time t.lock t.node pp_kind t.kind
-  | Span { requester; seq } ->
-      Format.fprintf ppf "[%10.3f] lock%d n%d {n%d#%d} %a" t.time t.lock t.node requester seq
-        pp_kind t.kind

@@ -56,5 +56,3 @@ type t = {
     ["granted-local"], ["granted-token"], ["upgraded"], ["released"],
     ["sent"], ["received"], ["frozen"], ["unfrozen"]. *)
 val kind_name : kind -> string
-
-val pp : Format.formatter -> t -> unit

@@ -59,7 +59,6 @@ let counter_name c = c.c_name
 
 let set g v = g.g <- v
 let gauge_value g = g.g
-let gauge_name g = g.g_name
 
 let observe h v =
   Mutex.lock h.h_lock;

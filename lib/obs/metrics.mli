@@ -38,7 +38,6 @@ val counter_name : counter -> string
 
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float
-val gauge_name : gauge -> string
 
 val observe : histogram -> float -> unit
 val quantile : histogram -> float -> float

@@ -16,7 +16,6 @@ let classes = List.length Msg_class.all
 let modes = List.length Mode.all
 
 type t = {
-  enabled : bool;
   keep_events : bool;
   mutable events : Event.t list; (* newest first *)
   mutable event_count : int;
@@ -34,10 +33,9 @@ type t = {
   mutable samples : (float * string * float) list; (* newest first *)
 }
 
-let create ?(events = true) ~enabled () =
+let create ?(events = true) () =
   let metrics = Metrics.create () in
   {
-    enabled;
     keep_events = events;
     events = [];
     event_count = 0;
@@ -52,8 +50,6 @@ let create ?(events = true) ~enabled () =
     samples = [];
   }
 
-let enabled t = t.enabled
-
 let close_span t ~time ~lock ~requester ~seq mode =
   let key = (lock, requester, seq) in
   match Hashtbl.find_opt t.spans key with
@@ -66,27 +62,25 @@ let close_span t ~time ~lock ~requester ~seq mode =
       Summary.add t.lat_sum.(i) elapsed
 
 let record t ~time ~lock ~node scope kind =
-  if t.enabled then (
-    t.event_count <- t.event_count + 1;
-    if t.keep_events then t.events <- { Event.time; lock; node; scope; kind } :: t.events;
-    Metrics.count_grant t.grants kind;
-    match (scope, kind) with
-    | Event.Span { requester; seq }, Event.Requested _ ->
-        t.requested <- t.requested + 1;
-        Hashtbl.replace t.spans (lock, requester, seq) time
-    | Span { requester; seq }, (Granted_local { mode; _ } | Granted_token { mode; _ }) ->
-        close_span t ~time ~lock ~requester ~seq mode
-    | Span { requester; seq }, Upgraded -> close_span t ~time ~lock ~requester ~seq Mode.W
-    | _ -> ())
+  t.event_count <- t.event_count + 1;
+  if t.keep_events then t.events <- { Event.time; lock; node; scope; kind } :: t.events;
+  Metrics.count_grant t.grants kind;
+  match (scope, kind) with
+  | Event.Span { requester; seq }, Event.Requested _ ->
+      t.requested <- t.requested + 1;
+      Hashtbl.replace t.spans (lock, requester, seq) time
+  | Span { requester; seq }, (Granted_local { mode; _ } | Granted_token { mode; _ }) ->
+      close_span t ~time ~lock ~requester ~seq mode
+  | Span { requester; seq }, Upgraded -> close_span t ~time ~lock ~requester ~seq Mode.W
+  | _ -> ()
 
 let message t ~cls ~bytes =
-  if t.enabled then (
-    let i = Msg_class.index cls in
-    t.counts.(i) <- t.counts.(i) + 1;
-    t.bytes.(i) <- t.bytes.(i) + bytes)
+  let i = Msg_class.index cls in
+  t.counts.(i) <- t.counts.(i) + 1;
+  t.bytes.(i) <- t.bytes.(i) + bytes
 
 let gauge t ~time ~name ~value =
-  if t.enabled && t.keep_events then t.samples <- (time, name, value) :: t.samples
+  if t.keep_events then t.samples <- (time, name, value) :: t.samples
 
 let events t = List.rev t.events
 

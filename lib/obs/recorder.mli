@@ -1,11 +1,11 @@
 (** Structured telemetry recorder: the sink the simulated clusters write
     into.
 
-    Zero-cost when disabled: instrumented code guards each emission with
-    {!enabled} (or is handed no recorder at all), so a disabled run pays at
-    most one branch per would-be event and allocates nothing.
+    Zero-cost when absent: instrumented code is handed no recorder at all
+    (an [option]), so an unobserved run pays at most one branch per
+    would-be event and allocates nothing. A recorder that is passed is on.
 
-    When enabled, the recorder ingests three streams —
+    The recorder ingests three streams —
 
     - {e span events} ({!record}): request-lifecycle events from the
       protocol engines, retained for JSONL export (unless [events:false]).
@@ -31,27 +31,23 @@ open Dcs_proto
 
 type t
 
-(** [create ~enabled ()] — [events:false] (default [true]) keeps only the
+(** [create ()] — [events:false] (default [true]) keeps only the
     counters and latency folds and drops the per-event log and gauge
     samples, for long soaks where the full event stream would dwarf
     memory. *)
-val create : ?events:bool -> enabled:bool -> unit -> t
-
-val enabled : t -> bool
+val create : ?events:bool -> unit -> t
 
 (** {1 Ingestion} *)
 
 (** Record one lifecycle event under the given {!Event.scope}
     ([Span {requester; seq}] for request events, [Node] for
-    {!Event.Frozen}/{!Event.Unfrozen}). No-op when disabled. *)
+    {!Event.Frozen}/{!Event.Unfrozen}). *)
 val record : t -> time:float -> lock:int -> node:Node_id.t -> Event.scope -> Event.kind -> unit
 
-(** Count one protocol message of class [cls] with encoded size [bytes].
-    No-op when disabled. *)
+(** Count one protocol message of class [cls] with encoded size [bytes]. *)
 val message : t -> cls:Msg_class.t -> bytes:int -> unit
 
-(** Record one gauge sample. No-op when disabled or created with
-    [events:false]. *)
+(** Record one gauge sample. No-op when created with [events:false]. *)
 val gauge : t -> time:float -> name:string -> value:float -> unit
 
 (** {1 Views} *)

@@ -28,8 +28,6 @@ let create ~path ?clock ~meta () =
   flush oc;
   t
 
-let now t = t.clock ()
-
 let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) @@ fun () -> if not t.closed then f ()

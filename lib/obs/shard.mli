@@ -23,9 +23,6 @@ type t
     parameters. Default clock: {!Clock.wall}. *)
 val create : path:string -> ?clock:Clock.t -> meta:(string * string) list -> unit -> t
 
-(** Current time on the shard's clock (ms). *)
-val now : t -> float
-
 (** Append one event, stamped now, and flush. *)
 val event : t -> lock:int -> node:Node_id.t -> Event.scope -> Event.kind -> unit
 

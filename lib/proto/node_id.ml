@@ -1,9 +1,1 @@
 type t = int
-
-let equal (a : t) (b : t) = a = b
-
-let compare (a : t) (b : t) = Stdlib.compare a b
-
-let to_string = string_of_int
-
-let pp ppf t = Format.pp_print_int ppf t

@@ -4,8 +4,3 @@
     in the runtime and as addresses in the transports. *)
 
 type t = int
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -1,8 +1,6 @@
 type t = { recorder : Dcs_obs.Recorder.t; net : Net.t }
 
-let attach ~net = function
-  | Some recorder when Dcs_obs.Recorder.enabled recorder -> Some { recorder; net }
-  | _ -> None
+let attach ~net = Option.map (fun recorder -> { recorder; net })
 
 let message t ~src ~lock ~cls payload =
   Dcs_obs.Recorder.message t.recorder ~cls

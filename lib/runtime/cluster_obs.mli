@@ -4,9 +4,9 @@
 
 type t
 
-(** [attach ~net obs] is [None] unless [obs] is an enabled recorder, so
-    the engines are handed no hook at all and a disabled run pays only the
-    per-site branch. Events are stamped with [net]'s clock. *)
+(** [attach ~net obs] is [None] when no recorder is given, so the engines
+    are handed no hook at all and an unobserved run pays only the per-site
+    branch. Events are stamped with [net]'s clock. *)
 val attach : net:Net.t -> Dcs_obs.Recorder.t option -> t option
 
 (** Count one message sent by [src] on [lock], sized by

@@ -12,12 +12,6 @@ let driver_to_string = function
   | Naimi_same_work -> "naimi-same-work"
   | Naimi_pure -> "naimi-pure"
 
-type chaos = {
-  plan : Dcs_fault.Plan.t;
-  reliable : bool;
-  rto : float;
-}
-
 type config = {
   nodes : int;
   driver : driver;
@@ -27,7 +21,7 @@ type config = {
   seed : int64;
   protocol : Dcs_hlock.Node.config;
   oracle : bool;
-  chaos : chaos option;
+  chaos : Dcs_fault.Plan.t option;
 }
 
 let default_config ~driver ~nodes =
@@ -41,13 +35,6 @@ let default_config ~driver ~nodes =
     protocol = Dcs_hlock.Node.default_config;
     oracle = false;
     chaos = None;
-  }
-
-let chaos ?reliable ?(rto = 600.0) plan =
-  {
-    plan;
-    reliable = (match reliable with Some r -> r | None -> Dcs_fault.Plan.needs_shim plan);
-    rto;
   }
 
 (* Rough expected length of the busy phase of a run (ms): idle + critical
@@ -251,32 +238,30 @@ let run_naimi ?obs cfg engine net meter ~pure =
 
 let run ?trace ?recorder cfg =
   let engine = Dcs_sim.Engine.create () in
-  let net_rng = Dcs_sim.Rng.create ~seed:(Int64.add cfg.seed 0x9E37L) in
-  let net =
-    Net.create ~engine ~latency:cfg.latency ~topology:cfg.topology ~rng:net_rng ?trace ()
-  in
   let meter = meter_create () in
   let expected = cfg.nodes * cfg.workload.Airline.ops_per_node in
-  (* Chaos: install the fault plan on the net and (when the plan drops or
-     duplicates) thread the Reliable shim between cluster and net. *)
-  let shim =
+  (* Chaos: the fault plan on the net and, when the plan drops or
+     duplicates, the Reliable shim between cluster and net. *)
+  let faulty =
     match cfg.chaos with
     | None -> None
-    | Some { plan; reliable; rto; _ } ->
+    | Some plan ->
         (match cfg.driver with
         | Hierarchical -> ()
         | Naimi_same_work | Naimi_pure ->
             invalid_arg "Experiment.run: chaos is only wired for the Hierarchical driver");
-        if Dcs_fault.Plan.needs_shim plan && not reliable then
-          invalid_arg "Experiment.run: plan drops/duplicates but chaos.reliable is false";
-        let plan_rng = Dcs_sim.Rng.create ~seed:(Int64.add cfg.seed 0x0FADL) in
-        Dcs_fault.Plan.install plan ~engine ~rng:plan_rng ~set_fault:(Net.set_fault net)
-          ~flush:(fun () -> Net.flush_held net);
-        if reliable then
-          Some (Dcs_fault.Reliable.create ~engine ~rto ~below:(Net.send net) ())
-        else None
+        Some
+          (Faulty_net.create ~engine ~latency:cfg.latency ~topology:cfg.topology ?trace
+             ~seed:cfg.seed plan)
   in
-  let transport = Option.map (fun s -> Dcs_fault.Reliable.send s) shim in
+  let net =
+    match faulty with
+    | Some f -> f.Faulty_net.net
+    | None ->
+        let rng = Dcs_sim.Rng.create ~seed:(Int64.add cfg.seed 0x9E37L) in
+        Net.create ~engine ~latency:cfg.latency ~topology:cfg.topology ~rng ?trace ()
+  in
+  let transport = Option.bind faulty Faulty_net.transport in
   let quiescent, cluster =
     match cfg.driver with
     | Hierarchical -> run_hierarchical ?transport ?obs:recorder cfg engine net meter
@@ -288,7 +273,7 @@ let run ?trace ?recorder cfg =
      recorder. Observation only — no events scheduled, no RNG draws — so
      trace digests and results are unchanged. *)
   (match recorder with
-  | Some r when Dcs_obs.Recorder.enabled r ->
+  | Some r ->
       let period = Float.max 1.0 (Net.mean_latency net) in
       let last = ref neg_infinity in
       Dcs_sim.Engine.set_tick engine
@@ -301,16 +286,21 @@ let run ?trace ?recorder cfg =
                  ~value:(float_of_int (Net.in_flight net));
                match cluster with Some c -> Hlock_cluster.sample_gauges c r | None -> ()
              end))
-  | _ -> ());
+  | None -> ());
   (* In a chaos run an oracle failure ends the run and is reported in
      [chaos_report] rather than raised, as the fuzzer does, so harnesses
      can print it. *)
+  let ended =
+    match faulty with
+    | Some _ -> Faulty_net.run engine
+    | None -> Ok (Dcs_sim.Engine.run engine)
+  in
   let oracle_failure =
-    match Dcs_sim.Engine.run engine with
-    | Dcs_sim.Engine.Drained -> None
-    | Dcs_sim.Engine.Horizon_reached -> assert false
-    | Dcs_sim.Engine.Event_limit -> failwith "Experiment.run: event limit hit (livelock?)"
-    | exception Failure msg when Option.is_some cfg.chaos -> Some ("safety: " ^ msg)
+    match ended with
+    | Ok Dcs_sim.Engine.Drained -> None
+    | Ok Dcs_sim.Engine.Horizon_reached -> assert false
+    | Ok Dcs_sim.Engine.Event_limit -> failwith "Experiment.run: event limit hit (livelock?)"
+    | Error v -> Some v
   in
   Dcs_sim.Engine.set_tick engine None;
   if oracle_failure = None then begin
@@ -326,17 +316,14 @@ let run ?trace ?recorder cfg =
   (* The engine has drained, so beyond the per-delivery invariants the
      cluster, the shim and the net must also be fully at rest. *)
   let chaos_report =
-    match cfg.chaos with
+    match faulty with
     | None -> None
-    | Some _ ->
+    | Some f ->
         let violations =
           match oracle_failure with
           | Some v -> [ v ]
           | None ->
-              (match cluster with
-              | Some c -> Hlock_cluster.quiescent_violations c
-              | None -> [])
-              @ (match shim with Some s -> Dcs_fault.Reliable.quiescent_violations s | None -> [])
+              (match cluster with Some c -> Faulty_net.at_rest f c | None -> [])
               @
               if Net.in_flight net = 0 then []
               else [ Printf.sprintf "net: %d messages still in flight" (Net.in_flight net) ]
@@ -348,7 +335,7 @@ let run ?trace ?recorder cfg =
         Some
           {
             violations;
-            reliable_stats = Option.map Dcs_fault.Reliable.stats shim;
+            reliable_stats = Option.map Dcs_fault.Reliable.stats f.Faulty_net.shim;
             shim_overhead = float_of_int shim_msgs /. float_of_int (max 1 protocol_msgs);
             net_dropped = Net.dropped net;
             net_duplicated = Net.duplicated net;

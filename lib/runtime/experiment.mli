@@ -24,19 +24,6 @@ type driver =
 
 val driver_to_string : driver -> string
 
-(** Chaos-mode settings: a fault plan plus how to survive it. Only
-    supported by the [Hierarchical] driver, whose cluster then runs the
-    per-delivery invariant oracle ({!Dcs_hlock.Invariant.safety} after
-    every delivered message and client call) whatever [config.oracle]
-    says. *)
-type chaos = {
-  plan : Dcs_fault.Plan.t;
-  reliable : bool;
-      (** interpose {!Dcs_fault.Reliable} between protocol and net;
-          mandatory when the plan drops or duplicates messages *)
-  rto : float;  (** shim retransmission timeout (ms) *)
-}
-
 type config = {
   nodes : int;
   driver : driver;
@@ -46,16 +33,17 @@ type config = {
   seed : int64;
   protocol : Dcs_hlock.Node.config;  (** hierarchical-protocol ablations *)
   oracle : bool;  (** re-check safety invariants after every message *)
-  chaos : chaos option;  (** degraded-network mode (default [None]) *)
+  chaos : Dcs_fault.Plan.t option;
+      (** degraded-network mode (default [None]): the run goes over a
+          {!Faulty_net} under this plan, with the {!Dcs_fault.Reliable}
+          shim exactly when the plan needs it. Only supported by the
+          [Hierarchical] driver, whose cluster then runs the per-delivery
+          invariant oracle ({!Dcs_hlock.Invariant.safety} after every
+          delivered message and client call) whatever [oracle] says. *)
 }
 
 (** Paper-parameter configuration for a driver and cluster size. *)
 val default_config : driver:driver -> nodes:int -> config
-
-(** [chaos plan] with sane defaults: the shim exactly when the plan needs
-    it ({!Dcs_fault.Plan.needs_shim}), 600 ms initial retransmission
-    timeout. *)
-val chaos : ?reliable:bool -> ?rto:float -> Dcs_fault.Plan.t -> chaos
 
 (** Estimated busy-phase length of a run (ms) — for placing the windows of
     named fault plans ({!Dcs_fault.Plan.named}). An estimate: fault
@@ -102,10 +90,11 @@ type result = {
     detected at quiescence when [oracle] is set. A chaos run instead
     {e reports} an oracle violation (which ends it early, skipping the
     liveness check) and its quiescence findings in [chaos_report], so
-    harnesses can print them. [trace] (disabled by default) records every network event;
-    its digest is the reproducibility check for chaos runs.
+    harnesses can print them. [trace] (none by default) folds every
+    network event into its digest, the reproducibility check for chaos
+    runs.
 
-    [recorder], when given and enabled, captures full request-lifecycle
+    [recorder], when given, captures full request-lifecycle
     telemetry ({!Dcs_obs}): span events and per-class wire bytes from the
     cluster, plus gauges (total queue depth, copyset size, frozen nodes,
     in-flight messages) sampled on the engine tick hook at roughly one

@@ -16,7 +16,6 @@ type t = {
   oracle : bool;
 }
 
-let nodes t = t.n
 let locks t = t.l
 
 let node t ~lock ~node = t.locks_arr.(lock).engines.(node)
@@ -124,22 +123,20 @@ let kick_all t =
 
 (* Cheap cluster-wide gauges for the engine-tick sampler. *)
 let sample_gauges t r =
-  if Dcs_obs.Recorder.enabled r then begin
-    let time = Net.now t.net in
-    let queued = ref 0 and copyset = ref 0 and frozen = ref 0 in
-    Array.iter
-      (fun ls ->
-        Array.iter
-          (fun e ->
-            queued := !queued + List.length (Node.queue e);
-            copyset := !copyset + Node.copyset_size e;
-            if not (Mode_set.is_empty (Node.frozen e)) then incr frozen)
-          ls.engines)
-      t.locks_arr;
-    Dcs_obs.Recorder.gauge r ~time ~name:"queue_depth" ~value:(float_of_int !queued);
-    Dcs_obs.Recorder.gauge r ~time ~name:"copyset_size" ~value:(float_of_int !copyset);
-    Dcs_obs.Recorder.gauge r ~time ~name:"frozen_nodes" ~value:(float_of_int !frozen)
-  end
+  let time = Net.now t.net in
+  let queued = ref 0 and copyset = ref 0 and frozen = ref 0 in
+  Array.iter
+    (fun ls ->
+      Array.iter
+        (fun e ->
+          queued := !queued + List.length (Node.queue e);
+          copyset := !copyset + Node.copyset_size e;
+          if not (Mode_set.is_empty (Node.frozen e)) then incr frozen)
+        ls.engines)
+    t.locks_arr;
+  Dcs_obs.Recorder.gauge r ~time ~name:"queue_depth" ~value:(float_of_int !queued);
+  Dcs_obs.Recorder.gauge r ~time ~name:"copyset_size" ~value:(float_of_int !copyset);
+  Dcs_obs.Recorder.gauge r ~time ~name:"frozen_nodes" ~value:(float_of_int !frozen)
 
 (* {1 Client operations} *)
 

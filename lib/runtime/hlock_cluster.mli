@@ -22,10 +22,9 @@ type t
     chaos experiments interpose {!Dcs_fault.Reliable.send} here so the
     engines keep their reliable-FIFO delivery contract over lossy links.
 
-    [obs], when given and enabled, receives every node's request-lifecycle
-    events (timestamped with the net's clock and tagged with lock and node
-    ids) plus per-class message counts and {!Dcs_wire.Codec} byte sizes. A
-    disabled recorder is equivalent to omitting it.
+    [obs], when given, receives every node's request-lifecycle events
+    (timestamped with the net's clock and tagged with lock and node ids)
+    plus per-class message counts and {!Dcs_wire.Codec} byte sizes.
 
     [restore], when given, rebuilds every node from a prior
     {!export_lock} instead of the initial star (indexed
@@ -43,7 +42,6 @@ val create :
   unit ->
   t
 
-val nodes : t -> int
 val locks : t -> int
 
 (** Direct access to a node engine (tests and inspection). *)

@@ -13,10 +13,6 @@ type t = {
   oracle : bool;
 }
 
-let nodes t = t.n
-let locks t = t.l
-let node t ~lock ~node = t.locks_arr.(lock).engines.(node)
-
 let safety_violations_lock ls ~lock =
   let violations = ref [] in
   let add fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in

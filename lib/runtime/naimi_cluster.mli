@@ -7,10 +7,6 @@ type t
     per-class message counts and wire byte sizes. *)
 val create : ?oracle:bool -> ?obs:Dcs_obs.Recorder.t -> net:Net.t -> nodes:int -> locks:int -> unit -> t
 
-val nodes : t -> int
-val locks : t -> int
-val node : t -> lock:int -> node:int -> Dcs_naimi.Naimi.t
-
 (** Request the critical section for [lock]; [on_acquired] fires exactly
     once (possibly synchronously). The protocol allows one outstanding
     request per (node, lock). *)
@@ -18,9 +14,6 @@ val request : t -> node:int -> lock:int -> on_acquired:(unit -> unit) -> unit
 
 (** Leave the critical section for [lock]. *)
 val release : t -> node:int -> lock:int -> unit
-
-(** Mutual exclusion and token-uniqueness violations visible right now. *)
-val safety_violations : t -> lock:int -> string list
 
 (** Structural invariants at full quiescence. *)
 val quiescent_violations : t -> string list

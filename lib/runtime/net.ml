@@ -13,7 +13,7 @@ type t = {
   latency : Dcs_sim.Dist.t;
   topology : Dcs_sim.Topology.t;
   rng : Dcs_sim.Rng.t;
-  trace : Dcs_sim.Trace.t;
+  trace : Dcs_sim.Trace.t option;
   counters : Counters.t;
   (* Per-link FIFO floors: [floors.(src).(dst)] is the latest delivery
      time scheduled on link src→dst, [neg_infinity] before the first.
@@ -26,8 +26,7 @@ type t = {
   mutable duplicated : int;
 }
 
-let create ~engine ~latency ?(topology = Dcs_sim.Topology.uniform) ~rng
-    ?(trace = Dcs_sim.Trace.create ~enabled:false ()) () =
+let create ~engine ~latency ?(topology = Dcs_sim.Topology.uniform) ~rng ?trace () =
   {
     engine;
     latency;
@@ -102,19 +101,19 @@ let delivery_time t ~src ~dst ~delay_factor ~extra_delay =
 let deliver_copy t ~src ~dst ~describe ~delay_factor ~extra_delay deliver =
   t.in_flight <- t.in_flight + 1;
   let time = delivery_time t ~src ~dst ~delay_factor ~extra_delay in
-  if Dcs_sim.Trace.enabled t.trace then begin
-    Dcs_sim.Trace.record t.trace ~time:(Dcs_sim.Engine.now t.engine) (fun () ->
-        Printf.sprintf "send n%d->n%d %s (eta %.3f)" src dst (describe ()) time);
-    Dcs_sim.Engine.schedule_at t.engine ~time (fun () ->
-        t.in_flight <- t.in_flight - 1;
-        Dcs_sim.Trace.record t.trace ~time (fun () ->
-            Printf.sprintf "recv n%d->n%d %s" src dst (describe ()));
-        deliver ())
-  end
-  else
-    Dcs_sim.Engine.schedule_at t.engine ~time (fun () ->
-        t.in_flight <- t.in_flight - 1;
-        deliver ())
+  match t.trace with
+  | Some trace ->
+      Dcs_sim.Trace.record trace ~time:(Dcs_sim.Engine.now t.engine) (fun () ->
+          Printf.sprintf "send n%d->n%d %s (eta %.3f)" src dst (describe ()) time);
+      Dcs_sim.Engine.schedule_at t.engine ~time (fun () ->
+          t.in_flight <- t.in_flight - 1;
+          Dcs_sim.Trace.record trace ~time (fun () ->
+              Printf.sprintf "recv n%d->n%d %s" src dst (describe ()));
+          deliver ())
+  | None ->
+      Dcs_sim.Engine.schedule_at t.engine ~time (fun () ->
+          t.in_flight <- t.in_flight - 1;
+          deliver ())
 
 (* Consult the fault hook (if any) and act on its decision. Also the
    re-entry point for flushed held messages, hence no counting here. *)
@@ -126,18 +125,22 @@ let dispatch t ~src ~dst ~cls ~describe deliver =
   in
   match decision with
   | Link.Hold ->
-      if Dcs_sim.Trace.enabled t.trace then
-        Dcs_sim.Trace.record t.trace ~time:(Dcs_sim.Engine.now t.engine) (fun () ->
-            Printf.sprintf "hold n%d->n%d %s" src dst (describe ()));
+      (match t.trace with
+      | Some trace ->
+          Dcs_sim.Trace.record trace ~time:(Dcs_sim.Engine.now t.engine) (fun () ->
+              Printf.sprintf "hold n%d->n%d %s" src dst (describe ()))
+      | None -> ());
       Queue.add
         { h_src = src; h_dst = dst; h_cls = cls; h_describe = describe; h_deliver = deliver }
         t.held
   | Link.Deliver { copies; delay_factor; extra_delay } ->
       if copies <= 0 then begin
         t.dropped <- t.dropped + 1;
-        if Dcs_sim.Trace.enabled t.trace then
-          Dcs_sim.Trace.record t.trace ~time:(Dcs_sim.Engine.now t.engine) (fun () ->
-              Printf.sprintf "drop n%d->n%d %s" src dst (describe ()))
+        match t.trace with
+        | Some trace ->
+            Dcs_sim.Trace.record trace ~time:(Dcs_sim.Engine.now t.engine) (fun () ->
+                Printf.sprintf "drop n%d->n%d %s" src dst (describe ()))
+        | None -> ()
       end
       else begin
         if copies > 1 then t.duplicated <- t.duplicated + (copies - 1);

@@ -17,6 +17,9 @@
 
 type t
 
+(** [trace], when given, receives a record for every send, delivery,
+    hold and drop; without it the net is untraced and never forces a
+    message's [describe]. *)
 val create :
   engine:Dcs_sim.Engine.t ->
   latency:Dcs_sim.Dist.t ->

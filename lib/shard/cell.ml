@@ -44,7 +44,6 @@ let reset ?config ?(oracle = false) ?restore t ~seed ~locks =
   t.cluster <- Hlock_cluster.create ?config ~oracle ?restore ~net:t.net ~nodes:t.nodes ~locks ()
 
 let engine t = t.engine
-let net t = t.net
 let cluster t = t.cluster
 let nodes t = t.nodes
 

@@ -33,7 +33,6 @@ val reset :
   unit
 
 val engine : t -> Dcs_sim.Engine.t
-val net : t -> Dcs_runtime.Net.t
 val cluster : t -> Dcs_runtime.Hlock_cluster.t
 val nodes : t -> int
 

@@ -28,7 +28,6 @@ let create ~buckets ~shards =
   }
 
 let buckets t = Array.length t.entries
-let shards t = t.shards
 
 let check_bucket t b fn =
   if b < 0 || b >= Array.length t.entries then

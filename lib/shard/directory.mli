@@ -21,7 +21,6 @@ val bucket_of_set : buckets:int -> int -> int
 val create : buckets:int -> shards:int -> t
 
 val buckets : t -> int
-val shards : t -> int
 
 (** The unique home shard of [bucket] right now. *)
 val home : t -> bucket:int -> int
@@ -41,9 +40,7 @@ val begin_migration : t -> bucket:int -> dst:int -> unit
     progress. *)
 val commit_migration : t -> bucket:int -> unit
 
-(** Wire row for one bucket / all buckets, for [Dir_update] broadcasts. *)
-val entry : t -> bucket:int -> Dcs_wire.Shard_msg.dir_entry
-
+(** Wire rows for all buckets, for [Dir_update] broadcasts. *)
 val entries : t -> Dcs_wire.Shard_msg.dir_entry list
 
 (** Merge a received directory row: [`Applied] if strictly newer,

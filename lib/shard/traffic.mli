@@ -14,10 +14,6 @@ type t = {
   total_bursts : int;
 }
 
-(** Bursts per set are capped at [2^20] so (set, burst) injects into the
-    seed salt space. *)
-val max_bursts_per_set : int
-
 (** Semantic salt identifying one burst, for
     {!Dcs_netkit.Parallel.cell_seed}: position-independent, unique per
     (set, burst). The burst's ops are {!Dcs_workload.Script.burst} of the

@@ -46,5 +46,3 @@ let to_string = function
   | Uniform { lo; hi } -> Printf.sprintf "uniform:%g:%g" lo hi
   | Exponential { mean } -> Printf.sprintf "exp:%g" mean
   | Shifted_exponential { min; mean } -> Printf.sprintf "sexp:%g:%g" min mean
-
-let pp ppf d = Format.pp_print_string ppf (to_string d)

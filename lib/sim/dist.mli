@@ -32,5 +32,3 @@ val of_string : string -> (t, string) result
 
 (** Inverse of {!of_string}, canonical form. *)
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -20,8 +20,6 @@ let star ~hub ~spoke_factor =
     factor = (fun src dst -> if src = hub || dst = hub then 1.0 else spoke_factor);
   }
 
-let custom factor = { label = "custom"; factor }
-
 let factor t ~src ~dst = t.factor src dst
 
 let to_string t = t.label

@@ -19,9 +19,6 @@ val racks : rack_size:int -> remote_factor:float -> t
     [spoke_factor] (models a well-placed coordinator machine). *)
 val star : hub:int -> spoke_factor:float -> t
 
-(** Custom scaling function. *)
-val custom : (int -> int -> float) -> t
-
 (** Latency multiplier for a directed pair. *)
 val factor : t -> src:int -> dst:int -> float
 

@@ -1,34 +1,9 @@
-(* Entries live in a pair of parallel ring arrays (times unboxed). With a
-   capacity, eviction is an O(1) overwrite of the oldest slot — the
-   previous list-based implementation re-filtered the whole retained list
-   on every capacity-evicted record. Without a capacity the arrays grow
-   geometrically. The digest always covers every entry ever recorded,
-   including evicted ones: it folds the raw IEEE bits of the timestamp
-   (exact, no decimal re-rendering) and the entry text into FNV-1a. *)
+(* The digest folds the raw IEEE bits of the timestamp (exact, no decimal
+   re-rendering), low byte first, then the record text into FNV-1a. *)
 
-type t = {
-  enabled : bool;
-  capacity : int option;
-  mutable times : float array;
-  mutable lines : string array;
-  mutable total : int;  (* entries ever recorded *)
-  mutable hash : int64;
-}
+type t = { mutable hash : int64 }
 
-let create ?capacity ~enabled () =
-  (match capacity with
-  | Some c when c <= 0 -> invalid_arg "Trace.create: capacity <= 0"
-  | _ -> ());
-  { enabled; capacity; times = [||]; lines = [||]; total = 0; hash = 0xcbf29ce484222325L }
-
-let enabled t = t.enabled
-
-let reset t =
-  (* Release the retained lines (they can root arbitrary strings) but keep
-     the arrays themselves: a pooled trace restarts without reallocating. *)
-  Array.fill t.lines 0 (Array.length t.lines) "";
-  t.total <- 0;
-  t.hash <- 0xcbf29ce484222325L
+let create () = { hash = 0xcbf29ce484222325L }
 
 let fnv_prime = 0x100000001b3L
 
@@ -48,62 +23,8 @@ let hash_time h time =
   done;
   !h
 
-let retained t =
-  match t.capacity with Some cap -> min t.total cap | None -> t.total
-
-let length = retained
-
-let total t = t.total
-
-let evicted t = t.total - retained t
-
-let ensure_room t =
-  let cap = Array.length t.times in
-  if t.total = cap then begin
-    let cap' = if cap = 0 then 64 else 2 * cap in
-    let times = Array.make cap' 0.0 in
-    let lines = Array.make cap' "" in
-    Array.blit t.times 0 times 0 t.total;
-    Array.blit t.lines 0 lines 0 t.total;
-    t.times <- times;
-    t.lines <- lines
-  end
-
 let record t ~time msg =
-  if t.enabled then begin
-    let line = msg () in
-    t.hash <- hash_string (hash_time t.hash time) line;
-    (match t.capacity with
-    | Some cap ->
-        if Array.length t.times = 0 then begin
-          t.times <- Array.make cap 0.0;
-          t.lines <- Array.make cap ""
-        end;
-        let slot = t.total mod cap in
-        t.times.(slot) <- time;
-        t.lines.(slot) <- line
-    | None ->
-        ensure_room t;
-        t.times.(t.total) <- time;
-        t.lines.(t.total) <- line);
-    t.total <- t.total + 1
-  end
-
-let entries t =
-  let n = retained t in
-  let start =
-    match t.capacity with
-    | Some cap when t.total > cap -> t.total mod cap
-    | _ -> 0
-  in
-  let modulus = max 1 (Array.length t.times) in
-  List.init n (fun i ->
-      let slot = (start + i) mod modulus in
-      (t.times.(slot), t.lines.(slot)))
+  let line = msg () in
+  t.hash <- hash_string (hash_time t.hash time) line
 
 let digest t = t.hash
-
-let pp ppf t =
-  let n = evicted t in
-  if n > 0 then Format.fprintf ppf "... %d earlier entries evicted ...@." n;
-  List.iter (fun (time, line) -> Format.fprintf ppf "[%10.3f] %s@." time line) (entries t)

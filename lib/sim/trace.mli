@@ -1,46 +1,19 @@
-(** Lightweight simulation traces.
+(** Simulation trace digests.
 
-    A trace records timestamped, pre-rendered entries. Recording is cheap
-    when disabled (the formatter thunk is not forced). Traces serve two
-    purposes: human inspection of protocol runs, and determinism checks
-    (two runs with equal seeds must produce equal {!digest}s). *)
+    A trace folds timestamped, rendered records into one FNV-1a digest and
+    keeps nothing else. It is the determinism check of a simulated run:
+    two runs with equal seeds must produce equal {!digest}s. A run that
+    wants no digest passes no trace (see {!Dcs_runtime.Net.create}), so
+    nothing is rendered. *)
 
 type t
 
-(** [create ~enabled ()] makes a trace; when [capacity] is given, only the
-    last [capacity] entries are retained (ring buffer). *)
-val create : ?capacity:int -> enabled:bool -> unit -> t
+val create : unit -> t
 
-val enabled : t -> bool
-
-(** Forget every entry and restart the digest at its initial value,
-    keeping the allocated ring so a pooled trace restarts for free. *)
-val reset : t -> unit
-
-(** [record t ~time msg] appends an entry; [msg] is forced only when the
-    trace is enabled. *)
+(** [record t ~time msg] forces [msg] and folds [time] and the text into
+    the digest. *)
 val record : t -> time:float -> (unit -> string) -> unit
 
-(** Entries in chronological order (oldest first). *)
-val entries : t -> (float * string) list
-
-(** Number of retained entries. *)
-val length : t -> int
-
-(** Entries ever recorded, including any evicted from the ring;
-    [total t = length t + evicted t]. *)
-val total : t -> int
-
-(** Entries overwritten by the ring ([0] without a capacity). Lets tools
-    distinguish a partial trace from a full one. *)
-val evicted : t -> int
-
-(** FNV-1a hash over all entries ever recorded (including ones evicted from
-    the ring). Equal runs give equal digests. Recording must be enabled for
-    the digest to be meaningful. *)
+(** FNV-1a hash over every record: the raw IEEE bits of each time, then
+    its text. Equal runs give equal digests. *)
 val digest : t -> int64
-
-(** Print entries as ["[%.3f] msg"] lines. When the ring wrapped, a
-    ["... N earlier entries evicted ..."] header precedes them, so a
-    truncated trace is never mistaken for a complete one. *)
-val pp : Format.formatter -> t -> unit

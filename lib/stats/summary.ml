@@ -58,8 +58,3 @@ let merge_into ~dst ~src =
       dst.total <- dst.total +. src.total
     end
   end
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" t.n (mean t) (stddev t)
-    (if t.n = 0 then 0.0 else t.min)
-    (if t.n = 0 then 0.0 else t.max)

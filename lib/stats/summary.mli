@@ -26,5 +26,3 @@ val total : t -> float
 
 (** Merge [src] into [dst] (Chan et al. parallel update). *)
 val merge_into : dst:t -> src:t -> unit
-
-val pp : Format.formatter -> t -> unit

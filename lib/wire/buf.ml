@@ -99,7 +99,7 @@ let patch_u32_be w ~at v =
 
 (* {1 Zero-copy reader} *)
 
-type reader = { mutable data : Bytes.t; mutable pos : int; mutable limit : int }
+type reader = { data : Bytes.t; mutable pos : int; limit : int }
 
 (* The string is never written through the alias, so the unsafe cast is a
    pure zero-copy view. *)
@@ -110,13 +110,6 @@ let reader_sub b ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
     invalid_arg "Buf.reader_sub: slice out of range";
   { data = b; pos = off; limit = off + len }
-
-let attach r b ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length b then
-    invalid_arg "Buf.attach: slice out of range";
-  r.data <- b;
-  r.pos <- off;
-  r.limit <- off + len
 
 let at_end r = r.pos >= r.limit
 
@@ -160,9 +153,3 @@ let read_count r =
 let read_list r f =
   let n = read_count r in
   List.init n (fun _ -> f r)
-
-let skip_list r f =
-  let n = read_count r in
-  for _ = 1 to n do
-    f r
-  done

@@ -7,9 +7,8 @@
     The writer is a reusable flat [Bytes.t] buffer: it grows once
     (amortized doubling) and {!reset} rewinds it between frames without
     freeing, so steady-state encoding allocates nothing. The reader is a
-    zero-copy cursor over a caller-owned [Bytes.t] slice; {!attach}
-    re-aims an existing reader so steady-state decoding allocates only
-    what the decoded value itself needs.
+    zero-copy cursor over a caller-owned [Bytes.t] slice, so decoding
+    allocates only the cursor and what the decoded value itself needs.
 
     This module knows primitives, not layouts: the message layout and the
     stream frame belong to {!Codec} alone. *)
@@ -81,9 +80,6 @@ val reader : string -> reader
     Raises [Invalid_argument] on an out-of-range slice. *)
 val reader_sub : Bytes.t -> off:int -> len:int -> reader
 
-(** Re-aim an existing reader at a new slice, allocating nothing. *)
-val attach : reader -> Bytes.t -> off:int -> len:int -> unit
-
 (** True when every byte of the slice has been consumed. *)
 val at_end : reader -> bool
 
@@ -100,7 +96,3 @@ val read_count : reader -> int
 
 (** [read_list r f] reads a {!read_count} then [count] elements. *)
 val read_list : reader -> (reader -> 'a) -> 'a list
-
-(** [skip_list r f] reads a {!read_count} then [count] elements via [f],
-    materializing nothing. *)
-val skip_list : reader -> (reader -> unit) -> unit

@@ -367,134 +367,6 @@ let decode s = read_envelope (Buf.reader s)
 
 let decode_sub b ~off ~len = read_envelope (Buf.reader_sub b ~off ~len)
 
-(* {1 Skimming}
-
-   The full decoder, minus materialization: every field is read and
-   validated exactly as [read_envelope] would, but nothing is built, so
-   a frame can be checked (or its class inspected) with zero allocation.
-   Mirrors the readers above — extend both when the wire format grows. *)
-
-let skim_mode r = ignore (read_mode r)
-
-(* Not [ignore (read_mode_opt r)]: building the [Some] would allocate. *)
-let skim_mode_opt r =
-  match Buf.read_u8 r with
-  | 255 -> ()
-  | i when i >= 0 && i <= 4 -> ()
-  | i -> raise (Buf.Malformed (Printf.sprintf "bad mode option %d" i))
-
-let skim_mode_set r = ignore (read_mode_set r)
-
-let skim_varint r = ignore (Buf.read_varint r)
-
-let skim_request r =
-  skim_varint r;
-  skim_varint r;
-  skim_mode r;
-  ignore (Buf.read_bool r);
-  skim_varint r;
-  skim_varint r;
-  skim_varint r;
-  ignore (Buf.read_bool r);
-  skim_varint r;
-  skim_varint r;
-  Buf.skip_list r skim_varint
-
-let skim_node_snapshot r =
-  ignore (Buf.read_bool r);
-  skim_varint r;
-  skim_varint r;
-  skim_varint r;
-  skim_varint r;
-  skim_mode_opt r;
-  skim_mode_set r;
-  Buf.skip_list r (fun r ->
-      skim_varint r;
-      skim_mode r;
-      skim_varint r);
-  Buf.skip_list r skim_request;
-  skim_mode_set r;
-  Buf.skip_list r (fun r ->
-      skim_varint r;
-      skim_mode_set r);
-  skim_varint r;
-  skim_varint r;
-  skim_varint r;
-  skim_varint r;
-  Buf.skip_list r skim_varint;
-  ignore (Buf.read_bool r);
-  ignore (Buf.read_bool r);
-  skim_varint r;
-  skim_varint r;
-  skim_varint r
-
-let skim_dir_entry r =
-  skim_varint r;
-  skim_varint r;
-  skim_varint r
-
-let skim_shard_msg r =
-  match Buf.read_u8 r with
-  | 0 -> skim_varint r
-  | 1 | 2 -> skim_dir_entry r
-  | 3 ->
-      skim_varint r;
-      skim_varint r;
-      Buf.skip_list r (fun r ->
-          skim_varint r;
-          skim_varint r;
-          skim_varint r;
-          skim_varint r;
-          Buf.skip_list r skim_node_snapshot);
-      Buf.skip_list r (fun r ->
-          skim_varint r;
-          skim_varint r)
-  | 4 ->
-      skim_varint r;
-      skim_varint r
-  | 5 ->
-      skim_varint r;
-      skim_varint r;
-      skim_varint r;
-      skim_varint r
-  | t -> raise (Buf.Malformed (Printf.sprintf "bad shard tag %d" t))
-
-let skim_envelope r =
-  let v = Buf.read_u8 r in
-  if v <> version then raise (Buf.Malformed (Printf.sprintf "unsupported version %d" v));
-  skim_varint r;
-  skim_varint r;
-  (match Buf.read_u8 r with
-  | 0 -> (
-      match Buf.read_u8 r with
-      | 0 -> skim_request r
-      | 1 ->
-          skim_request r;
-          skim_varint r;
-          skim_mode r;
-          Buf.skip_list r skim_varint
-      | 2 ->
-          skim_request r;
-          skim_mode_opt r;
-          skim_varint r;
-          Buf.skip_list r skim_request;
-          skim_mode_set r
-      | 3 ->
-          skim_mode_opt r;
-          skim_varint r
-      | 4 -> skim_mode_set r
-      | t -> raise (Buf.Malformed (Printf.sprintf "bad hlock tag %d" t)))
-  | 1 -> (
-      match Buf.read_u8 r with
-      | 0 ->
-          skim_varint r;
-          skim_varint r
-      | 1 -> ()
-      | t -> raise (Buf.Malformed (Printf.sprintf "bad naimi tag %d" t)))
-  | 2 -> skim_shard_msg r
-  | t -> raise (Buf.Malformed (Printf.sprintf "bad payload tag %d" t)));
-  if not (Buf.at_end r) then raise (Buf.Malformed "trailing bytes")
-
 (* {1 Stream framing}
 
    A frame is a 4-byte big-endian body length, then the encoded envelope.

@@ -9,11 +9,11 @@
 
     Two encode/decode surfaces exist. The string API ({!encode} /
     {!decode}) is a thin convenience shim. The flat API
-    ({!write_envelope} into a reusable {!Buf.writer}, {!read_envelope} /
-    {!decode_sub} over caller-owned bytes, {!skim_envelope} for
-    validation) is the zero-allocation transport path: with a reused
-    writer and reader, encoding and skimming allocate nothing, and
-    decoding allocates only the decoded message itself.
+    ({!write_envelope} into a reusable {!Buf.writer}, {!decode_sub} over
+    caller-owned bytes) is the transport path: with a reused writer,
+    encoding allocates nothing, and decoding allocates only the decoded
+    message itself. Both decoders share one reader, so they accept and
+    reject exactly the same bytes.
 
     This module is the only owner of the byte format: the envelope
     layout and the stream frame. There is one encoder, written straight
@@ -41,25 +41,15 @@ type envelope = {
 (** Current format version, encoded into every message. *)
 val version : int
 
-(** {1 Flat (zero-allocation) path} *)
+(** {1 Flat path} *)
 
 (** Append one encoded envelope to the writer; allocates nothing. *)
 val write_envelope : Buf.writer -> envelope -> unit
 
-(** Decode one envelope from a reader positioned on it; the whole slice
-    must be consumed. Raises {!Buf.Malformed} on garbage, truncation or
-    version mismatch. *)
-val read_envelope : Buf.reader -> envelope
-
 (** [decode_sub b ~off ~len] decodes the envelope occupying exactly that
-    slice. *)
+    slice. Raises {!Buf.Malformed} on garbage, truncation, trailing bytes
+    or version mismatch. *)
 val decode_sub : Bytes.t -> off:int -> len:int -> envelope
-
-(** Validate without materializing: reads every field exactly as
-    {!read_envelope} would — same {!Buf.Malformed} failures, including
-    the trailing-bytes check — but builds nothing and allocates
-    nothing. *)
-val skim_envelope : Buf.reader -> unit
 
 (** {1 String shim} *)
 

@@ -372,8 +372,8 @@ let run_chaos ~seed name =
   let cfg = chaos_config ~seed in
   let horizon = Experiment.horizon_estimate cfg in
   let plan = Option.get (Plan.named ~nodes:8 ~horizon name) in
-  let cfg = { cfg with Experiment.chaos = Some (Experiment.chaos plan) } in
-  let trace = Dcs_sim.Trace.create ~capacity:64 ~enabled:true () in
+  let cfg = { cfg with Experiment.chaos = Some plan } in
+  let trace = Dcs_sim.Trace.create () in
   let result = Experiment.run ~trace cfg in
   (result, Dcs_sim.Trace.digest trace)
 
@@ -402,20 +402,12 @@ let test_chaos_determinism () =
     [ "heal-partition"; "lossy-dup" ]
 
 let test_chaos_rejects_bad_configs () =
-  let cfg = chaos_config ~seed:1L in
   let w = { Plan.start = 0.0; duration = 1000.0 } in
   let lossy = [ Plan.Drop { window = w; prob = 0.5; scope = Plan.All } ] in
-  let unshielded =
-    { cfg with Experiment.chaos = Some (Experiment.chaos ~reliable:false lossy) }
-  in
-  checkb "lossy plan without shim rejected" true
-    (match Experiment.run unshielded with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
   let naimi =
     {
       (Experiment.default_config ~driver:Experiment.Naimi_pure ~nodes:4) with
-      Experiment.chaos = Some (Experiment.chaos lossy);
+      Experiment.chaos = Some lossy;
     }
   in
   checkb "chaos under naimi rejected" true

@@ -93,7 +93,7 @@ let metric_value r name =
   | _ -> Alcotest.failf "no counter %s" name
 
 let test_recorder_accounting () =
-  let r = Recorder.create ~enabled:true () in
+  let r = Recorder.create () in
   populate r;
   checki "events retained" 11 (Recorder.event_count r);
   checki "spans requested" 3 (Recorder.requested r);
@@ -120,7 +120,7 @@ let test_recorder_accounting () =
 (* The figures the Recorder used to fold online, now derived from
    [populate]'s events by the analyzer's folds. *)
 let test_merge_grant_paths_and_freezes () =
-  let r = Recorder.create ~enabled:true () in
+  let r = Recorder.create () in
   populate r;
   let events =
     List.stable_sort (fun (a : Event.t) (b : Event.t) -> compare a.time b.time) (Recorder.events r)
@@ -142,16 +142,8 @@ let test_merge_grant_paths_and_freezes () =
     Alcotest.(list (pair (float 1e-9) (float 1e-9)))
     "one closed 5 ms freeze episode, none open" [ (3.0, 8.0) ] episodes
 
-let test_recorder_disabled () =
-  let r = Recorder.create ~enabled:false () in
-  populate r;
-  checki "no events" 0 (Recorder.event_count r);
-  checki "no spans" 0 (Recorder.requested r);
-  checki "no messages" 0 (List.assoc Msg_class.Request (Recorder.msg_counts r));
-  checkb "reports disabled" false (Recorder.enabled r)
-
 let test_recorder_metrics_only () =
-  let r = Recorder.create ~events:false ~enabled:true () in
+  let r = Recorder.create ~events:false () in
   populate r;
   checki "event log off" 0 (List.length (Recorder.events r));
   checki "metrics still counted" 3 (Recorder.completed r);
@@ -161,7 +153,7 @@ let test_recorder_metrics_only () =
 (* {1 JSONL round-trip} *)
 
 let test_jsonl_roundtrip () =
-  let r = Recorder.create ~enabled:true () in
+  let r = Recorder.create () in
   populate r;
   let counters = [ (Msg_class.Request, 2); (Msg_class.Token_transfer, 1) ] in
   let path = Filename.temp_file "dcs_obs_test" ".jsonl" in
@@ -301,7 +293,7 @@ let test_jsonl_robust_not_meta_first () =
 let test_jsonl_v2_node_event () =
   (* v2 writes an explicit scope discriminator: node lines say so and
      carry no req/seq; span lines carry both. *)
-  let r = Recorder.create ~enabled:true () in
+  let r = Recorder.create () in
   node_ev r ~time:1.0 ~node:3 (Event.Frozen (Mode_set.of_list [ Mode.R ]));
   ev r ~time:2.0 ~node:3 ~requester:1 ~seq:0 (Event.Requested { mode = Mode.R; priority = 0 });
   let path = Filename.temp_file "dcs_obs_v2" ".jsonl" in
@@ -620,7 +612,7 @@ let test_merge_classifies_queue_and_freeze () =
 
 let test_traced_run_crosschecks () =
   let module Experiment = Dcs_runtime.Experiment in
-  let recorder = Recorder.create ~enabled:true () in
+  let recorder = Recorder.create () in
   let workload =
     { Dcs_workload.Airline.default_config with Dcs_workload.Airline.ops_per_node = 8 }
   in
@@ -638,7 +630,7 @@ let test_traced_run_crosschecks () =
         (List.assoc cls (Recorder.msg_counts recorder)))
     result.Experiment.messages;
   (* Naimi spans close too (exclusive locks recorded as mode W). *)
-  let nrec = Recorder.create ~enabled:true () in
+  let nrec = Recorder.create () in
   let nres =
     Dcs_runtime.Figures.traced_cell ~workload ~recorder:nrec
       ~driver:Experiment.Naimi_pure ~nodes:8 ()
@@ -663,7 +655,6 @@ let () =
       ( "recorder",
         [
           Alcotest.test_case "accounting" `Quick test_recorder_accounting;
-          Alcotest.test_case "disabled records nothing" `Quick test_recorder_disabled;
           Alcotest.test_case "metrics-only" `Quick test_recorder_metrics_only;
         ] );
       ( "jsonl",

@@ -62,7 +62,7 @@ let run_grid ~jobs =
     (fun (driver, nodes) ->
       let cfg = Experiment.default_config ~driver ~nodes in
       let cfg = { cfg with Experiment.seed = Parallel.cell_seed ~base:7L ~salt:nodes } in
-      let trace = Dcs_sim.Trace.create ~capacity:256 ~enabled:true () in
+      let trace = Dcs_sim.Trace.create () in
       let r = Experiment.run ~trace cfg in
       ( r.Experiment.msgs_per_op,
         r.Experiment.msgs_per_lock_request,

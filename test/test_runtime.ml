@@ -61,6 +61,42 @@ let test_net_fifo_wide_ids () =
   checki "all delivered" 6000 (Hashtbl.fold (fun _ n acc -> acc + n) received 0);
   checki "in flight drained" 0 (Net.in_flight net)
 
+(* An untraced net (no [?trace]) never forces a message's [describe],
+   whatever the fault hook does with it: hold (then flush), drop or
+   duplicate. Covers every trace site of [Net]: send, recv, hold, drop. *)
+let test_net_untraced_never_describes () =
+  let engine = Dcs_sim.Engine.create () in
+  let rng = Dcs_sim.Rng.create ~seed:5L in
+  let net = Net.create ~engine ~latency:(Dcs_sim.Dist.uniform_around 10.0) ~rng () in
+  let holding = ref true in
+  (* Message i: 0 mod 4 held while [holding], 1 dropped, 2 duplicated,
+     3 passed; [cls] carries nothing, so the hook reads the destination. *)
+  Net.set_fault net (fun ~now:_ ~src:_ ~dst ~cls:_ ->
+      match dst mod 4 with
+      | 0 when !holding -> Dcs_proto.Link.Hold
+      | 1 -> Dcs_proto.Link.Deliver { copies = 0; delay_factor = 1.0; extra_delay = 0.0 }
+      | 2 -> Dcs_proto.Link.Deliver { copies = 2; delay_factor = 1.0; extra_delay = 0.0 }
+      | _ -> Dcs_proto.Link.pass);
+  let arrived = Array.make 16 0 in
+  for dst = 0 to 15 do
+    Net.send net ~src:16 ~dst ~cls:Dcs_proto.Msg_class.Request
+      ~describe:(fun () -> Alcotest.fail "describe forced on an untraced net")
+      (fun () -> arrived.(dst) <- arrived.(dst) + 1)
+  done;
+  checki "held" 4 (Net.held_count net);
+  ignore (Dcs_sim.Engine.run engine);
+  holding := false;
+  Net.flush_held net;
+  ignore (Dcs_sim.Engine.run engine);
+  Alcotest.check
+    Alcotest.(array int)
+    "every undropped message arrives"
+    (Array.init 16 (fun dst -> match dst mod 4 with 1 -> 0 | 2 -> 2 | _ -> 1))
+    arrived;
+  checki "dropped" 4 (Net.dropped net);
+  checki "duplicated" 4 (Net.duplicated net);
+  checki "in flight drained" 0 (Net.in_flight net)
+
 (* A net reused after [Net.reset] (engine reset, rng reseeded alongside,
    as [Cell] does between bursts) schedules exactly the delivery times of
    a fresh net: the previous run's link floors, absolute times on the old
@@ -468,6 +504,8 @@ let () =
           Alcotest.test_case "fifo per pair" `Quick test_net_fifo_per_pair;
           Alcotest.test_case "fifo with wide ids" `Quick test_net_fifo_wide_ids;
           Alcotest.test_case "reset matches fresh" `Quick test_net_reset_matches_fresh;
+          Alcotest.test_case "untraced net never forces describe" `Quick
+            test_net_untraced_never_describes;
           Alcotest.test_case "counters" `Quick test_counters;
         ] );
       ( "hlock-cluster",

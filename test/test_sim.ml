@@ -310,85 +310,25 @@ let test_engine_past_clamped () =
 
 let test_trace_determinism () =
   let mk () =
-    let tr = Trace.create ~enabled:true () in
+    let tr = Trace.create () in
     Trace.record tr ~time:1.0 (fun () -> "hello");
     Trace.record tr ~time:2.0 (fun () -> "world");
     tr
   in
   Alcotest.check Alcotest.int64 "equal digests" (Trace.digest (mk ())) (Trace.digest (mk ()));
-  let other = Trace.create ~enabled:true () in
+  let other = Trace.create () in
   Trace.record other ~time:1.0 (fun () -> "different");
   checkb "different digest" true (Trace.digest other <> Trace.digest (mk ()))
 
-let test_trace_disabled_is_free () =
-  let tr = Trace.create ~enabled:false () in
-  Trace.record tr ~time:1.0 (fun () -> Alcotest.fail "thunk must not be forced");
-  checki "no entries" 0 (Trace.length tr)
-
-let test_trace_capacity () =
-  let tr = Trace.create ~capacity:3 ~enabled:true () in
-  for i = 1 to 5 do
-    Trace.record tr ~time:(float_of_int i) (fun () -> string_of_int i)
-  done;
-  checki "ring keeps 3" 3 (Trace.length tr);
-  Alcotest.check
-    Alcotest.(list string)
-    "keeps newest" [ "3"; "4"; "5" ]
-    (List.map snd (Trace.entries tr))
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-let test_trace_wraparound () =
-  let tr = Trace.create ~capacity:4 ~enabled:true () in
-  for i = 1 to 3 do
-    Trace.record tr ~time:(float_of_int i) (fun () -> string_of_int i)
-  done;
-  (* under capacity *)
-  checki "total under capacity" 3 (Trace.total tr);
-  checki "nothing evicted yet" 0 (Trace.evicted tr);
-  (* capacity hit exactly *)
-  Trace.record tr ~time:4.0 (fun () -> "4");
-  checki "total at capacity" 4 (Trace.total tr);
-  checki "exact fill evicts nothing" 0 (Trace.evicted tr);
-  (* capacity exceeded *)
-  Trace.record tr ~time:5.0 (fun () -> "5");
-  checki "total counts evicted entries" 5 (Trace.total tr);
-  checki "one evicted" 1 (Trace.evicted tr);
-  checki "length + evicted = total" (Trace.total tr) (Trace.length tr + Trace.evicted tr);
-  (* no capacity: never evicts *)
-  let un = Trace.create ~enabled:true () in
-  for i = 1 to 100 do
-    Trace.record un ~time:(float_of_int i) (fun () -> string_of_int i)
-  done;
-  checki "unbounded never evicts" 0 (Trace.evicted un);
-  checki "unbounded total" 100 (Trace.total un)
-
-let test_trace_digest_across_wrap () =
-  (* The digest covers every entry ever recorded, so the ring capacity
-     (including none at all) must not change it. *)
-  let fill capacity =
-    let tr = Trace.create ?capacity ~enabled:true () in
-    for i = 1 to 20 do
-      Trace.record tr ~time:(float_of_int i) (fun () -> string_of_int i)
-    done;
-    Trace.digest tr
-  in
-  Alcotest.check Alcotest.int64 "digest independent of capacity" (fill None) (fill (Some 4));
-  Alcotest.check Alcotest.int64 "digest stable across wraps" (fill (Some 4)) (fill (Some 4))
-
-let test_trace_pp_eviction_header () =
-  let render tr = Format.asprintf "%a" Trace.pp tr in
-  let tr = Trace.create ~capacity:2 ~enabled:true () in
-  for i = 1 to 5 do
-    Trace.record tr ~time:(float_of_int i) (fun () -> string_of_int i)
-  done;
-  checkb "eviction header present" true (contains (render tr) "3 earlier entries evicted");
-  let full = Trace.create ~capacity:9 ~enabled:true () in
-  Trace.record full ~time:1.0 (fun () -> "x");
-  checkb "no header when nothing evicted" false (contains (render full) "evicted")
+(* Pins the FNV-1a fold over each record's time bits and text: a
+   fractional time and an empty text included. *)
+let test_trace_digest_golden () =
+  let tr = Trace.create () in
+  Trace.record tr ~time:0.0 (fun () -> "send n0->n1 request");
+  Trace.record tr ~time:12.375 (fun () -> "");
+  Trace.record tr ~time:150.1 (fun () -> "recv n1->n0 grant");
+  Alcotest.check Alcotest.string "digest" "eeccfb66731a1d66"
+    (Printf.sprintf "%016Lx" (Trace.digest tr))
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -426,10 +366,6 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "determinism" `Quick test_trace_determinism;
-          Alcotest.test_case "disabled is free" `Quick test_trace_disabled_is_free;
-          Alcotest.test_case "capacity ring" `Quick test_trace_capacity;
-          Alcotest.test_case "wraparound accounting" `Quick test_trace_wraparound;
-          Alcotest.test_case "digest across wrap" `Quick test_trace_digest_across_wrap;
-          Alcotest.test_case "pp eviction header" `Quick test_trace_pp_eviction_header;
+          Alcotest.test_case "digest golden" `Quick test_trace_digest_golden;
         ] );
     ]

@@ -429,28 +429,7 @@ let prop_writer_reset_reuse =
           Bytes.to_string via_reuse = Codec.encode env)
         envs)
 
-(* {2 Skim and decode_sub agree with decode}
-
-   The skim path must accept exactly what the decoder accepts — on the
-   whole frame and on every proper prefix — and [decode_sub] must honor
-   its slice bounds. *)
-
-let skims s =
-  match Codec.skim_envelope (Buf.reader s) with () -> true | exception Buf.Malformed _ -> false
-
-let decodes s =
-  match Codec.decode s with _ -> true | exception Buf.Malformed _ -> false
-
-let prop_skim_equiv_decode =
-  Q.Test.make ~name:"skim accepts iff decode accepts (all prefixes)" ~count:200 gen_envelope
-    (fun env ->
-      let s = Codec.encode env in
-      let ok = ref (skims s && decodes s) in
-      for len = 0 to String.length s - 1 do
-        let prefix = String.sub s 0 len in
-        if skims prefix || decodes prefix then ok := false
-      done;
-      !ok)
+(* {2 decode_sub honors its slice bounds} *)
 
 let prop_decode_sub_slices =
   Q.Test.make ~name:"decode_sub decodes mid-buffer slices" ~count:200 gen_envelope (fun env ->
@@ -560,8 +539,7 @@ let test_frame_roundtrip () =
 
    Whatever arrives on a socket or sits in a stored blob, every decoder
    raises [Buf.Malformed] and nothing else: another exception would kill
-   the transport's reader thread without counting a decode error. And the
-   skim path must accept exactly what the decoder accepts. *)
+   the transport's reader thread without counting a decode error. *)
 
 let gen_snapshot =
   Q.Gen.(
@@ -673,10 +651,9 @@ let check_envelope_decoders s =
   Bytes.blit_string s 0 b 3 len;
   let decoded = outcome (fun () -> Codec.decode s) in
   let sub = outcome (fun () -> Codec.decode_sub b ~off:3 ~len) in
-  let skimmed = outcome (fun () -> Codec.skim_envelope (Buf.reader s)) in
-  match (decoded, sub, skimmed) with
-  | (`Ok | `Malformed), _, _ when decoded = sub && decoded = skimmed -> true
-  | _ -> Q.Test.fail_reportf "decode/decode_sub/skim disagree or raise on %S" s
+  match (decoded, sub) with
+  | (`Ok | `Malformed), _ when decoded = sub -> true
+  | _ -> Q.Test.fail_reportf "decode/decode_sub disagree or raise on %S" s
 
 let check_cluster_state s =
   match outcome (fun () -> Codec.decode_cluster_state s) with
@@ -684,11 +661,11 @@ let check_cluster_state s =
   | `Raised e -> Q.Test.fail_reportf "decode_cluster_state raised %s on %S" e s
 
 let prop_hostile_envelope =
-  Q.Test.make ~name:"random bytes: envelope decoders raise only Malformed, skim iff decode"
+  Q.Test.make ~name:"random bytes: envelope decoders raise only Malformed"
     ~count:5000 gen_hostile check_envelope_decoders
 
 let prop_mutated_envelope =
-  Q.Test.make ~name:"one mutated byte: envelope decoders raise only Malformed, skim iff decode"
+  Q.Test.make ~name:"one mutated byte: envelope decoders raise only Malformed"
     ~count:3000
     Q.Gen.(pair gen_any_envelope gen_mutation)
     (fun (env, m) -> check_envelope_decoders (mutate (Codec.encode env) m))
@@ -719,11 +696,9 @@ let test_string_length_overflow () =
       ignore (Buf.read_u8 r);
       Buf.read_string r)
 
-(* A negative list count: read and skip must both refuse it. *)
+(* A negative list count: the list reader must refuse it. *)
 let test_negative_list_count () =
-  malformed "read" (fun () -> Buf.read_list (Buf.reader (wide_varint '\x7f')) Buf.read_u8);
-  malformed "skip" (fun () ->
-      Buf.skip_list (Buf.reader (wide_varint '\x7f')) (fun r -> ignore (Buf.read_u8 r)))
+  malformed "read" (fun () -> Buf.read_list (Buf.reader (wide_varint '\x7f')) Buf.read_u8)
 
 (* Cluster-state snapshot counts: negative, and max_int ahead of one valid
    snapshot (no allocation may be sized by it). *)
@@ -865,7 +840,6 @@ let () =
           Alcotest.test_case "boundary golden bytes" `Quick (golden_envelopes "boundary");
           Alcotest.test_case "cluster state golden bytes" `Quick test_golden_cluster_state;
           qt prop_writer_reset_reuse;
-          qt prop_skim_equiv_decode;
           qt prop_decode_sub_slices;
         ] );
       ( "buf",
