@@ -1,7 +1,8 @@
 (* The scanner leans on the report's concrete shape: after the
-   ["microbench_ns_per_run"] key comes one brace-delimited object whose
-   members are string keys and bare numbers, with no nested objects or
-   escaped quotes inside the benchmark names the suite produces. *)
+   ["microbench_ns_per_run"] or ["microbench_minor_words_per_run"] key
+   comes one brace-delimited object whose members are string keys and
+   bare numbers, with no nested objects or escaped quotes inside the
+   benchmark names the suite produces. *)
 
 let fail fmt = Printf.ksprintf failwith fmt
 
@@ -50,8 +51,8 @@ let scan_number s i =
   | Some v -> (v, !j)
   | None -> fail "gate: bad number at offset %d" i
 
-let microbench_of_json s =
-  let i = find_key s "microbench_ns_per_run" in
+let section_of_json key s =
+  let i = find_key s key in
   let i = expect s i ':' in
   let i = expect s i '{' in
   let rec members acc i =
@@ -68,6 +69,9 @@ let microbench_of_json s =
     end
   in
   members [] i
+
+let microbench_of_json = section_of_json "microbench_ns_per_run"
+let minor_words_of_json = section_of_json "microbench_minor_words_per_run"
 
 type verdict = {
   name : string;
@@ -110,3 +114,25 @@ let regressions ?(drift_correction = false) ~tolerance ~before ~after () =
 let pp_verdict ppf v =
   Format.fprintf ppf "%s: %.0f -> %.0f ns/run (%+.1f%%)" v.name v.before v.after
     ((v.ratio -. 1.0) *. 100.0)
+
+let zero_slack = 0.5
+let alloc_tolerance = 0.10
+
+(* Allocation is a count, so no drift correction: a row that allocated
+   nothing may show up to [zero_slack] words/run of fit noise, any other
+   row may grow by [alloc_tolerance]. A zero-baseline verdict carries an
+   infinite ratio. *)
+let allocation_regressions ~before ~after =
+  List.filter_map
+    (fun (name, a) ->
+      match List.assoc_opt name before with
+      | Some b when b <= 0.0 && a > zero_slack ->
+          Some { name; before = b; after = a; ratio = Float.infinity }
+      | Some b when b > 0.0 && a /. b > 1.0 +. alloc_tolerance ->
+          Some { name; before = b; after = a; ratio = a /. b }
+      | _ -> None)
+    after
+  |> List.sort (fun x y -> Float.compare y.ratio x.ratio)
+
+let pp_alloc_verdict ppf v =
+  Format.fprintf ppf "%s: %.1f -> %.1f minor words/run" v.name v.before v.after

@@ -25,7 +25,10 @@
    0.15 = +15%). [--gate-drift-correction] divides every ratio by the
    suite-wide median ratio first, cancelling uniform machine drift on a
    noisy shared host (the @bench-smoke alias uses it — this container
-   drifts +/-25% run-to-run). Escape hatches when a regression is
+   drifts +/-25% run-to-run). The same flag also gates allocation against
+   FILE's microbench_minor_words_per_run section, with fixed bounds and
+   no drift correction: a row that allocated 0 words/run may read at most
+   0.5, any other row may grow 10%. Escape hatches when a regression is
    understood and accepted: pass --no-gate, or set BENCH_NO_GATE=1 (for
    one-off runs of the @bench-smoke alias, whose command line is
    fixed). *)
@@ -230,20 +233,43 @@ let () =
   match !baseline with
   | None -> ()
   | Some _ when no_gate -> Printf.eprintf "perf gate: skipped (--no-gate / BENCH_NO_GATE)\n"
-  | Some file -> (
-      let before_micro = Gate.microbench_of_json (read_file file) in
+  | Some file ->
+      let baseline = read_file file in
+      let before_micro = Gate.microbench_of_json baseline in
       let after_micro = List.map (fun r -> (r.Suite.name, r.Suite.ns)) micro in
       let corrected = if !gate_drift then " (drift-corrected)" else "" in
-      match
-        Gate.regressions ~drift_correction:!gate_drift ~tolerance:!gate_tolerance
-          ~before:before_micro ~after:after_micro ()
-      with
-      | [] ->
-          Printf.eprintf "perf gate: ok (%d benches within %+.0f%%%s of %s)\n"
-            (List.length after_micro) (!gate_tolerance *. 100.0) corrected file
-      | regs ->
-          Printf.eprintf "FAIL: %d microbench(es) regressed more than %.0f%%%s vs %s:\n"
-            (List.length regs) (!gate_tolerance *. 100.0) corrected file;
-          List.iter (fun v -> Format.eprintf "  %a@." Gate.pp_verdict v) regs;
-          Printf.eprintf "(rerun with --no-gate or BENCH_NO_GATE=1 to accept)\n";
-          exit 1)
+      let time_ok =
+        match
+          Gate.regressions ~drift_correction:!gate_drift ~tolerance:!gate_tolerance
+            ~before:before_micro ~after:after_micro ()
+        with
+        | [] ->
+            Printf.eprintf "perf gate: ok (%d benches within %+.0f%%%s of %s)\n"
+              (List.length after_micro) (!gate_tolerance *. 100.0) corrected file;
+            true
+        | regs ->
+            Printf.eprintf "FAIL: %d microbench(es) regressed more than %.0f%%%s vs %s:\n"
+              (List.length regs) (!gate_tolerance *. 100.0) corrected file;
+            List.iter (fun v -> Format.eprintf "  %a@." Gate.pp_verdict v) regs;
+            false
+      in
+      let alloc_ok =
+        match
+          Gate.allocation_regressions ~before:(Gate.minor_words_of_json baseline)
+            ~after:(List.map (fun r -> (r.Suite.name, r.Suite.minor_words)) micro)
+        with
+        | [] ->
+            Printf.eprintf
+              "allocation gate: ok (0 rows <= %.1f words/run, others within %+.0f%% of %s)\n"
+              Gate.zero_slack (Gate.alloc_tolerance *. 100.0) file;
+            true
+        | regs ->
+            Printf.eprintf "FAIL: %d microbench(es) allocate more than %s allows:\n"
+              (List.length regs) file;
+            List.iter (fun v -> Format.eprintf "  %a@." Gate.pp_alloc_verdict v) regs;
+            false
+      in
+      if not (time_ok && alloc_ok) then begin
+        Printf.eprintf "(rerun with --no-gate or BENCH_NO_GATE=1 to accept)\n";
+        exit 1
+      end

@@ -120,7 +120,8 @@ let bench_freeze_walk peers =
         Node.handle_msg n ~src:2
           (Msg.Request
              { Msg.requester = 2; seq = 0; mode = Mode.W; upgrade = false; timestamp = 1;
-               priority = 0; hops = 1; token_only = false; hint = (1, 0); path = [ 2 ] });
+               priority = 0; hops = 1; token_only = false; hint_stamp = 1; hint_owner = 0;
+               path = [ 2 ] });
         let weaker = Msg.Release { new_owned = Some Mode.IR; epoch = 1 }
         and stronger = Msg.Release { new_owned = Some Mode.R; epoch = 1 } in
         fun () ->
@@ -163,7 +164,7 @@ let sample_request : Dcs_hlock.Msg.request =
     priority = 2;
     hops = 3;
     token_only = false;
-    hint = (5, 2);
+    hint_stamp = 5; hint_owner = 2;
     path = [ 3; 5; 7 ];
   }
 

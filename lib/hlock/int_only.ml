@@ -3,8 +3,8 @@
    equality or hash is an external C call that switches stacks. Shadowed at
    [int], the operators compile to single instructions, and the type
    checker rejects any polymorphic use: compare options and lists by
-   matching, look ids up with [mem_id], and keep per-id state in arrays
-   indexed by id, not in hash tables. *)
+   matching, keep ids as ints with -1 for none, look ids up with [mem_id],
+   and keep per-id state in arrays indexed by id, not in hash tables. *)
 
 external ( = ) : int -> int -> bool = "%equal"
 external ( <> ) : int -> int -> bool = "%notequal"

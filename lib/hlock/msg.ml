@@ -11,7 +11,8 @@ type request = {
   priority : int;
   hops : int;
   token_only : bool;
-  hint : int * Node_id.t;
+  hint_stamp : int;
+  hint_owner : Node_id.t;
   path : Node_id.t list;
 }
 

@@ -35,12 +35,15 @@ type request = {
           disconnects a whole group of holders from the token (a safety
           hazard); queueing it at the token is also what FIFO fairness
           wants. *)
-  hint : int * Dcs_proto.Node_id.t;
-      (** the freshest token location the sender knows, as
-          [(tenure, owner)] — tenure increments at every token transfer.
-          Receivers keep the max-tenure hint they have seen; requests that
-          cannot make progress along tree pointers jump to the hinted
-          owner, which is at worst a few transfer edges behind the token. *)
+  hint_stamp : int;
+      (** the tenure of the freshest token location the sender knows —
+          tenure increments at every token transfer *)
+  hint_owner : Dcs_proto.Node_id.t;
+      (** the token owner at [hint_stamp]. Receivers keep the max-tenure
+          hint they have seen; requests that cannot make progress along
+          tree pointers jump to the hinted owner, which is at worst a few
+          transfer edges behind the token. Two int fields, not a pair, so
+          a relay that adopts a hint stores no box. *)
   path : Dcs_proto.Node_id.t list;
       (** nodes visited (requester and relayers, newest first), used by
           sweep routing. Under normal routing requests simply follow

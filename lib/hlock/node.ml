@@ -32,25 +32,33 @@ type t = {
      [None] costs one branch per lifecycle site and allocates nothing. *)
   obs : (Dcs_obs.Event.scope -> Dcs_obs.Event.kind -> unit) option;
   mutable token : bool;
-  mutable parent : Node_id.t option;
+  (* Node ids are ints with -1 for none, and modes that may be absent are
+     Decision owned codes: the message path stores into these fields, and
+     an int store is a plain write where an option or a pair would pay
+     the GC write barrier. *)
+  mutable parent : Node_id.t;  (* -1 while we hold the token *)
   mutable parent_stamp : int;  (* token-tenure knowledge when [parent] was set *)
   (* The node whose children-map currently accounts our subtree, and the
-     epoch of that record. Usually equals [parent]; [None] when we own ⊥ or
+     epoch of that record. Usually equals [parent]; -1 when we own ⊥ or
      hold the token. *)
-  mutable accounted_parent : Node_id.t option;
+  mutable accounted_parent : Node_id.t;
   mutable accounted_epoch : int;
-  (* Best-effort mirror of the mode the accounting parent records for us;
-     Rule 5.2 sends a release exactly when owned drops below it. *)
-  mutable last_reported : Mode.t option;
+  (* Best-effort mirror of the mode the accounting parent records for us,
+     as an owned code; Rule 5.2 sends a release exactly when owned drops
+     below it. *)
+  mutable last_reported : int;
+  (* Per-mode counts of three multisets, five ints each (indexed by
+     Mode.index from [held_at], [child_at] and [queue_at]): held
+     instances, child records and plain queue entries. *)
+  counts : int array;
   (* Held instances: [held_seqs.(i)] is held in the mode of index
      [held_modes.(i)], for [i < n_held], in no particular order. A node
-     holds a handful of instances at once, so a lookup scans them. The
-     per-mode multiset [held_counts] (indexed by Mode.index) is
-     summarised in [held_bits]: bit [i] is set iff [held_counts.(i) > 0]. *)
+     holds a handful of instances at once, so a lookup scans them. Their
+     per-mode counts are summarised in [held_bits]: bit [i] is set iff
+     the held count of mode index [i] is positive. *)
   mutable held_seqs : int array;
   mutable held_modes : int array;
   mutable n_held : int;
-  held_counts : int array;
   mutable held_bits : int;
   (* Modes granted to this node that no local client currently holds, kept
      in the copyset Li/Hudak-style so re-acquisition is message-free
@@ -58,10 +66,10 @@ type t = {
   mutable cached : Mode_set.t;
   (* Copyset, indexed by child id: [child_mode.(c)] is the recorded
      mode's Mode.index + 1 (0: [c] is no child) and [child_epoch.(c)] the
-     record's epoch. The per-mode multiset [child_counts] (indexed by
-     Mode.index) and its mask [child_bits] are kept beside it exactly like
-     [held_counts] and [held_bits], so the owned mode never walks the
-     copyset, and [n_children] counts the records. [child_ids] is the
+     record's epoch. The per-mode child counts and their mask
+     [child_bits] are kept beside it exactly like the held counts and
+     [held_bits], so the owned mode never walks the copyset, and
+     [n_children] counts the records. [child_ids] is the
      set of child ids as a bit set (see [ids_per_word]), so walks over the
      copyset cost per child, not per peer. The per-peer arrays
      ([sent_freeze] too) are [[||]] until the first record: most nodes
@@ -69,15 +77,13 @@ type t = {
   mutable child_mode : int array;
   mutable child_ids : int array;
   mutable child_epoch : int array;
-  child_counts : int array;
   mutable child_bits : int;
   mutable n_children : int;
   (* Local queue in service order, head first, with the per-mode count of
-     its plain entries ([queue_counts], indexed by Mode.index) and the
-     number of its upgrade entries kept beside it exactly like
-     [held_counts], so the token's frozen set never walks the queue. *)
+     its plain entries and the number of its upgrade entries kept beside
+     it exactly like the held counts, so the token's frozen set never
+     walks the queue. *)
   mutable queue : Msg.request list;
-  queue_counts : int array;
   mutable queued_upgrades : int;
   mutable pending : Msg.request option;
   mutable frozen : Mode_set.t;
@@ -94,8 +100,10 @@ type t = {
   mutable freeze_kids : Node_id.t list;
   mutable kick_marks : (Node_id.t * int) list;
   mutable tenure : int;  (* valid while we hold or last held the token *)
-  mutable hint : int * Node_id.t;  (* freshest known (tenure, token owner) *)
-  mutable last_granter : Node_id.t option;
+  (* Freshest known token location: its tenure and owner. *)
+  mutable hint_stamp : int;
+  mutable hint_owner : Node_id.t;
+  mutable last_granter : Node_id.t;  (* -1: none *)
   (* Approximate accounting ancestry (nearest first), piggybacked on grants;
      used to refuse grants to our own ancestors (ring prevention, second
      line of defence). *)
@@ -106,6 +114,10 @@ type t = {
      read-shared) want stable routes to the granting region. *)
   mutable saw_transfer : bool;
   mutable served_ever : bool;
+  (* Scratch bit set over [0, peers) in the [child_ids] layout: the ids a
+     relayed request has visited, set and cleared within one
+     [forward_onward] call. *)
+  visited : int array;
   mutable next_seq : int;
   mutable clock : int;  (* Lamport *)
   mutable epoch_counter : int;
@@ -120,6 +132,26 @@ type t = {
      newest first; a node rarely has more than one waiting client. *)
   mutable waiters : (int * (int -> unit)) list;
 }
+
+let id_or_none = function Some p -> p | None -> -1
+let id_opt p = if p < 0 then None else Some p
+
+(* Per-peer bit sets ([child_ids], [visited]) keep 62 ids to an int word:
+   bit [c mod 62] of word [c / 62] is set iff [c] is a member. Leaving bit
+   62 (the sign bit) clear keeps every word positive, so [x land (-x)]
+   isolates a word's lowest set bit, 2^k with k < 62. 2 is a primitive
+   root mod 67, so those powers have distinct residues mod 67, and
+   [bit_index] maps each residue back to k. *)
+let ids_per_word = 62
+
+let bit_index =
+  let index = Array.make 67 0 in
+  for k = 0 to ids_per_word - 1 do
+    index.((1 lsl k) mod 67) <- k
+  done;
+  index
+
+let visited_words peers = Array.make ((peers + ids_per_word - 1) / ids_per_word) 0
 
 let create ?(config = default_config) ?obs ~id ~peers ~is_token ~parent ~send () =
   (* Freezes are the cache-revocation channel: without them a cached mode
@@ -137,25 +169,23 @@ let create ?(config = default_config) ?obs ~id ~peers ~is_token ~parent ~send ()
     send;
     obs;
     token = is_token;
-    parent;
+    parent = id_or_none parent;
     parent_stamp = 0;
-    accounted_parent = None;
+    accounted_parent = -1;
     accounted_epoch = 0;
-    last_reported = None;
+    last_reported = 0;
+    counts = Array.make 15 0;
     held_seqs = [||];
     held_modes = [||];
     n_held = 0;
-    held_counts = [| 0; 0; 0; 0; 0 |];
     held_bits = 0;
     cached = Mode_set.empty;
     child_mode = [||];
     child_ids = [||];
     child_epoch = [||];
-    child_counts = [| 0; 0; 0; 0; 0 |];
     child_bits = 0;
     n_children = 0;
     queue = [];
-    queue_counts = [| 0; 0; 0; 0; 0 |];
     queued_upgrades = 0;
     pending = None;
     frozen = Mode_set.empty;
@@ -164,11 +194,13 @@ let create ?(config = default_config) ?obs ~id ~peers ~is_token ~parent ~send ()
     freeze_kids = [];
     kick_marks = [];
     tenure = 0;
-    hint = (0, (if is_token then id else match parent with Some p -> p | None -> id));
-    last_granter = None;
+    hint_stamp = 0;
+    hint_owner = (if is_token then id else match parent with Some p -> p | None -> id);
+    last_granter = -1;
     ancestry = [];
     saw_transfer = false;
     served_ever = false;
+    visited = visited_words peers;
     next_seq = 0;
     clock = 0;
     epoch_counter = 0;
@@ -182,7 +214,7 @@ let create ?(config = default_config) ?obs ~id ~peers ~is_token ~parent ~send ()
 
 let id t = t.id
 let is_token t = t.token
-let parent t = t.parent
+let parent t = id_opt t.parent
 
 let held t =
   List.init t.n_held (fun i -> (t.held_seqs.(i), Mode.of_index t.held_modes.(i)))
@@ -194,11 +226,15 @@ let pending t = t.pending
 let waiting t = List.length t.waiters
 let coalesced t = t.coalesced
 
-(* Add [d] to the per-mode count [counts.(i)] and return [bits] with bit
-   [i] set iff that count is now positive. *)
-let count_step counts bits i d =
-  let n = counts.(i) + d in
-  counts.(i) <- n;
+let held_at = 0
+let child_at = 5
+let queue_at = 10
+
+(* Add [d] to the count of mode index [i] in the multiset at [at] and
+   return [bits] with bit [i] set iff that count is now positive. *)
+let count_step t at bits i d =
+  let n = t.counts.(at + i) + d in
+  t.counts.(at + i) <- n;
   if n > 0 then bits lor (1 lsl i) else bits land lnot (1 lsl i)
 
 (* The position of [seq] in [seqs.(0 .. i)], or -1. Top-level, so a lookup
@@ -209,13 +245,13 @@ let rec held_index seqs seq i =
 let held_slot t seq = held_index t.held_seqs seq (t.n_held - 1)
 
 (* Held-multiset maintenance: every mutation of the held arrays goes
-   through these so [held_counts] and [held_bits] can never drift. *)
+   through these so the held counts and [held_bits] can never drift. *)
 
 let held_add t seq m =
   let i = held_slot t seq in
   let i =
     if i >= 0 then begin
-      t.held_bits <- count_step t.held_counts t.held_bits t.held_modes.(i) (-1);
+      t.held_bits <- count_step t held_at t.held_bits t.held_modes.(i) (-1);
       i
     end
     else begin
@@ -235,7 +271,7 @@ let held_add t seq m =
     end
   in
   t.held_modes.(i) <- Mode.index m;
-  t.held_bits <- count_step t.held_counts t.held_bits (Mode.index m) 1
+  t.held_bits <- count_step t held_at t.held_bits (Mode.index m) 1
 
 (* Drop held instance [seq] (the last one takes its place) and return its
    mode's index, or -1 if [seq] is not held. *)
@@ -247,7 +283,7 @@ let held_remove t seq =
     t.held_seqs.(i) <- t.held_seqs.(last);
     t.held_modes.(i) <- t.held_modes.(last);
     t.n_held <- last;
-    t.held_bits <- count_step t.held_counts t.held_bits k (-1);
+    t.held_bits <- count_step t held_at t.held_bits k (-1);
     k
   end
 
@@ -255,24 +291,10 @@ let held_remove t seq =
    child and was sent nothing — so a stray id from a message reads as
    unknown; writes index with bounds checks. *)
 
-(* [child_ids] keeps 62 ids to an int word: bit [c mod 62] of word
-   [c / 62] is set iff [c] is a child. Leaving bit 62 (the sign bit) clear
-   keeps every word positive, so [x land (-x)] isolates a word's lowest set
-   bit, 2^k with k < 62. 2 is a primitive root mod 67, so those powers have
-   distinct residues mod 67, and [bit_index] maps each residue back to k. *)
-let ids_per_word = 62
-
-let bit_index =
-  let index = Array.make 67 0 in
-  for k = 0 to ids_per_word - 1 do
-    index.((1 lsl k) mod 67) <- k
-  done;
-  index
-
 let peer_arrays t =
   if Array.length t.child_mode = 0 then begin
     t.child_mode <- Array.make t.peers 0;
-    t.child_ids <- Array.make ((t.peers + ids_per_word - 1) / ids_per_word) 0;
+    t.child_ids <- visited_words t.peers;
     t.child_epoch <- Array.make t.peers 0;
     t.sent_freeze <- Array.make t.peers 0
   end
@@ -286,12 +308,12 @@ let sent_freeze_bits t c =
 let forget_freeze t c = if sent_freeze_bits t c <> 0 then t.sent_freeze.(c) <- 0
 
 (* Copyset maintenance: every mutation of the copyset goes through these
-   so [child_counts], [child_bits] and [n_children] can never drift. *)
+   so the child counts, [child_bits] and [n_children] can never drift. *)
 
 let child_set t c m epoch =
   peer_arrays t;
   let old = t.child_mode.(c) in
-  if old > 0 then t.child_bits <- count_step t.child_counts t.child_bits (old - 1) (-1)
+  if old > 0 then t.child_bits <- count_step t child_at t.child_bits (old - 1) (-1)
   else begin
     t.n_children <- t.n_children + 1;
     let w = c / ids_per_word in
@@ -299,25 +321,28 @@ let child_set t c m epoch =
   end;
   t.child_mode.(c) <- Mode.index m + 1;
   t.child_epoch.(c) <- epoch;
-  t.child_bits <- count_step t.child_counts t.child_bits (Mode.index m) 1;
+  t.child_bits <- count_step t child_at t.child_bits (Mode.index m) 1;
   if not (t.freeze_all || Mode_set.is_empty t.frozen) then t.freeze_kids <- c :: t.freeze_kids
 
 let child_remove t c =
   let old = child_code t c in
   if old > 0 then begin
     t.child_mode.(c) <- 0;
-    t.child_bits <- count_step t.child_counts t.child_bits (old - 1) (-1);
+    t.child_bits <- count_step t child_at t.child_bits (old - 1) (-1);
     t.n_children <- t.n_children - 1;
     let w = c / ids_per_word in
     t.child_ids.(w) <- t.child_ids.(w) land lnot (1 lsl (c - (w * ids_per_word)))
   end
 
 (* Queue maintenance: every mutation of [t.queue] goes through these so
-   [queue_counts] and [queued_upgrades] can never drift. *)
+   the queue counts and [queued_upgrades] can never drift. *)
 
 let queue_count t (r : Msg.request) d =
   if r.upgrade then t.queued_upgrades <- t.queued_upgrades + d
-  else t.queue_counts.(Mode.index r.mode) <- t.queue_counts.(Mode.index r.mode) + d
+  else begin
+    let i = queue_at + Mode.index r.mode in
+    t.counts.(i) <- t.counts.(i) + d
+  end
 
 let queue_push t r =
   t.queue <- Msg.insert_by_service_order r t.queue;
@@ -330,14 +355,14 @@ let queue_pop t r rest =
 
 let queue_replace t q =
   t.queue <- q;
-  for i = 0 to 4 do
-    t.queue_counts.(i) <- 0
+  for i = queue_at to queue_at + 4 do
+    t.counts.(i) <- 0
   done;
   t.queued_upgrades <- 0;
   List.iter (fun r -> queue_count t r 1) q
 
 let accounting t =
-  match t.accounted_parent with None -> None | Some p -> Some (p, t.accounted_epoch)
+  if t.accounted_parent < 0 then None else Some (t.accounted_parent, t.accounted_epoch)
 
 (* Fold over the copyset records in descending child id, so that consing
    builds a list in ascending id. Within a word, the recursion reaches the
@@ -382,9 +407,10 @@ let owned_code_masked t ~held ~kids =
 let owned_code t = owned_code_masked t ~held:t.held_bits ~kids:t.child_bits
 let owned t = Decision.decode_owned (owned_code t)
 
-(* [bits] without the one counted instance of mode index [i]: the bit
-   clears only when that instance is the mode's last. *)
-let discount counts bits i = if counts.(i) = 1 then bits land lnot (1 lsl i) else bits
+(* [bits] without the one counted instance of mode index [i] in the
+   multiset at [at]: the bit clears only when that instance is the mode's
+   last. *)
+let discount t at bits i = if t.counts.(at + i) = 1 then bits land lnot (1 lsl i) else bits
 
 (* Owned code as seen when evaluating request [r]: an upgrade request masks
    the requester's own U contribution (Rule 7) — its held U grant, or its U
@@ -395,11 +421,11 @@ let owned_code_for t (r : Msg.request) =
   else begin
     let held =
       let i = if r.requester = t.id then held_slot t r.seq else -1 in
-      if i >= 0 then discount t.held_counts t.held_bits t.held_modes.(i) else t.held_bits
+      if i >= 0 then discount t held_at t.held_bits t.held_modes.(i) else t.held_bits
     in
     let kids =
       if child_code t r.requester = Mode.index Mode.U + 1 then
-        discount t.child_counts t.child_bits (Mode.index Mode.U)
+        discount t child_at t.child_bits (Mode.index Mode.U)
       else t.child_bits
     in
     owned_code_masked t ~held ~kids
@@ -421,7 +447,7 @@ let set_frozen t next =
     (* Nothing frozen: no child can need a Freeze, and the next non-empty
        set marks every child again. *)
     t.freeze_all <- false;
-    t.freeze_kids <- []
+    match t.freeze_kids with [] -> () | _ -> t.freeze_kids <- []
   end
   else if not (Mode_set.equal next prev) then t.freeze_all <- true;
   match t.obs with
@@ -452,7 +478,7 @@ let pp_state ppf t =
   Format.fprintf ppf "n%d%s parent=%s owned=%a held=[%s] children=[%s] |q|=%d frozen=%a pending=%s"
     t.id
     (if t.token then "*" else "")
-    (match t.parent with None -> "_" | Some p -> string_of_int p)
+    (if t.parent < 0 then "_" else string_of_int t.parent)
     pp_owned (owned t)
     (String.concat ","
        (List.map (fun (seq, m) -> Printf.sprintf "#%d:%s" seq (Mode.to_string m)) (held t)))
@@ -551,12 +577,18 @@ let tick t =
 
 let observe_clock t ts = t.clock <- max t.clock ts + 1
 
-let my_hint t = if t.token then (t.tenure, t.id) else t.hint
+(* Our freshest token hint: ourselves at our tenure while we hold it. *)
+let hint_stamp t = if t.token then t.tenure else t.hint_stamp
+let hint_owner t = if t.token then t.id else t.hint_owner
 
-let observe_hint t h = if fst h > fst (my_hint t) then t.hint <- h
+let observe_hint t (r : Msg.request) =
+  if r.hint_stamp > hint_stamp t then begin
+    t.hint_stamp <- r.hint_stamp;
+    t.hint_owner <- r.hint_owner
+  end
 
 let set_parent t p ~stamp =
-  t.parent <- Some p;
+  t.parent <- p;
   t.parent_stamp <- stamp
 
 (* {1 Freezing (Rule 6)} *)
@@ -628,7 +660,7 @@ let refresh_freezes t =
       let owned = owned_code t in
       let fs = ref Mode_set.empty in
       for i = 0 to 4 do
-        if t.queue_counts.(i) > 0 then
+        if t.counts.(queue_at + i) > 0 then
           fs := Mode_set.union !fs (Decision.freeze_set ~owned (Mode.of_index i))
       done;
       let fs = if t.queued_upgrades > 0 then upgrade_freezes t !fs t.queue else !fs in
@@ -651,7 +683,7 @@ let refresh_freezes t =
        stale set. *)
     if t.freeze_all then begin
       t.freeze_all <- false;
-      t.freeze_kids <- [];
+      (match t.freeze_kids with [] -> () | _ -> t.freeze_kids <- []);
       notify_children_from t 0 0
     end
     else if not (List.is_empty t.freeze_kids) then begin
@@ -667,26 +699,22 @@ let refresh_freezes t =
    (Rule 5.2), on every release under the eager ablation, and on the rare
    strengthening repair after a grant overtook an in-flight release. *)
 let report_owned t ~force =
-  if not t.token then begin
-    match t.accounted_parent with
-    | None -> ()
-    | Some q ->
-        let oc = owned_code t in
-        let lc = Decision.owned_code t.last_reported in
-        let weakened = Decision.strength_of_code oc < Decision.strength_of_code lc in
-        let strengthened = Decision.strength_of_code lc < Decision.strength_of_code oc in
-        if weakened || strengthened || force then begin
-          let o = Decision.decode_owned oc in
-          t.last_reported <- o;
-          emit t q (Msg.Release { new_owned = o; epoch = t.accounted_epoch });
-          if Option.is_none o then begin
-            t.accounted_parent <- None;
-            t.last_reported <- None;
-            (* Detached from the copyset: no freeze duties remain, and no
-               un-freeze would reach us; drop any stale frozen set. *)
-            set_frozen t Mode_set.empty
-          end
-        end
+  let q = t.accounted_parent in
+  if (not t.token) && q >= 0 then begin
+    let oc = owned_code t in
+    let lc = t.last_reported in
+    let weakened = Decision.strength_of_code oc < Decision.strength_of_code lc in
+    let strengthened = Decision.strength_of_code lc < Decision.strength_of_code oc in
+    if weakened || strengthened || force then begin
+      t.last_reported <- oc;
+      emit t q (Msg.Release { new_owned = Decision.decode_owned oc; epoch = t.accounted_epoch });
+      if oc = 0 then begin
+        t.accounted_parent <- -1;
+        (* Detached from the copyset: no freeze duties remain, and no
+           un-freeze would reach us; drop any stale frozen set. *)
+        set_frozen t Mode_set.empty
+      end
+    end
   end
 
 (* {1 Grant paths} *)
@@ -773,7 +801,9 @@ let grant_copy t (r : Msg.request) =
   child_set t r.requester mode epoch;
   let ancestry = if t.token then [] else t.ancestry in
   emit t r.requester
-    (Msg.Grant { req = { r with Msg.hint = my_hint t }; epoch; recorded = mode; ancestry });
+    (Msg.Grant
+       { req = { r with Msg.hint_stamp = hint_stamp t; hint_owner = hint_owner t };
+         epoch; recorded = mode; ancestry });
   refresh_freezes t
 
 (* Token transfer (Rule 3.2 operational): hand over the token, our queue and
@@ -781,13 +811,16 @@ let grant_copy t (r : Msg.request) =
 let transfer_token t (r : Msg.request) =
   child_remove t r.requester;
   forget_freeze t r.requester;
-  let residual = owned t in
+  let residual = owned_code t in
   let sender_epoch = fresh_epoch t in
   let tok =
-    let serving = { r with Msg.hint = (t.tenure + 1, r.Msg.requester) } in
-    Msg.Token { serving; sender_owned = residual; sender_epoch; queue = t.queue; frozen = t.frozen }
+    let serving = { r with Msg.hint_stamp = t.tenure + 1; hint_owner = r.Msg.requester } in
+    Msg.Token
+      { serving; sender_owned = Decision.decode_owned residual; sender_epoch; queue = t.queue;
+        frozen = t.frozen }
   in
-  t.hint <- (t.tenure + 1, r.Msg.requester);
+  t.hint_stamp <- t.tenure + 1;
+  t.hint_owner <- r.Msg.requester;
   (* Point at the queue's future *last* owner (Naimi's tail), not the next
      one: new requests arriving here must go where the token will be last,
      or they walk the whole service chain hop by hop. Only U/W entries are
@@ -813,7 +846,7 @@ let transfer_token t (r : Msg.request) =
   queue_replace t [];
   t.token <- false;
   set_parent t tail ~stamp:(t.tenure + 1);
-  t.accounted_parent <- (if Option.is_none residual then None else Some r.requester);
+  t.accounted_parent <- (if residual = 0 then -1 else r.requester);
   t.accounted_epoch <- sender_epoch;
   t.last_reported <- residual;
   set_frozen t Mode_set.empty;
@@ -830,11 +863,42 @@ let enqueue t (r : Msg.request) =
   | Some f -> f (Dcs_obs.Event.Span { requester = r.requester; seq = r.seq }) Dcs_obs.Event.Queued);
   refresh_freezes t
 
-(* [p] if it is a node id (not the -1 "none" sentinel) that [path] has not
-   visited, else -1. *)
-let unvisited path p = if p >= 0 && not (mem_id p path) then p else -1
+(* The visited set of a relayed path lives in [t.visited] for the span of
+   one [forward_onward] call. [mark_path] sets the bit of every id of
+   [path] in [0, peers) and returns the list's length; ids outside that
+   range, which a decoded frame may carry, have no bit. *)
+let mark t p =
+  let w = p / ids_per_word in
+  t.visited.(w) <- t.visited.(w) lor (1 lsl (p - (w * ids_per_word)))
 
-let id_or_none = function Some p -> p | None -> -1
+let rec mark_path t n = function
+  | [] -> n
+  | p :: tl ->
+      if p >= 0 && p < t.peers then mark t p;
+      mark_path t (n + 1) tl
+
+let is_marked t p =
+  let w = p / ids_per_word in
+  t.visited.(w) land (1 lsl (p - (w * ids_per_word))) <> 0
+
+(* [p] if it is a node id (not the -1 "none" sentinel) that [path] has not
+   visited, else -1: a bit test for ids in [0, peers), a walk of [path]
+   for any other. *)
+let unvisited t path p =
+  if p < 0 then -1
+  else if p < t.peers then if is_marked t p then -1 else p
+  else if mem_id p path then -1
+  else p
+
+(* The lowest id in [0, peers) without a bit, from word [w] on, or -1. *)
+let rec first_unmarked t w =
+  if w >= Array.length t.visited then -1
+  else begin
+    let base = w * ids_per_word in
+    let n = t.peers - base in
+    let x = lnot t.visited.(w) land ((1 lsl (if n < ids_per_word then n else ids_per_word)) - 1) in
+    if x = 0 then first_unmarked t (w + 1) else base + bit_index.((x land -x) mod 67)
+  end
 
 (* Relay a request one hop toward the token. Normally that hop is our
    routing parent; if the parent has already seen this request (a transient
@@ -843,28 +907,36 @@ let id_or_none = function Some p -> p | None -> -1
    then the lowest-id unvisited node. The path grows at every hop, so a
    diverted request sweeps the membership in at most [peers] hops and must
    reach a node that takes custody — the token holder in the worst case.
-   Candidates are tried in a fixed order without building a list, and the
-   request is copied once. *)
+   Candidates are tried in a fixed order without building a list, each
+   against the path's bit set, and the request is copied once. *)
 let forward_onward ?via t (r : Msg.request) =
-  let path = if mem_id t.id r.Msg.path then r.Msg.path else t.id :: r.Msg.path in
-  let hint_stamp = if t.token then t.tenure else fst t.hint in
-  let hint = if hint_stamp > fst r.Msg.hint then my_hint t else r.Msg.hint in
+  let len = mark_path t 0 r.Msg.path in
+  let path, len =
+    if is_marked t t.id then (r.Msg.path, len)
+    else begin
+      mark t t.id;
+      (t.id :: r.Msg.path, len + 1)
+    end
+  in
+  let my_stamp = hint_stamp t and hinted = hint_owner t in
+  let fresher = my_stamp > r.Msg.hint_stamp in
+  let h_stamp = if fresher then my_stamp else r.Msg.hint_stamp in
+  let h_owner = if fresher then hinted else r.Msg.hint_owner in
   let via = id_or_none via in
   (* An explicit override first, then the stamped parent edge versus our
      gossiped token hint, fresher stamp first (the parent on a tie). *)
-  let dst = unvisited path via in
+  let dst = unvisited t path via in
   let dst =
     if dst >= 0 then dst
     else
-      let hinted = if t.token then t.id else snd t.hint in
-      match t.parent with
-      | Some p when t.parent_stamp >= hint_stamp ->
-          let d = unvisited path p in
-          if d >= 0 then d else unvisited path hinted
-      | Some p ->
-          let d = unvisited path hinted in
-          if d >= 0 then d else unvisited path p
-      | None -> unvisited path hinted
+      let p = t.parent in
+      if p < 0 then unvisited t path hinted
+      else if t.parent_stamp >= my_stamp then
+        let d = unvisited t path p in
+        if d >= 0 then d else unvisited t path hinted
+      else
+        let d = unvisited t path hinted in
+        if d >= 0 then d else unvisited t path p
   in
   let dst =
     if dst >= 0 then dst
@@ -872,22 +944,20 @@ let forward_onward ?via t (r : Msg.request) =
       (* Divert along the copyset links ([via], already found visited
          above, would come first), then sweep to the lowest-id unvisited
          node. *)
-      let d = unvisited path (snd hint) in
-      let d = if d >= 0 then d else unvisited path (id_or_none t.accounted_parent) in
-      let d = if d >= 0 then d else unvisited path (id_or_none t.last_granter) in
-      let rec first i = if i >= t.peers then -1 else if mem_id i path then first (i + 1) else i in
-      if d >= 0 then d else first 0
+      let d = unvisited t path h_owner in
+      let d = if d >= 0 then d else unvisited t path t.accounted_parent in
+      let d = if d >= 0 then d else unvisited t path t.last_granter in
+      if d >= 0 then d else first_unmarked t 0
     end
   in
-  let dst =
-    if dst >= 0 then dst
-    else begin
-      (* Everyone visited without custody: the token kept moving ahead of
-         the sweep. Restart it; randomized latencies make repeated evasion
-         vanishingly unlikely. *)
-      match t.parent with Some p -> p | None -> (t.id + 1) mod t.peers
-    end
-  in
+  (* Clear the bit set before anything can re-enter this node. *)
+  for w = 0 to Array.length t.visited - 1 do
+    t.visited.(w) <- 0
+  done;
+  (* Everyone visited without custody: the token kept moving ahead of the
+     sweep. Restart it; randomized latencies make repeated evasion
+     vanishingly unlikely. *)
+  let dst = if dst >= 0 then dst else if t.parent >= 0 then t.parent else (t.id + 1) mod t.peers in
   (* Resetting the sweep must NOT keep the requester excluded: the token
      can land at the requester while its request is mid-sweep (a token
      transfer serving another of its requests), and a request without
@@ -895,8 +965,8 @@ let forward_onward ?via t (r : Msg.request) =
      flight. Excluding the requester then makes the sweep skip the one
      node that can serve it, forever. *)
   let hops = r.Msg.hops + 1 in
-  let path = if hops > 0 && List.length path >= t.peers then [ t.id ] else path in
-  let r = { r with Msg.hops; path; hint } in
+  let path = if hops > 0 && len >= t.peers then [ t.id ] else path in
+  let r = { r with Msg.hops; path; hint_stamp = h_stamp; hint_owner = h_owner } in
   (match t.obs with
   | None -> ()
   | Some f ->
@@ -1055,7 +1125,9 @@ let handle_request t (r : Msg.request) =
           (* Older same-mode request: it is ahead of us in the global
              order; send it along the trail our own request took — the
              liveliest route toward the token we know. *)
-          let target = if fst (my_hint t) >= fst r.Msg.hint then snd (my_hint t) else snd r.Msg.hint in
+          let target =
+            if hint_stamp t >= r.Msg.hint_stamp then hint_owner t else r.Msg.hint_owner
+          in
           forward_onward ~via:target t r
       | None ->
           forward_onward t r;
@@ -1067,7 +1139,7 @@ let handle_request t (r : Msg.request) =
              with transient cycles and turns most relays into diversion
              sweeps. Any cycles this still leaves are rendered harmless by
              path-carrying relays (see forward_onward). *)
-          let stamp = max (fst r.Msg.hint) (fst (my_hint t)) in
+          let stamp = max r.Msg.hint_stamp (hint_stamp t) in
           (match r.mode with
           | Mode.U | Mode.W -> set_parent t r.Msg.requester ~stamp
           | Mode.IR | Mode.R | Mode.IW ->
@@ -1083,17 +1155,15 @@ let handle_request t (r : Msg.request) =
 
 (* {1 Message handlers} *)
 
-let accounted_by t src = match t.accounted_parent with Some p -> p = src | None -> false
+let accounted_by t src = t.accounted_parent >= 0 && t.accounted_parent = src
 
 let detach_from_old_parent t ~src =
-  match t.accounted_parent with
-  | Some q when q <> src ->
-      emit t q (Msg.Release { new_owned = None; epoch = t.accounted_epoch })
-  | _ -> ()
+  let q = t.accounted_parent in
+  if q >= 0 && q <> src then emit t q (Msg.Release { new_owned = None; epoch = t.accounted_epoch })
 
 let rec handle_grant t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
   observe_clock t r.timestamp;
-  observe_hint t r.hint;
+  observe_hint t r;
   absorb_epoch t epoch;
   if t.token then begin
     (* A copy grant can race a token transfer: this request was still
@@ -1135,9 +1205,9 @@ and handle_grant_at_child t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
   (* A new accounting parent owns our freeze state from now on; stale sets
      from the old one must not linger (they would never be un-frozen). *)
   if not same_parent then set_frozen t Mode_set.empty;
-  t.accounted_parent <- Some src;
+  t.accounted_parent <- src;
   t.accounted_epoch <- epoch;
-  t.last_granter <- Some src;
+  t.last_granter <- src;
   t.saw_transfer <- false;
   t.served_ever <- true;
   (* Deliberate departure from Figure 4's "Parent <- Sender": a copy grant
@@ -1151,7 +1221,7 @@ and handle_grant_at_child t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
      [r.mode], or a stronger carried-over mode whose release may have
      crossed this grant and be headed for a stale-epoch drop. Adopting it
      makes the repair below bidirectional. *)
-  t.last_reported <- Decision.some_mode recorded;
+  t.last_reported <- Decision.code_of_mode recorded;
   grant_self t r;
   (* Repair both crossing directions: strengthen if we own more than the
      record (a release crossed the grant and already landed), weaken if we
@@ -1169,15 +1239,15 @@ let handle_token t ~src (m : Msg.t) =
       observe_clock t serving.timestamp;
       absorb_epoch t sender_epoch;
       detach_from_old_parent t ~src;
-      t.accounted_parent <- None;
-      t.last_reported <- None;
+      t.accounted_parent <- -1;
+      t.last_reported <- 0;
       t.token <- true;
-      t.parent <- None;
+      t.parent <- -1;
       t.ancestry <- [];
       t.saw_transfer <- true;
       t.served_ever <- true;
-      t.last_granter <- Some src;
-      t.tenure <- max (fst serving.Msg.hint) (fst t.hint + 1);
+      t.last_granter <- src;
+      t.tenure <- max serving.Msg.hint_stamp (t.hint_stamp + 1);
       (match sender_owned with
       | Some m -> child_set t src m sender_epoch
       | None -> child_remove t src);
@@ -1219,7 +1289,7 @@ let handle_msg t ~src msg =
   match msg with
   | Msg.Request r ->
       observe_clock t r.timestamp;
-      observe_hint t r.hint;
+      observe_hint t r;
       handle_request t r
   | Msg.Grant { req; epoch; recorded; ancestry } ->
       handle_grant t ~src req ~epoch ~recorded ~ancestry
@@ -1235,7 +1305,8 @@ let request ?(priority = 0) t ~mode ~on_granted =
   t.next_seq <- t.next_seq + 1;
   let r =
     { Msg.requester = t.id; seq; mode; upgrade = false; timestamp = tick t; priority;
-      hops = 0; token_only = false; hint = my_hint t; path = [ t.id ] }
+      hops = 0; token_only = false; hint_stamp = hint_stamp t; hint_owner = hint_owner t;
+      path = [ t.id ] }
   in
   (match t.obs with
   | None -> ()
@@ -1272,7 +1343,8 @@ let upgrade t ~seq ~on_upgraded =
           priority = 0;
           hops = 0;
           token_only = false;
-          hint = my_hint t;
+          hint_stamp = hint_stamp t;
+          hint_owner = hint_owner t;
           path = [ t.id ];
         }
       in
@@ -1330,7 +1402,7 @@ let kick t =
         (fun (r : Msg.request) -> if r.requester <> t.id then Some (r.requester, r.seq) else None)
         t.queue
   end
-  else t.kick_marks <- []
+  else match t.kick_marks with [] -> () | _ -> t.kick_marks <- []
 
 (* {1 State snapshots (shard migration)}
 
@@ -1380,11 +1452,11 @@ let export t =
   if t.batch_depth > 0 then invalid_arg "Hlock.Node.export: open send batch";
   {
     s_token = t.token;
-    s_parent = t.parent;
+    s_parent = id_opt t.parent;
     s_parent_stamp = t.parent_stamp;
-    s_accounted_parent = t.accounted_parent;
+    s_accounted_parent = id_opt t.accounted_parent;
     s_accounted_epoch = t.accounted_epoch;
-    s_last_reported = t.last_reported;
+    s_last_reported = Decision.decode_owned t.last_reported;
     s_cached = t.cached;
     s_children = fold_children_desc t (fun c m e acc -> (c, m, e) :: acc) [];
     s_queue = t.queue;
@@ -1397,8 +1469,8 @@ let export t =
        done;
        !acc);
     s_tenure = t.tenure;
-    s_hint = t.hint;
-    s_last_granter = t.last_granter;
+    s_hint = (t.hint_stamp, t.hint_owner);
+    s_last_granter = id_opt t.last_granter;
     s_ancestry = t.ancestry;
     s_saw_transfer = t.saw_transfer;
     s_served_ever = t.served_ever;
@@ -1421,6 +1493,14 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send (s : snapshot) =
   Option.iter (check "parent") s.s_parent;
   Option.iter (check "accounted-parent") s.s_accounted_parent;
   Option.iter (check "last-granter") s.s_last_granter;
+  check "hint-owner" (snd s.s_hint);
+  List.iter (check "ancestry") s.s_ancestry;
+  List.iter
+    (fun (r : Msg.request) ->
+      check "queued requester" r.requester;
+      check "queued hint-owner" r.hint_owner;
+      List.iter (check "queued path") r.path)
+    s.s_queue;
   let t =
     {
       config;
@@ -1429,25 +1509,23 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send (s : snapshot) =
       send;
       obs;
       token = s.s_token;
-      parent = s.s_parent;
+      parent = id_or_none s.s_parent;
       parent_stamp = s.s_parent_stamp;
-      accounted_parent = s.s_accounted_parent;
+      accounted_parent = id_or_none s.s_accounted_parent;
       accounted_epoch = s.s_accounted_epoch;
-      last_reported = s.s_last_reported;
+      last_reported = Decision.owned_code s.s_last_reported;
+      counts = Array.make 15 0;
       held_seqs = [||];
       held_modes = [||];
       n_held = 0;
-      held_counts = [| 0; 0; 0; 0; 0 |];
       held_bits = 0;
       cached = s.s_cached;
       child_mode = [||];
       child_ids = [||];
       child_epoch = [||];
-      child_counts = [| 0; 0; 0; 0; 0 |];
       child_bits = 0;
       n_children = 0;
       queue = [];
-      queue_counts = [| 0; 0; 0; 0; 0 |];
       queued_upgrades = 0;
       pending = None;
       frozen = s.s_frozen;
@@ -1457,11 +1535,13 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send (s : snapshot) =
       freeze_kids = [];
       kick_marks = [];
       tenure = s.s_tenure;
-      hint = s.s_hint;
-      last_granter = s.s_last_granter;
+      hint_stamp = fst s.s_hint;
+      hint_owner = snd s.s_hint;
+      last_granter = id_or_none s.s_last_granter;
       ancestry = s.s_ancestry;
       saw_transfer = s.s_saw_transfer;
       served_ever = s.s_served_ever;
+      visited = visited_words peers;
       next_seq = s.s_next_seq;
       clock = s.s_clock;
       epoch_counter = s.s_epoch_counter;

@@ -21,8 +21,6 @@ let decode_owned c =
   if c < 0 || c >= n_codes then invalid_arg (Printf.sprintf "Decision.decode_owned: %d" c);
   Array.unsafe_get decoded c
 
-let some_mode m = Array.unsafe_get decoded (code_of_mode m)
-
 let strengths =
   Array.init n_codes (fun c -> if c = 0 then 0 else Mode.strength (mode_of_code c))
 

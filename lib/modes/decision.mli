@@ -39,9 +39,6 @@ val code_of_mode : Mode.t -> int
     Raises [Invalid_argument] outside [0..5]. *)
 val decode_owned : int -> Mode.t option
 
-(** [some_mode m] is a preallocated [Some m]. *)
-val some_mode : Mode.t -> Mode.t option
-
 (** Strength of a code: ⊥ → 0, otherwise [Mode.strength]. *)
 val strength_of_code : int -> int
 

@@ -1,9 +1,10 @@
 (** Compact sets of lock modes, used for frozen-mode bookkeeping.
 
     Implemented as a 5-bit bitset; all operations are O(1). Values are
-    immutable. *)
+    immutable. The type is declared immediate, so a store of a set into a
+    mutable field or array is a plain write with no GC write barrier. *)
 
-type t
+type t [@@immediate]
 
 (** The empty set. *)
 val empty : t

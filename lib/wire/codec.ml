@@ -43,8 +43,8 @@ let write_request w (r : Msg.request) =
   Buf.varint w r.priority;
   Buf.varint w r.hops;
   Buf.bool w r.token_only;
-  Buf.varint w (fst r.hint);
-  Buf.varint w (snd r.hint);
+  Buf.varint w r.hint_stamp;
+  Buf.varint w r.hint_owner;
   Buf.list w Buf.varint r.path
 
 let write_hlock_msg w (m : Msg.t) =
@@ -210,10 +210,11 @@ let read_request r : Msg.request =
   let priority = Buf.read_varint r in
   let hops = Buf.read_varint r in
   let token_only = Buf.read_bool r in
-  let tenure = Buf.read_varint r in
-  let owner = Buf.read_varint r in
+  let hint_stamp = Buf.read_varint r in
+  let hint_owner = Buf.read_varint r in
   let path = Buf.read_list r Buf.read_varint in
-  { requester; seq; mode; upgrade; timestamp; priority; hops; token_only; hint = (tenure, owner); path }
+  { requester; seq; mode; upgrade; timestamp; priority; hops; token_only; hint_stamp; hint_owner;
+    path }
 
 let read_hlock_msg r : Msg.t =
   match Buf.read_u8 r with

@@ -294,7 +294,8 @@ let queued_request =
     priority = 0;
     hops = 1;
     token_only = false;
-    hint = (0, 0);
+    hint_stamp = 0;
+    hint_owner = 0;
     path = [ 2 ];
   }
 

@@ -114,6 +114,63 @@ let test_gate_orders_worst_first () =
       checkb "then the next" true (second.Gate.name = "a")
   | vs -> Alcotest.failf "expected two verdicts, got %d" (List.length vs)
 
+(* The allocation gate reads the minor-words section, not the ns one,
+   and holds counts to fixed bounds: a 0 row to fit noise (0.5
+   words/run), any other row to +10%. *)
+let alloc_report ~decode ~shim =
+  Printf.sprintf
+    {|{
+  "microbench_ns_per_run": {
+    "dcs/wire decode": 100.000000,
+    "dcs/reliable shim": 5000.000000
+  },
+  "microbench_minor_words_per_run": {
+    "dcs/wire decode": %f,
+    "dcs/reliable shim": %f
+  },
+  "before": {
+    "microbench_minor_words_per_run": {
+      "dcs/wire decode": 99.000000
+    }
+  }
+}|}
+    decode shim
+
+let run_alloc_gate ~before ~after =
+  Gate.allocation_regressions ~before:(Gate.minor_words_of_json before)
+    ~after:(Gate.minor_words_of_json after)
+
+let test_alloc_extraction () =
+  let words = Gate.minor_words_of_json (alloc_report ~decode:0.0 ~shim:31915.5) in
+  checkb "minor-words section, not the ns one or the embedded before" true
+    (words = [ ("dcs/wire decode", 0.0); ("dcs/reliable shim", 31915.5) ])
+
+let test_alloc_unchanged_passes () =
+  let before = alloc_report ~decode:0.0 ~shim:30000.0 in
+  checki "unchanged report" 0 (List.length (run_alloc_gate ~before ~after:before));
+  (* Fit noise on a 0 row and +9% on an allocating one stay inside. *)
+  let noisy = alloc_report ~decode:0.4 ~shim:32700.0 in
+  checki "within bounds" 0 (List.length (run_alloc_gate ~before ~after:noisy));
+  (* Allocating less never fails. *)
+  let leaner = alloc_report ~decode:0.0 ~shim:1000.0 in
+  checki "less allocation" 0 (List.length (run_alloc_gate ~before ~after:leaner))
+
+let test_alloc_planted_fails () =
+  let before = alloc_report ~decode:0.0 ~shim:30000.0 in
+  (match run_alloc_gate ~before ~after:(alloc_report ~decode:3.0 ~shim:30000.0) with
+  | [ v ] ->
+      checkb "the zero row" true (v.Gate.name = "dcs/wire decode");
+      checkb "infinite ratio" true (v.Gate.ratio = Float.infinity);
+      checkb "after carried" true (v.Gate.after = 3.0)
+  | vs -> Alcotest.failf "expected one verdict, got %d" (List.length vs));
+  (match run_alloc_gate ~before ~after:(alloc_report ~decode:0.0 ~shim:33300.0) with
+  | [ v ] ->
+      checkb "the allocating row" true (v.Gate.name = "dcs/reliable shim");
+      checkb "ratio" true (Float.abs (v.Gate.ratio -. 1.11) < 1e-9)
+  | vs -> Alcotest.failf "expected one verdict, got %d" (List.length vs));
+  checki "both rows, worst first" 2
+    (List.length (run_alloc_gate ~before ~after:(alloc_report ~decode:0.6 ~shim:40000.0)))
+
 let () =
   Alcotest.run "dcs_bench_gate"
     [
@@ -126,5 +183,8 @@ let () =
           Alcotest.test_case "one-sided benches ignored" `Quick test_gate_ignores_one_sided_benches;
           Alcotest.test_case "median drift correction" `Quick test_gate_drift_correction;
           Alcotest.test_case "worst first" `Quick test_gate_orders_worst_first;
+          Alcotest.test_case "allocation extraction" `Quick test_alloc_extraction;
+          Alcotest.test_case "unchanged allocation passes" `Quick test_alloc_unchanged_passes;
+          Alcotest.test_case "planted allocation fails" `Quick test_alloc_planted_fails;
         ] );
     ]

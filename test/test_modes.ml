@@ -314,8 +314,7 @@ let test_decision_codes () =
     owned_options;
   List.iter
     (fun m ->
-      check Alcotest.int "code_of_mode" (Decision.owned_code (Some m)) (Decision.code_of_mode m);
-      check Alcotest.(option Testkit.mode) "some_mode" (Some m) (Decision.some_mode m))
+      check Alcotest.int "code_of_mode" (Decision.owned_code (Some m)) (Decision.code_of_mode m))
     Mode.all
 
 let test_decision_agrees_with_compat () =

@@ -356,7 +356,7 @@ let test_result_rows () =
    default build (release profile, cross-module inlining; see the root
    [dune-workspace]). A build that loses cross-module inlining boxes
    more floats and Int64s per message and fails them: [--profile dev]
-   measures 138,650 and 164,113 words. *)
+   measures 136,565 and 158,640 words. *)
 
 (* At most [ceiling] minor words allocated since the [Gc.minor_words]
    reading [before]. *)
@@ -377,7 +377,7 @@ let test_golden_airline () =
   in
   let before = Gc.minor_words () in
   let r = Experiment.run cfg in
-  check_minor_words "airline run" ~ceiling:136_036.0 ~before;
+  check_minor_words "airline run" ~ceiling:133_742.0 ~before;
   check_counts "messages by class"
     [ ("request", 570); ("grant", 207); ("token", 81); ("release", 180); ("freeze", 158);
       ("ack", 0); ("retx", 0) ]
@@ -429,7 +429,7 @@ let test_golden_hotlock () =
     Dcs_sim.Engine.schedule engine ~after:0.0 go
   done;
   ignore (Dcs_sim.Engine.run engine);
-  check_minor_words "hot-lock run" ~ceiling:162_802.0 ~before;
+  check_minor_words "hot-lock run" ~ceiling:156_781.0 ~before;
   checki "all rounds" ((nodes - 1) * rounds) !completed;
   check_counts "messages by class"
     [ ("request", 813); ("grant", 456); ("token", 249); ("release", 456); ("freeze", 456);

@@ -33,7 +33,8 @@ let gen_request =
         priority;
         hops;
         token_only;
-        hint = (tenure, owner);
+        hint_stamp = tenure;
+        hint_owner = owner;
         path;
       })
 
@@ -167,7 +168,8 @@ let golden_request =
     priority = 5;
     hops = 12;
     token_only = false;
-    hint = (4242, 9);
+    hint_stamp = 4242;
+    hint_owner = 9;
     path = [ 33; 21; 40 ];
   }
 
@@ -181,7 +183,8 @@ let golden_request_b =
     priority = 1;
     hops = 0;
     token_only = true;
-    hint = (17, 8);
+    hint_stamp = 17;
+    hint_owner = 8;
     path = [];
   }
 
@@ -346,7 +349,8 @@ let golden_cases =
                    priority = 16384;
                    hops = 1;
                    token_only = true;
-                   hint = (max_int - 1, 2);
+                   hint_stamp = max_int - 1;
+                   hint_owner = 2;
                    path = [ 16384; 127; 128; 0; max_int ];
                  });
         } )
@@ -520,7 +524,8 @@ let test_frame_roundtrip () =
                priority = 0;
                hops = 2;
                token_only = false;
-               hint = (9, 4);
+               hint_stamp = 9;
+               hint_owner = 4;
                path = [ 7; 3 ];
              });
     }
@@ -588,6 +593,56 @@ let gen_snapshot =
         s_clock;
         s_epoch_counter;
       })
+
+(* {2 Restore/export identity}
+
+   [Node.restore] turns a snapshot's option-typed ids into -1-coded ints
+   and its last-reported mode into an owned code, and [Node.export] turns
+   them back. A snapshot a 64-peer node could export — ids in [0, 64),
+   copyset and sent-freeze entries in ascending id with no repeats, no
+   empty sent-freeze set — restores and exports to itself. *)
+
+let restorable (s : Dcs_hlock.Node.snapshot) =
+  let peer x = x mod 64 in
+  let request (r : Msg.request) =
+    { r with requester = peer r.requester; hint_owner = peer r.hint_owner;
+             path = List.map peer r.path }
+  in
+  { s with
+    s_children = List.sort_uniq (fun (a, _, _) (b, _, _) -> compare a b) s.s_children;
+    s_sent_freeze =
+      List.sort_uniq
+        (fun (a, _) (b, _) -> compare a b)
+        (List.filter (fun (_, ms) -> not (Mode_set.is_empty ms)) s.s_sent_freeze);
+    s_queue = List.map request s.s_queue }
+
+let restore_export (s : Dcs_hlock.Node.snapshot) =
+  Dcs_hlock.Node.export (Dcs_hlock.Node.restore ~id:5 ~peers:64 ~send:(fun ~dst:_ _ -> ()) s)
+
+let prop_restore_export_identity =
+  Q.Test.make ~name:"restore then export is the identity (64 peers)" ~count:1000
+    (Q.Gen.map restorable gen_snapshot)
+    (fun s -> restore_export s = s)
+
+(* Every option field as [None] and as [Some], [s_last_reported] over
+   every mode, and the hint, each varied alone from one base snapshot. *)
+let test_restore_export_fields () =
+  let base = restorable (Q.Gen.generate1 ~rand:(Random.State.make [| 7 |]) gen_snapshot) in
+  let variants =
+    List.concat
+      [ List.map
+          (fun o -> { base with Dcs_hlock.Node.s_last_reported = o })
+          (None :: List.map Option.some Mode.all);
+        List.concat_map
+          (fun o ->
+            [ { base with Dcs_hlock.Node.s_parent = o }; { base with s_accounted_parent = o };
+              { base with s_last_granter = o } ])
+          [ None; Some 0; Some 63 ];
+        List.map (fun h -> { base with Dcs_hlock.Node.s_hint = h }) [ (0, 0); (9, 63) ] ]
+  in
+  List.iteri
+    (fun i s -> checkb (Printf.sprintf "variant %d" i) true (restore_export s = s))
+    variants
 
 (* Every payload arm, the snapshot-carrying handoff included. *)
 let gen_any_envelope =
@@ -718,6 +773,45 @@ let contains ~sub s =
   let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
   at 0
 
+(* A handoff whose snapshots decode cleanly but name a node outside the
+   lock's 3-node population, in a field [Node.restore] used to take on
+   trust. [Hlock_cluster.create ~restore] must refuse it at the restore,
+   not index a missing engine at some later delivery. *)
+let test_hostile_handoff_ids () =
+  let module HC = Dcs_runtime.Hlock_cluster in
+  let create ?restore () =
+    let engine = Dcs_sim.Engine.create () in
+    let net =
+      Dcs_runtime.Net.create ~engine ~latency:(Dcs_sim.Dist.uniform_around 10.0)
+        ~rng:(Dcs_sim.Rng.create ~seed:1L) ()
+    in
+    HC.create ?restore ~net ~nodes:3 ~locks:1 ()
+  in
+  let state = HC.export_lock (create ()) ~lock:0 in
+  let queued =
+    { Msg.requester = 2; seq = 0; mode = Mode.R; upgrade = false; timestamp = 1; priority = 0;
+      hops = 1; token_only = false; hint_stamp = 0; hint_owner = 0; path = [ 2 ] }
+  in
+  let via_wire snaps = Codec.decode_cluster_state (Codec.encode_cluster_state snaps) in
+  let hostile =
+    [ ("hint-owner", 1, fun (s : Dcs_hlock.Node.snapshot) -> { s with s_hint = (0, 3) });
+      ("ancestry", 2, fun s -> { s with s_ancestry = [ 0; 7 ] });
+      ("queued requester", 0, fun s -> { s with s_queue = [ { queued with requester = 4 } ] });
+      ("queued hint-owner", 0, fun s -> { s with s_queue = [ { queued with hint_owner = 5 } ] });
+      ("queued path", 0, fun s -> { s with s_queue = [ { queued with path = [ 2; 3 ] } ] }) ]
+  in
+  List.iter
+    (fun (what, node, corrupt) ->
+      let snaps = Array.copy state in
+      snaps.(node) <- corrupt snaps.(node);
+      checkb (what ^ " refused") true
+        (match create ~restore:[| via_wire snaps |] () with
+        | _ -> false
+        | exception Invalid_argument msg ->
+            contains ~sub:"Hlock.Node.restore:" msg && contains ~sub:what msg))
+    hostile;
+  ignore (create ~restore:[| via_wire state |] ())
+
 (* [f] with an output channel on a fresh temporary file, then [g] with an
    input channel on what [f] wrote. A file, not a pipe: a frame near
    [max_frame] would fill a pipe and block its writer. *)
@@ -817,6 +911,8 @@ let () =
           qt prop_token_roundtrip;
           qt prop_release_roundtrip;
           qt prop_freeze_roundtrip;
+          qt prop_restore_export_identity;
+          Alcotest.test_case "restore/export every option" `Quick test_restore_export_fields;
           Alcotest.test_case "naimi roundtrip" `Quick test_naimi_roundtrip;
           qt prop_truncation_rejected;
           qt prop_every_prefix_rejected;
@@ -853,6 +949,7 @@ let () =
           Alcotest.test_case "string length overflow" `Quick test_string_length_overflow;
           Alcotest.test_case "negative list count" `Quick test_negative_list_count;
           Alcotest.test_case "snapshot count" `Quick test_snapshot_count;
+          Alcotest.test_case "handoff ids out of range" `Quick test_hostile_handoff_ids;
           qt prop_hostile_envelope;
           qt prop_mutated_envelope;
           qt prop_hostile_cluster_state;
