@@ -155,12 +155,19 @@ let prop_engine_tie_order =
           idx = List.sort compare idx)
         [ 0; 1; 2; 3 ])
 
-(* The heap against a sorted model across growth past 64, 128 and 256
-   entries, with a [reset] part-way: relative ([schedule]) and absolute
-   ([schedule_at], possibly in the past) times from small ranges force
-   ties and clamping, steps interleave with both, and after every
-   operation [pending] matches the model. Each event records its id, so
-   a step must fire the model's (time, schedule order) minimum. *)
+(* The queue against a sorted model. The engine keeps pending events as
+   a sorted run while at most 256 are pending and as a binary heap above
+   that, and goes back to a run below 64; each phase below steers the
+   pending count across those thresholds. An op either schedules —
+   relative ([After d], with [After 0] a quarter of the time, so many
+   events share a time) or absolute ([At k], half of them at or before
+   the clock and so clamped to now) — or steps, which must fire the
+   model's (time, schedule order) minimum. After every op [pending]
+   matches the model. A leg steers toward its target pending count: seven
+   ops in eight move toward it, the eighth away. The first phase rises
+   past 256, falls below 64, rises past 256 again and is [reset] with the
+   heap in use; the second hovers at 256 (exactly full, then one over,
+   then around it) and drains. Each run draws from its own seed. *)
 type engine_op = After of int | At of int | Step
 
 module Model = Set.Make (struct
@@ -169,35 +176,36 @@ module Model = Set.Make (struct
   let compare (t1, s1, _) (t2, s2, _) = compare (t1, s1) (t2, s2)
 end)
 
-let gen_engine_phase ~lo ~hi =
-  Q.Gen.(
-    list_size (int_range lo hi)
-      (frequency
-         [ (6, map (fun d -> After d) (int_bound 7)); (1, map (fun k -> At k) (int_bound 400));
-           (2, return Step) ]))
+let run_max = 256
+let run_min = 64
 
 let prop_engine_slots =
-  Q.Test.make ~name:"interleaved schedules, steps and a reset" ~count:100
-    Q.Gen.(pair (gen_engine_phase ~lo:700 ~hi:1000) (gen_engine_phase ~lo:100 ~hi:900))
-    (fun (before, after) ->
+  Q.Test.make ~name:"interleaved schedules, steps and a reset" ~count:100 ~print:string_of_int
+    Q.Gen.int (fun seed ->
+      let rs = Random.State.make [| seed |] in
       let e = Engine.create () in
       let fired = ref (-1) in
       let model = ref Model.empty and order = ref 0 and clock = ref 0.0 and id = ref 0 in
-      let peak = ref 0 in
+      let ups = ref 0 and downs = ref 0 and full = ref 0 and zero = ref 0 and clamped = ref 0 in
+      let add time i =
+        model := Model.add (time, !order, i) !model;
+        incr order
+      in
       let apply op =
+        let before = Model.cardinal !model in
         (match op with
         | After d ->
             let i = !id in
             incr id;
+            if d = 0 then incr zero;
             Engine.schedule e ~after:(float_of_int d) (fun () -> fired := i);
-            model := Model.add (!clock +. float_of_int d, !order, i) !model;
-            incr order
+            add (!clock +. float_of_int d) i
         | At k ->
             let i = !id in
             incr id;
+            if float_of_int k < !clock then incr clamped;
             Engine.schedule_at e ~time:(float_of_int k) (fun () -> fired := i);
-            model := Model.add (Float.max !clock (float_of_int k), !order, i) !model;
-            incr order
+            add (Float.max !clock (float_of_int k)) i
         | Step -> (
             match Model.min_elt_opt !model with
             | None -> if Engine.step e then failwith "step on an empty queue fired"
@@ -207,34 +215,61 @@ let prop_engine_slots =
                 if Engine.now e <> time then failwith "clock not at the event's time";
                 model := Model.remove m !model;
                 clock := time));
-        peak := max !peak (Model.cardinal !model);
-        if Engine.pending e <> Model.cardinal !model then failwith "pending disagrees"
+        let n = Model.cardinal !model in
+        if before <= run_max && n > run_max then incr ups;
+        if before >= run_min && n < run_min then incr downs;
+        if n = run_max then incr full;
+        if Engine.pending e <> n then failwith "pending disagrees"
       in
-      List.iter apply before;
+      let push () =
+        let now = int_of_float !clock in
+        match Random.State.int rs 8 with
+        | 0 | 1 -> After 0
+        | 2 | 3 | 4 | 5 -> After (1 + Random.State.int rs 7)
+        | 6 -> At (now - 8 + Random.State.int rs 9)
+        | _ -> At (now + Random.State.int rs 400)
+      in
+      let leg target =
+        let rising = Model.cardinal !model < target in
+        while
+          let n = Model.cardinal !model in
+          if rising then n < target else n > target
+        do
+          let toward = Random.State.int rs 8 < 7 in
+          apply (if toward = rising then push () else Step)
+        done
+      in
+      let phase targets =
+        ups := 0;
+        downs := 0;
+        full := 0;
+        List.iter leg targets
+      in
+      phase [ 300; 40; 300 ];
+      if !ups < 2 || !downs < 1 then failwith "the first phase did not cross both thresholds";
       let first = !id in
-      if !peak <= 256 then failwith "the first phase never grew the heap past 256";
       Engine.reset e;
       model := Model.empty;
       order := 0;
       clock := 0.0;
       if Engine.pending e <> 0 || Engine.now e <> 0.0 then failwith "reset left state";
-      List.iter apply after;
-      while not (Model.is_empty !model) do
-        apply Step
-      done;
+      phase [ 256; 240; 256; 248; 257; 250; 262; 245; 270; 0 ];
+      if !full < 2 || !ups < 1 then failwith "the second phase did not hover at 256";
+      if !zero = 0 || !clamped = 0 then failwith "no zero delay or no clamped time";
       (* Every event scheduled since the reset has fired. *)
       Engine.run e = Engine.Drained && Engine.events_processed e = !id - first)
 
 (* A popped callback and the callbacks [reset] drops are no longer
-   reachable from the engine: the heap keeps no closure (and nothing it
-   captures) alive past its event. *)
+   reachable from the engine: the queue keeps no closure (and nothing it
+   captures) alive past its event. 200 parked events stay a sorted run,
+   600 become a heap, and popping 570 of those goes back to a run. *)
 let[@inline never] park e cells i =
   let cell = ref i in
   Weak.set cells i (Some cell);
   Engine.schedule e ~after:(float_of_int (i + 1)) (fun () -> incr cell)
 
-let test_engine_releases_callbacks () =
-  let n = 200 and popped = 50 in
+let releases ~n ~popped =
+  let what = Printf.sprintf "%d parked, %d popped: " n popped in
   let e = Engine.create () in
   let cells = Weak.create n in
   for i = 0 to n - 1 do
@@ -245,13 +280,18 @@ let test_engine_releases_callbacks () =
   done;
   Gc.full_major ();
   let live lo hi = List.filter (fun i -> Weak.check cells i) (List.init (hi - lo) (( + ) lo)) in
-  Alcotest.check Alcotest.(list int) "popped callbacks released" [] (live 0 popped);
-  checki "parked callbacks retained" (n - popped) (List.length (live popped n));
+  Alcotest.check Alcotest.(list int) (what ^ "popped callbacks released") [] (live 0 popped);
+  checki (what ^ "parked callbacks retained") (n - popped) (List.length (live popped n));
   Engine.reset e;
   Gc.full_major ();
-  Alcotest.check Alcotest.(list int) "reset drops parked callbacks" [] (live 0 n);
+  Alcotest.check Alcotest.(list int) (what ^ "reset drops parked callbacks") [] (live 0 n);
   (* Keeps the engine itself reachable across the collection above. *)
   checki "nothing pending after reset" 0 (Engine.pending e)
+
+let test_engine_releases_callbacks () =
+  releases ~n:200 ~popped:50;
+  releases ~n:600 ~popped:50;
+  releases ~n:600 ~popped:570
 
 let test_engine_ordering () =
   let e = Engine.create () in
