@@ -59,6 +59,31 @@ let bench_engine =
          done;
          ignore (Dcs_sim.Engine.run e)))
 
+(* A steady queue of [n] pending events: each fired event schedules one
+   more with a delay from the airline mix — a 150 ms message (uniform
+   75–225 ms) three times in four, else a 15 ms timer (uniform 7.5–22.5
+   ms) — so each insert lands at a random depth. One run fires 1,000
+   events; the rows pick the engine's run/heap bound (engine.ml). *)
+let bench_engine_steady n =
+  Test.make ~name:(Printf.sprintf "engine steady %d pending" n)
+    (Staged.stage
+       (let e = Dcs_sim.Engine.create () in
+        let rng = Dcs_sim.Rng.create ~seed:7L in
+        let rec fire () =
+          let after =
+            if Dcs_sim.Rng.int rng ~bound:4 = 0 then Dcs_sim.Rng.uniform rng ~lo:7.5 ~hi:22.5
+            else Dcs_sim.Rng.uniform rng ~lo:75.0 ~hi:225.0
+          in
+          Dcs_sim.Engine.schedule e ~after fire
+        in
+        for _ = 1 to n do
+          fire ()
+        done;
+        fun () ->
+          for _ = 1 to 1000 do
+            ignore (Dcs_sim.Engine.step e)
+          done))
+
 (* 1k records into a trace: the per-record cost of a traced run (render
    the line, fold it into the FNV-1a digest; nothing is kept). The name
    predates the digest-only trace and stays so the gate keeps its
@@ -310,6 +335,10 @@ let all =
     bench_decision_2b;
     bench_mode_set;
     bench_engine;
+    bench_engine_steady 16;
+    bench_engine_steady 64;
+    bench_engine_steady 256;
+    bench_engine_steady 1024;
     bench_trace;
     bench_hlock_roundtrip;
     bench_freeze_walk 8;

@@ -58,10 +58,9 @@ let create ?(config = Node.default_config) ?(oracle = false) ?transport ?obs ?re
             invalid_arg "Hlock_cluster.create: restore must cover every node")
         snaps);
   (* Protocol messages travel through [transport] (default: the raw net);
-     chaos runs interpose the Dcs_fault.Reliable shim here. *)
-  let transport : Dcs_proto.Link.send =
-    match transport with Some s -> s | None -> Net.send net
-  in
+     chaos runs interpose the Dcs_fault.Reliable shim here. Without one,
+     the send site calls [Net.send] directly, not through a partial
+     application. *)
   let obs = Cluster_obs.attach ~net obs in
   let t =
     { net; n; l; locks_arr = Array.init l (fun _ ->
@@ -78,19 +77,23 @@ let create ?(config = Node.default_config) ?(oracle = false) ?transport ?obs ?re
     let engines =
       Array.init n (fun id ->
           let send ~dst msg =
-            Dcs_proto.Counters.incr ls.counters (Msg.class_of msg);
+            let cls = Msg.class_of msg in
+            Dcs_proto.Counters.incr ls.counters cls;
             (match obs with
             | None -> ()
-            | Some o -> Cluster_obs.message o ~src:id ~lock ~cls:(Msg.class_of msg) (Hlock msg));
+            | Some o -> Cluster_obs.message o ~src:id ~lock ~cls (Hlock msg));
             (match msg with Msg.Token _ -> ls.tokens_in_flight <- ls.tokens_in_flight + 1 | _ -> ());
-            transport ~src:id ~dst ~cls:(Msg.class_of msg)
-              ~describe:(fun () -> Format.asprintf "lock%d %a" lock Msg.pp msg)
-              (fun () ->
-                (match msg with
-                | Msg.Token _ -> ls.tokens_in_flight <- ls.tokens_in_flight - 1
-                | _ -> ());
-                Node.handle_msg ls.engines.(dst) ~src:id msg;
-                check t ls ~lock)
+            let describe () = Format.asprintf "lock%d %a" lock Msg.pp msg in
+            let deliver () =
+              (match msg with
+              | Msg.Token _ -> ls.tokens_in_flight <- ls.tokens_in_flight - 1
+              | _ -> ());
+              Node.handle_msg ls.engines.(dst) ~src:id msg;
+              check t ls ~lock
+            in
+            match transport with
+            | None -> Net.send net ~src:id ~dst ~cls ~describe deliver
+            | Some transport -> transport ~src:id ~dst ~cls ~describe deliver
           in
           let node_obs = Cluster_obs.node_hook obs ~lock ~node:id in
           match restore with

@@ -116,38 +116,38 @@ let deliver_copy t ~src ~dst ~describe ~delay_factor ~extra_delay deliver =
           deliver ())
 
 (* Consult the fault hook (if any) and act on its decision. Also the
-   re-entry point for flushed held messages, hence no counting here. *)
+   re-entry point for flushed held messages, hence no counting here.
+   Without a hook the decision is [Link.pass]: one copy, unscaled, which
+   goes straight to [deliver_copy]. *)
 let dispatch t ~src ~dst ~cls ~describe deliver =
-  let decision =
-    match t.fault with
-    | None -> Link.pass
-    | Some f -> f ~now:(Dcs_sim.Engine.now t.engine) ~src ~dst ~cls
-  in
-  match decision with
-  | Link.Hold ->
-      (match t.trace with
-      | Some trace ->
-          Dcs_sim.Trace.record trace ~time:(Dcs_sim.Engine.now t.engine) (fun () ->
-              Printf.sprintf "hold n%d->n%d %s" src dst (describe ()))
-      | None -> ());
-      Queue.add
-        { h_src = src; h_dst = dst; h_cls = cls; h_describe = describe; h_deliver = deliver }
-        t.held
-  | Link.Deliver { copies; delay_factor; extra_delay } ->
-      if copies <= 0 then begin
-        t.dropped <- t.dropped + 1;
-        match t.trace with
-        | Some trace ->
-            Dcs_sim.Trace.record trace ~time:(Dcs_sim.Engine.now t.engine) (fun () ->
-                Printf.sprintf "drop n%d->n%d %s" src dst (describe ()))
-        | None -> ()
-      end
-      else begin
-        if copies > 1 then t.duplicated <- t.duplicated + (copies - 1);
-        for _ = 1 to copies do
-          deliver_copy t ~src ~dst ~describe ~delay_factor ~extra_delay deliver
-        done
-      end
+  match t.fault with
+  | None -> deliver_copy t ~src ~dst ~describe ~delay_factor:1.0 ~extra_delay:0.0 deliver
+  | Some f -> (
+      match f ~now:(Dcs_sim.Engine.now t.engine) ~src ~dst ~cls with
+      | Link.Hold ->
+          (match t.trace with
+          | Some trace ->
+              Dcs_sim.Trace.record trace ~time:(Dcs_sim.Engine.now t.engine) (fun () ->
+                  Printf.sprintf "hold n%d->n%d %s" src dst (describe ()))
+          | None -> ());
+          Queue.add
+            { h_src = src; h_dst = dst; h_cls = cls; h_describe = describe; h_deliver = deliver }
+            t.held
+      | Link.Deliver { copies; delay_factor; extra_delay } ->
+          if copies <= 0 then begin
+            t.dropped <- t.dropped + 1;
+            match t.trace with
+            | Some trace ->
+                Dcs_sim.Trace.record trace ~time:(Dcs_sim.Engine.now t.engine) (fun () ->
+                    Printf.sprintf "drop n%d->n%d %s" src dst (describe ()))
+            | None -> ()
+          end
+          else begin
+            if copies > 1 then t.duplicated <- t.duplicated + (copies - 1);
+            for _ = 1 to copies do
+              deliver_copy t ~src ~dst ~describe ~delay_factor ~extra_delay deliver
+            done
+          end)
 
 let send t ~src ~dst ~cls ~describe deliver =
   Counters.incr t.counters cls;

@@ -24,21 +24,24 @@ let uniform_around m = Uniform { lo = 0.5 *. m; hi = 1.5 *. m }
 
 let of_string s =
   let fail () = Error (Printf.sprintf "Dist.of_string: cannot parse %S" s) in
+  (* Every parameter must be finite, and a distribution that could only
+     fail at its first draw (an exponential mean <= 0, a negative bare
+     mean) is refused here. *)
+  let num x = match float_of_string_opt x with Some v when Float.is_finite v -> Some v | _ -> None in
   match String.split_on_char ':' s with
-  | [ "const"; c ] -> (
-      match float_of_string_opt c with Some c -> Ok (Constant c) | None -> fail ())
+  | [ "const"; c ] -> ( match num c with Some c -> Ok (Constant c) | None -> fail ())
   | [ "uniform"; lo; hi ] -> (
-      match (float_of_string_opt lo, float_of_string_opt hi) with
+      match (num lo, num hi) with
       | Some lo, Some hi when lo <= hi -> Ok (Uniform { lo; hi })
       | _ -> fail ())
   | [ "exp"; m ] -> (
-      match float_of_string_opt m with Some mean -> Ok (Exponential { mean }) | None -> fail ())
+      match num m with Some mean when mean > 0.0 -> Ok (Exponential { mean }) | _ -> fail ())
   | [ "sexp"; min; m ] -> (
-      match (float_of_string_opt min, float_of_string_opt m) with
+      match (num min, num m) with
       | Some min, Some mean when mean > min -> Ok (Shifted_exponential { min; mean })
       | _ -> fail ())
   | [ bare ] -> (
-      match float_of_string_opt bare with Some m -> Ok (uniform_around m) | None -> fail ())
+      match num bare with Some m when m >= 0.0 -> Ok (uniform_around m) | _ -> fail ())
   | _ -> fail ()
 
 let to_string = function

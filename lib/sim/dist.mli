@@ -27,7 +27,9 @@ val mean : t -> float
 val uniform_around : float -> t
 
 (** Parse ["const:15"], ["uniform:10:20"], ["exp:150"],
-    ["sexp:50:150"] or a bare number (treated as {!uniform_around}). *)
+    ["sexp:50:150"] or a bare number (treated as {!uniform_around}).
+    Refuses non-finite parameters (["nan"], ["inf"]), an exponential
+    mean [<= 0] and a negative bare number. *)
 val of_string : string -> (t, string) result
 
 (** Inverse of {!of_string}, canonical form. *)

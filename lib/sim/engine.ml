@@ -1,17 +1,43 @@
-(* The event queue is a monomorphic float-keyed binary heap rather than a
-   polymorphic one: with the key array statically typed [float array] the
-   heap stays flat (unboxed floats) and comparisons compile to primitive
-   float compares, so scheduling and dispatching an event allocates
-   nothing beyond the caller's callback closure. Ties are broken by
-   schedule order (seqs), which deterministic runs rely on.
-
-   The heap orders only immediates: [keys], [seqs] and [slots], the index
+(* The event queue orders only immediates: [keys] (a flat float array, so
+   comparisons compile to primitive float compares), [seqs] (schedule
+   order, the tie-break deterministic runs rely on) and [slots], the index
    of the event's callback in [vals]. A callback stays in its slot from
-   schedule to pop, so the sifts move no pointer and pay no write barrier:
-   an event costs one [caml_modify] to park its callback and one to clear
-   it. Free slots live in [slots] past the heap, [slots.(size)] first: a
-   push takes that one, and a pop returns its slot to the position the
-   shrinking heap just vacated. *)
+   schedule to pop, so reordering moves no pointer and pays no write
+   barrier: an event costs one [caml_modify] to park its callback and one
+   to clear it. Free slots live on the [free] stack.
+
+   The three ordered arrays hold pending events in one of two shapes:
+
+   - a sorted run, ascending by (time, seq) in [head, head + size), while
+     at most [run_max] events are pending. A pop advances [head]; an
+     insert scans from the back, because a new event is usually the
+     latest one, and shifts the later entries up by one;
+   - a binary heap in [0, size) above that, until a pop leaves fewer than
+     [run_min]. The gap between the two bounds keeps a queue near
+     [run_max] from changing shape on every event.
+
+   A sorted run is already a heap, so run to heap is one blit to index 0;
+   heap to run pops the fewer than [run_min] entries in order.
+
+   The 64-node end-to-end workloads keep a few dozen events pending: a
+   mean of 19 (at most 123) on the airline mix, 29 to 41 (at most 88) on
+   a hot lock. There a pop from the run is one load and an insert a short
+   scan, where the heap pays two data-dependent float compares per level
+   on every pop. The largest runtime test peaks at 4,505 pending, which
+   needs the heap. *)
+
+(* The bound comes from two measurements (EXPERIMENTS.md "A sorted-run
+   event queue", 2-vCPU x86-64 host). Replaying the recorded queue
+   operations of the 64-node end-to-end workloads, the run costs 30 ns
+   per operation where the heap costs 43 (airline), and 21 against 32
+   (hot lock), with any bound from 128 up: those queues never pass 123.
+   bench/suite.ml's "engine steady N pending" rows insert each event at
+   a random depth, the run's worst case: there the run wins by 10 % up to
+   32 pending, and the heap wins by 7 % at 64, 1.35 times at 128 and 1.9
+   times at 256. 128 is the smallest bound that keeps both workloads in
+   the run. *)
+let run_max = 128
+let run_min = run_max / 4
 
 (* Single-field float record: a mutable simulation clock that updates in
    place instead of allocating a fresh box per event (a [mutable float]
@@ -23,7 +49,11 @@ type t = {
   mutable seqs : int array;
   mutable slots : int array;
   mutable vals : (unit -> unit) array;
+  mutable free : int array;
+  mutable nfree : int;
+  mutable head : int;  (** first pending entry; always 0 in a heap *)
   mutable size : int;
+  mutable heap : bool;
   mutable next_seq : int;
   clock : clock;
   mutable processed : int;
@@ -43,7 +73,11 @@ let create () =
     seqs = [||];
     slots = [||];
     vals = [||];
+    free = [||];
+    nfree = 0;
+    head = 0;
     size = 0;
+    heap = false;
     next_seq = 0;
     clock = { time = 0.0 };
     processed = 0;
@@ -52,52 +86,123 @@ let create () =
 
 let set_tick t hook = t.tick <- hook
 
+let free_slot t slot =
+  Array.unsafe_set t.free t.nfree slot;
+  t.nfree <- t.nfree + 1
+
 let reset t =
   (* Drop queued callbacks explicitly so the retained capacity does not
      keep closures (and whatever they capture) alive across runs. *)
-  for i = 0 to t.size - 1 do
-    t.vals.(t.slots.(i)) <- nothing
+  for i = t.head to t.head + t.size - 1 do
+    let slot = t.slots.(i) in
+    t.vals.(slot) <- nothing;
+    free_slot t slot
   done;
+  t.head <- 0;
   t.size <- 0;
+  t.heap <- false;
   t.next_seq <- 0;
   t.clock.time <- 0.0;
   t.processed <- 0
 
 let now t = t.clock.time
 
-(* Grow when full. Every slot is taken then, so the old arrays are copied
-   whole and the new slots [cap, cap') become the free ones. *)
-let ensure_room t =
+(* Move the pending entries to index 0. *)
+let compact t =
+  let n = t.size and h = t.head in
+  Array.blit t.keys h t.keys 0 n;
+  Array.blit t.seqs h t.seqs 0 n;
+  Array.blit t.slots h t.slots 0 n;
+  t.head <- 0
+
+(* Double the capacity, pending entries moved to index 0; the new slots
+   [cap, cap') go on the free stack. *)
+let grow t =
   let cap = Array.length t.keys in
-  if t.size = cap then begin
-    let cap' = if cap = 0 then 64 else 2 * cap in
-    let keys = Array.make cap' 0.0 in
-    let seqs = Array.make cap' 0 in
-    let slots = Array.init cap' Fun.id in
-    let vals = Array.make cap' nothing in
-    Array.blit t.keys 0 keys 0 cap;
-    Array.blit t.seqs 0 seqs 0 cap;
-    Array.blit t.slots 0 slots 0 cap;
-    Array.blit t.vals 0 vals 0 cap;
-    t.keys <- keys;
-    t.seqs <- seqs;
-    t.slots <- slots;
-    t.vals <- vals
-  end
+  let cap' = if cap = 0 then 64 else 2 * cap in
+  let keys = Array.make cap' 0.0 in
+  let seqs = Array.make cap' 0 in
+  let slots = Array.make cap' 0 in
+  let vals = Array.make cap' nothing in
+  let free = Array.make cap' 0 in
+  Array.blit t.keys t.head keys 0 t.size;
+  Array.blit t.seqs t.head seqs 0 t.size;
+  Array.blit t.slots t.head slots 0 t.size;
+  Array.blit t.vals 0 vals 0 cap;
+  Array.blit t.free 0 free 0 t.nfree;
+  for slot = cap to cap' - 1 do
+    free.(t.nfree + slot - cap) <- slot
+  done;
+  t.keys <- keys;
+  t.seqs <- seqs;
+  t.slots <- slots;
+  t.vals <- vals;
+  t.free <- free;
+  t.nfree <- t.nfree + (cap' - cap);
+  t.head <- 0
 
-(* Ordering: time first, schedule order (seqs) as the tie-break. Both
-   sifts move the hole instead of swapping — one array write per level
-   per array — and use [unsafe_get]/[unsafe_set]: every index is bounded
-   by [t.size], already checked against the capacity. *)
+(* Park [f] in a free slot. *)
+let park t f =
+  t.nfree <- t.nfree - 1;
+  let slot = Array.unsafe_get t.free t.nfree in
+  Array.unsafe_set t.vals slot f;
+  slot
 
-(* Pop the root; its callback must already have been taken out of its
-   slot. *)
-let remove_min t =
+(* Ordering: time first, schedule order (seqs) as the tie-break. The
+   scans and sifts move the hole instead of swapping (one array write per
+   step per array) and use [unsafe_get]/[unsafe_set]: every index lies in
+   the pending entries or the one position past them, already checked
+   against the capacity. *)
+
+(* A new event carries the largest seq, so on a time tie it sorts after
+   the incumbent: inserts compare times only. *)
+let run_insert t ~time ~seq f =
+  let cap = Array.length t.keys in
+  if t.head + t.size = cap then if 2 * t.size <= cap && cap > 0 then compact t else grow t;
+  let slot = park t f in
+  let keys = t.keys and seqs = t.seqs and slots = t.slots in
+  let head = t.head in
+  let i = ref (head + t.size) in
+  t.size <- t.size + 1;
+  while !i > head && Array.unsafe_get keys (!i - 1) > time do
+    let j = !i - 1 in
+    Array.unsafe_set keys !i (Array.unsafe_get keys j);
+    Array.unsafe_set seqs !i (Array.unsafe_get seqs j);
+    Array.unsafe_set slots !i (Array.unsafe_get slots j);
+    i := j
+  done;
+  Array.unsafe_set keys !i time;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set slots !i slot
+
+let heap_insert t ~time ~seq f =
+  if t.size = Array.length t.keys then grow t;
+  let slot = park t f in
+  let keys = t.keys and seqs = t.seqs and slots = t.slots in
+  let i = ref t.size in
+  t.size <- !i + 1;
+  let sifting = ref true in
+  while !sifting && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let pk = Array.unsafe_get keys p in
+    if time < pk then begin
+      Array.unsafe_set keys !i pk;
+      Array.unsafe_set seqs !i (Array.unsafe_get seqs p);
+      Array.unsafe_set slots !i (Array.unsafe_get slots p);
+      i := p
+    end
+    else sifting := false
+  done;
+  Array.unsafe_set keys !i time;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set slots !i slot
+
+(* Drop the heap's root: the last entry sifts down from the root. *)
+let drop_root t =
   t.size <- t.size - 1;
   let last = t.size in
-  let keys = t.keys and seqs = t.seqs and slots = t.slots in
-  let freed = Array.unsafe_get slots 0 in
   if last > 0 then begin
+    let keys = t.keys and seqs = t.seqs and slots = t.slots in
     let key = Array.unsafe_get keys last in
     let seq = Array.unsafe_get seqs last in
     let slot = Array.unsafe_get slots last in
@@ -129,38 +234,46 @@ let remove_min t =
     Array.unsafe_set keys !i key;
     Array.unsafe_set seqs !i seq;
     Array.unsafe_set slots !i slot
-  end;
-  (* The sift wrote only below [last]: that position is now the top of
-     the free-slot stack. *)
-  Array.unsafe_set slots last freed
+  end
+
+(* Heap to run: pop the remaining [m] entries in order into the top [m]
+   positions. The heap only shrinks from [m], and the capacity is above
+   [run_max] > [2 * m], so the two never overlap. *)
+let to_run t =
+  let m = t.size in
+  let base = Array.length t.keys - m in
+  let keys = t.keys and seqs = t.seqs and slots = t.slots in
+  for j = 0 to m - 1 do
+    let key = keys.(0) and seq = seqs.(0) and slot = slots.(0) in
+    drop_root t;
+    keys.(base + j) <- key;
+    seqs.(base + j) <- seq;
+    slots.(base + j) <- slot
+  done;
+  t.head <- base;
+  t.size <- m;
+  t.heap <- false
+
+(* Run to heap: a sorted run is already a heap. *)
+let to_heap t =
+  compact t;
+  t.heap <- true
+
+let invalid_time time =
+  invalid_arg (Printf.sprintf "Engine.schedule_at: time %g is not a number" time)
 
 let schedule_at t ~time f =
-  let time = if time < t.clock.time then t.clock.time else time in
-  ensure_room t;
+  let now = t.clock.time in
+  (* One compare on the common path; NaN fails both. *)
+  let time = if time >= now then time else if time < now then now else invalid_time time in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  let keys = t.keys and seqs = t.seqs and slots = t.slots in
-  let i = ref t.size in
-  t.size <- !i + 1;
-  let slot = Array.unsafe_get slots !i in
-  Array.unsafe_set t.vals slot f;
-  (* The new event carries the largest seq, so on a time tie it sorts
-     after the incumbent: no seq comparison needed on the way up. *)
-  let sifting = ref true in
-  while !sifting && !i > 0 do
-    let p = (!i - 1) / 2 in
-    let pk = Array.unsafe_get keys p in
-    if time < pk then begin
-      Array.unsafe_set keys !i pk;
-      Array.unsafe_set seqs !i (Array.unsafe_get seqs p);
-      Array.unsafe_set slots !i (Array.unsafe_get slots p);
-      i := p
-    end
-    else sifting := false
-  done;
-  Array.unsafe_set keys !i time;
-  Array.unsafe_set seqs !i seq;
-  Array.unsafe_set slots !i slot
+  if t.heap then heap_insert t ~time ~seq f
+  else if t.size < run_max then run_insert t ~time ~seq f
+  else begin
+    to_heap t;
+    heap_insert t ~time ~seq f
+  end
 
 let schedule t ~after f =
   let after = if after < 0.0 then 0.0 else after in
@@ -169,11 +282,20 @@ let schedule t ~after f =
 let step t =
   if t.size = 0 then false
   else begin
-    let time = t.keys.(0) and slot = t.slots.(0) in
+    let h = t.head in
+    let time = t.keys.(h) and slot = t.slots.(h) in
     let f = t.vals.(slot) in
     (* Release the popped callback so the queue does not retain it. *)
     t.vals.(slot) <- nothing;
-    remove_min t;
+    free_slot t slot;
+    if t.heap then begin
+      drop_root t;
+      if t.size < run_min then to_run t
+    end
+    else begin
+      t.head <- h + 1;
+      t.size <- t.size - 1
+    end;
     t.clock.time <- time;
     t.processed <- t.processed + 1;
     f ();
@@ -198,7 +320,7 @@ let run ?until ?(max_events = 100_000_000) t =
       let rec loop budget =
         if budget = 0 then Event_limit
         else if t.size = 0 then Drained
-        else if t.keys.(0) > horizon then begin
+        else if t.keys.(t.head) > horizon then begin
           t.clock.time <- horizon;
           Horizon_reached
         end

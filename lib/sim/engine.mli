@@ -17,7 +17,7 @@ type outcome =
 val create : unit -> t
 
 (** Rewind to the just-created state — clock at 0, no queued events, event
-    and sequence counters zeroed — retaining the heap's capacity, so a
+    and sequence counters zeroed — retaining the queue's capacity, so a
     pooled engine can run many back-to-back simulations without
     re-growing. The tick hook is kept; callers that installed one manage
     it themselves. *)
@@ -28,11 +28,13 @@ val now : t -> float
 
 (** [schedule t ~after f] runs [f ()] at [now t +. after]. Negative delays
     are clamped to 0 (fire "now", after currently queued same-time
-    events). *)
+    events). Raises [Invalid_argument] if the resulting time is NaN. *)
 val schedule : t -> after:float -> (unit -> unit) -> unit
 
 (** [schedule_at t ~time f]: absolute-time variant; times in the past are
-    clamped to [now]. *)
+    clamped to [now]. Raises [Invalid_argument], naming the time, if
+    [time] is NaN; [infinity] is legal and fires after every finite
+    time. *)
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
 
 (** Run the event loop. [until] bounds the simulated clock;

@@ -24,9 +24,11 @@ let next_int64 t =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let float t =
-  (* 53 high-quality bits into the unit interval. *)
+  (* 53 high-quality bits into the unit interval. The bits fit an OCaml
+     int exactly, and [Float.of_int] is one inline conversion where
+     [Int64.to_float] calls C; below 2^53 both give the same float. *)
   let bits = Int64.shift_right_logical (next_int64 t) 11 in
-  Int64.to_float bits *. (1.0 /. 9007199254740992.0)
+  Float.of_int (Int64.to_int bits) *. (1.0 /. 9007199254740992.0)
 
 let uniform t ~lo ~hi =
   if lo > hi then invalid_arg "Rng.uniform: lo > hi";

@@ -452,6 +452,38 @@ let test_topology_factors () =
     (try ignore (Topology.racks ~rack_size:0 ~remote_factor:2.0); false
      with Invalid_argument _ -> true)
 
+(* The labels and factors of the record-of-closures topology that the
+   variant replaced: every directed pair of a 16-node cluster gets the old
+   factor, bit for bit, under each shape. *)
+let test_topology_unchanged () =
+  let open Dcs_sim in
+  let shapes =
+    [ ("uniform", Topology.uniform, fun _ _ -> 1.0);
+      ( "racks(4,x3.0)",
+        Topology.racks ~rack_size:4 ~remote_factor:3.0,
+        fun src dst -> if src / 4 = dst / 4 then 1.0 else 3.0 );
+      ( "racks(5,x2.5)",
+        Topology.racks ~rack_size:5 ~remote_factor:2.5,
+        fun src dst -> if src / 5 = dst / 5 then 1.0 else 2.5 );
+      ( "star(hub=0,x4.0)",
+        Topology.star ~hub:0 ~spoke_factor:4.0,
+        fun src dst -> if src = 0 || dst = 0 then 1.0 else 4.0 );
+      ( "star(hub=7,x2.0)",
+        Topology.star ~hub:7 ~spoke_factor:2.0,
+        fun src dst -> if src = 7 || dst = 7 then 1.0 else 2.0 ) ]
+  in
+  List.iter
+    (fun (label, topo, old) ->
+      Alcotest.check Alcotest.string "label" label (Topology.to_string topo);
+      for src = 0 to 15 do
+        for dst = 0 to 15 do
+          let got = Topology.factor topo ~src ~dst in
+          if Int64.bits_of_float got <> Int64.bits_of_float (old src dst) then
+            Alcotest.failf "%s n%d->n%d: %g, expected %g" label src dst got (old src dst)
+        done
+      done)
+    shapes
+
 let test_topology_slows_latency () =
   let run topology =
     let cfg = Experiment.default_config ~driver:Experiment.Hierarchical ~nodes:12 in
@@ -532,6 +564,7 @@ let () =
       ( "topology",
         [
           Alcotest.test_case "factors" `Quick test_topology_factors;
+          Alcotest.test_case "old labels and factors" `Quick test_topology_unchanged;
           Alcotest.test_case "slows latency" `Slow test_topology_slows_latency;
         ] );
       ( "figures",

@@ -77,6 +77,24 @@ let test_rng_splitmix_vectors () =
   Alcotest.(check int64) "split child" 0x57E1FABA65107204L (Rng.next_int64 child);
   Alcotest.(check int64) "split parent" 0x28EFE333B266F103L (Rng.next_int64 rng)
 
+(* [Rng.float] against the formula it replaced, [Int64.to_float] of the
+   top 53 bits times 2^-53, bit for bit over 10^5 draws from each
+   reference seed. *)
+let test_rng_float_bits () =
+  List.iter
+    (fun seed ->
+      let rng = Rng.create ~seed and raw = Rng.create ~seed in
+      for i = 1 to 100_000 do
+        let expected =
+          Int64.to_float (Int64.shift_right_logical (Rng.next_int64 raw) 11)
+          *. (1.0 /. 9007199254740992.0)
+        in
+        let got = Rng.float rng in
+        if Int64.bits_of_float got <> Int64.bits_of_float expected then
+          Alcotest.failf "seed %Ld draw %d: %h, expected %h" seed i got expected
+      done)
+    [ 0L; 1234567L; 42L ]
+
 let prop_shuffle_permutation =
   Q.Test.make ~name:"shuffle is a permutation" ~count:200
     Q.Gen.(pair int64 (list_size (int_bound 20) small_int))
@@ -126,6 +144,16 @@ let test_dist_parse () =
   checkb "garbage rejected" true (Result.is_error (Dist.of_string "nope:1"));
   checkb "inverted uniform rejected" true (Result.is_error (Dist.of_string "uniform:9:3"))
 
+(* Parameters that are not finite, and an exponential that could only fail
+   at its first draw, are refused at parse time. *)
+let test_dist_parse_rejects () =
+  List.iter
+    (fun s -> checkb (s ^ " rejected") true (Result.is_error (Dist.of_string s)))
+    [ "nan"; "inf"; "-inf"; "-150"; "const:nan"; "const:inf"; "exp:nan"; "exp:inf"; "exp:-1";
+      "exp:0"; "uniform:0:inf"; "uniform:nan:1"; "sexp:nan:150"; "sexp:0:inf" ];
+  checkb "exp:0.5 accepted" true (Result.is_ok (Dist.of_string "exp:0.5"));
+  checkb "bare 0 accepted" true (Result.is_ok (Dist.of_string "0"))
+
 (* {1 Engine} *)
 
 (* The engine's heap on random schedules: times drawn from a small range
@@ -156,8 +184,8 @@ let prop_engine_tie_order =
         [ 0; 1; 2; 3 ])
 
 (* The queue against a sorted model. The engine keeps pending events as
-   a sorted run while at most 256 are pending and as a binary heap above
-   that, and goes back to a run below 64; each phase below steers the
+   a sorted run while at most 128 are pending and as a binary heap above
+   that, and goes back to a run below 32; each phase below steers the
    pending count across those thresholds. An op either schedules —
    relative ([After d], with [After 0] a quarter of the time, so many
    events share a time) or absolute ([At k], half of them at or before
@@ -165,8 +193,8 @@ let prop_engine_tie_order =
    model's (time, schedule order) minimum. After every op [pending]
    matches the model. A leg steers toward its target pending count: seven
    ops in eight move toward it, the eighth away. The first phase rises
-   past 256, falls below 64, rises past 256 again and is [reset] with the
-   heap in use; the second hovers at 256 (exactly full, then one over,
+   past 128, falls below 32, rises past 128 again and is [reset] with the
+   heap in use; the second hovers at 128 (exactly full, then one over,
    then around it) and drains. Each run draws from its own seed. *)
 type engine_op = After of int | At of int | Step
 
@@ -176,8 +204,8 @@ module Model = Set.Make (struct
   let compare (t1, s1, _) (t2, s2, _) = compare (t1, s1) (t2, s2)
 end)
 
-let run_max = 256
-let run_min = 64
+let run_max = 128
+let run_min = 32
 
 let prop_engine_slots =
   Q.Test.make ~name:"interleaved schedules, steps and a reset" ~count:100 ~print:string_of_int
@@ -245,7 +273,7 @@ let prop_engine_slots =
         full := 0;
         List.iter leg targets
       in
-      phase [ 300; 40; 300 ];
+      phase [ 160; 20; 160 ];
       if !ups < 2 || !downs < 1 then failwith "the first phase did not cross both thresholds";
       let first = !id in
       Engine.reset e;
@@ -253,16 +281,16 @@ let prop_engine_slots =
       order := 0;
       clock := 0.0;
       if Engine.pending e <> 0 || Engine.now e <> 0.0 then failwith "reset left state";
-      phase [ 256; 240; 256; 248; 257; 250; 262; 245; 270; 0 ];
-      if !full < 2 || !ups < 1 then failwith "the second phase did not hover at 256";
+      phase [ 128; 112; 128; 120; 129; 122; 134; 117; 142; 0 ];
+      if !full < 2 || !ups < 1 then failwith "the second phase did not hover at 128";
       if !zero = 0 || !clamped = 0 then failwith "no zero delay or no clamped time";
       (* Every event scheduled since the reset has fired. *)
       Engine.run e = Engine.Drained && Engine.events_processed e = !id - first)
 
 (* A popped callback and the callbacks [reset] drops are no longer
    reachable from the engine: the queue keeps no closure (and nothing it
-   captures) alive past its event. 200 parked events stay a sorted run,
-   600 become a heap, and popping 570 of those goes back to a run. *)
+   captures) alive past its event. 100 parked events stay a sorted run,
+   300 become a heap, and popping 280 of those goes back to a run. *)
 let[@inline never] park e cells i =
   let cell = ref i in
   Weak.set cells i (Some cell);
@@ -289,9 +317,9 @@ let releases ~n ~popped =
   checki "nothing pending after reset" 0 (Engine.pending e)
 
 let test_engine_releases_callbacks () =
-  releases ~n:200 ~popped:50;
-  releases ~n:600 ~popped:50;
-  releases ~n:600 ~popped:570
+  releases ~n:100 ~popped:50;
+  releases ~n:300 ~popped:50;
+  releases ~n:300 ~popped:280
 
 let test_engine_ordering () =
   let e = Engine.create () in
@@ -346,6 +374,44 @@ let test_engine_past_clamped () =
   ignore (Engine.run e);
   Alcotest.check Alcotest.(list (float 1e-9)) "clamped to now" [ 10.0 ] !times
 
+(* A NaN time is refused, naming it, and leaves the queue as it was:
+   the other events still fire in time order. Infinity is a time like
+   any other, after every finite one. Both with a few events pending
+   (a sorted run) and with 300 (a heap). *)
+let test_engine_nan_time () =
+  List.iter
+    (fun base ->
+      let e = Engine.create () in
+      let fired = ref [] in
+      let at time = Engine.schedule_at e ~time (fun () -> fired := time :: !fired) in
+      for i = 1 to base do
+        at (1000.0 +. float_of_int i)
+      done;
+      List.iter
+        (fun time ->
+          if Float.is_nan time then
+            Alcotest.check_raises "nan time"
+              (Invalid_argument "Engine.schedule_at: time nan is not a number") (fun () -> at time)
+          else at time)
+        [ 3.0; nan; 1.0; 2.0; 0.5; infinity ];
+      Alcotest.check_raises "nan delay"
+        (Invalid_argument "Engine.schedule_at: time nan is not a number") (fun () ->
+          Engine.schedule e ~after:nan ignore);
+      checki "pending" (base + 5) (Engine.pending e);
+      (match Engine.run ~until:2000.0 e with
+      | Engine.Horizon_reached -> ()
+      | _ -> Alcotest.fail "expected horizon");
+      let finite = List.rev !fired in
+      Alcotest.check
+        Alcotest.(list (float 0.0))
+        (Printf.sprintf "%d pending: finite times in order" base)
+        ([ 0.5; 1.0; 2.0; 3.0 ] @ List.init base (fun i -> 1001.0 +. float_of_int i))
+        finite;
+      checki "infinity still pending" 1 (Engine.pending e);
+      ignore (Engine.run e);
+      checkb "infinity fires last" true (Engine.now e = infinity && List.hd !fired = infinity))
+    [ 0; 300 ]
+
 (* {1 Trace} *)
 
 let test_trace_determinism () =
@@ -380,6 +446,7 @@ let () =
           Alcotest.test_case "exponential mean" `Slow test_rng_exponential_mean;
           Alcotest.test_case "split" `Quick test_rng_split_independent;
           Alcotest.test_case "splitmix64 vectors" `Quick test_rng_splitmix_vectors;
+          Alcotest.test_case "float bits" `Quick test_rng_float_bits;
           Alcotest.test_case "pick" `Quick test_rng_pick;
           qt prop_rng_float_unit;
           qt prop_rng_int_bound;
@@ -390,6 +457,7 @@ let () =
           Alcotest.test_case "means" `Quick test_dist_means;
           Alcotest.test_case "sample ranges" `Quick test_dist_sample_ranges;
           Alcotest.test_case "parse" `Quick test_dist_parse;
+          Alcotest.test_case "parse rejects" `Quick test_dist_parse_rejects;
         ] );
       ( "engine",
         [
@@ -398,6 +466,7 @@ let () =
           Alcotest.test_case "horizon" `Quick test_engine_horizon;
           Alcotest.test_case "event limit" `Quick test_engine_event_limit;
           Alcotest.test_case "past clamped" `Quick test_engine_past_clamped;
+          Alcotest.test_case "nan time" `Quick test_engine_nan_time;
           qt prop_engine_time_order;
           qt prop_engine_tie_order;
           qt prop_engine_slots;
