@@ -108,7 +108,7 @@ let reset t =
 let now t = t.clock.time
 
 (* Move the pending entries to index 0. *)
-let compact t =
+let[@inline never] compact t =
   let n = t.size and h = t.head in
   Array.blit t.keys h t.keys 0 n;
   Array.blit t.seqs h t.seqs 0 n;
@@ -117,7 +117,7 @@ let compact t =
 
 (* Double the capacity, pending entries moved to index 0; the new slots
    [cap, cap') go on the free stack. *)
-let grow t =
+let[@inline never] grow t =
   let cap = Array.length t.keys in
   let cap' = if cap = 0 then 64 else 2 * cap in
   let keys = Array.make cap' 0.0 in
@@ -175,7 +175,7 @@ let run_insert t ~time ~seq f =
   Array.unsafe_set seqs !i seq;
   Array.unsafe_set slots !i slot
 
-let heap_insert t ~time ~seq f =
+let[@inline never] heap_insert t ~time ~seq f =
   if t.size = Array.length t.keys then grow t;
   let slot = park t f in
   let keys = t.keys and seqs = t.seqs and slots = t.slots in
@@ -239,7 +239,7 @@ let drop_root t =
 (* Heap to run: pop the remaining [m] entries in order into the top [m]
    positions. The heap only shrinks from [m], and the capacity is above
    [run_max] > [2 * m], so the two never overlap. *)
-let to_run t =
+let[@inline never] to_run t =
   let m = t.size in
   let base = Array.length t.keys - m in
   let keys = t.keys and seqs = t.seqs and slots = t.slots in
@@ -255,11 +255,11 @@ let to_run t =
   t.heap <- false
 
 (* Run to heap: a sorted run is already a heap. *)
-let to_heap t =
+let[@inline never] to_heap t =
   compact t;
   t.heap <- true
 
-let invalid_time time =
+let[@inline never] invalid_time time =
   invalid_arg (Printf.sprintf "Engine.schedule_at: time %g is not a number" time)
 
 let schedule_at t ~time f =
