@@ -51,7 +51,7 @@ type t = {
   mutable vals : (unit -> unit) array;
   mutable free : int array;
   mutable nfree : int;
-  mutable head : int;  (** first pending entry; always 0 in a heap *)
+  mutable head : int;  (* first pending entry; always 0 in a heap *)
   mutable size : int;
   mutable heap : bool;
   mutable next_seq : int;
@@ -107,7 +107,6 @@ let reset t =
 
 let now t = t.clock.time
 
-(* Move the pending entries to index 0. *)
 let[@inline never] compact t =
   let n = t.size and h = t.head in
   Array.blit t.keys h t.keys 0 n;
@@ -141,7 +140,6 @@ let[@inline never] grow t =
   t.nfree <- t.nfree + (cap' - cap);
   t.head <- 0
 
-(* Park [f] in a free slot. *)
 let park t f =
   t.nfree <- t.nfree - 1;
   let slot = Array.unsafe_get t.free t.nfree in
