@@ -3,7 +3,7 @@
     over.
 
     A cell is allocated once per shard and rewound with {!reset} between
-    bursts: the event heap, the network's delivery tables and the
+    bursts: the event queue, the network's delivery tables and the
     latency RNG are reset in place, and the cluster is rebuilt — from
     the initial star, or from handoff snapshots via [restore]. A reset
     cell behaves identically to a freshly created one, so a burst's

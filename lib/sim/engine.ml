@@ -4,7 +4,9 @@
    of the event's callback in [vals]. A callback stays in its slot from
    schedule to pop, so reordering moves no pointer and pays no write
    barrier: an event costs one [caml_modify] to park its callback and one
-   to clear it. Free slots live on the [free] stack.
+   to clear it. The positions of [slots] outside the pending entries hold
+   the free slots: a popped entry's slot stays where it was, and an
+   insert takes the slot at the position it grows into.
 
    The three ordered arrays hold pending events in one of two shapes:
 
@@ -28,14 +30,14 @@
 
 (* The bound comes from two measurements (EXPERIMENTS.md "A sorted-run
    event queue", 2-vCPU x86-64 host). Replaying the recorded queue
-   operations of the 64-node end-to-end workloads, the run costs 30 ns
-   per operation where the heap costs 43 (airline), and 21 against 32
-   (hot lock), with any bound from 128 up: those queues never pass 123.
-   bench/suite.ml's "engine steady N pending" rows insert each event at
-   a random depth, the run's worst case: there the run wins by 10 % up to
-   32 pending, and the heap wins by 7 % at 64, 1.35 times at 128 and 1.9
-   times at 256. 128 is the smallest bound that keeps both workloads in
-   the run. *)
+   operations of the 64-node end-to-end workloads, the run costs 23 ns
+   per operation where the heap costs 36 (airline), and 18 against 30
+   (hot lock), about the same for any bound from 96 up. bench/suite.ml's
+   "engine steady N pending" rows insert each event at a random depth,
+   the run's worst case: there the run wins by 8-12 % at 16 pending and
+   ties at 32, and the heap wins by 12-14 % at 64, 1.4 times at 128 and
+   twice at 256. 128 is the smallest power of two that keeps both
+   workloads (at most 123 pending) in the run throughout. *)
 let run_max = 128
 let run_min = run_max / 4
 
@@ -49,8 +51,6 @@ type t = {
   mutable seqs : int array;
   mutable slots : int array;
   mutable vals : (unit -> unit) array;
-  mutable free : int array;
-  mutable nfree : int;
   mutable head : int;  (* first pending entry; always 0 in a heap *)
   mutable size : int;
   mutable heap : bool;
@@ -73,8 +73,6 @@ let create () =
     seqs = [||];
     slots = [||];
     vals = [||];
-    free = [||];
-    nfree = 0;
     head = 0;
     size = 0;
     heap = false;
@@ -86,17 +84,11 @@ let create () =
 
 let set_tick t hook = t.tick <- hook
 
-let free_slot t slot =
-  Array.unsafe_set t.free t.nfree slot;
-  t.nfree <- t.nfree + 1
-
 let reset t =
   (* Drop queued callbacks explicitly so the retained capacity does not
      keep closures (and whatever they capture) alive across runs. *)
   for i = t.head to t.head + t.size - 1 do
-    let slot = t.slots.(i) in
-    t.vals.(slot) <- nothing;
-    free_slot t slot
+    t.vals.(t.slots.(i)) <- nothing
   done;
   t.head <- 0;
   t.size <- 0;
@@ -107,44 +99,37 @@ let reset t =
 
 let now t = t.clock.time
 
+(* Move the pending entries to index 0. [slots] is permuted by swaps, so
+   the free slots end up past the entries. *)
 let[@inline never] compact t =
   let n = t.size and h = t.head in
   Array.blit t.keys h t.keys 0 n;
   Array.blit t.seqs h t.seqs 0 n;
-  Array.blit t.slots h t.slots 0 n;
+  let slots = t.slots in
+  for i = 0 to n - 1 do
+    let free = slots.(i) in
+    slots.(i) <- slots.(h + i);
+    slots.(h + i) <- free
+  done;
   t.head <- 0
 
-(* Double the capacity, pending entries moved to index 0; the new slots
-   [cap, cap') go on the free stack. *)
+(* Double the capacity; every entry keeps its position, and the new
+   slots [cap, cap') are free. *)
 let[@inline never] grow t =
   let cap = Array.length t.keys in
   let cap' = if cap = 0 then 64 else 2 * cap in
   let keys = Array.make cap' 0.0 in
   let seqs = Array.make cap' 0 in
-  let slots = Array.make cap' 0 in
+  let slots = Array.init cap' Fun.id in
   let vals = Array.make cap' nothing in
-  let free = Array.make cap' 0 in
-  Array.blit t.keys t.head keys 0 t.size;
-  Array.blit t.seqs t.head seqs 0 t.size;
-  Array.blit t.slots t.head slots 0 t.size;
+  Array.blit t.keys 0 keys 0 cap;
+  Array.blit t.seqs 0 seqs 0 cap;
+  Array.blit t.slots 0 slots 0 cap;
   Array.blit t.vals 0 vals 0 cap;
-  Array.blit t.free 0 free 0 t.nfree;
-  for slot = cap to cap' - 1 do
-    free.(t.nfree + slot - cap) <- slot
-  done;
   t.keys <- keys;
   t.seqs <- seqs;
   t.slots <- slots;
-  t.vals <- vals;
-  t.free <- free;
-  t.nfree <- t.nfree + (cap' - cap);
-  t.head <- 0
-
-let park t f =
-  t.nfree <- t.nfree - 1;
-  let slot = Array.unsafe_get t.free t.nfree in
-  Array.unsafe_set t.vals slot f;
-  slot
+  t.vals <- vals
 
 (* Ordering: time first, schedule order (seqs) as the tie-break. The
    scans and sifts move the hole instead of swapping (one array write per
@@ -157,10 +142,11 @@ let park t f =
 let run_insert t ~time ~seq f =
   let cap = Array.length t.keys in
   if t.head + t.size = cap then if 2 * t.size <= cap && cap > 0 then compact t else grow t;
-  let slot = park t f in
   let keys = t.keys and seqs = t.seqs and slots = t.slots in
   let head = t.head in
   let i = ref (head + t.size) in
+  let slot = Array.unsafe_get slots !i in
+  Array.unsafe_set t.vals slot f;
   t.size <- t.size + 1;
   while !i > head && Array.unsafe_get keys (!i - 1) > time do
     let j = !i - 1 in
@@ -175,9 +161,10 @@ let run_insert t ~time ~seq f =
 
 let[@inline never] heap_insert t ~time ~seq f =
   if t.size = Array.length t.keys then grow t;
-  let slot = park t f in
   let keys = t.keys and seqs = t.seqs and slots = t.slots in
   let i = ref t.size in
+  let slot = Array.unsafe_get slots !i in
+  Array.unsafe_set t.vals slot f;
   t.size <- !i + 1;
   let sifting = ref true in
   while !sifting && !i > 0 do
@@ -195,12 +182,14 @@ let[@inline never] heap_insert t ~time ~seq f =
   Array.unsafe_set seqs !i seq;
   Array.unsafe_set slots !i slot
 
-(* Drop the heap's root: the last entry sifts down from the root. *)
+(* Drop the heap's root: the last entry sifts down from the root, and the
+   root's slot goes to the position the heap vacates. *)
 let drop_root t =
   t.size <- t.size - 1;
   let last = t.size in
+  let keys = t.keys and seqs = t.seqs and slots = t.slots in
+  let root = Array.unsafe_get slots 0 in
   if last > 0 then begin
-    let keys = t.keys and seqs = t.seqs and slots = t.slots in
     let key = Array.unsafe_get keys last in
     let seq = Array.unsafe_get seqs last in
     let slot = Array.unsafe_get slots last in
@@ -232,18 +221,22 @@ let drop_root t =
     Array.unsafe_set keys !i key;
     Array.unsafe_set seqs !i seq;
     Array.unsafe_set slots !i slot
-  end
+  end;
+  Array.unsafe_set slots last root
 
 (* Heap to run: pop the remaining [m] entries in order into the top [m]
-   positions. The heap only shrinks from [m], and the capacity is above
-   [run_max] > [2 * m], so the two never overlap. *)
+   positions, swapping each with the free slot there. The heap only
+   shrinks from [m], and the capacity is above [run_max] > [2 * m], so
+   the two never overlap. *)
 let[@inline never] to_run t =
   let m = t.size in
   let base = Array.length t.keys - m in
   let keys = t.keys and seqs = t.seqs and slots = t.slots in
   for j = 0 to m - 1 do
     let key = keys.(0) and seq = seqs.(0) and slot = slots.(0) in
+    let free = slots.(base + j) in
     drop_root t;
+    slots.(t.size) <- free;
     keys.(base + j) <- key;
     seqs.(base + j) <- seq;
     slots.(base + j) <- slot
@@ -285,7 +278,6 @@ let step t =
     let f = t.vals.(slot) in
     (* Release the popped callback so the queue does not retain it. *)
     t.vals.(slot) <- nothing;
-    free_slot t slot;
     if t.heap then begin
       drop_root t;
       if t.size < run_min then to_run t

@@ -193,9 +193,10 @@ let prop_engine_tie_order =
    model's (time, schedule order) minimum. After every op [pending]
    matches the model. A leg steers toward its target pending count: seven
    ops in eight move toward it, the eighth away. The first phase rises
-   past 128, falls below 32, rises past 128 again and is [reset] with the
-   heap in use; the second hovers at 128 (exactly full, then one over,
-   then around it) and drains. Each run draws from its own seed. *)
+   past 128, then twice falls below 32 and rises to 300 (so slots freed
+   around each change of shape are reused), and is [reset] with the heap
+   in use; the second hovers at 128 (exactly full, then one over, then
+   around it) and drains. Each run draws from its own seed. *)
 type engine_op = After of int | At of int | Step
 
 module Model = Set.Make (struct
@@ -273,8 +274,8 @@ let prop_engine_slots =
         full := 0;
         List.iter leg targets
       in
-      phase [ 160; 20; 160 ];
-      if !ups < 2 || !downs < 1 then failwith "the first phase did not cross both thresholds";
+      phase [ 160; 20; 300; 20; 300 ];
+      if !ups < 3 || !downs < 2 then failwith "the first phase did not cross both thresholds";
       let first = !id in
       Engine.reset e;
       model := Model.empty;
