@@ -121,13 +121,6 @@ type t = {
   mutable next_seq : int;
   mutable clock : int;  (* Lamport *)
   mutable epoch_counter : int;
-  (* Send batching ({!with_send_batch}): while [batch_depth > 0] emissions
-     are buffered (newest first) instead of sent, and flushed — after
-     coalescing superseded Release/Freeze messages — when the outermost
-     scope exits. Zero-cost when no scope is active. *)
-  mutable batch_depth : int;
-  mutable batched : (Node_id.t * Msg.t) list;
-  mutable coalesced : int;  (* messages the batch flushes dropped *)
   (* Continuations of local requests and upgrades still waiting, seq → k,
      newest first; a node rarely has more than one waiting client. *)
   mutable waiters : (int * (int -> unit)) list;
@@ -204,9 +197,6 @@ let create ?(config = default_config) ?obs ~id ~peers ~is_token ~parent ~send ()
     next_seq = 0;
     clock = 0;
     epoch_counter = 0;
-    batch_depth = 0;
-    batched = [];
-    coalesced = 0;
     waiters = [];
   }
 
@@ -224,7 +214,6 @@ let queue t = t.queue
 let frozen t = t.frozen
 let pending t = t.pending
 let waiting t = List.length t.waiters
-let coalesced t = t.coalesced
 
 let held_at = 0
 let child_at = 5
@@ -487,72 +476,7 @@ let pp_state ppf t =
     (List.length t.queue) Mode_set.pp t.frozen
     (match t.pending with None -> "_" | Some r -> Format.asprintf "%a" Msg.pp_request r)
 
-(* {1 Emission helpers} *)
-
-let emit t dst msg =
-  if t.batch_depth > 0 then t.batched <- (dst, msg) :: t.batched
-  else t.send ~dst msg
-
-(* Flush a batch, dropping messages that a later message to the same
-   destination provably supersedes. Only per-destination-adjacent pairs
-   are considered (links are FIFO per pair; nothing may be reordered
-   relative to other traffic on the same link):
-
-   - Freeze after Freeze: frozen sets sent to a child are cumulative
-     ([refresh_freezes] unions with everything previously sent, and any
-     event that resets the relationship — a grant, a transfer — puts a
-     Grant/Token between the two freezes), so the later set contains the
-     earlier one and Table 1 decisions at the child are unchanged.
-   - Release after Release at the same epoch: the child record ends in
-     the same state either way — a [None] is terminal for its epoch
-     (the sender detaches and cannot report under it again), so the
-     collapsed pair never resurrects a removed record.
-
-   Requests, grants and tokens are never dropped or reordered. *)
-
-(* The index of the last message to [dst] in [msgs.(0 .. j)], or -1. A
-   batch is a handful of messages, so a backward scan beats a table. *)
-let rec last_to msgs dst j = if j < 0 || fst msgs.(j) = dst then j else last_to msgs dst (j - 1)
-
-let flush_batch t =
-  match t.batched with
-  | [] -> ()
-  | [ (dst, m) ] ->
-      t.batched <- [];
-      t.send ~dst m
-  | batched ->
-      t.batched <- [];
-      let msgs = Array.of_list (List.rev batched) in
-      let n = Array.length msgs in
-      let drop = Array.make n false in
-      for i = 0 to n - 1 do
-        let dst, m = msgs.(i) in
-        let j = last_to msgs dst (i - 1) in
-        if j >= 0 then
-          match snd msgs.(j), m with
-          | Msg.Freeze _, Msg.Freeze _ ->
-              drop.(j) <- true;
-              t.coalesced <- t.coalesced + 1
-          | Msg.Release { epoch = e1; _ }, Msg.Release { epoch = e2; _ } when e1 = e2 ->
-              drop.(j) <- true;
-              t.coalesced <- t.coalesced + 1
-          | _ -> ()
-      done;
-      Array.iteri (fun i (dst, m) -> if not drop.(i) then t.send ~dst m) msgs
-
-let with_send_batch t f =
-  t.batch_depth <- t.batch_depth + 1;
-  let finish () =
-    t.batch_depth <- t.batch_depth - 1;
-    if t.batch_depth = 0 then flush_batch t
-  in
-  match f () with
-  | v ->
-      finish ();
-      v
-  | exception e ->
-      finish ();
-      raise e
+(* {1 Epochs and clocks} *)
 
 let fresh_epoch t =
   t.epoch_counter <- t.epoch_counter + 1;
@@ -628,7 +552,7 @@ let notify_freeze t c =
     | None -> ()
     | Some combined ->
         t.sent_freeze.(c) <- Mode_set.to_bits combined;
-        emit t c (Msg.Freeze { frozen = combined })
+        t.send ~dst:c (Msg.Freeze { frozen = combined })
 
 (* [notify_freeze] every child in ascending id, from bit [lo] of word [w]
    of [child_ids] on: the lowest remaining set bit is the next child. The
@@ -707,7 +631,8 @@ let report_owned t ~force =
     let strengthened = Decision.strength_of_code lc < Decision.strength_of_code oc in
     if weakened || strengthened || force then begin
       t.last_reported <- oc;
-      emit t q (Msg.Release { new_owned = Decision.decode_owned oc; epoch = t.accounted_epoch });
+      t.send ~dst:q
+        (Msg.Release { new_owned = Decision.decode_owned oc; epoch = t.accounted_epoch });
       if oc = 0 then begin
         t.accounted_parent <- -1;
         (* Detached from the copyset: no freeze duties remain, and no
@@ -800,7 +725,7 @@ let grant_copy t (r : Msg.request) =
   in
   child_set t r.requester mode epoch;
   let ancestry = if t.token then [] else t.ancestry in
-  emit t r.requester
+  t.send ~dst:r.requester
     (Msg.Grant
        { req = { r with Msg.hint_stamp = hint_stamp t; hint_owner = hint_owner t };
          epoch; recorded = mode; ancestry });
@@ -850,7 +775,7 @@ let transfer_token t (r : Msg.request) =
   t.accounted_epoch <- sender_epoch;
   t.last_reported <- residual;
   set_frozen t Mode_set.empty;
-  emit t r.requester tok;
+  t.send ~dst:r.requester tok;
   (* Un-freeze our remaining children; the new token node re-freezes as
      needed once it recomputes from the merged queue. *)
   refresh_freezes t
@@ -973,7 +898,7 @@ let forward_onward ?via t (r : Msg.request) =
       f
         (Dcs_obs.Event.Span { requester = r.Msg.requester; seq = r.Msg.seq })
         (Dcs_obs.Event.Forwarded { dst }));
-  emit t dst (Msg.Request r)
+  t.send ~dst (Msg.Request r)
 
 (* {1 Queue service (Rule 4 operational, Rule 5.1)} *)
 
@@ -1159,7 +1084,8 @@ let accounted_by t src = t.accounted_parent >= 0 && t.accounted_parent = src
 
 let detach_from_old_parent t ~src =
   let q = t.accounted_parent in
-  if q >= 0 && q <> src then emit t q (Msg.Release { new_owned = None; epoch = t.accounted_epoch })
+  if q >= 0 && q <> src then
+    t.send ~dst:q (Msg.Release { new_owned = None; epoch = t.accounted_epoch })
 
 let rec handle_grant t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
   observe_clock t r.timestamp;
@@ -1174,7 +1100,7 @@ let rec handle_grant t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
        can ever unwind it and conflicting requests starve. Cancel the
        granter's child record and serve the request ourselves: we are the
        root now, Rule 3.2 applies. *)
-    emit t src (Msg.Release { new_owned = None; epoch });
+    t.send ~dst:src (Msg.Release { new_owned = None; epoch });
     clear_pending_if_match t r;
     handle_request t r
   end
@@ -1193,7 +1119,7 @@ and handle_grant_at_child t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
        record of [src] is what justified its grant, so our owned mode
        usually covers the request — serve it ourselves; otherwise keep
        it moving toward the token. *)
-    emit t src (Msg.Release { new_owned = None; epoch });
+    t.send ~dst:src (Msg.Release { new_owned = None; epoch });
     let mo = owned_code t in
     if Decision.can_child_grant ~owned:mo r.mode && not (is_frozen t r.mode) then grant_self t r
     else forward_onward t r
@@ -1415,10 +1341,8 @@ let kick t =
    reference live client callbacks, which cannot cross a process boundary;
    the sharding layer parks and replays the traffic around the handoff
    instead, and for the same reason no client continuation may be waiting.
-   Transient fields ([kick_marks], send-batch buffers, the [coalesced]
-   tally) are deliberately dropped — the first holds staleness marks for a
-   pending request that must be [None] at export, the second must be empty
-   outside a batch scope. *)
+   The transient [kick_marks] are deliberately dropped: they hold
+   staleness marks for a pending request, which must be [None] at export. *)
 
 type snapshot = {
   s_token : bool;
@@ -1449,7 +1373,6 @@ let export t =
   if Option.is_some t.pending then invalid_arg "Hlock.Node.export: node has a pending request";
   if not (List.is_empty t.waiters) then
     invalid_arg "Hlock.Node.export: a client is still waiting";
-  if t.batch_depth > 0 then invalid_arg "Hlock.Node.export: open send batch";
   {
     s_token = t.token;
     s_parent = id_opt t.parent;
@@ -1545,9 +1468,6 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send (s : snapshot) =
       next_seq = s.s_next_seq;
       clock = s.s_clock;
       epoch_counter = s.s_epoch_counter;
-      batch_depth = 0;
-      batched = [];
-      coalesced = 0;
       waiters = [];
     }
   in

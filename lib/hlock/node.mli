@@ -2,11 +2,13 @@
 
     This is the paper's contribution (Rules 1–7 and the Figure-4
     pseudocode), written as a transport-agnostic state machine: the node
-    never performs I/O itself; it calls the [send] callback to emit
-    messages, and the continuation each client passes to {!request} or
-    {!upgrade} to wake that client. The same engine therefore runs
-    unchanged on the discrete-event simulator ({!Dcs_runtime}) and on the
-    real TCP transport ({!Dcs_netkit}).
+    never performs I/O itself; it calls the [send] callback once per
+    message, at the moment the protocol emits it, and the continuation each
+    client passes to {!request} or {!upgrade} to wake that client. Nothing
+    is buffered, merged or dropped on the way out, so the discrete-event
+    simulator ({!Dcs_runtime}) and the real TCP transport ({!Dcs_netkit})
+    run the one protocol that the fuzzer, the model checker and the
+    invariant oracle test.
 
     {2 Grant timing}
 
@@ -18,9 +20,9 @@
     - after the asking call's protocol work, just before it returns, when
       the grant happens inside the very {!request} or {!upgrade} call that
       asked for it (Rule 2's message-free acquisition, or the token node
-      serving itself). The continuation runs after every message
-      that call emits, so one that issues further calls never reorders the
-      protocol's own traffic.
+      serving itself). The continuation runs after the call has passed
+      every message it emits to [send], so one that issues further calls
+      never reorders the protocol's own traffic.
 
     {!waiting} counts the continuations still parked.
 
@@ -178,27 +180,6 @@ val kick : t -> unit
 (** Deliver one protocol message from node [src]. *)
 val handle_msg : t -> src:Node_id.t -> Msg.t -> unit
 
-(** [with_send_batch t f] buffers every message [f] emits and flushes the
-    batch when the outermost scope exits (scopes nest), after coalescing
-    messages a later message to the same destination provably supersedes:
-    a Freeze followed by another Freeze (sent sets are cumulative), and a
-    Release followed by another Release at the same epoch (the final
-    owned report is what the parent's record ends at either way). Only
-    per-destination-adjacent pairs coalesce, so nothing is reordered
-    relative to other traffic on the same link, and requests, grants and
-    tokens are never dropped.
-
-    This is an opt-in transport-level hook: real transports (the TCP
-    runner) wrap each message delivery / client call in it so compatible
-    local grants batch their upward Release/Freeze traffic into one wire
-    message; the simulator does not use it, keeping simulated message
-    counts and determinism digests exactly at the protocol's baseline. *)
-val with_send_batch : t -> (unit -> 'a) -> 'a
-
-(** Wire messages this node's {!with_send_batch} coalescing has saved so
-    far. *)
-val coalesced : t -> int
-
 (** {1 Introspection (tests, invariant checkers, tracing)} *)
 
 val id : t -> Node_id.t
@@ -282,7 +263,7 @@ type snapshot = {
 
 (** Capture this node's persistent state. The node must be client-quiescent:
     no locally held instances, no pending request, no waiting client
-    continuation, no open send batch — raises [Invalid_argument] otherwise.
+    continuation — raises [Invalid_argument] otherwise.
     (Queued {e remote} requests and copyset state are part of the snapshot;
     only live client continuations cannot cross a shard boundary.) *)
 val export : t -> snapshot

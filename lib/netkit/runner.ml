@@ -40,7 +40,6 @@ type t = {
   m_decode_errors : Metrics.counter;
   m_frames_received : Metrics.counter;
   m_bytes_received : Metrics.counter;
-  m_coalesced : Metrics.counter;
   m_backoff : Metrics.gauge;
   m_queue_depth : Metrics.gauge;
   m_grants : Metrics.grants;
@@ -319,7 +318,6 @@ let create ?(protocol = Node.default_config) ?telemetry ~config ~self () =
       m_decode_errors = c "net.decode_errors";
       m_frames_received = c "net.frames_received";
       m_bytes_received = c "net.bytes_received";
-      m_coalesced = c "net.coalesced";
       m_backoff = g "net.backoff_ms";
       m_queue_depth = g "net.outbound_queue_depth";
       m_grants = Metrics.grants metrics;
@@ -353,15 +351,8 @@ let create ?(protocol = Node.default_config) ?telemetry ~config ~self () =
   t
 
 (* Every entry into a lock's engine — a delivery, a client call, a kick —
-   runs [f] on it under the lock's stripe mutex, inside one send batch, and
-   credits what the batch coalesced to [net.coalesced]. *)
-let on_stripe t lock f =
-  let node = t.nodes.(lock) in
-  Mutex.protect t.stripes.(lock) (fun () ->
-      let before = Node.coalesced node in
-      Fun.protect
-        ~finally:(fun () -> Metrics.add t.m_coalesced (Node.coalesced node - before))
-        (fun () -> Node.with_send_batch node (fun () -> f node)))
+   runs [f] on it under the lock's stripe mutex. *)
+let on_stripe t lock f = Mutex.protect t.stripes.(lock) (fun () -> f t.nodes.(lock))
 
 (* {1 Inbound} *)
 

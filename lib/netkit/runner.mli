@@ -9,7 +9,7 @@
     engine owns each waiting client's continuation
     ({!Dcs_hlock.Node.request}) and runs it under that lock's stripe mutex:
     on a reader thread for a grant a message delivers, or inside
-    {!request}/{!upgrade} — within the call's send-batch scope — for a
+    {!request}/{!upgrade}, after the call's own messages are queued, for a
     grant the call itself makes. A continuation must not block or call
     into the same lock.
 
@@ -18,10 +18,9 @@
     queue under one lock acquisition, encodes the batch back-to-back into
     one reusable flat buffer (each frame 4-byte big-endian length prefix +
     envelope) and hands it to the kernel in a single write. Inbound frames
-    decode in place from a per-connection reusable buffer. Every protocol
-    entry point runs inside {!Dcs_hlock.Node.with_send_batch}, so
-    superseded upward Release/Freeze traffic coalesces before it is
-    queued.
+    decode in place from a per-connection reusable buffer. Every message
+    the engine emits is queued as it is emitted, so the protocol on the
+    wire is the one the simulator runs.
 
     Writer connections reconnect with capped exponential backoff; on a
     failed write, frames the kernel did not fully accept are requeued in
@@ -94,9 +93,7 @@ val lock_state : t -> lock:int -> string
 
 (** The live metrics registry ([net.*] transport counters and gauges,
     [grants.*] grant-mix counters). Shared with the telemetry shard's
-    periodic snapshots. [net.coalesced] sums every engine's
-    {!Dcs_hlock.Node.coalesced}: the Release/Freeze messages send batching
-    saved. *)
+    periodic snapshots. *)
 val metrics : t -> Dcs_obs.Metrics.t
 
 (** A point-in-time view of the transport, queryable while running — the

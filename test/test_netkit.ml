@@ -9,6 +9,19 @@ let checki = Alcotest.check Alcotest.int
 
 let base_port = ref 7600
 
+(* Poll [ok] for up to 3 s. *)
+let eventually ok =
+  let deadline = Unix.gettimeofday () +. 3.0 in
+  let rec go () =
+    if ok () then true
+    else if Unix.gettimeofday () >= deadline then false
+    else begin
+      Thread.delay 0.02;
+      go ()
+    end
+  in
+  go ()
+
 let make_cluster ~nodes ~locks =
   (* Fresh ports per test to dodge TIME_WAIT. *)
   base_port := !base_port + 16;
@@ -26,12 +39,18 @@ let make_cluster ~nodes ~locks =
 
 let stop_all runners = Array.iter Runner.stop runners
 
+(* The fixed calls of several tests: node 1 takes R and releases it, then
+   node 0 takes W and releases it, each after its grant. *)
+let read_then_write runners =
+  let take_and_release node mode =
+    Runner.release runners.(node) ~lock:0 ~seq:(Runner.request_sync runners.(node) ~lock:0 ~mode)
+  in
+  take_and_release 1 Dcs_modes.Mode.R;
+  take_and_release 0 Dcs_modes.Mode.W
+
 let test_remote_grant () =
   let runners = make_cluster ~nodes:2 ~locks:1 in
-  let seq = Runner.request_sync runners.(1) ~lock:0 ~mode:Dcs_modes.Mode.R in
-  Runner.release runners.(1) ~lock:0 ~seq;
-  let seq0 = Runner.request_sync runners.(0) ~lock:0 ~mode:Dcs_modes.Mode.W in
-  Runner.release runners.(0) ~lock:0 ~seq:seq0;
+  read_then_write runners;
   checkb "messages flowed" true (Dcs_proto.Counters.total (Runner.counters runners.(1)) > 0);
   stop_all runners
 
@@ -147,12 +166,38 @@ let test_inbound_sockets_closed () =
 
 (* {1 Runtime stats (queryable transport observability)} *)
 
+(* Poll until a 2-node cluster is quiescent and the counts it keeps
+   independently agree: no frame queued, and on each node the engine's
+   sends ([Runner.counters], counted at [send]) equal [net.frames_sent]
+   (counted by the writer at kernel accept), which equal the peer's
+   [net.frames_received]. After 3 s, fail with both values of a pair that
+   differs. *)
+let await_quiescent runners =
+  let counter i name =
+    Dcs_obs.Metrics.value (Dcs_obs.Metrics.counter (Runner.metrics runners.(i)) name)
+  in
+  let pairs () =
+    List.concat_map
+      (fun i ->
+        let r = runners.(i) and sent = counter i "net.frames_sent" in
+        [
+          (Printf.sprintf "node %d queued frames" i, (Runner.stats r).Runner.queued_frames, 0);
+          ( Printf.sprintf "node %d engine sends vs net.frames_sent" i,
+            Dcs_proto.Counters.total (Runner.counters r),
+            sent );
+          ( Printf.sprintf "node %d frames sent vs node %d received" i (1 - i),
+            sent,
+            counter (1 - i) "net.frames_received" );
+        ])
+      [ 0; 1 ]
+  in
+  if not (eventually (fun () -> List.for_all (fun (_, a, b) -> a = b) (pairs ()))) then
+    List.iter (fun (what, a, b) -> if a <> b then Alcotest.failf "%s: %d <> %d" what a b) (pairs ())
+
 let test_stats_clean_cluster () =
   let runners = make_cluster ~nodes:2 ~locks:1 in
-  let seq = Runner.request_sync runners.(1) ~lock:0 ~mode:Dcs_modes.Mode.R in
-  Runner.release runners.(1) ~lock:0 ~seq;
-  let seq0 = Runner.request_sync runners.(0) ~lock:0 ~mode:Dcs_modes.Mode.W in
-  Runner.release runners.(0) ~lock:0 ~seq:seq0;
+  read_then_write runners;
+  await_quiescent runners;
   (* Stats are live: query before stop. *)
   let s = Runner.stats runners.(1) in
   checkb "frames were sent" true (s.Runner.frames_sent > 0);
@@ -171,8 +216,29 @@ let test_stats_clean_cluster () =
     (Dcs_obs.Metrics.value (Dcs_obs.Metrics.counter m "net.frames_sent"));
   checkb "grant-mix counters fired" true
     (Dcs_obs.Metrics.value (Dcs_obs.Metrics.counter m "grants.R") > 0);
-  checkb "coalescing is reported" true
-    (List.exists (fun (name, _, _) -> name = "net.coalesced") (Dcs_obs.Metrics.snapshot m));
+  stop_all runners
+
+(* The TCP transport runs the protocol the simulator's checkers test: the
+   same calls send the same messages, class by class, as on the
+   synchronous in-memory cluster. *)
+let test_sim_tcp_parity () =
+  let runners = make_cluster ~nodes:2 ~locks:1 in
+  read_then_write runners;
+  await_quiescent runners;
+  let module SC = Testkit.Sync_cluster in
+  let c = SC.create 2 in
+  SC.release c ~node:1 ~seq:(SC.acquire c ~node:1 ~mode:Dcs_modes.Mode.R);
+  SC.release c ~node:0 ~seq:(SC.acquire c ~node:0 ~mode:Dcs_modes.Mode.W);
+  SC.settle c;
+  checkb "messages flowed" true (SC.messages_sent c > 0);
+  List.iter
+    (fun cls ->
+      let tcp =
+        Dcs_proto.Counters.get (Runner.counters runners.(0)) cls
+        + Dcs_proto.Counters.get (Runner.counters runners.(1)) cls
+      in
+      checki (Dcs_proto.Msg_class.to_string cls) (SC.sent_of_class c cls) tcp)
+    Dcs_proto.Msg_class.all;
   stop_all runners
 
 let test_stats_unreachable_peer () =
@@ -212,19 +278,6 @@ let test_stats_unreachable_peer () =
   checkb "queued frames dropped at stop" true (dropped ())
 
 (* {1 Hostile inbound frames} *)
-
-(* Poll [ok] for up to 3 s. *)
-let eventually ok =
-  let deadline = Unix.gettimeofday () +. 3.0 in
-  let rec go () =
-    if ok () then true
-    else if Unix.gettimeofday () >= deadline then false
-    else begin
-      Thread.delay 0.02;
-      go ()
-    end
-  in
-  go ()
 
 (* A well-formed frame whose sender id is outside the cluster is dropped
    and counted as a decode error: it changes no engine state, and the
@@ -403,6 +456,7 @@ let () =
           Alcotest.test_case "concurrent readers" `Slow test_concurrent_readers_across_processes;
           Alcotest.test_case "upgrade over tcp" `Slow test_upgrade_over_tcp;
           Alcotest.test_case "multi-lock traffic" `Slow test_multi_lock_traffic;
+          Alcotest.test_case "same messages as the simulator" `Slow test_sim_tcp_parity;
         ] );
       ( "stats",
         [
