@@ -1,4 +1,4 @@
-(* dcs-fuzz: differential protocol fuzzing against the sequential oracle.
+(* dcs-fuzz: protocol fuzzing against the runtime and trace oracles.
 
      dcs-fuzz run     --seeds N ...      fuzz N seed-deterministic schedules
      dcs-fuzz replay  FILE...            replay corpus files, check expectations
@@ -7,8 +7,8 @@
    Each case is a generated workload script driven through the simulated
    cluster under perturbed delivery orders (and optionally a fault plan or a
    seeded protocol mutation), with per-step safety oracles on and the
-   observable grant/upgrade/release trace checked against Dcs_check.Oracle
-   afterwards. [shrink] delta-debugs a failing case and writes a replayable
+   observable grant/upgrade/release trace checked by
+   Dcs_check.Oracle.conformance afterwards. [shrink] delta-debugs a failing case and writes a replayable
    corpus file. *)
 
 open Cmdliner
@@ -194,6 +194,6 @@ let shrink_cmd =
           $ mutation_arg $ from_arg $ out_arg $ budget_arg)
 
 let () =
-  let doc = "Differential protocol fuzzer with a sequential reference oracle." in
+  let doc = "Protocol fuzzer with runtime safety and trace-conformance oracles." in
   let info = Cmd.info "dcs-fuzz" ~version:"1.0.0" ~doc in
   exit (Cmd.eval (Cmd.group info [ run_cmd; replay_cmd; shrink_cmd ]))

@@ -1,105 +1,6 @@
 open Dcs_modes
 module Event = Dcs_obs.Event
 
-module Sequential = struct
-  (* One queue entry: [upgrade] entries re-request W on a held U. *)
-  type entry = { id : int; mode : Mode.t; priority : int; upgrade : bool; arrival : int }
-
-  type lock_state = {
-    mutable granted : (int * Mode.t) list;  (** client id -> held mode *)
-    mutable queue : entry list;  (** arrival order *)
-    mutable tick : int;
-  }
-
-  type t = { locks : lock_state array }
-
-  let create ~locks =
-    if locks < 1 then invalid_arg "Sequential.create";
-    { locks = Array.init locks (fun _ -> { granted = []; queue = []; tick = 0 }) }
-
-  let lock t ~lock =
-    if lock < 0 || lock >= Array.length t.locks then invalid_arg "Sequential: lock id";
-    t.locks.(lock)
-
-  (* Service order: upgrades outrank everything (Rule 7), then descending
-     priority, then FIFO. *)
-  let service_order q =
-    List.stable_sort
-      (fun a b ->
-        match (a.upgrade, b.upgrade) with
-        | true, false -> -1
-        | false, true -> 1
-        | _ ->
-            if a.priority <> b.priority then compare b.priority a.priority
-            else compare a.arrival b.arrival)
-      q
-
-  let grantable st e =
-    (* Table 1 against every current holder (an upgrade masks its own U)
-       and no overtaking of anyone ahead in service order: exactly the
-       freeze discipline of Table 2(b), centralized. *)
-    List.for_all
-      (fun (id, m) -> (e.upgrade && id = e.id) || Compat.compatible m e.mode)
-      st.granted
-    && List.for_all
-         (fun e' -> e'.arrival = e.arrival || Compat.compatible e.mode e'.mode)
-         (let rec ahead = function
-            | [] -> []
-            | e' :: _ when e'.arrival = e.arrival -> []
-            | e' :: rest -> e' :: ahead rest
-          in
-          ahead (service_order st.queue))
-
-  let grant st e =
-    st.queue <- List.filter (fun e' -> e'.arrival <> e.arrival) st.queue;
-    if e.upgrade then
-      st.granted <-
-        List.map (fun (id, m) -> if id = e.id then (id, Mode.W) else (id, m)) st.granted
-    else st.granted <- (e.id, e.mode) :: st.granted
-
-  let rec serve st acc =
-    match List.find_opt (grantable st) (service_order st.queue) with
-    | Some e ->
-        grant st e;
-        serve st (e.id :: acc)
-    | None -> List.rev acc
-
-  let enqueue st ~id ~priority ~mode ~upgrade =
-    st.tick <- st.tick + 1;
-    st.queue <- st.queue @ [ { id; mode; priority; upgrade; arrival = st.tick } ]
-
-  let request t ~lock:l ~id ?(priority = 0) ~mode () =
-    let st = lock t ~lock:l in
-    if List.mem_assoc id st.granted || List.exists (fun e -> e.id = id) st.queue then
-      invalid_arg "Sequential.request: id already active";
-    enqueue st ~id ~priority ~mode ~upgrade:false;
-    serve st []
-
-  let release t ~lock:l ~id =
-    let st = lock t ~lock:l in
-    if not (List.mem_assoc id st.granted) then invalid_arg "Sequential.release: not granted";
-    st.granted <- List.remove_assoc id st.granted;
-    serve st []
-
-  let upgrade t ~lock:l ~id =
-    let st = lock t ~lock:l in
-    (match List.assoc_opt id st.granted with
-    | Some Mode.U -> ()
-    | _ -> invalid_arg "Sequential.upgrade: id does not hold U");
-    enqueue st ~id ~priority:0 ~mode:Mode.W ~upgrade:true;
-    serve st []
-
-  let granted t ~lock:l = (lock t ~lock:l).granted
-  let waiting t ~lock:l = List.map (fun e -> e.id) (service_order (lock t ~lock:l).queue)
-
-  let frozen t ~lock:l =
-    let st = lock t ~lock:l in
-    let owned = Compat.strongest (List.map snd st.granted) in
-    List.fold_left
-      (fun acc e -> Mode_set.union acc (Compat.freeze_set ~owned e.mode))
-      Mode_set.empty st.queue
-end
-
 (* ------------------------------------------------------------------ *)
 (* Trace conformance                                                   *)
 

@@ -1,25 +1,12 @@
-(** The sequential reference oracle and the trace-conformance checker.
+(** The trace-conformance checker ({!conformance}).
 
-    {2 Reference semantics}
-
-    {!Sequential} is the paper's protocol with all distribution removed: a
-    single manager holding one FIFO queue per lock object. Grants obey
-    Table 1 compatibility; waiting requests freeze exactly the
-    Table 2(b) set ({!Dcs_modes.Compat.freeze_set}); service is strictly
-    FIFO by descending priority (upgrades outrank everything, Rule 7). It
-    is small enough to read against the paper directly and is both a unit
-    target for the mode-algebra and the ground truth differential runs
-    compare against.
-
-    {2 Conformance ({!conformance})}
-
-    The distributed protocol is {e not} observationally equal to the
-    sequential manager: Rule 2 lets a node with a cached copy re-acquire
-    message-free, legitimately overtaking an older conflicting request
-    queued remotely until the Rule-6 freeze propagates to it. Strict
-    FIFO-order checking would therefore reject correct runs. Conformance
-    instead checks what the protocol does promise, on the
-    {!Dcs_obs.Event.t} trace:
+    The distributed protocol is {e not} observationally equal to a
+    sequential lock manager with one FIFO queue per lock: Rule 2 lets a
+    node with a cached copy re-acquire message-free, legitimately
+    overtaking an older conflicting request queued remotely until the
+    Rule-6 freeze propagates to it. Strict FIFO-order checking would
+    therefore reject correct runs. Conformance instead checks what the
+    protocol does promise, on the {!Dcs_obs.Event.t} trace:
 
     - {e compatibility}: grant intervals concurrently open on one lock
       carry pairwise Table-1-compatible modes (hard safety);
@@ -36,33 +23,6 @@
       means Rule 6 is broken);
     - {e liveness} (when [require_complete]): every requested span is
       granted and released by end of trace. *)
-
-open Dcs_modes
-
-module Sequential : sig
-  type t
-
-  val create : locks:int -> t
-
-  (** Client ids are arbitrary; each [id] may have at most one outstanding
-      request or grant per lock. Each call returns the ids granted by it
-      (the argument id and/or queued ids unblocked by a release), in grant
-      order. *)
-
-  val request : t -> lock:int -> id:int -> ?priority:int -> mode:Mode.t -> unit -> int list
-
-  val release : t -> lock:int -> id:int -> int list
-
-  (** [upgrade] re-requests [W] on a held [U] (Rule 7): outranks the
-      queue, served when every other grant is released. *)
-  val upgrade : t -> lock:int -> id:int -> int list
-
-  val granted : t -> lock:int -> (int * Mode.t) list
-  val waiting : t -> lock:int -> int list
-
-  (** Union of Table 2(b) freeze sets of the waiting requests. *)
-  val frozen : t -> lock:int -> Mode_set.t
-end
 
 type report = {
   events : int;

@@ -8,7 +8,6 @@ type config = {
   eager_release : bool;
   freezing : bool;
   reverse_all : bool;
-  grant_edges : bool;
   caching : bool;
   mutation : mutation option;
 }
@@ -18,7 +17,6 @@ let default_config =
     eager_release = false;
     freezing = true;
     reverse_all = false;
-    grant_edges = true;
     caching = true;
     mutation = None;
   }
@@ -146,22 +144,28 @@ let bit_index =
 
 let visited_words peers = Array.make ((peers + ids_per_word - 1) / ids_per_word) 0
 
-let create ?(config = default_config) ?obs ~id ~peers ~is_token ~parent ~send () =
+(* Ids a node will send to must name a peer: [restore] checks a
+   snapshot's, which may come off the wire, and [make] the parent. *)
+let check_id ~caller ~peers what c =
+  if c < 0 || c >= peers then
+    invalid_arg (Printf.sprintf "%s: %s id %d outside [0, %d)" caller what c peers)
+
+(* The one node-record constructor, shared by [create] and [restore]: a
+   node that holds nothing, records no child, queues nothing and has
+   fresh clocks and counters. *)
+let make ~caller ~config ~obs ~id ~peers ~send ~token ~parent =
   (* Freezes are the cache-revocation channel: without them a cached mode
      could block a conflicting writer forever. *)
   let config = if config.freezing then config else { config with caching = false } in
-  if is_token && Option.is_some parent then
-    invalid_arg "Hlock.Node.create: token node with a parent";
-  if (not is_token) && Option.is_none parent then
-    invalid_arg "Hlock.Node.create: non-token node without parent";
-  if peers < 1 || id < 0 || id >= peers then invalid_arg "Hlock.Node.create: id out of range";
+  if peers < 1 || id < 0 || id >= peers then invalid_arg (caller ^ ": id out of range");
+  (match parent with Some p -> check_id ~caller ~peers "parent" p | None -> ());
   {
     config;
     id;
     peers;
     send;
     obs;
-    token = is_token;
+    token;
     parent = id_or_none parent;
     parent_stamp = 0;
     accounted_parent = -1;
@@ -188,7 +192,7 @@ let create ?(config = default_config) ?obs ~id ~peers ~is_token ~parent ~send ()
     kick_marks = [];
     tenure = 0;
     hint_stamp = 0;
-    hint_owner = (if is_token then id else match parent with Some p -> p | None -> id);
+    hint_owner = (match parent with Some p -> p | None -> id);
     last_granter = -1;
     ancestry = [];
     saw_transfer = false;
@@ -199,6 +203,13 @@ let create ?(config = default_config) ?obs ~id ~peers ~is_token ~parent ~send ()
     epoch_counter = 0;
     waiters = [];
   }
+
+let create ?(config = default_config) ?obs ~id ~peers ~is_token ~parent ~send () =
+  if is_token && Option.is_some parent then
+    invalid_arg "Hlock.Node.create: token node with a parent";
+  if (not is_token) && Option.is_none parent then
+    invalid_arg "Hlock.Node.create: non-token node without parent";
+  make ~caller:"Hlock.Node.create" ~config ~obs ~id ~peers ~send ~token:is_token ~parent
 
 (* {1 Views} *)
 
@@ -790,17 +801,17 @@ let enqueue t (r : Msg.request) =
 
 (* The visited set of a relayed path lives in [t.visited] for the span of
    one [forward_onward] call. [mark_path] sets the bit of every id of
-   [path] in [0, peers) and returns the list's length; ids outside that
-   range, which a decoded frame may carry, have no bit. *)
+   [path] in [0, peers); ids outside that range, which a decoded frame may
+   carry, have no bit. *)
 let mark t p =
   let w = p / ids_per_word in
   t.visited.(w) <- t.visited.(w) lor (1 lsl (p - (w * ids_per_word)))
 
-let rec mark_path t n = function
-  | [] -> n
+let rec mark_path t = function
+  | [] -> ()
   | p :: tl ->
       if p >= 0 && p < t.peers then mark t p;
-      mark_path t (n + 1) tl
+      mark_path t tl
 
 let is_marked t p =
   let w = p / ids_per_word in
@@ -827,20 +838,20 @@ let rec first_unmarked t w =
 
 (* Relay a request one hop toward the token. Normally that hop is our
    routing parent; if the parent has already seen this request (a transient
-   routing cycle — stale reversal and grant edges can briefly form one),
-   divert: prefer live copyset links (accounting chains end at the token),
-   then the lowest-id unvisited node. The path grows at every hop, so a
+   routing cycle — stale reversal can briefly form one), divert: prefer
+   live copyset links (accounting chains end at the token), then the
+   lowest-id unvisited node. The path grows at every hop, so a
    diverted request sweeps the membership in at most [peers] hops and must
    reach a node that takes custody — the token holder in the worst case.
    Candidates are tried in a fixed order without building a list, each
    against the path's bit set, and the request is copied once. *)
 let forward_onward ?via t (r : Msg.request) =
-  let len = mark_path t 0 r.Msg.path in
-  let path, len =
-    if is_marked t t.id then (r.Msg.path, len)
+  mark_path t r.Msg.path;
+  let path =
+    if is_marked t t.id then r.Msg.path
     else begin
       mark t t.id;
-      (t.id :: r.Msg.path, len + 1)
+      t.id :: r.Msg.path
     end
   in
   let my_stamp = hint_stamp t and hinted = hint_owner t in
@@ -879,19 +890,19 @@ let forward_onward ?via t (r : Msg.request) =
   for w = 0 to Array.length t.visited - 1 do
     t.visited.(w) <- 0
   done;
-  (* Everyone visited without custody: the token kept moving ahead of the
-     sweep. Restart it; randomized latencies make repeated evasion
-     vanishingly unlikely. *)
-  let dst = if dst >= 0 then dst else if t.parent >= 0 then t.parent else (t.id + 1) mod t.peers in
-  (* Resetting the sweep must NOT keep the requester excluded: the token
-     can land at the requester while its request is mid-sweep (a token
-     transfer serving another of its requests), and a request without
-     local custody — forwarded past an unrelated pending — exists only in
-     flight. Excluding the requester then makes the sweep skip the one
-     node that can serve it, forever. *)
-  let hops = r.Msg.hops + 1 in
-  let path = if hops > 0 && len >= t.peers then [ t.id ] else path in
-  let r = { r with Msg.hops; path; hint_stamp = h_stamp; hint_owner = h_owner } in
+  (* No candidate is left exactly when the sweep is exhausted: everyone
+     visited without custody, the token kept moving ahead of the sweep.
+     Restart it; randomized latencies make repeated evasion vanishingly
+     unlikely. Resetting the sweep must NOT keep the requester excluded:
+     the token can land at the requester while its request is mid-sweep (a
+     token transfer serving another of its requests), and a request
+     without local custody — forwarded past an unrelated pending — exists
+     only in flight. Excluding the requester then makes the sweep skip the
+     one node that can serve it, forever. *)
+  let exhausted = dst < 0 in
+  let dst = if not exhausted then dst else if t.parent >= 0 then t.parent else (t.id + 1) mod t.peers in
+  let path = if exhausted then [ t.id ] else path in
+  let r = { r with Msg.hops = r.Msg.hops + 1; path; hint_stamp = h_stamp; hint_owner = h_owner } in
   (match t.obs with
   | None -> ()
   | Some f ->
@@ -899,6 +910,35 @@ let forward_onward ?via t (r : Msg.request) =
         (Dcs_obs.Event.Span { requester = r.Msg.requester; seq = r.Msg.seq })
         (Dcs_obs.Event.Forwarded { dst }));
   t.send ~dst (Msg.Request r)
+
+(* {1 Grant decisions (Rules 3, 3.1, 3.2 and 7)} *)
+
+(* Rule 3/3.1 at a non-token node: may we grant [r] out of our owned mode?
+   Never in a frozen mode (Rule 6). Never to a remote request that is
+   token-only, or whose requester is one of our (approximate) accounting
+   ancestors: that grant would close an accounting ring (repair 13). *)
+let may_child_grant t (r : Msg.request) =
+  Decision.can_child_grant ~owned:(owned_code t) r.mode
+  && (not (is_frozen t r.mode))
+  && (r.requester = t.id || ((not r.token_only) && not (mem_id r.requester t.ancestry)))
+
+(* The token node serves [r], which its owned code [mo] for [r] lets it
+   grant: complete our own upgrade (Rule 7), grant ourselves, hand the
+   token over when no owned mode could keep it (Rule 3.2), or copy-grant
+   (Rule 3). *)
+let serve_at_token t (r : Msg.request) mo =
+  if r.requester = t.id then begin
+    if r.upgrade then complete_upgrade t r else grant_self t r
+  end
+  else if Decision.token_must_transfer ~owned:mo r.mode then transfer_token t r
+  else grant_copy t r
+
+(* Keep [keep] in custody and push [out] toward the token, where it will
+   be served (liveness). *)
+let recirculate t ~keep out =
+  queue_replace t keep;
+  List.iter (fun r -> forward_onward t r) out;
+  refresh_freezes t
 
 (* {1 Queue service (Rule 4 operational, Rule 5.1)} *)
 
@@ -916,50 +956,100 @@ let rec serve_queue t =
         if Decision.token_can_grant ~owned:mo r.mode then begin
           queue_pop t r rest;
           refresh_freezes t;
-          if r.upgrade && r.requester = t.id then complete_upgrade t r
-          else if r.requester = t.id then grant_self t r
-          else if Decision.token_must_transfer ~owned:mo r.mode then transfer_token t r
-          else grant_copy t r;
+          serve_at_token t r mo;
           if t.token then serve_queue t
         end
         else refresh_freezes t
       end
-      else begin
-        let mo = owned_code t in
-        let remote_grant_ok =
-          r.requester = t.id
-          || ((not r.token_only) && not (mem_id r.requester t.ancestry))
-        in
-        if Decision.can_child_grant ~owned:mo r.mode && (not (is_frozen t r.mode)) && remote_grant_ok
-        then begin
-          queue_pop t r rest;
-          if r.requester = t.id then grant_self t r else grant_copy t r;
-          serve_queue t
-        end
-        else if Option.is_none t.pending then begin
-          (* Nothing further will come through to serve these locally;
-             push the whole queue toward the token (liveness). *)
-          let stranded = t.queue in
-          queue_replace t [];
-          List.iter (fun r -> forward_onward t r) stranded;
-          refresh_freezes t
-        end
+      else if may_child_grant t r then begin
+        queue_pop t r rest;
+        if r.requester = t.id then grant_self t r else grant_copy t r;
+        serve_queue t
       end
+      else if Option.is_none t.pending then
+        (* Nothing further will come through to serve these locally. *)
+        recirculate t ~keep:[] t.queue
 
 (* Any change to held/children modes may enable queued grants, change freeze
    sets, and require an upward report. *)
 let after_owned_change t =
-  if t.token then begin
-    refresh_freezes t;
-    serve_queue t
-  end
-  else begin
-    report_owned t ~force:t.config.eager_release;
-    refresh_freezes t;
-    serve_queue t
-  end
+  report_owned t ~force:t.config.eager_release;
+  refresh_freezes t;
+  serve_queue t
 
 (* {1 Request handling (Rules 2, 3, 4)} *)
+
+(* Rule 2 at a non-token node: our own request. *)
+let request_own t (r : Msg.request) =
+  match t.pending with
+  | Some p when Msg.request_same p r ->
+      (* Our own pending request was relayed back to us (transient cycle
+         while a token is in flight): keep it moving. *)
+      forward_onward t r
+  | _ ->
+      if may_child_grant t r then (* Message-free local acquisition. *) grant_self t r
+      else begin
+        (* A mode we own but may not grant only because it is frozen: a
+           node in our own accounting subtree could grant it, and that
+           would close an accounting ring. Only the token may serve it
+           (repair 13). *)
+        let r =
+          if Decision.can_child_grant ~owned:(owned_code t) r.mode then
+            { r with Msg.token_only = true }
+          else r
+        in
+        match t.pending with
+        | None ->
+            t.pending <- Some r;
+            forward_onward t r
+        | Some p ->
+            if Decision.queueable ~pending:(Decision.code_of_mode p.mode) r.mode then enqueue t r
+            else forward_onward t r
+      end
+
+(* Rule 4.1 / Table 2(a): take custody of [r] until our own pending [p]
+   comes through. Custody edges must not cycle (that would deadlock both
+   requests): cross-mode absorption descends the mode hierarchy strictly,
+   and same-mode absorption is restricted to requests younger than our
+   pending — so every custody chain ends at the token or at a serving node
+   (repair 10). Higher priorities are never absorbed: holding them hostage
+   behind a lower-priority pending would be a distributed priority
+   inversion; they keep moving toward the token's queue. *)
+let absorbs (p : Msg.request) (r : Msg.request) =
+  Decision.queueable ~pending:(Decision.code_of_mode p.mode) r.mode
+  && ((not (Mode.equal p.mode r.mode)) || Msg.request_lt p r)
+
+(* Dynamic path reversal (the §2 tree mechanics the protocol is built on),
+   applied to requests certain to end in a token transfer: no owned mode
+   can copy-grant U or W, so their requester is the future root — Naimi's
+   re-pointing invariant. Reversing toward copy-grant requesters too floods
+   the graph with transient cycles and turns most relays into diversion
+   sweeps, so IR/R/IW reverse only where transfers dominate (repair 7). Any
+   cycles this still leaves are rendered harmless by path-carrying relays
+   (see forward_onward). *)
+let reverse_path t (r : Msg.request) =
+  let stamp = max r.Msg.hint_stamp (hint_stamp t) in
+  match r.mode with
+  | Mode.U | Mode.W -> set_parent t r.Msg.requester ~stamp
+  | Mode.IR | Mode.R | Mode.IW ->
+      if t.config.reverse_all || t.saw_transfer || not t.served_ever then
+        set_parent t r.Msg.requester ~stamp
+
+(* Rules 3.1 and 4.1 at a non-token node: a remote request. *)
+let request_remote t (r : Msg.request) =
+  if may_child_grant t r then grant_copy t r
+  else
+    match t.pending with
+    | Some p when absorbs p r -> enqueue t r
+    | Some _ ->
+        (* Older same-mode request: it is ahead of us in the global order;
+           send it along the trail our own request took — the liveliest
+           route toward the token we know. *)
+        let target = if hint_stamp t >= r.Msg.hint_stamp then hint_owner t else r.Msg.hint_owner in
+        forward_onward ~via:target t r
+    | None ->
+        forward_onward t r;
+        reverse_path t r
 
 let handle_request t (r : Msg.request) =
   (* Any request — including our own — outranks cached convenience copies
@@ -968,11 +1058,11 @@ let handle_request t (r : Msg.request) =
   if t.token then begin
     let mo = owned_code_for t r in
     if Decision.token_can_grant ~owned:mo r.mode && not (is_frozen t r.mode) then begin
-      if r.upgrade && r.requester = t.id then complete_upgrade t r
-      else if r.requester = t.id then grant_self t r
-      else if Decision.token_must_transfer ~owned:mo r.mode then transfer_token t r
-      else grant_copy t r;
-      if t.token then begin refresh_freezes t; serve_queue t end
+      serve_at_token t r mo;
+      if t.token then begin
+        refresh_freezes t;
+        serve_queue t
+      end
     end
     else begin
       enqueue t r;
@@ -980,98 +1070,18 @@ let handle_request t (r : Msg.request) =
       if revoked then serve_queue t
     end
   end
-  else if r.requester = t.id then begin
-    (* Rule 2, local request at a non-token node. *)
-    let mo = owned_code t in
-    (match t.pending with
-    | Some p when Msg.request_same p r ->
-        (* Our own pending request was relayed back to us (transient cycle
-           while a token is in flight): keep it moving. *)
-        forward_onward t r
-    | _ ->
-        if Decision.can_child_grant ~owned:mo r.mode && not (is_frozen t r.mode) then
-          (* Message-free local acquisition. *)
-          grant_self t r
-        else begin
-          let r =
-            if Decision.can_child_grant ~owned:mo r.mode && is_frozen t r.mode then
-              { r with Msg.token_only = true }
-            else r
-          in
-          match t.pending with
-          | None ->
-              t.pending <- Some r;
-              forward_onward t r
-          | Some p ->
-              if Decision.queueable ~pending:(Decision.code_of_mode p.mode) r.mode then enqueue t r
-              else forward_onward t r
-        end);
-    (* Every path above must surface the revocation — including the
-       relayed-back escape: our request may circle for a while, and until
-       the weakening is reported the old granter's record of us blocks
-       exactly the conflicting mode we are asking for. *)
-    if revoked then begin
-      report_owned t ~force:false;
-      refresh_freezes t
-    end
-  end
-  else if r.token_only then begin
-    (* Token-bound: relay without granting or absorbing (see Msg.request). *)
-    forward_onward t r;
-    if revoked then begin
-      report_owned t ~force:false;
-      refresh_freezes t
-    end
-  end
   else begin
-    (* Rule 3.1 / Rule 4.1 at a non-token node. *)
-    let mo = owned_code t in
-    (if
-       Decision.can_child_grant ~owned:mo r.mode
-       && (not (is_frozen t r.mode))
-       && not (mem_id r.requester t.ancestry)
-     then grant_copy t r
-     else
-      match t.pending with
-      | Some p
-        when Decision.queueable ~pending:(Decision.code_of_mode p.mode) r.mode
-             && ((not (Mode.equal p.mode r.mode)) || Msg.request_lt p r) ->
-          (* Rule 4.1 / Table 2(a): take custody until our own pending
-             request comes through. Custody edges must not cycle (that
-             would deadlock both requests): cross-mode absorption descends
-             the mode hierarchy strictly, and same-mode absorption is
-             restricted to requests younger than our pending — so every
-             custody chain ends at the token or at a serving node. Higher
-             priorities are never absorbed: holding them hostage behind a
-             lower-priority pending would be a distributed priority
-             inversion; they keep moving toward the token's queue. *)
-          enqueue t r
-      | Some _ ->
-          (* Older same-mode request: it is ahead of us in the global
-             order; send it along the trail our own request took — the
-             liveliest route toward the token we know. *)
-          let target =
-            if hint_stamp t >= r.Msg.hint_stamp then hint_owner t else r.Msg.hint_owner
-          in
-          forward_onward ~via:target t r
-      | None ->
-          forward_onward t r;
-          (* Dynamic path reversal (the §2 tree mechanics the protocol is
-             built on), applied to requests certain to end in a token
-             transfer: no owned mode can copy-grant U or W, so their
-             requester is the future root — Naimi's re-pointing invariant.
-             Reversing toward copy-grant requesters too floods the graph
-             with transient cycles and turns most relays into diversion
-             sweeps. Any cycles this still leaves are rendered harmless by
-             path-carrying relays (see forward_onward). *)
-          let stamp = max r.Msg.hint_stamp (hint_stamp t) in
-          (match r.mode with
-          | Mode.U | Mode.W -> set_parent t r.Msg.requester ~stamp
-          | Mode.IR | Mode.R | Mode.IW ->
-              if t.config.reverse_all || t.saw_transfer || not t.served_ever then
-                set_parent t r.Msg.requester ~stamp));
+    if r.requester = t.id then request_own t r
+    else if r.token_only then
+      (* Token-bound: relay without granting or absorbing (see Msg.request). *)
+      forward_onward t r
+    else request_remote t r;
     (* A revoked cache weakened our owned mode: tell the copyset parent so
-       the conflicting request stops waiting on us. *)
+       the conflicting request stops waiting on us. Every path above must
+       surface it — including the relayed-back escape: our request may
+       circle for a while, and until the weakening is reported the old
+       granter's record of us blocks exactly the conflicting mode we are
+       asking for. *)
     if revoked then begin
       report_owned t ~force:false;
       refresh_freezes t
@@ -1087,7 +1097,7 @@ let detach_from_old_parent t ~src =
   if q >= 0 && q <> src then
     t.send ~dst:q (Msg.Release { new_owned = None; epoch = t.accounted_epoch })
 
-let rec handle_grant t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
+let handle_grant t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
   observe_clock t r.timestamp;
   observe_hint t r;
   absorb_epoch t epoch;
@@ -1104,59 +1114,54 @@ let rec handle_grant t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
     clear_pending_if_match t r;
     handle_request t r
   end
-  else handle_grant_at_child t ~src r ~epoch ~recorded ~ancestry
-
-and handle_grant_at_child t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
-  if child_code t src > 0 then begin
+  else if child_code t src > 0 then begin
     (* The granter is currently OUR child (e.g. a token handoff left us
        its residual record while our request still circulated): adopting
        it as accounting parent would close a two-node copyset cycle in
        which each node's owned mode is justified only by the other, so
        every release one sends flips the other's owned mode and triggers
        a release back — an unbounded Release ping-pong (and no freeze
-       can unwind it either). Same cure as the token-race above: cancel
+       can unwind it either). Same cure as the token race above: cancel
        the granter's fresh record of us instead of adopting it. Our own
        record of [src] is what justified its grant, so our owned mode
        usually covers the request — serve it ourselves; otherwise keep
        it moving toward the token. *)
     t.send ~dst:src (Msg.Release { new_owned = None; epoch });
-    let mo = owned_code t in
-    if Decision.can_child_grant ~owned:mo r.mode && not (is_frozen t r.mode) then grant_self t r
-    else forward_onward t r
+    if may_child_grant t r then grant_self t r else forward_onward t r
   end
   else begin
-  t.ancestry <- src :: ancestry;
-  let same_parent = accounted_by t src in
-  detach_from_old_parent t ~src;
-  (* A new accounting parent owns our freeze state from now on; stale sets
-     from the old one must not linger (they would never be un-frozen). *)
-  if not same_parent then set_frozen t Mode_set.empty;
-  t.accounted_parent <- src;
-  t.accounted_epoch <- epoch;
-  t.last_granter <- src;
-  t.saw_transfer <- false;
-  t.served_ever <- true;
-  (* Deliberate departure from Figure 4's "Parent <- Sender": a copy grant
-     updates only the copyset (accounting) relation, never the routing
-     parent. Grant edges point backward toward old roots; mixed with path
-     reversal they can close a routing cycle that traps the grantee's own
-     next U/W request in an eternal two-node relay (see DESIGN.md §2 for
-     the counterexample). Routing pointers move only on U/W reversal and
-     token transfer — Naimi's proven discipline. *)
-  (* [recorded] is exactly what the granter wrote into its record for us —
-     [r.mode], or a stronger carried-over mode whose release may have
-     crossed this grant and be headed for a stale-epoch drop. Adopting it
-     makes the repair below bidirectional. *)
-  t.last_reported <- Decision.code_of_mode recorded;
-  grant_self t r;
-  (* Repair both crossing directions: strengthen if we own more than the
-     record (a release crossed the grant and already landed), weaken if we
-     own less (our release is about to be dropped as stale — without this
-     the carried-over record pins a mode nobody owns and the conflicting
-     request it blocks starves). *)
-  report_owned t ~force:false;
-  refresh_freezes t;
-  serve_queue t
+    t.ancestry <- src :: ancestry;
+    let same_parent = accounted_by t src in
+    detach_from_old_parent t ~src;
+    (* A new accounting parent owns our freeze state from now on; stale sets
+       from the old one must not linger (they would never be un-frozen). *)
+    if not same_parent then set_frozen t Mode_set.empty;
+    t.accounted_parent <- src;
+    t.accounted_epoch <- epoch;
+    t.last_granter <- src;
+    t.saw_transfer <- false;
+    t.served_ever <- true;
+    (* Deliberate departure from Figure 4's "Parent <- Sender": a copy grant
+       updates only the copyset (accounting) relation, never the routing
+       parent. Grant edges point backward toward old roots; mixed with path
+       reversal they can close a routing cycle that traps the grantee's own
+       next U/W request in an eternal two-node relay (see DESIGN.md §2 for
+       the counterexample). Routing pointers move only on U/W reversal and
+       token transfer — Naimi's proven discipline. *)
+    (* [recorded] is exactly what the granter wrote into its record for us —
+       [r.mode], or a stronger carried-over mode whose release may have
+       crossed this grant and be headed for a stale-epoch drop. Adopting it
+       makes the repair below bidirectional. *)
+    t.last_reported <- Decision.code_of_mode recorded;
+    grant_self t r;
+    (* Repair both crossing directions: strengthen if we own more than the
+       record (a release crossed the grant and already landed), weaken if we
+       own less (our release is about to be dropped as stale — without this
+       the carried-over record pins a mode nobody owns and the conflicting
+       request it blocks starves). *)
+    report_owned t ~force:false;
+    refresh_freezes t;
+    serve_queue t
   end
 
 let handle_token t ~src (m : Msg.t) =
@@ -1225,20 +1230,24 @@ let handle_msg t ~src msg =
 
 (* {1 Client API} *)
 
-let request ?(priority = 0) t ~mode ~on_granted =
-  if priority < 0 then invalid_arg "Hlock.Node.request: negative priority";
-  let seq = t.next_seq in
-  t.next_seq <- t.next_seq + 1;
+(* A fresh request of a local client for [mode], stamped now; it opens (or,
+   for an upgrade, re-opens) the span of [seq]. *)
+let client_request t ~seq ~mode ~upgrade ~priority =
   let r =
-    { Msg.requester = t.id; seq; mode; upgrade = false; timestamp = tick t; priority;
-      hops = 0; token_only = false; hint_stamp = hint_stamp t; hint_owner = hint_owner t;
-      path = [ t.id ] }
+    { Msg.requester = t.id; seq; mode; upgrade; timestamp = tick t; priority; hops = 0;
+      token_only = false; hint_stamp = hint_stamp t; hint_owner = hint_owner t; path = [ t.id ] }
   in
   (match t.obs with
   | None -> ()
   | Some f ->
       f (Dcs_obs.Event.Span { requester = t.id; seq }) (Dcs_obs.Event.Requested { mode; priority }));
-  handle_request t r;
+  r
+
+let request ?(priority = 0) t ~mode ~on_granted =
+  if priority < 0 then invalid_arg "Hlock.Node.request: negative priority";
+  let seq = t.next_seq in
+  t.next_seq <- t.next_seq + 1;
+  handle_request t (client_request t ~seq ~mode ~upgrade:false ~priority);
   continue_or_wait t seq mode on_granted;
   seq
 
@@ -1259,28 +1268,7 @@ let upgrade t ~seq ~on_upgraded =
   | Mode.U ->
       if not t.token then
         invalid_arg "Hlock.Node.upgrade: protocol invariant violated (U holder must be the token node)";
-      let r =
-        {
-          Msg.requester = t.id;
-          seq;
-          mode = Mode.W;
-          upgrade = true;
-          timestamp = tick t;
-          priority = 0;
-          hops = 0;
-          token_only = false;
-          hint_stamp = hint_stamp t;
-          hint_owner = hint_owner t;
-          path = [ t.id ];
-        }
-      in
-      (* The upgrade re-opens the held instance's span as a W request. *)
-      (match t.obs with
-      | None -> ()
-      | Some f ->
-          f
-            (Dcs_obs.Event.Span { requester = t.id; seq })
-            (Dcs_obs.Event.Requested { mode = Mode.W; priority = 0 }));
+      let r = client_request t ~seq ~mode:Mode.W ~upgrade:true ~priority:0 in
       ignore (revoke_conflicting t Mode.W);
       let mo = owned_code_for t r in
       if Decision.token_can_grant ~owned:mo Mode.W then begin
@@ -1318,11 +1306,7 @@ let kick t =
     let stale, keep =
       List.partition (fun (r : Msg.request) -> r.requester <> t.id && marked r) t.queue
     in
-    if not (List.is_empty stale) then begin
-      queue_replace t keep;
-      List.iter (fun r -> forward_onward t r) stale;
-      refresh_freezes t
-    end;
+    if not (List.is_empty stale) then recirculate t ~keep stale;
     t.kick_marks <-
       List.filter_map
         (fun (r : Msg.request) -> if r.requester <> t.id then Some (r.requester, r.seq) else None)
@@ -1403,17 +1387,13 @@ let export t =
   }
 
 let restore ?(config = default_config) ?obs ~id ~peers ~send (s : snapshot) =
-  let config = if config.freezing then config else { config with caching = false } in
-  if peers < 1 || id < 0 || id >= peers then invalid_arg "Hlock.Node.restore: id out of range";
+  let caller = "Hlock.Node.restore" in
+  let t = make ~caller ~config ~obs ~id ~peers ~send ~token:s.s_token ~parent:s.s_parent in
   (* Snapshot ids index the per-peer arrays and name message targets, and
      a snapshot may come off the wire: check them against [peers]. *)
-  let check what c =
-    if c < 0 || c >= peers then
-      invalid_arg (Printf.sprintf "Hlock.Node.restore: %s id %d outside [0, %d)" what c peers)
-  in
+  let check what c = check_id ~caller ~peers what c in
   List.iter (fun (c, _, _) -> check "child" c) s.s_children;
   List.iter (fun (c, _) -> check "sent-freeze" c) s.s_sent_freeze;
-  Option.iter (check "parent") s.s_parent;
   Option.iter (check "accounted-parent") s.s_accounted_parent;
   Option.iter (check "last-granter") s.s_last_granter;
   check "hint-owner" (snd s.s_hint);
@@ -1424,53 +1404,24 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send (s : snapshot) =
       check "queued hint-owner" r.hint_owner;
       List.iter (check "queued path") r.path)
     s.s_queue;
-  let t =
-    {
-      config;
-      id;
-      peers;
-      send;
-      obs;
-      token = s.s_token;
-      parent = id_or_none s.s_parent;
-      parent_stamp = s.s_parent_stamp;
-      accounted_parent = id_or_none s.s_accounted_parent;
-      accounted_epoch = s.s_accounted_epoch;
-      last_reported = Decision.owned_code s.s_last_reported;
-      counts = Array.make 15 0;
-      held_seqs = [||];
-      held_modes = [||];
-      n_held = 0;
-      held_bits = 0;
-      cached = s.s_cached;
-      child_mode = [||];
-      child_ids = [||];
-      child_epoch = [||];
-      child_bits = 0;
-      n_children = 0;
-      queue = [];
-      queued_upgrades = 0;
-      pending = None;
-      frozen = s.s_frozen;
-      sent_freeze = [||];
-      (* Every child may need the restored frozen set. *)
-      freeze_all = not (Mode_set.is_empty s.s_frozen);
-      freeze_kids = [];
-      kick_marks = [];
-      tenure = s.s_tenure;
-      hint_stamp = fst s.s_hint;
-      hint_owner = snd s.s_hint;
-      last_granter = id_or_none s.s_last_granter;
-      ancestry = s.s_ancestry;
-      saw_transfer = s.s_saw_transfer;
-      served_ever = s.s_served_ever;
-      visited = visited_words peers;
-      next_seq = s.s_next_seq;
-      clock = s.s_clock;
-      epoch_counter = s.s_epoch_counter;
-      waiters = [];
-    }
-  in
+  t.parent_stamp <- s.s_parent_stamp;
+  t.accounted_parent <- id_or_none s.s_accounted_parent;
+  t.accounted_epoch <- s.s_accounted_epoch;
+  t.last_reported <- Decision.owned_code s.s_last_reported;
+  t.cached <- s.s_cached;
+  t.frozen <- s.s_frozen;
+  (* Every child may need the restored frozen set. *)
+  t.freeze_all <- not (Mode_set.is_empty s.s_frozen);
+  t.tenure <- s.s_tenure;
+  t.hint_stamp <- fst s.s_hint;
+  t.hint_owner <- snd s.s_hint;
+  t.last_granter <- id_or_none s.s_last_granter;
+  t.ancestry <- s.s_ancestry;
+  t.saw_transfer <- s.s_saw_transfer;
+  t.served_ever <- s.s_served_ever;
+  t.next_seq <- s.s_next_seq;
+  t.clock <- s.s_clock;
+  t.epoch_counter <- s.s_epoch_counter;
   queue_replace t s.s_queue;
   List.iter (fun (c, m, e) -> child_set t c m e) s.s_children;
   List.iter

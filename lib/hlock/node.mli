@@ -46,10 +46,11 @@
     - Routing and accounting are separate parent relations: releases and
       freezes follow the {e accounting} parent (who granted us, guarded by
       epochs against messages crossing in flight); request routing follows
-      pointers moved by transfers (to the queue tail), adaptive Naimi path
-      reversal, and grant edges — and is allowed to be transiently cyclic,
-      because every relayed request carries its visited path and diverts
-      around nodes it has already seen (a sweep must reach the token).
+      pointers moved by transfers (to the queue tail) and adaptive Naimi
+      path reversal, never by a copy grant — and is allowed to be
+      transiently cyclic, because every relayed request carries its
+      visited path and diverts around nodes it has already seen (a sweep
+      must reach the token).
     - Custody (Table 2a queueing at pending nodes) is acyclic by
       construction: cross-mode absorption descends the mode hierarchy and
       same-mode absorption only takes Lamport-younger requests; the
@@ -94,10 +95,6 @@ type config = {
           for every mode (full Naimi reversal); when false (default) only
           for [U]/[W] requests, whose requesters are certain future token
           owners. *)
-  grant_edges : bool;
-      (** Routing ablation: when true (default), a copy grant re-points the
-          grantee's routing parent at the granter (Figure 4's
-          "Parent <- Sender"). *)
   caching : bool;
       (** When true (default), a client release keeps the granted mode in
           the copyset as a {e cached} copy (the Li/Hudak copyset semantics
@@ -118,7 +115,9 @@ type t
     engine for a population of [peers] nodes with ids [0..peers-1]. Exactly
     one node of a lock-object's population must have [is_token = true] (and
     [parent = None]); every other node needs [parent] pointing (directly or
-    transitively) toward it. [send dst msg] must deliver [msg] to node
+    transitively) toward it. Raises [Invalid_argument] when [id] or
+    [parent] lies outside [\[0, peers)], or [parent] contradicts
+    [is_token]. [send dst msg] must deliver [msg] to node
     [dst]'s {!handle_msg} (reliably, in any order). Clients pass their
     continuations per call ({!request}, {!upgrade}); a fresh node has none
     waiting.

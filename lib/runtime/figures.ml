@@ -249,7 +249,6 @@ let ablations ?(nodes = 32) ?(seed = 42L) () =
       ("no caching", { Dcs_hlock.Node.default_config with Dcs_hlock.Node.caching = false });
       ("no freezing (nor caching)", { Dcs_hlock.Node.default_config with Dcs_hlock.Node.freezing = false });
       ("eager releases", { Dcs_hlock.Node.default_config with Dcs_hlock.Node.eager_release = true });
-      ("no grant edges", { Dcs_hlock.Node.default_config with Dcs_hlock.Node.grant_edges = false });
       ("full path reversal", { Dcs_hlock.Node.default_config with Dcs_hlock.Node.reverse_all = true });
     ]
   in

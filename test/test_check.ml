@@ -1,8 +1,7 @@
-(* Fuzzer-infrastructure tests: the sequential reference oracle against
-   the paper's tables, the trace-conformance checker on hand-built event
-   traces, determinism of the fuzz driver, corpus round-trips, and the
-   end-to-end promise that a seeded protocol mutation is caught and
-   shrinks to a tiny repro. *)
+(* Fuzzer-infrastructure tests: the trace-conformance checker on
+   hand-built event traces, determinism of [Fuzz.run], corpus round-trips,
+   and the end-to-end promise that a seeded protocol mutation is caught
+   and shrinks to a tiny repro. *)
 
 open Dcs_modes
 module Script = Dcs_workload.Script
@@ -11,63 +10,9 @@ module Fuzz = Dcs_check.Fuzz
 module Corpus = Dcs_check.Corpus
 module Shrink = Dcs_check.Shrink
 module Event = Dcs_obs.Event
-module Seq = Oracle.Sequential
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
-let check_ids = Alcotest.check (Alcotest.list Alcotest.int)
-
-(* {1 Sequential reference oracle} *)
-
-let test_seq_readers_share () =
-  let t = Seq.create ~locks:1 in
-  check_ids "r1 granted" [ 1 ] (Seq.request t ~lock:0 ~id:1 ~mode:Mode.R ());
-  check_ids "r2 granted" [ 2 ] (Seq.request t ~lock:0 ~id:2 ~mode:Mode.R ());
-  check_ids "writer waits" [] (Seq.request t ~lock:0 ~id:3 ~mode:Mode.W ());
-  check_ids "first release frees nothing" [] (Seq.release t ~lock:0 ~id:1);
-  check_ids "last release grants writer" [ 3 ] (Seq.release t ~lock:0 ~id:2);
-  Alcotest.check
-    (Alcotest.list (Alcotest.pair Alcotest.int Testkit.mode))
-    "writer holds W" [ (3, Mode.W) ] (Seq.granted t ~lock:0)
-
-let test_seq_fifo_and_priority () =
-  let t = Seq.create ~locks:1 in
-  ignore (Seq.request t ~lock:0 ~id:1 ~mode:Mode.W ());
-  check_ids "q2" [] (Seq.request t ~lock:0 ~id:2 ~mode:Mode.R ());
-  check_ids "q3" [] (Seq.request t ~lock:0 ~id:3 ~mode:Mode.W ~priority:5 ());
-  check_ids "waiting order by priority" [ 3; 2 ] (Seq.waiting t ~lock:0);
-  (* Priority 5 outranks the older reader; strict FIFO within rank. *)
-  check_ids "high-priority W first" [ 3 ] (Seq.release t ~lock:0 ~id:1);
-  check_ids "then the reader" [ 2 ] (Seq.release t ~lock:0 ~id:3)
-
-let test_seq_freeze_table () =
-  (* Table 2(b): a waiting W freezes the grantable modes incompatible with
-     it — the readers that could otherwise starve it. *)
-  let t = Seq.create ~locks:1 in
-  ignore (Seq.request t ~lock:0 ~id:1 ~mode:Mode.R ());
-  checkb "nothing frozen while compatible" true
-    (Mode_set.is_empty (Seq.frozen t ~lock:0));
-  ignore (Seq.request t ~lock:0 ~id:2 ~mode:Mode.W ());
-  let frozen = Seq.frozen t ~lock:0 in
-  checkb "waiting W freezes R" true (Mode_set.mem Mode.R frozen);
-  checkb "matches Compat.freeze_set" true
-    (Mode_set.equal frozen (Compat.freeze_set ~owned:(Some Mode.R) Mode.W));
-  ignore (Seq.release t ~lock:0 ~id:1);
-  checkb "thaw once served" true (Mode_set.is_empty (Seq.frozen t ~lock:0))
-
-let test_seq_upgrade_outranks () =
-  let t = Seq.create ~locks:1 in
-  check_ids "u granted" [ 1 ] (Seq.request t ~lock:0 ~id:1 ~mode:Mode.U ());
-  check_ids "reader shares with U" [ 2 ] (Seq.request t ~lock:0 ~id:2 ~mode:Mode.R ());
-  check_ids "upgrade waits for reader" [] (Seq.upgrade t ~lock:0 ~id:1);
-  (* Rule 7: the pending upgrade outranks every queued request. *)
-  check_ids "new reader blocked behind upgrade" []
-    (Seq.request t ~lock:0 ~id:3 ~mode:Mode.R ());
-  check_ids "release serves the upgrade first" [ 1 ] (Seq.release t ~lock:0 ~id:2);
-  Alcotest.check
-    (Alcotest.list (Alcotest.pair Alcotest.int Testkit.mode))
-    "upgraded to W" [ (1, Mode.W) ] (Seq.granted t ~lock:0);
-  check_ids "then the reader" [ 3 ] (Seq.release t ~lock:0 ~id:1)
 
 (* {1 Trace conformance} *)
 
@@ -262,13 +207,6 @@ let test_corpus_roundtrip () =
 let () =
   Alcotest.run "dcs_check"
     [
-      ( "oracle",
-        [
-          Alcotest.test_case "readers share, writer excluded" `Quick test_seq_readers_share;
-          Alcotest.test_case "FIFO with priorities" `Quick test_seq_fifo_and_priority;
-          Alcotest.test_case "freeze table" `Quick test_seq_freeze_table;
-          Alcotest.test_case "upgrade outranks" `Quick test_seq_upgrade_outranks;
-        ] );
       ( "conformance",
         [
           Alcotest.test_case "clean trace" `Quick test_conf_clean_trace;

@@ -903,6 +903,22 @@ let test_restore_rejects_bad_ids () =
   List.iter (fun (what, s) -> check_restore_refuses what s) corrupt;
   ignore (Node.restore ~id:1 ~peers:3 ~send:(fun ~dst:_ _ -> ()) snap)
 
+(* [create] refuses the ids [restore] refuses: a parent outside
+   [0, peers) would be sent to. *)
+let test_create_rejects_bad_ids () =
+  let refuses what ~id ~is_token ~parent =
+    checkb (what ^ " refused") true
+      (match Node.create ~id ~peers:4 ~is_token ~parent ~send:(fun ~dst:_ _ -> ()) () with
+      | _ -> false
+      | exception Invalid_argument msg ->
+          contains ~sub:"Hlock.Node.create:" msg && contains ~sub:what msg)
+  in
+  refuses "parent" ~id:1 ~is_token:false ~parent:(Some 9);
+  refuses "parent" ~id:1 ~is_token:false ~parent:(Some (-2));
+  refuses "id" ~id:4 ~is_token:true ~parent:None;
+  refuses "token node with a parent" ~id:0 ~is_token:true ~parent:(Some 1);
+  ignore (Node.create ~id:1 ~peers:4 ~is_token:false ~parent:(Some 3) ~send:(fun ~dst:_ _ -> ()) ())
+
 (* The ids a snapshot carries beyond the per-peer arrays name relay
    targets: a handoff decoded off the wire must not smuggle one outside
    [0, peers) into the token hint, the ancestry or a queued request. One
@@ -993,18 +1009,11 @@ let spec_forward ~id ~peers ~parent ~parent_stamp ~my_hint ~accounted ~last_gran
     (match via with Some v -> [ v ] | None -> []) @ List.map snd ranked
   in
   let live_links = List.filter_map Fun.id [ via; Some r.Msg.hint_owner; accounted; last_granter ] in
-  let dst =
-    match List.find_opt unvisited by_freshness with
-    | Some p -> p
-    | None -> (
-        match List.find_opt unvisited (live_links @ List.init peers Fun.id) with
-        | Some p -> p
-        | None -> ( match parent with Some p -> p | None -> (id + 1) mod peers))
-  in
-  let r =
-    if r.Msg.hops > 0 && List.length r.Msg.path >= peers then { r with Msg.path = [ id ] } else r
-  in
-  (dst, r)
+  match List.find_opt unvisited (by_freshness @ live_links @ List.init peers Fun.id) with
+  | Some p -> (p, r)
+  | None ->
+      (* The sweep is exhausted: restart it from this node. *)
+      ((match parent with Some p -> p | None -> (id + 1) mod peers), { r with Msg.path = [ id ] })
 
 (* Drive a restored non-token node through [handle_msg (Request r)] and
    compare the one request it relays with [spec_forward]. With [via] set
@@ -1298,6 +1307,7 @@ let () =
           Alcotest.test_case "concurrent readers" `Quick test_concurrent_readers;
           Alcotest.test_case "writer excludes readers" `Quick test_writer_excludes_readers;
           Alcotest.test_case "many concurrent holds" `Quick test_many_concurrent_holds;
+          Alcotest.test_case "create refuses bad ids" `Quick test_create_rejects_bad_ids;
         ] );
       ( "figure-2",
         [ Alcotest.test_case "release suppression (Rule 5.2)" `Quick test_release_suppression_rule_5_2 ] );
