@@ -22,7 +22,7 @@ let build_config ~nodes ~ops ~entries ~seed =
     workload = { cfg.Experiment.workload with Dcs_workload.Airline.entries; ops_per_node = ops };
   }
 
-let run_plan ~cfg ~name ~events =
+let run_plan ~cfg ~name ~telemetry_path =
   let horizon = Experiment.horizon_estimate cfg in
   let plan =
     match Plan.named ~nodes:cfg.Experiment.nodes ~horizon name with
@@ -33,13 +33,23 @@ let run_plan ~cfg ~name ~events =
   in
   let cfg = { cfg with Experiment.chaos = Some plan } in
   let trace = Dcs_sim.Trace.create () in
-  (* Metrics-only recorder by default: latency histograms and message
-     accounting without the per-event log (soaks are long). With
-     --telemetry the full event log is kept so the per-plan JSONL shard
-     has spans to analyze. Recording is observation-only either way, so
-     --verify digests are unaffected. *)
-  let recorder = Dcs_obs.Recorder.create ~events () in
+  (* Latency histograms and message accounting without an in-memory event
+     log (soaks are long). With --telemetry the recorder streams every
+     line to the plan's JSONL file as the soak runs. Recording is
+     observation-only, so --verify digests are unaffected. *)
+  let recorder =
+    Dcs_obs.Recorder.create ?path:telemetry_path
+      ~meta:
+        [
+          ("plan", name);
+          ("nodes", string_of_int cfg.Experiment.nodes);
+          ("seed", Int64.to_string cfg.Experiment.seed);
+        ]
+      ()
+  in
   let result = Experiment.run ~trace ~recorder cfg in
+  Dcs_obs.Recorder.close recorder ~time:result.Experiment.sim_duration_ms
+    ~counters:result.Experiment.messages;
   (result, plan, Dcs_sim.Trace.digest trace, recorder)
 
 let telemetry recorder result =
@@ -111,21 +121,6 @@ let report ~name ~cfg ~plan ~result ~digest ~recorder =
   Printf.printf "digest    : %Lx\n\n" digest;
   rep.Experiment.violations = []
 
-let write_shard ~dir ~name ~cfg ~result ~recorder =
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let path = Filename.concat dir (name ^ ".jsonl") in
-  let oc = open_out path in
-  Dcs_obs.Jsonl.write oc
-    ~meta:
-      [
-        ("plan", name);
-        ("nodes", string_of_int cfg.Experiment.nodes);
-        ("seed", Int64.to_string cfg.Experiment.seed);
-      ]
-    ~counters:result.Experiment.messages recorder;
-  close_out oc;
-  Printf.printf "telemetry : %s\n" path
-
 let main plans nodes ops entries seed quick verify jobs telemetry_dir =
   let quick = quick || Sys.getenv_opt "CHAOS_QUICK" <> None in
   let nodes = if quick then min nodes 12 else nodes in
@@ -140,17 +135,24 @@ let main plans nodes ops entries seed quick verify jobs telemetry_dir =
         exit 2
       end)
     plans;
+  Option.iter
+    (fun dir -> try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
+    telemetry_dir;
+  let telemetry_path name =
+    Option.map (fun dir -> Filename.concat dir (name ^ ".jsonl")) telemetry_dir
+  in
   (* Each plan is an independent soak (own engine, RNGs, net): fan them
      over domains; reports print afterwards in plan order. *)
   let outcomes =
     Dcs_netkit.Parallel.map ~jobs
       (fun name ->
         let cfg = build_config ~nodes ~ops ~entries ~seed in
-        let events = telemetry_dir <> None in
-        let result, plan, digest, recorder = run_plan ~cfg ~name ~events in
+        let result, plan, digest, recorder =
+          run_plan ~cfg ~name ~telemetry_path:(telemetry_path name)
+        in
         let verified =
           if verify then
-            let _, _, digest', _ = run_plan ~cfg ~name ~events:false in
+            let _, _, digest', _ = run_plan ~cfg ~name ~telemetry_path:None in
             Some digest'
           else None
         in
@@ -161,9 +163,7 @@ let main plans nodes ops entries seed quick verify jobs telemetry_dir =
   Array.iter
     (fun (name, cfg, result, plan, digest, recorder, verified) ->
       if not (report ~name ~cfg ~plan ~result ~digest ~recorder) then ok := false;
-      Option.iter
-        (fun dir -> write_shard ~dir ~name ~cfg ~result ~recorder)
-        telemetry_dir;
+      Option.iter (Printf.printf "telemetry : %s\n") (telemetry_path name);
       match verified with
       | None -> ()
       | Some digest' ->
@@ -211,8 +211,8 @@ let telemetry_arg =
     & opt (some string) None
     & info [ "telemetry" ] ~docv:"DIR"
         ~doc:
-          "Keep the full per-event log and write one dcs-obs/2 JSONL shard per plan to \
-           DIR/<plan>.jsonl (analyzable with dcs-trace analyze). Costs memory on long soaks.")
+          "Stream one dcs-obs/2 JSONL shard per plan to DIR/<plan>.jsonl (analyzable with \
+           dcs-trace analyze).")
 
 let () =
   let doc =

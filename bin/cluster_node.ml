@@ -14,24 +14,23 @@
 open Cmdliner
 
 let run_node ~self ~config ~ops ~seed ~telemetry ~linger =
-  let shard =
-    match telemetry with
-    | None -> None
-    | Some dir ->
+  let recorder =
+    Option.map
+      (fun dir ->
         (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-        Some
-          (Dcs_obs.Shard.create
-             ~path:(Filename.concat dir (Printf.sprintf "node-%d.jsonl" self))
-             ~meta:
-               [
-                 ("node", string_of_int self);
-                 ("nodes", string_of_int (List.length config.Dcs_netkit.Cluster_config.peers));
-                 ("locks", string_of_int config.Dcs_netkit.Cluster_config.locks);
-                 ("seed", Int64.to_string seed);
-               ]
-             ())
+        Dcs_obs.Recorder.create
+          ~path:(Filename.concat dir (Printf.sprintf "node-%d.jsonl" self))
+          ~meta:
+            [
+              ("node", string_of_int self);
+              ("nodes", string_of_int (List.length config.Dcs_netkit.Cluster_config.peers));
+              ("locks", string_of_int config.Dcs_netkit.Cluster_config.locks);
+              ("seed", Int64.to_string seed);
+            ]
+          ())
+      telemetry
   in
-  let runner = Dcs_netkit.Runner.create ?telemetry:shard ~config ~self () in
+  let runner = Dcs_netkit.Runner.create ?telemetry:recorder ~config ~self () in
   Dcs_netkit.Runner.start runner;
   (* Explicit barrier: don't fire the first request storm until every peer
      has bound its listen port (replaces a fixed startup sleep that raced
@@ -41,7 +40,6 @@ let run_node ~self ~config ~ops ~seed ~telemetry ~linger =
   | Error e ->
       Printf.eprintf "node %d: %s\n%!" self e;
       Dcs_netkit.Runner.stop runner;
-      Option.iter Dcs_obs.Shard.close shard;
       exit 1);
   let rng = Dcs_sim.Rng.create ~seed:Int64.(add seed (of_int self)) in
   let locks = config.Dcs_netkit.Cluster_config.locks in
@@ -63,8 +61,7 @@ let run_node ~self ~config ~ops ~seed ~telemetry ~linger =
     (Format.asprintf "%a" Dcs_proto.Counters.pp (Dcs_netkit.Runner.counters runner));
   (* Linger so peers can still route through us while they finish. *)
   Thread.delay linger;
-  Dcs_netkit.Runner.stop runner;
-  Option.iter Dcs_obs.Shard.close shard
+  Dcs_netkit.Runner.stop runner
 
 let peers_term =
   Arg.(

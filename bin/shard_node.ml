@@ -51,24 +51,27 @@ let run_worker ~shard ~(cfg : Router.config) ~migrations ~port ~telemetry =
   connect 100;
   let ic = Unix.in_channel_of_descr sock and oc = Unix.out_channel_of_descr sock in
   let send m = send oc ~src:shard m in
-  let tele =
+  let path =
     Option.map
       (fun dir ->
         (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-        Dcs_obs.Shard.create
-          ~path:(Filename.concat dir (Printf.sprintf "shard-%d.jsonl" shard))
-          ~meta:
-            [
-              ("node", string_of_int shard);
-              ("shards", string_of_int cfg.Router.shards);
-              ("buckets", string_of_int cfg.Router.buckets);
-              ("lock_sets", string_of_int cfg.Router.lock_sets);
-              ("seed", Int64.to_string cfg.Router.seed);
-            ]
-          ())
+        Filename.concat dir (Printf.sprintf "shard-%d.jsonl" shard))
       telemetry
   in
-  let reg = Metrics.create () in
+  let recorder =
+    Dcs_obs.Recorder.create ?path
+      ~meta:
+        [
+          ("node", string_of_int shard);
+          ("shards", string_of_int cfg.Router.shards);
+          ("buckets", string_of_int cfg.Router.buckets);
+          ("lock_sets", string_of_int cfg.Router.lock_sets);
+          ("seed", Int64.to_string cfg.Router.seed);
+        ]
+      ()
+  in
+  let clock = Dcs_obs.Clock.wall () in
+  let reg = Dcs_obs.Recorder.metrics recorder in
   let m_bursts = Metrics.counter reg (Metrics.labelled "shard.bursts" ~shard) in
   let m_grants = Metrics.counter reg (Metrics.labelled "shard.grants" ~shard) in
   let m_msgs = Metrics.counter reg (Metrics.labelled "shard.msgs" ~shard) in
@@ -85,7 +88,7 @@ let run_worker ~shard ~(cfg : Router.config) ~migrations ~port ~telemetry =
     Metrics.add m_grants c.Replica.grants;
     Metrics.add m_msgs c.Replica.msgs;
     Metrics.set m_owned (float_of_int (Replica.buckets_owned replica));
-    Option.iter (fun t -> Dcs_obs.Shard.snapshot t reg) tele;
+    Dcs_obs.Recorder.snapshot recorder ~time:(clock ());
     (* Barrier: the replica takes the coordinator's traffic (inbound
        handoffs, directory updates) until this round's release. *)
     let rec wait () =
@@ -109,11 +112,7 @@ let run_worker ~shard ~(cfg : Router.config) ~migrations ~port ~telemetry =
   send
     (Shard_msg.Round_done
        { shard; round = !round; bursts = Metrics.value m_bursts; grants = Metrics.value m_grants });
-  Option.iter
-    (fun t ->
-      Dcs_obs.Shard.snapshot t reg;
-      Dcs_obs.Shard.close t)
-    tele;
+  Dcs_obs.Recorder.close recorder ~time:(clock ());
   close_out_noerr oc
 
 (* {1 Coordinator} *)

@@ -53,23 +53,23 @@ let record_cmd =
            ~doc:"Output JSONL file.")
   in
   let run driver nodes entries ops seed out =
-    let recorder = Recorder.create () in
+    let recorder =
+      Recorder.create ~path:out
+        ~meta:
+          [
+            ("driver", Experiment.driver_to_string driver);
+            ("nodes", string_of_int nodes);
+            ("entries", string_of_int entries);
+            ("ops_per_node", string_of_int ops);
+            ("seed", Int64.to_string seed);
+          ]
+        ()
+    in
     let workload =
       { Dcs_workload.Airline.default_config with Dcs_workload.Airline.entries; ops_per_node = ops }
     in
     let r = Figures.traced_cell ~workload ~seed ~recorder ~driver ~nodes () in
-    let oc = open_out out in
-    Jsonl.write oc
-      ~meta:
-        [
-          ("driver", Experiment.driver_to_string driver);
-          ("nodes", string_of_int nodes);
-          ("entries", string_of_int entries);
-          ("ops_per_node", string_of_int ops);
-          ("seed", Int64.to_string seed);
-        ]
-      ~counters:r.Experiment.messages recorder;
-    close_out oc;
+    Recorder.close recorder ~time:r.Experiment.sim_duration_ms ~counters:r.Experiment.messages;
     Printf.printf "wrote %s: %d events, %d spans (%d completed), %d messages, %.1f s simulated\n"
       out (Recorder.event_count recorder) (Recorder.requested recorder)
       (Recorder.completed recorder) r.Experiment.total_messages

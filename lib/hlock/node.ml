@@ -914,13 +914,15 @@ let forward_onward ?via t (r : Msg.request) =
 (* {1 Grant decisions (Rules 3, 3.1, 3.2 and 7)} *)
 
 (* Rule 3/3.1 at a non-token node: may we grant [r] out of our owned mode?
-   Never in a frozen mode (Rule 6). Never to a remote request that is
-   token-only, or whose requester is one of our (approximate) accounting
-   ancestors: that grant would close an accounting ring (repair 13). *)
+   Never in a frozen mode (Rule 6). Never to a remote request whose
+   requester is one of our (approximate) accounting ancestors: that grant
+   would close an accounting ring (repair 13). A remote token-only request
+   never gets here: [handle_request] relays it, so no non-token queue
+   holds one ([restore] refuses a snapshot that does). *)
 let may_child_grant t (r : Msg.request) =
   Decision.can_child_grant ~owned:(owned_code t) r.mode
   && (not (is_frozen t r.mode))
-  && (r.requester = t.id || ((not r.token_only) && not (mem_id r.requester t.ancestry)))
+  && (r.requester = t.id || not (mem_id r.requester t.ancestry))
 
 (* The token node serves [r], which its owned code [mo] for [r] lets it
    grant: complete our own upgrade (Rule 7), grant ourselves, hand the
@@ -1402,7 +1404,13 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send (s : snapshot) =
     (fun (r : Msg.request) ->
       check "queued requester" r.requester;
       check "queued hint-owner" r.hint_owner;
-      List.iter (check "queued path") r.path)
+      List.iter (check "queued path") r.path;
+      (* A non-token node relays a remote token-only request without
+         queueing it (repair 13), so no run leaves one in its queue. *)
+      if r.token_only && r.requester <> id && not s.s_token then
+        invalid_arg
+          (caller
+          ^ Printf.sprintf ": queued token-only request from %d at non-token node %d" r.requester id))
     s.s_queue;
   t.parent_stamp <- s.s_parent_stamp;
   t.accounted_parent <- id_or_none s.s_accounted_parent;

@@ -2,6 +2,7 @@ module Node = Dcs_hlock.Node
 module Codec = Dcs_wire.Codec
 module Buf = Dcs_wire.Buf
 module Metrics = Dcs_obs.Metrics
+module Recorder = Dcs_obs.Recorder
 
 let src_log = Logs.Src.create "dcs.netkit" ~doc:"TCP cluster runner"
 
@@ -25,10 +26,13 @@ type t = {
   counters_lock : Mutex.t;
   outbounds : (int, outbound) Hashtbl.t;  (* peer id -> writer state *)
   outbound_lock : Mutex.t;
-  telemetry : Dcs_obs.Shard.t option;
-  (* Live transport metrics ({!Dcs_obs.Metrics}): the handles are looked
-     up once here so hot-path updates are a single atomic op. *)
-  metrics : Metrics.t;
+  (* This node's telemetry: engine and transport events, per-class frame
+     accounting and the metrics registry, stamped with [clock]. *)
+  recorder : Recorder.t;
+  clock : Dcs_obs.Clock.t;
+  (* Live transport metrics ({!Dcs_obs.Metrics}) in the recorder's
+     registry: the handles are looked up once here so hot-path updates
+     are a single atomic op. *)
   m_frames_sent : Metrics.counter;
   m_bytes_sent : Metrics.counter;
   m_batches : Metrics.counter;
@@ -42,7 +46,6 @@ type t = {
   m_bytes_received : Metrics.counter;
   m_backoff : Metrics.gauge;
   m_queue_depth : Metrics.gauge;
-  m_grants : Metrics.grants;
   mutable listener : Unix.file_descr option;
   mutable running : bool;
 }
@@ -51,7 +54,7 @@ let id t = t.self
 
 let counters t = t.counters
 
-let metrics t = t.metrics
+let metrics t = Recorder.metrics t.recorder
 
 type stats = {
   frames_sent : int;
@@ -101,23 +104,24 @@ let span_of_msg (msg : Dcs_hlock.Msg.t) =
   | Token { serving; _ } -> Some (serving.requester, serving.seq)
   | Release _ | Freeze _ -> None
 
-(* Shard accounting for one frame that fully reached the kernel:
-   per-class count/bytes, plus a Sent span event for causal alignment. *)
-let record_written t ~dst (env : Codec.envelope) ~payload_bytes =
-  match t.telemetry with
+(* A transport event on a span-carrying frame: the causal edges
+   [dcs-trace analyze] aligns clocks with. *)
+let record_wire t ~lock msg kind =
+  match span_of_msg msg with
+  | Some (requester, seq) ->
+      Recorder.record t.recorder ~time:(t.clock ()) ~lock ~node:t.self
+        (Dcs_obs.Event.Span { requester; seq }) kind
   | None -> ()
-  | Some sh -> (
-      match env.Codec.payload with
-      | Codec.Hlock msg -> (
-          let cls = Dcs_hlock.Msg.class_of msg in
-          Dcs_obs.Shard.message sh ~cls ~bytes:payload_bytes;
-          match span_of_msg msg with
-          | Some (requester, seq) ->
-              Dcs_obs.Shard.event sh ~lock:env.Codec.lock ~node:t.self
-                (Dcs_obs.Event.Span { requester; seq })
-                (Dcs_obs.Event.Sent { cls; dst })
-          | None -> ())
-      | Codec.Naimi _ | Codec.Shard _ -> ())
+
+(* Accounting for one frame that fully reached the kernel: per-class
+   count/bytes, plus a Sent span event. *)
+let record_written t ~dst (env : Codec.envelope) ~payload_bytes =
+  match env.Codec.payload with
+  | Codec.Hlock msg ->
+      let cls = Dcs_hlock.Msg.class_of msg in
+      Recorder.message t.recorder ~cls ~bytes:payload_bytes;
+      record_wire t ~lock:env.Codec.lock msg (Dcs_obs.Event.Sent { cls; dst })
+  | Codec.Naimi _ | Codec.Shard _ -> ()
 
 (* {1 Outbound connections: one writer thread per peer}
 
@@ -293,7 +297,10 @@ let create ?(protocol = Node.default_config) ?telemetry ~config ~self () =
   let n = Cluster_config.size config in
   if self < 0 || self >= n then invalid_arg "Runner.create: self out of range";
   let locks = config.Cluster_config.locks in
-  let metrics = Metrics.create () in
+  let recorder =
+    match telemetry with Some r -> r | None -> Recorder.create ()
+  in
+  let metrics = Recorder.metrics recorder in
   let c name = Metrics.counter metrics name and g name = Metrics.gauge metrics name in
   let t =
     {
@@ -305,8 +312,8 @@ let create ?(protocol = Node.default_config) ?telemetry ~config ~self () =
       counters_lock = Mutex.create ();
       outbounds = Hashtbl.create 8;
       outbound_lock = Mutex.create ();
-      telemetry;
-      metrics;
+      recorder;
+      clock = Dcs_obs.Clock.wall ();
       m_frames_sent = c "net.frames_sent";
       m_bytes_sent = c "net.bytes_sent";
       m_batches = c "net.batches";
@@ -320,7 +327,6 @@ let create ?(protocol = Node.default_config) ?telemetry ~config ~self () =
       m_bytes_received = c "net.bytes_received";
       m_backoff = g "net.backoff_ms";
       m_queue_depth = g "net.outbound_queue_depth";
-      m_grants = Metrics.grants metrics;
       listener = None;
       running = false;
     }
@@ -334,15 +340,7 @@ let create ?(protocol = Node.default_config) ?telemetry ~config ~self () =
           Mutex.unlock t.counters_lock;
           send_env t ~dst { Codec.src = self; lock; payload = Codec.Hlock msg }
         in
-        (* Engine lifecycle hook: grant-mix counters always (the analyzer
-           cross-checks them against merged spans), full event stream to
-           the shard when one is attached. *)
-        let obs scope kind =
-          Metrics.count_grant t.m_grants kind;
-          match t.telemetry with
-          | Some sh -> Dcs_obs.Shard.event sh ~lock ~node:self scope kind
-          | None -> ()
-        in
+        let obs scope kind = Recorder.record t.recorder ~time:(t.clock ()) ~lock ~node:self scope kind in
         Node.create ~config:protocol ~obs ~id:self ~peers:n ~is_token:(self = 0)
           ~parent:(if self = 0 then None else Some 0)
           ~send ())
@@ -418,19 +416,11 @@ let reader_loop t fd =
             (* The Received event must precede the events dispatch
                produces, so the span's merged timeline orders the arrival
                before its consequences. *)
-            (match t.telemetry with
-            | Some sh -> (
-                match env.Codec.payload with
-                | Codec.Hlock msg -> (
-                    match span_of_msg msg with
-                    | Some (requester, seq) ->
-                        Dcs_obs.Shard.event sh ~lock:env.Codec.lock ~node:t.self
-                          (Dcs_obs.Event.Span { requester; seq })
-                          (Dcs_obs.Event.Received
-                             { cls = Dcs_hlock.Msg.class_of msg; src = env.Codec.src })
-                    | None -> ())
-                | Codec.Naimi _ | Codec.Shard _ -> ())
-            | None -> ());
+            (match env.Codec.payload with
+            | Codec.Hlock msg ->
+                record_wire t ~lock:env.Codec.lock msg
+                  (Dcs_obs.Event.Received { cls = Dcs_hlock.Msg.class_of msg; src = env.Codec.src })
+            | Codec.Naimi _ | Codec.Shard _ -> ());
             dispatch t env;
             go ()
         (* An oversized header lands here too, before any body is read. *)
@@ -452,12 +442,18 @@ let accept_loop t sock =
    network this runs over, and quiet enough for an idle cluster. *)
 let kick_interval = 1.0
 
+(* How long [request_sync] and [upgrade_sync] wait for their grant, in
+   seconds: far beyond the queueing a working cluster causes, so expiry
+   means a protocol or transport fault, which must fail the caller
+   instead of hanging it. *)
+let sync_deadline = 5.0
+
 let kick_loop t =
   while t.running do
     Thread.delay kick_interval;
     Array.iteri (fun lock _ -> on_stripe t lock Node.kick) t.nodes;
     Metrics.set t.m_queue_depth (float_of_int (queued_frames t));
-    match t.telemetry with Some sh -> Dcs_obs.Shard.snapshot sh t.metrics | None -> ()
+    Recorder.snapshot t.recorder ~time:(t.clock ())
   done
 
 let start t =
@@ -528,17 +524,12 @@ let stop t =
         Condition.broadcast out.cond)
       t.outbounds;
     Mutex.unlock t.outbound_lock;
-    (* Closing shard lines: a final metrics snapshot, the per-class frame
-       accounting, and the authoritative queued-message counters the
-       analyzer cross-checks against. The creator still owns the shard
-       and closes it. *)
-    match t.telemetry with
-    | Some sh ->
-        Metrics.set t.m_queue_depth (float_of_int (queued_frames t));
-        Dcs_obs.Shard.snapshot sh t.metrics;
-        Dcs_obs.Shard.write_msgs sh;
-        Dcs_obs.Shard.write_counters sh (Dcs_proto.Counters.to_list t.counters)
-    | None -> ()
+    (* Closing telemetry lines: a final metrics snapshot, the per-class
+       frame accounting, and the authoritative queued-message counters
+       the analyzer cross-checks against. *)
+    Metrics.set t.m_queue_depth (float_of_int (queued_frames t));
+    Recorder.close t.recorder ~time:(t.clock ())
+      ~counters:(Dcs_proto.Counters.to_list t.counters)
   end
 
 let lock_state t ~lock =
@@ -554,34 +545,31 @@ let release t ~lock ~seq = on_stripe t lock (fun node -> Node.release node ~seq)
 let upgrade t ~lock ~seq ~on_upgraded =
   on_stripe t lock (fun node -> Node.upgrade node ~seq ~on_upgraded:(fun _ -> on_upgraded ()))
 
-(* Blocking wrappers: a tiny one-shot latch. The grant callback may run on
-   a reader thread (under the lock's stripe mutex) or synchronously in
-   [request]; it only flips the latch, so holding the mutex is fine. *)
-let request_sync ?priority t ~lock ~mode =
-  let m = Mutex.create () and c = Condition.create () and done_ = ref false in
-  let seq =
-    request ?priority t ~lock ~mode ~on_granted:(fun () ->
-        Mutex.lock m;
-        done_ := true;
-        Condition.signal c;
-        Mutex.unlock m)
+(* Blocking wrappers: a one-shot latch. The grant callback may run on a
+   reader thread (under the lock's stripe mutex) or synchronously in
+   [request]; it only sets the flag. The caller polls it, backing off to
+   a millisecond, until [sync_deadline]. *)
+let await_latch latch ~what ~self ~lock ~seq =
+  let deadline = Unix.gettimeofday () +. sync_deadline in
+  let rec wait pause =
+    if not (Atomic.get latch) then begin
+      if Unix.gettimeofday () >= deadline then
+        failwith
+          (Printf.sprintf "Runner.%s: node %d lock %d seq %d not granted within %.0f s" what self
+             lock seq sync_deadline);
+      Thread.delay pause;
+      wait (Float.min 0.001 (2.0 *. pause))
+    end
   in
-  Mutex.lock m;
-  while not !done_ do
-    Condition.wait c m
-  done;
-  Mutex.unlock m;
+  wait 0.00005
+
+let request_sync ?priority t ~lock ~mode =
+  let latch = Atomic.make false in
+  let seq = request ?priority t ~lock ~mode ~on_granted:(fun () -> Atomic.set latch true) in
+  await_latch latch ~what:"request_sync" ~self:t.self ~lock ~seq;
   seq
 
 let upgrade_sync t ~lock ~seq =
-  let m = Mutex.create () and c = Condition.create () and done_ = ref false in
-  upgrade t ~lock ~seq ~on_upgraded:(fun () ->
-      Mutex.lock m;
-      done_ := true;
-      Condition.signal c;
-      Mutex.unlock m);
-  Mutex.lock m;
-  while not !done_ do
-    Condition.wait c m
-  done;
-  Mutex.unlock m
+  let latch = Atomic.make false in
+  upgrade t ~lock ~seq ~on_upgraded:(fun () -> Atomic.set latch true);
+  await_latch latch ~what:"upgrade_sync" ~self:t.self ~lock ~seq

@@ -36,15 +36,19 @@ type t
 
 (** Build a runner for [self] in [config]. Does not touch the network.
 
-    [telemetry], when given, streams this node's [dcs-obs/2] shard: every
-    engine lifecycle event, a [Sent]/[Received] transport event per
-    span-carrying frame (the causal edges [dcs-trace analyze] aligns
-    clocks with), per-class frame accounting, periodic {!Dcs_obs.Metrics}
-    snapshots (each kick), and closing [msgs]/[counters] lines at {!stop}.
-    The caller keeps ownership and closes the shard after {!stop}. *)
+    The runner records into one {!Dcs_obs.Recorder}, [telemetry] if given,
+    else one with no file and no event log, stamping times with a
+    {!Dcs_obs.Clock.wall} clock. It records every engine lifecycle event,
+    a [Sent]/[Received] transport event per span-carrying frame (the
+    causal edges [dcs-trace analyze] aligns clocks with) and the
+    per-class accounting of written frames. The recorder's registry is
+    {!metrics}. Give the recorder a file to stream this node's
+    [dcs-obs/2] shard: the runner adds a metric snapshot at each kick,
+    and {!stop} closes the recorder with the [msgs] and [counters]
+    lines. *)
 val create :
   ?protocol:Dcs_hlock.Node.config ->
-  ?telemetry:Dcs_obs.Shard.t ->
+  ?telemetry:Dcs_obs.Recorder.t ->
   config:Cluster_config.t ->
   self:int ->
   unit ->
@@ -62,7 +66,8 @@ val start : t -> unit
     still unreachable when [timeout] (seconds, default 10) expires. *)
 val await_peers : ?timeout:float -> t -> (unit, string) result
 
-(** Stop the threads and close every socket. Idempotent. *)
+(** Stop the threads, close every socket and close the recorder.
+    Idempotent. *)
 val stop : t -> unit
 
 (** {1 Asynchronous API (callbacks run under the lock's stripe mutex)} *)
@@ -71,7 +76,12 @@ val request : ?priority:int -> t -> lock:int -> mode:Dcs_modes.Mode.t -> on_gran
 val release : t -> lock:int -> seq:int -> unit
 val upgrade : t -> lock:int -> seq:int -> on_upgraded:(unit -> unit) -> unit
 
-(** {1 Blocking convenience wrappers} *)
+(** {1 Blocking convenience wrappers}
+
+    Each waits at most a fixed deadline of a few seconds, far beyond the
+    queueing a working cluster causes, and then raises [Failure] naming
+    the node, lock and seq: a protocol or transport fault fails the
+    caller instead of hanging it. *)
 
 (** Acquire and wait for the grant; returns the ticket. *)
 val request_sync : ?priority:int -> t -> lock:int -> mode:Dcs_modes.Mode.t -> int
@@ -91,9 +101,8 @@ val lock_state : t -> lock:int -> string
 
 (** {1 Runtime observability} *)
 
-(** The live metrics registry ([net.*] transport counters and gauges,
-    [grants.*] grant-mix counters). Shared with the telemetry shard's
-    periodic snapshots. *)
+(** The live metrics registry, the recorder's ([net.*] transport
+    counters and gauges, [grants.*] grant-mix counters). *)
 val metrics : t -> Dcs_obs.Metrics.t
 
 (** A point-in-time view of the transport, queryable while running — the

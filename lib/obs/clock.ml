@@ -11,9 +11,3 @@ let wall () =
     let v = if now > !last then now else !last in
     last := v;
     v
-
-let of_fun f = f
-
-let manual start =
-  let now = ref start in
-  ((fun () -> !now), fun t -> now := Float.max !now t)

@@ -1,10 +1,9 @@
-(** Monotonic time sources for telemetry, in milliseconds.
+(** The wall clock that processes of a real cluster stamp telemetry with,
+    in milliseconds.
 
-    A clock is just [unit -> float]: the simulator passes its own
-    simulation-time closure ([fun () -> Net.now net]), real transports use
-    {!wall}. Everything downstream ({!Shard}, {!Metrics} snapshots, the
-    [dcs-trace] analyzer) only ever sees the one interface, so sim-time
-    and wall-clock telemetry share every code path. *)
+    A clock is just [unit -> float]. The {!Recorder} takes every time from
+    its caller: a simulated run passes its engine's clock ([Net.now]), a
+    TCP node or shard worker reads a {!wall} clock and passes that. *)
 
 (** Returns the current time in milliseconds. Must be monotonically
     non-decreasing per process. *)
@@ -16,10 +15,3 @@ type t = unit -> float
     aligned; cross-machine shards rely on the analyzer's causal
     alignment. *)
 val wall : unit -> t
-
-(** Adapt any millisecond source (e.g. simulation time). *)
-val of_fun : (unit -> float) -> t
-
-(** [manual start] is a hand-advanced clock for tests: the setter moves
-    time forward (never backwards). *)
-val manual : float -> t * (float -> unit)

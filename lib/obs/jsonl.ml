@@ -74,18 +74,6 @@ let output_counters oc cs =
   List.iter (fun (c, n) -> Printf.fprintf oc ",\"%s\":%d" (Msg_class.to_string c) n) cs;
   output_string oc "}\n"
 
-let write oc ~meta ?counters r =
-  output_meta oc meta;
-  let events = Recorder.events r in
-  List.iter (output_event oc) events;
-  List.iter (fun (time, name, value) -> output_gauge oc ~time ~name ~value) (Recorder.gauge_samples r);
-  let time = List.fold_left (fun _ (e : Event.t) -> e.time) 0.0 events in
-  List.iter
-    (fun (name, mkind, value) -> output_metric oc ~time ~name ~mkind ~value)
-    (Metrics.snapshot (Recorder.metrics r));
-  output_msgs oc ~counts:(Recorder.msg_counts r) ~bytes:(Recorder.msg_bytes r);
-  match counters with None -> () | Some cs -> output_counters oc cs
-
 (* ---------- parsing ---------- *)
 
 type line =

@@ -37,22 +37,10 @@ open Dcs_proto
 (** Current schema tag: ["dcs-obs/2"]. *)
 val schema : string
 
-(** [write oc ~meta ?counters r] writes a whole {!Recorder} file: meta line
-    (with [schema] injected first), retained events in chronological order,
-    gauge samples, the {!Recorder.metrics} snapshot as [metric] lines
-    (stamped with the last event's time), per-class [msgs] lines, then the
-    [counters] line if given. *)
-val write :
-  out_channel ->
-  meta:(string * string) list ->
-  ?counters:(Msg_class.t * int) list ->
-  Recorder.t ->
-  unit
+(** {1 Emitters}
 
-(** {1 Incremental emitters}
-
-    The streaming building blocks [write] composes; {!Shard} uses them to
-    emit lines live as a process runs. *)
+    One function per line kind, each writing one complete line.
+    {!Recorder} writes every telemetry file through them. *)
 
 val output_meta : out_channel -> (string * string) list -> unit
 val output_event : out_channel -> Event.t -> unit

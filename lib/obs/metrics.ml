@@ -1,5 +1,4 @@
 module Histogram = Dcs_stats.Histogram
-module Mode = Dcs_modes.Mode
 
 type counter = { c_name : string; c : int Atomic.t }
 
@@ -70,24 +69,6 @@ let quantile h q =
   let v = Histogram.quantile h.h q in
   Mutex.unlock h.h_lock;
   v
-
-(* {1 Grant mix} *)
-
-type grants = { by_mode : counter array; (* per Mode.index *) upgrades : counter }
-
-let grants t =
-  {
-    by_mode = Array.of_list (List.map (fun m -> counter t ("grants." ^ Mode.to_string m)) Mode.all);
-    upgrades = counter t "grants.upgrades";
-  }
-
-let count_grant g = function
-  | Event.Granted_local { mode; _ } | Granted_token { mode; _ } ->
-      incr g.by_mode.(Mode.index mode)
-  | Upgraded -> incr g.upgrades
-  | _ -> ()
-
-let grants_total g = Array.fold_left (fun n c -> n + value c) (value g.upgrades) g.by_mode
 
 (* {1 Shard labels}
 

@@ -5,7 +5,7 @@
     {!gauge}, {!histogram} find-or-create by name under the registry
     lock), then {!incr}/{!set}/{!observe} it from any thread.
     {!snapshot} flattens everything to (name, kind, value) rows for
-    periodic JSONL export ({!Shard.snapshot}) and the [dcs-trace top]
+    periodic JSONL export ({!Recorder.snapshot}) and the [dcs-trace top]
     live view. *)
 
 type t
@@ -46,26 +46,6 @@ val snapshot : t -> (string * [ `Counter | `Gauge ] * float) list
 (** All instruments as (name, kind, value) rows, sorted by name. Each
     histogram expands to four rows: [<name>.count] (a counter) and
     [<name>.p50]/[.p95]/[.p99] (gauges). *)
-
-(** {2 Grant mix}
-
-    The [grants.<mode>] and [grants.upgrades] counters. The TCP runner and
-    the simulator's {!Recorder} both count engine grant events here, so
-    every trace carries the grant mix under the same names and
-    [dcs-trace analyze] can crosscheck it against the merged spans. *)
-
-type grants
-
-val grants : t -> grants
-(** Find or create the [grants.*] counters. *)
-
-val count_grant : grants -> Event.kind -> unit
-(** The one rule from events to counters: [Granted_local]/[Granted_token]
-    of mode [m] bumps [grants.m], [Upgraded] bumps [grants.upgrades], any
-    other kind is ignored. *)
-
-val grants_total : grants -> int
-(** Grants plus completed upgrades. *)
 
 (** {2 Shard labels}
 

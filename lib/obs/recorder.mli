@@ -1,41 +1,56 @@
-(** Structured telemetry recorder: the sink the simulated clusters write
-    into.
+(** Structured telemetry recorder: the one sink every kind of run —
+    simulated, chaos, shard worker and TCP node — records into.
 
-    Zero-cost when absent: instrumented code is handed no recorder at all
-    (an [option]), so an unobserved run pays at most one branch per
-    would-be event and allocates nothing. A recorder that is passed is on.
+    Zero-cost when absent: instrumented protocol code is handed no
+    recorder at all (an [option]), so an unobserved run pays at most one
+    branch per would-be event and allocates nothing. A recorder that is
+    passed is on.
 
     The recorder ingests three streams —
 
     - {e span events} ({!record}): request-lifecycle events from the
-      protocol engines, retained for JSONL export (unless [events:false]).
-      Grants are counted in a {!Metrics} registry under the TCP runner's
-      names ([grants.<mode>], [grants.upgrades]), and acquisition latency
-      is folded per mode for {!mode_stats};
+      protocol engines, plus the TCP transport's [Sent]/[Received]
+      events. Grants are counted in the {!metrics} registry
+      ([grants.<mode>], [grants.upgrades]), and acquisition latency is
+      folded per mode for {!mode_stats};
     - {e message accounting} ({!message}): per-class counts and encoded
-      byte sizes ({!Dcs_wire} sizes, supplied by the transport wrapper);
+      byte sizes, supplied by the transport (the simulated clusters size
+      each message with {!Dcs_wire}, the TCP runner counts written
+      frames);
     - {e gauges} ({!gauge}): values sampled on the engine tick hook (queue
-      depth, copyset size, frozen nodes, in-flight messages), retained as
-      samples for export.
+      depth, copyset size, frozen nodes, in-flight messages).
+
+    Created with a [path], the recorder also writes one [dcs-obs/2] JSONL
+    file ({!Jsonl}) as the run goes: the meta line at {!create}, each
+    event and gauge line as it is recorded, flushed at once (a crashed
+    process leaves a readable prefix and [dcs-trace top] can tail the
+    file), [metric] lines at each {!snapshot}, and the final [metric],
+    [msgs] and [counters] lines at {!close}.
 
     Everything else (grant paths, hop distributions, freeze episodes,
-    critical paths) is derived from the exported events by [dcs-trace
-    analyze] ({!Merge}), the same way for simulated and TCP traces.
+    critical paths) is derived from the written events by [dcs-trace
+    analyze] ({!Merge}), the same way for every kind of run.
 
-    A recorder observes exactly one run (one engine): times are that run's
-    simulation clock. Recording does not perturb the simulation — no RNG
-    draws, no events scheduled — so trace digests are unchanged. *)
+    Times come from the caller: simulated runs pass their engine's clock,
+    TCP processes a {!Clock.wall}. All entry points are thread-safe (one
+    mutex): the TCP runner records from stripe, reader and writer
+    threads. Recording does not perturb a simulation — no RNG draws, no
+    events scheduled — so trace digests are unchanged. *)
 
 open Dcs_modes
 open Dcs_proto
 
 type t
 
-(** [create ()] — [events:false] (default [true]) keeps only the
-    counters and latency folds and drops the per-event log and gauge
-    samples, for long soaks where the full event stream would dwarf
-    memory. *)
-val create : ?events:bool -> unit -> t
+(** [create ?events ?path ?meta ()] — [events:true] (default [false])
+    also keeps every event and gauge sample in memory, for {!events} and
+    {!gauge_samples}; otherwise only the counters and latency folds stay
+    in memory, and a file, if any, still receives every line. With
+    [path], the file is opened (truncated) and its meta line written at
+    once: {!Jsonl.schema} first, then [meta] — the run parameters, and
+    ["node"] for one process of a cluster ({!Merge} keys clock offsets on
+    it). *)
+val create : ?events:bool -> ?path:string -> ?meta:(string * string) list -> unit -> t
 
 (** {1 Ingestion} *)
 
@@ -47,13 +62,24 @@ val record : t -> time:float -> lock:int -> node:Node_id.t -> Event.scope -> Eve
 (** Count one protocol message of class [cls] with encoded size [bytes]. *)
 val message : t -> cls:Msg_class.t -> bytes:int -> unit
 
-(** Record one gauge sample. No-op when created with [events:false]. *)
+(** Record one gauge sample. *)
 val gauge : t -> time:float -> name:string -> value:float -> unit
+
+(** Write the {!metrics} registry's {!Metrics.snapshot} as [metric] lines
+    stamped [time]. No-op without a file. *)
+val snapshot : t -> time:float -> unit
+
+(** Write the closing lines — a final {!snapshot} at [time], one [msgs]
+    line per class from the {!message} totals, and the transport's
+    authoritative [counters] line when given — then close the file.
+    Later writes are dropped; the in-memory views keep counting.
+    Idempotent; no-op without a file. *)
+val close : ?counters:(Msg_class.t * int) list -> t -> time:float -> unit
 
 (** {1 Views} *)
 
-(** Retained events, chronological. Empty when created with
-    [events:false]. *)
+(** Retained events, chronological. Empty unless created with
+    [events:true]. *)
 val events : t -> Event.t list
 
 (** Events ingested (even when not retained). *)
@@ -70,8 +96,9 @@ val completed : t -> int
 (** Spans currently open (requested, not yet granted). *)
 val open_spans : t -> int
 
-(** The recorder's metric registry: the [grants.*] counters
-    ({!Metrics.grants}). {!Jsonl.write} exports its snapshot. *)
+(** The recorder's metric registry. It holds the [grants.*] counters,
+    registered at the first grant, and whatever instruments the caller
+    adds (the TCP runner's [net.*], a shard worker's [shard.*]). *)
 val metrics : t -> Metrics.t
 
 (** Per-class message counts, {!Msg_class.all} order. *)
@@ -96,5 +123,5 @@ type mode_stat = {
 val mode_stats : t -> mode_stat list
 
 (** All gauge samples in recording order as [(time, name, value)]. Empty
-    when created with [events:false]. *)
+    unless created with [events:true]. *)
 val gauge_samples : t -> (float * string * float) list

@@ -61,7 +61,6 @@ let create ?(config = Node.default_config) ?(oracle = false) ?transport ?obs ?re
      chaos runs interpose the Dcs_fault.Reliable shim here. Without one,
      the send site calls [Net.send] directly, not through a partial
      application. *)
-  let obs = Cluster_obs.attach ~net obs in
   let t =
     { net; n; l; locks_arr = Array.init l (fun _ ->
           {
@@ -81,7 +80,11 @@ let create ?(config = Node.default_config) ?(oracle = false) ?transport ?obs ?re
             Dcs_proto.Counters.incr ls.counters cls;
             (match obs with
             | None -> ()
-            | Some o -> Cluster_obs.message o ~src:id ~lock ~cls (Hlock msg));
+            | Some r ->
+                (* The codec is the authority on what a message costs on a
+                   real link. *)
+                Dcs_obs.Recorder.message r ~cls
+                  ~bytes:(String.length (Dcs_wire.Codec.encode { src = id; lock; payload = Hlock msg })));
             (match msg with Msg.Token _ -> ls.tokens_in_flight <- ls.tokens_in_flight + 1 | _ -> ());
             let describe () = Format.asprintf "lock%d %a" lock Msg.pp msg in
             let deliver () =
@@ -95,7 +98,12 @@ let create ?(config = Node.default_config) ?(oracle = false) ?transport ?obs ?re
             | None -> Net.send net ~src:id ~dst ~cls ~describe deliver
             | Some transport -> transport ~src:id ~dst ~cls ~describe deliver
           in
-          let node_obs = Cluster_obs.node_hook obs ~lock ~node:id in
+          let node_obs =
+            match obs with
+            | None -> None
+            | Some r ->
+                Some (fun scope kind -> Dcs_obs.Recorder.record r ~time:(Net.now net) ~lock ~node:id scope kind)
+          in
           match restore with
           | None ->
               Node.create ~config ?obs:node_obs ~id ~peers:n ~is_token:(id = 0)

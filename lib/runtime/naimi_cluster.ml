@@ -48,7 +48,6 @@ let quiescent_violations t =
 
 let create ?(oracle = false) ?obs ~net ~nodes:n ~locks:l () =
   if n < 1 then invalid_arg "Naimi_cluster.create: need at least one node";
-  let obs = Cluster_obs.attach ~net obs in
   let t =
     {
       net;
@@ -66,7 +65,9 @@ let create ?(oracle = false) ?obs ~net ~nodes:n ~locks:l () =
           let send ~dst msg =
             (match obs with
             | None -> ()
-            | Some o -> Cluster_obs.message o ~src:id ~lock ~cls:(Naimi.class_of msg) (Naimi msg));
+            | Some r ->
+                Dcs_obs.Recorder.message r ~cls:(Naimi.class_of msg)
+                  ~bytes:(String.length (Dcs_wire.Codec.encode { src = id; lock; payload = Naimi msg })));
             (match msg with
             | Naimi.Token -> ls.tokens_in_flight <- ls.tokens_in_flight + 1
             | Naimi.Request _ -> ());
@@ -82,7 +83,13 @@ let create ?(oracle = false) ?obs ~net ~nodes:n ~locks:l () =
                   | [] -> ()
                   | vs -> failwith (String.concat "; " vs))
           in
-          Naimi.create ?obs:(Cluster_obs.node_hook obs ~lock ~node:id) ~id ~is_root:(id = 0)
+          let node_obs =
+            match obs with
+            | None -> None
+            | Some r ->
+                Some (fun scope kind -> Dcs_obs.Recorder.record r ~time:(Net.now net) ~lock ~node:id scope kind)
+          in
+          Naimi.create ?obs:node_obs ~id ~is_root:(id = 0)
             ~father:(if id = 0 then None else Some 0)
             ~send ())
     in

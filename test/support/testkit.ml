@@ -119,26 +119,18 @@ module Sync_cluster = struct
       Alcotest.failf "node %d was not granted %s" node (Mode.to_string mode);
     seq
 
-  (* Global safety: all held (and cached) modes pairwise compatible. *)
-  let check_compat t =
-    let retained =
-      Array.to_list t.nodes
-      |> List.concat_map (fun e ->
-             List.map (fun (_, m) -> (Dcs_hlock.Node.id e, m)) (Dcs_hlock.Node.held e)
-             @ List.map (fun m -> (Dcs_hlock.Node.id e, m)) (Dcs_hlock.Node.cached e))
+  (* {!Dcs_hlock.Invariant.safety} on the cluster's one lock: a single
+     token (holders plus Token messages on the wire), pairwise-compatible
+     held and cached modes, and queues no longer than the clients still
+     waiting. *)
+  let check_safety t =
+    let tokens_in_flight =
+      List.length (List.filter (function _, _, Dcs_hlock.Msg.Token _ -> true | _ -> false) t.wire)
     in
-    let rec pairs = function
-      | [] -> ()
-      | (n1, m1) :: rest ->
-          List.iter
-            (fun (n2, m2) ->
-              if not (Compat.compatible m1 m2) then
-                Alcotest.failf "incompatible retained modes n%d:%s vs n%d:%s" n1
-                  (Mode.to_string m1) n2 (Mode.to_string m2))
-            rest;
-          pairs rest
-    in
-    pairs retained
+    let waiting = Array.fold_left (fun n e -> n + Dcs_hlock.Node.waiting e) 0 t.nodes in
+    match Dcs_hlock.Invariant.safety ~lock:0 ~tokens_in_flight ~waiting t.nodes with
+    | [] -> ()
+    | violations -> Alcotest.fail (String.concat "; " violations)
 
   let token_holder t =
     let holders =

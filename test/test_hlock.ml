@@ -25,7 +25,7 @@ let test_token_self_grants () =
   let s1 = SC.acquire c ~node:0 ~mode:Mode.IR in
   let s2 = SC.acquire c ~node:0 ~mode:Mode.R in
   checki "no messages for local grants" 0 (SC.messages_sent c);
-  SC.check_compat c;
+  SC.check_safety c;
   SC.release c ~node:0 ~seq:s1;
   SC.release c ~node:0 ~seq:s2
 
@@ -48,7 +48,7 @@ let test_remote_grant_and_transfer () =
   (* IR from node 2 is copy-granted by the new token node. *)
   let _s2 = SC.acquire c ~node:2 ~mode:Mode.IR in
   checki "token stays at n1" 1 (SC.token_holder c);
-  SC.check_compat c;
+  SC.check_safety c;
   checkb "n2 is in n1's copyset" true
     (List.mem_assoc 2 (Node.children (SC.node c 1)));
   SC.release c ~node:1 ~seq:s1
@@ -61,7 +61,7 @@ let test_concurrent_readers () =
   (* All four hold R concurrently. *)
   checki "held count" 4
     (List.length (List.concat_map (fun i -> Node.held (SC.node c i)) [ 1; 2; 3; 4 ]));
-  SC.check_compat c
+  SC.check_safety c
 
 let test_writer_excludes_readers () =
   let c = SC.create ~config:no_cache_config 3 in
@@ -69,7 +69,7 @@ let test_writer_excludes_readers () =
   let w = SC.request c ~node:2 ~mode:Mode.W in
   SC.settle c;
   checkb "W waits" false (SC.granted c ~node:2 ~seq:w);
-  SC.check_compat c;
+  SC.check_safety c;
   SC.release c ~node:1 ~seq:r;
   SC.settle c;
   checkb "W granted after reader left" true (SC.granted c ~node:2 ~seq:w);
@@ -120,7 +120,7 @@ let test_freezing_blocks_compatible_newcomers () =
   SC.release c ~node:2 ~seq:s2;
   SC.settle c;
   checkb "R finally granted" true (SC.granted c ~node:3 ~seq:s3);
-  SC.check_compat c;
+  SC.check_safety c;
   SC.release c ~node:3 ~seq:s3;
   SC.settle c;
   checkb "queued IW eventually granted" true (SC.granted c ~node:0 ~seq:s0)
@@ -163,7 +163,7 @@ let test_upgrade_waits_for_readers () =
   SC.upgrade c ~node:1 ~seq:u;
   SC.settle c;
   checkb "upgrade blocked by IR holder" false (SC.upgraded c ~node:1 ~seq:u);
-  SC.check_compat c;
+  SC.check_safety c;
   SC.release c ~node:2 ~seq:r;
   SC.settle c;
   checkb "upgrade completes after release" true (SC.upgraded c ~node:1 ~seq:u)
@@ -227,7 +227,7 @@ let test_cache_revoked_by_conflict () =
   SC.settle c;
   checkb "W granted" true (SC.granted c ~node:2 ~seq:w);
   Alcotest.check (Alcotest.list Testkit.mode) "cache revoked" [] (Node.cached (SC.node c 1));
-  SC.check_compat c
+  SC.check_safety c
 
 let test_no_caching_ablation () =
   let c = SC.create ~config:no_cache_config 3 in
@@ -254,7 +254,7 @@ let test_mutual_iw_requests_no_deadlock () =
   SC.settle c;
   checkb "first IW granted" true (SC.granted c ~node:1 ~seq:a);
   checkb "second IW granted" true (SC.granted c ~node:2 ~seq:b);
-  SC.check_compat c
+  SC.check_safety c
 
 (* {1 Epochs: releases crossing grants} *)
 
@@ -306,7 +306,7 @@ let test_fifo_write_then_reads () =
   SC.settle c;
   checkb "reader 1 after writer" true (SC.granted c ~node:3 ~seq:r2);
   checkb "reader 2 after writer" true (SC.granted c ~node:4 ~seq:r3);
-  SC.check_compat c
+  SC.check_safety c
 
 (* {1 Priorities (prioritized-token extension, refs [11,12])} *)
 
@@ -526,7 +526,7 @@ let stress ~config ~nodes ~ops ~seed () =
       end
     end;
     SC.settle c;
-    SC.check_compat c
+    SC.check_safety c
   done;
   (* Drain: release everything granted; everything issued must eventually
      be granted and releasable. *)
@@ -544,7 +544,7 @@ let stress ~config ~nodes ~ops ~seed () =
             end)
           remaining;
         SC.settle c;
-        SC.check_compat c;
+        SC.check_safety c;
         drain (guard + 1)
   in
   drain 0;
@@ -605,7 +605,7 @@ let test_kick_recirculates_custody () =
     end
   in
   drain 0;
-  SC.check_compat c
+  SC.check_safety c
 
 (* {1 Defensive message handling} *)
 
@@ -753,7 +753,7 @@ module Script = struct
       (fun step ->
         apply step;
         SC.settle c;
-        SC.check_compat c)
+        SC.check_safety c)
       script;
     (* Drain: release everything granted until all issued ops complete. *)
     let guard = ref 0 in
@@ -769,7 +769,7 @@ module Script = struct
           end)
         !outstanding;
       SC.settle c;
-      SC.check_compat c
+      SC.check_safety c
     done;
     !issued = !completed && SC.token_holder c >= 0 && after c
 end
@@ -940,7 +940,10 @@ let restore_field_cases =
     ("ancestry", fun s _ -> { s with Node.s_ancestry = [ 0; -1 ] });
     ("queued requester", fun s q -> { s with Node.s_queue = [ { q with Msg.requester = 9 } ] });
     ("queued hint-owner", fun s q -> { s with Node.s_queue = [ { q with Msg.hint_owner = 3 } ] });
-    ("queued path", fun s q -> { s with Node.s_queue = [ { q with Msg.path = [ 2; -4 ] } ] }) ]
+    ("queued path", fun s q -> { s with Node.s_queue = [ { q with Msg.path = [ 2; -4 ] } ] });
+    (* Not an id: a remote token-only request, which a non-token node
+       relays and never queues. *)
+    ("queued token-only", fun s q -> { s with Node.s_queue = [ { q with Msg.token_only = true } ] }) ]
 
 (* {1 Message classification} *)
 
@@ -1130,7 +1133,7 @@ let test_many_concurrent_holds () =
         (Some (if i mod 2 = 0 then Mode.IR else Mode.R))
         (List.assoc_opt seq held))
     seqs;
-  SC.check_compat c;
+  SC.check_safety c;
   (* The strongest held grant (R) dominates the owned mode. *)
   Alcotest.check (Alcotest.option Testkit.mode) "owned is R" (Some Mode.R)
     (Node.owned (SC.node c 0));

@@ -369,6 +369,33 @@ let test_oversized_header_counted () =
   in
   checkb "connection closed" true closed
 
+(* {1 A grant that never comes fails the caller}
+
+   Node 1 requests while node 0, the token holder, is never started: the
+   request can never reach the token, and [request_sync] must give up
+   with a [Failure] naming the node, lock and seq instead of hanging. *)
+
+let test_request_sync_deadline () =
+  base_port := !base_port + 16;
+  let spec = Printf.sprintf "0:127.0.0.1:%d,1:127.0.0.1:%d" !base_port (!base_port + 1) in
+  let config = match Config.parse ~locks:1 spec with Ok c -> c | Error e -> Alcotest.fail e in
+  let runner = Runner.create ~config ~self:1 () in
+  Runner.start runner;
+  let t0 = Unix.gettimeofday () in
+  let outcome =
+    match Runner.request_sync runner ~lock:0 ~mode:Dcs_modes.Mode.W with
+    | _ -> None
+    | exception Failure msg -> Some msg
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Runner.stop runner;
+  match outcome with
+  | None -> Alcotest.fail "granted without a token holder"
+  | Some msg ->
+      Alcotest.check Alcotest.string "failure names node, lock and seq"
+        "Runner.request_sync: node 1 lock 0 seq 0 not granted within 5 s" msg;
+      checkb "gave up within the deadline" true (elapsed < 7.0)
+
 (* {1 In-process telemetry shards round-trip through the merger} *)
 
 let test_telemetry_shards_merge () =
@@ -386,19 +413,17 @@ let test_telemetry_shards_merge () =
       List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths;
       Unix.rmdir dir)
   @@ fun () ->
-  let shards =
-    List.map
-      (fun (i, path) ->
-        Dcs_obs.Shard.create ~path
-          ~meta:[ ("node", string_of_int i); ("nodes", "2"); ("locks", "2") ]
-          ())
-      (List.mapi (fun i p -> (i, p)) paths)
-  in
   let runners =
     Array.of_list
       (List.mapi
-         (fun self shard -> Runner.create ~telemetry:shard ~config ~self ())
-         shards)
+         (fun self path ->
+           let telemetry =
+             Dcs_obs.Recorder.create ~path
+               ~meta:[ ("node", string_of_int self); ("nodes", "2"); ("locks", "2") ]
+               ()
+           in
+           Runner.create ~telemetry ~config ~self ())
+         paths)
   in
   Array.iter Runner.start runners;
   Thread.delay 0.15;
@@ -413,7 +438,6 @@ let test_telemetry_shards_merge () =
   (* Drain the wire before stop so no frame is dropped mid-flight. *)
   Thread.delay 0.3;
   stop_all runners;
-  List.iter Dcs_obs.Shard.close shards;
   match Dcs_obs.Merge.load paths with
   | Error e -> Alcotest.failf "merge load: %s" e
   | Ok (loaded, warnings) ->
@@ -466,6 +490,8 @@ let () =
           Alcotest.test_case "hostile frame counted" `Slow test_hostile_frame_counted;
           Alcotest.test_case "oversized header counted" `Slow test_oversized_header_counted;
         ] );
+      ( "deadline",
+        [ Alcotest.test_case "request_sync gives up" `Slow test_request_sync_deadline ] );
       ( "telemetry",
         [ Alcotest.test_case "shards merge" `Slow test_telemetry_shards_merge ] );
     ]

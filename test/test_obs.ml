@@ -1,7 +1,7 @@
 (* Telemetry tests: Counters.diff / pp ordering, the Recorder's span and
-   metric accounting, JSONL round-tripping and hostile input, the Metrics
-   registry and Clock sources, multi-shard merge with causal clock
-   alignment, the analyzer's grant-path and freeze-episode folds and
+   metric accounting and its streaming file under concurrent writers,
+   JSONL round-tripping and hostile input, the Metrics registry and the
+   wall clock, multi-shard merge with causal clock alignment, the analyzer's grant-path and freeze-episode folds and
    critical-path classification, and an end-to-end crosscheck of recorder
    message counts against the transport's Counters. *)
 
@@ -13,7 +13,6 @@ module Recorder = Dcs_obs.Recorder
 module Jsonl = Dcs_obs.Jsonl
 module Metrics = Dcs_obs.Metrics
 module Clock = Dcs_obs.Clock
-module Shard = Dcs_obs.Shard
 module Merge = Dcs_obs.Merge
 module Q = QCheck2
 
@@ -93,7 +92,7 @@ let metric_value r name =
   | _ -> Alcotest.failf "no counter %s" name
 
 let test_recorder_accounting () =
-  let r = Recorder.create () in
+  let r = Recorder.create ~events:true () in
   populate r;
   checki "events retained" 11 (Recorder.event_count r);
   checki "spans requested" 3 (Recorder.requested r);
@@ -120,7 +119,7 @@ let test_recorder_accounting () =
 (* The figures the Recorder used to fold online, now derived from
    [populate]'s events by the analyzer's folds. *)
 let test_merge_grant_paths_and_freezes () =
-  let r = Recorder.create () in
+  let r = Recorder.create ~events:true () in
   populate r;
   let events =
     List.stable_sort (fun (a : Event.t) (b : Event.t) -> compare a.time b.time) (Recorder.events r)
@@ -143,23 +142,68 @@ let test_merge_grant_paths_and_freezes () =
     "one closed 5 ms freeze episode, none open" [ (3.0, 8.0) ] episodes
 
 let test_recorder_metrics_only () =
-  let r = Recorder.create ~events:false () in
+  let r = Recorder.create () in
   populate r;
   checki "event log off" 0 (List.length (Recorder.events r));
   checki "metrics still counted" 3 (Recorder.completed r);
   checki "messages still counted" 2
     (List.assoc Msg_class.Request (Recorder.msg_counts r))
 
+(* Four threads record into one streaming recorder at once, interleaving
+   events, messages and metric snapshots, as the TCP runner's stripe,
+   reader and writer threads do. Every line must parse, every recorded
+   event must be in the file, and the msgs lines must count every
+   message. *)
+let test_recorder_threads_share_one_file () =
+  let path = Filename.temp_file "dcs_obs_threads" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let r = Recorder.create ~path ~meta:[ ("node", "0") ] () in
+  let threads = 4 and per_thread = 300 in
+  let work i () =
+    for k = 0 to per_thread - 1 do
+      let seq = (i * per_thread) + k and time = float_of_int k in
+      ev r ~time ~node:i ~requester:i ~seq (Event.Requested { mode = Mode.R; priority = 0 });
+      Recorder.message r ~cls:Msg_class.Request ~bytes:(k mod 7);
+      Thread.yield ();
+      ev r ~time ~node:i ~requester:i ~seq (Event.Granted_local { mode = Mode.R; hops = 0 });
+      if k mod 20 = 0 then Recorder.snapshot r ~time
+    done
+  in
+  List.iter Thread.join (List.init threads (fun i -> Thread.create (work i) ()));
+  Recorder.close r ~time:0.0;
+  let lines =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  let evs = ref 0 and msgs = ref 0 and bytes = ref 0 and metrics = ref 0 in
+  List.iter
+    (fun l ->
+      match Jsonl.parse_line l with
+      | Ok (Jsonl.Ev _) -> incr evs
+      | Ok (Jsonl.Msgs { count; bytes = b; _ }) ->
+          msgs := !msgs + count;
+          bytes := !bytes + b
+      | Ok (Jsonl.Metric _) -> incr metrics
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "unparsable line %S: %s" l e)
+    lines;
+  let sent_bytes = threads * List.fold_left ( + ) 0 (List.init per_thread (fun k -> k mod 7)) in
+  checki "every event written" (2 * threads * per_thread) !evs;
+  checki "events counted" (2 * threads * per_thread) (Recorder.event_count r);
+  checki "msgs lines count every message" (threads * per_thread) !msgs;
+  checki "msgs lines carry every byte" sent_bytes !bytes;
+  checkb "snapshots written" true (!metrics > 0);
+  checki "every grant counted" (threads * per_thread) (Recorder.completed r)
+
 (* {1 JSONL round-trip} *)
 
 let test_jsonl_roundtrip () =
-  let r = Recorder.create () in
+  let path = Filename.temp_file "dcs_obs_test" ".jsonl" in
+  let r = Recorder.create ~events:true ~path ~meta:[ ("nodes", "3"); ("driver", "test") ] () in
   populate r;
   let counters = [ (Msg_class.Request, 2); (Msg_class.Token_transfer, 1) ] in
-  let path = Filename.temp_file "dcs_obs_test" ".jsonl" in
-  let oc = open_out path in
-  Jsonl.write oc ~meta:[ ("nodes", "3"); ("driver", "test") ] ~counters r;
-  close_out oc;
+  Recorder.close r ~time:15.0 ~counters;
   let shard =
     match Merge.load_shard path with
     | Ok s -> s
@@ -293,13 +337,11 @@ let test_jsonl_robust_not_meta_first () =
 let test_jsonl_v2_node_event () =
   (* v2 writes an explicit scope discriminator: node lines say so and
      carry no req/seq; span lines carry both. *)
-  let r = Recorder.create () in
+  let path = Filename.temp_file "dcs_obs_v2" ".jsonl" in
+  let r = Recorder.create ~path () in
   node_ev r ~time:1.0 ~node:3 (Event.Frozen (Mode_set.of_list [ Mode.R ]));
   ev r ~time:2.0 ~node:3 ~requester:1 ~seq:0 (Event.Requested { mode = Mode.R; priority = 0 });
-  let path = Filename.temp_file "dcs_obs_v2" ".jsonl" in
-  let oc = open_out path in
-  Jsonl.write oc ~meta:[] r;
-  close_out oc;
+  Recorder.close r ~time:2.0;
   let raw =
     let ic = open_in path in
     Fun.protect ~finally:(fun () -> close_in ic; Sys.remove path) @@ fun () ->
@@ -451,15 +493,7 @@ let test_clock_sources () =
   let a = w () in
   let b = w () in
   checkb "wall clock non-decreasing" true (b >= a);
-  checkb "wall clock is epoch ms" true (a > 1.0e12);
-  let c, set = Clock.manual 100.0 in
-  checkf "manual starts where told" 100.0 (c ());
-  set 250.0;
-  checkf "manual advances" 250.0 (c ());
-  set 50.0;
-  checkf "manual never regresses" 250.0 (c ());
-  let sim = Clock.of_fun (fun () -> 42.0) in
-  checkf "of_fun passes through" 42.0 (sim ())
+  checkb "wall clock is epoch ms" true (a > 1.0e12)
 
 (* {1 Multi-shard merge} *)
 
@@ -480,41 +514,34 @@ let in_temp_dir f =
    shard stamps [true + skew]. *)
 let write_skewed_shards dir =
   let skews = [| 0.0; 50.0; -50.0 |] in
-  let shards =
+  let recorders =
     Array.init 3 (fun i ->
-        let clock, set = Clock.manual 0.0 in
-        let sh =
-          Shard.create
-            ~path:(Filename.concat dir (Printf.sprintf "node-%d.jsonl" i))
-            ~clock
-            ~meta:[ ("node", string_of_int i); ("nodes", "3") ]
-            ()
-        in
-        (sh, set))
+        Recorder.create
+          ~path:(Filename.concat dir (Printf.sprintf "node-%d.jsonl" i))
+          ~meta:[ ("node", string_of_int i); ("nodes", "3") ]
+          ())
   in
-  let at i t = snd shards.(i) (t +. skews.(i)) in
-  let evt i ~lock scope kind =
-    Shard.event (fst shards.(i)) ~lock ~node:i scope kind
+  let evt i t ~lock scope kind =
+    Recorder.record recorders.(i) ~time:(t +. skews.(i)) ~lock ~node:i scope kind
   in
   let span1 = Event.Span { requester = 1; seq = 0 } in
   let span2 = Event.Span { requester = 2; seq = 0 } in
   (* Span 1: node 1 requests lock 0, node 0 ships the token back.
      Span 2 overlaps it in true time: node 2 requests lock 1 via node 1.
-     Each shard's manual clock only moves forward, so each shard's
-     events are emitted in its own local-time order. *)
-  at 1 1000.0; evt 1 ~lock:0 span1 (Event.Requested { mode = Mode.R; priority = 0 });
-  at 1 1001.0; evt 1 ~lock:0 span1 (Event.Sent { cls = Msg_class.Request; dst = 0 });
-  at 0 1003.0; evt 0 ~lock:0 span1 (Event.Received { cls = Msg_class.Request; src = 1 });
-  at 0 1004.0; evt 0 ~lock:0 span1 (Event.Sent { cls = Msg_class.Token_transfer; dst = 1 });
-  at 1 1005.0; evt 1 ~lock:1 span2 (Event.Received { cls = Msg_class.Request; src = 2 });
-  at 1 1006.0; evt 1 ~lock:1 span2 (Event.Sent { cls = Msg_class.Token_transfer; dst = 2 });
-  at 1 1006.0; evt 1 ~lock:0 span1 (Event.Received { cls = Msg_class.Token_transfer; src = 0 });
-  at 1 1007.0; evt 1 ~lock:0 span1 (Event.Granted_token { mode = Mode.R; hops = 1 });
-  at 2 1002.0; evt 2 ~lock:1 span2 (Event.Requested { mode = Mode.W; priority = 0 });
-  at 2 1003.0; evt 2 ~lock:1 span2 (Event.Sent { cls = Msg_class.Request; dst = 1 });
-  at 2 1008.0; evt 2 ~lock:1 span2 (Event.Received { cls = Msg_class.Token_transfer; src = 1 });
-  at 2 1009.0; evt 2 ~lock:1 span2 (Event.Granted_token { mode = Mode.W; hops = 1 });
-  Array.iter (fun (sh, _) -> Shard.close sh) shards;
+     Each shard's events are recorded in its own local-time order. *)
+  evt 1 1000.0 ~lock:0 span1 (Event.Requested { mode = Mode.R; priority = 0 });
+  evt 1 1001.0 ~lock:0 span1 (Event.Sent { cls = Msg_class.Request; dst = 0 });
+  evt 0 1003.0 ~lock:0 span1 (Event.Received { cls = Msg_class.Request; src = 1 });
+  evt 0 1004.0 ~lock:0 span1 (Event.Sent { cls = Msg_class.Token_transfer; dst = 1 });
+  evt 1 1005.0 ~lock:1 span2 (Event.Received { cls = Msg_class.Request; src = 2 });
+  evt 1 1006.0 ~lock:1 span2 (Event.Sent { cls = Msg_class.Token_transfer; dst = 2 });
+  evt 1 1006.0 ~lock:0 span1 (Event.Received { cls = Msg_class.Token_transfer; src = 0 });
+  evt 1 1007.0 ~lock:0 span1 (Event.Granted_token { mode = Mode.R; hops = 1 });
+  evt 2 1002.0 ~lock:1 span2 (Event.Requested { mode = Mode.W; priority = 0 });
+  evt 2 1003.0 ~lock:1 span2 (Event.Sent { cls = Msg_class.Request; dst = 1 });
+  evt 2 1008.0 ~lock:1 span2 (Event.Received { cls = Msg_class.Token_transfer; src = 1 });
+  evt 2 1009.0 ~lock:1 span2 (Event.Granted_token { mode = Mode.W; hops = 1 });
+  Array.iteri (fun i r -> Recorder.close r ~time:(1010.0 +. skews.(i))) recorders;
   Array.to_list (Array.init 3 (fun i -> Filename.concat dir (Printf.sprintf "node-%d.jsonl" i)))
 
 let test_merge_aligns_skewed_clocks () =
@@ -656,6 +683,7 @@ let () =
         [
           Alcotest.test_case "accounting" `Quick test_recorder_accounting;
           Alcotest.test_case "metrics-only" `Quick test_recorder_metrics_only;
+          Alcotest.test_case "threads share one file" `Quick test_recorder_threads_share_one_file;
         ] );
       ( "jsonl",
         [

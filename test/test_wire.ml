@@ -598,15 +598,17 @@ let gen_snapshot =
 
    [Node.restore] turns a snapshot's option-typed ids into -1-coded ints
    and its last-reported mode into an owned code, and [Node.export] turns
-   them back. A snapshot a 64-peer node could export — ids in [0, 64),
-   copyset and sent-freeze entries in ascending id with no repeats, no
-   empty sent-freeze set — restores and exports to itself. *)
+   them back. A snapshot node 5 of 64 peers could export — ids in
+   [0, 64), copyset and sent-freeze entries in ascending id with no
+   repeats, no empty sent-freeze set, no remote token-only request queued
+   at a non-token node — restores and exports to itself. *)
 
 let restorable (s : Dcs_hlock.Node.snapshot) =
   let peer x = x mod 64 in
   let request (r : Msg.request) =
-    { r with requester = peer r.requester; hint_owner = peer r.hint_owner;
-             path = List.map peer r.path }
+    let requester = peer r.requester in
+    { r with requester; hint_owner = peer r.hint_owner; path = List.map peer r.path;
+             token_only = r.token_only && (s.s_token || requester = 5) }
   in
   { s with
     s_children = List.sort_uniq (fun (a, _, _) (b, _, _) -> compare a b) s.s_children;
