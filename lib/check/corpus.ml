@@ -17,7 +17,6 @@ let to_string { case; expect } =
   (match case.Fuzz.mutation with
   | None -> ()
   | Some m -> line "mutation %s" (Fuzz.mutation_to_string m));
-  line "max-overtakes %d" case.Fuzz.max_overtakes;
   List.iter (fun o -> line "%s" (Script.op_to_line o)) case.Fuzz.script.Script.ops;
   Buffer.contents b
 
@@ -36,7 +35,6 @@ let of_string s =
       and locks = ref None
       and plan = ref None
       and mutation = ref None
-      and max_overtakes = ref 100
       and ops = ref []
       and err = ref None in
       let fail fmt = Printf.ksprintf (fun m -> if !err = None then err := Some m) fmt in
@@ -76,10 +74,6 @@ let of_string s =
                       match Fuzz.mutation_of_string v with
                       | Some m -> mutation := Some m
                       | None -> fail "unknown mutation %S" v)
-                | "max-overtakes" -> (
-                    match int_of_string_opt v with
-                    | Some x when x > 0 -> max_overtakes := x
-                    | _ -> fail "bad max-overtakes %S" v)
                 | "op" -> (
                     match Script.op_of_line l with
                     | Ok o -> ops := o :: !ops
@@ -95,14 +89,7 @@ let of_string s =
           | Ok () ->
               Ok
                 {
-                  case =
-                    {
-                      Fuzz.seed;
-                      script;
-                      plan = !plan;
-                      mutation = !mutation;
-                      max_overtakes = !max_overtakes;
-                    };
+                  case = { Fuzz.seed; script; plan = !plan; mutation = !mutation };
                   expect;
                 })
       | None, _, _, _, _ -> Error "missing expect/seed/nodes/locks header"

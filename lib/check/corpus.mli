@@ -10,7 +10,6 @@
     locks 1
     plan heal-partition        (omitted when none)
     mutation weak-freeze       (omitted when none)
-    max-overtakes 100
     op at=0.000 node=3 lock=0 mode=R prio=0 hold=15.000 kind=acquire
     ...
     v}

@@ -9,7 +9,6 @@ type case = {
   script : Script.t;
   plan : string option;
   mutation : Dcs_hlock.Node.mutation option;
-  max_overtakes : int;
 }
 
 type verdict = {
@@ -36,12 +35,12 @@ let mutation_of_string = function
   | "ignore-frozen" -> Some Dcs_hlock.Node.Ignore_frozen
   | _ -> None
 
-let case ?plan ?mutation ?(max_overtakes = 100) ?zipf ~seed ~nodes ~locks ~ops () =
+let case ?plan ?mutation ?zipf ~seed ~nodes ~locks ~ops () =
   (match plan with
   | Some p when not (List.mem p Dcs_fault.Plan.names) ->
       invalid_arg ("Fuzz.case: unknown plan " ^ p)
   | _ -> ());
-  { seed; script = Script.generate ?zipf ~seed ~nodes ~locks ~ops (); plan; mutation; max_overtakes }
+  { seed; script = Script.generate ?zipf ~seed ~nodes ~locks ~ops (); plan; mutation }
 
 let mean_latency_ms = 150.0
 
@@ -146,7 +145,7 @@ let run (c : case) =
       (fun v -> violations := ("quiescence: " ^ v) :: !violations)
       (Faulty_net.at_rest faulty cluster);
   let oracle =
-    Oracle.conformance ~max_overtakes:c.max_overtakes ~require_complete:(not !aborted)
+    Oracle.conformance ~require_complete:(not !aborted)
       ~events:(Dcs_obs.Recorder.events recorder) ()
   in
   List.iter (fun v -> violations := ("oracle: " ^ v) :: !violations) oracle.Oracle.violations;

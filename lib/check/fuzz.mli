@@ -1,10 +1,9 @@
 (** The randomized-schedule fuzz driver.
 
     One {!case} bundles everything a run depends on — script, seed, fault
-    plan, seeded protocol mutation, fairness bound — and {!run} is a pure
-    function of it: the same case always produces the same {!verdict} and
-    the same {!Dcs_sim.Trace} digest, so failures replay and shrink
-    exactly.
+    plan, seeded protocol mutation — and {!run} is a pure function of it:
+    the same case always produces the same {!verdict} and the same
+    {!Dcs_sim.Trace} digest, so failures replay and shrink exactly.
 
     A run executes the script on a simulated cluster with the runtime
     safety oracle checking every delivered message and client call
@@ -24,7 +23,6 @@ type case = {
   script : Dcs_workload.Script.t;
   plan : string option;  (** a {!Dcs_fault.Plan.names} scenario *)
   mutation : Dcs_hlock.Node.mutation option;
-  max_overtakes : int;  (** fairness bound, see {!Oracle.conformance} *)
 }
 
 type verdict = {
@@ -43,12 +41,11 @@ type verdict = {
 }
 
 (** [case ~seed ~nodes ~locks ~ops ()] generates the script from the same
-    seed. [max_overtakes] defaults to 100; [zipf] skews the lock choice
+    seed. [zipf] skews the lock choice
     (see {!Dcs_workload.Script.generate}). *)
 val case :
   ?plan:string ->
   ?mutation:Dcs_hlock.Node.mutation ->
-  ?max_overtakes:int ->
   ?zipf:float ->
   seed:int64 ->
   nodes:int ->

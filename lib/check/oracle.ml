@@ -31,7 +31,10 @@ type report = {
 
 let max_reported = 20
 
-let conformance ?(max_overtakes = 100) ?(require_complete = true) ~events () =
+(* The overtaking bound of every conformance check (see oracle.mli). *)
+let max_overtakes = 100
+
+let conformance ?(require_complete = true) ~events () =
   let spans : (int * int * int, span) Hashtbl.t = Hashtbl.create 256 in
   (* Active (non-released) spans per lock, for concurrency checks. *)
   let active : (int, (int * int * int, span) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in

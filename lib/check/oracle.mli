@@ -18,7 +18,7 @@
       (hard);
     - {e bounded overtaking}: each waiting request counts the
       incompatible, non-outranking grants that jump it; the count must
-      stay below [max_overtakes] (soft fairness — the window for legal
+      stay at or below 100 (soft fairness — the window for legal
       overtaking is the freeze-propagation delay, so an unbounded count
       means Rule 6 is broken);
     - {e liveness} (when [require_complete]): every requested span is
@@ -37,11 +37,9 @@ type report = {
 }
 
 (** [conformance ~events ()] replays a chronological event trace against
-    the rules above. [max_overtakes] defaults to 100;
-    [require_complete] (default true) turns ungranted/unreleased spans
-    into liveness violations. *)
+    the rules above. [require_complete] (default true) turns
+    ungranted/unreleased spans into liveness violations. *)
 val conformance :
-  ?max_overtakes:int ->
   ?require_complete:bool ->
   events:Dcs_obs.Event.t list ->
   unit ->

@@ -28,7 +28,6 @@ type t = {
   engine : Dcs_sim.Engine.t;
   below : Link.send;
   rto : float;
-  max_rto : float;
   chans : (Node_id.t * Node_id.t, chan) Hashtbl.t;
   mutable data_sent : int;
   mutable retransmits : int;
@@ -38,13 +37,12 @@ type t = {
   mutable max_unacked : int;
 }
 
-let create ~engine ?(rto = 600.0) ?max_rto ~below () =
+let create ~engine ?(rto = 600.0) ~below () =
   if rto <= 0.0 then invalid_arg "Reliable.create: rto must be positive";
   {
     engine;
     below;
     rto;
-    max_rto = (match max_rto with Some m -> m | None -> 8.0 *. rto);
     chans = Hashtbl.create 64;
     data_sent = 0;
     retransmits = 0;
@@ -93,7 +91,7 @@ let rec arm_timer t ch =
               t.retransmits <- t.retransmits + 1;
               transmit t ch ~retx:true (seq, cls, describe, on_data))
             ch.unacked;
-          ch.rto_cur <- Float.min (2.0 *. ch.rto_cur) t.max_rto;
+          ch.rto_cur <- Float.min (2.0 *. ch.rto_cur) (8.0 *. t.rto);
           arm_timer t ch
         end)
   end

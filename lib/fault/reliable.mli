@@ -35,11 +35,10 @@ type stats = {
 (** [create ~engine ~below ()] wraps the lossy [below] link. [rto] is the
     initial retransmission timeout in ms (default 600, four times the
     paper's mean latency); it backs off exponentially per channel up to
-    [max_rto] (default [8 *. rto]) and resets when the channel drains. *)
+    [8 *. rto] and resets when the channel drains. *)
 val create :
   engine:Dcs_sim.Engine.t ->
   ?rto:float ->
-  ?max_rto:float ->
   below:Dcs_proto.Link.send ->
   unit ->
   t

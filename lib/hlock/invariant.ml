@@ -2,7 +2,7 @@ open Dcs_modes
 
 let string_of_owned = function None -> "_" | Some m -> Mode.to_string m
 
-let safety ~lock ~tokens_in_flight ~waiting nodes =
+let safety ~lock ~tokens_in_flight nodes =
   let out = ref [] in
   let add fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
   let holders =
@@ -24,13 +24,14 @@ let safety ~lock ~tokens_in_flight ~waiting nodes =
     last.(i) <- id;
     count.(i) <- count.(i) + 1
   in
-  let queued = ref 0 in
+  let queued = ref 0 and waiting = ref 0 in
   Array.iter
     (fun e ->
       let id = Node.id e in
       List.iter (fun (_, m) -> retain id m) (Node.held e);
       List.iter (retain id) (Node.cached e);
-      queued := !queued + List.length (Node.queue e))
+      queued := !queued + List.length (Node.queue e);
+      waiting := !waiting + Node.waiting e)
     nodes;
   List.iter
     (fun a ->
@@ -50,8 +51,8 @@ let safety ~lock ~tokens_in_flight ~waiting nodes =
               (Mode.to_string b))
         Mode.all)
     Mode.all;
-  if !queued > waiting then
-    add "lock %d: %d queued requests but only %d client requests waiting" lock !queued waiting;
+  if !queued > !waiting then
+    add "lock %d: %d queued requests but only %d client requests waiting" lock !queued !waiting;
   List.rev !out
 
 let quiescent ~lock nodes =

@@ -17,12 +17,13 @@
       mode is pairwise compatible with every other, pairs on the same
       node included;
     - {e bounded queues}: the requests sitting in local queues number at
-      most [waiting], the client requests and upgrades still waiting on
-      this lock — a request queued twice or a queue entry outliving its
-      grant shows up here long before a liveness timeout.
+      most the client requests and upgrades still waiting on this lock
+      ({!Node.waiting} summed over [nodes]) — a request queued twice or
+      a queue entry outliving its grant shows up here long before a
+      liveness timeout.
 
     O(nodes + total queue length). *)
-val safety : lock:int -> tokens_in_flight:int -> waiting:int -> Node.t array -> string list
+val safety : lock:int -> tokens_in_flight:int -> Node.t array -> string list
 
 (** The at-rest state once the network has drained and every client has
     released: no queued, pending or held requests; every child record

@@ -142,9 +142,7 @@ let explore ?config ?(max_states = 100_000) (script : Script.t) =
       incr states;
       if !states >= max_states then truncated := true;
       (match
-         Dcs_hlock.Invariant.safety ~lock:0 ~tokens_in_flight:run.tokens_in_flight
-           ~waiting:(Array.fold_left (fun n e -> n + Node.waiting e) 0 run.nodes_arr)
-           run.nodes_arr
+         Dcs_hlock.Invariant.safety ~lock:0 ~tokens_in_flight:run.tokens_in_flight run.nodes_arr
        with
       | [] -> ()
       | vs ->

@@ -56,44 +56,11 @@ let counters t = t.counters
 
 let metrics t = Recorder.metrics t.recorder
 
-type stats = {
-  frames_sent : int;
-  bytes_sent : int;
-  batches : int;
-  partial_requeues : int;
-  connects : int;
-  reconnects : int;
-  connect_retries : int;
-  backoff_ms : float;
-  queued_frames : int;
-  dropped_frames : int;
-  decode_errors : int;
-  frames_received : int;
-  bytes_received : int;
-}
-
 let queued_frames t =
   Mutex.lock t.outbound_lock;
   let n = Hashtbl.fold (fun _ out acc -> acc + Queue.length out.queue) t.outbounds 0 in
   Mutex.unlock t.outbound_lock;
   n
-
-let stats t =
-  {
-    frames_sent = Metrics.value t.m_frames_sent;
-    bytes_sent = Metrics.value t.m_bytes_sent;
-    batches = Metrics.value t.m_batches;
-    partial_requeues = Metrics.value t.m_partial_requeues;
-    connects = Metrics.value t.m_connects;
-    reconnects = Metrics.value t.m_reconnects;
-    connect_retries = Metrics.value t.m_connect_retries;
-    backoff_ms = Metrics.gauge_value t.m_backoff;
-    queued_frames = queued_frames t;
-    dropped_frames = Metrics.value t.m_dropped;
-    decode_errors = Metrics.value t.m_decode_errors;
-    frames_received = Metrics.value t.m_frames_received;
-    bytes_received = Metrics.value t.m_bytes_received;
-  }
 
 (* The span id a wire message belongs to, if it carries one. Release and
    Freeze messages are span-less bookkeeping. *)

@@ -101,28 +101,20 @@ val lock_state : t -> lock:int -> string
 
 (** {1 Runtime observability} *)
 
-(** The live metrics registry, the recorder's ([net.*] transport
-    counters and gauges, [grants.*] grant-mix counters). *)
+(** The live metrics registry, the recorder's, queryable while running.
+    Transport counters: [net.frames_sent] (frames fully handed to the
+    kernel), [net.bytes_sent] (their wire bytes, prefix included),
+    [net.batches] (batched writes attempted), [net.partial_requeues]
+    (failed writes that requeued unsent frames), [net.connects]
+    (successful outbound connections), [net.reconnects] (connects that
+    replaced an earlier session), [net.connect_retries] (failed attempts),
+    [net.dropped_frames] (abandoned at shutdown or too large to send),
+    [net.decode_errors] (malformed or oversized inbound frames, and frames
+    whose sender id is outside the cluster), [net.frames_received] and
+    [net.bytes_received] (payload bytes decoded). Gauges:
+    [net.backoff_ms] (current reconnect backoff, 0 when connected) and
+    [net.outbound_queue_depth]. Grant-mix counters: [grants.*]. *)
 val metrics : t -> Dcs_obs.Metrics.t
 
-(** A point-in-time view of the transport, queryable while running — the
-    stop-time log line is no longer the only way to see drops. *)
-type stats = {
-  frames_sent : int;  (** frames fully handed to the kernel *)
-  bytes_sent : int;  (** wire bytes of those frames (prefix included) *)
-  batches : int;  (** batched writes attempted *)
-  partial_requeues : int;  (** failed writes that requeued unsent frames *)
-  connects : int;  (** successful outbound connections *)
-  reconnects : int;  (** connects that replaced an earlier session *)
-  connect_retries : int;  (** failed connection attempts *)
-  backoff_ms : float;  (** current reconnect backoff (0 when connected) *)
-  queued_frames : int;  (** frames waiting in outbound queues now *)
-  dropped_frames : int;  (** frames abandoned at shutdown or too large to send *)
-  decode_errors : int;
-      (** malformed or oversized inbound frames, and frames whose sender id
-          is outside the cluster *)
-  frames_received : int;
-  bytes_received : int;  (** payload bytes decoded *)
-}
-
-val stats : t -> stats
+(** Frames waiting in outbound queues now. *)
+val queued_frames : t -> int

@@ -28,14 +28,13 @@ let driver_index = function
 let cell_seed ~seed ~driver ~nodes =
   Dcs_netkit.Parallel.cell_seed ~base:seed ~salt:((driver_index driver lsl 16) lor nodes)
 
-let run_cell ?workload ?protocol ~seed (driver, n) =
+let run_cell ?workload ~seed (driver, n) =
   let cfg = Experiment.default_config ~driver ~nodes:n in
   let cfg =
     {
       cfg with
       Experiment.seed = cell_seed ~seed ~driver ~nodes:n;
       workload = Option.value workload ~default:cfg.Experiment.workload;
-      protocol = Option.value protocol ~default:cfg.Experiment.protocol;
     }
   in
   let r = Experiment.run cfg in
@@ -54,14 +53,13 @@ let run_cell ?workload ?protocol ~seed (driver, n) =
    (and seed) the cell would have inside a figure sweep, so a dcs-trace
    capture is a drill-down into a published figure point, not a different
    experiment. *)
-let traced_cell ?workload ?protocol ?(seed = 42L) ~recorder ~driver ~nodes () =
+let traced_cell ?workload ?(seed = 42L) ~recorder ~driver ~nodes () =
   let cfg = Experiment.default_config ~driver ~nodes in
   let cfg =
     {
       cfg with
       Experiment.seed = cell_seed ~seed ~driver ~nodes;
       workload = Option.value workload ~default:cfg.Experiment.workload;
-      protocol = Option.value protocol ~default:cfg.Experiment.protocol;
     }
   in
   Experiment.run ~recorder cfg
@@ -71,7 +69,7 @@ let traced_cell ?workload ?protocol ?(seed = 42L) ~recorder ~driver ~nodes () =
    cells start early and short ones fill the tail) and results return in
    input order. Each cell's seed depends only on its semantic identity,
    so the grid output is bit-identical for any [jobs]. *)
-let grid ?workload ?protocol ~seed ?jobs cells =
+let grid ?workload ~seed ?jobs cells =
   let m = Array.length cells in
   if m = 0 then [||]
   else begin
@@ -82,15 +80,15 @@ let grid ?workload ?protocol ~seed ?jobs cells =
         if nb <> na then compare nb na else compare a b)
       order;
     let work = Array.map (fun i -> cells.(i)) order in
-    let out = Dcs_netkit.Parallel.map ?jobs (run_cell ?workload ?protocol ~seed) work in
+    let out = Dcs_netkit.Parallel.map ?jobs (run_cell ?workload ~seed) work in
     let results = Array.make m out.(0) in
     Array.iteri (fun k i -> results.(i) <- out.(k)) order;
     results
   end
 
-let sweep ?workload ?protocol ?(seed = 42L) ?jobs ~driver ~nodes () =
+let sweep ?workload ?(seed = 42L) ?jobs ~driver ~nodes () =
   let cells = Array.of_list (List.map (fun n -> (driver, n)) nodes) in
-  { driver; points = Array.to_list (grid ?workload ?protocol ~seed ?jobs cells) }
+  { driver; points = Array.to_list (grid ?workload ~seed ?jobs cells) }
 
 let drivers = Experiment.[ Hierarchical; Naimi_pure; Naimi_same_work ]
 
@@ -301,7 +299,7 @@ let topology_study ?(nodes = 32) ?(seed = 42L) () =
     nodes
     (Dcs_stats.Table.render ~header:[ "topology"; "msg/op"; "mean ms"; "p95 ms" ] rows)
 
-let entries_study ?(nodes = 48) ?(sizes = [ 3; 5; 10; 20 ]) ?(seed = 42L) () =
+let entries_study ?(nodes = 48) ?(seed = 42L) () =
   (* The paper never states its table size; this sweep shows how it moves
      the Naimi same-work comparison while leaving the hierarchical
      protocol's costs nearly flat. *)
@@ -320,7 +318,7 @@ let entries_study ?(nodes = 48) ?(sizes = [ 3; 5; 10; 20 ]) ?(seed = 42L) () =
               Printf.sprintf "%.1f" r.Experiment.latency_factor;
             ])
           Experiment.[ Hierarchical; Naimi_same_work ])
-      sizes
+      [ 3; 5; 10; 20 ]
   in
   Printf.sprintf
     "Table-size sensitivity (%d nodes): the paper omits its table size; the same-work
@@ -330,7 +328,8 @@ let entries_study ?(nodes = 48) ?(sizes = [ 3; 5; 10; 20 ]) ?(seed = 42L) () =
     (Dcs_stats.Table.render ~header:[ "entries"; "driver"; "msg/op"; "latency factor" ] rows)
 
 (* Mean and standard deviation over seeds for the headline metrics. *)
-let seed_variance ?(nodes = [ 16; 48; 96 ]) ?(seeds = [ 1L; 7L; 42L; 99L; 1234L ]) () =
+let seed_variance ?(nodes = [ 16; 48; 96 ]) () =
+  let seeds = [ 1L; 7L; 42L; 99L; 1234L ] in
   let rows =
     List.concat_map
       (fun driver ->

@@ -29,7 +29,6 @@ val quick_nodes : int list
     are bit-identical for every [jobs]. *)
 val sweep :
   ?workload:Dcs_workload.Airline.config ->
-  ?protocol:Dcs_hlock.Node.config ->
   ?seed:int64 ->
   ?jobs:int ->
   driver:Experiment.driver ->
@@ -44,7 +43,6 @@ val sweep :
     events, message bytes and gauges as in {!Experiment.run}. *)
 val traced_cell :
   ?workload:Dcs_workload.Airline.config ->
-  ?protocol:Dcs_hlock.Node.config ->
   ?seed:int64 ->
   recorder:Dcs_obs.Recorder.t ->
   driver:Experiment.driver ->
@@ -80,10 +78,10 @@ val topology_study : ?nodes:int -> ?seed:int64 -> unit -> string
 
 (** Table-size sensitivity: the same-work baseline vs ours as the (unstated
     in the paper) table size varies. *)
-val entries_study : ?nodes:int -> ?sizes:int list -> ?seed:int64 -> unit -> string
+val entries_study : ?nodes:int -> ?seed:int64 -> unit -> string
 
 (** Headline metrics as mean ± sd across seeds. *)
-val seed_variance : ?nodes:int list -> ?seeds:int64 list -> unit -> string
+val seed_variance : ?nodes:int list -> unit -> string
 
 (** CSV for a list of series (long format:
     driver,nodes,msgs_per_op,msgs_per_lockreq,latency_factor). *)

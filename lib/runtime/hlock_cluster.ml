@@ -22,13 +22,8 @@ let node t ~lock ~node = t.locks_arr.(lock).engines.(node)
 
 (* {1 Oracles} *)
 
-(* Client requests and upgrades whose continuation has not run yet: the
-   bound on what may sit in this lock's queues. *)
-let waiting ls = Array.fold_left (fun n e -> n + Node.waiting e) 0 ls.engines
-
 let safety_violations ls ~lock =
-  Dcs_hlock.Invariant.safety ~lock ~tokens_in_flight:ls.tokens_in_flight ~waiting:(waiting ls)
-    ls.engines
+  Dcs_hlock.Invariant.safety ~lock ~tokens_in_flight:ls.tokens_in_flight ls.engines
 
 (* The runtime oracle: re-check one lock after a delivery or client call
    that touched it. *)

@@ -31,7 +31,8 @@ let csv ~header rows =
 
 let glyphs = [| '*'; 'o'; '+'; 'x'; '#'; '@' |]
 
-let ascii_plot ?(width = 72) ?(height = 20) ~series () =
+let ascii_plot ?(width = 72) ~series () =
+  let height = 20 in
   let all_points = List.concat_map snd series in
   if all_points = [] then "(empty plot)\n"
   else begin

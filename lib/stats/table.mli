@@ -9,8 +9,9 @@ val render : header:string list -> string list list -> string
     containing commas or quotes are double-quoted). *)
 val csv : header:string list -> string list list -> string
 
-(** [ascii_plot ~width ~height ~series] plots one or more [(label, points)]
-    series on shared axes using a distinct glyph per series, with a legend.
+(** [ascii_plot ~width ~series] plots one or more [(label, points)]
+    series on shared axes, 20 rows high, using a distinct glyph per
+    series, with a legend.
     Intended for quick terminal inspection of the figure shapes. *)
 val ascii_plot :
-  ?width:int -> ?height:int -> series:(string * (float * float) list) list -> unit -> string
+  ?width:int -> series:(string * (float * float) list) list -> unit -> string

@@ -26,9 +26,9 @@ let span ?(req = 0) ?(seq = 0) ?(t0 = 0.0) mode =
     ev ~req ~seq (t0 +. 2.0) (Event.Released { mode });
   ]
 
-let conformance ?max_overtakes ?require_complete events =
+let conformance ?require_complete events =
   let events = List.sort (fun a b -> compare a.Event.time b.Event.time) events in
-  Oracle.conformance ?max_overtakes ?require_complete ~events ()
+  Oracle.conformance ?require_complete ~events ()
 
 let test_conf_clean_trace () =
   let r = conformance (span ~req:1 Mode.R @ span ~req:2 ~t0:10.0 Mode.W) in

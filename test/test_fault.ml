@@ -252,8 +252,12 @@ let nodes_of snaps =
       Node.restore ~id ~peers ~send:(fun ~dst:_ _ -> ()) s)
     snaps
 
-let safety ?(tokens_in_flight = 0) ?(waiting = 0) snaps =
-  Invariant.safety ~lock:0 ~tokens_in_flight ~waiting (nodes_of snaps)
+(* [waiting_at]: nodes that each issue one client W request first, left
+   waiting (their sends go nowhere). *)
+let safety ?(tokens_in_flight = 0) ?(waiting_at = []) snaps =
+  let nodes = nodes_of snaps in
+  List.iter (fun id -> ignore (Node.request nodes.(id) ~mode:Mode.W ~on_granted:ignore)) waiting_at;
+  Invariant.safety ~lock:0 ~tokens_in_flight nodes
 
 let quiescent snaps = Invariant.quiescent ~lock:0 (nodes_of snaps)
 
@@ -310,9 +314,9 @@ let test_invariant_safety_violations () =
       ( "lost token",
         "token multiplicity 0",
         safety (edit (fun s -> s.(0) <- { (s.(0)) with Node.s_token = false })) );
-      ("queue longer than waiting", "1 queued requests", safety ~waiting:0 (edit one_queued));
+      ("queue longer than waiting", "1 queued requests", safety (edit one_queued));
     ];
-  check_clean "queue within waiting" (safety ~waiting:1 (edit one_queued));
+  check_clean "queue within waiting" (safety ~waiting_at:[ 2 ] (edit one_queued));
   (* W cached on n2 against R cached on n1: the report names both witnesses. *)
   Alcotest.check
     Alcotest.(list string)

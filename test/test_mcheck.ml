@@ -129,13 +129,7 @@ let test_rejects_invalid_scripts () =
 
 let test_scenario_replays_as_fuzz_case () =
   let case =
-    {
-      Fuzz.seed = 5L;
-      script = upgrade_vs_reader;
-      plan = None;
-      mutation = None;
-      max_overtakes = 100;
-    }
+    { Fuzz.seed = 5L; script = upgrade_vs_reader; plan = None; mutation = None }
   in
   match Corpus.of_string (Corpus.to_string { Corpus.case; expect = Corpus.Pass }) with
   | Error e -> Alcotest.fail e

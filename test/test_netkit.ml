@@ -9,6 +9,11 @@ let checki = Alcotest.check Alcotest.int
 
 let base_port = ref 7600
 
+(* A runner's transport counters and gauges, read by name from its live
+   metrics registry. *)
+let counter r name = Dcs_obs.Metrics.value (Dcs_obs.Metrics.counter (Runner.metrics r) name)
+let gauge r name = Dcs_obs.Metrics.gauge_value (Dcs_obs.Metrics.gauge (Runner.metrics r) name)
+
 (* Poll [ok] for up to 3 s. *)
 let eventually ok =
   let deadline = Unix.gettimeofday () +. 3.0 in
@@ -173,21 +178,19 @@ let test_inbound_sockets_closed () =
    [net.frames_received]. After 3 s, fail with both values of a pair that
    differs. *)
 let await_quiescent runners =
-  let counter i name =
-    Dcs_obs.Metrics.value (Dcs_obs.Metrics.counter (Runner.metrics runners.(i)) name)
-  in
   let pairs () =
     List.concat_map
       (fun i ->
-        let r = runners.(i) and sent = counter i "net.frames_sent" in
+        let r = runners.(i) in
+        let sent = counter r "net.frames_sent" in
         [
-          (Printf.sprintf "node %d queued frames" i, (Runner.stats r).Runner.queued_frames, 0);
+          (Printf.sprintf "node %d queued frames" i, Runner.queued_frames r, 0);
           ( Printf.sprintf "node %d engine sends vs net.frames_sent" i,
             Dcs_proto.Counters.total (Runner.counters r),
             sent );
           ( Printf.sprintf "node %d frames sent vs node %d received" i (1 - i),
             sent,
-            counter (1 - i) "net.frames_received" );
+            counter runners.(1 - i) "net.frames_received" );
         ])
       [ 0; 1 ]
   in
@@ -198,24 +201,19 @@ let test_stats_clean_cluster () =
   let runners = make_cluster ~nodes:2 ~locks:1 in
   read_then_write runners;
   await_quiescent runners;
-  (* Stats are live: query before stop. *)
-  let s = Runner.stats runners.(1) in
-  checkb "frames were sent" true (s.Runner.frames_sent > 0);
+  (* The registry is live: query before stop. *)
+  let c = counter runners.(1) in
+  checkb "frames were sent" true (c "net.frames_sent" > 0);
   checkb "bytes cover the frames (4-byte prefix each)" true
-    (s.Runner.bytes_sent >= 5 * s.Runner.frames_sent);
-  checkb "batched writes happened" true (s.Runner.batches > 0);
-  checkb "connected at least once" true (s.Runner.connects >= 1);
-  checki "no reconnects on a clean run" 0 s.Runner.reconnects;
-  checki "nothing dropped while running" 0 s.Runner.dropped_frames;
-  checki "no decode errors" 0 s.Runner.decode_errors;
+    (c "net.bytes_sent" >= 5 * c "net.frames_sent");
+  checkb "batched writes happened" true (c "net.batches" > 0);
+  checkb "connected at least once" true (c "net.connects" >= 1);
+  checki "no reconnects on a clean run" 0 (c "net.reconnects");
+  checki "nothing dropped while running" 0 (c "net.dropped_frames");
+  checki "no decode errors" 0 (c "net.decode_errors");
   checkb "inbound traffic was counted" true
-    (s.Runner.frames_received > 0 && s.Runner.bytes_received > 0);
-  (* The metrics registry is the same data by name. *)
-  let m = Runner.metrics runners.(1) in
-  checki "metrics mirror frames_sent" s.Runner.frames_sent
-    (Dcs_obs.Metrics.value (Dcs_obs.Metrics.counter m "net.frames_sent"));
-  checkb "grant-mix counters fired" true
-    (Dcs_obs.Metrics.value (Dcs_obs.Metrics.counter m "grants.R") > 0);
+    (c "net.frames_received" > 0 && c "net.bytes_received" > 0);
+  checkb "grant-mix counters fired" true (c "grants.R" > 0);
   stop_all runners
 
 (* The TCP transport runs the protocol the simulator's checkers test: the
@@ -257,18 +255,16 @@ let test_stats_unreachable_peer () =
   ignore (Runner.request runner ~lock:0 ~mode:Dcs_modes.Mode.R ~on_granted:(fun () -> ()));
   (* Give the writer a few backoff cycles. *)
   Thread.delay 1.0;
-  let s = Runner.stats runner in
-  checkb "connect retries counted" true (s.Runner.connect_retries > 0);
-  checkb "backoff is live and nonzero" true (s.Runner.backoff_ms > 0.0);
-  checkb "frames stuck in the queue" true (s.Runner.queued_frames >= 1);
-  checki "nothing dropped before stop" 0 s.Runner.dropped_frames;
+  checkb "connect retries counted" true (counter runner "net.connect_retries" > 0);
+  checkb "backoff is live and nonzero" true (gauge runner "net.backoff_ms" > 0.0);
+  checkb "frames stuck in the queue" true (Runner.queued_frames runner >= 1);
+  checki "nothing dropped before stop" 0 (counter runner "net.dropped_frames");
   Runner.stop runner;
   (* The writer thread finishes its current backoff sleep before it
      notices the shutdown and books the drops — poll briefly. *)
   let deadline = Unix.gettimeofday () +. 3.0 in
   let rec dropped () =
-    let s = Runner.stats runner in
-    if s.Runner.dropped_frames >= 1 then true
+    if counter runner "net.dropped_frames" >= 1 then true
     else if Unix.gettimeofday () >= deadline then false
     else begin
       Thread.delay 0.05;
@@ -290,7 +286,7 @@ let test_forged_src_dropped () =
   let seq = Runner.request_sync target ~lock:0 ~mode:Dcs_modes.Mode.R in
   Runner.release target ~lock:0 ~seq;
   Thread.delay 0.1;
-  let errors () = (Runner.stats target).Runner.decode_errors in
+  let errors () = counter target "net.decode_errors" in
   let sent () = Dcs_proto.Counters.total (Runner.counters target) in
   let state_before = Runner.lock_state target ~lock:0 in
   let errors_before = errors () and sent_before = sent () in
@@ -325,7 +321,7 @@ let test_forged_src_dropped () =
    [Buf.Malformed] would end the reader thread without counting it. *)
 let test_hostile_frame_counted () =
   let runners = make_cluster ~nodes:2 ~locks:1 in
-  let errors () = (Runner.stats runners.(1)).Runner.decode_errors in
+  let errors () = counter runners.(1) "net.decode_errors" in
   let before = errors () in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect ~finally:(fun () -> Unix.close sock; stop_all runners) @@ fun () ->
@@ -353,7 +349,7 @@ let test_hostile_frame_counted () =
    connection is closed. *)
 let test_oversized_header_counted () =
   let runners = make_cluster ~nodes:2 ~locks:1 in
-  let errors () = (Runner.stats runners.(1)).Runner.decode_errors in
+  let errors () = counter runners.(1) "net.decode_errors" in
   let before = errors () in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect ~finally:(fun () -> Unix.close sock; stop_all runners) @@ fun () ->
