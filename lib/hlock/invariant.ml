@@ -33,24 +33,17 @@ let safety ~lock ~tokens_in_flight nodes =
       queued := !queued + List.length (Node.queue e);
       waiting := !waiting + Node.waiting e)
     nodes;
-  List.iter
-    (fun a ->
-      let i = Mode.index a in
-      List.iter
-        (fun b ->
-          let j = Mode.index b in
-          if
-            i <= j
-            && count.(i) > 0
-            && count.(j) > (if i = j then 1 else 0)
-            && not (Compat.compatible a b)
-          then
-            add "lock %d: incompatible retained modes n%d:%s vs n%d:%s" lock first.(i)
-              (Mode.to_string a)
-              (if i = j then last.(j) else first.(j))
-              (Mode.to_string b))
-        Mode.all)
-    Mode.all;
+  for i = 0 to 4 do
+    if count.(i) > 0 then
+      for j = i to 4 do
+        let a = Mode.of_index i and b = Mode.of_index j in
+        if count.(j) > (if i = j then 1 else 0) && not (Compat.compatible a b) then
+          add "lock %d: incompatible retained modes n%d:%s vs n%d:%s" lock first.(i)
+            (Mode.to_string a)
+            (if i = j then last.(j) else first.(j))
+            (Mode.to_string b)
+      done
+  done;
   if !queued > !waiting then
     add "lock %d: %d queued requests but only %d client requests waiting" lock !queued !waiting;
   List.rev !out

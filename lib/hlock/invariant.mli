@@ -1,9 +1,9 @@
 (** The protocol's invariants over one lock object's node population —
     the single checker behind every oracle in the repository: the
     per-delivery and per-client-call oracle of
-    {!Dcs_runtime.Hlock_cluster} (which chaos soaks and the fuzzer run
-    under), its end-of-run quiescence check, and the state-by-state
-    check of {!Dcs_mcheck}.
+    {!Dcs_runtime.Hlock_cluster} (which chaos soaks, the fuzzer and the
+    model checker [Dcs_check.Mcheck] run under) and its end-of-run
+    quiescence check.
 
     Both functions take the lock's [Node.t array] indexed by node id and
     return readable violations, each prefixed with ["lock <lock>: "];

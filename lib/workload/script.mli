@@ -4,7 +4,7 @@
     population and a lock set. The fuzzer runs it as the input half of a
     case ([Dcs_check.Fuzz.case]), the sharded service runs one one-lock
     script per burst ([Dcs_shard.Router]), and the model checker explores
-    every delivery order of one ([Dcs_mcheck.Mcheck.explore]), so a
+    every delivery order of one ([Dcs_check.Mcheck.explore]), so a
     scenario written for one tool replays under the others. Scripts are
     plain data: generation is a pure function of the seed, and the corpus
     format ([Dcs_check.Corpus]) round-trips them exactly, so a failing

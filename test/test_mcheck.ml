@@ -3,7 +3,7 @@
    chosen around the historical bug classes (crossing requests, mutual
    absorption, upgrade deadlock, writer vs readers). *)
 
-module M = Dcs_mcheck.Mcheck
+module M = Dcs_check.Mcheck
 module Script = Dcs_workload.Script
 module Fuzz = Dcs_check.Fuzz
 module Corpus = Dcs_check.Corpus
@@ -109,6 +109,75 @@ let test_mixed_deep () =
   run_scenario ~max_states:30_000 ~name:"IW, upgrade, R (bounded)" ~states:427 ~terminals:32
     (script ~nodes:4 [ acquire 1 Mode.IW; upgrade 2; acquire 3 Mode.R ])
 
+(* {1 Exhaustive small scope}
+
+   Every 3-node, one-lock, priority-0 script of 2 and 3 ops over the 18 op
+   atoms (each node x IR, R, U, IW, W, upgrade-U). The failing set is
+   pinned exactly, so a fix or a new failure shows as a diff. Each of the
+   12 pinned scripts is one same-node FIFO break: a non-token node takes
+   IR, R or IW, then issues a plain U and an upgrade-U, and gets its two U
+   requests granted out of issue order. *)
+
+let atoms =
+  List.concat_map
+    (fun node ->
+      [ acquire node Mode.IR; acquire node Mode.R; acquire node Mode.U; acquire node Mode.IW;
+        acquire node Mode.W; upgrade node ])
+    [ 0; 1; 2 ]
+
+let atom_name (node, mode, kind) =
+  Printf.sprintf "n%d:%s%s" node (Mode.to_string mode)
+    (match kind with Script.Acquire_upgrade -> "^" | Script.Acquire -> "")
+
+let small_scope_failures =
+  [
+    "n1:IR n1:U n1:U^"; "n1:IR n1:U^ n1:U"; "n1:R n1:U n1:U^"; "n1:R n1:U^ n1:U";
+    "n1:IW n1:U n1:U^"; "n1:IW n1:U^ n1:U"; "n2:IR n2:U n2:U^"; "n2:IR n2:U^ n2:U";
+    "n2:R n2:U n2:U^"; "n2:R n2:U^ n2:U"; "n2:IW n2:U n2:U^"; "n2:IW n2:U^ n2:U";
+  ]
+
+let test_small_scope_sweep () =
+  let pairs = List.concat_map (fun a -> List.map (fun b -> [ a; b ]) atoms) atoms in
+  let scripts = pairs @ List.concat_map (fun p -> List.map (fun c -> p @ [ c ]) atoms) pairs in
+  let states = ref 0 and failing = ref [] and grant_order = ref true in
+  List.iter
+    (fun ops ->
+      let r = M.explore (script ~nodes:3 ops) in
+      checkb "explored fully" false r.M.truncated;
+      states := !states + r.M.states;
+      if r.M.violations <> [] then begin
+        failing := String.concat " " (List.map atom_name ops) :: !failing;
+        grant_order :=
+          !grant_order
+          && List.for_all (fun v -> String.starts_with ~prefix:"grant order" v) r.M.violations
+      end)
+    scripts;
+  checki "scripts" 6156 (List.length scripts);
+  checki "states" 80490 !states;
+  Alcotest.check (Alcotest.list Alcotest.string) "failing scripts" small_scope_failures
+    (List.rev !failing);
+  checkb "every failure is a grant-order break" true !grant_order
+
+(* {1 The violation path}
+
+   Under the planted weak-freeze bug, n1's R waits behind two IW holders
+   that never yield it the lock: a terminal state with a request that was
+   never granted. *)
+
+let test_reports_never_granted () =
+  let r =
+    M.explore
+      ~config:{ Dcs_hlock.Node.default_config with mutation = Some Dcs_hlock.Node.Weak_freeze }
+      (script ~nodes:3 [ acquire 0 Mode.IW; acquire 1 Mode.R; acquire 2 Mode.IW ])
+  in
+  let has sub v =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length v && (String.sub v i n = sub || go (i + 1)) in
+    go 0
+  in
+  checkb "a violation names a never-granted request" true
+    (List.exists (has "node 1 seq 0: never granted") r.M.violations)
+
 (* {1 Script validation} *)
 
 let test_rejects_invalid_scripts () =
@@ -159,6 +228,9 @@ let () =
           Alcotest.test_case "same-node FIFO" `Slow test_same_node_fifo;
           Alcotest.test_case "three writers (bounded)" `Slow test_three_writers_deep;
           Alcotest.test_case "mixed deep (bounded)" `Slow test_mixed_deep;
+          Alcotest.test_case "every 2-3 op script on 3 nodes" `Slow test_small_scope_sweep;
+          Alcotest.test_case "weak-freeze reports never granted" `Quick
+            test_reports_never_granted;
         ] );
       ( "scripts",
         [
