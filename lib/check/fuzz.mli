@@ -54,6 +54,17 @@ val case :
   unit ->
   case
 
+(** [drive cluster ~schedule script] plays [script] through
+    {!Dcs_runtime.Hlock_cluster.request}, [upgrade] and [release]
+    ({!Dcs_workload.Script.drive}): the one adapter between client scripts
+    and the cluster, shared by {!run} and {!Mcheck}. It lives here, not in
+    [Hlock_cluster], so that object keeps only per-event code. *)
+val drive :
+  Dcs_runtime.Hlock_cluster.t ->
+  schedule:(after:float -> (unit -> unit) -> unit) ->
+  Dcs_workload.Script.t ->
+  Dcs_workload.Script.counts
+
 val run : case -> verdict
 val failed : verdict -> bool
 val pp_verdict : Format.formatter -> verdict -> unit
