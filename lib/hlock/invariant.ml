@@ -2,51 +2,81 @@ open Dcs_modes
 
 let string_of_owned = function None -> "_" | Some m -> Mode.to_string m
 
-let safety ~lock ~tokens_in_flight nodes =
-  let out = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
-  let holders =
-    Array.fold_right (fun e acc -> if Node.is_token e then Node.id e :: acc else acc) nodes []
-  in
-  let tokens = List.length holders + tokens_in_flight in
-  if tokens <> 1 then
-    add "lock %d: token multiplicity %d (holders [%s], in flight %d)" lock tokens
-      (String.concat "," (List.map string_of_int holders))
-      tokens_in_flight;
+(* The ids of the nodes that retain mode index [i], in array order. *)
+let retaining nodes i =
+  Array.to_list nodes |> List.filter (fun e -> Node.retained e i > 0) |> List.map Node.id
+
+(* The report of incompatible retained modes of indices [i <= j], naming
+   the first node that retains [i] and, against it, the first node that
+   retains [j] or, for [i = j], the last. *)
+let conflict ~lock nodes i j =
+  let first = List.hd (retaining nodes i) and others = retaining nodes j in
+  let witness = if i = j then List.nth others (List.length others - 1) else List.hd others in
+  Printf.sprintf "lock %d: incompatible retained modes n%d:%s vs n%d:%s" lock first
+    (Mode.to_string (Mode.of_index i))
+    witness
+    (Mode.to_string (Mode.of_index j))
+
+(* The reports of every conflicting pair of retained modes from pair
+   [(i, j)] on. [present] is the mask of modes some node retains and
+   [multi] of those retained more than once. Nothing is built while no
+   pair conflicts. *)
+let rec conflicts ~lock nodes ~present ~multi i j =
+  if i > 4 then []
+  else if j > 4 then conflicts ~lock nodes ~present ~multi (i + 1) (i + 1)
+  else if
+    present land (1 lsl i) <> 0
+    && (if i = j then multi else present) land (1 lsl j) <> 0
+    && not (Compat.compatible (Mode.of_index i) (Mode.of_index j))
+  then conflict ~lock nodes i j :: conflicts ~lock nodes ~present ~multi i (j + 1)
+  else conflicts ~lock nodes ~present ~multi i (j + 1)
+
+(* Never inlined, so its report formatting stays out of the per-event
+   code of the oracle's callers. *)
+let[@inline never] safety ~lock ~tokens_in_flight nodes =
   (* Compatibility is a property of modes, so tally retained instances per
      mode and test the 15 mode pairs instead of every instance pair:
-     O(nodes) rather than quadratic in the copyset. [first]/[last] keep a
-     witness node for the report. *)
-  let count = Array.make 5 0 and first = Array.make 5 0 and last = Array.make 5 0 in
-  let retain id m =
-    let i = Mode.index m in
-    if count.(i) = 0 then first.(i) <- id;
-    last.(i) <- id;
-    count.(i) <- count.(i) + 1
-  in
+     O(nodes) rather than quadratic in the copyset. The tally is two
+     masks and the token and queue counts, so a clean check allocates
+     nothing; witnesses are looked up only for a report. *)
+  let holders = ref 0 and present = ref 0 and multi = ref 0 in
   let queued = ref 0 and waiting = ref 0 in
-  Array.iter
-    (fun e ->
-      let id = Node.id e in
-      List.iter (fun (_, m) -> retain id m) (Node.held e);
-      List.iter (retain id) (Node.cached e);
-      queued := !queued + List.length (Node.queue e);
-      waiting := !waiting + Node.waiting e)
-    nodes;
-  for i = 0 to 4 do
-    if count.(i) > 0 then
-      for j = i to 4 do
-        let a = Mode.of_index i and b = Mode.of_index j in
-        if count.(j) > (if i = j then 1 else 0) && not (Compat.compatible a b) then
-          add "lock %d: incompatible retained modes n%d:%s vs n%d:%s" lock first.(i)
-            (Mode.to_string a)
-            (if i = j then last.(j) else first.(j))
-            (Mode.to_string b)
-      done
+  for k = 0 to Array.length nodes - 1 do
+    let e = nodes.(k) in
+    if Node.is_token e then incr holders;
+    for i = 0 to 4 do
+      let n = Node.retained e i in
+      if n > 0 then begin
+        let bit = 1 lsl i in
+        if n > 1 || !present land bit <> 0 then multi := !multi lor bit;
+        present := !present lor bit
+      end
+    done;
+    queued := !queued + List.length (Node.queue e);
+    waiting := !waiting + Node.waiting e
   done;
-  if !queued > !waiting then
-    add "lock %d: %d queued requests but only %d client requests waiting" lock !queued !waiting;
-  List.rev !out
+  let tokens = !holders + tokens_in_flight in
+  let token_report =
+    if tokens = 1 then []
+    else
+      let holders =
+        Array.to_list nodes |> List.filter Node.is_token |> List.map Node.id
+      in
+      [
+        Printf.sprintf "lock %d: token multiplicity %d (holders [%s], in flight %d)" lock tokens
+          (String.concat "," (List.map string_of_int holders))
+          tokens_in_flight;
+      ]
+  in
+  let queue_report =
+    if !queued > !waiting then
+      [
+        Printf.sprintf "lock %d: %d queued requests but only %d client requests waiting" lock
+          !queued !waiting;
+      ]
+    else []
+  in
+  token_report @ conflicts ~lock nodes ~present:!present ~multi:!multi 0 0 @ queue_report
 
 let quiescent ~lock nodes =
   let out = ref [] in

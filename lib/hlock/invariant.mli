@@ -22,7 +22,9 @@
       a queue entry outliving its grant shows up here long before a
       liveness timeout.
 
-    O(nodes + total queue length). *)
+    O(nodes + total queue length), and a check that finds nothing
+    allocates nothing: it tallies {!Node.retained} into bit masks and
+    builds its witnesses only for a report. *)
 val safety : lock:int -> tokens_in_flight:int -> Node.t array -> string list
 
 (** The at-rest state once the network has drained and every client has

@@ -387,6 +387,8 @@ let children t = fold_children_desc t (fun c m _ acc -> (c, m) :: acc) []
 let copyset_size t = t.n_children
 let cached t = Mode_set.to_list t.cached
 
+let retained t i = t.counts.(held_at + i) + ((Mode_set.to_bits t.cached lsr i) land 1)
+
 (* The owned code of the strongest mode in a 5-bit mask (0 for none).
    Mode indices ascend in strength (IR, R, U, IW, W), so that is the
    highest set bit; between the equal-strength U and IW (which a correctly

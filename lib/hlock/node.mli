@@ -212,6 +212,12 @@ val copyset_size : t -> int
     re-acquisition; see [config.caching]. *)
 val cached : t -> Mode.t list
 
+(** [retained t i]: how many instances of the mode of index [i]
+    ({!Mode.index}) the node retains, its held instances plus one if the
+    mode is cached. Constant time and allocation-free: the per-node view
+    that {!Invariant.safety} tallies. *)
+val retained : t -> int -> int
+
 (** The node currently accounting us in its copyset, with the epoch of the
     relationship; [None] when we own ⊥ or hold the token. *)
 val accounting : t -> (Node_id.t * int) option

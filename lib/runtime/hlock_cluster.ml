@@ -3,6 +3,8 @@ module Node = Dcs_hlock.Node
 module Msg = Dcs_hlock.Msg
 
 type lock_state = {
+  lock : int;
+  oracle : bool;
   mutable engines : Node.t array;
   mutable tokens_in_flight : int;
   counters : Dcs_proto.Counters.t;
@@ -13,7 +15,6 @@ type t = {
   n : int;
   l : int;
   locks_arr : lock_state array;
-  oracle : bool;
 }
 
 let locks t = t.l
@@ -22,22 +23,31 @@ let node t ~lock ~node = t.locks_arr.(lock).engines.(node)
 
 (* {1 Oracles} *)
 
-let safety_violations ls ~lock =
-  Dcs_hlock.Invariant.safety ~lock ~tokens_in_flight:ls.tokens_in_flight ls.engines
+let safety_violations ls =
+  Dcs_hlock.Invariant.safety ~lock:ls.lock ~tokens_in_flight:ls.tokens_in_flight ls.engines
 
 (* The runtime oracle: re-check one lock after a delivery or client call
    that touched it. *)
-let check t ls ~lock =
-  if t.oracle then
-    match safety_violations ls ~lock with [] -> () | vs -> failwith (String.concat "; " vs)
+let check ls =
+  if ls.oracle then
+    match safety_violations ls with
+    | [] -> ()
+    | vs -> failwith (String.concat "; " vs)
 
 let quiescent_violations t =
   List.concat
     (List.init t.l (fun lock ->
          let ls = t.locks_arr.(lock) in
-         safety_violations ls ~lock @ Dcs_hlock.Invariant.quiescent ~lock ls.engines))
+         safety_violations ls @ Dcs_hlock.Invariant.quiescent ~lock ls.engines))
 
 (* {1 Construction} *)
+
+(* The receiving end of one lock's messages. Closed, so the lock's port
+   carries [ls] as data instead of a closure. *)
+let deliver ls src dst msg =
+  (match msg with Msg.Token _ -> ls.tokens_in_flight <- ls.tokens_in_flight - 1 | _ -> ());
+  Node.handle_msg ls.engines.(dst) ~src msg;
+  check ls
 
 let create ?(config = Node.default_config) ?(oracle = false) ?transport ?obs ?restore ~net
     ~nodes:n ~locks:l () =
@@ -54,20 +64,28 @@ let create ?(config = Node.default_config) ?(oracle = false) ?transport ?obs ?re
         snaps);
   (* Protocol messages travel through [transport] (default: the raw net);
      chaos runs interpose the Dcs_fault.Reliable shim here. Without one,
-     the send site calls [Net.send] directly, not through a partial
-     application. *)
+     the send site posts the message itself to the lock's port, so a send
+     allocates no closure. *)
   let t =
-    { net; n; l; locks_arr = Array.init l (fun _ ->
-          {
-            engines = [||];
-            tokens_in_flight = 0;
-            counters = Dcs_proto.Counters.create ();
-          });
-      oracle;
+    {
+      net;
+      n;
+      l;
+      locks_arr =
+        Array.init l (fun lock ->
+            {
+              lock;
+              oracle;
+              engines = [||];
+              tokens_in_flight = 0;
+              counters = Dcs_proto.Counters.create ();
+            });
     }
   in
   for lock = 0 to l - 1 do
     let ls = t.locks_arr.(lock) in
+    let describe msg = Format.asprintf "lock%d %a" lock Msg.pp msg in
+    let port = Net.port ~env:ls ~deliver ~describe in
     let engines =
       Array.init n (fun id ->
           let send ~dst msg =
@@ -81,17 +99,12 @@ let create ?(config = Node.default_config) ?(oracle = false) ?transport ?obs ?re
                 Dcs_obs.Recorder.message r ~cls
                   ~bytes:(String.length (Dcs_wire.Codec.encode { src = id; lock; payload = Hlock msg })));
             (match msg with Msg.Token _ -> ls.tokens_in_flight <- ls.tokens_in_flight + 1 | _ -> ());
-            let describe () = Format.asprintf "lock%d %a" lock Msg.pp msg in
-            let deliver () =
-              (match msg with
-              | Msg.Token _ -> ls.tokens_in_flight <- ls.tokens_in_flight - 1
-              | _ -> ());
-              Node.handle_msg ls.engines.(dst) ~src:id msg;
-              check t ls ~lock
-            in
             match transport with
-            | None -> Net.send net ~src:id ~dst ~cls ~describe deliver
-            | Some transport -> transport ~src:id ~dst ~cls ~describe deliver
+            | None -> Net.post net port ~src:id ~dst ~cls msg
+            | Some transport ->
+                transport ~src:id ~dst ~cls
+                  ~describe:(fun () -> describe msg)
+                  (fun () -> deliver ls id dst msg)
           in
           let node_obs =
             match obs with
@@ -149,15 +162,15 @@ let sample_gauges t r =
 let request ?priority t ~node ~lock ~mode ~on_granted =
   let ls = t.locks_arr.(lock) in
   let seq = Node.request ?priority ls.engines.(node) ~mode ~on_granted:(fun _ -> on_granted ()) in
-  check t ls ~lock;
+  check ls;
   seq
 
 let release t ~node ~lock ~seq =
   let ls = t.locks_arr.(lock) in
   Node.release ls.engines.(node) ~seq;
-  check t ls ~lock
+  check ls
 
 let upgrade t ~node ~lock ~seq ~on_upgraded =
   let ls = t.locks_arr.(lock) in
   Node.upgrade ls.engines.(node) ~seq ~on_upgraded:(fun _ -> on_upgraded ());
-  check t ls ~lock
+  check ls

@@ -18,8 +18,10 @@ open Dcs_modes
 
 type t
 
-(** [transport] (default [Net.send net]) carries every protocol message.
-    Chaos experiments interpose {!Dcs_fault.Reliable.send} here, so the
+(** Without [transport], each lock posts its protocol messages as data
+    to its own {!Net.port}, so an untraced send allocates nothing but
+    the message. [transport], when given, carries them instead, as
+    closures. Chaos experiments interpose {!Dcs_fault.Reliable.send} here, so the
     engines keep their reliable-FIFO delivery contract over lossy links.
     The model checker ([Dcs_check.Mcheck]) passes a transport that parks
     each message on a per-link FIFO and delivers in the order it explores;

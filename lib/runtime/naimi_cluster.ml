@@ -1,6 +1,8 @@
 module Naimi = Dcs_naimi.Naimi
 
 type lock_state = {
+  lock : int;
+  oracle : bool;
   mutable engines : Naimi.t array;
   mutable tokens_in_flight : int;
 }
@@ -10,10 +12,10 @@ type t = {
   n : int;
   l : int;
   locks_arr : lock_state array;
-  oracle : bool;
 }
 
-let safety_violations_lock ls ~lock =
+let safety_violations ls =
+  let lock = ls.lock in
   let violations = ref [] in
   let add fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   let in_cs = ref [] and holders = ref 0 in
@@ -29,14 +31,12 @@ let safety_violations_lock ls ~lock =
   if tokens <> 1 then add "lock %d: token multiplicity %d" lock tokens;
   List.rev !violations
 
-let safety_violations t ~lock = safety_violations_lock t.locks_arr.(lock) ~lock
-
 let quiescent_violations t =
   let violations = ref [] in
   let add fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   for lock = 0 to t.l - 1 do
     let ls = t.locks_arr.(lock) in
-    (match safety_violations t ~lock with [] -> () | vs -> List.iter (add "%s") vs);
+    (match safety_violations ls with [] -> () | vs -> List.iter (add "%s") vs);
     Array.iter
       (fun e ->
         if Naimi.requesting e then add "lock %d: n%d still requesting" lock (Naimi.id e);
@@ -46,6 +46,18 @@ let quiescent_violations t =
   done;
   List.rev !violations
 
+(* The receiving end of one lock's messages, closed over nothing: the
+   lock's port carries [ls] as data. *)
+let deliver ls src dst msg =
+  (match msg with
+  | Naimi.Token -> ls.tokens_in_flight <- ls.tokens_in_flight - 1
+  | Naimi.Request _ -> ());
+  Naimi.handle_msg ls.engines.(dst) ~src msg;
+  if ls.oracle then
+    match safety_violations ls with
+    | [] -> ()
+    | vs -> failwith (String.concat "; " vs)
+
 let create ?(oracle = false) ?obs ~net ~nodes:n ~locks:l () =
   if n < 1 then invalid_arg "Naimi_cluster.create: need at least one node";
   let t =
@@ -54,12 +66,15 @@ let create ?(oracle = false) ?obs ~net ~nodes:n ~locks:l () =
       n;
       l;
       locks_arr =
-        Array.init l (fun _ -> { engines = [||]; tokens_in_flight = 0 });
-      oracle;
+        Array.init l (fun lock -> { lock; oracle; engines = [||]; tokens_in_flight = 0 });
     }
   in
   for lock = 0 to l - 1 do
     let ls = t.locks_arr.(lock) in
+    let port =
+      Net.port ~env:ls ~deliver ~describe:(fun msg ->
+          Format.asprintf "lock%d %a" lock Naimi.pp_msg msg)
+    in
     let engines =
       Array.init n (fun id ->
           let send ~dst msg =
@@ -71,17 +86,7 @@ let create ?(oracle = false) ?obs ~net ~nodes:n ~locks:l () =
             (match msg with
             | Naimi.Token -> ls.tokens_in_flight <- ls.tokens_in_flight + 1
             | Naimi.Request _ -> ());
-            Net.send net ~src:id ~dst ~cls:(Naimi.class_of msg)
-              ~describe:(fun () -> Format.asprintf "lock%d %a" lock Naimi.pp_msg msg)
-              (fun () ->
-                (match msg with
-                | Naimi.Token -> ls.tokens_in_flight <- ls.tokens_in_flight - 1
-                | Naimi.Request _ -> ());
-                Naimi.handle_msg ls.engines.(dst) ~src:id msg;
-                if t.oracle then
-                  match safety_violations_lock ls ~lock with
-                  | [] -> ()
-                  | vs -> failwith (String.concat "; " vs))
+            Net.post net port ~src:id ~dst ~cls:(Naimi.class_of msg) msg
           in
           let node_obs =
             match obs with

@@ -1,12 +1,30 @@
 open Dcs_proto
 
-type held = {
-  h_src : Node_id.t;
-  h_dst : Node_id.t;
-  h_cls : Msg_class.t;
-  h_describe : unit -> string;
-  h_deliver : unit -> unit;
-}
+(* A receiver: its state [env] and a closed [deliver] over it, so that
+   registering a receiver builds no closure per message. *)
+type 'a port =
+  | Port : {
+      env : 'e;
+      deliver : 'e -> Node_id.t -> Node_id.t -> 'a -> unit;
+      describe : 'a -> string;
+    }
+      -> 'a port
+
+(* Never inlined: a port is built once per receiver, and this keeps its
+   allocation out of the module initialiser below, which would take it
+   through the runtime's [caml_alloc3]. *)
+let[@inline never] port ~env ~deliver ~describe = Port { env; deliver; describe }
+
+(* A message parked in the partition buffer, as data. *)
+type held =
+  | Held : {
+      src : Node_id.t;
+      dst : Node_id.t;
+      cls : Msg_class.t;
+      port : 'a port;
+      payload : 'a;
+    }
+      -> held
 
 type t = {
   engine : Dcs_sim.Engine.t;
@@ -95,73 +113,79 @@ let delivery_time t ~src ~dst ~delay_factor ~extra_delay =
   row.(dst) <- floor;
   floor
 
-(* The [record] thunks are only constructed when tracing is on, and an
-   untraced delivery closure captures only [t] and [deliver]: anything more
-   would cost allocation per message on untraced runs. *)
-let deliver_copy t ~src ~dst ~describe ~delay_factor ~extra_delay deliver =
+(* The one engine closure of a delivered copy captures the net, the port,
+   the link and the payload. The trace records force [describe] only when
+   a trace is attached; the delivery record reads the engine's clock,
+   which is the scheduled [time] while the closure runs. *)
+let deliver_copy t ~src ~dst ~delay_factor ~extra_delay (Port p) payload =
   t.in_flight <- t.in_flight + 1;
   let time = delivery_time t ~src ~dst ~delay_factor ~extra_delay in
+  (match t.trace with
+  | Some trace ->
+      Dcs_sim.Trace.record trace ~time:(Dcs_sim.Engine.now t.engine) (fun () ->
+          Printf.sprintf "send n%d->n%d %s (eta %.3f)" src dst (p.describe payload) time)
+  | None -> ());
+  Dcs_sim.Engine.schedule_at t.engine ~time (fun () ->
+      t.in_flight <- t.in_flight - 1;
+      (match t.trace with
+      | Some trace ->
+          Dcs_sim.Trace.record trace ~time:(Dcs_sim.Engine.now t.engine) (fun () ->
+              Printf.sprintf "recv n%d->n%d %s" src dst (p.describe payload))
+      | None -> ());
+      p.deliver p.env src dst payload)
+
+(* Record a hold or a drop of a message that gets no delivery closure. *)
+let note t verb ~src ~dst (Port p) payload =
   match t.trace with
   | Some trace ->
       Dcs_sim.Trace.record trace ~time:(Dcs_sim.Engine.now t.engine) (fun () ->
-          Printf.sprintf "send n%d->n%d %s (eta %.3f)" src dst (describe ()) time);
-      Dcs_sim.Engine.schedule_at t.engine ~time (fun () ->
-          t.in_flight <- t.in_flight - 1;
-          Dcs_sim.Trace.record trace ~time (fun () ->
-              Printf.sprintf "recv n%d->n%d %s" src dst (describe ()));
-          deliver ())
-  | None ->
-      Dcs_sim.Engine.schedule_at t.engine ~time (fun () ->
-          t.in_flight <- t.in_flight - 1;
-          deliver ())
+          Printf.sprintf "%s n%d->n%d %s" verb src dst (p.describe payload))
+  | None -> ()
 
 (* Consult the fault hook (if any) and act on its decision. Also the
    re-entry point for flushed held messages, hence no counting here.
    Without a hook the decision is [Link.pass]: one copy, unscaled, which
-   goes straight to [deliver_copy]. *)
-let dispatch t ~src ~dst ~cls ~describe deliver =
+   goes straight to [deliver_copy]. Never inlined, so the senders that
+   inline [post] do not take in its generic calls of the hook. *)
+let[@inline never] dispatch t ~src ~dst ~cls port payload =
   match t.fault with
-  | None -> deliver_copy t ~src ~dst ~describe ~delay_factor:1.0 ~extra_delay:0.0 deliver
+  | None -> deliver_copy t ~src ~dst ~delay_factor:1.0 ~extra_delay:0.0 port payload
   | Some f -> (
       match f ~now:(Dcs_sim.Engine.now t.engine) ~src ~dst ~cls with
       | Link.Hold ->
-          (match t.trace with
-          | Some trace ->
-              Dcs_sim.Trace.record trace ~time:(Dcs_sim.Engine.now t.engine) (fun () ->
-                  Printf.sprintf "hold n%d->n%d %s" src dst (describe ()))
-          | None -> ());
-          Queue.add
-            { h_src = src; h_dst = dst; h_cls = cls; h_describe = describe; h_deliver = deliver }
-            t.held
+          note t "hold" ~src ~dst port payload;
+          Queue.add (Held { src; dst; cls; port; payload }) t.held
       | Link.Deliver { copies; delay_factor; extra_delay } ->
           if copies <= 0 then begin
             t.dropped <- t.dropped + 1;
-            match t.trace with
-            | Some trace ->
-                Dcs_sim.Trace.record trace ~time:(Dcs_sim.Engine.now t.engine) (fun () ->
-                    Printf.sprintf "drop n%d->n%d %s" src dst (describe ()))
-            | None -> ()
+            note t "drop" ~src ~dst port payload
           end
           else begin
             if copies > 1 then t.duplicated <- t.duplicated + (copies - 1);
             for _ = 1 to copies do
-              deliver_copy t ~src ~dst ~describe ~delay_factor ~extra_delay deliver
+              deliver_copy t ~src ~dst ~delay_factor ~extra_delay port payload
             done
           end)
 
-let send t ~src ~dst ~cls ~describe deliver =
+let post t port ~src ~dst ~cls payload =
   Counters.incr t.counters cls;
-  dispatch t ~src ~dst ~cls ~describe deliver
+  dispatch t ~src ~dst ~cls port payload
+
+(* The closure form: the payload is the pair of closures, and one shared
+   port runs them. *)
+let closures =
+  port ~env:()
+    ~deliver:(fun () _ _ ((_ : unit -> string), deliver) -> deliver ())
+    ~describe:(fun (describe, (_ : unit -> unit)) -> describe ())
+
+let send t ~src ~dst ~cls ~describe deliver = post t closures ~src ~dst ~cls (describe, deliver)
 
 let flush_held t =
   (* Re-dispatch in send order; messages whose links are still faulted are
      re-held behind any newly held traffic, preserving FIFO per link. *)
   let pending = Queue.create () in
   Queue.transfer t.held pending;
-  Queue.iter
-    (fun h ->
-      dispatch t ~src:h.h_src ~dst:h.h_dst ~cls:h.h_cls ~describe:h.h_describe h.h_deliver)
-    pending
+  Queue.iter (fun (Held h) -> dispatch t ~src:h.src ~dst:h.dst ~cls:h.cls h.port h.payload) pending
 
 let counters t = t.counters
 

@@ -35,9 +35,43 @@ val create :
     owns the engine, rng and trace and resets/reseeds them alongside. *)
 val reset : t -> unit
 
-(** [send t ~src ~dst ~cls ~describe deliver] counts one message of class
-    [cls], and schedules [deliver ()] after a latency draw (kept FIFO with
-    earlier [src]→[dst] messages). [describe] is forced only when tracing. *)
+(** {1 Sending}
+
+    A message travels as data: the receiver registers once as a port,
+    and each send hands the net a payload for it. *)
+
+(** A receiver of ['a] payloads. *)
+type 'a port
+
+(** [port ~env ~deliver ~describe] registers a receiver once.
+    [deliver env src dst payload] runs at each delivered copy;
+    [describe payload] renders it for the trace and is forced only when
+    a trace is attached. [env] is the receiver's state, so [deliver] can
+    be a closed function and the port needs no closure per receiver. *)
+val port :
+  env:'e ->
+  deliver:('e -> Dcs_proto.Node_id.t -> Dcs_proto.Node_id.t -> 'a -> unit) ->
+  describe:('a -> string) ->
+  'a port
+
+(** [post t port ~src ~dst ~cls payload] counts one message of class
+    [cls] and schedules its delivery to [port] after a latency draw (kept
+    FIFO with earlier [src]→[dst] messages). Each delivered copy costs
+    one engine closure; a held message waits in the partition buffer as
+    [(port, payload)]. *)
+val post :
+  t ->
+  'a port ->
+  src:Dcs_proto.Node_id.t ->
+  dst:Dcs_proto.Node_id.t ->
+  cls:Dcs_proto.Msg_class.t ->
+  'a ->
+  unit
+
+(** [send t ~src ~dst ~cls ~describe deliver] is {!post} with the pair
+    of closures as the payload: [deliver ()] runs at each delivered copy,
+    and [describe] is forced only when tracing. Partially applied, it is
+    a {!Dcs_proto.Link.send}, the form transports layer over. *)
 val send :
   t ->
   src:Dcs_proto.Node_id.t ->

@@ -89,6 +89,88 @@ let test_net_latency_spike_fifo () =
     Alcotest.(list int)
     "spiked first message still delivers first" [ 1; 2; 3; 4 ] (List.rev !arrivals)
 
+(* Typed payloads posted to a port take every fault path as data: a held
+   link flushed later, a drop and a duplicate. Each link still delivers
+   in send order, and the net's books balance. *)
+let test_net_post_faults () =
+  let engine, net = fresh_net ~seed:6L () in
+  let arrivals = Hashtbl.create 4 in
+  let port =
+    Net.port ~env:arrivals
+      ~deliver:(fun arrivals src dst payload ->
+        let link = (src, dst) in
+        Hashtbl.replace arrivals link
+          (payload :: Option.value ~default:[] (Hashtbl.find_opt arrivals link)))
+      ~describe:string_of_int
+  in
+  let holding = ref true and on_0_2 = ref 0 in
+  Net.set_fault net (fun ~now:_ ~src ~dst ~cls:_ ->
+      match (src, dst) with
+      | 0, 1 when !holding -> Link.Hold
+      | 0, 2 ->
+          incr on_0_2;
+          if !on_0_2 = 2 then Link.Deliver { copies = 0; delay_factor = 1.0; extra_delay = 0.0 }
+          else if !on_0_2 = 3 then Link.Deliver { copies = 2; delay_factor = 1.0; extra_delay = 0.0 }
+          else Link.pass
+      | _ -> Link.pass);
+  let post ~src ~dst payload = Net.post net port ~src ~dst ~cls:Dcs_proto.Msg_class.Copy_grant payload in
+  for i = 1 to 6 do
+    post ~src:0 ~dst:1 i;
+    post ~src:0 ~dst:2 i;
+    post ~src:2 ~dst:1 (100 + i)
+  done;
+  ignore (Dcs_sim.Engine.run engine);
+  checki "held" 6 (Net.held_count net);
+  checki "held still in flight" 6 (Net.in_flight net);
+  holding := false;
+  Net.flush_held net;
+  ignore (Dcs_sim.Engine.run engine);
+  let link src dst = List.rev (Option.value ~default:[] (Hashtbl.find_opt arrivals (src, dst))) in
+  Alcotest.check Alcotest.(list int) "held link" [ 1; 2; 3; 4; 5; 6 ] (link 0 1);
+  Alcotest.check Alcotest.(list int) "lossy link" [ 1; 3; 3; 4; 5; 6 ] (link 0 2);
+  Alcotest.check Alcotest.(list int) "live link" [ 101; 102; 103; 104; 105; 106 ] (link 2 1);
+  checki "in flight drained" 0 (Net.in_flight net);
+  checki "held drained" 0 (Net.held_count net);
+  checki "dropped" 1 (Net.dropped net);
+  checki "duplicated" 1 (Net.duplicated net);
+  checki "posts counted" 18 (Dcs_proto.Counters.get (Net.counters net) Dcs_proto.Msg_class.Copy_grant)
+
+(* The trace digest of a 16-node, two-lock cluster run whose traffic into
+   n5 is held until a flush at 200 ms. It folds every send, hold and
+   delivery record, each message's [describe] text included, so any
+   change to what the net or the cluster sends or renders moves it. *)
+let test_traced_cluster_digest () =
+  let module Engine = Dcs_sim.Engine in
+  let module Cluster = Dcs_runtime.Hlock_cluster in
+  let engine = Engine.create () in
+  let trace = Dcs_sim.Trace.create () in
+  let net =
+    Net.create ~engine ~latency:(Dcs_sim.Dist.uniform_around 10.0)
+      ~rng:(Dcs_sim.Rng.create ~seed:16L) ~trace ()
+  in
+  let cluster = Cluster.create ~oracle:true ~net ~nodes:16 ~locks:2 () in
+  Net.set_fault net (fun ~now:_ ~src:_ ~dst ~cls:_ -> if dst = 5 then Link.Hold else Link.pass);
+  Engine.schedule engine ~after:200.0 (fun () ->
+      Net.clear_fault net;
+      Net.flush_held net);
+  let modes = Dcs_modes.Mode.[| IR; R; U; IW; W |] in
+  let granted = ref 0 in
+  for node = 0 to 15 do
+    for lock = 0 to 1 do
+      let seq = ref (-1) in
+      Engine.schedule engine ~after:(float_of_int node) (fun () ->
+          seq :=
+            Cluster.request cluster ~node ~lock ~mode:modes.((node + lock) mod 5) ~on_granted:(fun () ->
+                incr granted;
+                Engine.schedule engine ~after:5.0 (fun () ->
+                    Cluster.release cluster ~node ~lock ~seq:!seq)))
+    done
+  done;
+  ignore (Engine.run engine);
+  checki "all granted" 32 !granted;
+  Alcotest.check Alcotest.(list string) "at rest" [] (Cluster.quiescent_violations cluster);
+  Alcotest.check Alcotest.int64 "trace digest" 8452469556124480037L (Dcs_sim.Trace.digest trace)
+
 (* {1 Plan} *)
 
 let test_plan_windows_and_shim () =
@@ -324,6 +406,40 @@ let test_invariant_safety_violations () =
     [ "lock 0: incompatible retained modes n1:R vs n2:W" ]
     (safety (edit (fun s -> s.(2) <- cache s 2 Mode.W)))
 
+(* A clean check allocates nothing: the oracle runs after every delivery
+   and client call, so whatever it allocates is paid per message. It is
+   measured at every delivery of a busy 8-node cluster (cached, held and
+   queued modes of all five kinds) after warm-up requests. *)
+let test_invariant_allocation_free () =
+  let module C = Testkit.Sync_cluster in
+  let c = C.create 8 in
+  let modes = [| Mode.IR; Mode.R; Mode.U; Mode.IW; Mode.W |] in
+  for node = 1 to 7 do
+    ignore (C.acquire c ~node ~mode:Mode.R)
+  done;
+  for node = 0 to 7 do
+    ignore (C.request c ~node ~mode:modes.(node mod 5))
+  done;
+  let busy = ref 0 in
+  let rec go () =
+    let nodes = c.C.nodes in
+    let tokens_in_flight =
+      List.length
+        (List.filter (function _, _, Dcs_hlock.Msg.Token _ -> true | _ -> false) c.C.wire)
+    in
+    let retained = Array.exists (fun e -> Node.held e <> [] || Node.cached e <> []) nodes in
+    let queued = Array.exists (fun e -> Node.queue e <> []) nodes in
+    let before = Gc.minor_words () in
+    let vs = Invariant.safety ~lock:0 ~tokens_in_flight nodes in
+    let words = Gc.minor_words () -. before in
+    check_clean "clean" vs;
+    Alcotest.check (Alcotest.float 0.0) "minor words of a clean check" 0.0 words;
+    if retained && queued then incr busy;
+    if C.step c then go ()
+  in
+  go ();
+  checkb (Printf.sprintf "%d busy states checked" !busy) true (!busy > 0)
+
 let test_invariant_quiescent_violations () =
   check_reports
     [
@@ -441,6 +557,8 @@ let () =
           Alcotest.test_case "hold and flush" `Quick test_net_hold_flush;
           Alcotest.test_case "drop and duplicate" `Quick test_net_drop_duplicate;
           Alcotest.test_case "latency spike keeps FIFO" `Quick test_net_latency_spike_fifo;
+          Alcotest.test_case "typed payloads under faults" `Quick test_net_post_faults;
+          Alcotest.test_case "traced cluster digest" `Quick test_traced_cluster_digest;
         ] );
       ( "plan",
         [
@@ -457,6 +575,7 @@ let () =
         [
           Alcotest.test_case "clean state" `Quick test_invariant_clean;
           Alcotest.test_case "detects safety violations" `Quick test_invariant_safety_violations;
+          Alcotest.test_case "clean check allocates nothing" `Quick test_invariant_allocation_free;
           Alcotest.test_case "detects quiescence violations" `Quick
             test_invariant_quiescent_violations;
           Alcotest.test_case "oracle catches duplicated token" `Quick

@@ -363,7 +363,7 @@ let test_result_rows () =
    default build (release profile, cross-module inlining; see the root
    [dune-workspace]). A build that loses cross-module inlining boxes
    more floats and Int64s per message and fails them: [--profile dev]
-   measures 136,565 and 158,640 words. *)
+   measures 123,355 and 131,896 words. *)
 
 (* At most [ceiling] minor words allocated since the [Gc.minor_words]
    reading [before]. *)
@@ -384,7 +384,7 @@ let test_golden_airline () =
   in
   let before = Gc.minor_words () in
   let r = Experiment.run cfg in
-  check_minor_words "airline run" ~ceiling:133_742.0 ~before;
+  check_minor_words "airline run" ~ceiling:119_211.0 ~before;
   check_counts "messages by class"
     [ ("request", 570); ("grant", 207); ("token", 81); ("release", 180); ("freeze", 158);
       ("ack", 0); ("retx", 0) ]
@@ -436,7 +436,7 @@ let test_golden_hotlock () =
     Dcs_sim.Engine.schedule engine ~after:0.0 go
   done;
   ignore (Dcs_sim.Engine.run engine);
-  check_minor_words "hot-lock run" ~ceiling:156_781.0 ~before;
+  check_minor_words "hot-lock run" ~ceiling:127_362.0 ~before;
   checki "all rounds" ((nodes - 1) * rounds) !completed;
   check_counts "messages by class"
     [ ("request", 813); ("grant", 456); ("token", 249); ("release", 456); ("freeze", 456);
