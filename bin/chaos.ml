@@ -5,9 +5,8 @@
      dcs-chaos lossy-dup --nodes 32    one plan, custom size
      dcs-chaos --verify                rerun each plan and compare digests
 
-   CHAOS_QUICK=1 (or --quick) shrinks the soak to a CI smoke (~seconds):
-   12 nodes, 12 ops/node. The full default is a 64-node, 10240-request
-   soak per plan. Exit status is non-zero if any invariant violation,
+   --quick shrinks the soak to a CI smoke (~seconds): 12 nodes, 12
+   ops/node. The full default is a 64-node, 10240-request soak per plan. Exit status is non-zero if any invariant violation,
    liveness failure or digest mismatch occurs. *)
 
 open Cmdliner
@@ -122,7 +121,6 @@ let report ~name ~cfg ~plan ~result ~digest ~recorder =
   rep.Experiment.violations = []
 
 let main plans nodes ops entries seed quick verify jobs telemetry_dir =
-  let quick = quick || Sys.getenv_opt "CHAOS_QUICK" <> None in
   let nodes = if quick then min nodes 12 else nodes in
   let ops = if quick then min ops 12 else ops in
   let plans = if plans = [] then Plan.names else plans in
@@ -191,7 +189,7 @@ let seed_arg =
   Arg.(value & opt int64 42L & info [ "seed" ] ~docv:"SEED" ~doc:"Simulation seed.")
 
 let quick_flag =
-  Arg.(value & flag & info [ "quick" ] ~doc:"CI smoke: 12 nodes, 12 ops/node (also via \\$(b,CHAOS_QUICK)).")
+  Arg.(value & flag & info [ "quick" ] ~doc:"CI smoke: 12 nodes, 12 ops/node.")
 
 let verify_flag =
   Arg.(value & flag & info [ "verify" ] ~doc:"Rerun each plan with the same seed and compare trace digests.")

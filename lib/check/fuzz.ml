@@ -102,15 +102,9 @@ let run (c : case) =
      script's ops, which fixes its place among equal-time events; it reads
      the driver's counts, which exist before any event fires. *)
   let driven = ref None in
-  let kick_period = 20.0 *. mean_latency_ms in
-  let rec kick_loop () =
-    match !driven with
-    | Some (c : Script.counts) when c.releases = n_ops -> ()
-    | _ ->
-        Cluster.kick_all cluster;
-        Engine.schedule engine ~after:kick_period kick_loop
-  in
-  if n_ops > 0 then Engine.schedule engine ~after:kick_period kick_loop;
+  if n_ops > 0 then
+    Cluster.watchdog cluster ~engine ~period:(20.0 *. mean_latency_ms) ~busy:(fun () ->
+        match !driven with Some (c : Script.counts) -> c.releases <> n_ops | None -> true);
   let counts = drive cluster ~schedule:(Engine.schedule engine) script in
   driven := Some counts;
   let until = deadline c ~plan_horizon:(Dcs_fault.Plan.horizon plan) in
@@ -144,7 +138,7 @@ let run (c : case) =
   if completed then
     List.iter
       (fun v -> violations := ("quiescence: " ^ v) :: !violations)
-      (Faulty_net.at_rest faulty cluster);
+      (Faulty_net.at_rest faulty (Cluster.quiescent_violations cluster));
   let oracle =
     Oracle.conformance ~require_complete:(not !aborted)
       ~events:(Dcs_obs.Recorder.events recorder) ()

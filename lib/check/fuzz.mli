@@ -5,14 +5,18 @@
     the same case always produces the same {!verdict} and the same
     {!Dcs_sim.Trace} digest, so failures replay and shrink exactly.
 
-    A run executes the script on a simulated cluster with the runtime
-    safety oracle checking every delivered message and client call
-    ({!Dcs_runtime.Hlock_cluster} with [oracle:true], i.e.
-    {!Dcs_hlock.Invariant.safety}: single token, pairwise-compatible held
-    and cached modes, bounded queues), records the full
-    {!Dcs_obs.Event.t} trace, and on completion checks:
+    A run executes the script on a simulated cluster over a
+    {!Dcs_runtime.Faulty_net} under the case's plan (the empty plan
+    without one), with the custody {!Dcs_runtime.Hlock_cluster.watchdog}
+    every 20 mean latencies and the runtime safety oracle checking every
+    delivered message and client call ({!Dcs_runtime.Hlock_cluster} with
+    [oracle:true], i.e. {!Dcs_hlock.Invariant.safety}: single token,
+    pairwise-compatible held and cached modes, bounded queues). It
+    records the full {!Dcs_obs.Event.t} trace, and on completion checks:
 
-    - quiescence structural invariants ({!Dcs_runtime.Hlock_cluster.quiescent_violations});
+    - quiescence structural invariants
+      ({!Dcs_runtime.Hlock_cluster.quiescent_violations}), the shim's
+      channels and the net at rest ({!Dcs_runtime.Faulty_net.at_rest});
     - trace conformance against the reference semantics
       ({!Oracle.conformance});
     - liveness: every scripted operation granted, upgraded and released

@@ -39,9 +39,6 @@ val strictly_weaker : Mode.t option -> Mode.t option -> bool
     correctly maintained copyset never holds both (they conflict). *)
 val strongest : Mode.t list -> Mode.t option
 
-(** [max_mode a b] is the stronger of the two (first on ties). *)
-val max_mode : Mode.t option -> Mode.t option -> Mode.t option
-
 (** {1 Rule 3 — granting} *)
 
 (** Table 1(b): a non-token node owning [owned] may grant a request for

@@ -1,5 +1,3 @@
-let default_jobs () = Domain.recommended_domain_count ()
-
 (* SplitMix64 (Steele et al., "Fast splittable pseudorandom number
    generators"): the golden-ratio increment spaces the salts along the
    stream, and the mix finalizer decorrelates neighbouring inputs. The
@@ -19,7 +17,7 @@ let cell_seed ~base ~salt =
 let map ?jobs f cells =
   let n = Array.length cells in
   let jobs =
-    match jobs with Some j -> max 1 (min j n) | None -> max 1 (min (default_jobs ()) n)
+    match jobs with Some j -> max 1 (min j n) | None -> max 1 (min (Domain.recommended_domain_count ()) n)
   in
   if jobs <= 1 then Array.map f cells
   else begin

@@ -10,14 +10,10 @@
     order. Combined with {!cell_seed}, a parallel sweep is bit-identical
     to the sequential one. *)
 
-val default_jobs : unit -> int
-(** Number of workers used when [?jobs] is omitted:
-    [Domain.recommended_domain_count ()]. *)
-
 val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ?jobs f cells] is [Array.map f cells], computed by [jobs]
-    domains (the calling domain participates, so [jobs - 1] are
-    spawned). [f] must be safe to run concurrently with itself on
+    domains (default [Domain.recommended_domain_count ()]; the calling
+    domain participates, so [jobs - 1] are spawned). [f] must be safe to run concurrently with itself on
     distinct cells. [jobs <= 1] runs sequentially in the calling domain
     with no spawns at all. If any application of [f] raises, the first
     exception (in completion order) is re-raised after all domains have

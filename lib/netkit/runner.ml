@@ -260,7 +260,7 @@ let send_env t ~dst env =
 
 (* {1 Node construction} *)
 
-let create ?(protocol = Node.default_config) ?telemetry ~config ~self () =
+let create ?telemetry ~config ~self () =
   let n = Cluster_config.size config in
   if self < 0 || self >= n then invalid_arg "Runner.create: self out of range";
   let locks = config.Cluster_config.locks in
@@ -308,7 +308,7 @@ let create ?(protocol = Node.default_config) ?telemetry ~config ~self () =
           send_env t ~dst { Codec.src = self; lock; payload = Codec.Hlock msg }
         in
         let obs scope kind = Recorder.record t.recorder ~time:(t.clock ()) ~lock ~node:self scope kind in
-        Node.create ~config:protocol ~obs ~id:self ~peers:n ~is_token:(self = 0)
+        Node.create ~obs ~id:self ~peers:n ~is_token:(self = 0)
           ~parent:(if self = 0 then None else Some 0)
           ~send ())
   in

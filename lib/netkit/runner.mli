@@ -47,7 +47,6 @@ type t
     and {!stop} closes the recorder with the [msgs] and [counters]
     lines. *)
 val create :
-  ?protocol:Dcs_hlock.Node.config ->
   ?telemetry:Dcs_obs.Recorder.t ->
   config:Cluster_config.t ->
   self:int ->

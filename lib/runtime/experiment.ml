@@ -100,29 +100,17 @@ let record_acquired meter ~cls ~elapsed =
   in
   Dcs_stats.Summary.add s elapsed
 
-(* {1 The hierarchical driver} *)
+(* {1 The airline clients} *)
 
-let run_hierarchical ?transport ?obs cfg engine net meter =
+(* Every driver's per-node client loop: idle, draw an op, and hand it to
+   [issue ~node op ~held ~finish], which acquires the op's locks. Once
+   they are all held it calls [held ()], which records the acquisition
+   latency and returns the drawn hold time; after the last release it
+   calls [finish ()], and the node idles towards its next op. *)
+let airline_clients cfg engine meter issue =
   let wl = cfg.workload in
-  (* Chaos runs always carry the per-delivery oracle. *)
-  let cluster =
-    Hlock_cluster.create ~config:cfg.protocol
-      ~oracle:(cfg.oracle || Option.is_some cfg.chaos)
-      ?transport ?obs ~net ~nodes:cfg.nodes ~locks:(1 + wl.Airline.entries) ()
-  in
   let master = Dcs_sim.Rng.create ~seed:cfg.seed in
-  (* Custody watchdog: as long as work remains, kick every few round trips. *)
-  let expected_ops = cfg.nodes * wl.Airline.ops_per_node in
-  let kick_period = 400.0 *. Dcs_sim.Dist.mean cfg.latency in
-  let rec kick_loop () =
-    if meter.ops_done < expected_ops then begin
-      Hlock_cluster.kick_all cluster;
-      Dcs_sim.Engine.schedule engine ~after:kick_period kick_loop
-    end
-  in
-  Dcs_sim.Engine.schedule engine ~after:kick_period kick_loop;
   let zipf = Airline.entry_zipf wl in
-  let table = 0 and entry_lock e = 1 + e in
   for node = 0 to cfg.nodes - 1 do
     let rng = Dcs_sim.Rng.split master in
     let remaining = ref wl.Airline.ops_per_node in
@@ -133,40 +121,51 @@ let run_hierarchical ?transport ?obs cfg engine net meter =
     and start_op () =
       let op = Airline.sample_op ?zipf wl rng in
       let t0 = Dcs_sim.Engine.now engine in
-      let acquired ~release =
+      let held () =
         record_acquired meter ~cls:(Airline.op_class op) ~elapsed:(Dcs_sim.Engine.now engine -. t0);
-        let cs = Dcs_sim.Dist.sample wl.Airline.cs_time rng in
-        match op with
-        | Airline.Table_op { upgrade = true; _ } ->
-            (* Read under U for half the CS, then upgrade and write. *)
-            Dcs_sim.Engine.schedule engine ~after:(cs /. 2.0) (fun () ->
-                release ~upgrade_first:true ~after:(cs /. 2.0))
-        | Airline.Table_op _ | Airline.Entry_op _ ->
-            Dcs_sim.Engine.schedule engine ~after:cs (fun () ->
-                release ~upgrade_first:false ~after:0.0)
+        Dcs_sim.Dist.sample wl.Airline.cs_time rng
       in
-      let finish () =
-        meter.ops_done <- meter.ops_done + 1;
-        decr remaining;
-        idle_then_op ()
-      in
+      issue ~node op ~held ~finish:(fun () ->
+          meter.ops_done <- meter.ops_done + 1;
+          decr remaining;
+          idle_then_op ())
+    in
+    idle_then_op ()
+  done
+
+(* {1 The hierarchical driver} *)
+
+let run_hierarchical ?transport ?obs ~oracle cfg engine net meter =
+  let wl = cfg.workload in
+  let cluster =
+    Hlock_cluster.create ~config:cfg.protocol ~oracle ?transport ?obs ~net ~nodes:cfg.nodes
+      ~locks:(1 + wl.Airline.entries) ()
+  in
+  (* Custody watchdog: as long as work remains, kick every few round trips. *)
+  let expected_ops = cfg.nodes * wl.Airline.ops_per_node in
+  Hlock_cluster.watchdog cluster ~engine
+    ~period:(400.0 *. Dcs_sim.Dist.mean cfg.latency)
+    ~busy:(fun () -> meter.ops_done < expected_ops);
+  let schedule = Dcs_sim.Engine.schedule engine in
+  let table = 0 and entry_lock e = 1 + e in
+  airline_clients cfg engine meter (fun ~node op ~held ~finish ->
       match op with
-      | Airline.Table_op { mode; _ } ->
+      | Airline.Table_op { mode; upgrade } ->
           meter.lock_requests <- meter.lock_requests + 1;
           let seq = ref (-1) in
+          let release () =
+            Hlock_cluster.release cluster ~node ~lock:table ~seq:!seq;
+            finish ()
+          in
           seq :=
             Hlock_cluster.request cluster ~node ~lock:table ~mode ~on_granted:(fun () ->
-                acquired ~release:(fun ~upgrade_first ~after ->
-                    if upgrade_first then
+                let cs = held () in
+                if upgrade then
+                  (* Read under U for half the CS, then upgrade and write. *)
+                  schedule ~after:(cs /. 2.0) (fun () ->
                       Hlock_cluster.upgrade cluster ~node ~lock:table ~seq:!seq
-                        ~on_upgraded:(fun () ->
-                          Dcs_sim.Engine.schedule engine ~after (fun () ->
-                              Hlock_cluster.release cluster ~node ~lock:table ~seq:!seq;
-                              finish ()))
-                    else begin
-                      Hlock_cluster.release cluster ~node ~lock:table ~seq:!seq;
-                      finish ()
-                    end))
+                        ~on_upgraded:(fun () -> schedule ~after:(cs /. 2.0) release))
+                else schedule ~after:cs release)
       | Airline.Entry_op { intent; entry_mode; entry } ->
           meter.lock_requests <- meter.lock_requests + 2;
           let table_seq = ref (-1) and entry_seq = ref (-1) in
@@ -175,38 +174,23 @@ let run_hierarchical ?transport ?obs cfg engine net meter =
                 entry_seq :=
                   Hlock_cluster.request cluster ~node ~lock:(entry_lock entry) ~mode:entry_mode
                     ~on_granted:(fun () ->
-                      acquired ~release:(fun ~upgrade_first:_ ~after:_ ->
+                      schedule ~after:(held ()) (fun () ->
                           Hlock_cluster.release cluster ~node ~lock:(entry_lock entry)
                             ~seq:!entry_seq;
                           Hlock_cluster.release cluster ~node ~lock:table ~seq:!table_seq;
-                          finish ())))
-    in
-    idle_then_op ()
-  done;
-  ( (fun () -> if cfg.oracle then Hlock_cluster.quiescent_violations cluster else []),
-    Some cluster )
+                          finish ()))));
+  ((fun () -> Hlock_cluster.quiescent_violations cluster), Some cluster)
 
 (* {1 The Naimi drivers} *)
 
 (* [Naimi_same_work]: entry ops take that entry's exclusive lock; table ops
    take every entry lock in ascending order (total order = no deadlock).
    [Naimi_pure]: one global lock for everything. *)
-let run_naimi ?obs cfg engine net meter ~pure =
+let run_naimi ?obs ~oracle cfg engine net meter ~pure =
   let wl = cfg.workload in
   let locks = if pure then 1 else wl.Airline.entries in
-  let cluster = Naimi_cluster.create ~oracle:cfg.oracle ?obs ~net ~nodes:cfg.nodes ~locks () in
-  let master = Dcs_sim.Rng.create ~seed:cfg.seed in
-  let zipf = Airline.entry_zipf wl in
-  for node = 0 to cfg.nodes - 1 do
-    let rng = Dcs_sim.Rng.split master in
-    let remaining = ref wl.Airline.ops_per_node in
-    let rec idle_then_op () =
-      if !remaining > 0 then
-        Dcs_sim.Engine.schedule engine ~after:(Dcs_sim.Dist.sample wl.Airline.idle_time rng)
-          start_op
-    and start_op () =
-      let op = Airline.sample_op ?zipf wl rng in
-      let t0 = Dcs_sim.Engine.now engine in
+  let cluster = Naimi_cluster.create ~oracle ?obs ~net ~nodes:cfg.nodes ~locks () in
+  airline_clients cfg engine meter (fun ~node op ~held ~finish ->
       let wanted =
         if pure then [ 0 ]
         else
@@ -217,56 +201,43 @@ let run_naimi ?obs cfg engine net meter ~pure =
       meter.lock_requests <- meter.lock_requests + List.length wanted;
       let rec acquire = function
         | [] ->
-            record_acquired meter ~cls:(Airline.op_class op)
-              ~elapsed:(Dcs_sim.Engine.now engine -. t0);
-            let cs = Dcs_sim.Dist.sample wl.Airline.cs_time rng in
-            Dcs_sim.Engine.schedule engine ~after:cs (fun () ->
+            Dcs_sim.Engine.schedule engine ~after:(held ()) (fun () ->
                 List.iter (fun lock -> Naimi_cluster.release cluster ~node ~lock) wanted;
-                meter.ops_done <- meter.ops_done + 1;
-                decr remaining;
-                idle_then_op ())
+                finish ())
         | lock :: rest ->
             Naimi_cluster.request cluster ~node ~lock ~on_acquired:(fun () -> acquire rest)
       in
-      acquire wanted
-    in
-    idle_then_op ()
-  done;
-  ((fun () -> if cfg.oracle then Naimi_cluster.quiescent_violations cluster else []), None)
+      acquire wanted);
+  ((fun () -> Naimi_cluster.quiescent_violations cluster), None)
 
 (* {1 Runner} *)
 
 let run ?trace ?recorder cfg =
+  (* Every run goes over a [Faulty_net]; without chaos its plan is empty,
+     which makes it a plain net. *)
+  let plan =
+    match (cfg.chaos, cfg.driver) with
+    | None, _ -> []
+    | Some plan, Hierarchical -> plan
+    | Some _, (Naimi_same_work | Naimi_pure) ->
+        invalid_arg "Experiment.run: chaos is only wired for the Hierarchical driver"
+  in
+  (* Chaos runs always carry the per-delivery oracle. *)
+  let oracle = cfg.oracle || Option.is_some cfg.chaos in
   let engine = Dcs_sim.Engine.create () in
   let meter = meter_create () in
   let expected = cfg.nodes * cfg.workload.Airline.ops_per_node in
-  (* Chaos: the fault plan on the net and, when the plan drops or
-     duplicates, the Reliable shim between cluster and net. *)
   let faulty =
-    match cfg.chaos with
-    | None -> None
-    | Some plan ->
-        (match cfg.driver with
-        | Hierarchical -> ()
-        | Naimi_same_work | Naimi_pure ->
-            invalid_arg "Experiment.run: chaos is only wired for the Hierarchical driver");
-        Some
-          (Faulty_net.create ~engine ~latency:cfg.latency ~topology:cfg.topology ?trace
-             ~seed:cfg.seed plan)
+    Faulty_net.create ~engine ~latency:cfg.latency ~topology:cfg.topology ?trace ~seed:cfg.seed
+      plan
   in
-  let net =
-    match faulty with
-    | Some f -> f.Faulty_net.net
-    | None ->
-        let rng = Dcs_sim.Rng.create ~seed:(Int64.add cfg.seed 0x9E37L) in
-        Net.create ~engine ~latency:cfg.latency ~topology:cfg.topology ~rng ?trace ()
-  in
-  let transport = Option.bind faulty Faulty_net.transport in
+  let net = faulty.Faulty_net.net in
+  let transport = Faulty_net.transport faulty in
   let quiescent, cluster =
     match cfg.driver with
-    | Hierarchical -> run_hierarchical ?transport ?obs:recorder cfg engine net meter
-    | Naimi_same_work -> run_naimi ?obs:recorder cfg engine net meter ~pure:false
-    | Naimi_pure -> run_naimi ?obs:recorder cfg engine net meter ~pure:true
+    | Hierarchical -> run_hierarchical ?transport ?obs:recorder ~oracle cfg engine net meter
+    | Naimi_same_work -> run_naimi ?obs:recorder ~oracle cfg engine net meter ~pure:false
+    | Naimi_pure -> run_naimi ?obs:recorder ~oracle cfg engine net meter ~pure:true
   in
   (* Gauge sampling rides the engine tick hook, rate-limited to roughly one
      sample per mean network latency so dense event bursts don't flood the
@@ -287,47 +258,34 @@ let run ?trace ?recorder cfg =
                match cluster with Some c -> Hlock_cluster.sample_gauges c r | None -> ()
              end))
   | None -> ());
-  (* In a chaos run an oracle failure ends the run and is reported in
-     [chaos_report] rather than raised, as the fuzzer does, so harnesses
-     can print it. *)
-  let ended =
-    match faulty with
-    | Some _ -> Faulty_net.run engine
-    | None -> Ok (Dcs_sim.Engine.run engine)
-  in
-  let oracle_failure =
+  (* The at-rest verdict: an oracle failure ends the run; otherwise every
+     op must complete and, under the oracle, the cluster, the shim and the
+     net must be fully at rest once the engine drained. *)
+  let ended = Faulty_net.run engine in
+  Dcs_sim.Engine.set_tick engine None;
+  let violations =
     match ended with
-    | Ok Dcs_sim.Engine.Drained -> None
+    | Error v -> [ v ]
     | Ok Dcs_sim.Engine.Horizon_reached -> assert false
     | Ok Dcs_sim.Engine.Event_limit -> failwith "Experiment.run: event limit hit (livelock?)"
-    | Error v -> Some v
+    | Ok Dcs_sim.Engine.Drained ->
+        if meter.ops_done <> expected then
+          failwith
+            (Printf.sprintf
+               "Experiment.run (%s, n=%d): %d/%d operations completed — liveness failure"
+               (driver_to_string cfg.driver) cfg.nodes meter.ops_done expected);
+        if oracle then Faulty_net.at_rest faulty (quiescent ()) else []
   in
-  Dcs_sim.Engine.set_tick engine None;
-  if oracle_failure = None then begin
-    if meter.ops_done <> expected then
-      failwith
-        (Printf.sprintf "Experiment.run (%s, n=%d): %d/%d operations completed — liveness failure"
-           (driver_to_string cfg.driver) cfg.nodes meter.ops_done expected);
-    match quiescent () with
-    | [] -> ()
-    | vs -> failwith ("Experiment.run: quiescence violations: " ^ String.concat "; " vs)
-  end;
   let counters = Net.counters net in
-  (* The engine has drained, so beyond the per-delivery invariants the
-     cluster, the shim and the net must also be fully at rest. *)
+  (* A chaos run reports its violations, as the fuzzer does, so harnesses
+     can print them; any other run raises on them. *)
   let chaos_report =
-    match faulty with
-    | None -> None
-    | Some f ->
-        let violations =
-          match oracle_failure with
-          | Some v -> [ v ]
-          | None ->
-              (match cluster with Some c -> Faulty_net.at_rest f c | None -> [])
-              @
-              if Net.in_flight net = 0 then []
-              else [ Printf.sprintf "net: %d messages still in flight" (Net.in_flight net) ]
-        in
+    match cfg.chaos with
+    | None -> (
+        match violations with
+        | [] -> None
+        | vs -> failwith ("Experiment.run: " ^ String.concat "; " vs))
+    | Some _ ->
         let shim_msgs =
           Counters.get counters Msg_class.Ack + Counters.get counters Msg_class.Retransmit
         in
@@ -335,7 +293,7 @@ let run ?trace ?recorder cfg =
         Some
           {
             violations;
-            reliable_stats = Option.map Dcs_fault.Reliable.stats f.Faulty_net.shim;
+            reliable_stats = Option.map Dcs_fault.Reliable.stats faulty.Faulty_net.shim;
             shim_overhead = float_of_int shim_msgs /. float_of_int (max 1 protocol_msgs);
             net_dropped = Net.dropped net;
             net_duplicated = Net.duplicated net;

@@ -34,12 +34,13 @@ type config = {
   protocol : Dcs_hlock.Node.config;  (** hierarchical-protocol ablations *)
   oracle : bool;  (** re-check safety invariants after every message *)
   chaos : Dcs_fault.Plan.t option;
-      (** degraded-network mode (default [None]): the run goes over a
-          {!Faulty_net} under this plan, with the {!Dcs_fault.Reliable}
-          shim exactly when the plan needs it. Only supported by the
-          [Hierarchical] driver, whose cluster then runs the per-delivery
-          invariant oracle ({!Dcs_hlock.Invariant.safety} after every
-          delivered message and client call) whatever [oracle] says. *)
+      (** degraded-network mode (default [None]): the run's {!Faulty_net}
+          carries this plan instead of the empty one, with the
+          {!Dcs_fault.Reliable} shim exactly when the plan needs it. Only
+          supported by the [Hierarchical] driver, whose cluster then runs
+          the per-delivery invariant oracle ({!Dcs_hlock.Invariant.safety}
+          after every delivered message and client call) whatever
+          [oracle] says. [Some []] runs exactly as [None] but reports. *)
 }
 
 (** Paper-parameter configuration for a driver and cluster size. *)
@@ -85,14 +86,18 @@ type result = {
 }
 
 (** Run to completion (all nodes finish their ops and the event queue
-    drains). Raises [Failure] on liveness failure (operations that never
-    complete), on oracle violations, and on residual structural damage
-    detected at quiescence when [oracle] is set. A chaos run instead
-    {e reports} an oracle violation (which ends it early, skipping the
-    liveness check) and its quiescence findings in [chaos_report], so
-    harnesses can print them. [trace] (none by default) folds every
-    network event into its digest, the reproducibility check for chaos
-    runs.
+    drains). Every run has one shape: one {!Faulty_net} (under the empty
+    plan without chaos), one custody {!Hlock_cluster.watchdog} for the
+    [Hierarchical] driver, one engine run and one at-rest verdict. The
+    verdict is the oracle failure that ended the run early, or else,
+    when the oracle is on, {!Faulty_net.at_rest} over the cluster's
+    quiescence violations. A chaos run {e reports} it in
+    [chaos_report], so harnesses can print it; any other run raises
+    [Failure] on it. Every run raises [Failure] on liveness failure
+    (operations that never complete, checked unless an oracle failure
+    ended the run) and on the engine's event limit. [trace] (none by
+    default) folds every network event into its digest, the
+    reproducibility check for chaos runs.
 
     [recorder], when given, captures full request-lifecycle
     telemetry ({!Dcs_obs}): span events and per-class wire bytes from the

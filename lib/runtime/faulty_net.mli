@@ -1,11 +1,14 @@
-(** A net under a fault plan: the one wiring of a faulty hierarchical run,
-    shared by {!Experiment.run}'s chaos mode and the fuzzer.
+(** A net under a fault plan: the one network path of every
+    {!Experiment.run} and of the fuzzer. A run without faults passes the
+    empty plan, whose net is exactly a plain {!Net}: no fault hook, no
+    shim, no extra random draw.
 
     Building it fixes every random stream of the faults, so a faulty run
     is as reproducible as a clean one; running it turns the per-delivery
     oracle's [Failure] into a reported violation; and {!at_rest} is the
-    book-keeping check once the engine drained. Each caller keeps its own
-    custody watchdog, whose period is part of its digests. *)
+    book-keeping check once the engine drained. The custody watchdog is
+    {!Hlock_cluster.watchdog}; each caller picks its period, which is part
+    of its digests. *)
 
 type t = {
   net : Net.t;
@@ -15,7 +18,8 @@ type t = {
 
 (** [create ~engine ~latency ?topology ?trace ~seed plan] builds the net
     (its RNG seeded [seed + 0x9E37]) and installs [plan] on it (the
-    plan's RNG seeded [seed + 0x0FAD]). When {!Dcs_fault.Plan.needs_shim}
+    plan's RNG seeded [seed + 0x0FAD]); the empty plan installs nothing.
+    When {!Dcs_fault.Plan.needs_shim}
     holds, a {!Dcs_fault.Reliable} shim sits between the protocol and the
     net, with an initial retransmission timeout of 4 × the latency mean
     (600 ms at the paper's 150 ms). *)
@@ -38,6 +42,9 @@ val transport : t -> Dcs_proto.Link.send option
 val run :
   ?until:float -> ?max_events:int -> Dcs_sim.Engine.t -> (Dcs_sim.Engine.outcome, string) result
 
-(** After the engine drained: the cluster's quiescence violations, then
-    the shim's undrained channels. Empty when everything is at rest. *)
-val at_rest : t -> Hlock_cluster.t -> string list
+(** [at_rest t cluster], after the engine drained: [cluster] (the
+    cluster's own quiescence violations, e.g.
+    {!Hlock_cluster.quiescent_violations}), then the shim's undrained
+    channels, then a count of the messages the net still carries or
+    holds. Empty when everything is at rest. *)
+val at_rest : t -> string list -> string list

@@ -142,7 +142,6 @@ let render_plot ~f series_list =
       (List.map
          (fun s -> (Experiment.driver_to_string s.driver, float_points f s.points))
          series_list)
-    ()
 
 let render_fig5 series =
   let b = Buffer.create 2048 in
@@ -215,8 +214,7 @@ let render_fig7 s =
                     ( float_of_int p.nodes,
                       try List.assoc c p.breakdown with Not_found -> 0.0 ))
                   s.points ))
-            Msg_class.all)
-       ());
+            Msg_class.all));
   Buffer.contents b
 
 let fig7 ?(nodes = default_nodes) ?seed ?jobs () =

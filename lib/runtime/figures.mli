@@ -23,8 +23,8 @@ val default_nodes : int list
 val quick_nodes : int list
 
 (** Run one driver over the node counts (paper workload unless
-    overridden). Cells fan out over [jobs] domains (default
-    {!Dcs_netkit.Parallel.default_jobs}); each cell's seed is derived
+    overridden). Cells fan out over [jobs] domains (default as in
+    {!Dcs_netkit.Parallel.map}); each cell's seed is derived
     from [seed] and the cell's (driver, node count) identity, so results
     are bit-identical for every [jobs]. *)
 val sweep :

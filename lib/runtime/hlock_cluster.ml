@@ -140,6 +140,17 @@ let export_lock t ~lock =
 let kick_all t =
   Array.iter (fun ls -> Array.iter Node.kick ls.engines) t.locks_arr
 
+(* The one simulated custody watchdog: every simulated run schedules its
+   kicks through here. *)
+let watchdog t ~engine ~period ~busy =
+  let rec fire () =
+    if busy () then begin
+      kick_all t;
+      Dcs_sim.Engine.schedule engine ~after:period fire
+    end
+  in
+  Dcs_sim.Engine.schedule engine ~after:period fire
+
 (* Cheap cluster-wide gauges for the engine-tick sampler. *)
 let sample_gauges t r =
   let time = Net.now t.net in

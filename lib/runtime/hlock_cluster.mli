@@ -78,9 +78,31 @@ val lock_counters : t -> lock:int -> Dcs_proto.Counters.t
 val export_lock : t -> lock:int -> Dcs_hlock.Node.snapshot array
 
 (** Run the custody watchdog ({!Dcs_hlock.Node.kick}) on every node of
-    every lock. Schedule this periodically (a few network round-trips
-    apart) from the driver. *)
+    every lock, once. Simulated runs schedule it through {!watchdog}. *)
 val kick_all : t -> unit
+
+(** [watchdog t ~engine ~period ~busy] schedules the custody watchdog on
+    [engine]: one period from now it calls [busy ()]; if that holds it
+    runs {!kick_all} and fires again one period later, otherwise it stops
+    for good and leaves no event behind. Calling it again re-arms it.
+    Every simulated run kicks through this helper; the period and stop
+    rule of each are part of its digests:
+
+    {v
+    harness          period           first fire                    stop rule
+    Experiment.run   400 x mean lat.  one period after start        every op done
+    Dcs_check.Fuzz   20 x mean lat.   one period after start,       every release done
+                     (3 s)            before the script's ops;
+                                      none for an empty script
+    Dcs_shard.Cell   8 x mean lat.    one period after the first    no request outstanding;
+                                      request or upgrade while       the next request
+                                      stopped                        re-arms it
+    v}
+
+    For reference, [Dcs_netkit.Runner] kicks from a thread every 1 s of
+    wall-clock time until it stops; it does not use this helper. *)
+val watchdog :
+  t -> engine:Dcs_sim.Engine.t -> period:float -> busy:(unit -> bool) -> unit
 
 (** Record cluster-wide gauges into the recorder at the current simulation
     time: total local queue depth ([queue_depth]), total copyset records

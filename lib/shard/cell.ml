@@ -22,7 +22,7 @@ type t = {
   net : Net.t;
   nodes : int;
   mutable cluster : Hlock_cluster.t;
-  kick_scheduled : bool ref;
+  mutable kick_scheduled : bool;
 }
 
 (* Construction mirrors the original Service.create order exactly:
@@ -33,14 +33,14 @@ let create ?(latency = Dist.uniform_around 150.0) ~nodes () =
   let rng = Rng.create ~seed:0L in
   let net = Net.create ~engine ~latency ~rng () in
   let cluster = Hlock_cluster.create ~net ~nodes ~locks:1 () in
-  { engine; rng; net; nodes; cluster; kick_scheduled = ref false }
+  { engine; rng; net; nodes; cluster; kick_scheduled = false }
 
 let reset ?config ?(oracle = false) ?restore t ~seed ~locks =
   if locks < 1 then invalid_arg "Cell.reset: need at least one lock";
   Engine.reset t.engine;
   Rng.reseed t.rng ~seed;
   Net.reset t.net;
-  t.kick_scheduled := false;
+  t.kick_scheduled <- false;
   t.cluster <- Hlock_cluster.create ?config ~oracle ?restore ~net:t.net ~nodes:t.nodes ~locks ()
 
 let engine t = t.engine
@@ -62,16 +62,15 @@ let schedule t ~after f = Engine.schedule t.engine ~after f
 let mean_latency t = Net.mean_latency t.net
 let message_counters t = Net.counters t.net
 
-(* The custody watchdog runs while requests are outstanding. *)
-let rec ensure_kicking t =
-  if not !(t.kick_scheduled) then begin
-    t.kick_scheduled := true;
-    Engine.schedule t.engine ~after:(8.0 *. Net.mean_latency t.net) (fun () ->
-        t.kick_scheduled := false;
-        if outstanding t > 0 then begin
-          Hlock_cluster.kick_all t.cluster;
-          ensure_kicking t
-        end)
+(* The custody watchdog runs while requests are outstanding; once it
+   stopped, the next request or upgrade re-arms it. *)
+let ensure_kicking t =
+  if not t.kick_scheduled then begin
+    t.kick_scheduled <- true;
+    Hlock_cluster.watchdog t.cluster ~engine:t.engine ~period:(8.0 *. Net.mean_latency t.net)
+      ~busy:(fun () ->
+        t.kick_scheduled <- outstanding t > 0;
+        t.kick_scheduled)
   end
 
 let request ?priority t ~node ~lock ~mode ~on_granted =

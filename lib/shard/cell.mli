@@ -46,9 +46,10 @@ val mean_latency : t -> float
 val message_counters : t -> Dcs_proto.Counters.t
 
 (** Issue a request and keep the custody watchdog
-    ({!Dcs_runtime.Hlock_cluster.kick_all}) scheduled while any request is
-    {!outstanding}. [on_granted] may fire synchronously. Returns the
-    ticket's sequence number. *)
+    ({!Dcs_runtime.Hlock_cluster.watchdog}, every 8 mean latencies)
+    scheduled while any request is {!outstanding}; once it stopped, the
+    next request or upgrade re-arms it. [on_granted] may fire
+    synchronously. Returns the ticket's sequence number. *)
 val request :
   ?priority:int -> t -> node:int -> lock:int -> mode:Mode.t -> on_granted:(unit -> unit) -> int
 

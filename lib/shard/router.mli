@@ -195,8 +195,8 @@ end
 (** Execute the whole plan on [shards] replicas and one {!Coordinator}
     in this process, pumping every frame between them; each round-step
     frame crosses the wire codec on the way. [jobs] caps the worker
-    domains per round step (default
-    {!Dcs_netkit.Parallel.default_jobs}); results do not depend on it.
+    domains per round step (default as in {!Dcs_netkit.Parallel.map});
+    results do not depend on it.
     [upgrades] and [msgs] are the replicas' own totals. Raises [Failure]
     if a burst fails to drain or loses grants, or if a replica's
     {!Replica.runs_round} disagrees with the coordinator, or

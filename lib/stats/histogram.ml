@@ -45,10 +45,11 @@ let quantile t q =
     go 0.0 (buckets t)
   end
 
-let render ?(width = 50) t =
+let render t =
   match buckets t with
   | [] -> "(empty histogram)\n"
   | bs ->
+      let width = 50 in
       let max_count = List.fold_left (fun m (_, _, c) -> max m c) 1 bs in
       let b = Buffer.create 256 in
       List.iter

@@ -20,5 +20,6 @@ val buckets : t -> (float * float * int) list
     [q·count]); [q] in [0,1]. 0 when empty. *)
 val quantile : t -> float -> float
 
-(** ASCII bar rendering, one line per non-empty bucket. *)
-val render : ?width:int -> t -> string
+(** ASCII bar rendering, one line per non-empty bucket, the longest bar
+    50 characters wide. *)
+val render : t -> string

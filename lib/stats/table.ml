@@ -31,8 +31,8 @@ let csv ~header rows =
 
 let glyphs = [| '*'; 'o'; '+'; 'x'; '#'; '@' |]
 
-let ascii_plot ?(width = 72) ~series () =
-  let height = 20 in
+let ascii_plot ~series =
+  let width = 72 and height = 20 in
   let all_points = List.concat_map snd series in
   if all_points = [] then "(empty plot)\n"
   else begin

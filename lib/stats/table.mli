@@ -9,9 +9,8 @@ val render : header:string list -> string list list -> string
     containing commas or quotes are double-quoted). *)
 val csv : header:string list -> string list list -> string
 
-(** [ascii_plot ~width ~series] plots one or more [(label, points)]
-    series on shared axes, 20 rows high, using a distinct glyph per
-    series, with a legend.
+(** [ascii_plot ~series] plots one or more [(label, points)] series on
+    shared axes, 72 columns wide and 20 rows high, using a distinct
+    glyph per series, with a legend.
     Intended for quick terminal inspection of the figure shapes. *)
-val ascii_plot :
-  ?width:int -> series:(string * (float * float) list) list -> unit -> string
+val ascii_plot : series:(string * (float * float) list) list -> string

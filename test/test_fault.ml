@@ -522,6 +522,45 @@ let test_chaos_determinism () =
       checkb (name ^ " seed matters") true (not (Int64.equal d1 d3)))
     [ "heal-partition"; "lossy-dup" ]
 
+(* Trace digests of [run_chaos ~seed:9L] for every plan, and of the same
+   config without chaos, measured before every run took one network
+   path: a change that moves the chaos path or the plain one moves
+   them. *)
+let test_chaos_digest_pins () =
+  List.iter
+    (fun (name, pinned) ->
+      let _, d = run_chaos ~seed:9L name in
+      Alcotest.check Alcotest.int64 (name ^ " digest") pinned d)
+    [
+      ("latency-spike", 4215165450684116208L);
+      ("heal-partition", 1517692176289914081L);
+      ("slow-node", -6577739000841409396L);
+      ("lossy-dup", 6426769247170228607L);
+    ];
+  let trace = Dcs_sim.Trace.create () in
+  ignore (Experiment.run ~trace (chaos_config ~seed:9L));
+  Alcotest.check Alcotest.int64 "no chaos digest" (-4660999664058617813L)
+    (Dcs_sim.Trace.digest trace)
+
+(* The empty plan is no plan: same messages, engine events and latency
+   sample, and a clean report with no shim and no fault. *)
+let test_chaos_empty_plan () =
+  let cfg = chaos_config ~seed:9L in
+  let plain = Experiment.run cfg in
+  let empty = Experiment.run { cfg with Experiment.chaos = Some [] } in
+  checkb "messages" true (plain.Experiment.messages = empty.Experiment.messages);
+  checki "engine events" plain.Experiment.events empty.Experiment.events;
+  Alcotest.check
+    Alcotest.(list (float 0.0))
+    "latency sample"
+    (Dcs_stats.Sample.values plain.Experiment.latencies)
+    (Dcs_stats.Sample.values empty.Experiment.latencies);
+  checkb "no report without chaos" true (plain.Experiment.chaos_report = None);
+  let rep = Option.get empty.Experiment.chaos_report in
+  Alcotest.check Alcotest.(list string) "clean" [] rep.Experiment.violations;
+  checkb "no shim" true (rep.Experiment.reliable_stats = None);
+  checki "nothing dropped" 0 (rep.Experiment.net_dropped + rep.Experiment.net_duplicated)
+
 let test_chaos_rejects_bad_configs () =
   let w = { Plan.start = 0.0; duration = 1000.0 } in
   let lossy = [ Plan.Drop { window = w; prob = 0.5; scope = Plan.All } ] in
@@ -585,6 +624,8 @@ let () =
         [
           Alcotest.test_case "all plans clean" `Slow test_chaos_plans_clean;
           Alcotest.test_case "determinism" `Slow test_chaos_determinism;
+          Alcotest.test_case "digest pins" `Quick test_chaos_digest_pins;
+          Alcotest.test_case "empty plan is no plan" `Quick test_chaos_empty_plan;
           Alcotest.test_case "bad configs rejected" `Quick test_chaos_rejects_bad_configs;
           Alcotest.test_case "overhead accounted" `Slow test_chaos_overhead_accounted;
         ] );

@@ -166,6 +166,102 @@ let test_cluster_basic_flow () =
   ignore (Dcs_sim.Engine.run engine);
   Alcotest.check Alcotest.(list string) "quiescent" [] (Hlock_cluster.quiescent_violations cluster)
 
+(* {2 Custody watchdog} *)
+
+(* The hand-written loops the harnesses ran before they shared
+   [Hlock_cluster.watchdog]. Experiment.run and Fuzz.run armed once and
+   re-armed from each fire while busy; Cell re-armed lazily on the next
+   request once stopped. Each calls [busy] where it decided to kick. *)
+let loop_reference engine ~period ~busy =
+  let rec fire () = if busy () then Dcs_sim.Engine.schedule engine ~after:period fire in
+  Dcs_sim.Engine.schedule engine ~after:period fire
+
+let cell_reference engine ~period ~busy =
+  let scheduled = ref false in
+  let rec ensure () =
+    if not !scheduled then begin
+      scheduled := true;
+      Dcs_sim.Engine.schedule engine ~after:period (fun () ->
+          scheduled := false;
+          if busy () then ensure ())
+    end
+  in
+  ensure
+
+(* Cell's arming through the helper, as [Cell.ensure_kicking] does it. *)
+let cell_helper cluster engine ~period ~busy =
+  let scheduled = ref false in
+  fun () ->
+    if not !scheduled then begin
+      scheduled := true;
+      Hlock_cluster.watchdog cluster ~engine ~period ~busy:(fun () ->
+          scheduled := busy ();
+          !scheduled)
+    end
+
+(* A bare engine and an idle cluster; [busy] logs each call's time and
+   answers from [answers] in turn ([false] once they run out). *)
+let watchdog_run ~answers arm =
+  let engine = Dcs_sim.Engine.create () in
+  let rng = Dcs_sim.Rng.create ~seed:1L in
+  let net = Net.create ~engine ~latency:(Dcs_sim.Dist.uniform_around 150.0) ~rng () in
+  let cluster = Hlock_cluster.create ~net ~nodes:4 ~locks:2 () in
+  let log = ref [] and answers = ref answers in
+  let busy () =
+    log := Dcs_sim.Engine.now engine :: !log;
+    match !answers with
+    | a :: rest ->
+        answers := rest;
+        a
+    | [] -> false
+  in
+  arm cluster engine ~busy;
+  ignore (Dcs_sim.Engine.run engine);
+  (List.rev !log, Dcs_sim.Engine.events_processed engine, Net.counters net)
+
+let test_watchdog_cadence () =
+  let times = Alcotest.(list (float 0.0)) in
+  List.iter
+    (fun (harness, period) ->
+      (* Experiment.run and Fuzz.run: one loop, armed at time 0. *)
+      let answers = [ true; true; true; false ] in
+      let log, events, counters =
+        watchdog_run ~answers (fun cluster engine ~busy ->
+            Hlock_cluster.watchdog cluster ~engine ~period ~busy)
+      in
+      let reference, ref_events, _ =
+        watchdog_run ~answers (fun _ engine ~busy -> loop_reference engine ~period ~busy)
+      in
+      Alcotest.check times (harness ^ ": fires one period apart, stops on false")
+        [ period; 2.0 *. period; 3.0 *. period; 4.0 *. period ]
+        log;
+      Alcotest.check times (harness ^ ": as the hand-written loop") reference log;
+      checki (harness ^ ": no event beyond the fires") ref_events events;
+      checki (harness ^ ": idle kicks send nothing") 0 (Dcs_proto.Counters.total counters))
+    [ ("Experiment.run", 400.0 *. 150.0); ("Fuzz.run", 20.0 *. 150.0); ("Cell", 8.0 *. 150.0) ];
+  (* Cell: armed by a request at 0, stopped at 3 periods, re-armed by a
+     request at 10 periods; a request while armed adds nothing. *)
+  let period = 8.0 *. 150.0 in
+  let answers = [ true; true; false; true; false ] in
+  let requests ensure engine =
+    ensure ();
+    Dcs_sim.Engine.schedule engine ~after:(10.0 *. period) ensure;
+    Dcs_sim.Engine.schedule engine ~after:(10.5 *. period) ensure
+  in
+  let log, events, _ =
+    watchdog_run ~answers (fun cluster engine ~busy ->
+        requests (cell_helper cluster engine ~period ~busy) engine)
+  in
+  let reference, ref_events, _ =
+    watchdog_run ~answers (fun _ engine ~busy ->
+        requests (cell_reference engine ~period ~busy) engine)
+  in
+  Alcotest.check times "Cell: stops, then re-armed by a request"
+    [ period; 2.0 *. period; 3.0 *. period; 11.0 *. period; 12.0 *. period ]
+    log;
+  Alcotest.check times "Cell: as the hand-written loop" reference log;
+  checki "Cell: no event beyond the fires and requests" ref_events events
+
 (* Randomized end-to-end simulation with the full oracle, over several
    seeds. This is the main confidence test for the protocol under
    asynchrony (message crossings, token movement, freezes, caching). *)
@@ -550,6 +646,7 @@ let () =
       ( "hlock-cluster",
         [
           Alcotest.test_case "basic flow" `Quick test_cluster_basic_flow;
+          Alcotest.test_case "watchdog cadence" `Quick test_watchdog_cadence;
           Alcotest.test_case "stress seeds" `Slow test_sim_stress_seeds;
           Alcotest.test_case "heavy-tail latency" `Slow test_sim_stress_heavy_tail;
           Alcotest.test_case "stress bigger" `Slow test_sim_stress_bigger;

@@ -155,11 +155,10 @@ let test_ascii_plot () =
   let out =
     Table.ascii_plot
       ~series:[ ("ours", [ (1.0, 1.0); (2.0, 2.0) ]); ("base", [ (1.0, 2.0); (2.0, 4.0) ]) ]
-      ()
   in
   checkb "legend" true (contains ~needle:"ours" out);
   checkb "nonempty" true (String.length out > 100);
-  Alcotest.check Alcotest.string "empty plot" "(empty plot)\n" (Table.ascii_plot ~series:[] ())
+  Alcotest.check Alcotest.string "empty plot" "(empty plot)\n" (Table.ascii_plot ~series:[])
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
