@@ -32,10 +32,11 @@ let run_plan ~cfg ~name ~telemetry_path =
   in
   let cfg = { cfg with Experiment.chaos = Some plan } in
   let trace = Dcs_sim.Trace.create () in
-  (* Latency histograms and message accounting without an in-memory event
-     log (soaks are long). With --telemetry the recorder streams every
-     line to the plan's JSONL file as the soak runs. Recording is
-     observation-only, so --verify digests are unaffected. *)
+  (* Message accounting without an in-memory event log (soaks are long).
+     With --telemetry the recorder streams every line to the plan's JSONL
+     file as the soak runs, and dcs-trace analyze derives per-mode latency
+     quantiles from it. Recording is observation-only, so --verify digests
+     are unaffected. *)
   let recorder =
     Dcs_obs.Recorder.create ?path:telemetry_path
       ~meta:
@@ -52,8 +53,7 @@ let run_plan ~cfg ~name ~telemetry_path =
   (result, plan, Dcs_sim.Trace.digest trace, recorder)
 
 let telemetry recorder result =
-  let module R = Dcs_obs.Recorder in
-  let bytes = R.msg_bytes recorder in
+  let bytes = Dcs_obs.Recorder.msg_bytes recorder in
   let rows =
     List.map
       (fun (cls, n) ->
@@ -66,23 +66,15 @@ let telemetry recorder result =
   in
   Printf.printf "messages  :\n%s"
     (Dcs_stats.Table.render ~header:[ "class"; "count"; "bytes" ] rows);
-  let stats = R.mode_stats recorder in
-  if stats <> [] then begin
+  if result.Experiment.per_class <> [] then begin
     let rows =
       List.map
-        (fun (s : R.mode_stat) ->
-          [
-            Dcs_modes.Mode.to_string s.R.mode;
-            string_of_int s.R.count;
-            Printf.sprintf "%.1f" s.R.mean_ms;
-            Printf.sprintf "%.1f" s.R.p50_ms;
-            Printf.sprintf "%.1f" s.R.p95_ms;
-            Printf.sprintf "%.1f" s.R.p99_ms;
-          ])
-        stats
+        (fun (cls, n, mean_ms) ->
+          [ Dcs_modes.Mode.to_string cls; string_of_int n; Printf.sprintf "%.1f" mean_ms ])
+        result.Experiment.per_class
     in
-    Printf.printf "latency   : acquisition by mode (ms, histogram quantiles)\n%s"
-      (Dcs_stats.Table.render ~header:[ "mode"; "n"; "mean"; "p50"; "p95"; "p99" ] rows)
+    Printf.printf "latency   : acquisition by request class (ms, exact means)\n%s"
+      (Dcs_stats.Table.render ~header:[ "class"; "n"; "mean" ] rows)
   end
 
 let report ~name ~cfg ~plan ~result ~digest ~recorder =

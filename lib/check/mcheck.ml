@@ -59,15 +59,29 @@ let sorted_wire run = List.sort (fun (a, _) (b, _) -> compare a b) run.wire
 let nonempty_links run =
   List.filter_map (fun (l, q) -> if Queue.is_empty q then None else Some l) (sorted_wire run)
 
+(* One node's part of the state key (see the interface): its token flag,
+   parent, owned mode, held instances, copyset modes, queue length,
+   frozen set, pending request, cached modes and accounting pointer. *)
+let node_key e =
+  let opt f = function None -> "_" | Some x -> f x in
+  let pairs f l = String.concat "," (List.map f l) in
+  Printf.sprintf "n%d%s parent=%s owned=%s held=[%s] children=[%s] |q|=%d frozen=%s pending=%s%sacct%s"
+    (Node.id e)
+    (if Node.is_token e then "*" else "")
+    (opt string_of_int (Node.parent e))
+    (opt Mode.to_string (Node.owned e))
+    (pairs (fun (seq, m) -> Printf.sprintf "#%d:%s" seq (Mode.to_string m)) (Node.held e))
+    (pairs (fun (c, m) -> Printf.sprintf "n%d:%s" c (Mode.to_string m)) (Node.children e))
+    (List.length (Node.queue e))
+    (Format.asprintf "%a" Mode_set.pp (Node.frozen e))
+    (opt (Format.asprintf "%a" Dcs_hlock.Msg.pp_request) (Node.pending e))
+    (pairs Mode.to_string (Node.cached e))
+    (opt (fun (p, ep) -> Printf.sprintf "%d.%d" p ep) (Node.accounting e))
+
 let digest run =
   let b = Buffer.create 512 in
   for node = 0 to run.nodes - 1 do
-    let e = Cluster.node run.cluster ~lock:0 ~node in
-    Buffer.add_string b (Format.asprintf "%a" Node.pp_state e);
-    Buffer.add_string b (String.concat "," (List.map Mode.to_string (Node.cached e)));
-    (match Node.accounting e with
-    | Some (p, ep) -> Buffer.add_string b (Printf.sprintf "acct%d.%d" p ep)
-    | None -> Buffer.add_string b "acct_");
+    Buffer.add_string b (node_key (Cluster.node run.cluster ~lock:0 ~node));
     Buffer.add_char b '|'
   done;
   List.iter

@@ -37,41 +37,34 @@ module Node = Dcs_hlock.Node
   let lock_id t name =
     match Hashtbl.find_opt t.index name with Some i -> i | None -> raise Not_found
 
-  let lock ?priority t ~node ~name ~mode k =
-    let lock = lock_id t name in
-    (* The grant may fire synchronously inside [request], before we know
-       the ticket number: bind it through the ticket record. *)
+  (* Request [lock] and run [on_grant] with its ticket. The grant may fire
+     synchronously inside [Cell.request], before the ticket number is
+     known: such a grant waits until [request] returns and binds it. *)
+  let request_ticket t ~priority ~node ~lock ~mode on_grant =
     let ticket = { node; lock; seq = -1; state = `Held } in
     let granted_early = ref false in
     let seq =
       Cell.request ?priority t.cell ~node ~lock ~mode ~on_granted:(fun () ->
-          if ticket.seq >= 0 then k ticket else granted_early := true)
+          if ticket.seq >= 0 then on_grant ticket else granted_early := true)
     in
     ticket.seq <- seq;
-    if !granted_early then k ticket
+    if !granted_early then on_grant ticket
+
+  let lock ?priority t ~node ~name ~mode k =
+    request_ticket t ~priority ~node ~lock:(lock_id t name) ~mode k
 
   let try_lock t ~node ~name ~mode ~timeout k =
-    let lock = lock_id t name in
     let answered = ref false in
-    let ticket = { node; lock; seq = -1; state = `Held } in
-    let granted_early = ref false in
-    let on_grant () =
-      if !answered then begin
-        (* The caller already gave up: release the late grant. *)
-        ticket.state <- `Abandoned;
-        Cell.release t.cell ~node ~lock ~seq:ticket.seq
-      end
-      else begin
-        answered := true;
-        k (Some ticket)
-      end
-    in
-    let seq =
-      Cell.request t.cell ~node ~lock ~mode ~on_granted:(fun () ->
-          if ticket.seq >= 0 then on_grant () else granted_early := true)
-    in
-    ticket.seq <- seq;
-    if !granted_early then on_grant ();
+    request_ticket t ~priority:None ~node ~lock:(lock_id t name) ~mode (fun ticket ->
+        if !answered then begin
+          (* The caller already gave up: release the late grant. *)
+          ticket.state <- `Abandoned;
+          Cell.release t.cell ~node ~lock:ticket.lock ~seq:ticket.seq
+        end
+        else begin
+          answered := true;
+          k (Some ticket)
+        end);
     Cell.schedule t.cell ~after:timeout (fun () ->
         if not !answered then begin
           answered := true;

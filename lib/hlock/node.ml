@@ -472,22 +472,73 @@ let revoke_conflicting t m =
     true
   end
 
-let pp_owned ppf = function
-  | None -> Format.pp_print_string ppf "_"
-  | Some m -> Mode.pp ppf m
+(* Copyset records as [(child, mode, epoch)] and the non-empty sent
+   freezes as [(child, set)], both in ascending child id: the snapshot's
+   and the printer's view of the per-peer arrays. *)
+let child_records t = fold_children_desc t (fun c m e acc -> (c, m, e) :: acc) []
+
+let sent_freezes t =
+  let acc = ref [] in
+  for c = Array.length t.sent_freeze - 1 downto 0 do
+    let bits = t.sent_freeze.(c) in
+    if bits <> 0 then acc := (c, Mode_set.of_bits bits) :: !acc
+  done;
+  !acc
+
+(* The printer builds its line from strings, so printing adds no closure
+   helper or C primitive to the token service's object file. *)
+let id_text p = if p < 0 then "_" else "n" ^ string_of_int p
+let owned_text = function None -> "_" | Some m -> Mode.to_string m
+let list_text f l = "[" ^ String.concat "," (List.map f l) ^ "]"
+let set_text s = "{" ^ String.concat "," (List.map Mode.to_string (Mode_set.to_list s)) ^ "}"
+
+(* Every field of a request: requester, seq, mode (with [^] for an
+   upgrade), timestamp, priority when not 0, hops, the token-only mark,
+   the token hint it carries and its relay path. *)
+let request_text (r : Msg.request) =
+  String.concat ""
+    [
+      "{n"; string_of_int r.requester; "#"; string_of_int r.seq; " "; Mode.to_string r.mode;
+      (if r.upgrade then "^" else ""); " @"; string_of_int r.timestamp;
+      (if r.priority = 0 then "" else " p" ^ string_of_int r.priority);
+      " hops="; string_of_int r.hops; (if r.token_only then " token-only" else "");
+      " hint="; string_of_int r.hint_stamp; "@"; id_text r.hint_owner;
+      " path="; list_text string_of_int r.path; "}";
+    ]
 
 let pp_state ppf t =
-  Format.fprintf ppf "n%d%s parent=%s owned=%a held=[%s] children=[%s] |q|=%d frozen=%a pending=%s"
-    t.id
-    (if t.token then "*" else "")
-    (if t.parent < 0 then "_" else string_of_int t.parent)
-    pp_owned (owned t)
-    (String.concat ","
-       (List.map (fun (seq, m) -> Printf.sprintf "#%d:%s" seq (Mode.to_string m)) (held t)))
-    (String.concat ","
-       (List.map (fun (c, m) -> Printf.sprintf "n%d:%s" c (Mode.to_string m)) (children t)))
-    (List.length t.queue) Mode_set.pp t.frozen
-    (match t.pending with None -> "_" | Some r -> Format.asprintf "%a" Msg.pp_request r)
+  let field name v = name ^ "=" ^ v in
+  Format.pp_print_string ppf
+    (String.concat " "
+       [
+         "n" ^ string_of_int t.id ^ (if t.token then "*" else "");
+         field "parent" (id_text t.parent);
+         field "stamp" (string_of_int t.parent_stamp);
+         field "acct" (id_text t.accounted_parent ^ "@" ^ string_of_int t.accounted_epoch);
+         field "reported" (owned_text (Decision.decode_owned t.last_reported));
+         field "cached" (set_text t.cached);
+         field "children"
+           (list_text
+              (fun (c, m, e) -> id_text c ^ ":" ^ Mode.to_string m ^ "@" ^ string_of_int e)
+              (child_records t));
+         field "queue" (list_text request_text t.queue);
+         field "frozen" (set_text t.frozen);
+         field "sent" (list_text (fun (c, s) -> id_text c ^ ":" ^ set_text s) (sent_freezes t));
+         field "tenure" (string_of_int t.tenure);
+         field "hint" (string_of_int t.hint_stamp ^ "@" ^ id_text t.hint_owner);
+         field "granter" (id_text t.last_granter);
+         field "ancestry" (list_text id_text t.ancestry);
+         field "transfer" (string_of_bool t.saw_transfer);
+         field "served" (string_of_bool t.served_ever);
+         field "next_seq" (string_of_int t.next_seq);
+         field "clock" (string_of_int t.clock);
+         field "epochs" (string_of_int t.epoch_counter);
+         field "owned" (owned_text (owned t));
+         field "held"
+           (list_text (fun (seq, m) -> "#" ^ string_of_int seq ^ ":" ^ Mode.to_string m) (held t));
+         field "pending" (match t.pending with None -> "_" | Some r -> request_text r);
+         field "waiting" (string_of_int (waiting t));
+       ])
 
 (* {1 Epochs and clocks} *)
 
@@ -1369,16 +1420,10 @@ let export t =
     s_accounted_epoch = t.accounted_epoch;
     s_last_reported = Decision.decode_owned t.last_reported;
     s_cached = t.cached;
-    s_children = fold_children_desc t (fun c m e acc -> (c, m, e) :: acc) [];
+    s_children = child_records t;
     s_queue = t.queue;
     s_frozen = t.frozen;
-    s_sent_freeze =
-      (let acc = ref [] in
-       for c = Array.length t.sent_freeze - 1 downto 0 do
-         let bits = t.sent_freeze.(c) in
-         if bits <> 0 then acc := (c, Mode_set.of_bits bits) :: !acc
-       done;
-       !acc);
+    s_sent_freeze = sent_freezes t;
     s_tenure = t.tenure;
     s_hint = (t.hint_stamp, t.hint_owner);
     s_last_granter = id_opt t.last_granter;

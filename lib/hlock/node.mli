@@ -231,7 +231,14 @@ val pending : t -> Msg.request option
 (** Local requests and upgrades whose continuation has not run yet. *)
 val waiting : t -> int
 
-(** One-line state summary for traces. *)
+(** The node's whole state on one line: every field of {!snapshot}, in
+    its order and with each queued request's every field, then the
+    {!owned} mode, the {!held} instances, the {!pending} request and the
+    {!waiting} count. Names shorten the snapshot's ([stamp], [acct=nP@E],
+    [reported], [children=[nC:M@E]], [sent], [hint=S@nO], [granter],
+    [transfer], [served], [epochs]). Only client continuations and
+    scheduling scratch are left out, so [restore (export t)] prints as [t]
+    does. *)
 val pp_state : Format.formatter -> t -> unit
 
 (** {1 State snapshots (shard migration)}

@@ -94,7 +94,7 @@ val counters : t -> Dcs_proto.Counters.t
 (** This node's id. *)
 val id : t -> int
 
-(** One-line summary of this node's protocol state for [lock]
+(** This node's whole protocol state for [lock] on one line
     ({!Dcs_hlock.Node.pp_state}), read under the lock's stripe mutex. *)
 val lock_state : t -> lock:int -> string
 

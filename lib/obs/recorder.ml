@@ -1,19 +1,7 @@
 open Dcs_modes
 open Dcs_proto
-module Histogram = Dcs_stats.Histogram
-module Summary = Dcs_stats.Summary
-
-type mode_stat = {
-  mode : Mode.t;
-  count : int;
-  mean_ms : float;
-  p50_ms : float;
-  p95_ms : float;
-  p99_ms : float;
-}
 
 let classes = List.length Msg_class.all
-let modes = List.length Mode.all
 
 (* The [grants.<mode>] and [grants.upgrades] counters. *)
 type grants = { by_mode : Metrics.counter array; (* per Mode.index *) upgrades : Metrics.counter }
@@ -29,11 +17,6 @@ type t = {
   (* Registered on the first grant, so a registry that never sees one (a
      shard worker's) carries no grants.* rows. *)
   mutable grants : grants option;
-  (* open spans: (lock, requester, seq) -> request time *)
-  spans : (int * int * int, float) Hashtbl.t;
-  (* acquisition latency per mode *)
-  lat_hist : Histogram.t array; (* indexed by Mode.index *)
-  lat_sum : Summary.t array;
   (* per-class message accounting *)
   counts : int array;
   bytes : int array;
@@ -59,9 +42,6 @@ let create ?(events = false) ?path ?(meta = []) () =
     requested = 0;
     metrics = Metrics.create ();
     grants = None;
-    spans = Hashtbl.create 64;
-    lat_hist = Array.init modes (fun _ -> Histogram.create ~base:1.25 ~min_value:0.01 ());
-    lat_sum = Array.init modes (fun _ -> Summary.create ());
     counts = Array.make classes 0;
     bytes = Array.make classes 0;
     samples = [];
@@ -90,17 +70,6 @@ let grants t =
       t.grants <- Some g;
       g
 
-let close_span t ~time ~lock ~requester ~seq mode =
-  let key = (lock, requester, seq) in
-  match Hashtbl.find_opt t.spans key with
-  | None -> ()
-  | Some started ->
-      Hashtbl.remove t.spans key;
-      let elapsed = time -. started in
-      let i = Mode.index mode in
-      Histogram.add t.lat_hist.(i) elapsed;
-      Summary.add t.lat_sum.(i) elapsed
-
 let record t ~time ~lock ~node scope kind =
   locked t @@ fun () ->
   t.event_count <- t.event_count + 1;
@@ -110,15 +79,10 @@ let record t ~time ~lock ~node scope kind =
     emit t (fun oc -> Jsonl.output_event oc e)
   end;
   match (scope, kind) with
-  | Event.Span { requester; seq }, Event.Requested _ ->
-      t.requested <- t.requested + 1;
-      Hashtbl.replace t.spans (lock, requester, seq) time
-  | Span { requester; seq }, (Granted_local { mode; _ } | Granted_token { mode; _ }) ->
-      Metrics.incr (grants t).by_mode.(Mode.index mode);
-      close_span t ~time ~lock ~requester ~seq mode
-  | Span { requester; seq }, Upgraded ->
-      Metrics.incr (grants t).upgrades;
-      close_span t ~time ~lock ~requester ~seq Mode.W
+  | Event.Span _, Event.Requested _ -> t.requested <- t.requested + 1
+  | Span _, (Granted_local { mode; _ } | Granted_token { mode; _ }) ->
+      Metrics.incr (grants t).by_mode.(Mode.index mode)
+  | Span _, Upgraded -> Metrics.incr (grants t).upgrades
   | _ -> ()
 
 let message t ~cls ~bytes =
@@ -162,32 +126,10 @@ let completed t =
   | None -> 0
   | Some g -> Array.fold_left (fun n c -> n + Metrics.value c) (Metrics.value g.upgrades) g.by_mode
 
-let open_spans t = locked t @@ fun () -> Hashtbl.length t.spans
-
 let metrics t = t.metrics
 
 let msg_counts t = locked t @@ fun () -> by_class t.counts
 
 let msg_bytes t = locked t @@ fun () -> by_class t.bytes
-
-let mode_stats t =
-  locked t @@ fun () ->
-  List.filter_map
-    (fun mode ->
-      let i = Mode.index mode in
-      let n = Summary.count t.lat_sum.(i) in
-      if n = 0 then None
-      else
-        let h = t.lat_hist.(i) in
-        Some
-          {
-            mode;
-            count = n;
-            mean_ms = Summary.mean t.lat_sum.(i);
-            p50_ms = Histogram.quantile h 0.5;
-            p95_ms = Histogram.quantile h 0.95;
-            p99_ms = Histogram.quantile h 0.99;
-          })
-    Mode.all
 
 let gauge_samples t = locked t @@ fun () -> List.rev t.samples

@@ -10,9 +10,8 @@
 
     - {e span events} ({!record}): request-lifecycle events from the
       protocol engines, plus the TCP transport's [Sent]/[Received]
-      events. Grants are counted in the {!metrics} registry
-      ([grants.<mode>], [grants.upgrades]), and acquisition latency is
-      folded per mode for {!mode_stats};
+      events. Requests are counted ({!requested}) and grants are counted
+      in the {!metrics} registry ([grants.<mode>], [grants.upgrades]);
     - {e message accounting} ({!message}): per-class counts and encoded
       byte sizes, supplied by the transport (the simulated clusters size
       each message with {!Dcs_wire}, the TCP runner counts written
@@ -27,9 +26,11 @@
     file), [metric] lines at each {!snapshot}, and the final [metric],
     [msgs] and [counters] lines at {!close}.
 
-    Everything else (grant paths, hop distributions, freeze episodes,
-    critical paths) is derived from the written events by [dcs-trace
-    analyze] ({!Merge}), the same way for every kind of run.
+    Recording only counts, streams and, when asked, retains: the recorder
+    keeps no per-span state. Everything derived (acquisition latency per
+    mode, grant paths, hop distributions, freeze episodes, critical paths)
+    is computed from the written events by [dcs-trace analyze]
+    ({!Merge}), the same way for every kind of run.
 
     Times come from the caller: simulated runs pass their engine's clock,
     TCP processes a {!Clock.wall}. All entry points are thread-safe (one
@@ -37,19 +38,17 @@
     threads. Recording does not perturb a simulation — no RNG draws, no
     events scheduled — so trace digests are unchanged. *)
 
-open Dcs_modes
 open Dcs_proto
 
 type t
 
 (** [create ?events ?path ?meta ()] — [events:true] (default [false])
     also keeps every event and gauge sample in memory, for {!events} and
-    {!gauge_samples}; otherwise only the counters and latency folds stay
-    in memory, and a file, if any, still receives every line. With
-    [path], the file is opened (truncated) and its meta line written at
-    once: {!Jsonl.schema} first, then [meta] — the run parameters, and
-    ["node"] for one process of a cluster ({!Merge} keys clock offsets on
-    it). *)
+    {!gauge_samples}; otherwise only the counters stay in memory, and a
+    file, if any, still receives every line. With [path], the file is
+    opened (truncated) and its meta line written at once: {!Jsonl.schema}
+    first, then [meta] — the run parameters, and ["node"] for one process
+    of a cluster ({!Merge} keys clock offsets on it). *)
 val create : ?events:bool -> ?path:string -> ?meta:(string * string) list -> unit -> t
 
 (** {1 Ingestion} *)
@@ -93,9 +92,6 @@ val requested : t -> int
     [grants.*] counters. *)
 val completed : t -> int
 
-(** Spans currently open (requested, not yet granted). *)
-val open_spans : t -> int
-
 (** The recorder's metric registry. It holds the [grants.*] counters,
     registered at the first grant, and whatever instruments the caller
     adds (the TCP runner's [net.*], a shard worker's [shard.*]). *)
@@ -106,21 +102,6 @@ val msg_counts : t -> (Msg_class.t * int) list
 
 (** Per-class encoded byte totals, {!Msg_class.all} order. *)
 val msg_bytes : t -> (Msg_class.t * int) list
-
-(** Acquisition-latency summary per mode, only modes with grants, in
-    {!Mode.all} order. Quantiles come from a log-bucketed histogram
-    (upper bucket bounds); means are exact. An upgrade closes its span as
-    [W]. *)
-type mode_stat = {
-  mode : Mode.t;
-  count : int;
-  mean_ms : float;
-  p50_ms : float;
-  p95_ms : float;
-  p99_ms : float;
-}
-
-val mode_stats : t -> mode_stat list
 
 (** All gauge samples in recording order as [(time, name, value)]. Empty
     unless created with [events:true]. *)

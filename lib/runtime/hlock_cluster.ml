@@ -82,6 +82,10 @@ let create ?(config = Node.default_config) ?(oracle = false) ?transport ?obs ?re
             });
     }
   in
+  (* A traced send sizes its message by encoding it into one writer reused
+     for every send of the cluster: the codec is the authority on what a
+     message costs on a real link. *)
+  let traced = Option.map (fun r -> (r, Dcs_wire.Buf.writer ())) obs in
   for lock = 0 to l - 1 do
     let ls = t.locks_arr.(lock) in
     let describe msg = Format.asprintf "lock%d %a" lock Msg.pp msg in
@@ -91,13 +95,12 @@ let create ?(config = Node.default_config) ?(oracle = false) ?transport ?obs ?re
           let send ~dst msg =
             let cls = Msg.class_of msg in
             Dcs_proto.Counters.incr ls.counters cls;
-            (match obs with
+            (match traced with
             | None -> ()
-            | Some r ->
-                (* The codec is the authority on what a message costs on a
-                   real link. *)
-                Dcs_obs.Recorder.message r ~cls
-                  ~bytes:(String.length (Dcs_wire.Codec.encode { src = id; lock; payload = Hlock msg })));
+            | Some (r, w) ->
+                Dcs_wire.Buf.reset w;
+                Dcs_wire.Codec.write_envelope w { src = id; lock; payload = Hlock msg };
+                Dcs_obs.Recorder.message r ~cls ~bytes:(Dcs_wire.Buf.length w));
             (match msg with Msg.Token _ -> ls.tokens_in_flight <- ls.tokens_in_flight + 1 | _ -> ());
             match transport with
             | None -> Net.post net port ~src:id ~dst ~cls msg

@@ -69,6 +69,9 @@ let create ?(oracle = false) ?obs ~net ~nodes:n ~locks:l () =
         Array.init l (fun lock -> { lock; oracle; engines = [||]; tokens_in_flight = 0 });
     }
   in
+  (* A traced send sizes its message by encoding it into one writer reused
+     for every send of the cluster. *)
+  let traced = Option.map (fun r -> (r, Dcs_wire.Buf.writer ())) obs in
   for lock = 0 to l - 1 do
     let ls = t.locks_arr.(lock) in
     let port =
@@ -78,11 +81,12 @@ let create ?(oracle = false) ?obs ~net ~nodes:n ~locks:l () =
     let engines =
       Array.init n (fun id ->
           let send ~dst msg =
-            (match obs with
+            (match traced with
             | None -> ()
-            | Some r ->
-                Dcs_obs.Recorder.message r ~cls:(Naimi.class_of msg)
-                  ~bytes:(String.length (Dcs_wire.Codec.encode { src = id; lock; payload = Naimi msg })));
+            | Some (r, w) ->
+                Dcs_wire.Buf.reset w;
+                Dcs_wire.Codec.write_envelope w { src = id; lock; payload = Naimi msg };
+                Dcs_obs.Recorder.message r ~cls:(Naimi.class_of msg) ~bytes:(Dcs_wire.Buf.length w));
             (match msg with
             | Naimi.Token -> ls.tokens_in_flight <- ls.tokens_in_flight + 1
             | Naimi.Request _ -> ());

@@ -82,6 +82,20 @@ let test_try_lock_success () =
   S.run svc;
   checkb "granted" true (!outcome = `Got)
 
+(* On the idle token node the grant fires inside the call: the ticket
+   must be bound before [k] sees it (so [k] can unlock at once), [k] must
+   run once, and the timeout must not answer afterwards. *)
+let test_try_lock_granted_in_call () =
+  let svc = S.create ~nodes:3 ~seed:6L ~oracle:true ~locks:[ "x" ] () in
+  let answers = ref [] in
+  S.try_lock svc ~node:0 ~name:"x" ~mode:Core.Mode.W ~timeout:50.0 (fun o ->
+      answers := o :: !answers;
+      Option.iter (S.unlock svc) o);
+  checkb "granted inside the call" true (match !answers with [ Some _ ] -> true | _ -> false);
+  S.run svc;
+  Alcotest.check Alcotest.int "answered once" 1 (List.length !answers);
+  checkb "lock free again" true ((S.stats svc ~name:"x").S.held = [])
+
 let test_change_mode_upgrade () =
   let svc = S.create ~nodes:3 ~seed:5L ~oracle:true ~locks:[ "x" ] () in
   let upgraded = ref false in
@@ -312,6 +326,7 @@ let () =
           Alcotest.test_case "double unlock" `Quick test_double_unlock_rejected;
           Alcotest.test_case "try_lock timeout" `Quick test_try_lock_timeout;
           Alcotest.test_case "try_lock success" `Quick test_try_lock_success;
+          Alcotest.test_case "try_lock granted in call" `Quick test_try_lock_granted_in_call;
           Alcotest.test_case "change_mode upgrade" `Quick test_change_mode_upgrade;
           Alcotest.test_case "change_mode invalid" `Quick test_change_mode_invalid;
           Alcotest.test_case "readers share" `Quick test_readers_share;

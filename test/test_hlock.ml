@@ -834,6 +834,60 @@ let test_stale_sent_freeze_roundtrips () =
     "stale entry kept" [ (2, Mode_set.singleton Mode.W) ] s.Node.s_sent_freeze;
   checkb "round-trips" true (snapshot_roundtrips ~peers:3 n)
 
+(* [pp_state] shows every snapshot field and every field of a queued
+   request: snapshots that differ in one field each restore to nodes that
+   print pairwise different lines. *)
+let test_pp_state_shows_every_field () =
+  let base = Node.export (SC.node (SC.create 3) 1) in
+  let q =
+    { Msg.requester = 1; seq = 0; mode = Mode.W; upgrade = false; timestamp = 1; priority = 0;
+      hops = 1; token_only = false; hint_stamp = 1; hint_owner = 0; path = [ 1 ] }
+  in
+  let queued f = { base with Node.s_queue = [ f q ] } in
+  let variants =
+    [ base;
+      { base with Node.s_token = true; s_parent = None };
+      { base with Node.s_parent = Some 2 };
+      { base with Node.s_parent_stamp = 5 };
+      { base with Node.s_accounted_parent = Some 0 };
+      { base with Node.s_accounted_epoch = 7 };
+      { base with Node.s_last_reported = Some Mode.R };
+      { base with Node.s_cached = Mode_set.singleton Mode.R };
+      { base with Node.s_children = [ (2, Mode.R, 1) ] };
+      { base with Node.s_children = [ (2, Mode.R, 2) ] };
+      { base with Node.s_frozen = Mode_set.singleton Mode.W };
+      { base with Node.s_sent_freeze = [ (2, Mode_set.singleton Mode.W) ] };
+      { base with Node.s_tenure = 3 };
+      { base with Node.s_hint = (4, 0) };
+      { base with Node.s_hint = (0, 2) };
+      { base with Node.s_last_granter = Some 2 };
+      { base with Node.s_ancestry = [ 0 ] };
+      { base with Node.s_saw_transfer = true };
+      { base with Node.s_served_ever = true };
+      { base with Node.s_next_seq = 5 };
+      { base with Node.s_clock = 9 };
+      { base with Node.s_epoch_counter = 11 };
+      queued Fun.id;
+      queued (fun q -> { q with Msg.seq = 1 });
+      queued (fun q -> { q with Msg.mode = Mode.R });
+      queued (fun q -> { q with Msg.upgrade = true });
+      queued (fun q -> { q with Msg.timestamp = 2 });
+      queued (fun q -> { q with Msg.priority = 1 });
+      queued (fun q -> { q with Msg.hops = 2 });
+      queued (fun q -> { q with Msg.token_only = true });
+      queued (fun q -> { q with Msg.hint_stamp = 2 });
+      queued (fun q -> { q with Msg.hint_owner = 2 });
+      queued (fun q -> { q with Msg.path = [ 1; 0 ] }) ]
+  in
+  let lines =
+    List.map
+      (fun snap ->
+        Format.asprintf "%a" Node.pp_state
+          (Node.restore ~id:1 ~peers:3 ~send:(fun ~dst:_ _ -> ()) snap))
+      variants
+  in
+  checki "pairwise different" (List.length lines) (List.length (List.sort_uniq compare lines))
+
 (* A token node of 130 peers whose children sit on both sides of every
    62-id word boundary of a per-peer bit set (61 | 62, 123 | 124) and at
    the last id. Queued requests change the frozen set twice: an IW
@@ -1366,6 +1420,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
           Alcotest.test_case "stale sent-freeze entry" `Quick test_stale_sent_freeze_roundtrips;
+          Alcotest.test_case "printer shows every field" `Quick test_pp_state_shows_every_field;
           Alcotest.test_case "out-of-range ids refused" `Quick test_restore_rejects_bad_ids;
           Alcotest.test_case "freeze walk word boundaries" `Quick test_freeze_walk_word_boundaries;
         ]
