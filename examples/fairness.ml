@@ -50,5 +50,7 @@ let () =
     wait_free reads_free;
   if wait_frozen < wait_free then
     Printf.printf "\nFreezing cut the writer's wait by %.1fx.\n" (wait_free /. wait_frozen)
-  else
-    Printf.printf "\n(Unexpected: freezing did not help under this schedule.)\n"
+  else begin
+    Printf.printf "\nUnexpected: freezing did not help under this schedule.\n";
+    exit 1
+  end

@@ -47,4 +47,14 @@ let () =
   ignore rerun;
   Printf.printf "Same seed, same plan: digest %Lx %s %Lx — deterministic replay.\n" digest
     (if Int64.equal digest digest' then "=" else "<>")
-    digest'
+    digest';
+  (* The narrative's claims: no violation, every operation done, and a
+     replay that reproduces the trace. *)
+  if
+    report.Core.Experiment.violations <> []
+    || partitioned.Core.Experiment.ops < healthy.Core.Experiment.ops
+    || not (Int64.equal digest digest')
+  then begin
+    Printf.printf "Unexpected: the partitioned run broke a claim above.\n";
+    exit 1
+  end

@@ -68,5 +68,7 @@ let () =
   if Core.Summary.mean critical < Core.Summary.mean background then
     Printf.printf "\nPriority queueing cut the critical writer's mean wait by %.1fx.\n"
       (Core.Summary.mean background /. Core.Summary.mean critical)
-  else
-    Printf.printf "\n(Priority did not pay off under this schedule.)\n"
+  else begin
+    Printf.printf "\nUnexpected: priority did not pay off under this schedule.\n";
+    exit 1
+  end

@@ -18,7 +18,13 @@ type request = {
 
 type t =
   | Request of request
-  | Grant of { req : request; epoch : int; recorded : Mode.t; ancestry : Node_id.t list }
+  | Grant of {
+      req : request;
+      epoch : int;
+      recorded : Mode.t;
+      ancestry : Node_id.t list;
+      frozen : Mode_set.t;
+    }
   | Token of {
       serving : request;
       sender_owned : Mode.t option;
@@ -48,9 +54,11 @@ let pp_owned ppf = function
 
 let pp ppf = function
   | Request r -> Format.fprintf ppf "Request %a" pp_request r
-  | Grant { req; epoch; recorded; ancestry } ->
-      Format.fprintf ppf "Grant %a e%d rec=%a anc=[%s]" pp_request req epoch Mode.pp recorded
+  | Grant { req; epoch; recorded; ancestry; frozen } ->
+      Format.fprintf ppf "Grant %a e%d rec=%a anc=[%s] frozen=%a" pp_request req epoch Mode.pp
+        recorded
         (String.concat "," (List.map string_of_int ancestry))
+        Mode_set.pp frozen
   | Token { serving; sender_owned; sender_epoch; queue; frozen } ->
       Format.fprintf ppf "Token serving=%a sender_owned=%a e%d |queue|=%d frozen=%a" pp_request
         serving pp_owned sender_owned sender_epoch (List.length queue) Mode_set.pp frozen

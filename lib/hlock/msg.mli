@@ -62,6 +62,7 @@ type t =
       epoch : int;
       recorded : Mode.t;
       ancestry : Dcs_proto.Node_id.t list;
+      frozen : Mode_set.t;
     }
       (** Copy grant: the sender granted [req] and adopted the requester as
           its child (Rule 3). Sent directly to [req.requester]. [epoch] is
@@ -76,7 +77,12 @@ type t =
           silently lost with the stale-epoch release. [ancestry] is the
           granter's accounting-ancestor chain (nearest first, granter not
           included); the grantee prepends the granter and adopts it, so it
-          can refuse to child-grant to its own (approximate) ancestors. *)
+          can refuse to child-grant to its own (approximate) ancestors.
+          [frozen] is the frozen set the granter owes the new child
+          (Rule 6): what a {!Freeze} sent right behind the grant would
+          carry, and empty when there is none. The child applies it as
+          that Freeze once the grant is handled, so a copy grant costs one
+          message; a standalone {!Freeze} carries only later changes. *)
   | Token of {
       serving : request;  (** the request answered by this transfer *)
       sender_owned : Mode.t option;
@@ -95,8 +101,11 @@ type t =
           raced a release. Applied by the parent only when [epoch] matches
           its current record for the child. *)
   | Freeze of { frozen : Mode_set.t }
-      (** Full replacement of the receiver's frozen-mode set (Rule 6);
-          a shrinking set un-freezes. *)
+      (** Every frozen mode the sender has owed the receiver, one of its
+          children, since the grant that made it one (Rule 6). Sent only
+          when that set grows after the grant, which carried its first
+          value. The receiver adds the modes to its frozen set and drops
+          any cached copy of them. *)
 
 (** Figure-7 bucket of a message. *)
 val class_of : t -> Msg_class.t

@@ -581,13 +581,13 @@ let set_parent t p ~stamp =
 
 (* {1 Freezing (Rule 6)} *)
 
-(* The frozen set child [c] (recorded at [cm]) should have been sent, if it
-   differs from what was last sent. Additive only (the paper: "a mode, once
-   frozen, will not be sent a freeze message again"): no explicit un-freeze
-   traffic. A stale frozen mode merely makes a child forward instead of
-   granting, and clears itself when the child leaves the copyset or changes
-   accounting parent. *)
-let freeze_update t c cm =
+(* The frozen set child [c] (recorded at [cm]) is owed, recorded as sent:
+   empty when it equals what was last sent. Additive only (the paper: "a
+   mode, once frozen, will not be sent a freeze message again"): no
+   explicit un-freeze traffic. A stale frozen mode merely makes a child
+   forward instead of granting, and clears itself when the child leaves the
+   copyset or changes accounting parent. *)
+let take_freeze t c cm =
   let relevant =
     (* Anything the child could grant, or could be caching somewhere in its
        subtree (no stronger than its recorded mode), must be frozen there —
@@ -596,7 +596,11 @@ let freeze_update t c cm =
   in
   let previous = Mode_set.of_bits (sent_freeze_bits t c) in
   let combined = Mode_set.union relevant previous in
-  if Mode_set.equal combined previous then None else Some combined
+  if Mode_set.equal combined previous then Mode_set.empty
+  else begin
+    t.sent_freeze.(c) <- Mode_set.to_bits combined;
+    combined
+  end
 
 (* Union of the freeze sets of the queue's upgrade entries, each under its
    own masked owned code (Rule 7). Upgrades sort first in service order,
@@ -611,12 +615,10 @@ let rec upgrade_freezes t acc = function
 (* Send child [c] a Freeze if it needs one. *)
 let notify_freeze t c =
   let k = child_code t c in
-  if k > 0 then
-    match freeze_update t c (Mode.of_index (k - 1)) with
-    | None -> ()
-    | Some combined ->
-        t.sent_freeze.(c) <- Mode_set.to_bits combined;
-        t.send ~dst:c (Msg.Freeze { frozen = combined })
+  if k > 0 then begin
+    let frozen = take_freeze t c (Mode.of_index (k - 1)) in
+    if not (Mode_set.is_empty frozen) then t.send ~dst:c (Msg.Freeze { frozen })
+  end
 
 (* [notify_freeze] every child in ascending id, from bit [lo] of word [w]
    of [child_ids] on: the lowest remaining set bit is the next child. The
@@ -635,50 +637,56 @@ let rec notify_children_from t w lo =
     end
   end
 
-(* Recompute (token node) and propagate the frozen set. A child is notified
-   only of the frozen modes it could actually grant given the mode we record
-   for it; notifications are diffed against what was last sent, and only
-   sent when something changed. *)
+(* Recompute the token node's frozen set (Rule 6) from its queue. *)
+let recompute_frozen t =
+  if t.token then begin
+    (* Every plain entry of one mode needs the same freeze set under the
+       one unmasked owned code, so the queued modes' counts suffice; only
+       upgrades see a masked code. *)
+    let owned = owned_code t in
+    let fs = ref Mode_set.empty in
+    for i = 0 to 4 do
+      if t.counts.(queue_at + i) > 0 then
+        fs := Mode_set.union !fs (Decision.freeze_set ~owned (Mode.of_index i))
+    done;
+    let fs = if t.queued_upgrades > 0 then upgrade_freezes t !fs t.queue else !fs in
+    let fs =
+      match t.config.mutation with
+      | Some Weak_freeze -> (
+          (* Seeded fault (Dcs_check): weakened Table 2(b) — the strongest
+             mode every queued request needs frozen is left grantable. *)
+          match Compat.strongest (Mode_set.to_list fs) with
+          | Some m -> Mode_set.remove m fs
+          | None -> fs)
+      | _ -> fs
+    in
+    set_frozen t fs
+  end
+
+(* Propagate the frozen set. A child is notified only of the frozen modes
+   it could actually grant given the mode we record for it; notifications
+   are diffed against what was last sent, and only sent when something
+   changed. Visit only the marked children (none while nothing is frozen:
+   the marks are clear then) and notify those that need a Freeze in
+   ascending id; each update is derived at its send, so a transport that
+   delivers synchronously (and re-enters this node) never sends a stale
+   set. *)
+let propagate_freezes t =
+  if t.freeze_all then begin
+    t.freeze_all <- false;
+    (match t.freeze_kids with [] -> () | _ -> t.freeze_kids <- []);
+    notify_children_from t 0 0
+  end
+  else if not (List.is_empty t.freeze_kids) then begin
+    let marked = t.freeze_kids in
+    t.freeze_kids <- [];
+    List.iter (notify_freeze t) (List.sort_uniq Int.compare marked)
+  end
+
 let refresh_freezes t =
   if t.config.freezing then begin
-    if t.token then begin
-      (* Every plain entry of one mode needs the same freeze set under the
-         one unmasked owned code, so the queued modes' counts suffice; only
-         upgrades see a masked code. *)
-      let owned = owned_code t in
-      let fs = ref Mode_set.empty in
-      for i = 0 to 4 do
-        if t.counts.(queue_at + i) > 0 then
-          fs := Mode_set.union !fs (Decision.freeze_set ~owned (Mode.of_index i))
-      done;
-      let fs = if t.queued_upgrades > 0 then upgrade_freezes t !fs t.queue else !fs in
-      let fs =
-        match t.config.mutation with
-        | Some Weak_freeze -> (
-            (* Seeded fault (Dcs_check): weakened Table 2(b) — the strongest
-               mode every queued request needs frozen is left grantable. *)
-            match Compat.strongest (Mode_set.to_list fs) with
-            | Some m -> Mode_set.remove m fs
-            | None -> fs)
-        | _ -> fs
-      in
-      set_frozen t fs
-    end;
-    (* Visit only the marked children (none while nothing is frozen: the
-       marks are clear then) and notify those that need a Freeze in
-       ascending id; each update is derived at its send, so a transport
-       that delivers synchronously (and re-enters this node) never sends a
-       stale set. *)
-    if t.freeze_all then begin
-      t.freeze_all <- false;
-      (match t.freeze_kids with [] -> () | _ -> t.freeze_kids <- []);
-      notify_children_from t 0 0
-    end
-    else if not (List.is_empty t.freeze_kids) then begin
-      let marked = t.freeze_kids in
-      t.freeze_kids <- [];
-      List.iter (notify_freeze t) (List.sort_uniq Int.compare marked)
-    end
+    recompute_frozen t;
+    propagate_freezes t
   end
 
 (* {1 Release reporting (Rule 5.2)} *)
@@ -769,7 +777,9 @@ let complete_upgrade t (r : Msg.request) =
   resume t r.seq
 
 (* Copy grant (Rule 3): adopt the requester as a child at (at least) the
-   granted mode and notify it. *)
+   granted mode and notify it. The grant carries the frozen set the child
+   is owed (Rule 6), recomputed first, so the walk after it has no Freeze
+   left to send that child. *)
 let grant_copy t (r : Msg.request) =
   let epoch = fresh_epoch t in
   (* Fresh grant = fresh freeze relationship: the child (re)sets its frozen
@@ -788,12 +798,19 @@ let grant_copy t (r : Msg.request) =
     else r.mode
   in
   child_set t r.requester mode epoch;
+  let frozen =
+    if t.config.freezing then begin
+      recompute_frozen t;
+      take_freeze t r.requester mode
+    end
+    else Mode_set.empty
+  in
   let ancestry = if t.token then [] else t.ancestry in
   t.send ~dst:r.requester
     (Msg.Grant
        { req = { r with Msg.hint_stamp = hint_stamp t; hint_owner = hint_owner t };
-         epoch; recorded = mode; ancestry });
-  refresh_freezes t
+         epoch; recorded = mode; ancestry; frozen });
+  if t.config.freezing then propagate_freezes t
 
 (* Token transfer (Rule 3.2 operational): hand over the token, our queue and
    the frozen set; stay in the tree as a child if we still own something. *)
@@ -1184,6 +1201,25 @@ let handle_grant t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
     t.send ~dst:src (Msg.Release { new_owned = None; epoch });
     if may_child_grant t r then grant_self t r else forward_onward t r
   end
+  else if
+    t.accounted_parent >= 0
+    && t.accounted_parent <> src
+    && Decision.strength_of_code (Decision.code_of_mode recorded)
+       < Decision.strength_of_code (owned_code t)
+    && may_child_grant t r
+  then begin
+    (* Another parent already accounts for more than [src] recorded (our
+       request was granted late, after we came to own a covering mode
+       under that parent). Adopting [src] would move that stronger mode
+       under it: a detach to the old parent and a strengthening report to
+       [src], which can reach the token only after the old parent has
+       handed the token on, recording our weaker share — and the new
+       token node then grants a conflicting mode while we hold ours. Same
+       cure as above: cancel [src]'s record and serve the request out of
+       the mode our current parent accounts. *)
+    t.send ~dst:src (Msg.Release { new_owned = None; epoch });
+    grant_self t r
+  end
   else begin
     t.ancestry <- src :: ancestry;
     let same_parent = accounted_by t src in
@@ -1277,8 +1313,10 @@ let handle_msg t ~src msg =
       observe_clock t r.timestamp;
       observe_hint t r;
       handle_request t r
-  | Msg.Grant { req; epoch; recorded; ancestry } ->
-      handle_grant t ~src req ~epoch ~recorded ~ancestry
+  | Msg.Grant { req; epoch; recorded; ancestry; frozen } ->
+      handle_grant t ~src req ~epoch ~recorded ~ancestry;
+      (* Handled exactly as a Freeze delivered right behind the grant. *)
+      if not (Mode_set.is_empty frozen) then handle_freeze t ~src ~frozen
   | Msg.Token _ -> handle_token t ~src msg
   | Msg.Release { new_owned; epoch } -> handle_release t ~src ~new_owned ~epoch
   | Msg.Freeze { frozen } -> handle_freeze t ~src ~frozen

@@ -12,10 +12,11 @@ type envelope = {
   payload : payload;
 }
 
-let version = 4
+let version = 5
 (* v2: request carries a priority; v3: naimi request carries a span seq;
-   v4: grant carries the granter's recorded child mode. The shard payload
-   arm (directory + handoff traffic) is versioned alongside v4: same
+   v4: grant carries the granter's recorded child mode; v5: grant carries
+   the child's frozen set after its ancestry. The shard payload arm
+   (directory + handoff traffic) was versioned alongside v4: same
    envelope version, a third payload tag — pre-shard decoders reject it
    as a bad payload tag rather than silently misreading it. *)
 
@@ -52,12 +53,13 @@ let write_hlock_msg w (m : Msg.t) =
   | Msg.Request req ->
       Buf.u8 w 0;
       write_request w req
-  | Msg.Grant { req; epoch; recorded; ancestry } ->
+  | Msg.Grant { req; epoch; recorded; ancestry; frozen } ->
       Buf.u8 w 1;
       write_request w req;
       Buf.varint w epoch;
       write_mode w recorded;
-      Buf.list w Buf.varint ancestry
+      Buf.list w Buf.varint ancestry;
+      write_mode_set w frozen
   | Msg.Token { serving; sender_owned; sender_epoch; queue; frozen } ->
       Buf.u8 w 2;
       write_request w serving;
@@ -224,7 +226,8 @@ let read_hlock_msg r : Msg.t =
       let epoch = Buf.read_varint r in
       let recorded = read_mode r in
       let ancestry = Buf.read_list r Buf.read_varint in
-      Msg.Grant { req; epoch; recorded; ancestry }
+      let frozen = read_mode_set r in
+      Msg.Grant { req; epoch; recorded; ancestry; frozen }
   | 2 ->
       let serving = read_request r in
       let sender_owned = read_mode_opt r in

@@ -3,7 +3,7 @@
     An envelope identifies the sending node and the lock object; the
     payload is a hierarchical-protocol message, a Naimi baseline message,
     or a shard-service control message ({!Shard_msg} — directory traffic
-    and bucket-migration handoffs, versioned alongside v4 as a third
+    and bucket-migration handoffs, added in v4 as a third
     payload tag). Frames are versioned: decoding rejects unknown versions
     with {!Buf.Malformed}.
 

@@ -1009,7 +1009,98 @@ let test_msg_classes () =
     (Msg.class_of (Msg.Request r));
   Alcotest.check (Alcotest.testable Dcs_proto.Msg_class.pp Dcs_proto.Msg_class.equal)
     "grant" Dcs_proto.Msg_class.Copy_grant
-    (Msg.class_of (Msg.Grant { req = r; epoch = 1; recorded = Mode.R; ancestry = [] }))
+    (Msg.class_of
+       (Msg.Grant { req = r; epoch = 1; recorded = Mode.R; ancestry = []; frozen = Mode_set.empty }))
+
+(* {1 The frozen set on a copy grant}
+
+   A granter puts the frozen set it owes the grantee on the grant instead
+   of sending a Freeze right behind it. For each branch of the grantee's
+   grant handler, node 1 (4 peers, restored from [snap]) is delivered
+   [Grant {frozen}] from n2 in one run, and [Grant {∅}] then
+   [Freeze {frozen}] in the other; both must end in the same
+   [Node.pp_state] line and have sent the same messages. Returns that
+   line and the messages, and checks that the frozen set made a
+   difference to at least one of them when [matters]. *)
+let grant_freeze_equivalent ~snap ~mode ~recorded ~frozen ~matters =
+  let req =
+    { Msg.requester = 1; seq = 0; mode; upgrade = false; timestamp = 3; priority = 0; hops = 1;
+      token_only = false; hint_stamp = 0; hint_owner = 0; path = [ 1 ] }
+  in
+  let grant frozen = Msg.Grant { req; epoch = 9; recorded; ancestry = [ 0 ]; frozen } in
+  let run msgs =
+    let sent = ref [] in
+    let n =
+      Node.restore ~id:1 ~peers:4
+        ~send:(fun ~dst msg -> sent := Format.asprintf "n%d %a" dst Msg.pp msg :: !sent)
+        snap
+    in
+    List.iter (Node.handle_msg n ~src:2) msgs;
+    (Format.asprintf "%a" Node.pp_state n, List.rev !sent)
+  in
+  let one = run [ grant frozen ] and two = run [ grant Mode_set.empty; Msg.Freeze { frozen } ] in
+  Alcotest.check Alcotest.string "same state" (fst two) (fst one);
+  Alcotest.check Alcotest.(list string) "same messages" (snd two) (snd one);
+  checkb "the frozen set mattered" matters (run [ grant Mode_set.empty ] <> one);
+  one
+
+let fresh_snapshot () = Node.export (SC.node (SC.create 4) 1)
+
+(* The token reached n1 while its request circulated: n1 cancels n2's
+   record and serves itself; a token node ignores a Freeze. *)
+let test_grant_freeze_token_race () =
+  let snap =
+    { (fresh_snapshot ()) with Node.s_token = true; s_parent = None;
+      s_children = [ (3, Mode.IR, 1) ] }
+  in
+  let _, sent =
+    grant_freeze_equivalent ~snap ~mode:Mode.IR ~recorded:Mode.IR
+      ~frozen:(Mode_set.singleton Mode.IR) ~matters:false
+  in
+  Alcotest.check Alcotest.(list string) "cancels n2's record" [ "n2 Release new_owned=_ e9" ] sent
+
+(* n2 is n1's child: n1 cancels n2's record and serves itself out of the
+   child's; the Freeze, not from n1's accounting parent, only revokes
+   n1's cached IR. *)
+let test_grant_freeze_granter_is_child () =
+  let snap =
+    { (fresh_snapshot ()) with Node.s_accounted_parent = Some 0; s_accounted_epoch = 1;
+      s_last_reported = Some Mode.R; s_cached = Mode_set.singleton Mode.IR;
+      s_children = [ (2, Mode.R, 3) ] }
+  in
+  let _, sent =
+    grant_freeze_equivalent ~snap ~mode:Mode.IR ~recorded:Mode.IR
+      ~frozen:(Mode_set.singleton Mode.IR) ~matters:true
+  in
+  Alcotest.check Alcotest.(list string) "cancels n2's record" [ "n2 Release new_owned=_ e9" ] sent
+
+(* n1 owns nothing and adopts n2 as its accounting parent: the frozen set
+   becomes n1's own and goes on to n1's child n3. *)
+let test_grant_freeze_adopt () =
+  let snap = { (fresh_snapshot ()) with Node.s_children = [ (3, Mode.IR, 1) ] } in
+  let line, sent =
+    grant_freeze_equivalent ~snap ~mode:Mode.IR ~recorded:Mode.IR
+      ~frozen:(Mode_set.singleton Mode.IR) ~matters:true
+  in
+  Alcotest.check Alcotest.(list string) "n3 frozen in turn" [ "n3 Freeze {IR}" ] sent;
+  checkb "adopted n2" true (contains ~sub:"acct=n2@9" line)
+
+(* n1 already owns R under n0 when n2's grant of its older IR request
+   arrives: n1 keeps n0, cancels n2's record and serves the IR out of its
+   R. The Freeze, not from n0, revokes the cached R, and the weakening
+   goes to n0. *)
+let test_grant_freeze_late_grant () =
+  let snap =
+    { (fresh_snapshot ()) with Node.s_accounted_parent = Some 0; s_accounted_epoch = 1;
+      s_last_reported = Some Mode.R; s_cached = Mode_set.singleton Mode.R }
+  in
+  let line, sent =
+    grant_freeze_equivalent ~snap ~mode:Mode.IR ~recorded:Mode.IR
+      ~frozen:(Mode_set.singleton Mode.R) ~matters:true
+  in
+  Alcotest.check Alcotest.(list string) "cancels n2's record, reports to n0"
+    [ "n2 Release new_owned=_ e9"; "n0 Release new_owned=IR e1" ] sent;
+  checkb "kept n0" true (contains ~sub:"acct=n0@1" line)
 
 (* The field-by-field service order and [request_lt] agree with the tuple
    keys they replaced, and merging two queues built by insertion equals
@@ -1243,8 +1334,9 @@ let test_local_grant_continuation () =
 
 (* The continuation of a grant made inside [request] runs after every
    message the call emits. Here the token's own IR is granted at once, and
-   the same call then serves the stale queue head (a copy grant of IW to
-   n1) and freezes n1; the continuation must see both already sent. *)
+   the same call then serves the stale queue head: a copy grant of IW to
+   n1 that carries n1's frozen set. The continuation must see it already
+   sent. *)
 let test_local_grant_after_call_messages () =
   let c = SC.create 3 in
   ignore (SC.request c ~node:2 ~mode:Mode.U);
@@ -1256,8 +1348,12 @@ let test_local_grant_after_call_messages () =
   let before = SC.messages_sent c in
   let seen = ref (-1) in
   ignore (Node.request (SC.node c 0) ~mode:Mode.IR ~on_granted:(fun _ -> seen := SC.messages_sent c));
-  checki "the call sent a grant and a freeze" (before + 2) (SC.messages_sent c);
-  checki "the continuation ran after both" (SC.messages_sent c) !seen;
+  checki "the call sent one grant, carrying the freeze" (before + 1) (SC.messages_sent c);
+  (match List.rev c.SC.wire with
+  | (0, 1, Msg.Grant { frozen; _ }) :: _ ->
+      Alcotest.check Testkit.mode_set "frozen set on the grant" (Mode_set.singleton Mode.IW) frozen
+  | _ -> Alcotest.fail "last message is not n0's grant to n1");
+  checki "the continuation ran after it" (SC.messages_sent c) !seen;
   SC.settle c;
   checkb "n1 granted" true (SC.granted c ~node:1 ~seq:iw)
 
@@ -1431,6 +1527,11 @@ let () =
       ( "messages",
         [
           Alcotest.test_case "classes" `Quick test_msg_classes;
+          Alcotest.test_case "grant freeze: token race" `Quick test_grant_freeze_token_race;
+          Alcotest.test_case "grant freeze: granter is child" `Quick
+            test_grant_freeze_granter_is_child;
+          Alcotest.test_case "grant freeze: adopt" `Quick test_grant_freeze_adopt;
+          Alcotest.test_case "grant freeze: late grant" `Quick test_grant_freeze_late_grant;
           Alcotest.test_case "queue merging" `Quick test_merge_queues_orders_by_timestamp;
           QCheck_alcotest.to_alcotest prop_service_order_matches_tuple_key;
           QCheck_alcotest.to_alcotest prop_relay_matches_list_spec;

@@ -416,7 +416,7 @@ let test_final_round_migrations () =
       smoke
   in
   Alcotest.(check string)
-    "smoke digest" "8c4794fb9efe4801"
+    "smoke digest" "ff82ff8aaabaabae"
     (Printf.sprintf "%016Lx" r.Router.digest);
   checki "one replay round" 4 r.Router.rounds_run;
   checki "smoke jobs replayed" 2 r.Router.parked_replayed;
@@ -435,13 +435,12 @@ let test_final_round_migrations () =
   check64 "chained digest" baseline.Router.digest chained.Router.digest;
   checki "chained replay round" 6 chained.Router.rounds_run
 
-(* Open liveness bugs (bench_e2e/README.md "Known liveness bugs"): each
-   set-up burst never drains — three end in an endless Release
-   ping-pong, set 6308 strands a request. These pins assert the bug is
-   still there, in milliseconds rather than the default 100M-event
-   limit; a fix in lib/hlock makes them fail, and they then flip to
-   drain assertions. *)
-let test_open_liveness_bug ~seed ~nodes ~set ~burst ~stranded () =
+(* Liveness bugs of bench_e2e/README.md "Known liveness bugs": each
+   set-up burst never drained. Three ended in an endless Release
+   ping-pong; set 6308 strands a request. Each check runs the burst to
+   the engine's outcome within 200,000 events (milliseconds, where the
+   default 100M-event limit takes a minute). *)
+let run_set_up_burst ~seed ~nodes ~set ~burst =
   let cfg = { Router.default_config with Router.nodes; ops_per_burst = 8; seed } in
   let cell = Cell.create ~latency:cfg.Router.latency ~nodes () in
   let store = Hashtbl.create 4 in
@@ -449,9 +448,25 @@ let test_open_liveness_bug ~seed ~nodes ~set ~burst ~stranded () =
     ignore (Router.run_burst cfg cell store { Traffic.set; burst = b })
   done;
   ignore (Router.start_burst cfg cell store { Traffic.set; burst });
+  (Dcs_sim.Engine.run ~max_events:200_000 (Cell.engine cell), cell)
+
+(* Still open: the pin asserts the bug is there; a fix in lib/hlock makes
+   it fail, and it then becomes a drain check below. *)
+let test_open_liveness_bug ~seed ~nodes ~set ~burst ~stranded () =
+  let outcome, cell = run_set_up_burst ~seed ~nodes ~set ~burst in
   checkb "burst still never drains (fixed? flip this pin)" true
-    (Dcs_sim.Engine.run ~max_events:200_000 (Cell.engine cell) = Dcs_sim.Engine.Event_limit);
+    (outcome = Dcs_sim.Engine.Event_limit);
   if stranded then checkb "a request is still stranded" true (Cell.outstanding cell > 0)
+
+(* Fixed: the three ping-pongs drain since a node that already owns more
+   than a late copy grant records, under another accounting parent,
+   keeps that parent and cancels the granter's record instead of
+   adopting it (DESIGN.md §2, repair 14). That repair alone, on the
+   protocol before grants carried frozen sets, drains them too. *)
+let test_fixed_liveness_bug ~seed ~nodes ~set ~burst () =
+  let outcome, cell = run_set_up_burst ~seed ~nodes ~set ~burst in
+  checkb "burst drains" true (outcome = Dcs_sim.Engine.Drained);
+  checki "nothing outstanding" 0 (Cell.outstanding cell)
 
 (* [receive msg] fails with a message that ends in the frame's name. *)
 let rejected receive msg =
@@ -605,13 +620,13 @@ let () =
         [
           Alcotest.test_case "soak regression bursts drain" `Quick
             test_soak_liveness_regressions;
-          Alcotest.test_case "open bug: set 32531 ping-pong" `Quick
-            (test_open_liveness_bug ~seed:42L ~nodes:16 ~set:32531 ~burst:0 ~stranded:false);
+          Alcotest.test_case "fixed: set 32531 ping-pong drains" `Quick
+            (test_fixed_liveness_bug ~seed:42L ~nodes:16 ~set:32531 ~burst:0);
           Alcotest.test_case "open bug: set 6308 stranded" `Quick
             (test_open_liveness_bug ~seed:42L ~nodes:8 ~set:6308 ~burst:1 ~stranded:true);
-          Alcotest.test_case "open bug: set 34595 ping-pong" `Quick
-            (test_open_liveness_bug ~seed:111L ~nodes:64 ~set:34595 ~burst:0 ~stranded:false);
-          Alcotest.test_case "open bug: set 229484 ping-pong" `Quick
-            (test_open_liveness_bug ~seed:129L ~nodes:64 ~set:229484 ~burst:0 ~stranded:false);
+          Alcotest.test_case "fixed: set 34595 ping-pong drains" `Quick
+            (test_fixed_liveness_bug ~seed:111L ~nodes:64 ~set:34595 ~burst:0);
+          Alcotest.test_case "fixed: set 229484 ping-pong drains" `Quick
+            (test_fixed_liveness_bug ~seed:129L ~nodes:64 ~set:229484 ~burst:0);
         ] );
     ]

@@ -49,7 +49,8 @@ let gen_hlock_msg =
          let* epoch = int_bound 100_000 in
          let* recorded = Testkit.gen_mode in
          let* ancestry = list_size (int_bound 10) (int_bound 200) in
-         return (Msg.Grant { req; epoch; recorded; ancestry }));
+         let* frozen = gen_mode_set in
+         return (Msg.Grant { req; epoch; recorded; ancestry; frozen }));
         (let* serving = gen_request in
          let* sender_owned = Testkit.gen_mode_opt in
          let* sender_epoch = int_bound 100_000 in
@@ -125,7 +126,8 @@ let prop_grant_roundtrip =
       let* epoch = int_bound 100_000 in
       let* recorded = Testkit.gen_mode in
       let* ancestry = list_size (int_bound 10) (int_bound 200) in
-      return (Msg.Grant { req; epoch; recorded; ancestry }))
+      let* frozen = gen_mode_set in
+      return (Msg.Grant { req; epoch; recorded; ancestry; frozen }))
 
 let prop_token_roundtrip =
   per_class_roundtrip "token"
@@ -257,11 +259,19 @@ let golden_cases =
                  epoch = 123457;
                  recorded = Mode.R;
                  ancestry = [ 7; 300; 2 ];
+                 frozen = Mode_set.of_list [ Mode.R; Mode.W ];
                })
         );
         ( "grant-no-ancestry",
           golden_hlock
-            (Msg.Grant { req = golden_request_b; epoch = 77; recorded = Mode.U; ancestry = [] }) );
+            (Msg.Grant
+               {
+                 req = golden_request_b;
+                 epoch = 77;
+                 recorded = Mode.U;
+                 ancestry = [];
+                 frozen = Mode_set.empty;
+               }) );
       ] );
     ( "token",
       [
@@ -395,7 +405,7 @@ let read_fixture cls =
 (* Each case encodes to its fixture bytes, and the fixture bytes decode
    back to the case. *)
 let check_golden cls encode decode cases =
-  Alcotest.check Alcotest.int "wire format version" 4 Codec.version;
+  Alcotest.check Alcotest.int "wire format version" 5 Codec.version;
   let fixture = read_fixture cls in
   Alcotest.check
     Alcotest.(list string)
@@ -768,6 +778,16 @@ let test_snapshot_count () =
   let snapshot = String.sub one 1 (String.length one - 1) in
   malformed "max_int" (fun () -> Codec.decode_cluster_state (wide_varint '\x3f' ^ snapshot))
 
+(* A frame of the previous format (v4, whose grant has no frozen set) is
+   refused by its version byte, not misread. *)
+let test_old_version () =
+  let v5 = Codec.encode (golden_hlock (Msg.Release { new_owned = None; epoch = 100 })) in
+  let v4 = "\x04" ^ String.sub v5 1 (String.length v5 - 1) in
+  match Codec.decode v4 with
+  | _ -> Alcotest.fail "v4 frame decoded"
+  | exception Buf.Malformed msg ->
+      Alcotest.check Alcotest.string "reason" "unsupported version 4" msg
+
 (* {2 Stream frames} *)
 
 let contains ~sub s =
@@ -951,6 +971,7 @@ let () =
           Alcotest.test_case "string length overflow" `Quick test_string_length_overflow;
           Alcotest.test_case "negative list count" `Quick test_negative_list_count;
           Alcotest.test_case "snapshot count" `Quick test_snapshot_count;
+          Alcotest.test_case "v4 frame refused" `Quick test_old_version;
           Alcotest.test_case "handoff ids out of range" `Quick test_hostile_handoff_ids;
           qt prop_hostile_envelope;
           qt prop_mutated_envelope;
