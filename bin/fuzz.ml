@@ -78,6 +78,7 @@ let run_cmd =
     check_plan plan;
     check_zipf zipf;
     let fails = ref 0 and run_count = ref 0 in
+    let classes = ref [] in
     let t0 = Unix.gettimeofday () in
     (try
        for i = 0 to seeds - 1 do
@@ -85,16 +86,23 @@ let run_cmd =
          let case = Fuzz.case ?plan ?mutation ~zipf ~seed ~nodes ~locks ~ops () in
          let v = Fuzz.run case in
          incr run_count;
-         if Fuzz.failed v then begin
+         match Fuzz.failure_class v with
+         | Some c ->
            incr fails;
+           classes := c :: !classes;
            Format.printf "%a@." Fuzz.pp_verdict v;
            if max_fails > 0 && !fails >= max_fails then raise Exit
-         end
-         else if verbose then Format.printf "%a@." Fuzz.pp_verdict v
+         | None -> if verbose then Format.printf "%a@." Fuzz.pp_verdict v
        done
      with Exit -> ());
     let dt = Unix.gettimeofday () -. t0 in
-    Printf.printf "fuzzed %d case(s) in %.1f s: %d failing\n" !run_count dt !fails;
+    Printf.printf "fuzzed %d case(s) in %.1f s: %d failing (%s)\n" !run_count dt !fails
+      (String.concat ", "
+         (List.map
+            (fun c ->
+              Printf.sprintf "%s %d" (Fuzz.failure_class_name c)
+                (List.length (List.filter (( = ) c) !classes)))
+            Fuzz.failure_classes));
     if !fails > 0 then exit 1
   in
   Cmd.v

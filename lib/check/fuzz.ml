@@ -161,6 +161,42 @@ let run (c : case) =
 
 let failed v = v.violations <> []
 
+type failure_class = Safety | Never_granted | Overtake | Other
+
+(* Gravest first. *)
+let failure_classes = [ Safety; Never_granted; Overtake; Other ]
+
+let failure_class_name = function
+  | Safety -> "safety"
+  | Never_granted -> "never granted"
+  | Overtake -> "overtake"
+  | Other -> "other"
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* The class of one violation line, read off the wording this module and
+   [Oracle.conformance] give it. *)
+let class_of_violation s =
+  if
+    String.starts_with ~prefix:"safety: " s
+    || contains ~sub:"incompatible concurrent grants" s
+    || contains ~sub:"(Rule 7 atomicity)" s
+  then Safety
+  else if
+    String.starts_with ~prefix:"liveness: " s
+    || String.starts_with ~prefix:"engine event limit" s
+    || contains ~sub:": never granted (" s
+  then Never_granted
+  else if contains ~sub:": overtaken " s then Overtake
+  else Other
+
+let failure_class v =
+  let classes = List.map class_of_violation v.violations in
+  List.find_opt (fun c -> List.mem c classes) failure_classes
+
 let pp_verdict ppf v =
   Format.fprintf ppf
     "@[<v>%s seed=%Ld nodes=%d locks=%d ops=%d plan=%s mutation=%s@,\

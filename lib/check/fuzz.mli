@@ -71,6 +71,22 @@ val drive :
 
 val run : case -> verdict
 val failed : verdict -> bool
+
+(** What a failing case broke, gravest first: [Safety] (the per-step
+    safety oracle, or incompatible grants or a Rule 7 upgrade in the
+    trace), [Never_granted] (a request still waiting at the horizon, or
+    the event limit), [Overtake] (a waiter jumped by more than the
+    oracle's bound of incompatible grants) and [Other] (quiescence
+    structure, the net at rest, trace bookkeeping). *)
+type failure_class = Safety | Never_granted | Overtake | Other
+
+(** Every class, gravest first. *)
+val failure_classes : failure_class list
+val failure_class_name : failure_class -> string
+
+(** The gravest class among the verdict's violations; [None] iff it
+    passed. *)
+val failure_class : verdict -> failure_class option
 val pp_verdict : Format.formatter -> verdict -> unit
 
 (** Corpus/CLI names: ["weak-freeze"], ["ignore-frozen"]. *)

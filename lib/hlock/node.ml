@@ -106,10 +106,11 @@ type t = {
      used to refuse grants to our own ancestors (ring prevention, second
      line of defence). *)
   mutable ancestry : Node_id.t list;
-  (* Adaptive routing signal: was our own last service a token transfer?
-     Transfer-dominated locks (fine-grained, low-concurrency) behave like
-     Naimi and want full path reversal; copy-dominated locks (coarse,
-     read-shared) want stable routes to the granting region. *)
+  (* Adaptive routing signal for R relays: was our own last service a
+     token transfer? Transfer-dominated locks (fine-grained,
+     low-concurrency) behave like Naimi and want full path reversal;
+     copy-dominated locks (coarse, read-shared) want stable routes to the
+     granting region. *)
   mutable saw_transfer : bool;
   mutable served_ever : bool;
   (* Scratch bit set over [0, peers) in the [child_ids] layout: the ids a
@@ -854,6 +855,11 @@ let transfer_token t (r : Msg.request) =
   set_parent t tail ~stamp:(t.tenure + 1);
   t.accounted_parent <- (if residual = 0 then -1 else r.requester);
   t.accounted_epoch <- sender_epoch;
+  (* Rule B: our new accounting parent is an ancestor; granting it a copy
+     would close a two-node accounting cycle (repair 13). A token node's
+     ancestry is already empty, so with nothing left there is nothing to
+     write. *)
+  if residual <> 0 then t.ancestry <- [ r.requester ];
   t.last_reported <- residual;
   set_frozen t Mode_set.empty;
   t.send ~dst:r.requester tok;
@@ -1096,16 +1102,20 @@ let absorbs (p : Msg.request) (r : Msg.request) =
    can copy-grant U or W, so their requester is the future root — Naimi's
    re-pointing invariant. Reversing toward copy-grant requesters too floods
    the graph with transient cycles and turns most relays into diversion
-   sweeps, so IR/R/IW reverse only where transfers dominate (repair 7). Any
-   cycles this still leaves are rendered harmless by path-carrying relays
-   (see forward_onward). *)
+   sweeps, so R reverses only where transfers dominate, and IR and IW
+   never do: a pointer at an intention requester rarely still leads to
+   the token when a later relay follows it, and it overwrites the
+   transfer's tail pointer, which usually does (repair 7). Any cycles
+   this still leaves are rendered harmless by path-carrying relays (see
+   forward_onward). *)
 let reverse_path t (r : Msg.request) =
   let stamp = max r.Msg.hint_stamp (hint_stamp t) in
   match r.mode with
   | Mode.U | Mode.W -> set_parent t r.Msg.requester ~stamp
-  | Mode.IR | Mode.R | Mode.IW ->
+  | Mode.R ->
       if t.config.reverse_all || t.saw_transfer || not t.served_ever then
         set_parent t r.Msg.requester ~stamp
+  | Mode.IR | Mode.IW -> if t.config.reverse_all then set_parent t r.Msg.requester ~stamp
 
 (* Rules 3.1 and 4.1 at a non-token node: a remote request. *)
 let request_remote t (r : Msg.request) =
@@ -1228,7 +1238,11 @@ let handle_grant t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
        from the old one must not linger (they would never be un-frozen). *)
     if not same_parent then set_frozen t Mode_set.empty;
     t.accounted_parent <- src;
-    t.accounted_epoch <- epoch;
+    (* Rule C: a copy grant [src] sent before the token we handed it
+       arrived carries an older epoch than the record [src] has kept of us
+       since; going back to it would get our next release dropped as
+       stale (repair 5). *)
+    t.accounted_epoch <- (if same_parent then max epoch t.accounted_epoch else epoch);
     t.last_granter <- src;
     t.saw_transfer <- false;
     t.served_ever <- true;

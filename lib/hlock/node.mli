@@ -92,9 +92,11 @@ type config = {
           cache-revocation channel. Default true. *)
   reverse_all : bool;
       (** Routing ablation: when true, relayers re-point to the requester
-          for every mode (full Naimi reversal); when false (default) only
-          for [U]/[W] requests, whose requesters are certain future token
-          owners. *)
+          for every mode (full Naimi reversal). When false (default) they
+          re-point for every [U]/[W] request, whose requesters are certain
+          future token owners, for an [R] request only where their own
+          last service was a token transfer or they were never served,
+          and never for [IR]/[IW]. *)
   caching : bool;
       (** When true (default), a client release keeps the granted mode in
           the copyset as a {e cached} copy (the Li/Hudak copyset semantics

@@ -81,6 +81,22 @@ module Sync_cluster = struct
         t.after_delivery ();
         true
 
+  (* Deliver the oldest queued message on the link [src -> dst] and return
+     it: each link is FIFO, but a test may pick the order across links,
+     as a charted run did. *)
+  let deliver t ~src ~dst =
+    let rec split before = function
+      | [] -> Alcotest.failf "Sync_cluster.deliver: nothing queued on n%d -> n%d" src dst
+      | ((s, d, msg) as m) :: rest ->
+          if s = src && d = dst then (msg, List.rev_append before rest)
+          else split (m :: before) rest
+    in
+    let msg, rest = split [] t.wire in
+    t.wire <- rest;
+    Dcs_hlock.Node.handle_msg t.nodes.(dst) ~src msg;
+    t.after_delivery ();
+    msg
+
   let drain_events t =
     let evs = List.rev t.events in
     t.events <- [];

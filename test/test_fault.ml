@@ -169,7 +169,7 @@ let test_traced_cluster_digest () =
   ignore (Engine.run engine);
   checki "all granted" 32 !granted;
   Alcotest.check Alcotest.(list string) "at rest" [] (Cluster.quiescent_violations cluster);
-  Alcotest.check Alcotest.int64 "trace digest" 8299136861070694177L (Dcs_sim.Trace.digest trace)
+  Alcotest.check Alcotest.int64 "trace digest" 1153588814281816686L (Dcs_sim.Trace.digest trace)
 
 (* {1 Plan} *)
 

@@ -285,6 +285,89 @@ let test_release_epoch_guard () =
   Alcotest.check (Alcotest.option Testkit.mode) "fully released" None (Node.owned (SC.node c 1));
   checkb "node 0 saw the release" true (Node.children (SC.node c 0) = [])
 
+(* Rule B (DESIGN.md §2, extending repair 13): a token sender that stays
+   in the tree as its new parent's child records that parent as its
+   ancestry. Replays lost-child-record-2n.repro (fuzz seed 267) delivery
+   by delivery. The token reaches n1 for its R with n0's U queued, so n1
+   takes R and hands the token straight on to n0, staying n0's child
+   with R. Then n0's IR arrives at n1. With an empty ancestry n1 would
+   copy-grant it to its own accounting parent, and n0's later copy grant
+   to n1 would delete n0's only record of n1 while n1 still caches R. *)
+let test_rule_b_token_sender_ancestry () =
+  let c = SC.create 2 in
+  let r1 = SC.request c ~node:1 ~mode:Mode.R in
+  let w0 = SC.request c ~node:0 ~mode:Mode.W in
+  let u0 = SC.request c ~node:0 ~mode:Mode.U in
+  ignore (SC.deliver c ~src:1 ~dst:0);
+  SC.release c ~node:0 ~seq:w0;
+  let ir0 = SC.request c ~node:0 ~mode:Mode.IR in
+  let ir1 = SC.request c ~node:1 ~mode:Mode.IR in
+  ignore (SC.deliver c ~src:0 ~dst:1);
+  checkb "n1 handed the token on" false (Node.is_token (SC.node c 1));
+  checkb "n1 records n0 as ancestry" true
+    (contains ~sub:"ancestry=[n0]" (Format.asprintf "%a" Node.pp_state (SC.node c 1)));
+  ignore (SC.deliver c ~src:0 ~dst:1);
+  checkb "n1 records no child n0, its own accounting parent" true
+    (Node.children (SC.node c 1) = []);
+  SC.release c ~node:1 ~seq:r1;
+  SC.settle c;
+  List.iter
+    (fun (node, seq) ->
+      checkb "granted" true (SC.granted c ~node ~seq);
+      SC.release c ~node ~seq;
+      SC.settle c)
+    [ (0, u0); (0, ir0); (1, ir1) ];
+  SC.check_safety c;
+  Alcotest.(check (list string)) "quiescent" [] (Dcs_hlock.Invariant.quiescent ~lock:0 c.SC.nodes)
+
+(* Rule C (DESIGN.md §2, extending repair 5): a late copy grant from the
+   accounting parent never lowers [accounted_epoch]. Replays 3-node fuzz
+   seed 3743, shrunk to 6 ops, delivery by delivery. n1 hands the token
+   to n2 for its U and stays n2's child with R at epoch 4; n2 had
+   copy-granted n1's R at epoch 3 on the way. When that grant lands, n1
+   must keep epoch 4: its last Release at epoch 3 would be dropped at n2
+   as stale, leaving n2's U->W upgrade waiting on a record nobody owns. *)
+let test_rule_c_late_grant_keeps_epoch () =
+  let c = SC.create 3 in
+  let deliver src dst = ignore (SC.deliver c ~src ~dst) in
+  let u0 = SC.request c ~node:0 ~mode:Mode.U in
+  SC.release c ~node:0 ~seq:u0;
+  let r2 = SC.request c ~node:2 ~mode:Mode.R in
+  let ir1 = SC.request c ~node:1 ~mode:Mode.IR in
+  let u1 = SC.request c ~node:1 ~mode:Mode.U in
+  let u2 = SC.request c ~node:2 ~mode:Mode.U in
+  let r1 = SC.request c ~node:1 ~mode:Mode.R in
+  (* n0 copy-grants IR and R, then hands the token to n1 for its U. *)
+  deliver 1 0;
+  deliver 2 0;
+  deliver 1 0;
+  deliver 0 2;
+  SC.release c ~node:2 ~seq:r2;
+  deliver 1 0;
+  deliver 0 1;
+  SC.release c ~node:1 ~seq:ir1;
+  deliver 2 0;
+  deliver 0 1;
+  SC.release c ~node:1 ~seq:u1;
+  (* n2's U reaches n1, which hands it the token; n1's R reaches n2,
+     which copy-grants it at epoch 3 before the token arrives. *)
+  deliver 0 1;
+  deliver 0 2;
+  deliver 1 2;
+  SC.upgrade c ~node:2 ~seq:u2;
+  (match SC.deliver c ~src:2 ~dst:1 with
+  | Msg.Grant { epoch = 3; _ } -> ()
+  | m -> Alcotest.failf "expected the epoch-3 grant, got %a" Msg.pp m);
+  checkb "n1 keeps epoch 4" true
+    (contains ~sub:"acct=n2@4" (Format.asprintf "%a" Node.pp_state (SC.node c 1)));
+  SC.release c ~node:1 ~seq:r1;
+  SC.settle c;
+  checkb "n2's upgrade completes" true (SC.upgraded c ~node:2 ~seq:u2);
+  SC.release c ~node:2 ~seq:u2;
+  SC.settle c;
+  SC.check_safety c;
+  Alcotest.(check (list string)) "quiescent" [] (Dcs_hlock.Invariant.quiescent ~lock:0 c.SC.nodes)
+
 (* {1 FIFO fairness across modes} *)
 
 let test_fifo_write_then_reads () =
@@ -1487,6 +1570,10 @@ let () =
         [
           Alcotest.test_case "mutual IW no deadlock" `Quick test_mutual_iw_requests_no_deadlock;
           Alcotest.test_case "release epoch guard" `Quick test_release_epoch_guard;
+          Alcotest.test_case "rule B: token sender ancestry" `Quick
+            test_rule_b_token_sender_ancestry;
+          Alcotest.test_case "rule C: late grant keeps epoch" `Quick
+            test_rule_c_late_grant_keeps_epoch;
           Alcotest.test_case "stale messages ignored" `Quick test_stale_messages_ignored;
           Alcotest.test_case "kick watchdog" `Quick test_kick_recirculates_custody;
         ] );

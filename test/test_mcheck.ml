@@ -106,7 +106,7 @@ let test_three_writers_deep () =
     (script ~nodes:4 [ acquire 1 Mode.W; acquire 2 Mode.W; acquire 3 Mode.W ])
 
 let test_mixed_deep () =
-  run_scenario ~max_states:30_000 ~name:"IW, upgrade, R (bounded)" ~states:427 ~terminals:32
+  run_scenario ~max_states:30_000 ~name:"IW, upgrade, R (bounded)" ~states:273 ~terminals:17
     (script ~nodes:4 [ acquire 1 Mode.IW; upgrade 2; acquire 3 Mode.R ])
 
 (* {1 Exhaustive small scope}
@@ -153,7 +153,7 @@ let test_small_scope_sweep () =
       end)
     scripts;
   checki "scripts" 6156 (List.length scripts);
-  checki "states" 80490 !states;
+  checki "states" 77234 !states;
   Alcotest.check (Alcotest.list Alcotest.string) "failing scripts" small_scope_failures
     (List.rev !failing);
   checkb "every failure is a grant-order break" true !grant_order

@@ -482,10 +482,10 @@ let test_golden_airline () =
   let r = Experiment.run cfg in
   check_minor_words "airline run" ~ceiling:119_211.0 ~before;
   check_counts "messages by class"
-    [ ("request", 672); ("grant", 218); ("token", 80); ("release", 213); ("freeze", 159);
+    [ ("request", 605); ("grant", 225); ("token", 74); ("release", 217); ("freeze", 167);
       ("ack", 0); ("retx", 0) ]
     r.Experiment.messages;
-  checki "engine events" 1988 r.Experiment.events
+  checki "engine events" 1934 r.Experiment.events
 
 (* The Naimi baseline doing the airline run's work: every entry op takes
    that entry's exclusive lock, every table op takes every entry lock of

@@ -136,11 +136,11 @@ let test_burst_golden () =
 
 let test_router_golden () =
   let r = Router.run ~jobs:1 base_cfg in
-  Alcotest.check Alcotest.string "digest" "c6e396c1ab002e0b"
+  Alcotest.check Alcotest.string "digest" "76028594ebd99639"
     (Printf.sprintf "%016Lx" r.Router.digest);
   checki "grants" 54 r.Router.grants;
   checki "upgrades" 5 r.Router.upgrades;
-  checki "msgs" 148 r.Router.msgs
+  checki "msgs" 158 r.Router.msgs
 
 let test_digest_invariant_under_shards () =
   let r1 = Router.run ~jobs:1 { base_cfg with Router.shards = 1 } in
@@ -416,7 +416,7 @@ let test_final_round_migrations () =
       smoke
   in
   Alcotest.(check string)
-    "smoke digest" "ff82ff8aaabaabae"
+    "smoke digest" "f240ca7aff8f7550"
     (Printf.sprintf "%016Lx" r.Router.digest);
   checki "one replay round" 4 r.Router.rounds_run;
   checki "smoke jobs replayed" 2 r.Router.parked_replayed;
@@ -437,7 +437,7 @@ let test_final_round_migrations () =
 
 (* Liveness bugs of bench_e2e/README.md "Known liveness bugs": each
    set-up burst never drained. Three ended in an endless Release
-   ping-pong; set 6308 strands a request. Each check runs the burst to
+   ping-pong; set 6308 stranded a request. Each check runs the burst to
    the engine's outcome within 200,000 events (milliseconds, where the
    default 100M-event limit takes a minute). *)
 let run_set_up_burst ~seed ~nodes ~set ~burst =
@@ -450,19 +450,15 @@ let run_set_up_burst ~seed ~nodes ~set ~burst =
   ignore (Router.start_burst cfg cell store { Traffic.set; burst });
   (Dcs_sim.Engine.run ~max_events:200_000 (Cell.engine cell), cell)
 
-(* Still open: the pin asserts the bug is there; a fix in lib/hlock makes
-   it fail, and it then becomes a drain check below. *)
-let test_open_liveness_bug ~seed ~nodes ~set ~burst ~stranded () =
-  let outcome, cell = run_set_up_burst ~seed ~nodes ~set ~burst in
-  checkb "burst still never drains (fixed? flip this pin)" true
-    (outcome = Dcs_sim.Engine.Event_limit);
-  if stranded then checkb "a request is still stranded" true (Cell.outstanding cell > 0)
-
 (* Fixed: the three ping-pongs drain since a node that already owns more
    than a late copy grant records, under another accounting parent,
    keeps that parent and cancels the granter's record instead of
    adopting it (DESIGN.md §2, repair 14). That repair alone, on the
-   protocol before grants carried frozen sets, drains them too. *)
+   protocol before grants carried frozen sets, drains them too. Set
+   6308's stranded request drains since a token sender that stays a
+   child records its new parent as ancestry and a late grant no longer
+   lowers the accounted epoch (rules B and C, extending repairs 13 and
+   5). *)
 let test_fixed_liveness_bug ~seed ~nodes ~set ~burst () =
   let outcome, cell = run_set_up_burst ~seed ~nodes ~set ~burst in
   checkb "burst drains" true (outcome = Dcs_sim.Engine.Drained);
@@ -622,8 +618,8 @@ let () =
             test_soak_liveness_regressions;
           Alcotest.test_case "fixed: set 32531 ping-pong drains" `Quick
             (test_fixed_liveness_bug ~seed:42L ~nodes:16 ~set:32531 ~burst:0);
-          Alcotest.test_case "open bug: set 6308 stranded" `Quick
-            (test_open_liveness_bug ~seed:42L ~nodes:8 ~set:6308 ~burst:1 ~stranded:true);
+          Alcotest.test_case "fixed: set 6308 stranding drains" `Quick
+            (test_fixed_liveness_bug ~seed:42L ~nodes:8 ~set:6308 ~burst:1);
           Alcotest.test_case "fixed: set 34595 ping-pong drains" `Quick
             (test_fixed_liveness_bug ~seed:111L ~nodes:64 ~set:34595 ~burst:0);
           Alcotest.test_case "fixed: set 229484 ping-pong drains" `Quick
