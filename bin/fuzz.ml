@@ -77,7 +77,7 @@ let run_cmd =
   let run seeds seed0 nodes locks ops zipf plan mutation max_fails verbose =
     check_plan plan;
     check_zipf zipf;
-    let fails = ref 0 and run_count = ref 0 in
+    let fails = ref 0 and run_count = ref 0 and max_hops = ref 0 and sweeps = ref 0 in
     let classes = ref [] in
     let t0 = Unix.gettimeofday () in
     (try
@@ -86,6 +86,8 @@ let run_cmd =
          let case = Fuzz.case ?plan ?mutation ~zipf ~seed ~nodes ~locks ~ops () in
          let v = Fuzz.run case in
          incr run_count;
+         max_hops := max !max_hops v.Fuzz.max_hops;
+         sweeps := !sweeps + v.Fuzz.sweep_restarts;
          match Fuzz.failure_class v with
          | Some c ->
            incr fails;
@@ -96,13 +98,15 @@ let run_cmd =
        done
      with Exit -> ());
     let dt = Unix.gettimeofday () -. t0 in
-    Printf.printf "fuzzed %d case(s) in %.1f s: %d failing (%s)\n" !run_count dt !fails
+    Printf.printf "fuzzed %d case(s) in %.1f s: %d failing (%s); max relay hops %d, %d sweep restarts\n"
+      !run_count dt !fails
       (String.concat ", "
          (List.map
             (fun c ->
               Printf.sprintf "%s %d" (Fuzz.failure_class_name c)
                 (List.length (List.filter (( = ) c) !classes)))
-            Fuzz.failure_classes));
+            Fuzz.failure_classes))
+      !max_hops !sweeps;
     if !fails > 0 then exit 1
   in
   Cmd.v

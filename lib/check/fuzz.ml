@@ -34,6 +34,8 @@ type verdict = {
   engine_events : int;
   digest : int64;
   oracle : Oracle.report;
+  max_hops : int;
+  sweep_restarts : int;
 }
 
 let mutation_to_string = function
@@ -139,10 +141,24 @@ let run (c : case) =
     List.iter
       (fun v -> violations := ("quiescence: " ^ v) :: !violations)
       (Faulty_net.at_rest faulty (Cluster.quiescent_violations cluster));
-  let oracle =
-    Oracle.conformance ~require_complete:(not !aborted)
-      ~events:(Dcs_obs.Recorder.events recorder) ()
+  let events = Dcs_obs.Recorder.events recorder in
+  let oracle = Oracle.conformance ~require_complete:(not !aborted) ~events () in
+  let max_hops =
+    List.fold_left
+      (fun acc (e : Dcs_obs.Event.t) ->
+        match e.kind with
+        | Dcs_obs.Event.Granted_local { hops; _ } | Dcs_obs.Event.Granted_token { hops; _ } ->
+            max acc hops
+        | _ -> acc)
+      0 events
   in
+  let sweep_restarts = ref 0 in
+  for lock = 0 to script.locks - 1 do
+    for node = 0 to script.nodes - 1 do
+      sweep_restarts :=
+        !sweep_restarts + Dcs_hlock.Node.sweep_restarts (Cluster.node cluster ~lock ~node)
+    done
+  done;
   List.iter (fun v -> violations := ("oracle: " ^ v) :: !violations) oracle.Oracle.violations;
   {
     case = c;
@@ -157,6 +173,8 @@ let run (c : case) =
     engine_events = Engine.events_processed engine;
     digest = Dcs_sim.Trace.digest trace;
     oracle;
+    max_hops;
+    sweep_restarts = !sweep_restarts;
   }
 
 let failed v = v.violations <> []

@@ -42,6 +42,8 @@ type verdict = {
   engine_events : int;
   digest : int64;  (** network trace digest — the run's identity *)
   oracle : Oracle.report;
+  max_hops : int;  (** most relay hops any granted request travelled *)
+  sweep_restarts : int;  (** {!Dcs_hlock.Node.sweep_restarts} over every node *)
 }
 
 (** [case ~seed ~nodes ~locks ~ops ()] generates the script from the same

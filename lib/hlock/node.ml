@@ -106,13 +106,6 @@ type t = {
      used to refuse grants to our own ancestors (ring prevention, second
      line of defence). *)
   mutable ancestry : Node_id.t list;
-  (* Adaptive routing signal for R relays: was our own last service a
-     token transfer? Transfer-dominated locks (fine-grained,
-     low-concurrency) behave like Naimi and want full path reversal;
-     copy-dominated locks (coarse, read-shared) want stable routes to the
-     granting region. *)
-  mutable saw_transfer : bool;
-  mutable served_ever : bool;
   (* Scratch bit set over [0, peers) in the [child_ids] layout: the ids a
      relayed request has visited, set and cleared within one
      [forward_onward] call. *)
@@ -123,6 +116,7 @@ type t = {
   (* Continuations of local requests and upgrades still waiting, seq → k,
      newest first; a node rarely has more than one waiting client. *)
   mutable waiters : (int * (int -> unit)) list;
+  mutable sweep_restarts : int;  (* statistic, see [forward_onward] *)
 }
 
 let id_or_none = function Some p -> p | None -> -1
@@ -196,13 +190,12 @@ let make ~caller ~config ~obs ~id ~peers ~send ~token ~parent =
     hint_owner = (match parent with Some p -> p | None -> id);
     last_granter = -1;
     ancestry = [];
-    saw_transfer = false;
-    served_ever = false;
     visited = visited_words peers;
     next_seq = 0;
     clock = 0;
     epoch_counter = 0;
     waiters = [];
+    sweep_restarts = 0;
   }
 
 let create ?(config = default_config) ?obs ~id ~peers ~is_token ~parent ~send () =
@@ -226,6 +219,7 @@ let queue t = t.queue
 let frozen t = t.frozen
 let pending t = t.pending
 let waiting t = List.length t.waiters
+let sweep_restarts t = t.sweep_restarts
 
 let held_at = 0
 let child_at = 5
@@ -529,8 +523,6 @@ let pp_state ppf t =
          field "hint" (string_of_int t.hint_stamp ^ "@" ^ id_text t.hint_owner);
          field "granter" (id_text t.last_granter);
          field "ancestry" (list_text id_text t.ancestry);
-         field "transfer" (string_of_bool t.saw_transfer);
-         field "served" (string_of_bool t.served_ever);
          field "next_seq" (string_of_int t.next_seq);
          field "clock" (string_of_int t.clock);
          field "epochs" (string_of_int t.epoch_counter);
@@ -919,8 +911,14 @@ let rec first_unmarked t w =
    lowest-id unvisited node. The path grows at every hop, so a
    diverted request sweeps the membership in at most [peers] hops and must
    reach a node that takes custody — the token holder in the worst case.
-   Candidates are tried in a fixed order without building a list, each
-   against the path's bit set, and the request is copied once. *)
+   One visited node is not excluded: the owner of a token hint strictly
+   fresher than the request's. The token reached it after the request
+   passed, so the request goes there and its path restarts here (repair
+   7). Each such restart raises the request's hint stamp, a token tenure,
+   so restarts are bounded by token moves and the sweep is a rare
+   fallback. Candidates are tried in a fixed order without building a
+   list, each against the path's bit set, and the request is copied
+   once. *)
 let forward_onward ?via t (r : Msg.request) =
   mark_path t r.Msg.path;
   let path =
@@ -935,6 +933,11 @@ let forward_onward ?via t (r : Msg.request) =
   let h_stamp = if fresher then my_stamp else r.Msg.hint_stamp in
   let h_owner = if fresher then hinted else r.Msg.hint_owner in
   let via = id_or_none via in
+  let restart_to =
+    if fresher && hinted <> t.id && hinted >= 0 && hinted < t.peers && is_marked t hinted then hinted
+    else -1
+  in
+  let toward_hint = if restart_to >= 0 then restart_to else unvisited t path hinted in
   (* An explicit override first, then the stamped parent edge versus our
      gossiped token hint, fresher stamp first (the parent on a tie). *)
   let dst = unvisited t path via in
@@ -942,13 +945,12 @@ let forward_onward ?via t (r : Msg.request) =
     if dst >= 0 then dst
     else
       let p = t.parent in
-      if p < 0 then unvisited t path hinted
+      if p < 0 then toward_hint
       else if t.parent_stamp >= my_stamp then
         let d = unvisited t path p in
-        if d >= 0 then d else unvisited t path hinted
-      else
-        let d = unvisited t path hinted in
-        if d >= 0 then d else unvisited t path p
+        if d >= 0 then d else toward_hint
+      else if toward_hint >= 0 then toward_hint
+      else unvisited t path p
   in
   let dst =
     if dst >= 0 then dst
@@ -976,8 +978,9 @@ let forward_onward ?via t (r : Msg.request) =
      only in flight. Excluding the requester then makes the sweep skip the
      one node that can serve it, forever. *)
   let exhausted = dst < 0 in
+  if exhausted then t.sweep_restarts <- t.sweep_restarts + 1;
   let dst = if not exhausted then dst else if t.parent >= 0 then t.parent else (t.id + 1) mod t.peers in
-  let path = if exhausted then [ t.id ] else path in
+  let path = if exhausted || (restart_to >= 0 && dst = restart_to) then [ t.id ] else path in
   let r = { r with Msg.hops = r.Msg.hops + 1; path; hint_stamp = h_stamp; hint_owner = h_owner } in
   (match t.obs with
   | None -> ()
@@ -1003,13 +1006,20 @@ let may_child_grant t (r : Msg.request) =
 (* The token node serves [r], which its owned code [mo] for [r] lets it
    grant: complete our own upgrade (Rule 7), grant ourselves, hand the
    token over when no owned mode could keep it (Rule 3.2), or copy-grant
-   (Rule 3). *)
+   (Rule 3). Reads never take the token: an IR or R requester is not a
+   future exclusive owner, so the token copy-grants it even out of a
+   weaker owned mode and stays where the next writer will look for it
+   (repair 15). *)
 let serve_at_token t (r : Msg.request) mo =
   if r.requester = t.id then begin
     if r.upgrade then complete_upgrade t r else grant_self t r
   end
-  else if Decision.token_must_transfer ~owned:mo r.mode then transfer_token t r
-  else grant_copy t r
+  else
+    match r.mode with
+    | Mode.IR | Mode.R -> grant_copy t r
+    | Mode.IW | Mode.U | Mode.W ->
+        if Decision.token_must_transfer ~owned:mo r.mode then transfer_token t r
+        else grant_copy t r
 
 (* Keep [keep] in custody and push [out] toward the token, where it will
    be served (liveness). *)
@@ -1100,22 +1110,17 @@ let absorbs (p : Msg.request) (r : Msg.request) =
 (* Dynamic path reversal (the §2 tree mechanics the protocol is built on),
    applied to requests certain to end in a token transfer: no owned mode
    can copy-grant U or W, so their requester is the future root — Naimi's
-   re-pointing invariant. Reversing toward copy-grant requesters too floods
-   the graph with transient cycles and turns most relays into diversion
-   sweeps, so R reverses only where transfers dominate, and IR and IW
-   never do: a pointer at an intention requester rarely still leads to
-   the token when a later relay follows it, and it overwrites the
-   transfer's tail pointer, which usually does (repair 7). Any cycles
-   this still leaves are rendered harmless by path-carrying relays (see
-   forward_onward). *)
+   re-pointing invariant. IR, R and IW never reverse: reads never take the
+   token, and an IW requester rarely does, so a pointer at one of them
+   rarely still leads to the token when a later relay follows it, and it
+   overwrites the transfer's tail pointer, which usually does (repair 7).
+   Any cycles this still leaves are rendered harmless by path-carrying
+   relays (see forward_onward). *)
 let reverse_path t (r : Msg.request) =
   let stamp = max r.Msg.hint_stamp (hint_stamp t) in
   match r.mode with
   | Mode.U | Mode.W -> set_parent t r.Msg.requester ~stamp
-  | Mode.R ->
-      if t.config.reverse_all || t.saw_transfer || not t.served_ever then
-        set_parent t r.Msg.requester ~stamp
-  | Mode.IR | Mode.IW -> if t.config.reverse_all then set_parent t r.Msg.requester ~stamp
+  | Mode.IR | Mode.R | Mode.IW -> if t.config.reverse_all then set_parent t r.Msg.requester ~stamp
 
 (* Rules 3.1 and 4.1 at a non-token node: a remote request. *)
 let request_remote t (r : Msg.request) =
@@ -1174,6 +1179,8 @@ let handle_request t (r : Msg.request) =
 
 let accounted_by t src = t.accounted_parent >= 0 && t.accounted_parent = src
 
+let rec has_child t = function [] -> false | c :: tl -> child_code t c > 0 || has_child t tl
+
 let detach_from_old_parent t ~src =
   let q = t.accounted_parent in
   if q >= 0 && q <> src then
@@ -1196,7 +1203,7 @@ let handle_grant t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
     clear_pending_if_match t r;
     handle_request t r
   end
-  else if child_code t src > 0 then begin
+  else if child_code t src > 0 || ((not (accounted_by t src)) && has_child t ancestry) then begin
     (* The granter is currently OUR child (e.g. a token handoff left us
        its residual record while our request still circulated): adopting
        it as accounting parent would close a two-node copyset cycle in
@@ -1207,7 +1214,12 @@ let handle_grant t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
        the granter's fresh record of us instead of adopting it. Our own
        record of [src] is what justified its grant, so our owned mode
        usually covers the request — serve it ourselves; otherwise keep
-       it moving toward the token. *)
+       it moving toward the token. Rule F: the same holds when the
+       ancestry the grant carries names one of our children — the
+       granter sits deeper in our subtree, and adopting it would close a
+       longer cycle (repair 13). A grant from the parent that already
+       accounts us moves nothing, and refusing it would cancel the record
+       our owned mode rests on. *)
     t.send ~dst:src (Msg.Release { new_owned = None; epoch });
     if may_child_grant t r then grant_self t r else forward_onward t r
   end
@@ -1216,7 +1228,6 @@ let handle_grant t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
     && t.accounted_parent <> src
     && Decision.strength_of_code (Decision.code_of_mode recorded)
        < Decision.strength_of_code (owned_code t)
-    && may_child_grant t r
   then begin
     (* Another parent already accounts for more than [src] recorded (our
        request was granted late, after we came to own a covering mode
@@ -1225,10 +1236,16 @@ let handle_grant t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
        [src], which can reach the token only after the old parent has
        handed the token on, recording our weaker share — and the new
        token node then grants a conflicting mode while we hold ours. Same
-       cure as above: cancel [src]'s record and serve the request out of
-       the mode our current parent accounts. *)
+       cure as above: cancel [src]'s record, then serve the request out of
+       the mode our current parent accounts. Rule D: refuse even when that
+       mode may not grant it. If it covers the request and only our frozen
+       set forbids it, serve it anyway: [src]'s grant already decided that
+       the request goes now, and relaying it would only draw the same
+       grant again. If it does not cover the request, only the token, which
+       sees our stronger mode, may serve it. *)
     t.send ~dst:src (Msg.Release { new_owned = None; epoch });
-    grant_self t r
+    if Decision.can_child_grant ~owned:(owned_code t) r.mode then grant_self t r
+    else forward_onward t { r with Msg.token_only = true }
   end
   else begin
     t.ancestry <- src :: ancestry;
@@ -1244,8 +1261,6 @@ let handle_grant t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
        stale (repair 5). *)
     t.accounted_epoch <- (if same_parent then max epoch t.accounted_epoch else epoch);
     t.last_granter <- src;
-    t.saw_transfer <- false;
-    t.served_ever <- true;
     (* Deliberate departure from Figure 4's "Parent <- Sender": a copy grant
        updates only the copyset (accounting) relation, never the routing
        parent. Grant edges point backward toward old roots; mixed with path
@@ -1280,13 +1295,24 @@ let handle_token t ~src (m : Msg.t) =
       t.token <- true;
       t.parent <- -1;
       t.ancestry <- [];
-      t.saw_transfer <- true;
-      t.served_ever <- true;
       t.last_granter <- src;
       t.tenure <- max serving.Msg.hint_stamp (t.hint_stamp + 1);
-      (match sender_owned with
-      | Some m -> child_set t src m sender_epoch
-      | None -> child_remove t src);
+      (* Rule E: a record newer than [sender_epoch] comes from a copy grant
+         we sent [src] before the token arrived; [src] adopts that grant's
+         epoch and releases under it, so the record keeps its epoch and
+         at least its mode (repair 5). *)
+      let k = child_code t src in
+      if k > 0 && t.child_epoch.(src) > sender_epoch then begin
+        match sender_owned with
+        | Some m when Mode.stronger_eq m (Mode.of_index (k - 1)) ->
+            child_set t src m t.child_epoch.(src)
+        | Some _ | None -> ()
+      end
+      else begin
+        match sender_owned with
+        | Some m -> child_set t src m sender_epoch
+        | None -> child_remove t src
+      end;
       queue_replace t (Msg.merge_queues queue t.queue);
       set_frozen t frozen;
       grant_self ~via_token:true t serving;
@@ -1451,8 +1477,6 @@ type snapshot = {
   s_hint : int * Node_id.t;
   s_last_granter : Node_id.t option;
   s_ancestry : Node_id.t list;
-  s_saw_transfer : bool;
-  s_served_ever : bool;
   s_next_seq : int;
   s_clock : int;
   s_epoch_counter : int;
@@ -1480,8 +1504,6 @@ let export t =
     s_hint = (t.hint_stamp, t.hint_owner);
     s_last_granter = id_opt t.last_granter;
     s_ancestry = t.ancestry;
-    s_saw_transfer = t.saw_transfer;
-    s_served_ever = t.served_ever;
     s_next_seq = t.next_seq;
     s_clock = t.clock;
     s_epoch_counter = t.epoch_counter;
@@ -1524,8 +1546,6 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send (s : snapshot) =
   t.hint_owner <- snd s.s_hint;
   t.last_granter <- id_or_none s.s_last_granter;
   t.ancestry <- s.s_ancestry;
-  t.saw_transfer <- s.s_saw_transfer;
-  t.served_ever <- s.s_served_ever;
   t.next_seq <- s.s_next_seq;
   t.clock <- s.s_clock;
   t.epoch_counter <- s.s_epoch_counter;

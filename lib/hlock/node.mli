@@ -55,6 +55,9 @@
       construction: cross-mode absorption descends the mode hierarchy and
       same-mode absorption only takes Lamport-younger requests; the
       {!kick} watchdog re-circulates custody as a belt-and-braces measure.
+    - Reads never take the token: the token node copy-grants [IR] and
+      [R] even out of a weaker owned mode, so Rule 3.2's transfer serves
+      only [IW], [U] and [W].
     - Upgrades (Rule 7) always execute at the token node (no owned mode
       can child-grant [U], so [U] is always served by transfer) and
       outrank every queued request.
@@ -93,10 +96,8 @@ type config = {
   reverse_all : bool;
       (** Routing ablation: when true, relayers re-point to the requester
           for every mode (full Naimi reversal). When false (default) they
-          re-point for every [U]/[W] request, whose requesters are certain
-          future token owners, for an [R] request only where their own
-          last service was a token transfer or they were never served,
-          and never for [IR]/[IW]. *)
+          re-point only for [U]/[W] requests, whose requesters are certain
+          future token owners, and never for [IR], [R] or [IW]. *)
   caching : bool;
       (** When true (default), a client release keeps the granted mode in
           the copyset as a {e cached} copy (the Li/Hudak copyset semantics
@@ -233,14 +234,19 @@ val pending : t -> Msg.request option
 (** Local requests and upgrades whose continuation has not run yet. *)
 val waiting : t -> int
 
+(** How many relayed requests this node sent on after their visited path
+    had covered every node (a restarted membership sweep). A statistic,
+    not protocol state: a snapshot does not carry it. *)
+val sweep_restarts : t -> int
+
 (** The node's whole state on one line: every field of {!snapshot}, in
     its order and with each queued request's every field, then the
     {!owned} mode, the {!held} instances, the {!pending} request and the
     {!waiting} count. Names shorten the snapshot's ([stamp], [acct=nP@E],
     [reported], [children=[nC:M@E]], [sent], [hint=S@nO], [granter],
-    [transfer], [served], [epochs]). Only client continuations and
-    scheduling scratch are left out, so [restore (export t)] prints as [t]
-    does. *)
+    [epochs]). Only client continuations, scheduling scratch and the
+    {!sweep_restarts} statistic are left out, so [restore (export t)]
+    prints as [t] does. *)
 val pp_state : Format.formatter -> t -> unit
 
 (** {1 State snapshots (shard migration)}
@@ -268,8 +274,6 @@ type snapshot = {
   s_hint : int * Node_id.t;
   s_last_granter : Node_id.t option;
   s_ancestry : Node_id.t list;
-  s_saw_transfer : bool;
-  s_served_ever : bool;
   s_next_seq : int;
   s_clock : int;
   s_epoch_counter : int;

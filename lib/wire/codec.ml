@@ -12,10 +12,12 @@ type envelope = {
   payload : payload;
 }
 
-let version = 5
+let version = 6
 (* v2: request carries a priority; v3: naimi request carries a span seq;
    v4: grant carries the granter's recorded child mode; v5: grant carries
-   the child's frozen set after its ancestry. The shard payload arm
+   the child's frozen set after its ancestry; v6: a node snapshot no
+   longer carries the two routing bits R relays read before they stopped
+   re-pointing the routing tree. The shard payload arm
    (directory + handoff traffic) was versioned alongside v4: same
    envelope version, a third payload tag — pre-shard decoders reject it
    as a bad payload tag rather than silently misreading it. *)
@@ -107,8 +109,6 @@ let write_node_snapshot w (s : Dcs_hlock.Node.snapshot) =
   Buf.varint w (snd s.s_hint);
   write_node_id_opt w s.s_last_granter;
   Buf.list w Buf.varint s.s_ancestry;
-  Buf.bool w s.s_saw_transfer;
-  Buf.bool w s.s_served_ever;
   Buf.varint w s.s_next_seq;
   Buf.varint w s.s_clock;
   Buf.varint w s.s_epoch_counter
@@ -273,8 +273,6 @@ let read_node_snapshot r : Dcs_hlock.Node.snapshot =
   let hint_owner = Buf.read_varint r in
   let s_last_granter = read_node_id_opt r in
   let s_ancestry = Buf.read_list r Buf.read_varint in
-  let s_saw_transfer = Buf.read_bool r in
-  let s_served_ever = Buf.read_bool r in
   let s_next_seq = Buf.read_varint r in
   let s_clock = Buf.read_varint r in
   let s_epoch_counter = Buf.read_varint r in
@@ -294,8 +292,6 @@ let read_node_snapshot r : Dcs_hlock.Node.snapshot =
     s_hint = (hint_tenure, hint_owner);
     s_last_granter;
     s_ancestry;
-    s_saw_transfer;
-    s_served_ever;
     s_next_seq;
     s_clock;
     s_epoch_counter;

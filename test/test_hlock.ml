@@ -42,8 +42,8 @@ let test_incompatible_local_queues () =
 
 let test_remote_grant_and_transfer () =
   let c = SC.create 3 in
-  (* R from node 1: served by token transfer (bottom < R). *)
-  let s1 = SC.acquire c ~node:1 ~mode:Mode.R in
+  (* IW from node 1: served by token transfer (bottom < IW). *)
+  let s1 = SC.acquire c ~node:1 ~mode:Mode.IW in
   checki "token moved to n1" 1 (SC.token_holder c);
   (* IR from node 2 is copy-granted by the new token node. *)
   let _s2 = SC.acquire c ~node:2 ~mode:Mode.IR in
@@ -52,6 +52,19 @@ let test_remote_grant_and_transfer () =
   checkb "n2 is in n1's copyset" true
     (List.mem_assoc 2 (Node.children (SC.node c 1)));
   SC.release c ~node:1 ~seq:s1
+
+(* Reads never take the token (DESIGN.md §2, repair 15): an idle token
+   copy-grants a remote R out of its empty owned mode, one request and
+   one grant, and records the reader as its child. *)
+let test_idle_token_copy_grants_read () =
+  let c = SC.create 3 in
+  let s = SC.acquire c ~node:1 ~mode:Mode.R in
+  checki "token stays at n0" 0 (SC.token_holder c);
+  Alcotest.(check (list (pair int Testkit.mode))) "n1 is n0's R child" [ (1, Mode.R) ]
+    (Node.children (SC.node c 0));
+  checki "one request and one grant" 2 (SC.messages_sent c);
+  SC.check_safety c;
+  SC.release c ~node:1 ~seq:s
 
 let test_concurrent_readers () =
   let c = SC.create ~config:no_cache_config 5 in
@@ -80,16 +93,20 @@ let test_writer_excludes_readers () =
 let test_release_suppression_rule_5_2 () =
   (* B holds IR and grants IR to C (C becomes B's child). When B's client
      releases, B still owns IR through C: no release message travels
-     (Rule 5.2). *)
-  let c = SC.create ~config:no_cache_config 3 in
-  let b = 1 and cc = 2 in
-  let sb = SC.acquire c ~node:b ~mode:Mode.IR in
-  (* Point C's routing at B so B child-grants. *)
-  let sc_ = SC.request c ~node:cc ~mode:Mode.IR in
-  ignore sc_;
+     (Rule 5.2). B takes the token with a W, holds IR at the token and
+     serves C's IR out of it; D's IW then takes the token on, leaving B a
+     non-token child of D that still holds IR and records C. *)
+  let c = SC.create ~config:no_cache_config 4 in
+  let b = 1 and cc = 2 and d = 3 in
+  SC.release c ~node:b ~seq:(SC.acquire c ~node:b ~mode:Mode.W);
   SC.settle c;
-  checkb "C granted" true (SC.granted c ~node:cc ~seq:sc_);
+  let sb = SC.acquire c ~node:b ~mode:Mode.IR in
+  let sc_ = SC.acquire c ~node:cc ~mode:Mode.IR in
   checkb "C is B's child" true (List.mem_assoc cc (Node.children (SC.node c b)));
+  ignore (SC.acquire c ~node:d ~mode:Mode.IW);
+  checki "token moved to D" d (SC.token_holder c);
+  checkb "C is still B's child" true (List.mem_assoc cc (Node.children (SC.node c b)));
+  checkb "C still holds IR" true (SC.granted c ~node:cc ~seq:sc_);
   let releases_before = SC.sent_of_class c Dcs_proto.Msg_class.Release in
   SC.release c ~node:b ~seq:sb;
   SC.settle c;
@@ -203,9 +220,9 @@ let test_upgrade_invalid_args () =
 
 let test_cached_reacquisition_is_free () =
   let c = SC.create 3 in
-  (* Anchor the token at node 1 with an R hold, then give node 2 a copy
-     grant so it is a plain (non-token) child. *)
-  let anchor = SC.acquire c ~node:1 ~mode:Mode.R in
+  (* Anchor the token at node 1 with a U hold (a transfer), then give node
+     2 an R copy grant out of it so it is a plain (non-token) child. *)
+  let anchor = SC.acquire c ~node:1 ~mode:Mode.U in
   let s = SC.acquire c ~node:2 ~mode:Mode.R in
   checki "token stays at n1" 1 (SC.token_holder c);
   SC.release c ~node:2 ~seq:s;
@@ -287,29 +304,33 @@ let test_release_epoch_guard () =
 
 (* Rule B (DESIGN.md §2, extending repair 13): a token sender that stays
    in the tree as its new parent's child records that parent as its
-   ancestry. Replays lost-child-record-2n.repro (fuzz seed 267) delivery
-   by delivery. The token reaches n1 for its R with n0's U queued, so n1
-   takes R and hands the token straight on to n0, staying n0's child
-   with R. Then n0's IR arrives at n1. With an empty ancestry n1 would
-   copy-grant it to its own accounting parent, and n0's later copy grant
-   to n1 would delete n0's only record of n1 while n1 still caches R. *)
+   ancestry. The shape of lost-child-record-2n.repro (fuzz seed 267),
+   driven through an IW transfer now that reads never take the token:
+   the token reaches n1 for its IW with n0's U queued behind n1's own IR.
+   n1 takes both, and its IW release hands the token straight on to n0,
+   leaving n1 n0's child with IR. Then n0's IR, sent to n1 while the
+   token was in flight, arrives. With an empty ancestry n1 would
+   copy-grant it to its own accounting parent: a two-node accounting
+   cycle. *)
 let test_rule_b_token_sender_ancestry () =
   let c = SC.create 2 in
-  let r1 = SC.request c ~node:1 ~mode:Mode.R in
   let w0 = SC.request c ~node:0 ~mode:Mode.W in
-  let u0 = SC.request c ~node:0 ~mode:Mode.U in
+  let iw1 = SC.request c ~node:1 ~mode:Mode.IW in
   ignore (SC.deliver c ~src:1 ~dst:0);
+  let u0 = SC.request c ~node:0 ~mode:Mode.U in
   SC.release c ~node:0 ~seq:w0;
+  checkb "n0 handed the token to n1" false (Node.is_token (SC.node c 0));
   let ir0 = SC.request c ~node:0 ~mode:Mode.IR in
   let ir1 = SC.request c ~node:1 ~mode:Mode.IR in
   ignore (SC.deliver c ~src:0 ~dst:1);
+  checkb "n1 holds IR" true (SC.granted c ~node:1 ~seq:ir1);
+  SC.release c ~node:1 ~seq:iw1;
   checkb "n1 handed the token on" false (Node.is_token (SC.node c 1));
   checkb "n1 records n0 as ancestry" true
     (contains ~sub:"ancestry=[n0]" (Format.asprintf "%a" Node.pp_state (SC.node c 1)));
   ignore (SC.deliver c ~src:0 ~dst:1);
   checkb "n1 records no child n0, its own accounting parent" true
     (Node.children (SC.node c 1) = []);
-  SC.release c ~node:1 ~seq:r1;
   SC.settle c;
   List.iter
     (fun (node, seq) ->
@@ -321,12 +342,14 @@ let test_rule_b_token_sender_ancestry () =
   Alcotest.(check (list string)) "quiescent" [] (Dcs_hlock.Invariant.quiescent ~lock:0 c.SC.nodes)
 
 (* Rule C (DESIGN.md §2, extending repair 5): a late copy grant from the
-   accounting parent never lowers [accounted_epoch]. Replays 3-node fuzz
-   seed 3743, shrunk to 6 ops, delivery by delivery. n1 hands the token
-   to n2 for its U and stays n2's child with R at epoch 4; n2 had
+   accounting parent never lowers [accounted_epoch]. The shape of 3-node
+   fuzz seed 3743, delivery by delivery, through U transfers. n1 hands the
+   token to n2 for its U and stays n2's child with R at epoch 4; n2 had
    copy-granted n1's R at epoch 3 on the way. When that grant lands, n1
    must keep epoch 4: its last Release at epoch 3 would be dropped at n2
-   as stale, leaving n2's U->W upgrade waiting on a record nobody owns. *)
+   as stale, leaving n2's U->W upgrade waiting on a record nobody owns.
+   n2's U passes n0 before n1's R does, so n0's routing parent, re-pointed
+   at n2 by that U, takes n1's R to n2 rather than to the token. *)
 let test_rule_c_late_grant_keeps_epoch () =
   let c = SC.create 3 in
   let deliver src dst = ignore (SC.deliver c ~src ~dst) in
@@ -343,10 +366,10 @@ let test_rule_c_late_grant_keeps_epoch () =
   deliver 1 0;
   deliver 0 2;
   SC.release c ~node:2 ~seq:r2;
+  deliver 2 0;
   deliver 1 0;
   deliver 0 1;
   SC.release c ~node:1 ~seq:ir1;
-  deliver 2 0;
   deliver 0 1;
   SC.release c ~node:1 ~seq:u1;
   (* n2's U reaches n1, which hands it the token; n1's R reaches n2,
@@ -945,8 +968,6 @@ let test_pp_state_shows_every_field () =
       { base with Node.s_hint = (0, 2) };
       { base with Node.s_last_granter = Some 2 };
       { base with Node.s_ancestry = [ 0 ] };
-      { base with Node.s_saw_transfer = true };
-      { base with Node.s_served_ever = true };
       { base with Node.s_next_seq = 5 };
       { base with Node.s_clock = 9 };
       { base with Node.s_epoch_counter = 11 };
@@ -989,8 +1010,8 @@ let test_freeze_walk_word_boundaries () =
         s_accounted_epoch = 0; s_last_reported = None; s_cached = Mode_set.empty;
         s_children = List.map (fun (c, m) -> (c, m, 1)) kids; s_queue = [];
         s_frozen = Mode_set.empty; s_sent_freeze = []; s_tenure = 1; s_hint = (1, 0);
-        s_last_granter = None; s_ancestry = []; s_saw_transfer = false; s_served_ever = true;
-        s_next_seq = 0; s_clock = 0; s_epoch_counter = 1 }
+        s_last_granter = None; s_ancestry = []; s_next_seq = 0; s_clock = 0;
+        s_epoch_counter = 1 }
   in
   let freezes_after requester mode =
     sent := [];
@@ -1185,6 +1206,105 @@ let test_grant_freeze_late_grant () =
     [ "n2 Release new_owned=_ e9"; "n0 Release new_owned=IR e1" ] sent;
   checkb "kept n0" true (contains ~sub:"acct=n0@1" line)
 
+(* One delivery sequence into node 1 of 4, restored from [snap]: the
+   messages n1 sent, as printed, and its state line at the end. *)
+let deliver_to_n1 ~snap msgs =
+  let sent = ref [] in
+  let n =
+    Node.restore ~id:1 ~peers:4
+      ~send:(fun ~dst msg -> sent := Format.asprintf "n%d %a" dst Msg.pp msg :: !sent)
+      snap
+  in
+  List.iter (fun (src, msg) -> Node.handle_msg n ~src msg) msgs;
+  (List.rev !sent, Format.asprintf "%a" Node.pp_state n, n)
+
+let own_request mode =
+  { Msg.requester = 1; seq = 0; mode; upgrade = false; timestamp = 3; priority = 0; hops = 1;
+    token_only = false; hint_stamp = 0; hint_owner = 0; path = [ 1 ] }
+
+(* Rule D (DESIGN.md §2, extending repair 14), at the step where 4-node
+   fuzz seed 1283 breaks without it: n1 owns R under n0 (through its child
+   n3) with IR and R frozen when n2's copy grant of its older IR request
+   arrives, recorded as IR. Adopting n2 would move n1's R under n2's IR record and detach
+   it from n0, which could then grant a conflicting mode. n1 cancels n2's
+   record instead, keeps n0, and serves the IR out of the R n0 accounts:
+   n2's grant already decided the request goes now. *)
+let test_rule_d_frozen_late_grant () =
+  let snap =
+    { (fresh_snapshot ()) with Node.s_accounted_parent = Some 0; s_accounted_epoch = 1;
+      s_last_reported = Some Mode.R; s_children = [ (3, Mode.R, 2) ];
+      s_frozen = Mode_set.of_list [ Mode.IR; Mode.R ]; s_epoch_counter = 2 }
+  in
+  let sent, line, n =
+    deliver_to_n1 ~snap
+      [ (2, Msg.Grant { req = own_request Mode.IR; epoch = 9; recorded = Mode.IR;
+                        ancestry = [ 0 ]; frozen = Mode_set.empty }) ]
+  in
+  Alcotest.check Alcotest.(list string) "cancels n2's record only" [ "n2 Release new_owned=_ e9" ]
+    sent;
+  checkb "kept n0" true (contains ~sub:"acct=n0@1" line);
+  Alcotest.(check (list (pair int Testkit.mode))) "serves the IR" [ (0, Mode.IR) ] (Node.held n)
+
+(* Rule E (DESIGN.md §2, extending repair 5): n1 copy-granted n2's R at
+   epoch 9, and the token n2 had already sent arrives with sender epoch 7. n2 adopts the grant's epoch
+   and releases under it, so n1's record keeps epoch 9 and at least its
+   mode R; at epoch 7 the Release would be dropped as stale and leave a
+   phantom record. A residual of nothing keeps the record too: the grant
+   gives n2 an R it has not reported yet. *)
+let test_rule_e_token_keeps_record_epoch () =
+  let snap =
+    { (fresh_snapshot ()) with Node.s_accounted_parent = Some 0; s_accounted_epoch = 1;
+      s_last_reported = Some Mode.R; s_children = [ (2, Mode.R, 9) ]; s_epoch_counter = 9 }
+  in
+  let token sender_owned =
+    ( 2,
+      Msg.Token
+        { serving = { (own_request Mode.U) with Msg.hint_stamp = 3; hint_owner = 1 };
+          sender_owned; sender_epoch = 7; queue = []; frozen = Mode_set.empty } )
+  in
+  let release = (2, Msg.Release { new_owned = None; epoch = 9 }) in
+  List.iter
+    (fun sender_owned ->
+      let _, line, _ = deliver_to_n1 ~snap [ token sender_owned ] in
+      checkb "record keeps R at epoch 9" true (contains ~sub:"children=[n2:R@9]" line);
+      let _, _, n = deliver_to_n1 ~snap [ token sender_owned; release ] in
+      Alcotest.(check (list (pair int Testkit.mode))) "the Release lands" [] (Node.children n))
+    [ Some Mode.IR; None ]
+
+(* Rule F (DESIGN.md §2, extending repair 13), at the step where 32-node
+   fuzz seed 453 breaks without it: n1 accounts its child n3 and waits for its own R (IR and
+   R frozen here). n2, a child of n3, copy-grants that R with ancestry
+   [n3]. Adopting n2 would close the accounting cycle n1 -> n2 -> n3 ->
+   n1, whose records justify only each other, so n0 could grant a W over
+   them. n1 cancels n2's record, keeps n0 and relays its request. The
+   same grant from n0, already n1's accounting parent, moves nothing and
+   is adopted: refusing it would cancel n0's record of n1. *)
+let test_rule_f_grant_from_subtree () =
+  let snap =
+    { (fresh_snapshot ()) with Node.s_accounted_parent = Some 0; s_accounted_epoch = 1;
+      s_last_reported = Some Mode.R; s_children = [ (3, Mode.R, 2) ];
+      s_frozen = Mode_set.of_list [ Mode.IR; Mode.R ]; s_epoch_counter = 2 }
+  in
+  let sent, line, n =
+    deliver_to_n1 ~snap
+      [ (2, Msg.Grant { req = own_request Mode.R; epoch = 9; recorded = Mode.R;
+                        ancestry = [ 3 ]; frozen = Mode_set.empty }) ]
+  in
+  (match sent with
+  | "n2 Release new_owned=_ e9" :: [ relay ] ->
+      checkb "relays its request" true (contains ~sub:"Request {n1#0 R" relay)
+  | _ -> Alcotest.failf "unexpected sends [%s]" (String.concat "; " sent));
+  checkb "kept n0" true (contains ~sub:"acct=n0@1" line);
+  Alcotest.(check (list (pair int Testkit.mode))) "holds nothing yet" [] (Node.held n);
+  let sent, line, n =
+    deliver_to_n1 ~snap
+      [ (0, Msg.Grant { req = own_request Mode.R; epoch = 9; recorded = Mode.R;
+                        ancestry = [ 3 ]; frozen = Mode_set.empty }) ]
+  in
+  checkb "no refusal to n0" false (List.exists (contains ~sub:"Release") sent);
+  checkb "adopted at epoch 9" true (contains ~sub:"acct=n0@9" line);
+  Alcotest.(check (list (pair int Testkit.mode))) "holds R" [ (0, Mode.R) ] (Node.held n)
+
 (* The field-by-field service order and [request_lt] agree with the tuple
    keys they replaced, and merging two queues built by insertion equals
    the stable sort of their concatenation. Small field ranges force ties
@@ -1222,99 +1342,110 @@ let prop_service_order_matches_tuple_key =
    [Node.forward_onward] replaced: an explicit override, then the stamped
    parent edge and the gossiped token hint ranked by stamp (stable, so the
    parent wins ties), then the copyset links, the lowest unvisited id and
-   the sweep restart. Returns the destination and the relayed request. *)
+   the sweep restart. The hint may be a visited node when it is strictly
+   fresher than the request's and names another node: the request goes
+   there anyway and its path restarts at this node. Returns the
+   destination and the relayed request. *)
 let spec_forward ~id ~peers ~parent ~parent_stamp ~my_hint ~accounted ~last_granter ?via
     (r : Msg.request) =
+  let fresher = fst my_hint > r.Msg.hint_stamp in
   let r =
     { r with Msg.hops = r.Msg.hops + 1;
              path = (if List.mem id r.Msg.path then r.Msg.path else id :: r.Msg.path) }
   in
-  let hint_stamp, hint_owner =
-    if fst my_hint > r.Msg.hint_stamp then my_hint else (r.Msg.hint_stamp, r.Msg.hint_owner)
-  in
+  let hint_stamp, hint_owner = if fresher then my_hint else (r.Msg.hint_stamp, r.Msg.hint_owner) in
   let r = { r with Msg.hint_stamp; hint_owner } in
   let unvisited p = not (List.mem p r.Msg.path) in
+  let restartable p =
+    fresher && p = snd my_hint && p <> id && p >= 0 && p < peers && not (unvisited p)
+  in
   let by_freshness =
     let parentc = match parent with Some p -> [ (parent_stamp, p) ] | None -> [] in
     let ranked = List.sort (fun (a, _) (b, _) -> compare b a) (parentc @ [ my_hint ]) in
-    (match via with Some v -> [ v ] | None -> []) @ List.map snd ranked
+    (match via with Some v -> [ (v, false) ] | None -> [])
+    @ List.map (fun (stamp, p) -> (p, stamp = fst my_hint && restartable p)) ranked
   in
-  let live_links = List.filter_map Fun.id [ via; Some r.Msg.hint_owner; accounted; last_granter ] in
-  match List.find_opt unvisited (by_freshness @ live_links @ List.init peers Fun.id) with
-  | Some p -> (p, r)
-  | None ->
-      (* The sweep is exhausted: restart it from this node. *)
-      ((match parent with Some p -> p | None -> (id + 1) mod peers), { r with Msg.path = [ id ] })
+  match List.find_opt (fun (p, restart) -> restart || unvisited p) by_freshness with
+  | Some (p, true) when not (unvisited p) -> (p, { r with Msg.path = [ id ] })
+  | Some (p, _) -> (p, r)
+  | None -> (
+      let live_links = List.filter_map Fun.id [ via; Some r.Msg.hint_owner; accounted; last_granter ] in
+      match List.find_opt unvisited (live_links @ List.init peers Fun.id) with
+      | Some p -> (p, r)
+      | None ->
+          (* The sweep is exhausted: restart it from this node. *)
+          ((match parent with Some p -> p | None -> (id + 1) mod peers), { r with Msg.path = [ id ] }))
+
+(* Draws for one relay at a restored non-token node. Half are small
+   populations with duplicate-free sorted paths; the other half span the
+   62-id word boundaries of a per-peer bit set (60..130 peers) with paths
+   that repeat ids, carry ids outside [0, peers) (a path may; a decoded
+   hint may name an id >= peers), and may visit every node, which forces
+   the sweep restart. With [via] set the node first issues its own
+   request of the same mode, so the older remote request takes the
+   elder-request branch, which relays along the fresher of the two token
+   hints. *)
+let relay_gen =
+  QCheck2.Gen.(
+    let* wide = bool in
+    let* peers = if wide then int_range 60 130 else int_range 2 6 in
+    let node = int_bound (peers - 1) in
+    let stamp = int_bound 3 in
+    let* id = node in
+    let* requester = map (fun k -> (id + 1 + k) mod peers) (int_bound (peers - 2)) in
+    let* parent = opt node in
+    let* parent_stamp = stamp in
+    let* hint = pair stamp node in
+    let* accounted = opt node in
+    let* last_granter = opt node in
+    let beyond = int_range peers (peers + 3) in
+    let stray = oneof [ int_range (-3) (-1); beyond ] in
+    let* r_hint = pair stamp (if wide then frequency [ (3, node); (1, beyond) ] else node) in
+    let* path =
+      if not wide then map (List.sort_uniq compare) (list_size (int_bound (peers + 1)) node)
+      else
+        let* visited =
+          oneof
+            [ list_size (int_bound (peers + 5)) node;
+              (let* skip = list_size (int_bound 2) node in
+               return (List.filter (fun i -> not (List.mem i skip)) (List.init peers Fun.id))) ]
+        in
+        let* extra = list_size (int_bound 4) (frequency [ (3, node); (1, stray) ]) in
+        shuffle_l (visited @ extra)
+    in
+    let* hops = int_bound 5 in
+    let* mode = Testkit.gen_mode in
+    let* via = bool in
+    let* token_only = bool in
+    return
+      ( (peers, id, parent, parent_stamp, hint),
+        (accounted, last_granter, via),
+        { Msg.requester; seq = 0; mode; upgrade = false; timestamp = 0; priority = 0; hops;
+          token_only = token_only && not via; hint_stamp = fst r_hint;
+          hint_owner = snd r_hint; path } ))
 
 (* Drive a restored non-token node through [handle_msg (Request r)] and
-   compare the one request it relays with [spec_forward]. With [via] set
-   the node first issues its own request of the same mode, so the older
-   remote request takes the elder-request branch, which relays along the
-   fresher of the two token hints. Half the draws are small populations
-   with duplicate-free sorted paths; the other half span the 62-id word
-   boundaries of a per-peer bit set (60..130 peers) with paths that repeat
-   ids, carry ids outside [0, peers) (a path may; a decoded hint may name
-   an id >= peers), and may visit every node, which forces the sweep
-   restart. *)
-let prop_relay_matches_list_spec =
-  let gen =
-    QCheck2.Gen.(
-      let* wide = bool in
-      let* peers = if wide then int_range 60 130 else int_range 2 6 in
-      let node = int_bound (peers - 1) in
-      let stamp = int_bound 3 in
-      let* id = node in
-      let* requester = map (fun k -> (id + 1 + k) mod peers) (int_bound (peers - 2)) in
-      let* parent = opt node in
-      let* parent_stamp = stamp in
-      let* hint = pair stamp node in
-      let* accounted = opt node in
-      let* last_granter = opt node in
-      let beyond = int_range peers (peers + 3) in
-      let stray = oneof [ int_range (-3) (-1); beyond ] in
-      let* r_hint = pair stamp (if wide then frequency [ (3, node); (1, beyond) ] else node) in
-      let* path =
-        if not wide then map (List.sort_uniq compare) (list_size (int_bound (peers + 1)) node)
-        else
-          let* visited =
-            oneof
-              [ list_size (int_bound (peers + 5)) node;
-                (let* skip = list_size (int_bound 2) node in
-                 return (List.filter (fun i -> not (List.mem i skip)) (List.init peers Fun.id))) ]
-          in
-          let* extra = list_size (int_bound 4) (frequency [ (3, node); (1, stray) ]) in
-          shuffle_l (visited @ extra)
-      in
-      let* hops = int_bound 5 in
-      let* mode = Testkit.gen_mode in
-      let* via = bool in
-      let* token_only = bool in
-      return
-        ( (peers, id, parent, parent_stamp, hint),
-          (accounted, last_granter, via),
-          { Msg.requester; seq = 0; mode; upgrade = false; timestamp = 0; priority = 0; hops;
-            token_only = token_only && not via; hint_stamp = fst r_hint;
-            hint_owner = snd r_hint; path } ))
+   return what it sent. *)
+let relay_once ((peers, id, parent, parent_stamp, hint), (accounted, last_granter, via), r) =
+  let sent = ref [] in
+  let snapshot =
+    { Node.s_token = false; s_parent = parent; s_parent_stamp = parent_stamp;
+      s_accounted_parent = accounted; s_accounted_epoch = 0; s_last_reported = None;
+      s_cached = Mode_set.empty; s_children = []; s_queue = []; s_frozen = Mode_set.empty;
+      s_sent_freeze = []; s_tenure = 0; s_hint = hint; s_last_granter = last_granter;
+      s_ancestry = []; s_next_seq = 0; s_clock = 5; s_epoch_counter = 0 }
   in
-  QCheck2.Test.make ~name:"relay hop choice matches the list-based spec" ~count:2000 gen
-    (fun ((peers, id, parent, parent_stamp, hint), (accounted, last_granter, via), r) ->
-      let sent = ref [] in
-      let snapshot =
-        { Node.s_token = false; s_parent = parent; s_parent_stamp = parent_stamp;
-          s_accounted_parent = accounted; s_accounted_epoch = 0; s_last_reported = None;
-          s_cached = Mode_set.empty; s_children = []; s_queue = []; s_frozen = Mode_set.empty;
-          s_sent_freeze = []; s_tenure = 0; s_hint = hint; s_last_granter = last_granter;
-          s_ancestry = []; s_saw_transfer = false; s_served_ever = false; s_next_seq = 0;
-          s_clock = 5; s_epoch_counter = 0 }
-      in
-      let n =
-        Node.restore ~id ~peers
-          ~send:(fun ~dst msg -> sent := (dst, msg) :: !sent)
-          snapshot
-      in
-      if via then ignore (Node.request n ~mode:r.Msg.mode ~on_granted:ignore);
-      sent := [];
-      Node.handle_msg n ~src:r.Msg.requester (Msg.Request r);
+  let n = Node.restore ~id ~peers ~send:(fun ~dst msg -> sent := (dst, msg) :: !sent) snapshot in
+  if via then ignore (Node.request n ~mode:r.Msg.mode ~on_granted:ignore);
+  sent := [];
+  Node.handle_msg n ~src:r.Msg.requester (Msg.Request r);
+  !sent
+
+(* [relay_once]'s one relayed request, compared with [spec_forward]. *)
+let prop_relay_matches_list_spec =
+  QCheck2.Test.make ~name:"relay hop choice matches the list-based spec" ~count:2000 relay_gen
+    (fun (((peers, id, parent, parent_stamp, hint), (accounted, last_granter, via), r) as draw) ->
+      let sent = relay_once draw in
       (* [handle_msg] adopts the fresher of the two hints before routing. *)
       let my_hint =
         if r.Msg.hint_stamp > fst hint then (r.Msg.hint_stamp, r.Msg.hint_owner) else hint
@@ -1326,12 +1457,70 @@ let prop_relay_matches_list_spec =
       let dst, expected =
         spec_forward ~id ~peers ~parent ~parent_stamp ~my_hint ~accounted ~last_granter ?via r
       in
-      match !sent with
+      match sent with
       | [ (d, Msg.Request got) ] ->
           d = dst && got.Msg.hops = expected.Msg.hops && got.Msg.path = expected.Msg.path
           && got.Msg.hint_stamp = expected.Msg.hint_stamp
           && got.Msg.hint_owner = expected.Msg.hint_owner
       | _ -> false)
+
+(* A relay that sends a request back to a node its path already visited,
+   without having exhausted the sweep, is a restart toward a fresher token
+   hint: it must raise the request's hint stamp, which bounds restarts by
+   token moves. Fixed draws of [relay_gen]; some must restart. *)
+let test_restart_raises_hint_stamp () =
+  let rand = Random.State.make [| 42 |] in
+  let restarts = ref 0 in
+  List.iter
+    (fun (((peers, id, _, _, _), _, r) as draw) ->
+      match relay_once draw with
+      | [ (dst, Msg.Request got) ] ->
+          let seen p = p = id || List.mem p r.Msg.path in
+          let exhausted = List.for_all seen (List.init peers Fun.id) in
+          if seen dst && dst <> id && not exhausted then begin
+            incr restarts;
+            checkb "restart raises the hint stamp" true (got.Msg.hint_stamp > r.Msg.hint_stamp);
+            Alcotest.(check (list int)) "path restarts here" [ id ] got.Msg.path
+          end
+      | _ -> Alcotest.fail "expected one relayed request")
+    (QCheck2.Gen.generate ~rand ~n:2000 relay_gen);
+  checkb "some relays restart" true (!restarts > 0)
+
+(* A request whose path already visited the node that holds the token now
+   (it passed there before the token arrived) reaches it in one hop from a
+   node whose hint is fresher, instead of being excluded and sweeping.
+   n2's parent n3 and every other node are on the path, so without the
+   fresher hint the sweep would be exhausted and restart at n3. *)
+let test_fresh_hint_beats_visited_set () =
+  let sent = ref [] in
+  let restore ~id ~token ~parent ~hint =
+    Node.restore ~id ~peers:4
+      ~send:(fun ~dst msg -> sent := (id, dst, msg) :: !sent)
+      { Node.s_token = token; s_parent = parent; s_parent_stamp = 0; s_accounted_parent = None;
+        s_accounted_epoch = 0; s_last_reported = None; s_cached = Mode_set.empty;
+        s_children = []; s_queue = []; s_frozen = Mode_set.empty; s_sent_freeze = [];
+        s_tenure = 5; s_hint = hint; s_last_granter = None; s_ancestry = []; s_next_seq = 0;
+        s_clock = 0; s_epoch_counter = 0 }
+  in
+  let n1 = restore ~id:1 ~token:true ~parent:None ~hint:(5, 1) in
+  let n2 = restore ~id:2 ~token:false ~parent:(Some 3) ~hint:(5, 1) in
+  let w =
+    { Msg.requester = 0; seq = 0; mode = Mode.W; upgrade = false; timestamp = 1; priority = 0;
+      hops = 3; token_only = false; hint_stamp = 2; hint_owner = 3; path = [ 3; 1; 0 ] }
+  in
+  Node.handle_msg n2 ~src:3 (Msg.Request w);
+  let relayed =
+    match !sent with
+    | [ (2, 1, Msg.Request r) ] -> r
+    | _ -> Alcotest.fail "n2 should relay the request to n1 only"
+  in
+  Alcotest.(check (list int)) "path restarts at n2" [ 2 ] relayed.Msg.path;
+  checki "hint stamp raised to n2's" 5 relayed.Msg.hint_stamp;
+  checki "no sweep restart" 0 (Node.sweep_restarts n2);
+  sent := [];
+  Node.handle_msg n1 ~src:2 (Msg.Request relayed);
+  checkb "n1 hands the token to n0" true
+    (match !sent with [ (1, 0, Msg.Token _) ] -> true | _ -> false)
 
 let test_merge_queues_orders_by_timestamp () =
   let mk ts id = { Msg.requester = id; seq = 0; mode = Mode.R; upgrade = false; timestamp = ts; priority = 0;
@@ -1540,6 +1729,7 @@ let () =
           Alcotest.test_case "token self-grants" `Quick test_token_self_grants;
           Alcotest.test_case "incompatible local queues" `Quick test_incompatible_local_queues;
           Alcotest.test_case "grant and transfer" `Quick test_remote_grant_and_transfer;
+          Alcotest.test_case "idle token copy-grants R" `Quick test_idle_token_copy_grants_read;
           Alcotest.test_case "concurrent readers" `Quick test_concurrent_readers;
           Alcotest.test_case "writer excludes readers" `Quick test_writer_excludes_readers;
           Alcotest.test_case "many concurrent holds" `Quick test_many_concurrent_holds;
@@ -1619,9 +1809,16 @@ let () =
             test_grant_freeze_granter_is_child;
           Alcotest.test_case "grant freeze: adopt" `Quick test_grant_freeze_adopt;
           Alcotest.test_case "grant freeze: late grant" `Quick test_grant_freeze_late_grant;
+          Alcotest.test_case "rule D: frozen late grant" `Quick test_rule_d_frozen_late_grant;
+          Alcotest.test_case "rule E: token keeps epoch" `Quick
+            test_rule_e_token_keeps_record_epoch;
+          Alcotest.test_case "rule F: grant from subtree" `Quick test_rule_f_grant_from_subtree;
           Alcotest.test_case "queue merging" `Quick test_merge_queues_orders_by_timestamp;
           QCheck_alcotest.to_alcotest prop_service_order_matches_tuple_key;
           QCheck_alcotest.to_alcotest prop_relay_matches_list_spec;
+          Alcotest.test_case "restart raises hint stamp" `Quick test_restart_raises_hint_stamp;
+          Alcotest.test_case "fresh hint beats visited set" `Quick
+            test_fresh_hint_beats_visited_set;
         ] );
       ( "owned bookkeeping",
         [

@@ -482,10 +482,10 @@ let test_golden_airline () =
   let r = Experiment.run cfg in
   check_minor_words "airline run" ~ceiling:119_211.0 ~before;
   check_counts "messages by class"
-    [ ("request", 605); ("grant", 225); ("token", 74); ("release", 217); ("freeze", 167);
+    [ ("request", 421); ("grant", 227); ("token", 43); ("release", 216); ("freeze", 162);
       ("ack", 0); ("retx", 0) ]
     r.Experiment.messages;
-  checki "engine events" 1934 r.Experiment.events
+  checki "engine events" 1715 r.Experiment.events
 
 (* The Naimi baseline doing the airline run's work: every entry op takes
    that entry's exclusive lock, every table op takes every entry lock of
@@ -535,10 +535,10 @@ let test_golden_hotlock () =
   check_minor_words "hot-lock run" ~ceiling:127_362.0 ~before;
   checki "all rounds" ((nodes - 1) * rounds) !completed;
   check_counts "messages by class"
-    [ ("request", 813); ("grant", 456); ("token", 249); ("release", 456); ("freeze", 12);
+    [ ("request", 766); ("grant", 600); ("token", 149); ("release", 600); ("freeze", 3);
       ("ack", 0); ("retx", 0) ]
     (Dcs_proto.Counters.to_list (Net.counters net));
-  checki "engine events" 3486 (Dcs_sim.Engine.events_processed engine)
+  checki "engine events" 3618 (Dcs_sim.Engine.events_processed engine)
 
 (* {1 Topology} *)
 

@@ -136,11 +136,11 @@ let test_burst_golden () =
 
 let test_router_golden () =
   let r = Router.run ~jobs:1 base_cfg in
-  Alcotest.check Alcotest.string "digest" "76028594ebd99639"
+  Alcotest.check Alcotest.string "digest" "d764392a962cfc07"
     (Printf.sprintf "%016Lx" r.Router.digest);
   checki "grants" 54 r.Router.grants;
   checki "upgrades" 5 r.Router.upgrades;
-  checki "msgs" 158 r.Router.msgs
+  checki "msgs" 140 r.Router.msgs
 
 let test_digest_invariant_under_shards () =
   let r1 = Router.run ~jobs:1 { base_cfg with Router.shards = 1 } in
@@ -416,7 +416,7 @@ let test_final_round_migrations () =
       smoke
   in
   Alcotest.(check string)
-    "smoke digest" "f240ca7aff8f7550"
+    "smoke digest" "58109b0fe75b7d55"
     (Printf.sprintf "%016Lx" r.Router.digest);
   checki "one replay round" 4 r.Router.rounds_run;
   checki "smoke jobs replayed" 2 r.Router.parked_replayed;

@@ -207,8 +207,6 @@ let golden_snapshot_a =
     s_hint = (66, 18);
     s_last_granter = Some 19;
     s_ancestry = [ 20; 22 ];
-    s_saw_transfer = false;
-    s_served_ever = true;
     s_next_seq = 67;
     s_clock = 68;
     s_epoch_counter = 69;
@@ -231,8 +229,6 @@ let golden_snapshot_b =
     s_hint = (73, 0);
     s_last_granter = None;
     s_ancestry = [];
-    s_saw_transfer = false;
-    s_served_ever = true;
     s_next_seq = 74;
     s_clock = 75;
     s_epoch_counter = 76;
@@ -405,7 +401,7 @@ let read_fixture cls =
 (* Each case encodes to its fixture bytes, and the fixture bytes decode
    back to the case. *)
 let check_golden cls encode decode cases =
-  Alcotest.check Alcotest.int "wire format version" 5 Codec.version;
+  Alcotest.check Alcotest.int "wire format version" 6 Codec.version;
   let fixture = read_fixture cls in
   Alcotest.check
     Alcotest.(list string)
@@ -575,8 +571,6 @@ let gen_snapshot =
     let* s_hint = pair small (int_bound 63) in
     let* s_last_granter = id_opt in
     let* s_ancestry = list_size (int_bound 4) (int_bound 63) in
-    let* s_saw_transfer = bool in
-    let* s_served_ever = bool in
     let* s_next_seq = small in
     let* s_clock = small in
     let* s_epoch_counter = small in
@@ -597,8 +591,6 @@ let gen_snapshot =
         s_hint;
         s_last_granter;
         s_ancestry;
-        s_saw_transfer;
-        s_served_ever;
         s_next_seq;
         s_clock;
         s_epoch_counter;
