@@ -139,7 +139,7 @@ let bench_freeze_walk peers =
               s_accounted_parent = None; s_accounted_epoch = 0; s_last_reported = None;
               s_cached = Mode_set.empty; s_children = [ (1, Mode.R, 1) ]; s_queue = [];
               s_frozen = Mode_set.empty; s_sent_freeze = []; s_tenure = 1; s_hint = (1, 0);
-              s_last_granter = None; s_ancestry = []; s_next_seq = 0; s_clock = 0;
+              s_last_granter = None; s_next_seq = 0; s_clock = 0;
               s_epoch_counter = 1 }
         in
         Node.handle_msg n ~src:2

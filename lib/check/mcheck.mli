@@ -39,7 +39,7 @@
     frozen set, pending request, cached modes and accounting pointer; then
     every in-flight message, link by link. Two states that differ only in
     what it omits (queue contents, record and counter epochs, Lamport
-    clocks, token hints, ancestry, sent freezes, the last granter) are
+    clocks, token hints, sent freezes, the last granter) are
     explored once, so the counts are those of this abstraction. A
     complete key ({!Dcs_hlock.Node.pp_state} prints every field) is not
     affordable while each path replays from the start: keyed on every

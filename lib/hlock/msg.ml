@@ -22,7 +22,6 @@ type t =
       req : request;
       epoch : int;
       recorded : Mode.t;
-      ancestry : Node_id.t list;
       frozen : Mode_set.t;
     }
   | Token of {
@@ -54,10 +53,8 @@ let pp_owned ppf = function
 
 let pp ppf = function
   | Request r -> Format.fprintf ppf "Request %a" pp_request r
-  | Grant { req; epoch; recorded; ancestry; frozen } ->
-      Format.fprintf ppf "Grant %a e%d rec=%a anc=[%s] frozen=%a" pp_request req epoch Mode.pp
-        recorded
-        (String.concat "," (List.map string_of_int ancestry))
+  | Grant { req; epoch; recorded; frozen } ->
+      Format.fprintf ppf "Grant %a e%d rec=%a frozen=%a" pp_request req epoch Mode.pp recorded
         Mode_set.pp frozen
   | Token { serving; sender_owned; sender_epoch; queue; frozen } ->
       Format.fprintf ppf "Token serving=%a sender_owned=%a e%d |queue|=%d frozen=%a" pp_request

@@ -61,7 +61,6 @@ type t =
       req : request;
       epoch : int;
       recorded : Mode.t;
-      ancestry : Dcs_proto.Node_id.t list;
       frozen : Mode_set.t;
     }
       (** Copy grant: the sender granted [req] and adopted the requester as
@@ -74,10 +73,9 @@ type t =
           over because its release may still be in flight; the child adopts
           it as its last-reported mode so any gap between the record and
           what it really owns is repaired by its next report rather than
-          silently lost with the stale-epoch release. [ancestry] is the
-          granter's accounting-ancestor chain (nearest first, granter not
-          included); the grantee prepends the granter and adopts it, so it
-          can refuse to child-grant to its own (approximate) ancestors.
+          silently lost with the stale-epoch release. The grantee
+          refuses the grant when it is the token node or when another
+          parent already accounts for at least [recorded].
           [frozen] is the frozen set the granter owes the new child
           (Rule 6): what a {!Freeze} sent right behind the grant would
           carry, and empty when there is none. The child applies it as

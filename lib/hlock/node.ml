@@ -102,10 +102,6 @@ type t = {
   mutable hint_stamp : int;
   mutable hint_owner : Node_id.t;
   mutable last_granter : Node_id.t;  (* -1: none *)
-  (* Approximate accounting ancestry (nearest first), piggybacked on grants;
-     used to refuse grants to our own ancestors (ring prevention, second
-     line of defence). *)
-  mutable ancestry : Node_id.t list;
   (* Scratch bit set over [0, peers) in the [child_ids] layout: the ids a
      relayed request has visited, set and cleared within one
      [forward_onward] call. *)
@@ -189,7 +185,6 @@ let make ~caller ~config ~obs ~id ~peers ~send ~token ~parent =
     hint_stamp = 0;
     hint_owner = (match parent with Some p -> p | None -> id);
     last_granter = -1;
-    ancestry = [];
     visited = visited_words peers;
     next_seq = 0;
     clock = 0;
@@ -522,7 +517,6 @@ let pp_state ppf t =
          field "tenure" (string_of_int t.tenure);
          field "hint" (string_of_int t.hint_stamp ^ "@" ^ id_text t.hint_owner);
          field "granter" (id_text t.last_granter);
-         field "ancestry" (list_text id_text t.ancestry);
          field "next_seq" (string_of_int t.next_seq);
          field "clock" (string_of_int t.clock);
          field "epochs" (string_of_int t.epoch_counter);
@@ -798,11 +792,10 @@ let grant_copy t (r : Msg.request) =
     end
     else Mode_set.empty
   in
-  let ancestry = if t.token then [] else t.ancestry in
   t.send ~dst:r.requester
     (Msg.Grant
        { req = { r with Msg.hint_stamp = hint_stamp t; hint_owner = hint_owner t };
-         epoch; recorded = mode; ancestry; frozen });
+         epoch; recorded = mode; frozen });
   if t.config.freezing then propagate_freezes t
 
 (* Token transfer (Rule 3.2 operational): hand over the token, our queue and
@@ -847,11 +840,6 @@ let transfer_token t (r : Msg.request) =
   set_parent t tail ~stamp:(t.tenure + 1);
   t.accounted_parent <- (if residual = 0 then -1 else r.requester);
   t.accounted_epoch <- sender_epoch;
-  (* Rule B: our new accounting parent is an ancestor; granting it a copy
-     would close a two-node accounting cycle (repair 13). A token node's
-     ancestry is already empty, so with nothing left there is nothing to
-     write. *)
-  if residual <> 0 then t.ancestry <- [ r.requester ];
   t.last_reported <- residual;
   set_frozen t Mode_set.empty;
   t.send ~dst:r.requester tok;
@@ -993,15 +981,16 @@ let forward_onward ?via t (r : Msg.request) =
 (* {1 Grant decisions (Rules 3, 3.1, 3.2 and 7)} *)
 
 (* Rule 3/3.1 at a non-token node: may we grant [r] out of our owned mode?
-   Never in a frozen mode (Rule 6). Never to a remote request whose
-   requester is one of our (approximate) accounting ancestors: that grant
-   would close an accounting ring (repair 13). A remote token-only request
+   Never in a frozen mode (Rule 6). Never to our own accounting parent:
+   that grant would close a two-node accounting cycle (repair 13). A
+   longer cycle would need a grant from deeper in the grantee's subtree,
+   which [handle_grant] refuses (repair 14). A remote token-only request
    never gets here: [handle_request] relays it, so no non-token queue
    holds one ([restore] refuses a snapshot that does). *)
 let may_child_grant t (r : Msg.request) =
   Decision.can_child_grant ~owned:(owned_code t) r.mode
   && (not (is_frozen t r.mode))
-  && (r.requester = t.id || not (mem_id r.requester t.ancestry))
+  && r.requester <> t.accounted_parent
 
 (* The token node serves [r], which its owned code [mo] for [r] lets it
    grant: complete our own upgrade (Rule 7), grant ourselves, hand the
@@ -1179,14 +1168,12 @@ let handle_request t (r : Msg.request) =
 
 let accounted_by t src = t.accounted_parent >= 0 && t.accounted_parent = src
 
-let rec has_child t = function [] -> false | c :: tl -> child_code t c > 0 || has_child t tl
-
 let detach_from_old_parent t ~src =
   let q = t.accounted_parent in
   if q >= 0 && q <> src then
     t.send ~dst:q (Msg.Release { new_owned = None; epoch = t.accounted_epoch })
 
-let handle_grant t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
+let handle_grant t ~src (r : Msg.request) ~epoch ~recorded =
   observe_clock t r.timestamp;
   observe_hint t r;
   absorb_epoch t epoch;
@@ -1203,41 +1190,25 @@ let handle_grant t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
     clear_pending_if_match t r;
     handle_request t r
   end
-  else if child_code t src > 0 || ((not (accounted_by t src)) && has_child t ancestry) then begin
-    (* The granter is currently OUR child (e.g. a token handoff left us
-       its residual record while our request still circulated): adopting
-       it as accounting parent would close a two-node copyset cycle in
-       which each node's owned mode is justified only by the other, so
-       every release one sends flips the other's owned mode and triggers
-       a release back — an unbounded Release ping-pong (and no freeze
-       can unwind it either). Same cure as the token race above: cancel
-       the granter's fresh record of us instead of adopting it. Our own
-       record of [src] is what justified its grant, so our owned mode
-       usually covers the request — serve it ourselves; otherwise keep
-       it moving toward the token. Rule F: the same holds when the
-       ancestry the grant carries names one of our children — the
-       granter sits deeper in our subtree, and adopting it would close a
-       longer cycle (repair 13). A grant from the parent that already
-       accounts us moves nothing, and refusing it would cancel the record
-       our owned mode rests on. *)
-    t.send ~dst:src (Msg.Release { new_owned = None; epoch });
-    if may_child_grant t r then grant_self t r else forward_onward t r
-  end
   else if
     t.accounted_parent >= 0
     && t.accounted_parent <> src
     && Decision.strength_of_code (Decision.code_of_mode recorded)
-       < Decision.strength_of_code (owned_code t)
+       <= Decision.strength_of_code (owned_code t)
   then begin
-    (* Another parent already accounts for more than [src] recorded (our
-       request was granted late, after we came to own a covering mode
-       under that parent). Adopting [src] would move that stronger mode
-       under it: a detach to the old parent and a strengthening report to
-       [src], which can reach the token only after the old parent has
-       handed the token on, recording our weaker share — and the new
-       token node then grants a conflicting mode while we hold ours. Same
-       cure as above: cancel [src]'s record, then serve the request out of
-       the mode our current parent accounts. Rule D: refuse even when that
+    (* Another parent already accounts for at least what [src] recorded
+       (our request was granted late, after we came to own a covering mode
+       under that parent). Adopting [src] would move that mode under it: a
+       detach to the old parent and a strengthening report to [src], which
+       can reach the token only after the old parent has handed the token
+       on, recording our weaker share — and the new token node then grants
+       a conflicting mode while we hold ours. The same test catches a
+       granter in our own subtree: our owned mode covers every record in
+       it (Definition 3), so at least what that granter could grant us,
+       and adopting it would close an accounting cycle in which each
+       node's mode is justified only by the next (repair 14). Same cure as
+       above: cancel [src]'s record, then serve the request out of the
+       mode our current parent accounts. Rule D: refuse even when that
        mode may not grant it. If it covers the request and only our frozen
        set forbids it, serve it anyway: [src]'s grant already decided that
        the request goes now, and relaying it would only draw the same
@@ -1248,7 +1219,6 @@ let handle_grant t ~src (r : Msg.request) ~epoch ~recorded ~ancestry =
     else forward_onward t { r with Msg.token_only = true }
   end
   else begin
-    t.ancestry <- src :: ancestry;
     let same_parent = accounted_by t src in
     detach_from_old_parent t ~src;
     (* A new accounting parent owns our freeze state from now on; stale sets
@@ -1294,7 +1264,6 @@ let handle_token t ~src (m : Msg.t) =
       t.last_reported <- 0;
       t.token <- true;
       t.parent <- -1;
-      t.ancestry <- [];
       t.last_granter <- src;
       t.tenure <- max serving.Msg.hint_stamp (t.hint_stamp + 1);
       (* Rule E: a record newer than [sender_epoch] comes from a copy grant
@@ -1353,8 +1322,8 @@ let handle_msg t ~src msg =
       observe_clock t r.timestamp;
       observe_hint t r;
       handle_request t r
-  | Msg.Grant { req; epoch; recorded; ancestry; frozen } ->
-      handle_grant t ~src req ~epoch ~recorded ~ancestry;
+  | Msg.Grant { req; epoch; recorded; frozen } ->
+      handle_grant t ~src req ~epoch ~recorded;
       (* Handled exactly as a Freeze delivered right behind the grant. *)
       if not (Mode_set.is_empty frozen) then handle_freeze t ~src ~frozen
   | Msg.Token _ -> handle_token t ~src msg
@@ -1476,7 +1445,6 @@ type snapshot = {
   s_tenure : int;
   s_hint : int * Node_id.t;
   s_last_granter : Node_id.t option;
-  s_ancestry : Node_id.t list;
   s_next_seq : int;
   s_clock : int;
   s_epoch_counter : int;
@@ -1503,7 +1471,6 @@ let export t =
     s_tenure = t.tenure;
     s_hint = (t.hint_stamp, t.hint_owner);
     s_last_granter = id_opt t.last_granter;
-    s_ancestry = t.ancestry;
     s_next_seq = t.next_seq;
     s_clock = t.clock;
     s_epoch_counter = t.epoch_counter;
@@ -1520,7 +1487,6 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send (s : snapshot) =
   Option.iter (check "accounted-parent") s.s_accounted_parent;
   Option.iter (check "last-granter") s.s_last_granter;
   check "hint-owner" (snd s.s_hint);
-  List.iter (check "ancestry") s.s_ancestry;
   List.iter
     (fun (r : Msg.request) ->
       check "queued requester" r.requester;
@@ -1545,7 +1511,6 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send (s : snapshot) =
   t.hint_stamp <- fst s.s_hint;
   t.hint_owner <- snd s.s_hint;
   t.last_granter <- id_or_none s.s_last_granter;
-  t.ancestry <- s.s_ancestry;
   t.next_seq <- s.s_next_seq;
   t.clock <- s.s_clock;
   t.epoch_counter <- s.s_epoch_counter;

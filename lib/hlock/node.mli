@@ -273,7 +273,6 @@ type snapshot = {
   s_tenure : int;
   s_hint : int * Node_id.t;
   s_last_granter : Node_id.t option;
-  s_ancestry : Node_id.t list;
   s_next_seq : int;
   s_clock : int;
   s_epoch_counter : int;

@@ -12,12 +12,14 @@ type envelope = {
   payload : payload;
 }
 
-let version = 6
+let version = 7
 (* v2: request carries a priority; v3: naimi request carries a span seq;
    v4: grant carries the granter's recorded child mode; v5: grant carries
-   the child's frozen set after its ancestry; v6: a node snapshot no
-   longer carries the two routing bits R relays read before they stopped
-   re-pointing the routing tree. The shard payload arm
+   the child's frozen set; v6: a node snapshot no longer carries the two
+   routing bits R relays read before they stopped re-pointing the routing
+   tree; v7: neither a grant nor a node snapshot carries the approximate
+   accounting-ancestor list, which two exact rules on fields both ends
+   already keep replaced. The shard payload arm
    (directory + handoff traffic) was versioned alongside v4: same
    envelope version, a third payload tag — pre-shard decoders reject it
    as a bad payload tag rather than silently misreading it. *)
@@ -55,12 +57,11 @@ let write_hlock_msg w (m : Msg.t) =
   | Msg.Request req ->
       Buf.u8 w 0;
       write_request w req
-  | Msg.Grant { req; epoch; recorded; ancestry; frozen } ->
+  | Msg.Grant { req; epoch; recorded; frozen } ->
       Buf.u8 w 1;
       write_request w req;
       Buf.varint w epoch;
       write_mode w recorded;
-      Buf.list w Buf.varint ancestry;
       write_mode_set w frozen
   | Msg.Token { serving; sender_owned; sender_epoch; queue; frozen } ->
       Buf.u8 w 2;
@@ -108,7 +109,6 @@ let write_node_snapshot w (s : Dcs_hlock.Node.snapshot) =
   Buf.varint w (fst s.s_hint);
   Buf.varint w (snd s.s_hint);
   write_node_id_opt w s.s_last_granter;
-  Buf.list w Buf.varint s.s_ancestry;
   Buf.varint w s.s_next_seq;
   Buf.varint w s.s_clock;
   Buf.varint w s.s_epoch_counter
@@ -225,9 +225,8 @@ let read_hlock_msg r : Msg.t =
       let req = read_request r in
       let epoch = Buf.read_varint r in
       let recorded = read_mode r in
-      let ancestry = Buf.read_list r Buf.read_varint in
       let frozen = read_mode_set r in
-      Msg.Grant { req; epoch; recorded; ancestry; frozen }
+      Msg.Grant { req; epoch; recorded; frozen }
   | 2 ->
       let serving = read_request r in
       let sender_owned = read_mode_opt r in
@@ -272,7 +271,6 @@ let read_node_snapshot r : Dcs_hlock.Node.snapshot =
   let hint_tenure = Buf.read_varint r in
   let hint_owner = Buf.read_varint r in
   let s_last_granter = read_node_id_opt r in
-  let s_ancestry = Buf.read_list r Buf.read_varint in
   let s_next_seq = Buf.read_varint r in
   let s_clock = Buf.read_varint r in
   let s_epoch_counter = Buf.read_varint r in
@@ -291,7 +289,6 @@ let read_node_snapshot r : Dcs_hlock.Node.snapshot =
     s_tenure;
     s_hint = (hint_tenure, hint_owner);
     s_last_granter;
-    s_ancestry;
     s_next_seq;
     s_clock;
     s_epoch_counter;

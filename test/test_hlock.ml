@@ -302,17 +302,15 @@ let test_release_epoch_guard () =
   Alcotest.check (Alcotest.option Testkit.mode) "fully released" None (Node.owned (SC.node c 1));
   checkb "node 0 saw the release" true (Node.children (SC.node c 0) = [])
 
-(* Rule B (DESIGN.md §2, extending repair 13): a token sender that stays
-   in the tree as its new parent's child records that parent as its
-   ancestry. The shape of lost-child-record-2n.repro (fuzz seed 267),
-   driven through an IW transfer now that reads never take the token:
-   the token reaches n1 for its IW with n0's U queued behind n1's own IR.
-   n1 takes both, and its IW release hands the token straight on to n0,
-   leaving n1 n0's child with IR. Then n0's IR, sent to n1 while the
-   token was in flight, arrives. With an empty ancestry n1 would
-   copy-grant it to its own accounting parent: a two-node accounting
-   cycle. *)
-let test_rule_b_token_sender_ancestry () =
+(* Rule 1 (DESIGN.md §2, repair 13): no node copy-grants its own
+   accounting parent. The shape of lost-child-record-2n.repro (fuzz seed
+   267), driven through an IW transfer now that reads never take the
+   token: the token reaches n1 for its IW with n0's U queued behind n1's
+   own IR. n1 takes both, and its IW release hands the token straight on
+   to n0, leaving n1 n0's child with IR. Then n0's IR, sent to n1 while
+   the token was in flight, arrives. Granting it out of n1's IR would
+   close a two-node accounting cycle. *)
+let test_rule_1_no_grant_to_parent () =
   let c = SC.create 2 in
   let w0 = SC.request c ~node:0 ~mode:Mode.W in
   let iw1 = SC.request c ~node:1 ~mode:Mode.IW in
@@ -326,11 +324,12 @@ let test_rule_b_token_sender_ancestry () =
   checkb "n1 holds IR" true (SC.granted c ~node:1 ~seq:ir1);
   SC.release c ~node:1 ~seq:iw1;
   checkb "n1 handed the token on" false (Node.is_token (SC.node c 1));
-  checkb "n1 records n0 as ancestry" true
-    (contains ~sub:"ancestry=[n0]" (Format.asprintf "%a" Node.pp_state (SC.node c 1)));
+  checkb "n1 is n0's child" true
+    (contains ~sub:"acct=n0@" (Format.asprintf "%a" Node.pp_state (SC.node c 1)));
   ignore (SC.deliver c ~src:0 ~dst:1);
-  checkb "n1 records no child n0, its own accounting parent" true
-    (Node.children (SC.node c 1) = []);
+  checkb "n1 does not copy-grant n0, its accounting parent" false
+    (List.exists (function 1, 0, Msg.Grant _ -> true | _ -> false) c.SC.wire);
+  checkb "n1 records no child n0" true (Node.children (SC.node c 1) = []);
   SC.settle c;
   List.iter
     (fun (node, seq) ->
@@ -967,7 +966,6 @@ let test_pp_state_shows_every_field () =
       { base with Node.s_hint = (4, 0) };
       { base with Node.s_hint = (0, 2) };
       { base with Node.s_last_granter = Some 2 };
-      { base with Node.s_ancestry = [ 0 ] };
       { base with Node.s_next_seq = 5 };
       { base with Node.s_clock = 9 };
       { base with Node.s_epoch_counter = 11 };
@@ -1010,8 +1008,7 @@ let test_freeze_walk_word_boundaries () =
         s_accounted_epoch = 0; s_last_reported = None; s_cached = Mode_set.empty;
         s_children = List.map (fun (c, m) -> (c, m, 1)) kids; s_queue = [];
         s_frozen = Mode_set.empty; s_sent_freeze = []; s_tenure = 1; s_hint = (1, 0);
-        s_last_granter = None; s_ancestry = []; s_next_seq = 0; s_clock = 0;
-        s_epoch_counter = 1 }
+        s_last_granter = None; s_next_seq = 0; s_clock = 0; s_epoch_counter = 1 }
   in
   let freezes_after requester mode =
     sent := [];
@@ -1079,9 +1076,9 @@ let test_create_rejects_bad_ids () =
 
 (* The ids a snapshot carries beyond the per-peer arrays name relay
    targets: a handoff decoded off the wire must not smuggle one outside
-   [0, peers) into the token hint, the ancestry or a queued request. One
-   case per field; each corrupt snapshot differs from a valid one in that
-   field alone. *)
+   [0, peers) into the token hint or a queued request. One case per
+   field; each corrupt snapshot differs from a valid one in that field
+   alone. *)
 let restore_refuses what corrupt () =
   let snap = Node.export (SC.node (SC.create 3) 1) in
   let queued =
@@ -1090,12 +1087,11 @@ let restore_refuses what corrupt () =
   in
   ignore
     (Node.restore ~id:1 ~peers:3 ~send:(fun ~dst:_ _ -> ())
-       { snap with Node.s_queue = [ queued ]; s_ancestry = [ 0 ] });
+       { snap with Node.s_queue = [ queued ] });
   check_restore_refuses what (corrupt snap queued)
 
 let restore_field_cases =
   [ ("hint-owner", fun (s : Node.snapshot) _ -> { s with Node.s_hint = (1, 3) });
-    ("ancestry", fun s _ -> { s with Node.s_ancestry = [ 0; -1 ] });
     ("queued requester", fun s q -> { s with Node.s_queue = [ { q with Msg.requester = 9 } ] });
     ("queued hint-owner", fun s q -> { s with Node.s_queue = [ { q with Msg.hint_owner = 3 } ] });
     ("queued path", fun s q -> { s with Node.s_queue = [ { q with Msg.path = [ 2; -4 ] } ] });
@@ -1114,7 +1110,7 @@ let test_msg_classes () =
   Alcotest.check (Alcotest.testable Dcs_proto.Msg_class.pp Dcs_proto.Msg_class.equal)
     "grant" Dcs_proto.Msg_class.Copy_grant
     (Msg.class_of
-       (Msg.Grant { req = r; epoch = 1; recorded = Mode.R; ancestry = []; frozen = Mode_set.empty }))
+       (Msg.Grant { req = r; epoch = 1; recorded = Mode.R; frozen = Mode_set.empty }))
 
 (* {1 The frozen set on a copy grant}
 
@@ -1131,7 +1127,7 @@ let grant_freeze_equivalent ~snap ~mode ~recorded ~frozen ~matters =
     { Msg.requester = 1; seq = 0; mode; upgrade = false; timestamp = 3; priority = 0; hops = 1;
       token_only = false; hint_stamp = 0; hint_owner = 0; path = [ 1 ] }
   in
-  let grant frozen = Msg.Grant { req; epoch = 9; recorded; ancestry = [ 0 ]; frozen } in
+  let grant frozen = Msg.Grant { req; epoch = 9; recorded; frozen } in
   let run msgs =
     let sent = ref [] in
     let n =
@@ -1238,7 +1234,7 @@ let test_rule_d_frozen_late_grant () =
   let sent, line, n =
     deliver_to_n1 ~snap
       [ (2, Msg.Grant { req = own_request Mode.IR; epoch = 9; recorded = Mode.IR;
-                        ancestry = [ 0 ]; frozen = Mode_set.empty }) ]
+                        frozen = Mode_set.empty }) ]
   in
   Alcotest.check Alcotest.(list string) "cancels n2's record only" [ "n2 Release new_owned=_ e9" ]
     sent;
@@ -1271,39 +1267,55 @@ let test_rule_e_token_keeps_record_epoch () =
       Alcotest.(check (list (pair int Testkit.mode))) "the Release lands" [] (Node.children n))
     [ Some Mode.IR; None ]
 
-(* Rule F (DESIGN.md §2, extending repair 13), at the step where 32-node
-   fuzz seed 453 breaks without it: n1 accounts its child n3 and waits for its own R (IR and
-   R frozen here). n2, a child of n3, copy-grants that R with ancestry
-   [n3]. Adopting n2 would close the accounting cycle n1 -> n2 -> n3 ->
-   n1, whose records justify only each other, so n0 could grant a W over
-   them. n1 cancels n2's record, keeps n0 and relays its request. The
-   same grant from n0, already n1's accounting parent, moves nothing and
-   is adopted: refusing it would cancel n0's record of n1. *)
+(* Rule F's case (32-node fuzz seed 453), now caught by rule 2 (DESIGN.md
+   §2, repair 14): n1 accounts its child n3 under n0 and waits for its
+   own R (IR and R frozen here). n2, a child of n3, copy-grants that R.
+   Adopting n2 would close the accounting cycle n1 -> n2 -> n3 -> n1,
+   whose records justify only each other, so n0 could grant a W over
+   them. n1 already owns R under n0, at least what n2 recorded: it
+   cancels n2's record, keeps n0 and serves the R out of the mode n0
+   accounts. The same grant from n0, already n1's accounting parent,
+   moves nothing and is adopted: refusing it would cancel n0's record of
+   n1. *)
 let test_rule_f_grant_from_subtree () =
   let snap =
     { (fresh_snapshot ()) with Node.s_accounted_parent = Some 0; s_accounted_epoch = 1;
       s_last_reported = Some Mode.R; s_children = [ (3, Mode.R, 2) ];
       s_frozen = Mode_set.of_list [ Mode.IR; Mode.R ]; s_epoch_counter = 2 }
   in
-  let sent, line, n =
-    deliver_to_n1 ~snap
-      [ (2, Msg.Grant { req = own_request Mode.R; epoch = 9; recorded = Mode.R;
-                        ancestry = [ 3 ]; frozen = Mode_set.empty }) ]
-  in
-  (match sent with
-  | "n2 Release new_owned=_ e9" :: [ relay ] ->
-      checkb "relays its request" true (contains ~sub:"Request {n1#0 R" relay)
-  | _ -> Alcotest.failf "unexpected sends [%s]" (String.concat "; " sent));
+  let grant = Msg.Grant { req = own_request Mode.R; epoch = 9; recorded = Mode.R;
+                          frozen = Mode_set.empty } in
+  let sent, line, n = deliver_to_n1 ~snap [ (2, grant) ] in
+  Alcotest.check Alcotest.(list string) "cancels n2's record only" [ "n2 Release new_owned=_ e9" ]
+    sent;
   checkb "kept n0" true (contains ~sub:"acct=n0@1" line);
-  Alcotest.(check (list (pair int Testkit.mode))) "holds nothing yet" [] (Node.held n);
-  let sent, line, n =
-    deliver_to_n1 ~snap
-      [ (0, Msg.Grant { req = own_request Mode.R; epoch = 9; recorded = Mode.R;
-                        ancestry = [ 3 ]; frozen = Mode_set.empty }) ]
-  in
+  Alcotest.(check (list (pair int Testkit.mode))) "serves the R" [ (0, Mode.R) ] (Node.held n);
+  let sent, line, n = deliver_to_n1 ~snap [ (0, grant) ] in
   checkb "no refusal to n0" false (List.exists (contains ~sub:"Release") sent);
   checkb "adopted at epoch 9" true (contains ~sub:"acct=n0@9" line);
   Alcotest.(check (list (pair int Testkit.mode))) "holds R" [ (0, Mode.R) ] (Node.held n)
+
+(* Rule 2 (DESIGN.md §2, repair 14) at equal strength: n1 owns a cached R
+   under n0 when n2, outside n1's subtree, grants its older R request,
+   recorded as R. Another parent already accounts for as much as n2
+   recorded, so n1 refuses the grant: it cancels n2's record, keeps n0
+   and serves the R out of its cached one. Adopting n2 would detach n1
+   from n0 and move its R under n2. *)
+let test_rule_2_equal_late_grant () =
+  let snap =
+    { (fresh_snapshot ()) with Node.s_accounted_parent = Some 0; s_accounted_epoch = 1;
+      s_last_reported = Some Mode.R; s_cached = Mode_set.singleton Mode.R }
+  in
+  let sent, line, n =
+    deliver_to_n1 ~snap
+      [ (2, Msg.Grant { req = own_request Mode.R; epoch = 9; recorded = Mode.R;
+                        frozen = Mode_set.empty }) ]
+  in
+  Alcotest.check Alcotest.(list string) "cancels n2's record only" [ "n2 Release new_owned=_ e9" ]
+    sent;
+  checkb "kept n0" true (contains ~sub:"acct=n0@1" line);
+  checkb "did not adopt n2" false (contains ~sub:"granter=n2" line);
+  Alcotest.(check (list (pair int Testkit.mode))) "serves the R" [ (0, Mode.R) ] (Node.held n)
 
 (* The field-by-field service order and [request_lt] agree with the tuple
    keys they replaced, and merging two queues built by insertion equals
@@ -1433,7 +1445,7 @@ let relay_once ((peers, id, parent, parent_stamp, hint), (accounted, last_grante
       s_accounted_parent = accounted; s_accounted_epoch = 0; s_last_reported = None;
       s_cached = Mode_set.empty; s_children = []; s_queue = []; s_frozen = Mode_set.empty;
       s_sent_freeze = []; s_tenure = 0; s_hint = hint; s_last_granter = last_granter;
-      s_ancestry = []; s_next_seq = 0; s_clock = 5; s_epoch_counter = 0 }
+      s_next_seq = 0; s_clock = 5; s_epoch_counter = 0 }
   in
   let n = Node.restore ~id ~peers ~send:(fun ~dst msg -> sent := (dst, msg) :: !sent) snapshot in
   if via then ignore (Node.request n ~mode:r.Msg.mode ~on_granted:ignore);
@@ -1499,8 +1511,8 @@ let test_fresh_hint_beats_visited_set () =
       { Node.s_token = token; s_parent = parent; s_parent_stamp = 0; s_accounted_parent = None;
         s_accounted_epoch = 0; s_last_reported = None; s_cached = Mode_set.empty;
         s_children = []; s_queue = []; s_frozen = Mode_set.empty; s_sent_freeze = [];
-        s_tenure = 5; s_hint = hint; s_last_granter = None; s_ancestry = []; s_next_seq = 0;
-        s_clock = 0; s_epoch_counter = 0 }
+        s_tenure = 5; s_hint = hint; s_last_granter = None; s_next_seq = 0; s_clock = 0;
+        s_epoch_counter = 0 }
   in
   let n1 = restore ~id:1 ~token:true ~parent:None ~hint:(5, 1) in
   let n2 = restore ~id:2 ~token:false ~parent:(Some 3) ~hint:(5, 1) in
@@ -1760,8 +1772,8 @@ let () =
         [
           Alcotest.test_case "mutual IW no deadlock" `Quick test_mutual_iw_requests_no_deadlock;
           Alcotest.test_case "release epoch guard" `Quick test_release_epoch_guard;
-          Alcotest.test_case "rule B: token sender ancestry" `Quick
-            test_rule_b_token_sender_ancestry;
+          Alcotest.test_case "rule 1: no grant to own parent" `Quick
+            test_rule_1_no_grant_to_parent;
           Alcotest.test_case "rule C: late grant keeps epoch" `Quick
             test_rule_c_late_grant_keeps_epoch;
           Alcotest.test_case "stale messages ignored" `Quick test_stale_messages_ignored;
@@ -1813,6 +1825,7 @@ let () =
           Alcotest.test_case "rule E: token keeps epoch" `Quick
             test_rule_e_token_keeps_record_epoch;
           Alcotest.test_case "rule F: grant from subtree" `Quick test_rule_f_grant_from_subtree;
+          Alcotest.test_case "rule 2: equal late grant" `Quick test_rule_2_equal_late_grant;
           Alcotest.test_case "queue merging" `Quick test_merge_queues_orders_by_timestamp;
           QCheck_alcotest.to_alcotest prop_service_order_matches_tuple_key;
           QCheck_alcotest.to_alcotest prop_relay_matches_list_spec;

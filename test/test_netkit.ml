@@ -305,7 +305,7 @@ let test_forged_src_dropped () =
   write 5
     (Dcs_hlock.Msg.Grant
        { req = req ~requester:1 ~seq:77 ~mode:Dcs_modes.Mode.R; epoch = 9;
-         recorded = Dcs_modes.Mode.R; ancestry = []; frozen = Dcs_modes.Mode_set.empty });
+         recorded = Dcs_modes.Mode.R; frozen = Dcs_modes.Mode_set.empty });
   checkb "forged frame counted" true (eventually (fun () -> errors () > errors_before));
   Alcotest.check Alcotest.string "engine state unchanged" state_before
     (Runner.lock_state target ~lock:0);

@@ -136,7 +136,7 @@ let test_burst_golden () =
 
 let test_router_golden () =
   let r = Router.run ~jobs:1 base_cfg in
-  Alcotest.check Alcotest.string "digest" "d764392a962cfc07"
+  Alcotest.check Alcotest.string "digest" "a24bfa50d16c7474"
     (Printf.sprintf "%016Lx" r.Router.digest);
   checki "grants" 54 r.Router.grants;
   checki "upgrades" 5 r.Router.upgrades;
@@ -416,7 +416,7 @@ let test_final_round_migrations () =
       smoke
   in
   Alcotest.(check string)
-    "smoke digest" "58109b0fe75b7d55"
+    "smoke digest" "f49402dd1316256d"
     (Printf.sprintf "%016Lx" r.Router.digest);
   checki "one replay round" 4 r.Router.rounds_run;
   checki "smoke jobs replayed" 2 r.Router.parked_replayed;
@@ -456,8 +456,8 @@ let run_set_up_burst ~seed ~nodes ~set ~burst =
    adopting it (DESIGN.md §2, repair 14). That repair alone, on the
    protocol before grants carried frozen sets, drains them too. Set
    6308's stranded request drains since a token sender that stays a
-   child records its new parent as ancestry and a late grant no longer
-   lowers the accounted epoch (rules B and C, extending repairs 13 and
+   child no longer copy-grants its new parent and a late grant no longer
+   lowers the accounted epoch (rules 1 and C, extending repairs 13 and
    5). *)
 let test_fixed_liveness_bug ~seed ~nodes ~set ~burst () =
   let outcome, cell = run_set_up_burst ~seed ~nodes ~set ~burst in

@@ -48,9 +48,8 @@ let gen_hlock_msg =
         (let* req = gen_request in
          let* epoch = int_bound 100_000 in
          let* recorded = Testkit.gen_mode in
-         let* ancestry = list_size (int_bound 10) (int_bound 200) in
          let* frozen = gen_mode_set in
-         return (Msg.Grant { req; epoch; recorded; ancestry; frozen }));
+         return (Msg.Grant { req; epoch; recorded; frozen }));
         (let* serving = gen_request in
          let* sender_owned = Testkit.gen_mode_opt in
          let* sender_epoch = int_bound 100_000 in
@@ -125,9 +124,8 @@ let prop_grant_roundtrip =
       let* req = gen_request in
       let* epoch = int_bound 100_000 in
       let* recorded = Testkit.gen_mode in
-      let* ancestry = list_size (int_bound 10) (int_bound 200) in
       let* frozen = gen_mode_set in
-      return (Msg.Grant { req; epoch; recorded; ancestry; frozen }))
+      return (Msg.Grant { req; epoch; recorded; frozen }))
 
 let prop_token_roundtrip =
   per_class_roundtrip "token"
@@ -151,7 +149,7 @@ let prop_freeze_roundtrip =
 
 (* {2 Golden bytes}
 
-   The v4 byte layout, pinned per message class by hex fixtures under
+   The current byte layout, pinned per message class by hex fixtures under
    [golden/], recorded from the [Buffer]-backed reference writer that
    these fixtures replaced. Field values are chosen so that swapping any
    two field writes in the encoder changes the bytes of some case: the
@@ -206,7 +204,6 @@ let golden_snapshot_a =
     s_tenure = 65;
     s_hint = (66, 18);
     s_last_granter = Some 19;
-    s_ancestry = [ 20; 22 ];
     s_next_seq = 67;
     s_clock = 68;
     s_epoch_counter = 69;
@@ -228,7 +225,6 @@ let golden_snapshot_b =
     s_tenure = 72;
     s_hint = (73, 0);
     s_last_granter = None;
-    s_ancestry = [];
     s_next_seq = 74;
     s_clock = 75;
     s_epoch_counter = 76;
@@ -254,20 +250,9 @@ let golden_cases =
                  req = golden_request;
                  epoch = 123457;
                  recorded = Mode.R;
-                 ancestry = [ 7; 300; 2 ];
                  frozen = Mode_set.of_list [ Mode.R; Mode.W ];
                })
         );
-        ( "grant-no-ancestry",
-          golden_hlock
-            (Msg.Grant
-               {
-                 req = golden_request_b;
-                 epoch = 77;
-                 recorded = Mode.U;
-                 ancestry = [];
-                 frozen = Mode_set.empty;
-               }) );
       ] );
     ( "token",
       [
@@ -401,7 +386,7 @@ let read_fixture cls =
 (* Each case encodes to its fixture bytes, and the fixture bytes decode
    back to the case. *)
 let check_golden cls encode decode cases =
-  Alcotest.check Alcotest.int "wire format version" 6 Codec.version;
+  Alcotest.check Alcotest.int "wire format version" 7 Codec.version;
   let fixture = read_fixture cls in
   Alcotest.check
     Alcotest.(list string)
@@ -570,7 +555,6 @@ let gen_snapshot =
     let* s_tenure = small in
     let* s_hint = pair small (int_bound 63) in
     let* s_last_granter = id_opt in
-    let* s_ancestry = list_size (int_bound 4) (int_bound 63) in
     let* s_next_seq = small in
     let* s_clock = small in
     let* s_epoch_counter = small in
@@ -590,7 +574,6 @@ let gen_snapshot =
         s_tenure;
         s_hint;
         s_last_granter;
-        s_ancestry;
         s_next_seq;
         s_clock;
         s_epoch_counter;
@@ -770,15 +753,15 @@ let test_snapshot_count () =
   let snapshot = String.sub one 1 (String.length one - 1) in
   malformed "max_int" (fun () -> Codec.decode_cluster_state (wide_varint '\x3f' ^ snapshot))
 
-(* A frame of the previous format (v4, whose grant has no frozen set) is
-   refused by its version byte, not misread. *)
+(* A frame of the previous format is refused by its version byte, not
+   misread: the v6 bytes of the golden "grant" case, whose grant still
+   carried the granter's accounting-ancestor list [7; 300; 2]. *)
 let test_old_version () =
-  let v5 = Codec.encode (golden_hlock (Msg.Release { new_owned = None; epoch = 100 })) in
-  let v4 = "\x04" ^ String.sub v5 1 (String.length v5 - 1) in
-  match Codec.decode v4 with
-  | _ -> Alcotest.fail "v4 frame decoded"
+  let v6 = of_hex "060b0d000103e9070301f1a204050c0092210903211528c1c407010307ac020212" in
+  match Codec.decode v6 with
+  | _ -> Alcotest.fail "v6 frame decoded"
   | exception Buf.Malformed msg ->
-      Alcotest.check Alcotest.string "reason" "unsupported version 4" msg
+      Alcotest.check Alcotest.string "reason" "unsupported version 6" msg
 
 (* {2 Stream frames} *)
 
@@ -809,7 +792,6 @@ let test_hostile_handoff_ids () =
   let via_wire snaps = Codec.decode_cluster_state (Codec.encode_cluster_state snaps) in
   let hostile =
     [ ("hint-owner", 1, fun (s : Dcs_hlock.Node.snapshot) -> { s with s_hint = (0, 3) });
-      ("ancestry", 2, fun s -> { s with s_ancestry = [ 0; 7 ] });
       ("queued requester", 0, fun s -> { s with s_queue = [ { queued with requester = 4 } ] });
       ("queued hint-owner", 0, fun s -> { s with s_queue = [ { queued with hint_owner = 5 } ] });
       ("queued path", 0, fun s -> { s with s_queue = [ { queued with path = [ 2; 3 ] } ] }) ]
@@ -963,7 +945,7 @@ let () =
           Alcotest.test_case "string length overflow" `Quick test_string_length_overflow;
           Alcotest.test_case "negative list count" `Quick test_negative_list_count;
           Alcotest.test_case "snapshot count" `Quick test_snapshot_count;
-          Alcotest.test_case "v4 frame refused" `Quick test_old_version;
+          Alcotest.test_case "v6 frame refused" `Quick test_old_version;
           Alcotest.test_case "handoff ids out of range" `Quick test_hostile_handoff_ids;
           qt prop_hostile_envelope;
           qt prop_mutated_envelope;
