@@ -145,7 +145,7 @@ let bench_freeze_walk peers =
         Node.handle_msg n ~src:2
           (Msg.Request
              { Msg.requester = 2; seq = 0; mode = Mode.W; upgrade = false; timestamp = 1;
-               priority = 0; hops = 1; token_only = false; hint_stamp = 1; hint_owner = 0;
+               priority = 0; hops = 1; hint_stamp = 1; hint_owner = 0;
                path = [ 2 ] });
         let weaker = Msg.Release { new_owned = Some Mode.IR; epoch = 1 }
         and stronger = Msg.Release { new_owned = Some Mode.R; epoch = 1 } in
@@ -188,7 +188,6 @@ let sample_request : Dcs_hlock.Msg.request =
     timestamp = 987654;
     priority = 2;
     hops = 3;
-    token_only = false;
     hint_stamp = 5; hint_owner = 2;
     path = [ 3; 5; 7 ];
   }

@@ -164,7 +164,7 @@ let shrink_cmd =
            ~doc:"Write the minimized repro here (default: print to stdout).")
   in
   let budget_arg =
-    Arg.(value & opt int 400 & info [ "budget" ] ~docv:"RUNS"
+    Arg.(value & opt int Shrink.default_budget & info [ "budget" ] ~docv:"RUNS"
            ~doc:"Max fuzz runs spent shrinking.")
   in
   let shrink seed nodes locks ops zipf plan mutation from out budget =

@@ -104,7 +104,9 @@ let structural st (c : Fuzz.case) =
   in
   c
 
-let shrink ?(budget = 400) ?(log = fun _ -> ()) (c : Fuzz.case) =
+let default_budget = 4000
+
+let shrink ?(budget = default_budget) ?(log = fun _ -> ()) (c : Fuzz.case) =
   let st = { runs = 0; budget; log } in
   let rec fix c =
     let before = (List.length c.Fuzz.script.Script.ops, c.Fuzz.plan, c.Fuzz.script) in

@@ -11,7 +11,12 @@
     Minimality is 1-minimal per pass, not global — standard for delta
     debugging — but in practice the seeded mutations shrink to 2–3 ops. *)
 
+(** The default [budget] of {!shrink}: 4000 fuzz runs, a few seconds on a
+    200-op case. *)
+val default_budget : int
+
 (** [shrink ?budget ?log case] returns the smallest failing case found
-    (the input itself if nothing smaller fails). [budget] (default 400)
-    caps fuzz runs; [log] receives one line per successful reduction. *)
+    (the input itself if nothing smaller fails). [budget] (default
+    {!default_budget}) caps fuzz runs; [log] receives one line per
+    successful reduction. *)
 val shrink : ?budget:int -> ?log:(string -> unit) -> Fuzz.case -> Fuzz.case

@@ -10,7 +10,6 @@ type request = {
   timestamp : int;
   priority : int;
   hops : int;
-  token_only : bool;
   hint_stamp : int;
   hint_owner : Node_id.t;
   path : Node_id.t list;

@@ -25,16 +25,8 @@ type request = {
                        level — the prioritized-token semantics of the
                        authors' earlier protocols [11, 12] that this
                        paper's FIFO model generalizes. Non-negative. *)
-  hops : int;  (** relay hops so far; when it exceeds twice the population
-                   the request switches to sweep routing *)
-  token_only : bool;
-      (** Serve this request only at the token node. Set when the requester
-          already owns a covering compatible mode and is blocked purely by
-          a frozen-mode drain: letting a node inside the requester's own
-          accounting subtree grant it could close an accounting ring that
-          disconnects a whole group of holders from the token (a safety
-          hazard); queueing it at the token is also what FIFO fairness
-          wants. *)
+  hops : int;  (** relay hops so far, reported with the grant (telemetry
+                   and the fuzzer's hop count); routing never reads it *)
   hint_stamp : int;
       (** the tenure of the freshest token location the sender knows —
           tenure increments at every token transfer *)
@@ -45,13 +37,14 @@ type request = {
           transfer edges behind the token. Two int fields, not a pair, so
           a relay that adopts a hint stores no box. *)
   path : Dcs_proto.Node_id.t list;
-      (** nodes visited (requester and relayers, newest first), used by
-          sweep routing. Under normal routing requests simply follow
-          parent pointers — revisits are fine because pointers mutate
-          underneath. A request whose hop count exceeds [2·peers] is
-          assumed trapped in a transient routing cycle and switches to a
-          sweep: lowest-id unvisited node next, which must reach a node
-          that takes custody (the token holder in the worst case). *)
+      (** nodes visited (requester and relayers, newest first). Every relay
+          adds itself and excludes every node on the path from its next
+          hop, so a request caught in a transient routing cycle sweeps the
+          membership — its tree and hint pointers first, then the
+          lowest-id unvisited node — and must reach a node that takes
+          custody (the token holder in the worst case). The path restarts
+          at the relay only when no candidate is left, or when the relay
+          sends it to the owner of a fresher token hint. *)
 }
 
 type t =

@@ -483,15 +483,15 @@ let list_text f l = "[" ^ String.concat "," (List.map f l) ^ "]"
 let set_text s = "{" ^ String.concat "," (List.map Mode.to_string (Mode_set.to_list s)) ^ "}"
 
 (* Every field of a request: requester, seq, mode (with [^] for an
-   upgrade), timestamp, priority when not 0, hops, the token-only mark,
-   the token hint it carries and its relay path. *)
+   upgrade), timestamp, priority when not 0, hops, the token hint it
+   carries and its relay path. *)
 let request_text (r : Msg.request) =
   String.concat ""
     [
       "{n"; string_of_int r.requester; "#"; string_of_int r.seq; " "; Mode.to_string r.mode;
       (if r.upgrade then "^" else ""); " @"; string_of_int r.timestamp;
       (if r.priority = 0 then "" else " p" ^ string_of_int r.priority);
-      " hops="; string_of_int r.hops; (if r.token_only then " token-only" else "");
+      " hops="; string_of_int r.hops;
       " hint="; string_of_int r.hint_stamp; "@"; id_text r.hint_owner;
       " path="; list_text string_of_int r.path; "}";
     ]
@@ -982,11 +982,9 @@ let forward_onward ?via t (r : Msg.request) =
 
 (* Rule 3/3.1 at a non-token node: may we grant [r] out of our owned mode?
    Never in a frozen mode (Rule 6). Never to our own accounting parent:
-   that grant would close a two-node accounting cycle (repair 13). A
-   longer cycle would need a grant from deeper in the grantee's subtree,
-   which [handle_grant] refuses (repair 14). A remote token-only request
-   never gets here: [handle_request] relays it, so no non-token queue
-   holds one ([restore] refuses a snapshot that does). *)
+   that grant would close a two-node accounting cycle. A longer cycle
+   would need a grant from deeper in the grantee's subtree, which
+   [handle_grant] refuses (repair 13). *)
 let may_child_grant t (r : Msg.request) =
   Decision.can_child_grant ~owned:(owned_code t) r.mode
   && (not (is_frozen t r.mode))
@@ -998,7 +996,7 @@ let may_child_grant t (r : Msg.request) =
    (Rule 3). Reads never take the token: an IR or R requester is not a
    future exclusive owner, so the token copy-grants it even out of a
    weaker owned mode and stays where the next writer will look for it
-   (repair 15). *)
+   (repair 14). *)
 let serve_at_token t (r : Msg.request) mo =
   if r.requester = t.id then begin
     if r.upgrade then complete_upgrade t r else grant_self t r
@@ -1063,26 +1061,13 @@ let request_own t (r : Msg.request) =
       (* Our own pending request was relayed back to us (transient cycle
          while a token is in flight): keep it moving. *)
       forward_onward t r
-  | _ ->
-      if may_child_grant t r then (* Message-free local acquisition. *) grant_self t r
-      else begin
-        (* A mode we own but may not grant only because it is frozen: a
-           node in our own accounting subtree could grant it, and that
-           would close an accounting ring. Only the token may serve it
-           (repair 13). *)
-        let r =
-          if Decision.can_child_grant ~owned:(owned_code t) r.mode then
-            { r with Msg.token_only = true }
-          else r
-        in
-        match t.pending with
-        | None ->
-            t.pending <- Some r;
-            forward_onward t r
-        | Some p ->
-            if Decision.queueable ~pending:(Decision.code_of_mode p.mode) r.mode then enqueue t r
-            else forward_onward t r
-      end
+  | _ when may_child_grant t r -> (* Message-free local acquisition. *) grant_self t r
+  | None ->
+      t.pending <- Some r;
+      forward_onward t r
+  | Some p ->
+      if Decision.queueable ~pending:(Decision.code_of_mode p.mode) r.mode then enqueue t r
+      else forward_onward t r
 
 (* Rule 4.1 / Table 2(a): take custody of [r] until our own pending [p]
    comes through. Custody edges must not cycle (that would deadlock both
@@ -1147,11 +1132,7 @@ let handle_request t (r : Msg.request) =
     end
   end
   else begin
-    if r.requester = t.id then request_own t r
-    else if r.token_only then
-      (* Token-bound: relay without granting or absorbing (see Msg.request). *)
-      forward_onward t r
-    else request_remote t r;
+    if r.requester = t.id then request_own t r else request_remote t r;
     (* A revoked cache weakened our owned mode: tell the copyset parent so
        the conflicting request stops waiting on us. Every path above must
        surface it — including the relayed-back escape: our request may
@@ -1177,46 +1158,31 @@ let handle_grant t ~src (r : Msg.request) ~epoch ~recorded =
   observe_clock t r.timestamp;
   observe_hint t r;
   absorb_epoch t epoch;
-  if t.token then begin
-    (* A copy grant can race a token transfer: this request was still
-       circulating when the token reached us (serving a younger request of
-       ours). Recording [src] as accounting parent would make the root a
-       child of a non-token node — a copyset cycle in which every node's
-       owned mode is justified only by the next, so no freeze or release
-       can ever unwind it and conflicting requests starve. Cancel the
-       granter's child record and serve the request ourselves: we are the
-       root now, Rule 3.2 applies. *)
+  if
+    t.token
+    || t.accounted_parent >= 0
+       && t.accounted_parent <> src
+       && Decision.strength_of_code (Decision.code_of_mode recorded)
+          <= Decision.strength_of_code (owned_code t)
+  then begin
+    (* A grant we cannot adopt (repair 13). Either the token reached us
+       while this request was still circulating, and recording [src] would
+       make the root a child of a non-token node; or another parent
+       already accounts for at least what [src] recorded (our request was
+       granted late, after we came to own a covering mode under that
+       parent), and moving that mode under [src] would send a detach to
+       the old parent and a strengthening report to [src] that reaches the
+       token only after the old parent has handed it on, recording our
+       weaker share. The second test also catches a granter in our own
+       subtree: our owned mode covers every record in it (Definition 3),
+       so at least what that granter could grant us. Adopting either would
+       close a copyset cycle in which each node's owned mode is justified
+       only by the next, so no freeze or release could unwind it. Cancel
+       [src]'s record and handle the request as if the grant had never
+       arrived: serve it if we may, else send it on. *)
     t.send ~dst:src (Msg.Release { new_owned = None; epoch });
     clear_pending_if_match t r;
     handle_request t r
-  end
-  else if
-    t.accounted_parent >= 0
-    && t.accounted_parent <> src
-    && Decision.strength_of_code (Decision.code_of_mode recorded)
-       <= Decision.strength_of_code (owned_code t)
-  then begin
-    (* Another parent already accounts for at least what [src] recorded
-       (our request was granted late, after we came to own a covering mode
-       under that parent). Adopting [src] would move that mode under it: a
-       detach to the old parent and a strengthening report to [src], which
-       can reach the token only after the old parent has handed the token
-       on, recording our weaker share — and the new token node then grants
-       a conflicting mode while we hold ours. The same test catches a
-       granter in our own subtree: our owned mode covers every record in
-       it (Definition 3), so at least what that granter could grant us,
-       and adopting it would close an accounting cycle in which each
-       node's mode is justified only by the next (repair 14). Same cure as
-       above: cancel [src]'s record, then serve the request out of the
-       mode our current parent accounts. Rule D: refuse even when that
-       mode may not grant it. If it covers the request and only our frozen
-       set forbids it, serve it anyway: [src]'s grant already decided that
-       the request goes now, and relaying it would only draw the same
-       grant again. If it does not cover the request, only the token, which
-       sees our stronger mode, may serve it. *)
-    t.send ~dst:src (Msg.Release { new_owned = None; epoch });
-    if Decision.can_child_grant ~owned:(owned_code t) r.mode then grant_self t r
-    else forward_onward t { r with Msg.token_only = true }
   end
   else begin
     let same_parent = accounted_by t src in
@@ -1337,7 +1303,7 @@ let handle_msg t ~src msg =
 let client_request t ~seq ~mode ~upgrade ~priority =
   let r =
     { Msg.requester = t.id; seq; mode; upgrade; timestamp = tick t; priority; hops = 0;
-      token_only = false; hint_stamp = hint_stamp t; hint_owner = hint_owner t; path = [ t.id ] }
+      hint_stamp = hint_stamp t; hint_owner = hint_owner t; path = [ t.id ] }
   in
   (match t.obs with
   | None -> ()
@@ -1393,12 +1359,13 @@ let rec marked_in requester seq = function
   | [] -> false
   | (n, s) :: tl -> (n = requester && s = seq) || marked_in requester seq tl
 
-(* Watchdog against custody stalls: crossing requests can leave two pending
-   nodes holding each other's requests (a mutual-absorption cycle the
-   paper's Table 2(a) does not address). Re-circulating absorbed remote
-   requests lets them reach the token node — which always takes custody and
-   serves strictly by its queue — so any cycle unwinds. Drivers call this
-   periodically on nodes that look stalled; it is a no-op otherwise. *)
+(* Watchdog against long custody waits: a remote request absorbed at a
+   pending node waits for that node's own request to come through.
+   [absorbs] keeps custody chains acyclic, so every such wait ends (repair
+   10); re-circulating requests held for a whole watchdog period sends them
+   on to the token node, which serves strictly by its queue, and shortens
+   the tail of the wait. Drivers call this periodically on nodes that look
+   stalled; it is a no-op otherwise. *)
 let kick t =
   if (not t.token) && Option.is_some t.pending then begin
     (* Two-phase: only re-circulate requests that were already in custody at
@@ -1491,13 +1458,7 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send (s : snapshot) =
     (fun (r : Msg.request) ->
       check "queued requester" r.requester;
       check "queued hint-owner" r.hint_owner;
-      List.iter (check "queued path") r.path;
-      (* A non-token node relays a remote token-only request without
-         queueing it (repair 13), so no run leaves one in its queue. *)
-      if r.token_only && r.requester <> id && not s.s_token then
-        invalid_arg
-          (caller
-          ^ Printf.sprintf ": queued token-only request from %d at non-token node %d" r.requester id))
+      List.iter (check "queued path") r.path)
     s.s_queue;
   t.parent_stamp <- s.s_parent_stamp;
   t.accounted_parent <- id_or_none s.s_accounted_parent;

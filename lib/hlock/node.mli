@@ -54,7 +54,8 @@
     - Custody (Table 2a queueing at pending nodes) is acyclic by
       construction: cross-mode absorption descends the mode hierarchy and
       same-mode absorption only takes Lamport-younger requests; the
-      {!kick} watchdog re-circulates custody as a belt-and-braces measure.
+      {!kick} watchdog re-circulates long-held custody to shorten the
+      tail of the wait, not for liveness.
     - Reads never take the token: the token node copy-grants [IR] and
       [R] even out of a weaker owned mode, so Rule 3.2's transfer serves
       only [IW], [U] and [W].
@@ -170,11 +171,11 @@ val release : t -> seq:int -> unit
 val upgrade : t -> seq:int -> on_upgraded:(int -> unit) -> unit
 
 (** [kick t] re-circulates absorbed remote requests when this node is
-    still waiting for its own pending request — the watchdog that unwinds
-    mutual-custody cycles (two pending nodes holding each other's requests
-    after a message crossing). Call it periodically (order of a few network
-    round trips); it is cheap and a no-op when the node is not in the
-    vulnerable state. *)
+    still waiting for its own pending request: those already in custody at
+    the previous kick go on toward the token. Custody is acyclic, so every
+    wait ends without it; the watchdog shortens the tail of the wait
+    (DESIGN.md §2, repair 10). Call it periodically (order of a few network
+    round trips); it is cheap and a no-op when the node is not waiting. *)
 val kick : t -> unit
 
 (** {1 Transport hook} *)

@@ -12,17 +12,18 @@ type envelope = {
   payload : payload;
 }
 
-let version = 7
+let version = 8
 (* v2: request carries a priority; v3: naimi request carries a span seq;
    v4: grant carries the granter's recorded child mode; v5: grant carries
    the child's frozen set; v6: a node snapshot no longer carries the two
    routing bits R relays read before they stopped re-pointing the routing
    tree; v7: neither a grant nor a node snapshot carries the approximate
    accounting-ancestor list, which two exact rules on fields both ends
-   already keep replaced. The shard payload arm
-   (directory + handoff traffic) was versioned alongside v4: same
-   envelope version, a third payload tag — pre-shard decoders reject it
-   as a bad payload tag rather than silently misreading it. *)
+   already keep replaced; v8: a request no longer carries the token-only
+   mark, which the exact late-grant refusal made redundant. The shard
+   payload arm (directory + handoff traffic) was versioned alongside v4:
+   same envelope version, a third payload tag — pre-shard decoders reject
+   it as a bad payload tag rather than silently misreading it. *)
 
 (* {1 Encoding}
 
@@ -47,7 +48,6 @@ let write_request w (r : Msg.request) =
   Buf.varint w r.timestamp;
   Buf.varint w r.priority;
   Buf.varint w r.hops;
-  Buf.bool w r.token_only;
   Buf.varint w r.hint_stamp;
   Buf.varint w r.hint_owner;
   Buf.list w Buf.varint r.path
@@ -211,12 +211,10 @@ let read_request r : Msg.request =
   let timestamp = Buf.read_varint r in
   let priority = Buf.read_varint r in
   let hops = Buf.read_varint r in
-  let token_only = Buf.read_bool r in
   let hint_stamp = Buf.read_varint r in
   let hint_owner = Buf.read_varint r in
   let path = Buf.read_list r Buf.read_varint in
-  { requester; seq; mode; upgrade; timestamp; priority; hops; token_only; hint_stamp; hint_owner;
-    path }
+  { requester; seq; mode; upgrade; timestamp; priority; hops; hint_stamp; hint_owner; path }
 
 let read_hlock_msg r : Msg.t =
   match Buf.read_u8 r with

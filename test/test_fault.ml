@@ -380,7 +380,6 @@ let queued_request =
     timestamp = 1;
     priority = 0;
     hops = 1;
-    token_only = false;
     hint_stamp = 0;
     hint_owner = 0;
     path = [ 2 ];

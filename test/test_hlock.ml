@@ -53,7 +53,7 @@ let test_remote_grant_and_transfer () =
     (List.mem_assoc 2 (Node.children (SC.node c 1)));
   SC.release c ~node:1 ~seq:s1
 
-(* Reads never take the token (DESIGN.md §2, repair 15): an idle token
+(* Reads never take the token (DESIGN.md §2, repair 14): an idle token
    copy-grants a remote R out of its empty owned mode, one request and
    one grant, and records the reader as its child. *)
 let test_idle_token_copy_grants_read () =
@@ -747,7 +747,7 @@ let token_with_children kids =
 
 let upgrade_req ~requester ~seq =
   { Msg.requester; seq; mode = Mode.W; upgrade = true; timestamp = 1; priority = 0; hops = 0;
-    token_only = false; hint_stamp = 0; hint_owner = 0; path = [ requester ] }
+    hint_stamp = 0; hint_owner = 0; path = [ requester ] }
 
 (* U and IW are equally strong: between child records the higher mode
    index (IW) wins, whatever the insertion order. *)
@@ -926,7 +926,7 @@ let test_stale_sent_freeze_roundtrips () =
   let n = Node.restore ~id:1 ~peers:3 ~send:(fun ~dst:_ _ -> ()) snap in
   let serving =
     { Msg.requester = 1; seq = 0; mode = Mode.W; upgrade = false; timestamp = 1; priority = 0;
-      hops = 1; token_only = false; hint_stamp = 1; hint_owner = 1; path = [ 1 ] }
+      hops = 1; hint_stamp = 1; hint_owner = 1; path = [ 1 ] }
   in
   Node.handle_msg n ~src:2
     (Msg.Token
@@ -946,7 +946,7 @@ let test_pp_state_shows_every_field () =
   let base = Node.export (SC.node (SC.create 3) 1) in
   let q =
     { Msg.requester = 1; seq = 0; mode = Mode.W; upgrade = false; timestamp = 1; priority = 0;
-      hops = 1; token_only = false; hint_stamp = 1; hint_owner = 0; path = [ 1 ] }
+      hops = 1; hint_stamp = 1; hint_owner = 0; path = [ 1 ] }
   in
   let queued f = { base with Node.s_queue = [ f q ] } in
   let variants =
@@ -976,7 +976,6 @@ let test_pp_state_shows_every_field () =
       queued (fun q -> { q with Msg.timestamp = 2 });
       queued (fun q -> { q with Msg.priority = 1 });
       queued (fun q -> { q with Msg.hops = 2 });
-      queued (fun q -> { q with Msg.token_only = true });
       queued (fun q -> { q with Msg.hint_stamp = 2 });
       queued (fun q -> { q with Msg.hint_owner = 2 });
       queued (fun q -> { q with Msg.path = [ 1; 0 ] }) ]
@@ -1015,7 +1014,7 @@ let test_freeze_walk_word_boundaries () =
     Node.handle_msg n ~src:requester
       (Msg.Request
          { Msg.requester; seq = 0; mode; upgrade = false; timestamp = requester; priority = 0;
-           hops = 1; token_only = false; hint_stamp = 1; hint_owner = 0; path = [ requester ] });
+           hops = 1; hint_stamp = 1; hint_owner = 0; path = [ requester ] });
     List.rev_map
       (fun (dst, msg) ->
         match msg with
@@ -1083,7 +1082,7 @@ let restore_refuses what corrupt () =
   let snap = Node.export (SC.node (SC.create 3) 1) in
   let queued =
     { Msg.requester = 2; seq = 0; mode = Mode.R; upgrade = false; timestamp = 1; priority = 0;
-      hops = 1; token_only = false; hint_stamp = 0; hint_owner = 0; path = [ 2 ] }
+      hops = 1; hint_stamp = 0; hint_owner = 0; path = [ 2 ] }
   in
   ignore
     (Node.restore ~id:1 ~peers:3 ~send:(fun ~dst:_ _ -> ())
@@ -1094,16 +1093,13 @@ let restore_field_cases =
   [ ("hint-owner", fun (s : Node.snapshot) _ -> { s with Node.s_hint = (1, 3) });
     ("queued requester", fun s q -> { s with Node.s_queue = [ { q with Msg.requester = 9 } ] });
     ("queued hint-owner", fun s q -> { s with Node.s_queue = [ { q with Msg.hint_owner = 3 } ] });
-    ("queued path", fun s q -> { s with Node.s_queue = [ { q with Msg.path = [ 2; -4 ] } ] });
-    (* Not an id: a remote token-only request, which a non-token node
-       relays and never queues. *)
-    ("queued token-only", fun s q -> { s with Node.s_queue = [ { q with Msg.token_only = true } ] }) ]
+    ("queued path", fun s q -> { s with Node.s_queue = [ { q with Msg.path = [ 2; -4 ] } ] }) ]
 
 (* {1 Message classification} *)
 
 let test_msg_classes () =
   let r = { Msg.requester = 1; seq = 0; mode = Mode.R; upgrade = false; timestamp = 1; priority = 0;
-            hops = 0; token_only = false; hint_stamp = 0; hint_owner = 0; path = [ 1 ] } in
+            hops = 0; hint_stamp = 0; hint_owner = 0; path = [ 1 ] } in
   Alcotest.check (Alcotest.testable Dcs_proto.Msg_class.pp Dcs_proto.Msg_class.equal)
     "request" Dcs_proto.Msg_class.Request
     (Msg.class_of (Msg.Request r));
@@ -1125,7 +1121,7 @@ let test_msg_classes () =
 let grant_freeze_equivalent ~snap ~mode ~recorded ~frozen ~matters =
   let req =
     { Msg.requester = 1; seq = 0; mode; upgrade = false; timestamp = 3; priority = 0; hops = 1;
-      token_only = false; hint_stamp = 0; hint_owner = 0; path = [ 1 ] }
+      hint_stamp = 0; hint_owner = 0; path = [ 1 ] }
   in
   let grant frozen = Msg.Grant { req; epoch = 9; recorded; frozen } in
   let run msgs =
@@ -1216,15 +1212,15 @@ let deliver_to_n1 ~snap msgs =
 
 let own_request mode =
   { Msg.requester = 1; seq = 0; mode; upgrade = false; timestamp = 3; priority = 0; hops = 1;
-    token_only = false; hint_stamp = 0; hint_owner = 0; path = [ 1 ] }
+    hint_stamp = 0; hint_owner = 0; path = [ 1 ] }
 
-(* Rule D (DESIGN.md §2, extending repair 14), at the step where 4-node
-   fuzz seed 1283 breaks without it: n1 owns R under n0 (through its child
-   n3) with IR and R frozen when n2's copy grant of its older IR request
-   arrives, recorded as IR. Adopting n2 would move n1's R under n2's IR record and detach
-   it from n0, which could then grant a conflicting mode. n1 cancels n2's
-   record instead, keeps n0, and serves the IR out of the R n0 accounts:
-   n2's grant already decided the request goes now. *)
+(* A frozen late grant (4-node fuzz seed 1283; DESIGN.md §2, repair 13):
+   n1 owns R under n0 (through its child n3) with IR and R frozen when
+   n2's copy grant of its older IR request arrives, recorded as IR.
+   Adopting n2 would move n1's R under n2's IR record and detach it from
+   n0, which could then grant a conflicting mode. n1 cancels n2's record,
+   keeps n0 and handles the request as if the grant had never come: IR
+   is frozen, so n1 may not grant it and asks n0 again (Rule 6). *)
 let test_rule_d_frozen_late_grant () =
   let snap =
     { (fresh_snapshot ()) with Node.s_accounted_parent = Some 0; s_accounted_epoch = 1;
@@ -1236,10 +1232,11 @@ let test_rule_d_frozen_late_grant () =
       [ (2, Msg.Grant { req = own_request Mode.IR; epoch = 9; recorded = Mode.IR;
                         frozen = Mode_set.empty }) ]
   in
-  Alcotest.check Alcotest.(list string) "cancels n2's record only" [ "n2 Release new_owned=_ e9" ]
-    sent;
+  Alcotest.check Alcotest.(list string) "cancels n2's record, asks n0 again"
+    [ "n2 Release new_owned=_ e9"; "n0 Request {n1#0 IR @3}" ] sent;
   checkb "kept n0" true (contains ~sub:"acct=n0@1" line);
-  Alcotest.(check (list (pair int Testkit.mode))) "serves the IR" [ (0, Mode.IR) ] (Node.held n)
+  checkb "the request is pending" true (contains ~sub:"pending={n1#0 IR" line);
+  Alcotest.(check (list (pair int Testkit.mode))) "holds nothing" [] (Node.held n)
 
 (* Rule E (DESIGN.md §2, extending repair 5): n1 copy-granted n2's R at
    epoch 9, and the token n2 had already sent arrives with sender epoch 7. n2 adopts the grant's epoch
@@ -1267,16 +1264,15 @@ let test_rule_e_token_keeps_record_epoch () =
       Alcotest.(check (list (pair int Testkit.mode))) "the Release lands" [] (Node.children n))
     [ Some Mode.IR; None ]
 
-(* Rule F's case (32-node fuzz seed 453), now caught by rule 2 (DESIGN.md
-   §2, repair 14): n1 accounts its child n3 under n0 and waits for its
-   own R (IR and R frozen here). n2, a child of n3, copy-grants that R.
-   Adopting n2 would close the accounting cycle n1 -> n2 -> n3 -> n1,
-   whose records justify only each other, so n0 could grant a W over
-   them. n1 already owns R under n0, at least what n2 recorded: it
-   cancels n2's record, keeps n0 and serves the R out of the mode n0
-   accounts. The same grant from n0, already n1's accounting parent,
-   moves nothing and is adopted: refusing it would cancel n0's record of
-   n1. *)
+(* A grant from the grantee's own subtree (32-node fuzz seed 453;
+   DESIGN.md §2, repair 13): n1 accounts its child n3 under n0 and waits
+   for its own R (IR and R frozen here). n2, a child of n3, copy-grants
+   that R. Adopting n2 would close the accounting cycle n1 -> n2 -> n3 ->
+   n1, whose records justify only each other, so n0 could grant a W over
+   them. n1 already owns R under n0, as much as n2 recorded: it cancels
+   n2's record, keeps n0, holds nothing and asks n0 again, as R is
+   frozen. The same grant from n0, already n1's accounting parent, moves
+   nothing and is adopted: refusing it would cancel n0's record of n1. *)
 let test_rule_f_grant_from_subtree () =
   let snap =
     { (fresh_snapshot ()) with Node.s_accounted_parent = Some 0; s_accounted_epoch = 1;
@@ -1286,16 +1282,17 @@ let test_rule_f_grant_from_subtree () =
   let grant = Msg.Grant { req = own_request Mode.R; epoch = 9; recorded = Mode.R;
                           frozen = Mode_set.empty } in
   let sent, line, n = deliver_to_n1 ~snap [ (2, grant) ] in
-  Alcotest.check Alcotest.(list string) "cancels n2's record only" [ "n2 Release new_owned=_ e9" ]
-    sent;
+  Alcotest.check Alcotest.(list string) "cancels n2's record, asks n0 again"
+    [ "n2 Release new_owned=_ e9"; "n0 Request {n1#0 R @3}" ] sent;
   checkb "kept n0" true (contains ~sub:"acct=n0@1" line);
-  Alcotest.(check (list (pair int Testkit.mode))) "serves the R" [ (0, Mode.R) ] (Node.held n);
+  checkb "the request is pending" true (contains ~sub:"pending={n1#0 R" line);
+  Alcotest.(check (list (pair int Testkit.mode))) "holds nothing" [] (Node.held n);
   let sent, line, n = deliver_to_n1 ~snap [ (0, grant) ] in
   checkb "no refusal to n0" false (List.exists (contains ~sub:"Release") sent);
   checkb "adopted at epoch 9" true (contains ~sub:"acct=n0@9" line);
   Alcotest.(check (list (pair int Testkit.mode))) "holds R" [ (0, Mode.R) ] (Node.held n)
 
-(* Rule 2 (DESIGN.md §2, repair 14) at equal strength: n1 owns a cached R
+(* Rule 2 (DESIGN.md §2, repair 13) at equal strength: n1 owns a cached R
    under n0 when n2, outside n1's subtree, grants its older R request,
    recorded as R. Another parent already accounts for as much as n2
    recorded, so n1 refuses the grant: it cancels n2's record, keeps n0
@@ -1330,7 +1327,7 @@ let gen_request =
     let* timestamp = int_bound 4 in
     let* priority = int_bound 2 in
     return
-      { Msg.requester; seq; mode; upgrade; timestamp; priority; hops = 0; token_only = false;
+      { Msg.requester; seq; mode; upgrade; timestamp; priority; hops = 0;
         hint_stamp = 0; hint_owner = 0; path = [ requester ] })
 
 let prop_service_order_matches_tuple_key =
@@ -1428,13 +1425,11 @@ let relay_gen =
     let* hops = int_bound 5 in
     let* mode = Testkit.gen_mode in
     let* via = bool in
-    let* token_only = bool in
     return
       ( (peers, id, parent, parent_stamp, hint),
         (accounted, last_granter, via),
         { Msg.requester; seq = 0; mode; upgrade = false; timestamp = 0; priority = 0; hops;
-          token_only = token_only && not via; hint_stamp = fst r_hint;
-          hint_owner = snd r_hint; path } ))
+          hint_stamp = fst r_hint; hint_owner = snd r_hint; path } ))
 
 (* Drive a restored non-token node through [handle_msg (Request r)] and
    return what it sent. *)
@@ -1518,7 +1513,7 @@ let test_fresh_hint_beats_visited_set () =
   let n2 = restore ~id:2 ~token:false ~parent:(Some 3) ~hint:(5, 1) in
   let w =
     { Msg.requester = 0; seq = 0; mode = Mode.W; upgrade = false; timestamp = 1; priority = 0;
-      hops = 3; token_only = false; hint_stamp = 2; hint_owner = 3; path = [ 3; 1; 0 ] }
+      hops = 3; hint_stamp = 2; hint_owner = 3; path = [ 3; 1; 0 ] }
   in
   Node.handle_msg n2 ~src:3 (Msg.Request w);
   let relayed =
@@ -1536,7 +1531,7 @@ let test_fresh_hint_beats_visited_set () =
 
 let test_merge_queues_orders_by_timestamp () =
   let mk ts id = { Msg.requester = id; seq = 0; mode = Mode.R; upgrade = false; timestamp = ts; priority = 0;
-                   hops = 0; token_only = false; hint_stamp = 0; hint_owner = 0; path = [ id ] } in
+                   hops = 0; hint_stamp = 0; hint_owner = 0; path = [ id ] } in
   let merged = Msg.merge_queues [ mk 5 1; mk 9 2 ] [ mk 3 3; mk 7 4 ] in
   Alcotest.check (Alcotest.list Alcotest.int) "by timestamp" [ 3; 1; 4; 2 ]
     (List.map (fun (r : Msg.request) -> r.Msg.requester) merged)

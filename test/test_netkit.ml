@@ -296,7 +296,7 @@ let test_forged_src_dropped () =
   let oc = Unix.out_channel_of_descr sock in
   let req ~requester ~seq ~mode =
     { Dcs_hlock.Msg.requester; seq; mode; upgrade = false; timestamp = 1; priority = 0; hops = 1;
-      token_only = false; hint_stamp = 0; hint_owner = requester; path = [ requester ] }
+      hint_stamp = 0; hint_owner = requester; path = [ requester ] }
   in
   let write src msg =
     Dcs_wire.Codec.write_frame oc { Dcs_wire.Codec.src; lock = 0; payload = Dcs_wire.Codec.Hlock msg };
@@ -333,7 +333,7 @@ let test_hostile_frame_counted () =
           Dcs_wire.Codec.Hlock
             (Dcs_hlock.Msg.Request
                { Dcs_hlock.Msg.requester = 0; seq = 1; mode = Dcs_modes.Mode.R; upgrade = false;
-                 timestamp = 1; priority = 0; hops = 1; token_only = false; hint_stamp = 0;
+                 timestamp = 1; priority = 0; hops = 1; hint_stamp = 0;
                  hint_owner = 0; path = [] }) }
   in
   (* The last byte is the empty path's count. *)

@@ -482,10 +482,10 @@ let test_golden_airline () =
   let r = Experiment.run cfg in
   check_minor_words "airline run" ~ceiling:119_211.0 ~before;
   check_counts "messages by class"
-    [ ("request", 421); ("grant", 227); ("token", 43); ("release", 216); ("freeze", 162);
+    [ ("request", 432); ("grant", 237); ("token", 43); ("release", 233); ("freeze", 168);
       ("ack", 0); ("retx", 0) ]
     r.Experiment.messages;
-  checki "engine events" 1715 r.Experiment.events
+  checki "engine events" 1759 r.Experiment.events
 
 (* The Naimi baseline doing the airline run's work: every entry op takes
    that entry's exclusive lock, every table op takes every entry lock of

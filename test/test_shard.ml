@@ -453,7 +453,7 @@ let run_set_up_burst ~seed ~nodes ~set ~burst =
 (* Fixed: the three ping-pongs drain since a node that already owns more
    than a late copy grant records, under another accounting parent,
    keeps that parent and cancels the granter's record instead of
-   adopting it (DESIGN.md §2, repair 14). That repair alone, on the
+   adopting it (DESIGN.md §2, repair 13). That repair alone, on the
    protocol before grants carried frozen sets, drains them too. Set
    6308's stranded request drains since a token sender that stays a
    child no longer copy-grants its new parent and a late grant no longer

@@ -19,7 +19,6 @@ let gen_request =
     let* timestamp = int_bound 1_000_000 in
     let* priority = int_bound 9 in
     let* hops = int_bound 300 in
-    let* token_only = bool in
     let* tenure = int_bound 100_000 in
     let* owner = int_bound 200 in
     let* path = list_size (int_bound 20) (int_bound 200) in
@@ -32,7 +31,6 @@ let gen_request =
         timestamp;
         priority;
         hops;
-        token_only;
         hint_stamp = tenure;
         hint_owner = owner;
         path;
@@ -167,7 +165,6 @@ let golden_request =
     timestamp = 70001;
     priority = 5;
     hops = 12;
-    token_only = false;
     hint_stamp = 4242;
     hint_owner = 9;
     path = [ 33; 21; 40 ];
@@ -182,7 +179,6 @@ let golden_request_b =
     timestamp = 131;
     priority = 1;
     hops = 0;
-    token_only = true;
     hint_stamp = 17;
     hint_owner = 8;
     path = [];
@@ -239,7 +235,7 @@ let golden_cases =
     ( "request",
       [
         ("request", golden_hlock (Msg.Request golden_request));
-        ("request-token-only", golden_hlock (Msg.Request golden_request_b));
+        ("request-empty-path", golden_hlock (Msg.Request golden_request_b));
       ] );
     ( "grant",
       [
@@ -339,7 +335,6 @@ let golden_cases =
                    timestamp = 128;
                    priority = 16384;
                    hops = 1;
-                   token_only = true;
                    hint_stamp = max_int - 1;
                    hint_owner = 2;
                    path = [ 16384; 127; 128; 0; max_int ];
@@ -386,7 +381,7 @@ let read_fixture cls =
 (* Each case encodes to its fixture bytes, and the fixture bytes decode
    back to the case. *)
 let check_golden cls encode decode cases =
-  Alcotest.check Alcotest.int "wire format version" 7 Codec.version;
+  Alcotest.check Alcotest.int "wire format version" 8 Codec.version;
   let fixture = read_fixture cls in
   Alcotest.check
     Alcotest.(list string)
@@ -514,7 +509,6 @@ let test_frame_roundtrip () =
                timestamp = 5;
                priority = 0;
                hops = 2;
-               token_only = false;
                hint_stamp = 9;
                hint_owner = 4;
                path = [ 7; 3 ];
@@ -585,15 +579,13 @@ let gen_snapshot =
    and its last-reported mode into an owned code, and [Node.export] turns
    them back. A snapshot node 5 of 64 peers could export — ids in
    [0, 64), copyset and sent-freeze entries in ascending id with no
-   repeats, no empty sent-freeze set, no remote token-only request queued
-   at a non-token node — restores and exports to itself. *)
+   repeats, no empty sent-freeze set — restores and exports to itself. *)
 
 let restorable (s : Dcs_hlock.Node.snapshot) =
   let peer x = x mod 64 in
   let request (r : Msg.request) =
-    let requester = peer r.requester in
-    { r with requester; hint_owner = peer r.hint_owner; path = List.map peer r.path;
-             token_only = r.token_only && (s.s_token || requester = 5) }
+    { r with requester = peer r.requester; hint_owner = peer r.hint_owner;
+             path = List.map peer r.path }
   in
   { s with
     s_children = List.sort_uniq (fun (a, _, _) (b, _, _) -> compare a b) s.s_children;
@@ -754,14 +746,14 @@ let test_snapshot_count () =
   malformed "max_int" (fun () -> Codec.decode_cluster_state (wide_varint '\x3f' ^ snapshot))
 
 (* A frame of the previous format is refused by its version byte, not
-   misread: the v6 bytes of the golden "grant" case, whose grant still
-   carried the granter's accounting-ancestor list [7; 300; 2]. *)
+   misread: the v7 bytes of the golden "grant" case, whose request still
+   carried the token-only byte (0). *)
 let test_old_version () =
-  let v6 = of_hex "060b0d000103e9070301f1a204050c0092210903211528c1c407010307ac020212" in
-  match Codec.decode v6 with
-  | _ -> Alcotest.fail "v6 frame decoded"
+  let v7 = of_hex "070b0d000103e9070301f1a204050c0092210903211528c1c4070112" in
+  match Codec.decode v7 with
+  | _ -> Alcotest.fail "v7 frame decoded"
   | exception Buf.Malformed msg ->
-      Alcotest.check Alcotest.string "reason" "unsupported version 6" msg
+      Alcotest.check Alcotest.string "reason" "unsupported version 7" msg
 
 (* {2 Stream frames} *)
 
@@ -787,7 +779,7 @@ let test_hostile_handoff_ids () =
   let state = HC.export_lock (create ()) ~lock:0 in
   let queued =
     { Msg.requester = 2; seq = 0; mode = Mode.R; upgrade = false; timestamp = 1; priority = 0;
-      hops = 1; token_only = false; hint_stamp = 0; hint_owner = 0; path = [ 2 ] }
+      hops = 1; hint_stamp = 0; hint_owner = 0; path = [ 2 ] }
   in
   let via_wire snaps = Codec.decode_cluster_state (Codec.encode_cluster_state snaps) in
   let hostile =
@@ -945,7 +937,7 @@ let () =
           Alcotest.test_case "string length overflow" `Quick test_string_length_overflow;
           Alcotest.test_case "negative list count" `Quick test_negative_list_count;
           Alcotest.test_case "snapshot count" `Quick test_snapshot_count;
-          Alcotest.test_case "v6 frame refused" `Quick test_old_version;
+          Alcotest.test_case "v7 frame refused" `Quick test_old_version;
           Alcotest.test_case "handoff ids out of range" `Quick test_hostile_handoff_ids;
           qt prop_hostile_envelope;
           qt prop_mutated_envelope;
